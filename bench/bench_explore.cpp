@@ -1,16 +1,12 @@
 // Experiment E12 — raw BFS throughput of the state-space engine: packed
-// ConfigArena storage plus work-stealing parallel frontier expansion.
-// Enumerates the reachable space of the ballot protocol (the adversary's
-// workhorse) at n = 4..6 with 1/2/4/8 worker threads and reports
-// configs/sec, steal/chunk forensics and peak RSS. Thread counts above the
-// machine's core count measure scheduling overhead, not speedup; the
-// determinism contract means every complete (untruncated) row enumerates
-// the exact same configuration set — discovery order is scheduling-
-// dependent, so truncated rows may legitimately differ.
+// ConfigArena storage, resident and forced out of core. Enumerates the
+// reachable space of the ballot protocol (the adversary's workhorse) at
+// n = 4..6 and reports configs/sec and peak RSS. The spilled row must
+// enumerate exactly the resident row's configuration count.
 //
 // Usage: bench_explore [--smoke] [--overhead] [--stats=FILE] [--json=FILE]
 //                      [max_n]
-//   --smoke       one small run (n = 4, 1 and 2 threads, low cap) for CI
+//   --smoke       one small run (n = 4, low cap) for CI
 //   --overhead    E13: instrumentation cost — the same enumeration at three
 //                 tiers (off / stats-only / stats+trace), configs/sec each,
 //                 plus the per-level table recovered from the stats JSONL
@@ -33,7 +29,6 @@
 #include "obs/obs.hpp"
 #include "report.hpp"
 #include "sim/explorer.hpp"
-#include "sim/parallel_explorer.hpp"
 #include "util/checkpoint.hpp"
 #include "util/table.hpp"
 
@@ -54,8 +49,7 @@ struct RunResult {
   double secs = 0;
 };
 
-template <typename ExplorerT>
-RunResult timed_explore(ExplorerT& explorer, const sim::Protocol& proto,
+RunResult timed_explore(sim::Explorer& explorer, const sim::Protocol& proto,
                         int n) {
   std::vector<sim::Value> inputs(static_cast<std::size_t>(n));
   for (int p = 0; p < n; ++p) inputs[static_cast<std::size_t>(p)] = p & 1;
@@ -80,8 +74,7 @@ double configs_per_sec(const RunResult& r) {
 // (ISSUE: "full instrumentation within 10% of uninstrumented throughput")
 // holds because per-level stats amortize over whole BFS levels and trace
 // spans bracket phases, not configurations — nothing per-config changes.
-int run_overhead(int n, std::size_t cap, int threads,
-                 const std::string& stats_file) {
+int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
   consensus::BallotConsensus proto(n, ballot_cap(n));
   const std::string stats_path =
       stats_file.empty() ? "bench_explore_overhead.jsonl" : stats_file;
@@ -108,7 +101,7 @@ int run_overhead(int n, std::size_t cap, int threads,
                         {"checkpoint", false, false, false, false, true}};
 
   std::cout << "E13: instrumentation overhead, ballot n=" << n << " cap "
-            << cap << ", " << threads << " threads\n\n";
+            << cap << "\n\n";
 
   // Warm-up pass (untimed): fault in the arena pages and warm the branch
   // predictors so the first tier doesn't pay the cold-start tax the later
@@ -173,17 +166,8 @@ int run_overhead(int n, std::size_t cap, int threads,
       });
     }
 
-    RunResult r;
-    if (threads == 1) {
-      sim::Explorer explorer(proto,
-                             {.max_configs = cap, .stats_min_visited = 0});
-      r = timed_explore(explorer, proto, n);
-    } else {
-      sim::ParallelExplorer explorer(proto, {.max_configs = cap,
-                                             .threads = threads,
-                                             .stats_min_visited = 0});
-      r = timed_explore(explorer, proto, n);
-    }
+    sim::Explorer explorer(proto, {.max_configs = cap, .stats_min_visited = 0});
+    const RunResult r = timed_explore(explorer, proto, n);
 
     if (tier.ckpt) {
       util::ckpt::CheckpointService& svc = util::ckpt::CheckpointService::global();
@@ -306,7 +290,7 @@ int main(int argc, char** argv) {
 
   if (overhead) {
     const std::size_t cap = smoke ? 50'000 : 500'000;
-    return run_overhead(4, cap, smoke ? 2 : 4, stats_file);
+    return run_overhead(4, cap, stats_file);
   }
 
   const int min_n = smoke ? 4 : 4;
@@ -314,8 +298,6 @@ int main(int argc, char** argv) {
   // n = 6's full space dwarfs the others; cap it so a row finishes in
   // seconds while still measuring steady-state throughput.
   const std::size_t cap = smoke ? 50'000 : 2'000'000;
-  const std::vector<int> thread_counts =
-      smoke ? std::vector<int>{1, 2} : std::vector<int>{1, 2, 4, 8};
 
   if (!stats_file.empty() && !obs::stats_sink().open(stats_file)) {
     std::cerr << "could not open " << stats_file << "\n";
@@ -323,13 +305,10 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "E12: state-space enumeration throughput, ballot protocol\n"
-            << "(config cap " << cap << "; identical configuration sets on\n"
-            << "every complete row — see the work-stealing explorer's\n"
-            << "determinism rule; truncated rows may differ by schedule).\n\n";
+            << "(config cap " << cap << ").\n\n";
 
-  util::Table table({"n", "cap", "threads", "spill", "configs", "truncated",
-                     "seconds", "configs/sec", "steals", "chunks",
-                     "peak RSS MB"});
+  util::Table table({"n", "cap", "spill", "configs", "truncated", "seconds",
+                     "configs/sec", "peak RSS MB"});
   obs::Registry& reg = obs::Registry::global();
 
   std::ofstream json;
@@ -348,46 +327,23 @@ int main(int argc, char** argv) {
     consensus::BallotConsensus proto(n, ballot_cap(n));
     std::size_t seq_visited = 0;
     bool seq_truncated = false;
-    for (int threads : thread_counts) {
-      RunResult r;
-      std::uint64_t steals = 0;
-      std::uint64_t chunks = 0;
-      if (threads == 1) {
-        sim::Explorer explorer(proto, {.max_configs = cap});
-        r = timed_explore(explorer, proto, n);
-        seq_visited = r.visited;
-        seq_truncated = r.truncated;
-      } else {
-        sim::ParallelExplorer explorer(proto,
-                                       {.max_configs = cap, .threads = threads});
-        r = timed_explore(explorer, proto, n);
-        steals = explorer.last_run().steals;
-        chunks = explorer.last_run().chunks;
-        // Complete runs enumerate exactly the sequential set; truncated
-        // runs stop at the cap along schedule-dependent frontiers, so only
-        // the count of complete runs is checkable here.
-        if (!r.truncated && !seq_truncated && r.visited != seq_visited) {
-          std::cerr << "DETERMINISM VIOLATION: " << threads << " threads saw "
-                    << r.visited << " configs, sequential saw " << seq_visited
-                    << "\n";
-          return 1;
-        }
-      }
+    {
+      sim::Explorer explorer(proto, {.max_configs = cap});
+      const RunResult r = timed_explore(explorer, proto, n);
+      seq_visited = r.visited;
+      seq_truncated = r.truncated;
       const double cps = configs_per_sec(r);
-      table.row(n, cap, threads, 0, r.visited, r.truncated, r.secs, cps,
-                steals, chunks,
+      table.row(n, cap, 0, r.visited, r.truncated, r.secs, cps,
                 static_cast<double>(obs::peak_rss_kb()) / 1024.0);
-      const std::string tag =
-          "explore.n" + std::to_string(n) + ".t" + std::to_string(threads);
+      const std::string tag = "explore.n" + std::to_string(n);
       reg.gauge(tag + ".configs_per_sec").set(static_cast<std::int64_t>(cps));
       reg.gauge(tag + ".configs").set(static_cast<std::int64_t>(r.visited));
       if (json.is_open()) {
         if (!first_row) json << ",";
         first_row = false;
-        json << "{\"n\":" << n << ",\"threads\":" << threads << ",\"spill\":0"
+        json << "{\"n\":" << n << ",\"spill\":0"
              << ",\"configs\":" << r.visited
-             << ",\"configs_per_sec\":" << cps << ",\"steals\":" << steals
-             << ",\"chunks\":" << chunks
+             << ",\"configs_per_sec\":" << cps
              << ",\"truncated\":" << (r.truncated ? "true" : "false") << "}";
       }
     }
@@ -412,10 +368,10 @@ int main(int argc, char** argv) {
         return 1;
       }
       const double cps = configs_per_sec(r);
-      table.row(n, cap, 1, 1, r.visited, r.truncated, r.secs, cps, 0, 0,
+      table.row(n, cap, 1, r.visited, r.truncated, r.secs, cps,
                 static_cast<double>(obs::peak_rss_kb()) / 1024.0);
       if (json.is_open()) {
-        json << ",{\"n\":" << n << ",\"threads\":1,\"spill\":1"
+        json << ",{\"n\":" << n << ",\"spill\":1"
              << ",\"configs\":" << r.visited
              << ",\"configs_per_sec\":" << cps
              << ",\"arena_spill\":" << spill_bytes
@@ -427,10 +383,8 @@ int main(int argc, char** argv) {
   table.print(std::cout, "BFS throughput (ballot)");
   std::cout << "\nReading: one packed arena word-block per configuration and\n"
             << "an open-addressing visited table (hash stored per slot, no\n"
-            << "rehash on probe) carry the sequential rows; the parallel rows\n"
-            << "add work-stealing expansion over chunked id ranges with\n"
-            << "sharded dedup. Rows with more threads than cores measure\n"
-            << "overhead, not speedup.\n";
+            << "rehash on probe) carry the resident rows; the spill rows add\n"
+            << "the delta/varint codec and the mmap'd backing file.\n";
   if (json.is_open()) {
     json << "]}\n";
     std::cerr << "json: rows -> " << json_file << "\n";

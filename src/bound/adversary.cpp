@@ -63,16 +63,13 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
 
   ValencyOracle oracle(proto_,
                        {.max_configs = opts_.valency_max_configs,
-                        .threads = opts_.threads,
                         .max_arena_bytes = opts_.valency_max_arena_bytes,
                         .time_budget_ms = opts_.valency_time_budget_ms,
                         .reuse = opts_.reuse,
                         .spill_dir = opts_.spill_dir,
                         .spill_threshold_bytes = opts_.spill_threshold_bytes,
                         .spill_seg_configs = opts_.spill_seg_configs,
-                        .graph_spill = opts_.graph_spill,
-                        .chunk_configs = opts_.chunk_configs,
-                        .parallel_threshold = opts_.parallel_threshold});
+                        .graph_spill = opts_.graph_spill});
 
   // Checkpoint/resume wiring. The serializer captures the oracle by
   // reference, so it must be unregistered on every exit path before the
@@ -145,7 +142,6 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
     ev.str("protocol", proto_.name())
         .num("n", n)
         .num("registers", proto_.num_registers())
-        .num("threads", opts_.threads)
         .boolean("reuse", opts_.reuse)
         .boolean("spill", opts_.spill_threshold_bytes != 0)
         .boolean("graph_spill",

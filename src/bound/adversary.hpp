@@ -17,8 +17,9 @@ class SpaceBoundAdversary {
  public:
   struct Options {
     std::size_t valency_max_configs = 2'000'000;
-    /// Worker threads for the oracle's reachability passes (> 1 uses the
-    /// parallel explorer; results are identical at any thread count).
+    /// Ignored: the construction is sequential, one dependent valency
+    /// query after another, and no code reads this field. It is kept only
+    /// so existing callers that set it still compile.
     int threads = 1;
     bool narrative = false;  ///< record a human-readable walkthrough
     /// Graceful-degradation budgets passed through to the valency oracle
@@ -42,10 +43,6 @@ class SpaceBoundAdversary {
     /// Spill the shared engine's edge arrays too (ValencyOracle::Options::
     /// graph_spill); false reproduces the PR 7 node-arena-only behaviour.
     bool graph_spill = true;
-    /// Work-stealing tuning for the --no-reuse parallel backend; 0 keeps
-    /// the explorer defaults (see ValencyOracle::Options).
-    std::uint32_t chunk_configs = 0;
-    std::size_t parallel_threshold = 0;
     /// Crash-safe campaigns: non-empty = checkpoint the oracle's session
     /// state (roots, memo, shared graph) into this directory at the
     /// engines' quiescent points, every `checkpoint_interval_ms` of wall

@@ -100,7 +100,6 @@ sim::ReachGraph& ValencyOracle::ensure_graph() {
     graph_ = std::make_unique<sim::ReachGraph>(
         proto_, sim::ReachGraph::Options{
                     .max_configs = opts_.max_configs,
-                    .threads = opts_.threads,
                     .max_arena_bytes = opts_.max_arena_bytes,
                     .spill_dir = opts_.spill_dir,
                     .spill_threshold_bytes = opts_.spill_threshold_bytes,
@@ -247,56 +246,35 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair(const Config& c,
     return found[0] == sim::kNoConfig || found[1] == sim::kNoConfig;
   };
 
-  PairAnswer answer;
-  auto finish = [&](auto& explorer, const sim::ExploreResult& res) {
-    // A truncated pass can only under-report; positive answers found
-    // before the cap are still sound. A *budget* truncation with a value
-    // still unresolved must not produce a negative answer at all — the
-    // graceful-degradation contract is a distinct failure, not a verdict.
-    if (res.budget_exhausted &&
-        (found[0] == sim::kNoConfig || found[1] == sim::kNoConfig)) {
-      throw util::BudgetExhausted(
-          "valency query exceeded its memory/time budget with a value "
-          "undetermined; negative answers would be unsound");
+  if (!seq_) {
+    seq_.emplace(proto_, sim::Explorer::Options{opts_.max_configs});
+    seq_->set_budget(opts_.max_arena_bytes, deadline_);
+    if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
+      seq_->set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
+                      opts_.spill_seg_configs);
     }
-    if (res.truncated) ever_truncated_ = true;
-    for (int v = 0; v < 2; ++v) {
-      if (found[v] == sim::kNoConfig) continue;
-      answer.can[v] = true;
-      answer.witness_id[v] = found[v];
-      auto w = explorer.witness_by_id(found[v]);
-      assert(w.has_value());
-      answer.witness[v] = std::move(*w);
-    }
-  };
+  }
+  const sim::ExploreResult res = seq_->explore(c, p, visit);
 
-  if (opts_.threads > 1) {
-    if (!par_) {
-      sim::ParallelExplorer::Options popts;
-      popts.max_configs = opts_.max_configs;
-      popts.threads = opts_.threads;
-      if (opts_.chunk_configs != 0) popts.chunk_configs = opts_.chunk_configs;
-      if (opts_.parallel_threshold != 0) {
-        popts.parallel_threshold = opts_.parallel_threshold;
-      }
-      par_.emplace(proto_, popts);
-      par_->set_budget(opts_.max_arena_bytes, deadline_);
-      if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
-        par_->set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
-                        opts_.spill_seg_configs);
-      }
-    }
-    finish(*par_, par_->explore(c, p, visit));
-  } else {
-    if (!seq_) {
-      seq_.emplace(proto_, sim::Explorer::Options{opts_.max_configs});
-      seq_->set_budget(opts_.max_arena_bytes, deadline_);
-      if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
-        seq_->set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
-                        opts_.spill_seg_configs);
-      }
-    }
-    finish(*seq_, seq_->explore(c, p, visit));
+  // A truncated pass can only under-report; positive answers found before
+  // the cap are still sound. A *budget* truncation with a value still
+  // unresolved must not produce a negative answer at all — the
+  // graceful-degradation contract is a distinct failure, not a verdict.
+  if (res.budget_exhausted &&
+      (found[0] == sim::kNoConfig || found[1] == sim::kNoConfig)) {
+    throw util::BudgetExhausted(
+        "valency query exceeded its memory/time budget with a value "
+        "undetermined; negative answers would be unsound");
+  }
+  if (res.truncated) ever_truncated_ = true;
+  PairAnswer answer;
+  for (int v = 0; v < 2; ++v) {
+    if (found[v] == sim::kNoConfig) continue;
+    answer.can[v] = true;
+    answer.witness_id[v] = found[v];
+    auto w = seq_->witness_by_id(found[v]);
+    assert(w.has_value());
+    answer.witness[v] = std::move(*w);
   }
   return answer;
 }

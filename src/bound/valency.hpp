@@ -7,7 +7,6 @@
 #include <unordered_map>
 
 #include "sim/explorer.hpp"
-#include "sim/parallel_explorer.hpp"
 #include "sim/reach_graph.hpp"
 
 namespace tsb::bound {
@@ -47,8 +46,8 @@ using sim::Value;
 ///    replayed through the raw engine from the *original* configuration
 ///    before it is memoized.
 ///
-///  * reuse = false: the original fresh-BFS-per-pair backend (Explorer /
-///    ParallelExplorer), kept as the differential-testing anchor.
+///  * reuse = false: the original fresh-BFS-per-pair backend (Explorer),
+///    kept as the differential-testing anchor.
 ///
 /// A value counts as "decided in the execution" if some process is in a
 /// decided state at any configuration along it, including C itself —
@@ -58,10 +57,6 @@ class ValencyOracle {
  public:
   struct Options {
     std::size_t max_configs = 2'000'000;
-    /// Worker threads for each reachability pass; > 1 switches to the
-    /// ParallelExplorer (reuse = false) or the engine's level-batched
-    /// expansion (reuse = true). Identical results either way.
-    int threads = 1;
     /// Graceful-degradation budgets. When a reachability pass would push
     /// the arena past `max_arena_bytes` (0 = uncapped), or any pass runs
     /// past `time_budget_ms` of wall clock measured from the oracle's
@@ -91,11 +86,6 @@ class ValencyOracle {
     /// Purely a memory-plan knob — verdicts and witnesses never change, so
     /// it is excluded from the checkpoint fingerprint.
     bool graph_spill = true;
-    /// Work-stealing tuning for the reuse = false parallel backend
-    /// (ParallelExplorer::Options::chunk_configs / parallel_threshold);
-    /// 0 keeps each explorer default. Purely perf — verdicts never change.
-    std::uint32_t chunk_configs = 0;
-    std::size_t parallel_threshold = 0;
   };
 
   explicit ValencyOracle(const Protocol& proto)
@@ -212,8 +202,7 @@ class ValencyOracle {
   void restore_state(util::ckpt::SectionReader& r);
   /// The oracle slice of the checkpoint flag fingerprint: protocol name and
   /// shape plus every option that changes verdicts or the serialized state
-  /// layout. Thread count is deliberately excluded — results are
-  /// thread-independent, so --threads may change across a resume.
+  /// layout.
   std::string state_fingerprint() const;
 
  private:
@@ -254,9 +243,9 @@ class ValencyOracle {
   sim::ConfigArena roots_;  ///< interns query roots for audit-stable ids
   std::unordered_map<PairKey, PairAnswer, PairKeyHash> memo_;
   std::size_t memo_witness_bytes_ = 0;  ///< ledger: stored witness steps
-  std::optional<sim::Explorer> seq_;          ///< reuse = false backends,
-  std::optional<sim::ParallelExplorer> par_;  ///< reused across queries
-  std::unique_ptr<sim::ReachGraph> graph_;    ///< reuse = true backend
+  std::optional<sim::Explorer> seq_;        ///< reuse = false backend,
+                                            ///< reused across queries
+  std::unique_ptr<sim::ReachGraph> graph_;  ///< reuse = true backend
   std::chrono::steady_clock::time_point deadline_ =
       std::chrono::steady_clock::time_point::max();
   bool ever_truncated_ = false;

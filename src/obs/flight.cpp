@@ -24,7 +24,6 @@ const char* ev_name(Ev ev) {
     case Ev::kReachQuery: return "reach.query";
     case Ev::kChaosFault: return "chaos.fault";
     case Ev::kPhase: return "phase";
-    case Ev::kSteal: return "steal";
     case Ev::kSpill: return "spill";
     case Ev::kWatch: return "watch";
     case Ev::kCkpt: return "ckpt";

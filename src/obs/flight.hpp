@@ -17,7 +17,6 @@ enum class Ev : std::uint8_t {
   kReachQuery,    ///< shared-graph query: a=node id, b=pbits
   kChaosFault,    ///< rt fault injected: a=thread id, b=fault kind
   kPhase,         ///< adversary stage entered: a=phase code (see phase_name)
-  kSteal,         ///< work-stealing: a=thief worker, b=victim worker
   kSpill,         ///< arena spill: a=bytes released, b=total spilled bytes
   kWatch,         ///< telemetry watchdog fired: a=WatchRule, b=tick id
   kCkpt,          ///< checkpoint committed: a=state-file bytes, b=write ms

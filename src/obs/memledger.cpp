@@ -15,7 +15,6 @@ const char* mem_account_name(MemAccount a) {
     case MemAccount::kArenaSpill: return "arena.spill";
     case MemAccount::kArenaMapped: return "arena.mapped";
     case MemAccount::kExploreFrontier: return "explore.frontier";
-    case MemAccount::kExploreShards: return "explore.shards";
     case MemAccount::kReachNodes: return "reach.nodes";
     case MemAccount::kReachEdges: return "reach.edges";
     case MemAccount::kGraphSpill: return "graph.spill";

@@ -18,7 +18,6 @@ enum class MemAccount : int {
   kArenaSpill,       ///< compressed bytes in arena spill backing files
   kArenaMapped,      ///< mmap'd (clean, file-backed) spill block bytes
   kExploreFrontier,  ///< explorer parent edges + expansion buffers
-  kExploreShards,    ///< ParallelExplorer per-shard dedup tables
   kReachNodes,       ///< shared reach graph: projected-config arena
   kReachEdges,       ///< shared reach graph: succ/perm edges + decide flags
   kGraphSpill,       ///< compressed bytes in edge-store spill backing files

@@ -13,7 +13,7 @@
 namespace tsb::obs {
 
 namespace detail {
-thread_local int tls_thread_id = -1;
+constinit thread_local int tls_thread_id = -1;
 
 namespace {
 std::atomic<int> next_thread_id{0};

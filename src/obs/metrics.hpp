@@ -13,8 +13,10 @@ namespace tsb::obs {
 namespace detail {
 // The assigned-id fast path lives in the header: counting happens inside
 // operations that cost a handful of nanoseconds, so the id lookup cannot
-// afford an out-of-line call.
-extern thread_local int tls_thread_id;
+// afford an out-of-line call. constinit promises static initialization, so
+// the compiler reads the variable directly instead of through a TLS
+// init-wrapper call, which UBSan's null check flagged.
+extern constinit thread_local int tls_thread_id;
 int assign_thread_id();
 }  // namespace detail
 

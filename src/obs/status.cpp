@@ -58,8 +58,6 @@ void publish_status(const StatusSnapshot& s) {
   if (s.frontier >= 0) o.num("frontier", s.frontier);
   if (s.visited >= 0) o.num("visited", s.visited);
   if (s.cap >= 0) o.num("cap", s.cap);
-  if (s.steals >= 0) o.num("steals", s.steals);
-  if (s.idle_spins >= 0) o.num("idle_spins", s.idle_spins);
   double cps = 0.0;
   if (s.visited > 0 && uptime > 0.0) {
     cps = static_cast<double>(s.visited) / uptime;

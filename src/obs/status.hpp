@@ -14,8 +14,6 @@ struct StatusSnapshot {
   std::int64_t frontier = -1;    ///< configurations awaiting expansion
   std::int64_t visited = -1;     ///< configurations/nodes so far
   std::int64_t cap = -1;         ///< configuration cap (drives ETA-to-cap)
-  std::int64_t steals = -1;      ///< work-stealing: successful steals so far
-  std::int64_t idle_spins = -1;  ///< work-stealing: out-of-work spins so far
 };
 
 namespace detail {

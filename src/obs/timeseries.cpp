@@ -20,8 +20,8 @@ std::atomic<bool> g_telemetry_enabled{false};
 namespace {
 
 // All state under one mutex: ticks are heartbeat-cadence rare, and the
-// writer may be the main thread, worker 0 of the parallel explorer, or the
-// CLI's final-snapshot path.
+// writer may be any engine thread that beats the heartbeat or the CLI's
+// final-snapshot path.
 std::mutex g_mu;
 std::FILE* g_file = nullptr;
 std::uint64_t g_tick = 0;
@@ -127,8 +127,6 @@ void tick(const StatusSnapshot& s) {
   if (s.visited >= 0) o.num("visited", s.visited);
   if (s.cap >= 0) o.num("cap", s.cap);
   if (cps >= 0) o.numf("cps", cps);
-  if (s.steals >= 0) o.num("steals", s.steals);
-  if (s.idle_spins >= 0) o.num("idle_spins", s.idle_spins);
   o.num("peak_rss_kb", peak_rss_kb())
       .num("ledger_total", static_cast<std::int64_t>(ledger.total()))
       .raw("ledger", ledger.json())
@@ -143,7 +141,6 @@ void tick(const StatusSnapshot& s) {
   w.visited = s.visited;
   w.frontier = s.frontier;
   w.cps = cps;
-  w.idle_spins = s.idle_spins;
   w.mapped_bytes = ledger.get(MemAccount::kArenaMapped);
   w.spill_bytes = ledger.get(MemAccount::kArenaSpill);
   w.ledger_total = ledger.total();

@@ -11,7 +11,6 @@ const char* watch_rule_name(WatchRule r) {
   switch (r) {
     case WatchRule::kThroughputCollapse: return "throughput_collapse";
     case WatchRule::kSpillThrash: return "spill_thrash";
-    case WatchRule::kStealStarvation: return "steal_starvation";
     case WatchRule::kLedgerRunaway: return "ledger_runaway";
     case WatchRule::kCheckpointStall: return "checkpoint_stall";
     case WatchRule::kCount: break;
@@ -77,25 +76,6 @@ bool Watchdog::thrash_now(std::string* detail) const {
   return true;
 }
 
-bool Watchdog::starvation_now(std::string* detail) const {
-  const int need = opts_.starvation_run + 1;
-  if (static_cast<int>(win_.size()) < need) return false;
-  const std::size_t first = win_.size() - static_cast<std::size_t>(need);
-  for (std::size_t i = first; i < win_.size(); ++i) {
-    if (win_[i].idle_spins < 0 || win_[i].frontier <= 0) return false;
-    if (i > first && win_[i].idle_spins <= win_[i - 1].idle_spins) {
-      return false;
-    }
-  }
-  const std::int64_t growth =
-      win_.back().idle_spins - win_[first].idle_spins;
-  if (growth < opts_.starvation_min_spins) return false;
-  *detail = "idle spins grew " + std::to_string(growth) + " over " +
-            std::to_string(opts_.starvation_run) +
-            " intervals with frontier " + std::to_string(win_.back().frontier);
-  return true;
-}
-
 bool Watchdog::runaway_now(std::string* detail) const {
   const WatchSample& cur = win_.back();
   if (cur.mem_budget == 0 || win_.size() < 2) return false;
@@ -145,8 +125,7 @@ std::vector<WatchAlert> Watchdog::observe(const WatchSample& s) {
   // meaningless across an engine handoff.
   if (!win_.empty() && win_.back().phase != s.phase) win_.clear();
   win_.push_back(s);
-  while (static_cast<int>(win_.size()) >
-         std::max(opts_.window, opts_.starvation_run + 1)) {
+  while (static_cast<int>(win_.size()) > opts_.window) {
     win_.pop_front();
   }
 
@@ -157,7 +136,6 @@ std::vector<WatchAlert> Watchdog::observe(const WatchSample& s) {
   static constexpr RuleEval kRules[] = {
       {WatchRule::kThroughputCollapse, &Watchdog::collapse_now},
       {WatchRule::kSpillThrash, &Watchdog::thrash_now},
-      {WatchRule::kStealStarvation, &Watchdog::starvation_now},
       {WatchRule::kLedgerRunaway, &Watchdog::runaway_now},
       {WatchRule::kCheckpointStall, &Watchdog::ckpt_stall_now},
   };

@@ -13,7 +13,6 @@ namespace tsb::obs {
 enum class WatchRule : int {
   kThroughputCollapse = 0,  ///< cps far below the trailing median
   kSpillThrash,             ///< mapped-byte churn with flat visited growth
-  kStealStarvation,         ///< idle spins growing while work is pending
   kLedgerRunaway,           ///< tracked bytes racing toward the mem budget
   kCheckpointStall,         ///< checkpoint age far past the configured cadence
   kCount
@@ -26,9 +25,8 @@ constexpr int kWatchRules = static_cast<int>(WatchRule::kCount);
 const char* watch_rule_name(WatchRule r);
 
 /// One telemetry sample, as the watchdog sees it. Negative values mean
-/// "unknown this tick" and disable the rules that need them — a sequential
-/// run never trips steal starvation, a run without --mem-budget never trips
-/// ledger runaway.
+/// "unknown this tick" and disable the rules that need them — a run
+/// without --mem-budget never trips ledger runaway.
 struct WatchSample {
   std::uint64_t tick = 0;
   double t_s = 0.0;               ///< seconds since telemetry open
@@ -36,7 +34,6 @@ struct WatchSample {
   std::int64_t visited = -1;      ///< cumulative configurations this phase
   std::int64_t frontier = -1;     ///< pending work items
   double cps = -1.0;              ///< interval configs/sec; < 0 = unknown
-  std::int64_t idle_spins = -1;   ///< cumulative out-of-work spins
   std::uint64_t mapped_bytes = 0; ///< arena.mapped ledger account
   std::uint64_t spill_bytes = 0;  ///< arena.spill ledger account
   std::uint64_t ledger_total = 0; ///< tracked-heap total
@@ -73,8 +70,6 @@ class Watchdog {
     double collapse_frac = 0.30;    ///< fire below this fraction of median
     double thrash_churn_factor = 2.0;  ///< window churn vs peak mapped
     double flat_visited_frac = 0.01;   ///< "flat" = growth under this share
-    int starvation_run = 4;     ///< consecutive idle-growing intervals
-    std::int64_t starvation_min_spins = 1024;  ///< spin growth floor
     double runaway_eta_s = 60.0;    ///< alert when exit-4 ETA dips below
     double ckpt_stall_factor = 3.0;  ///< fire past this multiple of cadence
     double ckpt_stall_min_s = 5.0;   ///< but never under this absolute age
@@ -105,7 +100,6 @@ class Watchdog {
   // Rule conditions over the current window (newest sample = back()).
   bool collapse_now(std::string* detail) const;
   bool thrash_now(std::string* detail) const;
-  bool starvation_now(std::string* detail) const;
   bool runaway_now(std::string* detail) const;
   bool ckpt_stall_now(std::string* detail) const;
 

@@ -61,63 +61,36 @@ ConfigArena::ConfigArena(int num_states, int num_regs)
 }
 
 ConfigArena::~ConfigArena() {
-  for (auto& s : segs_) {
-    release_map(*s);
-    delete[] s->data;
+  for (Seg& s : segs_) {
+    release_map(s);
+    delete[] s.data;
   }
 }
 
 void ConfigArena::alloc_seg_data(Seg& s) {
-  // Flat, uninitialized block (geas Vec idiom): pages are first touched by
-  // the thread that writes configurations into them, which on a NUMA box
-  // places each shard-flush's output near the worker that produced it.
+  // Flat, uninitialized block (geas Vec idiom).
   s.data = new Value[seg_configs_ * words_];
-  resident_words_bytes_.fetch_add(seg_configs_ * words_ * sizeof(Value),
-                                  std::memory_order_relaxed);
+  resident_words_bytes_ += seg_configs_ * words_ * sizeof(Value);
 }
 
 void ConfigArena::add_segment() {
-  auto seg = std::make_unique<Seg>();
-  alloc_seg_data(*seg);
-  const std::size_t idx = segs_.size();
-  if (idx >= dir_cap_) {
-    const std::size_t cap = dir_cap_ == 0 ? 64 : dir_cap_ * 2;
-    auto fresh = std::make_unique<DirEntry[]>(cap);
-    DirEntry* old = dir_.load(std::memory_order_relaxed);
-    for (std::size_t i = 0; i < idx; ++i) {
-      fresh[i].store(old[i].load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    }
-    dir_.store(fresh.get(), std::memory_order_release);
-    dir_store_.push_back(std::move(fresh));
-    dir_cap_ = cap;
-  }
-  dir_.load(std::memory_order_relaxed)[idx].store(seg.get(),
-                                                  std::memory_order_release);
-  segs_.push_back(std::move(seg));
-  seg_count_.store(segs_.size(), std::memory_order_release);
-}
-
-void ConfigArena::ensure_capacity(std::size_t up_to) {
-  if (seg_count_.load(std::memory_order_acquire) * seg_configs_ >= up_to) {
-    return;
-  }
-  std::lock_guard<std::mutex> lk(grow_mu_);
-  while (segs_.size() * seg_configs_ < up_to) add_segment();
+  Seg seg;
+  alloc_seg_data(seg);
+  segs_.push_back(seg);
 }
 
 void ConfigArena::clear() {
   count_ = 0;
   for (Slot& s : table_) s = Slot{};
   if (spilled_segments_ != 0 || spill_file_.end_offset() != 0) {
-    for (auto& s : segs_) {
-      release_map(*s);
-      if (s->data == nullptr) alloc_seg_data(*s);  // was spilled; re-arm
+    for (Seg& s : segs_) {
+      release_map(s);
+      if (s.data == nullptr) alloc_seg_data(s);  // was spilled; re-arm
     }
     spill_file_.truncate();
     first_resident_seg_ = 0;
     spilled_segments_ = 0;
-    spilled_bytes_.store(0, std::memory_order_relaxed);
+    spilled_bytes_ = 0;
   }
 }
 
@@ -171,8 +144,10 @@ void ConfigArena::grow_table() {
 ConfigId ConfigArena::append_words(const Value* w) {
   assert(count_ < kNoConfig);
   const ConfigId id = static_cast<ConfigId>(count_);
-  ensure_capacity(count_ + 1);
-  std::memcpy(slot_ptr(id), w, words_ * sizeof(Value));
+  if (count_ == segs_.size() * seg_configs_) add_segment();
+  std::memcpy(segs_[id >> seg_shift_].data +
+                  (static_cast<std::size_t>(id) & seg_mask_) * words_,
+              w, words_ * sizeof(Value));
   ++count_;
   return id;
 }
@@ -225,14 +200,13 @@ bool ConfigArena::set_spill(const std::string& dir,
   spill_file_.close();
   // Segment geometry may change below; drop any allocations from a prior
   // run (set_spill is a per-run reconfiguration, not a hot path).
-  for (auto& s : segs_) {
-    release_map(*s);
-    delete[] s->data;
+  for (Seg& s : segs_) {
+    release_map(s);
+    delete[] s.data;
   }
   segs_.clear();
-  seg_count_.store(0, std::memory_order_relaxed);
-  resident_words_bytes_.store(0, std::memory_order_relaxed);
-  spilled_bytes_.store(0, std::memory_order_relaxed);
+  resident_words_bytes_ = 0;
+  spilled_bytes_ = 0;
   first_resident_seg_ = 0;
   spilled_segments_ = 0;
   if (seg_configs_hint != 0) {
@@ -250,7 +224,7 @@ bool ConfigArena::set_spill(const std::string& dir,
 
 void ConfigArena::release_map(Seg& s) {
   if (s.blk.valid()) {
-    mapped_bytes_.fetch_sub(s.blk.map_len, std::memory_order_relaxed);
+    mapped_bytes_ -= s.blk.map_len;
     spill_file_.release(s.blk);
   }
 }
@@ -271,10 +245,9 @@ bool ConfigArena::spill_segment(Seg& s) {
   s.blk = blk;
   delete[] s.data;
   s.data = nullptr;
-  resident_words_bytes_.fetch_sub(seg_configs_ * words_ * sizeof(Value),
-                                  std::memory_order_relaxed);
-  spilled_bytes_.fetch_add(blk.bytes, std::memory_order_relaxed);
-  mapped_bytes_.fetch_add(blk.map_len, std::memory_order_relaxed);
+  resident_words_bytes_ -= seg_configs_ * words_ * sizeof(Value);
+  spilled_bytes_ += blk.bytes;
+  mapped_bytes_ += blk.map_len;
   ++spilled_segments_;
   return true;
 }
@@ -290,19 +263,14 @@ std::size_t ConfigArena::maybe_spill(ConfigId pin_floor) {
   const std::size_t limit = full < pinned ? full : pinned;
   std::size_t released = 0;
   for (std::size_t i = first_resident_seg_; i < limit; ++i) {
-    if (resident_words_bytes_.load(std::memory_order_relaxed) <=
-        spill_threshold_) {
-      break;
-    }
-    Seg& s = *segs_[i];
+    if (resident_words_bytes_ <= spill_threshold_) break;
+    Seg& s = segs_[i];
     if (s.data == nullptr) continue;
     if (!spill_segment(s)) {
       const int err = errno;
       spill_file_.close();
-      util::spill::throw_spill_failure(
-          "arena", err,
-          resident_words_bytes_.load(std::memory_order_relaxed),
-          spill_threshold_);
+      util::spill::throw_spill_failure("arena", err, resident_words_bytes_,
+                                       spill_threshold_);
     }
     first_resident_seg_ = i + 1;
     released += seg_bytes;

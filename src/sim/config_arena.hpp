@@ -1,10 +1,7 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -71,14 +68,11 @@ inline std::optional<Value> decision_of(const Protocol& proto,
 /// maps it read-only, and frees the resident array. words() on a spilled
 /// id decodes the configuration into a thread-local buffer. Spilling only
 /// happens inside maybe_spill(), which callers invoke at quiescent points
-/// (level boundaries, or the parallel explorer's stop-the-world
-/// rendezvous), so readers never race a segment teardown.
+/// between expansions, so no word pointer handed out by the current
+/// expansion is torn down under it.
 ///
-/// Thread safety: interning and spilling are single-threaded (externally
-/// synchronized). Concurrent READERS (words/view) plus concurrent WRITERS
-/// to distinct reserved ids are safe between spills: the segment directory
-/// is an atomic snapshot array and ensure_capacity() publishes fully
-/// initialized segments before exposing them.
+/// Thread safety: single-threaded. Every engine that owns an arena runs
+/// its whole reachability pass on one thread.
 ///
 /// Usage: build the next configuration's words in scratch(), then
 /// intern_scratch(). The id space is dense and insertion-ordered.
@@ -107,7 +101,7 @@ class ConfigArena {
   void pack(const Config& c, Value* dst) const;
 
   /// Hash of a packed word sequence; the same function the dedup table
-  /// stores, exposed so sharded tables (parallel explorer) agree with it.
+  /// stores, exposed for intern_prehashed().
   std::uint64_t hash_words(const Value* w) const;
 
   struct Interned {
@@ -118,9 +112,7 @@ class ConfigArena {
   Interned intern_scratch() { return intern_words(scratch_.data()); }
 
   /// Intern an externally staged word sequence (words_per_config() words).
-  /// `w` must not alias the arena's own word store. The reachability
-  /// engine's batched expansion stages successor words in per-slot buffers
-  /// and interns them through this.
+  /// `w` must not alias the arena's own word store.
   Interned intern_words(const Value* w);
 
   /// intern_words with the hash precomputed (must be hash_words(w)). Pair
@@ -139,21 +131,18 @@ class ConfigArena {
   ConfigId find(const Value* w) const;
 
   /// Append words as a new configuration WITHOUT consulting the dedup
-  /// table. For callers that own deduplication themselves (the parallel
-  /// explorer's sharded visited sets).
+  /// table (find() will not see it). Tests fill arenas with it directly.
   ConfigId append_words(const Value* w);
 
   /// Read access to one configuration's packed words. Resident segments
   /// return a direct pointer; spilled segments decode into a thread-local
-  /// buffer valid until this thread's next words() call on a spilled id.
+  /// buffer valid until the next words() call on a spilled id.
   const Value* words(ConfigId id) const {
-    const Seg* s = dir_.load(std::memory_order_acquire)[id >> seg_shift_].load(
-        std::memory_order_acquire);
-    const Value* d = s->data;
-    if (d != nullptr) {
-      return d + (static_cast<std::size_t>(id) & seg_mask_) * words_;
+    const Seg& s = segs_[id >> seg_shift_];
+    if (s.data != nullptr) {
+      return s.data + (static_cast<std::size_t>(id) & seg_mask_) * words_;
     }
-    return decode_spilled(*s, static_cast<std::size_t>(id) & seg_mask_);
+    return decode_spilled(s, static_cast<std::size_t>(id) & seg_mask_);
   }
   ConfigView view(ConfigId id) const {
     const Value* w = words(id);
@@ -164,25 +153,6 @@ class ConfigArena {
   bool words_equal(const Value* a, const Value* b) const {
     return std::memcmp(a, b, words_ * sizeof(Value)) == 0;
   }
-
-  // --- concurrent-append support (the work-stealing explorer) -----------
-
-  /// Make segments for every id < up_to exist and be resident. Safe to
-  /// call concurrently with readers and with writers to other ids;
-  /// internally serialized against other ensure_capacity calls.
-  void ensure_capacity(std::size_t up_to);
-
-  /// Writable pointer to a reserved (ensure_capacity'd) id's word slot.
-  /// The caller owns the id exclusively until it is published.
-  Value* slot_ptr(ConfigId id) {
-    Seg* s = dir_.load(std::memory_order_acquire)[id >> seg_shift_].load(
-        std::memory_order_acquire);
-    return s->data + (static_cast<std::size_t>(id) & seg_mask_) * words_;
-  }
-
-  /// Publish the final count after a phase of concurrent slot_ptr writes.
-  /// (The dedup table is NOT updated; concurrent appenders own dedup.)
-  void set_size(std::size_t count) { count_ = count; }
 
   // --- out-of-core ------------------------------------------------------
 
@@ -199,21 +169,17 @@ class ConfigArena {
   std::size_t spill_threshold() const { return spill_threshold_; }
 
   /// True when resident word bytes exceed the spill threshold and at least
-  /// one full cold segment could be released. `cur_size` is the caller's
-  /// view of how many configurations exist (the work-stealing explorer's
-  /// id counter runs ahead of size()). Cheap; any thread.
-  bool spill_needed(std::size_t cur_size) const {
-    return spill_file_.valid() &&
-           resident_words_bytes_.load(std::memory_order_relaxed) >
-               spill_threshold_ &&
-           first_resident_seg_ < cur_size >> seg_shift_;
+  /// one full cold segment could be released. Cheap.
+  bool spill_needed() const {
+    return spill_file_.valid() && resident_words_bytes_ > spill_threshold_ &&
+           first_resident_seg_ < count_ >> seg_shift_;
   }
 
   /// Spill cold full segments (lowest ids first) until resident word bytes
   /// drop to the threshold or only pinned/partial segments remain. Ids >=
   /// pin_floor are never spilled (callers pin the unexpanded frontier so
-  /// the hot read path stays pointer-direct). Caller guarantees no
-  /// concurrent arena access (quiescent point). Returns bytes released.
+  /// the hot read path stays pointer-direct). Callers invoke it at
+  /// quiescent points only. Returns bytes released.
   /// A write/mmap failure (ENOSPC, short write that retries don't clear)
   /// throws util::BudgetExhausted after recording a flight event: the
   /// operator's memory plan can no longer be kept, and pretending
@@ -221,12 +187,8 @@ class ConfigArena {
   /// an OOM-kill hours later.
   std::size_t maybe_spill(ConfigId pin_floor);
 
-  std::size_t spilled_bytes() const {
-    return spilled_bytes_.load(std::memory_order_relaxed);
-  }
-  std::size_t mapped_bytes() const {
-    return mapped_bytes_.load(std::memory_order_relaxed);
-  }
+  std::size_t spilled_bytes() const { return spilled_bytes_; }
+  std::size_t mapped_bytes() const { return mapped_bytes_; }
   std::size_t spilled_segments() const { return spilled_segments_; }
   std::size_t spill_failures() const { return spill_failures_; }
 
@@ -241,8 +203,7 @@ class ConfigArena {
   /// neither counts against the RAM budget; they get their own ledger
   /// accounts (arena.spill / arena.mapped).
   std::size_t words_bytes() const {
-    return resident_words_bytes_.load(std::memory_order_relaxed) +
-           scratch_.capacity() * sizeof(Value);
+    return resident_words_bytes_ + scratch_.capacity() * sizeof(Value);
   }
   std::size_t table_bytes() const { return table_.capacity() * sizeof(Slot); }
   std::size_t memory_bytes() const { return words_bytes() + table_bytes(); }
@@ -282,39 +243,21 @@ class ConfigArena {
   std::size_t seg_mask_ = 0;     ///< seg_configs_ - 1
   int seg_shift_ = 0;            ///< log2(seg_configs_)
 
-  std::vector<std::unique_ptr<Seg>> segs_;  ///< stable Seg addresses
-  /// segs_.size() mirrored for the lock-free ensure_capacity fast path.
-  std::atomic<std::size_t> seg_count_{0};
-  std::mutex grow_mu_;  ///< serializes segment growth (slow path only)
-
-  /// Lock-free segment directory: an array of atomic Seg pointers,
-  /// republished (capacity-doubled) when it fills. Old arrays are retired
-  /// (kept until destruction) so a reader holding a stale snapshot never
-  /// touches freed memory; doubling bounds the retired total at one extra
-  /// copy of the final directory. A reader can only hold a snapshot at
-  /// least as new as the publication of any id it was handed, because id
-  /// handoff (shard lock / deque steal) happens-after the entry store.
-  using DirEntry = std::atomic<Seg*>;
-  std::atomic<DirEntry*> dir_{nullptr};
-  std::vector<std::unique_ptr<DirEntry[]>> dir_store_;
-  std::size_t dir_cap_ = 0;
+  std::vector<Seg> segs_;
 
   std::vector<Value> scratch_;  ///< words_ staging words
   std::vector<Slot> table_;     ///< open addressing, power-of-two size
   std::size_t mask_ = 0;        ///< table size - 1 (probe wrap)
   int shift_ = 0;               ///< 64 - log2(table size) (bucket index)
 
-  // Spill state. resident_words_bytes_ is atomic because the parallel
-  // explorer's budget checks read it from worker threads while another
-  // worker's flush is growing the arena.
   util::spill::BackingFile spill_file_;
   std::size_t spill_threshold_ = 0;
   std::size_t first_resident_seg_ = 0;
   std::size_t spilled_segments_ = 0;
   std::size_t spill_failures_ = 0;
-  std::atomic<std::size_t> resident_words_bytes_{0};
-  std::atomic<std::size_t> spilled_bytes_{0};
-  std::atomic<std::size_t> mapped_bytes_{0};
+  std::size_t resident_words_bytes_ = 0;
+  std::size_t spilled_bytes_ = 0;
+  std::size_t mapped_bytes_ = 0;
 };
 
 }  // namespace tsb::sim

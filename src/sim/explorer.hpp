@@ -18,8 +18,7 @@
 namespace tsb::sim {
 
 namespace detail {
-// Shared explorer metrics (sequential and parallel explorers count into the
-// same registry entries). Looked up once, then relaxed sharded adds.
+// Explorer metrics. Looked up once, then relaxed sharded adds.
 struct ExploreMetrics {
   obs::Counter& visited;
   obs::Counter& dedup_hits;
@@ -28,13 +27,7 @@ struct ExploreMetrics {
 ExploreMetrics& explore_metrics();
 }  // namespace detail
 
-/// Outcome of a reachability enumeration, shared by Explorer and
-/// ParallelExplorer. On complete (untruncated, unaborted) runs the two
-/// enumerate the exact same configuration SET — identical `visited` counts
-/// and identical verdicts for any order-independent visitor — but the
-/// work-stealing parallel path no longer promises the sequential discovery
-/// ORDER or id assignment (see parallel_explorer.hpp for the contract and
-/// DESIGN.md for why replay verification keeps that sound).
+/// Outcome of a reachability enumeration.
 struct ExploreResult {
   bool truncated = false;       ///< hit max_configs before exhausting
   bool aborted = false;         ///< visitor returned false
@@ -49,10 +42,9 @@ struct ExploreResult {
 
 namespace detail {
 
-/// Per-BFS-level forensics for one explore() call, shared by Explorer and
-/// ParallelExplorer. Entirely observational: enabling it changes nothing
-/// about discovery order, ids, or verdicts (the determinism tests run with
-/// it on).
+/// Per-BFS-level forensics for one explore() call. Entirely observational:
+/// enabling it changes nothing about discovery order, ids, or verdicts (the
+/// determinism tests run with it on).
 ///
 /// Level records are *buffered*, and flushed only if the exploration ends
 /// up visiting at least Options::stats_min_visited configurations: the
@@ -69,9 +61,9 @@ class LevelStatsTracker {
 
   bool active() const { return active_; }
 
-  /// Start the record for a completed level, preloaded with the fields
-  /// both explorers share (timing, rates, arena geometry, peak RSS).
-  /// Callers append their own fields and hand it to commit_level().
+  /// Start the record for a completed level, preloaded with timing, rates,
+  /// arena geometry and peak RSS. Callers append their own fields and hand
+  /// it to commit_level().
   obs::JsonObj level_record(const ConfigArena& arena, std::uint64_t frontier,
                             std::uint64_t discovered, std::uint64_t dedup);
   void commit_level(obs::JsonObj&& record);
@@ -140,8 +132,7 @@ class Explorer {
   /// passes `deadline` (time_point::max() = none), explore() stops cleanly
   /// with truncated + budget_exhausted set instead of growing without
   /// bound. Unlike the configuration cap, budget truncation points are
-  /// machine-dependent, so budgeted runs waive the sequential/parallel
-  /// bit-identity contract.
+  /// machine-dependent.
   void set_budget(std::size_t max_arena_bytes,
                   std::chrono::steady_clock::time_point deadline) {
     budget_bytes_ = max_arena_bytes;
@@ -174,8 +165,7 @@ class Explorer {
   /// aborts the search; the aborting configuration is reported in the
   /// result, and `witness()` can reconstruct the schedule that reached it.
   ///
-  /// Discovery order (the determinism contract shared with
-  /// ParallelExplorer): configurations are expanded in id order; each
+  /// Discovery order: configurations are expanded in id order; each
   /// expansion generates successors in ascending process id; a
   /// configuration reachable along several edges is owned by the earliest
   /// discovery in that order.
@@ -260,7 +250,7 @@ class Explorer {
         // (and throw CheckpointStop on a requested stop) right here.
         util::ckpt::CheckpointService::global().poll(4096);
         metrics.frontier.set(static_cast<std::int64_t>(arena_.size() - head));
-        if (arena_.spill_needed(arena_.size())) {
+        if (arena_.spill_needed()) {
           // Pin the unexpanded frontier: ids >= head stay resident so the
           // expansion loop keeps its pointer-direct read path.
           const std::size_t released = arena_.maybe_spill(head);

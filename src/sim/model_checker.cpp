@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
-#include "sim/parallel_explorer.hpp"
 
 namespace tsb::sim {
 
@@ -54,18 +53,7 @@ std::string ModelChecker::Report::summary() const {
 
 ModelChecker::Report ModelChecker::check(
     const std::vector<std::vector<Value>>& input_vectors) {
-  if (opts_.threads > 1) {
-    ParallelExplorer explorer(
-        proto_, {.max_configs = opts_.max_configs, .threads = opts_.threads});
-    return check_impl(explorer, input_vectors);
-  }
   Explorer explorer(proto_, {.max_configs = opts_.max_configs});
-  return check_impl(explorer, input_vectors);
-}
-
-template <typename ExplorerT>
-ModelChecker::Report ModelChecker::check_impl(
-    ExplorerT& explorer, const std::vector<std::vector<Value>>& input_vectors) {
   Report rep;
   const int n = proto_.num_processes();
   const ProcSet everyone = ProcSet::first_n(n);

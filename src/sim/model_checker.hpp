@@ -30,9 +30,6 @@ class ModelChecker {
     int k = 1;                        ///< k-set agreement; 1 = consensus
     std::size_t max_configs = 2'000'000;
     std::size_t solo_step_cap = 10'000;
-    /// Worker threads for the reachability sweep; > 1 uses the
-    /// ParallelExplorer (identical configs, verdicts, and witnesses).
-    int threads = 1;
     bool check_solo_termination = true;
     /// Check solo termination on every visited configuration. Quadratic-ish;
     /// disable (false) to only check initial configurations.
@@ -76,10 +73,6 @@ class ModelChecker {
   Report check_all_binary_inputs();
 
  private:
-  template <typename ExplorerT>
-  Report check_impl(ExplorerT& explorer,
-                    const std::vector<std::vector<Value>>& input_vectors);
-
   const Protocol& proto_;
   Options opts_;
 };

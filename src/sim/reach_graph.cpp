@@ -81,9 +81,6 @@ ReachGraph::ReachGraph(const Protocol& proto, Options opts)
       stage_(words_, 0),
       sub_stage_(words_, 0),
       exp_words_(words_ * static_cast<std::size_t>(proto.num_processes()), 0) {
-  if (opts_.threads > 1) {
-    pool_ = std::make_unique<util::WorkerPool>(opts_.threads);
-  }
   flags_.init("graph.flags", 1, 0);
   succ_.init("graph.succ", static_cast<std::size_t>(n_), kUnexpanded);
   if (sym_) {
@@ -345,67 +342,6 @@ void ReachGraph::compute_successor(ConfigId id, int q, Value* out,
   *sigma = sym_ ? canonicalize_states(out, n_) : ProcPerm::identity();
 }
 
-ConfigId ReachGraph::expand_edge(ConfigId id, int q, ProcPerm* sigma) {
-  const std::uint64_t key = static_cast<std::uint64_t>(id) * n_ + q;
-  const Value* buf = nullptr;
-  if (pool_) {
-    if (auto it = batch_index_.find(key); it != batch_index_.end()) {
-      buf = batch_words_.data() + static_cast<std::size_t>(it->second) * words_;
-      *sigma = ProcPerm(batch_perms_[it->second]);
-    }
-  }
-  if (!buf) {
-    compute_successor(id, q, stage_.data(), sigma);
-    buf = stage_.data();
-  }
-  const auto [sid, inserted] = arena_.intern_words(buf);
-  if (inserted) register_config(sid);
-  succ_.write_ptr(id)[q] = sid;
-  if (sym_) perm_.write_ptr(id)[q] = sigma->packed();
-  ++edges_expanded_;
-  return sid;
-}
-
-void ReachGraph::precompute_level(std::uint32_t lo, std::uint32_t hi) {
-  // Collect the level's unexpanded edges, then compute their successor
-  // words/renamings on the pool. Interning still happens on the query
-  // thread in inline order, so ids and discovery order are bit-identical
-  // to threads == 1; on early exit the precomputed leftovers are simply
-  // never interned.
-  batch_index_.clear();
-  std::uint32_t count = 0;
-  for (std::uint32_t i = lo; i < hi; ++i) {
-    const Entry& e = entries_[i];
-    if ((e.fact & 0x3) == 0x3) continue;  // pruned at dequeue
-    const std::uint64_t pb = sym_ ? e.pbits : query_pbits_;
-    const ConfigId* row = succ_.read(e.id);
-    ProcSet(pb).for_each([&](int q) {
-      if (row[q] != kUnexpanded) return;
-      const std::uint64_t ei = static_cast<std::uint64_t>(e.id) * n_ + q;
-      if (batch_index_.try_emplace(ei, count).second) ++count;
-    });
-  }
-  if (count == 0) return;
-  batch_keys_.resize(count);
-  for (const auto& [key, slot] : batch_index_) batch_keys_[slot] = key;
-  batch_words_.resize(static_cast<std::size_t>(count) * words_);
-  batch_perms_.resize(count);
-  const int workers = pool_->size();
-  pool_->run([&](int w) {
-    for (std::uint32_t slot = static_cast<std::uint32_t>(w); slot < count;
-         slot += static_cast<std::uint32_t>(workers)) {
-      const std::uint64_t key = batch_keys_[slot];
-      ProcPerm sigma;
-      compute_successor(static_cast<ConfigId>(key / n_),
-                        static_cast<int>(key % n_),
-                        batch_words_.data() +
-                            static_cast<std::size_t>(slot) * words_,
-                        &sigma);
-      batch_perms_[slot] = sigma.packed();
-    }
-  });
-}
-
 void ReachGraph::ensure_marks(ConfigId id) {
   if (static_cast<std::size_t>(id) < mark_epoch_.size()) return;
   // Geometric growth: ids arrive in insertion order, so growing to the
@@ -511,7 +447,6 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
   entries_.clear();
   entry_perm_.clear();
   edges_.clear();
-  batch_index_.clear();
   if (sym_) {
     visited_.clear();
   } else if (++epoch_ == 0) {
@@ -572,25 +507,19 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
   obs::Heartbeat hb("valency.reach");
 
   std::size_t head = 0;
-  std::size_t level_end = 0;
   std::uint64_t steps = 0;
   while (head < entries_.size()) {
-    if (pool_ && head == level_end) {
-      const std::uint32_t lo = static_cast<std::uint32_t>(head);
-      level_end = entries_.size();
-      precompute_level(lo, static_cast<std::uint32_t>(level_end));
-    }
     if ((++steps & 0xFF) == 1) {
       check_budget();
-      // Quiescent point: the pool only runs inside precompute_level and
-      // every arena read in the loop body copies or probes synchronously,
-      // so cold full segments can be compressed out to disk here, and the
-      // whole engine state is consistent for a checkpoint (per-query
+      // Quiescent point: every arena read in the loop body copies or
+      // probes synchronously, so cold full segments can be compressed out
+      // to disk here, and the whole engine state is consistent for a
+      // checkpoint (per-query
       // scratch excluded — resume replays the in-flight query over the
       // restored edges). No pin — the shared graph has no cold-prefix
       // structure, so the oldest full segments go first.
       util::ckpt::CheckpointService::global().poll(256);
-      if (arena_.spill_needed(arena_.size())) {
+      if (arena_.spill_needed()) {
         const std::size_t released = arena_.maybe_spill(kNoConfig);
         if (released != 0) {
           obs::flight::record(obs::flight::Ev::kSpill,
@@ -673,52 +602,44 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
     // every unexpanded successor of this entry, then intern them. The
     // dedup table dwarfs the cache at adversary scale, so overlapping up
     // to |P| probe misses (instead of paying them serially) is worth more
-    // than any saving inside a single intern. The batched threads > 1
-    // path already staged its successor words in precompute_level.
+    // than any saving inside a single intern.
     ProcPerm pend_sigma[64];
     std::uint64_t pend_h[64];
     int npend = 0;
-    if (!pool_) {
-      ProcSet(pb).for_each([&](int q) {
-        const ConfigId s = srow[q];
-        if (s == kUnexpanded) {
-          Value* buf =
-              exp_words_.data() + static_cast<std::size_t>(npend) * words_;
-          compute_successor(e.id, q, buf, &pend_sigma[npend]);
-          pend_h[npend] = arena_.hash_words(buf);
-          arena_.prefetch(pend_h[npend]);
-          ++npend;
-        } else if (s != kNoConfig && !sym_ &&
-                   static_cast<std::size_t>(s) < mark_epoch_.size()) {
-          __builtin_prefetch(&mark_epoch_[s]);
-        }
-      });
-    }
+    ProcSet(pb).for_each([&](int q) {
+      const ConfigId s = srow[q];
+      if (s == kUnexpanded) {
+        Value* buf =
+            exp_words_.data() + static_cast<std::size_t>(npend) * words_;
+        compute_successor(e.id, q, buf, &pend_sigma[npend]);
+        pend_h[npend] = arena_.hash_words(buf);
+        arena_.prefetch(pend_h[npend]);
+        ++npend;
+      } else if (s != kNoConfig && !sym_ &&
+                 static_cast<std::size_t>(s) < mark_epoch_.size()) {
+        __builtin_prefetch(&mark_epoch_[s]);
+      }
+    });
     int pend = 0;
     ProcSet(pb).for_each([&](int q) {
       ConfigId s = srow[q];
       if (s == kNoConfig) return;  // q decided here: no edge
       ProcPerm sigma;
       if (s == kUnexpanded) {
-        if (pool_) {
-          s = expand_edge(e.id, q, &sigma);
-        } else {
-          const Value* buf =
-              exp_words_.data() + static_cast<std::size_t>(pend) * words_;
-          sigma = pend_sigma[pend];
-          const auto [sid, inserted] =
-              arena_.intern_prehashed(buf, pend_h[pend]);
-          ++pend;
-          if (inserted) register_config(sid);
-          if (!wrow) wrow = succ_.write_ptr(e.id);
-          wrow[q] = sid;
-          if (sym_) {
-            if (!pwrow) pwrow = perm_.write_ptr(e.id);
-            pwrow[q] = sigma.packed();
-          }
-          ++edges_expanded_;
-          s = sid;
+        const Value* buf =
+            exp_words_.data() + static_cast<std::size_t>(pend) * words_;
+        sigma = pend_sigma[pend];
+        const auto [sid, inserted] = arena_.intern_prehashed(buf, pend_h[pend]);
+        ++pend;
+        if (inserted) register_config(sid);
+        if (!wrow) wrow = succ_.write_ptr(e.id);
+        wrow[q] = sid;
+        if (sym_) {
+          if (!pwrow) pwrow = perm_.write_ptr(e.id);
+          pwrow[q] = sigma.packed();
         }
+        ++edges_expanded_;
+        s = sid;
         ++res.expanded;
       } else {
         ++res.reused;

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -11,7 +10,6 @@
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
 #include "util/spill_store.hpp"
-#include "util/worker_pool.hpp"
 
 namespace tsb::util::ckpt {
 class SectionWriter;
@@ -69,18 +67,14 @@ namespace tsb::sim {
 ///    relation commutes with every process permutation, so orbit-translated
 ///    queries have literally the same P-only execution trees.
 ///
-/// Determinism: node ids, discovery order and witnesses are identical for
-/// every thread count. With threads > 1 the per-level protocol steps
-/// (successor words, hashes, renamings) are precomputed into per-slot
-/// buffers by a WorkerPool, but interning happens on the query thread in
-/// exactly the inline order (entry order, ascending process id).
+/// Single-threaded: node ids, discovery order (entry order, ascending
+/// process id) and witnesses are a function of the query sequence alone.
 class ReachGraph {
  public:
   struct Options {
     /// Per-query visited cap (BFS entries); hitting it truncates the query
     /// (negative answers unsound — callers surface ever_truncated).
     std::size_t max_configs = 2'000'000;
-    int threads = 1;
     /// Passes with at most this many entries persist full fact coverage on
     /// drain (edges recorded, decisions back-propagated, every entry
     /// facted). Bigger passes only persist their witness paths: the lemma
@@ -285,8 +279,6 @@ class ReachGraph {
 
   void register_config(ConfigId id);
   void compute_successor(ConfigId id, int q, Value* out, ProcPerm* sigma) const;
-  ConfigId expand_edge(ConfigId id, int q, ProcPerm* sigma);
-  void precompute_level(std::uint32_t lo, std::uint32_t hi);
   void check_budget();
   void update_ledger() const;
   void ensure_marks(ConfigId id);
@@ -352,13 +344,6 @@ class ReachGraph {
   std::vector<std::uint8_t> pos_;    ///< per entry: bit v = can decide v
   std::vector<std::uint8_t> wtmp_;   ///< per entry * 2: next-hop proc
   std::vector<std::uint32_t> work_;
-
-  // Level-batched parallel expansion (threads > 1).
-  std::unique_ptr<util::WorkerPool> pool_;
-  std::unordered_map<std::uint64_t, std::uint32_t> batch_index_;
-  std::vector<std::uint64_t> batch_keys_;
-  std::vector<Value> batch_words_;
-  std::vector<std::uint64_t> batch_perms_;
 };
 
 }  // namespace tsb::sim

@@ -177,9 +177,8 @@ std::string manifest_path(const std::string& dir);
 std::string state_path(const std::string& dir, std::uint64_t gen);
 
 /// Process-wide checkpoint coordinator, polled from the engines' existing
-/// quiescent points (the sequential explorer's every-4096-expansions
-/// check, the reach graph's every-256-steps walk check, the parallel
-/// explorer's stop-the-world rendezvous).
+/// quiescent points (the explorer's every-4096-expansions check and the
+/// reach graph's every-256-steps walk check).
 ///
 /// The run that owns checkpointable state registers a serializer callback
 /// (the adversary's, capturing its oracle); poll() fires it when the
@@ -226,15 +225,14 @@ class CheckpointService {
     poll_slow(work);
   }
 
-  /// True when an interval/work checkpoint is due or a stop was requested
-  /// — the parallel explorer checks this between chunks to decide whether
-  /// to rendezvous.
+  /// True when an interval/work checkpoint is due or a stop was requested.
+  /// Lets a caller that is not at a quiescent point ask whether it should
+  /// reach one.
   bool due() const;
 
-  /// Accumulate expansion work from a context that is NOT quiescent (the
-  /// parallel explorer's workers between chunks), so work-count cadences
-  /// see parallel progress; the write itself still happens only at a
-  /// rendezvoused poll(). One relaxed load when checkpointing is off.
+  /// Accumulate expansion work from a context that is NOT quiescent, so
+  /// work-count cadences see that progress; the write itself still happens
+  /// only at a later poll(). One relaxed load when checkpointing is off.
   void add_work(std::uint64_t work) {
     if (!engaged_.load(std::memory_order_relaxed)) return;
     std::lock_guard<std::mutex> lock(mu_);

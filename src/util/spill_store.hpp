@@ -234,8 +234,7 @@ class BackingFile {
 /// thread-local buffer and never faults anything in.
 ///
 /// Thread safety: none — callers are externally synchronized (the reach
-/// graph touches its edge stores only from the query thread; its worker
-/// pool reads the ConfigArena, never these).
+/// graph is single-threaded).
 template <class W>
 class SpillStore {
  public:

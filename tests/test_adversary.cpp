@@ -149,5 +149,25 @@ TEST(Adversary, ValencyOracleStaysExact) {
   // ok result implies every valency answer was exact.
 }
 
+TEST(Adversary, ThreadsOptionIsIgnored) {
+  // The construction is sequential; Options::threads survives only so old
+  // callers compile, and must change nothing.
+  BallotConsensus proto(5, 15);
+  SpaceBoundAdversary::Options opts;
+  const auto one = SpaceBoundAdversary(proto, opts).run();
+  opts.threads = 4;
+  const auto four = SpaceBoundAdversary(proto, opts).run();
+  ASSERT_TRUE(one.ok) << one.error;
+  ASSERT_TRUE(four.ok) << four.error;
+  EXPECT_EQ(four.certificate.inputs, one.certificate.inputs);
+  EXPECT_EQ(four.certificate.schedule, one.certificate.schedule);
+  EXPECT_EQ(four.certificate.covering, one.certificate.covering);
+  EXPECT_EQ(four.valency_queries, one.valency_queries);
+  EXPECT_EQ(four.valency_cache_hits, one.valency_cache_hits);
+  EXPECT_EQ(four.reach_expanded, one.reach_expanded);
+  EXPECT_EQ(four.reach_reused, one.reach_reused);
+  EXPECT_EQ(four.reach_graph_nodes, one.reach_graph_nodes);
+}
+
 }  // namespace
 }  // namespace tsb::bound

@@ -5,19 +5,16 @@
 //  * the symmetric-mode oracle interns ONE exploration per orbit and every
 //    de-canonicalized witness replays through the raw engine;
 //  * persisted facts answer repeat queries with zero expansion;
-//  * the shared-subgraph backend is bit-identical to the fresh-BFS backend
-//    (the differential anchor) on ballot instances n = 3..5, sequentially
-//    and with worker threads, both query-by-query and through the full
-//    Theorem 1 adversary.
+//  * the shared-subgraph backend answers every query exactly like the
+//    fresh-BFS backend (the differential anchor) on ballot instances
+//    n = 3..5. The full-adversary comparison lives in test_backend_matrix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <numeric>
 #include <optional>
-#include <tuple>
 #include <vector>
 
-#include "bound/adversary.hpp"
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
 #include "consensus/racing.hpp"
@@ -267,17 +264,15 @@ TEST(FactAnswers, DrainedPassAnswersRepeatAndPrefixQueriesForFree) {
 
 // --- differential: shared-subgraph engine vs fresh-BFS anchor ------------
 
-class DifferentialTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {
+class DifferentialTest : public ::testing::TestWithParam<int> {
  protected:
-  int n() const { return std::get<0>(GetParam()); }
-  int threads() const { return std::get<1>(GetParam()); }
+  int n() const { return GetParam(); }
 };
 
 TEST_P(DifferentialTest, SharedEngineMatchesFreshBfsQueryByQuery) {
   BallotConsensus proto(n(), 3 * n());
-  ValencyOracle shared(proto, {.threads = threads(), .reuse = true});
-  ValencyOracle fresh(proto, {.threads = threads(), .reuse = false});
+  ValencyOracle shared(proto, {.reuse = true});
+  ValencyOracle fresh(proto, {.reuse = false});
   util::Rng rng(101 + static_cast<std::uint64_t>(n()));
 
   std::vector<Value> inputs(static_cast<std::size_t>(n()), 0);
@@ -327,36 +322,10 @@ TEST_P(DifferentialTest, SharedEngineMatchesFreshBfsQueryByQuery) {
   EXPECT_EQ(fresh.edges_expanded(), 0u);
 }
 
-TEST_P(DifferentialTest, AdversaryCertifiesIdenticallyInBothModes) {
-  BallotConsensus proto(n(), 3 * n());
-  SpaceBoundAdversary::Options opts;
-  opts.threads = threads();
-
-  opts.reuse = true;
-  const auto with_reuse = SpaceBoundAdversary(proto, opts).run();
-  opts.reuse = false;
-  const auto without = SpaceBoundAdversary(proto, opts).run();
-
-  ASSERT_TRUE(with_reuse.ok) << with_reuse.error;
-  ASSERT_TRUE(without.ok) << without.error;
-  EXPECT_EQ(with_reuse.check.distinct_registers, n() - 1);
-  EXPECT_EQ(without.check.distinct_registers, n() - 1);
-  // The constructions walk the same lemma decision tree, so the verdict
-  // stream — and with it the certificate — must agree exactly.
-  EXPECT_EQ(with_reuse.certificate.schedule, without.certificate.schedule);
-  EXPECT_EQ(with_reuse.certificate.covering, without.certificate.covering);
-  EXPECT_EQ(with_reuse.valency_queries, without.valency_queries);
-  EXPECT_GT(with_reuse.reach_reused, 0u);
-  EXPECT_EQ(without.reach_expanded, 0u);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Ballot, DifferentialTest,
-    ::testing::Combine(::testing::Values(3, 4, 5), ::testing::Values(1, 2)),
-    [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "t" +
-             std::to_string(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Ballot, DifferentialTest, ::testing::Values(3, 4, 5),
+                         [](const auto& info) {
+                           return "n" + std::to_string(info.param);
+                         });
 
 }  // namespace
 }  // namespace tsb::bound

@@ -9,8 +9,9 @@
 //     util::CheckpointInvalid, never resumed from;
 //   * a resumed run replays the deterministic adversary over the warm
 //     state and produces the IDENTICAL verdict and certificate that the
-//     uninterrupted run produces, at any thread count, even after a
-//     SIGKILL that lands mid-write.
+//     uninterrupted run produces, even after a SIGKILL that lands
+//     mid-write (the stop-and-resume cells of test_backend_matrix cover
+//     every backend and spill mode).
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/types.h>
@@ -543,22 +544,17 @@ TEST(OracleState, FingerprintCoversVerdictAffectingOptions) {
   bound::ValencyOracle base(p3);
   bound::ValencyOracle other_shape(p4);
   bound::ValencyOracle no_reuse(p3, {.reuse = false});
-  // Threads are deliberately NOT part of the fingerprint: results are
-  // thread-independent, so a campaign may resume with a different count.
-  bound::ValencyOracle more_threads(p3, {.threads = 4});
   EXPECT_NE(base.state_fingerprint(), other_shape.state_fingerprint());
   EXPECT_NE(base.state_fingerprint(), no_reuse.state_fingerprint());
-  EXPECT_EQ(base.state_fingerprint(), more_threads.state_fingerprint());
 }
 
 // --- Adversary-level resume ------------------------------------------------
 
 bound::SpaceBoundAdversary::Result run_adversary(
-    int n, int cap, int threads, const std::string& checkpoint_dir,
-    bool resume, std::uint64_t checkpoint_every, bool reuse = true) {
+    int n, int cap, const std::string& checkpoint_dir, bool resume,
+    std::uint64_t checkpoint_every, bool reuse = true) {
   consensus::BallotConsensus proto(n, cap);
   bound::SpaceBoundAdversary::Options opts;
-  opts.threads = threads;
   opts.reuse = reuse;
   opts.checkpoint_dir = checkpoint_dir;
   opts.checkpoint_every = checkpoint_every;
@@ -582,7 +578,7 @@ void expect_same_certificate(const bound::SpaceBoundAdversary::Result& a,
 std::string make_completed_checkpoint(const std::string& tag) {
   const std::string dir = tdir(tag);
   CheckpointService::global().reset();
-  const auto result = run_adversary(3, 6, 1, dir, false, /*every=*/100);
+  const auto result = run_adversary(3, 6, dir, false, /*every=*/100);
   EXPECT_TRUE(result.ok) << result.error;
   EXPECT_TRUE(fs::exists(util::ckpt::manifest_path(dir)))
       << "cadence never fired on the n=3 run";
@@ -597,25 +593,25 @@ class AdversaryResumeTest : public ::testing::Test {
 };
 
 TEST_F(AdversaryResumeTest, ResumeWithoutDirectoryIsRefused) {
-  EXPECT_THROW(run_adversary(3, 6, 1, "", /*resume=*/true, 0),
+  EXPECT_THROW(run_adversary(3, 6, "", /*resume=*/true, 0),
                CheckpointInvalid);
 }
 
 TEST_F(AdversaryResumeTest, ResumeFromEmptyDirectoryIsRefused) {
-  EXPECT_THROW(run_adversary(3, 6, 1, tdir("empty"), /*resume=*/true, 0),
+  EXPECT_THROW(run_adversary(3, 6, tdir("empty"), /*resume=*/true, 0),
                CheckpointInvalid);
 }
 
 TEST_F(AdversaryResumeTest, FingerprintMismatchIsRefused) {
   const std::string dir = make_completed_checkpoint("fp_mismatch");
   // Wrong process count: resuming would silently change the campaign.
-  EXPECT_THROW(run_adversary(4, 8, 1, dir, /*resume=*/true, 0),
+  EXPECT_THROW(run_adversary(4, 8, dir, /*resume=*/true, 0),
                CheckpointInvalid);
   CheckpointService::global().reset();
   // Wrong engine flag (reuse off): same refusal, the state layout and the
   // verdict provenance both differ.
   EXPECT_THROW(
-      run_adversary(3, 6, 1, dir, /*resume=*/true, 0, /*reuse=*/false),
+      run_adversary(3, 6, dir, /*resume=*/true, 0, /*reuse=*/false),
       CheckpointInvalid);
 }
 
@@ -625,7 +621,7 @@ TEST_F(AdversaryResumeTest, FutureFormatVersionIsRefused) {
   Manifest m = Manifest::load(mpath);
   m.set_u64("format", util::ckpt::kFormatVersion + 1);
   m.save(mpath);
-  EXPECT_THROW(run_adversary(3, 6, 1, dir, /*resume=*/true, 0),
+  EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
                CheckpointInvalid);
 }
 
@@ -635,7 +631,7 @@ TEST_F(AdversaryResumeTest, CorruptStateFileIsRefused) {
   const std::string spath = dir + "/" + m.get("state");
   ASSERT_TRUE(fs::exists(spath));
   flip_byte(spath, fs::file_size(spath) / 2);
-  EXPECT_THROW(run_adversary(3, 6, 1, dir, /*resume=*/true, 0),
+  EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
                CheckpointInvalid);
 }
 
@@ -643,75 +639,8 @@ TEST_F(AdversaryResumeTest, TornManifestIsRefused) {
   const std::string dir = make_completed_checkpoint("manifest_tear");
   const std::string mpath = util::ckpt::manifest_path(dir);
   fs::resize_file(mpath, fs::file_size(mpath) - 4);
-  EXPECT_THROW(run_adversary(3, 6, 1, dir, /*resume=*/true, 0),
+  EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
                CheckpointInvalid);
-}
-
-// --- Differential resume soundness -----------------------------------------
-
-TEST_F(AdversaryResumeTest, InterruptedRunResumesToIdenticalCertificate) {
-  // The tentpole's acceptance bar: interrupt at a deterministic quiescent
-  // point (the test hook stands in for SIGTERM), resume, and require the
-  // verdict and certificate to be IDENTICAL to an uninterrupted run — for
-  // n = 3..5, at 1/2/4 threads.
-  const std::pair<int, int> cases[] = {{3, 6}, {4, 8}, {5, 15}};
-  for (const auto& [n, cap] : cases) {
-    CheckpointService::global().reset();
-    const auto baseline = run_adversary(n, cap, 1, "", false, 0);
-    ASSERT_TRUE(baseline.ok) << "n=" << n << ": " << baseline.error;
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " threads=" + std::to_string(threads));
-      const std::string dir = tdir("diff_n" + std::to_string(n) + "_t" +
-                                   std::to_string(threads));
-      auto& svc = CheckpointService::global();
-      svc.reset();
-      svc.stop_after_polls(8);
-      const auto stopped = run_adversary(n, cap, threads, dir, false, 0);
-      ASSERT_TRUE(stopped.stopped)
-          << "hook did not interrupt (ok=" << stopped.ok
-          << " error=" << stopped.error << ")";
-      ASSERT_FALSE(stopped.ok);
-      ASSERT_TRUE(fs::exists(util::ckpt::manifest_path(dir)))
-          << "stop did not commit a final checkpoint";
-
-      svc.reset();
-      const auto resumed = run_adversary(n, cap, threads, dir, true, 0);
-      ASSERT_TRUE(resumed.ok) << resumed.error;
-      EXPECT_TRUE(resumed.check.ok) << resumed.check.error;
-      expect_same_certificate(baseline, resumed);
-      if (threads == 1) {
-        // Warm-replay exactness, not just verdict equality: restored
-        // counter plus replay expansions equals the uninterrupted total.
-        EXPECT_EQ(resumed.reach_expanded, baseline.reach_expanded);
-      }
-    }
-  }
-}
-
-TEST_F(AdversaryResumeTest, ResumeIsSoundOnTheNoReuseBackendToo) {
-  // reuse = false exercises the Explorer/ParallelExplorer quiescent points
-  // and the memo-only (graphless) state file. n = 5 is the smallest
-  // instance whose per-pass BFS exceeds the explorers' 4096-expansion poll
-  // granularity — smaller no-reuse runs legitimately finish between polls.
-  CheckpointService::global().reset();
-  const auto baseline = run_adversary(5, 15, 1, "", false, 0, /*reuse=*/false);
-  ASSERT_TRUE(baseline.ok) << baseline.error;
-  for (const int threads : {1, 4}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const std::string dir = tdir("noreuse_t" + std::to_string(threads));
-    auto& svc = CheckpointService::global();
-    svc.reset();
-    svc.stop_after_polls(2);
-    const auto stopped =
-        run_adversary(5, 15, threads, dir, false, 0, /*reuse=*/false);
-    ASSERT_TRUE(stopped.stopped) << stopped.error;
-    svc.reset();
-    const auto resumed =
-        run_adversary(5, 15, threads, dir, true, 0, /*reuse=*/false);
-    ASSERT_TRUE(resumed.ok) << resumed.error;
-    expect_same_certificate(baseline, resumed);
-  }
 }
 
 // --- Crash recovery (SIGKILL, no unwinding at all) -------------------------
@@ -721,7 +650,7 @@ TEST_F(AdversaryResumeTest, SigkillMidRunResumesToIdenticalCertificate) {
   // child is still exploring — a genuine mid-campaign crash, not a kill of
   // an already-finished process.
   const std::string dir = tdir("sigkill");
-  const auto baseline = run_adversary(5, 15, 1, "", false, 0);
+  const auto baseline = run_adversary(5, 15, "", false, 0);
   ASSERT_TRUE(baseline.ok) << baseline.error;
 
   const pid_t pid = ::fork();
@@ -730,7 +659,7 @@ TEST_F(AdversaryResumeTest, SigkillMidRunResumesToIdenticalCertificate) {
     // Child: checkpoint on a tight cadence until SIGKILL lands. No gtest
     // machinery here — a killed child must not run parent teardown.
     CheckpointService::global().reset();
-    (void)run_adversary(5, 15, 1, dir, false, /*every=*/20000);
+    (void)run_adversary(5, 15, dir, false, /*every=*/20000);
     ::_exit(0);
   }
   // Parent: wait for the first committed manifest, then kill without any
@@ -748,7 +677,7 @@ TEST_F(AdversaryResumeTest, SigkillMidRunResumesToIdenticalCertificate) {
       << "child never committed a checkpoint";
 
   CheckpointService::global().reset();
-  const auto resumed = run_adversary(5, 15, 1, dir, true, 0);
+  const auto resumed = run_adversary(5, 15, dir, true, 0);
   ASSERT_TRUE(resumed.ok) << resumed.error;
   EXPECT_TRUE(resumed.check.ok) << resumed.check.error;
   expect_same_certificate(baseline, resumed);

@@ -1,46 +1,15 @@
 // The CLI's flag parsing is pure (tools/tsb_flags.hpp): it classifies argv
 // without opening sinks or toggling globals, which is what lets these tests
-// exercise every parse path — notably --threads=0, which historically fell
-// through to "bad flag" — without side effects.
+// exercise every parse path without side effects.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "tsb_flags.hpp"
 
 namespace tsb::cli {
 namespace {
-
-TEST(ParseArgs, ThreadsZeroMeansAllHardwareThreads) {
-  const auto r = parse_args({"adversary", "--threads=0", "4"});
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.flags.threads, 0);
-  EXPECT_EQ(r.args, (std::vector<std::string>{"adversary", "4"}));
-
-  const int resolved = resolve_threads(r.flags.threads);
-  EXPECT_GE(resolved, 1);
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (hw > 0) EXPECT_EQ(resolved, static_cast<int>(hw));
-}
-
-TEST(ParseArgs, PositiveThreadsResolveToThemselves) {
-  const auto r = parse_args({"--threads=3"});
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.flags.threads, 3);
-  EXPECT_EQ(resolve_threads(3), 3);
-  EXPECT_EQ(resolve_threads(1), 1);
-}
-
-TEST(ParseArgs, RejectsNegativeAndMalformedThreads) {
-  for (const char* bad :
-       {"--threads=-1", "--threads=", "--threads=two", "--threads=2x"}) {
-    const auto r = parse_args({bad});
-    EXPECT_FALSE(r.ok) << bad;
-    EXPECT_NE(r.error.find("--threads"), std::string::npos) << r.error;
-  }
-}
 
 TEST(ParseArgs, FileFlagsLandInTheirFields) {
   const auto r = parse_args({"--trace=t.jsonl", "--stats=s.jsonl",
@@ -85,12 +54,18 @@ TEST(ParseArgs, UnknownFlagIsAnError) {
   const auto r = parse_args({"adversary", "--frobnicate"});
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.error.find("--frobnicate"), std::string::npos) << r.error;
+  // The exploration engine is sequential; its old tuning flags are gone.
+  for (const char* gone :
+       {"--threads=4", "--chunk-configs=64", "--parallel-threshold=1024"}) {
+    const auto g = parse_args({"adversary", gone});
+    EXPECT_FALSE(g.ok) << gone;
+    EXPECT_NE(g.error.find("unknown flag"), std::string::npos) << g.error;
+  }
 }
 
 TEST(ParseArgs, DefaultsMatchTheDocumentedOnes) {
   const auto r = parse_args({});
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.flags.threads, 1);
   EXPECT_EQ(r.flags.top, 5);
   EXPECT_EQ(r.flags.valency_cap, 0u);
   EXPECT_FALSE(r.flags.metrics);
@@ -228,23 +203,6 @@ TEST(ParseArgs, SpillDefaultsAndValidation) {
   EXPECT_FALSE(parse_args({"--spill-threshold"}).ok);  // missing value
   EXPECT_FALSE(parse_args({"--spill-dir="}).ok);
   EXPECT_FALSE(parse_args({"--spill-seg-configs=0"}).ok);
-}
-
-TEST(ParseArgs, WorkStealingKnobs) {
-  const auto r = parse_args({"adversary", "--chunk-configs=64",
-                             "--parallel-threshold", "1024", "--no-reuse"});
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.flags.chunk_configs, 64u);
-  EXPECT_EQ(r.flags.parallel_threshold, 1024u);
-  // Defaults: 0 = keep the explorer's built-in tuning.
-  const auto d = parse_args({});
-  EXPECT_EQ(d.flags.chunk_configs, 0u);
-  EXPECT_EQ(d.flags.parallel_threshold, 0u);
-  EXPECT_FALSE(parse_args({"--chunk-configs=0"}).ok);
-  EXPECT_FALSE(parse_args({"--chunk-configs=many"}).ok);
-  // --parallel-threshold=0 parses (explicit "keep the default").
-  EXPECT_TRUE(parse_args({"--parallel-threshold=0"}).ok);
-  EXPECT_FALSE(parse_args({"--parallel-threshold=soon"}).ok);
 }
 
 TEST(ParseArgs, TopSubcommandOnce) {

@@ -17,7 +17,6 @@
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
 #include "sim/explorer.hpp"
-#include "sim/parallel_explorer.hpp"
 
 namespace tsb::sim {
 namespace {
@@ -50,7 +49,7 @@ TEST(ArenaSpill, SpilledSegmentsDecodeBitExact) {
     const ConfigId id = arena.append_words(expect.back().data());
     ASSERT_EQ(id, static_cast<ConfigId>(i));
   }
-  ASSERT_TRUE(arena.spill_needed(arena.size()));
+  ASSERT_TRUE(arena.spill_needed());
   const std::size_t released = arena.maybe_spill(kNoConfig);
   EXPECT_GT(released, 0u);
   EXPECT_GT(arena.spilled_segments(), 0u);
@@ -126,8 +125,7 @@ struct SetSnapshot {
   ExploreResult result;
 };
 
-template <typename ExplorerT>
-SetSnapshot set_snapshot(const Protocol& proto, ExplorerT& explorer,
+SetSnapshot set_snapshot(const Protocol& proto, Explorer& explorer,
                          const Config& root, ProcSet p) {
   ConfigArena packer(proto.num_processes(), proto.num_registers());
   SetSnapshot s;
@@ -165,42 +163,15 @@ TEST(ExplorerSpill, SequentialSpillRunMatchesAllInRam) {
       << "run never spilled: the threshold/segment hint is miscalibrated";
 }
 
-TEST(ExplorerSpill, WorkStealingSpillRunMatchesAllInRamAcrossThreads) {
-  consensus::BallotConsensus proto(3, 6);
-  const Config root = initial_config(proto, {1, 0, 1});
-  const ProcSet everyone = ProcSet::first_n(3);
-
-  Explorer plain(proto);
-  const SetSnapshot expected = set_snapshot(proto, plain, root, everyone);
-  ASSERT_FALSE(expected.result.truncated);
-
-  for (int threads : {1, 2, 4}) {
-    obs::MemLedger::global().reset();
-    ParallelExplorer par(proto, {.threads = threads,
-                                 .chunk_configs = 16,
-                                 .parallel_threshold = 64});
-    ASSERT_TRUE(par.set_spill(::testing::TempDir(), 1 << 14, 256));
-    const SetSnapshot got = set_snapshot(proto, par, root, everyone);
-    EXPECT_EQ(expected.result.visited, got.result.visited) << threads;
-    EXPECT_EQ(expected.result.truncated, got.result.truncated);
-    EXPECT_EQ(expected.packed, got.packed) << threads << " threads";
-    EXPECT_GT(obs::MemLedger::global().peak(obs::MemAccount::kArenaSpill),
-              0u)
-        << threads << " threads never spilled";
-  }
-}
-
 TEST(ExplorerSpill, WitnessesReplayThroughSpilledSegments) {
   consensus::BallotConsensus proto(3, 6);
   const Config root = initial_config(proto, {0, 1, 0});
   const ProcSet everyone = ProcSet::first_n(3);
 
-  ParallelExplorer par(proto, {.threads = 4,
-                               .chunk_configs = 16,
-                               .parallel_threshold = 64});
-  ASSERT_TRUE(par.set_spill(::testing::TempDir(), 1 << 14, 256));
+  Explorer explorer(proto);
+  ASSERT_TRUE(explorer.set_spill(::testing::TempDir(), 1 << 14, 256));
   std::vector<ConfigId> seen;
-  auto result = par.explore(root, everyone, [&](const ConfigView& c) {
+  auto result = explorer.explore(root, everyone, [&](const ConfigView& c) {
     seen.push_back(c.id);
     return true;
   });
@@ -210,9 +181,9 @@ TEST(ExplorerSpill, WitnessesReplayThroughSpilledSegments) {
   // Witness reconstruction and view() must read through spilled segments.
   for (std::size_t i = 0; i < seen.size(); i += seen.size() / 32 + 1) {
     const ConfigId id = seen[i];
-    const auto w = par.witness_by_id(id);
+    const auto w = explorer.witness_by_id(id);
     ASSERT_TRUE(w.has_value()) << "id " << id;
-    EXPECT_EQ(run(proto, root, *w), par.view(id).materialize())
+    EXPECT_EQ(run(proto, root, *w), explorer.view(id).materialize())
         << "witness for id " << id;
   }
 }
@@ -226,12 +197,9 @@ TEST(ExplorerSpill, CappedSpillRunStaysSoundUnderTruncation) {
   const ProcSet everyone = ProcSet::first_n(4);
   const std::size_t cap = 20'000;
 
-  ParallelExplorer par(proto, {.max_configs = cap,
-                               .threads = 4,
-                               .chunk_configs = 32,
-                               .parallel_threshold = 256});
-  ASSERT_TRUE(par.set_spill(::testing::TempDir(), 1 << 15, 512));
-  const SetSnapshot got = set_snapshot(proto, par, root, everyone);
+  Explorer explorer(proto, {.max_configs = cap});
+  ASSERT_TRUE(explorer.set_spill(::testing::TempDir(), 1 << 15, 512));
+  const SetSnapshot got = set_snapshot(proto, explorer, root, everyone);
   EXPECT_TRUE(got.result.truncated);
   EXPECT_LE(got.result.visited, cap);
   EXPECT_EQ(got.packed.size(), got.result.visited);

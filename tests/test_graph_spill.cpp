@@ -4,7 +4,8 @@
 // not a semantics change —
 //
 //   * a forced-spill campaign produces the IDENTICAL verdict, certificate,
-//     and expansion count as the fully-resident run, at any thread count;
+//     and expansion count as the fully-resident run (test_backend_matrix);
+//   * --no-graph-spill keeps the edge arrays resident with the same verdict;
 //   * a checkpoint taken while edge segments are on disk restores into a
 //     warm oracle that answers without re-exploration;
 //   * a write failure on an edge-segment append degrades to
@@ -52,20 +53,17 @@ std::size_t dir_entries(const std::string& d) {
   return n;
 }
 
-bound::SpaceBoundAdversary::Result run_adversary(int n, int cap, int threads,
-                                                 bool spill, bool graph_spill,
-                                                 const std::string& dir) {
+bound::SpaceBoundAdversary::Result run_spilled(int n, int cap,
+                                               bool graph_spill,
+                                               const std::string& dir) {
   consensus::BallotConsensus proto(n, cap);
   bound::SpaceBoundAdversary::Options opts;
-  opts.threads = threads;
-  if (spill) {
-    opts.spill_dir = dir;
-    // Threshold 1 byte + 64-record segments: every cold full segment of
-    // every store leaves RAM at each quiescent point, on test-sized runs.
-    opts.spill_threshold_bytes = 1;
-    opts.spill_seg_configs = 64;
-    opts.graph_spill = graph_spill;
-  }
+  opts.spill_dir = dir;
+  // Threshold 1 byte + 64-record segments: every cold full segment of
+  // every store leaves RAM at each quiescent point, on test-sized runs.
+  opts.spill_threshold_bytes = 1;
+  opts.spill_seg_configs = 64;
+  opts.graph_spill = graph_spill;
   bound::SpaceBoundAdversary adversary(proto, opts);
   return adversary.run();
 }
@@ -80,42 +78,13 @@ void expect_same_certificate(const bound::SpaceBoundAdversary::Result& a,
   EXPECT_EQ(a.check.registers, b.check.registers);
 }
 
-// --- Differential: forced edge spilling ≡ fully resident --------------------
-
-TEST(GraphSpill, ForcedEdgeSpillingMatchesResidentAtAnyThreadCount) {
-  const std::pair<int, int> cases[] = {{3, 6}, {4, 8}, {5, 15}};
-  for (const auto& [n, cap] : cases) {
-    const auto resident = run_adversary(n, cap, 1, false, false, "");
-    ASSERT_TRUE(resident.ok) << "n=" << n << ": " << resident.error;
-    ASSERT_TRUE(resident.check.ok) << resident.check.error;
-    EXPECT_EQ(resident.graph_spilled_bytes, 0u);
-    for (const int threads : {1, 2, 4}) {
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " threads=" + std::to_string(threads));
-      const std::string dir = tdir("diff_n" + std::to_string(n) + "_t" +
-                                   std::to_string(threads));
-      const auto spilled = run_adversary(n, cap, threads, true, true, dir);
-      ASSERT_TRUE(spilled.ok) << spilled.error;
-      EXPECT_TRUE(spilled.check.ok) << spilled.check.error;
-      expect_same_certificate(resident, spilled);
-      // The engine's discovery order is bit-identical at any thread count,
-      // so the expansion counter must match exactly, not approximately.
-      EXPECT_EQ(spilled.reach_expanded, resident.reach_expanded);
-      EXPECT_EQ(spilled.reach_fact_subsumed, resident.reach_fact_subsumed);
-      // The test is vacuous unless edges actually left RAM.
-      EXPECT_GT(spilled.graph_spilled_bytes, 0u);
-      // Backing files are unlinked at creation: nothing may remain.
-      EXPECT_EQ(dir_entries(dir), 0u);
-    }
-  }
-}
+// --- A/B: edge spilling on and off -----------------------------------------
 
 TEST(GraphSpill, NoGraphSpillFlagKeepsEdgesResidentWithSameVerdict) {
   // --no-graph-spill reproduces the node-arena-only behaviour: the A/B
   // anchor for attributing wins to edge spilling specifically.
-  const auto full = run_adversary(4, 8, 1, true, true, tdir("ab_full"));
-  const auto arena_only =
-      run_adversary(4, 8, 1, true, false, tdir("ab_arena"));
+  const auto full = run_spilled(4, 8, true, tdir("ab_full"));
+  const auto arena_only = run_spilled(4, 8, false, tdir("ab_arena"));
   ASSERT_TRUE(full.ok) << full.error;
   ASSERT_TRUE(arena_only.ok) << arena_only.error;
   expect_same_certificate(full, arena_only);

@@ -129,37 +129,6 @@ TEST(Watchdog, SpillThrashNeedsChurnAndFlatVisited) {
   EXPECT_EQ(dog2.fires(obs::WatchRule::kSpillThrash), 0u);
 }
 
-TEST(Watchdog, StealStarvationNeedsGrowingIdleWithPendingWork) {
-  obs::Watchdog dog;
-  std::uint64_t t = 0;
-  auto starve_sample = [&](std::int64_t idle, std::int64_t frontier) {
-    obs::WatchSample s;
-    s.tick = t;
-    s.t_s = static_cast<double>(t);
-    s.phase = "explore";
-    s.visited = static_cast<std::int64_t>(1000 * (t + 1));
-    s.frontier = frontier;
-    s.idle_spins = idle;
-    ++t;
-    return s;
-  };
-  // Idle spins climbing fast while the frontier stays nonzero.
-  for (int i = 0; i < 8; ++i) dog.observe(starve_sample(10'000 * i, 500));
-  EXPECT_EQ(dog.fires(obs::WatchRule::kStealStarvation), 1u);
-
-  // A drained frontier makes idle growth normal run-down, not starvation.
-  obs::Watchdog dog2;
-  t = 0;
-  for (int i = 0; i < 8; ++i) dog2.observe(starve_sample(10'000 * i, 0));
-  EXPECT_EQ(dog2.fires(obs::WatchRule::kStealStarvation), 0u);
-
-  // A sequential run (idle_spins unknown) never trips the rule.
-  obs::Watchdog dog3;
-  t = 0;
-  for (int i = 0; i < 8; ++i) dog3.observe(starve_sample(-1, 500));
-  EXPECT_EQ(dog3.fires(obs::WatchRule::kStealStarvation), 0u);
-}
-
 TEST(Watchdog, LedgerRunawayProjectsExitEta) {
   obs::Watchdog dog;
   auto mem_sample = [](std::uint64_t tick, std::uint64_t total,
@@ -367,15 +336,15 @@ TEST(RunReport, CountsTelemetryRecords) {
   rep.ingest_line(
       R"({"type":"telemetry.tick","tick":1,"t_s":2.0,"phase":"explore"})");
   rep.ingest_line(
-      R"({"type":"watch.alert","rule":"steal_starvation","tick":1,)"
-      R"("t_s":2.0,"phase":"explore","detail":"idle"})");
+      R"({"type":"watch.alert","rule":"spill_thrash","tick":1,)"
+      R"("t_s":2.0,"phase":"explore","detail":"churn"})");
   rep.finalize();
   EXPECT_EQ(rep.telemetry_ticks(), 2u);
   EXPECT_EQ(rep.watch_alerts(), 1u);
   EXPECT_EQ(rep.lines_malformed(), 0u);
   std::ostringstream out;
   rep.render_text(out, 5);
-  EXPECT_NE(out.str().find("steal_starvation"), std::string::npos);
+  EXPECT_NE(out.str().find("spill_thrash"), std::string::npos);
 }
 
 // --- end to end ------------------------------------------------------------

@@ -5,7 +5,7 @@ Usage: check_perf.py BASELINE.json CURRENT.json
 
 Both files are the one-object output of `bench_explore --json=` /
 `bench_lemmas --json=`: {"bench": ..., "rows": [{...}, ...]}. Rows are
-joined on their identity keys (n, threads, spill) and every shared numeric
+joined on their identity keys (n, spill) and every shared numeric
 metric is compared:
 
   * deterministic counts (configs, queries, cache_hits, expanded, reused,
@@ -20,31 +20,20 @@ metric is compared:
     reuse_rate) may regress by at most TSB_PERF_TOLERANCE percent
     (default 25) before the check fails;
   * improvements never fail, and `seconds` is reported but not gated
-    (configs_per_sec already covers wall-clock, normalized by work done);
-  * for the "explore" bench, every parallel row in the CURRENT run must
-    sustain at least TSB_PAR_FLOOR (default 0.75) times the same-n
-    sequential row's configs_per_sec — the work-stealing engine must never
-    make small-n exploration meaningfully slower than just not
-    parallelizing. The default is forgiving because both rows come from
-    one run on a possibly shared/noisy runner, where a transient stall in
-    either row is not a code regression; dedicated runners should set
-    TSB_PAR_FLOOR=0.9 to enforce the strict engineering target. Rows with
-    more threads than the machine has cores measure scheduling overhead by
-    design and are exempt.
+    (configs_per_sec already covers wall-clock, normalized by work done).
 
 A per-metric delta table (current vs baseline, % change) is printed on both
 pass and fail, so CI logs answer "how close was it?" without a rerun.
 
-Environment: TSB_PERF_TOLERANCE=<percent> overrides the 25% tolerance;
-TSB_PAR_FLOOR=<ratio> overrides the 0.75 parallel floor. Stdlib only — CI
-has no pip.
+Environment: TSB_PERF_TOLERANCE=<percent> overrides the 25% tolerance.
+Stdlib only — CI has no pip.
 """
 
 import json
 import os
 import sys
 
-ID_KEYS = ("n", "threads", "spill")
+ID_KEYS = ("n", "spill")
 EXACT_KEYS = {
     "configs",
     "queries",
@@ -182,45 +171,6 @@ def forced_spill_failures(cur_doc):
     return failures
 
 
-def parallel_floor_failures(cur_doc, floor, cpu_count):
-    """The work-stealing smoke gate, on the CURRENT run only.
-
-    For the "explore" bench: every parallel row must reach at least
-    `floor` x the same-n sequential (threads=1) row's configs_per_sec.
-    Rows with threads > cpu_count are exempt (they measure oversubscription
-    overhead by design). Pure: returns a failure list, prints nothing.
-    """
-    if cur_doc.get("bench") != "explore":
-        return []
-    seq_cps = {}
-    for row in cur_doc["rows"]:
-        # The forced-spill sequential row measures the out-of-core codec,
-        # not the engine floor — it must not stand in for the resident
-        # sequential anchor.
-        if row.get("spill") == 1:
-            continue
-        if row.get("threads") == 1 and "configs_per_sec" in row:
-            seq_cps[row.get("n")] = row["configs_per_sec"]
-    failures = []
-    for row in cur_doc["rows"]:
-        threads = row.get("threads", 1)
-        if threads <= 1 or "configs_per_sec" not in row:
-            continue
-        if cpu_count and threads > cpu_count:
-            continue
-        base = seq_cps.get(row.get("n"))
-        if base is None or base == 0:
-            continue
-        cur = row["configs_per_sec"]
-        if cur < floor * base:
-            failures.append(
-                f"n={row.get('n')},threads={threads} configs_per_sec: "
-                f"{cur:.6g} < {floor:g} x sequential {base:.6g} "
-                "(parallel run slower than not parallelizing)"
-            )
-    return failures
-
-
 def fmt_val(v):
     if isinstance(v, float):
         return f"{v:.6g}"
@@ -249,12 +199,10 @@ def main():
     if len(sys.argv) != 3:
         sys.exit(__doc__)
     tolerance = float(os.environ.get("TSB_PERF_TOLERANCE", "25"))
-    par_floor = float(os.environ.get("TSB_PAR_FLOOR", "0.75"))
     base_doc = load(sys.argv[1])
     cur_doc = load(sys.argv[2])
     rows, failures = compare(base_doc, cur_doc, tolerance)
     failures += forced_spill_failures(cur_doc)
-    failures += parallel_floor_failures(cur_doc, par_floor, os.cpu_count())
     print_table(rows)
     gated = sum(1 for *_, s in rows if s in ("exact", "DRIFT", "ok", "FAIL"))
     for msg in failures:

@@ -364,9 +364,6 @@ void RunReport::ingest_trace(const JsonValue& v) {
   SpanAgg& agg = spans_[name];
   ++agg.count;
   agg.total_ms += ms;
-  const int tid = static_cast<int>(v.int_or("tid", 0));
-  if (name == "pool.task") worker_task_ms_[tid] += ms;
-  if (name == "pool.wait") worker_wait_ms_[tid] += ms;
 }
 
 void RunReport::ingest_stats(const JsonValue& v, const std::string& type) {
@@ -572,16 +569,6 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
     }
     t.print(out, "phase time breakdown (" + std::to_string(trace_events_) +
                      " trace events)");
-    if (!worker_task_ms_.empty()) {
-      util::Table w({"worker_tid", "task_ms", "wait_ms", "utilization"});
-      for (const auto& [tid, task_ms] : worker_task_ms_) {
-        const double wait_ms =
-            worker_wait_ms_.count(tid) ? worker_wait_ms_.at(tid) : 0.0;
-        const double total = task_ms + wait_ms;
-        w.row(tid, task_ms, wait_ms, total > 0 ? task_ms / total : 0.0);
-      }
-      w.print(out, "worker timelines");
-    }
   }
 
   if (!levels_.empty()) {
@@ -791,9 +778,6 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
                  (r.b != 0 ? " (memo hit)" : " (miss)");
       } else if (r.ev == "reach.query") {
         detail = "root " + std::to_string(r.a);
-      } else if (r.ev == "steal") {
-        detail = "worker " + std::to_string(r.a) + " stole from worker " +
-                 std::to_string(r.b);
       } else if (r.ev == "spill") {
         detail = "released " + std::to_string(r.a) + " B, " +
                  std::to_string(r.b) + " B on disk";
@@ -963,8 +947,6 @@ void Timeline::ingest_line(const std::string& line) {
     t.visited = v.int_or("visited", -1);
     t.cap = v.int_or("cap", -1);
     t.cps = v.num_or("cps", -1.0);
-    t.steals = v.int_or("steals", -1);
-    t.idle_spins = v.int_or("idle_spins", -1);
     t.peak_rss_kb = v.int_or("peak_rss_kb", 0);
     t.ledger_total = v.int_or("ledger_total", 0);
     if (const JsonValue* led = v.find("ledger");

@@ -151,8 +151,6 @@ class RunReport {
   // Trace.
   std::uint64_t trace_events_ = 0;
   std::map<std::string, SpanAgg> spans_;
-  std::map<int, double> worker_task_ms_;  ///< tid -> total "pool.task"
-  std::map<int, double> worker_wait_ms_;  ///< tid -> total "pool.wait"
 
   // Stats.
   std::vector<LevelRow> levels_;
@@ -303,8 +301,6 @@ struct TimelineTick {
   std::int64_t visited = -1;
   std::int64_t cap = -1;
   double cps = -1.0;  ///< interval rate, valid only within one phase
-  std::int64_t steals = -1;
-  std::int64_t idle_spins = -1;
   std::int64_t peak_rss_kb = 0;
   std::int64_t ledger_total = 0;
   std::map<std::string, std::int64_t> ledger;    ///< account -> bytes

@@ -19,7 +19,7 @@ def doc(rows, bench="bench_explore"):
     return {"bench": bench, "rows": rows}
 
 
-BASE = doc([{"n": 4, "threads": 1, "configs": 100,
+BASE = doc([{"n": 4, "configs": 100,
              "configs_per_sec": 1000.0, "seconds": 0.1}])
 
 
@@ -33,7 +33,7 @@ class CompareTest(unittest.TestCase):
         )
 
     def test_exact_drift_fails(self):
-        cur = doc([{"n": 4, "threads": 1, "configs": 101,
+        cur = doc([{"n": 4, "configs": 101,
                     "configs_per_sec": 1000.0}])
         rows, failures = check_perf.compare(BASE, cur, tolerance=25)
         self.assertEqual(len(failures), 1)
@@ -42,13 +42,13 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(statuses["configs"], "DRIFT")
 
     def test_rate_within_tolerance_passes(self):
-        cur = doc([{"n": 4, "threads": 1, "configs": 100,
+        cur = doc([{"n": 4, "configs": 100,
                     "configs_per_sec": 800.0}])
         _, failures = check_perf.compare(BASE, cur, tolerance=25)
         self.assertEqual(failures, [])
 
     def test_rate_below_floor_fails(self):
-        cur = doc([{"n": 4, "threads": 1, "configs": 100,
+        cur = doc([{"n": 4, "configs": 100,
                     "configs_per_sec": 700.0}])
         rows, failures = check_perf.compare(BASE, cur, tolerance=25)
         self.assertEqual(len(failures), 1)
@@ -57,13 +57,13 @@ class CompareTest(unittest.TestCase):
         self.assertEqual(statuses["configs_per_sec"], "FAIL")
 
     def test_improvement_never_fails(self):
-        cur = doc([{"n": 4, "threads": 1, "configs": 100,
+        cur = doc([{"n": 4, "configs": 100,
                     "configs_per_sec": 9000.0}])
         _, failures = check_perf.compare(BASE, cur, tolerance=25)
         self.assertEqual(failures, [])
 
     def test_missing_row_fails(self):
-        cur = doc([{"n": 5, "threads": 1, "configs": 100,
+        cur = doc([{"n": 5, "configs": 100,
                     "configs_per_sec": 1000.0}])
         _, failures = check_perf.compare(BASE, cur, tolerance=25)
         self.assertTrue(any("missing" in f for f in failures))
@@ -78,7 +78,7 @@ class CompareTest(unittest.TestCase):
         self.assertTrue(any("no comparable" in f for f in failures))
 
     def test_seconds_ungated(self):
-        cur = doc([{"n": 4, "threads": 1, "configs": 100,
+        cur = doc([{"n": 4, "configs": 100,
                     "configs_per_sec": 1000.0, "seconds": 99.0}])
         rows, failures = check_perf.compare(BASE, cur, tolerance=25)
         self.assertEqual(failures, [])
@@ -89,52 +89,6 @@ class CompareTest(unittest.TestCase):
         self.assertAlmostEqual(check_perf.delta_pct(100, 110), 10.0)
         self.assertAlmostEqual(check_perf.delta_pct(100, 90), -10.0)
         self.assertIsNone(check_perf.delta_pct(0, 5))
-
-    def test_parallel_floor_passes_when_faster(self):
-        cur = {"bench": "explore", "rows": [
-            {"n": 4, "threads": 1, "configs_per_sec": 1000.0},
-            {"n": 4, "threads": 2, "configs_per_sec": 1500.0},
-        ]}
-        self.assertEqual(
-            check_perf.parallel_floor_failures(cur, 0.9, cpu_count=8), [])
-
-    def test_parallel_floor_allows_small_dip(self):
-        cur = {"bench": "explore", "rows": [
-            {"n": 4, "threads": 1, "configs_per_sec": 1000.0},
-            {"n": 4, "threads": 2, "configs_per_sec": 950.0},
-        ]}
-        self.assertEqual(
-            check_perf.parallel_floor_failures(cur, 0.9, cpu_count=8), [])
-
-    def test_parallel_floor_fails_on_regression(self):
-        cur = {"bench": "explore", "rows": [
-            {"n": 4, "threads": 1, "configs_per_sec": 1000.0},
-            {"n": 4, "threads": 2, "configs_per_sec": 800.0},
-        ]}
-        failures = check_perf.parallel_floor_failures(cur, 0.9, cpu_count=8)
-        self.assertEqual(len(failures), 1)
-        self.assertIn("threads=2", failures[0])
-        self.assertIn("slower than not parallelizing", failures[0])
-
-    def test_parallel_floor_exempts_oversubscribed_rows(self):
-        # threads > cores measures scheduling overhead by design.
-        cur = {"bench": "explore", "rows": [
-            {"n": 4, "threads": 1, "configs_per_sec": 1000.0},
-            {"n": 4, "threads": 8, "configs_per_sec": 100.0},
-        ]}
-        self.assertEqual(
-            check_perf.parallel_floor_failures(cur, 0.9, cpu_count=4), [])
-        self.assertEqual(
-            len(check_perf.parallel_floor_failures(cur, 0.9, cpu_count=16)),
-            1)
-
-    def test_parallel_floor_only_gates_explore(self):
-        cur = {"bench": "lemmas", "rows": [
-            {"n": 4, "threads": 1, "configs_per_sec": 1000.0},
-            {"n": 4, "threads": 2, "configs_per_sec": 1.0},
-        ]}
-        self.assertEqual(
-            check_perf.parallel_floor_failures(cur, 0.9, cpu_count=8), [])
 
     def test_forced_spill_gate_requires_nonzero_bytes(self):
         cur = {"bench": "lemmas", "rows": [
@@ -149,7 +103,7 @@ class CompareTest(unittest.TestCase):
     def test_forced_spill_gate_passes_with_bytes_on_disk(self):
         cur = {"bench": "lemmas", "rows": [
             {"n": 4, "spill": 1, "queries": 10, "graph_spill": 4096},
-            {"n": 4, "threads": 1, "spill": 1, "arena_spill": 512},
+            {"n": 4, "spill": 1, "arena_spill": 512},
         ]}
         self.assertEqual(check_perf.forced_spill_failures(cur), [])
 
@@ -163,23 +117,11 @@ class CompareTest(unittest.TestCase):
         ]}
         self.assertEqual(check_perf.forced_spill_failures(cur), [])
 
-    def test_parallel_floor_ignores_spilled_sequential_anchor(self):
-        # The forced-spill sequential row is slower by design; it must not
-        # replace the resident anchor and mask (or cause) a floor failure.
-        cur = {"bench": "explore", "rows": [
-            {"n": 4, "threads": 1, "spill": 0, "configs_per_sec": 1000.0},
-            {"n": 4, "threads": 1, "spill": 1, "configs_per_sec": 200.0},
-            {"n": 4, "threads": 2, "spill": 0, "configs_per_sec": 500.0},
-        ]}
-        failures = check_perf.parallel_floor_failures(cur, 0.9, cpu_count=8)
-        self.assertEqual(len(failures), 1)
-        self.assertIn("sequential 1000", failures[0])
-
     def test_spill_identity_key_separates_rows(self):
-        base = doc([{"n": 4, "threads": 1, "spill": 0, "configs": 100},
-                    {"n": 4, "threads": 1, "spill": 1, "configs": 100}])
-        cur = doc([{"n": 4, "threads": 1, "spill": 0, "configs": 100},
-                   {"n": 4, "threads": 1, "spill": 1, "configs": 101}])
+        base = doc([{"n": 4, "spill": 0, "configs": 100},
+                    {"n": 4, "spill": 1, "configs": 100}])
+        cur = doc([{"n": 4, "spill": 0, "configs": 100},
+                   {"n": 4, "spill": 1, "configs": 101}])
         rows, failures = check_perf.compare(base, cur, tolerance=25)
         self.assertEqual(len(failures), 1)
         self.assertIn("spill=1", failures[0])
@@ -187,7 +129,7 @@ class CompareTest(unittest.TestCase):
             [s for label, *_, s in rows if "spill=0" in label], ["exact"])
 
     def test_table_renders_all_rows(self):
-        cur = doc([{"n": 4, "threads": 1, "configs": 101,
+        cur = doc([{"n": 4, "configs": 101,
                     "configs_per_sec": 700.0, "seconds": 0.2}])
         rows, _ = check_perf.compare(BASE, cur, tolerance=25)
         buf = io.StringIO()

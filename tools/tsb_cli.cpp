@@ -31,8 +31,8 @@
 //                    run keeps everything up to the last interval). A
 //                    rule-driven watchdog rides the same ticks and emits
 //                    watch.alert records, stderr warnings, and flight
-//                    events on throughput collapse, spill thrash, steal
-//                    starvation, and memory-budget runaway. Watch live
+//                    events on throughput collapse, spill thrash,
+//                    memory-budget runaway and checkpoint stalls. Watch live
 //                    with `tsb monitor FILE`; diff two runs with
 //                    `tsb report --compare A.tsl B.tsl`.
 //   --tolerance=PCT  report --compare: gate width in percent (default 25)
@@ -45,9 +45,6 @@
 //   --profile-hz=HZ  sampling rate (default 200)
 //   --once           tsb top: render one frame and exit (CI-friendly)
 //   --valency-cap=N  valency oracle configuration cap (adversary only)
-//   --threads=N      exploration worker threads (adversary and check);
-//                    0 = all hardware threads; results are identical at
-//                    any thread count
 //   --top=K          report: how many hottest registers to show (default 5)
 //   --baseline=FILE  report: write the one-line baseline JSON to FILE
 //
@@ -76,12 +73,6 @@
 //                    small values force spilling on small campaigns)
 //   --no-graph-spill  keep the edge arrays resident (node arena still
 //                    spills): the pre-edge-spill memory plan, for A/B runs
-//
-// Work-stealing knobs (tsb adversary --no-reuse; pure perf tuning —
-// verdicts are identical at any setting):
-//   --chunk-configs=N       configs per stealable work item (default 256)
-//   --parallel-threshold=N  visited count at which the warm sequential
-//                           phase hands off to the worker pool (32768)
 //
 // Crash-safe campaigns (tsb adversary / tsb resume):
 //   --checkpoint-dir=DIR    checkpoint the oracle's session state (roots,
@@ -185,8 +176,7 @@ int usage() {
          "  tsb monitor <file.tsl> [--once]  trend view of a --telemetry file\n"
          "flags: --trace=FILE --stats=FILE --audit=FILE --metrics "
          "--progress\n"
-         "       --valency-cap=N --threads=N (0 = all cores) --top=K "
-         "--baseline=FILE\n"
+         "       --valency-cap=N --top=K --baseline=FILE\n"
          "introspection: --progress-interval-ms=MS --status-file=FILE\n"
          "       --telemetry=FILE --flight=FILE --profile --profile-hz=HZ\n"
          "chaos: --runs=N --seed=S --n=P --targets=LIST|all --mix=LIST|all\n"
@@ -197,7 +187,6 @@ int usage() {
          "out-of-core: --spill-threshold=BYTES[k|m|g] --spill-dir=DIR\n"
          "             --spill-seg-configs=N (segment size, testing)\n"
          "             --no-graph-spill (edge arrays stay resident)\n"
-         "work stealing: --chunk-configs=N --parallel-threshold=N\n"
          "checkpointing: --checkpoint-dir=DIR --checkpoint-interval-ms=MS\n"
          "               --checkpoint-every=N (SIGTERM/SIGINT = checkpoint\n"
          "               and stop; continue with tsb resume DIR)\n"
@@ -249,7 +238,6 @@ int cmd_adversary(int n, int cap, const ObsFlags& obs_flags,
   opts.valency_max_configs = obs_flags.valency_cap
                                  ? obs_flags.valency_cap
                                  : default_valency_cap(n);
-  opts.threads = cli::resolve_threads(obs_flags.threads);
   opts.valency_max_arena_bytes =
       static_cast<std::size_t>(obs_flags.mem_budget);
   opts.valency_time_budget_ms = obs_flags.time_budget_ms;
@@ -260,9 +248,6 @@ int cmd_adversary(int n, int cap, const ObsFlags& obs_flags,
   opts.spill_seg_configs =
       static_cast<std::size_t>(obs_flags.spill_seg_configs);
   opts.graph_spill = !obs_flags.no_graph_spill;
-  opts.chunk_configs = static_cast<std::uint32_t>(obs_flags.chunk_configs);
-  opts.parallel_threshold =
-      static_cast<std::size_t>(obs_flags.parallel_threshold);
   opts.checkpoint_dir = checkpoint_dir;
   opts.checkpoint_interval_ms = obs_flags.checkpoint_interval_ms;
   opts.checkpoint_every = obs_flags.checkpoint_every;
@@ -318,13 +303,11 @@ int cmd_adversary(int n, int cap, const ObsFlags& obs_flags,
   return kExitOk;
 }
 
-int cmd_check(const std::string& name, int n, int cap,
-              const ObsFlags& obs_flags) {
+int cmd_check(const std::string& name, int n, int cap) {
   auto proto = make_protocol(name, n, cap);
   if (!proto) return usage();
   sim::ModelChecker::Options opts;
   opts.fail_on_solo_violation = name != "ballot";  // caps stall by design
-  opts.threads = cli::resolve_threads(obs_flags.threads);
   sim::ModelChecker checker(*proto, opts);
   const auto report = checker.check_all_binary_inputs();
   std::cout << proto->name() << ": " << report.summary() << "\n";
@@ -572,11 +555,6 @@ bool monitor_frame(const std::string& path, std::ostream& out) {
           return static_cast<double>(t.peak_rss_kb);
         }),
         std::to_string(last.peak_rss_kb) + " KiB");
-  trend("steals    ",
-        series([](const report::TimelineTick& t) {
-          return static_cast<double>(t.steals);
-        }),
-        last.steals >= 0 ? std::to_string(last.steals) : "-");
 
   const std::vector<std::string> active = tl.active_alerts();
   if (!active.empty()) {
@@ -722,7 +700,7 @@ int main(int argc, char** argv) {
                        /*checkpoint_dir=*/args[1], /*resume=*/true);
   } else if (cmd == "check" && args.size() >= 2) {
     const int n = arg(2, 2);
-    rc = cmd_check(args[1], n, arg(3, 2 * n), obs_flags);
+    rc = cmd_check(args[1], n, arg(3, 2 * n));
   } else if (cmd == "search") {
     rc = cmd_search(arg(1, 1), static_cast<std::size_t>(arg(2, 0)));
   } else if (cmd == "mutex") {

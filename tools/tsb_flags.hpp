@@ -5,13 +5,12 @@
 // parse_args is PURE: it classifies argv into flags + positional arguments
 // and reports errors, but applies nothing (no sink is opened, no progress
 // toggled) — main() applies the parsed flags, and the tests exercise the
-// parse paths (notably --threads=0) without side effects.
+// parse paths without side effects.
 
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace tsb::cli {
@@ -33,7 +32,6 @@ struct ObsFlags {
   int profile_hz = 200;       ///< --profile-hz=HZ (sampling rate)
   bool once = false;          ///< --once (tsb top: render one frame and exit)
   std::size_t valency_cap = 0;  ///< --valency-cap=N; 0 = scale with n
-  int threads = 1;            ///< --threads=N; 0 = hardware concurrency
   int top = 5;                ///< --top=K (report: hottest registers shown)
 
   // Chaos campaign flags (tsb chaos). These accept both --flag=V and
@@ -50,7 +48,7 @@ struct ObsFlags {
   std::uint64_t mem_budget = 0;      ///< --mem-budget=BYTES[k|m|g]; 0 = off
   std::uint64_t time_budget_ms = 0;  ///< --time-budget-ms=MS; 0 = off
 
-  // Out-of-core spilling and work-stealing knobs (tsb adversary / check).
+  // Out-of-core spilling (tsb adversary).
   std::string spill_dir = ".";        ///< --spill-dir=DIR (backing file home)
   std::uint64_t spill_threshold = 0;  ///< --spill-threshold=BYTES[k|m|g]; 0=off
   std::uint64_t spill_seg_configs = 0;///< --spill-seg-configs=N; 0 = default
@@ -58,8 +56,6 @@ struct ObsFlags {
   /// engine's edge arrays resident (node arena still spills) — the PR 7
   /// memory plan, kept for A/B runs against out-of-core edge storage.
   bool no_graph_spill = false;
-  std::uint64_t chunk_configs = 0;    ///< --chunk-configs=N; 0 = default
-  std::uint64_t parallel_threshold = 0;  ///< --parallel-threshold=N; 0=default
 
   /// --no-reuse: run valency queries on the fresh-BFS-per-query backend
   /// instead of the shared-subgraph engine (differential anchor / A-B
@@ -85,15 +81,6 @@ struct ParseResult {
   ObsFlags flags;
   std::vector<std::string> args;    ///< positional arguments, in order
 };
-
-/// Map the user-facing thread count to a concrete worker count: 0 means
-/// "use every hardware thread". Callers must resolve before handing the
-/// value to ValencyOracle / ModelChecker (which treat > 1 as "parallel").
-inline int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
-}
 
 /// Parse "123", "64k", "256m", "2g" into bytes (suffix = binary multiple).
 /// Returns false on anything else.
@@ -214,15 +201,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       out.flags.valency_cap = std::strtoull(
           a.c_str() + std::strlen("--valency-cap="), nullptr, 10);
       if (out.flags.valency_cap == 0) return fail("bad --valency-cap");
-    } else if (a.rfind("--threads=", 0) == 0) {
-      char* end = nullptr;
-      const char* s = a.c_str() + std::strlen("--threads=");
-      const long v = std::strtol(s, &end, 10);
-      // 0 is documented and valid: hardware concurrency.
-      if (v < 0 || end == s || end == nullptr || *end != '\0') {
-        return fail("bad --threads (want an integer >= 0; 0 = all cores)");
-      }
-      out.flags.threads = static_cast<int>(v);
     } else if (a.rfind("--top=", 0) == 0) {
       char* end = nullptr;
       const char* s = a.c_str() + std::strlen("--top=");
@@ -275,13 +253,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       if (bad_value || out.flags.spill_seg_configs == 0) {
         return fail("bad --spill-seg-configs (want >= 1)");
       }
-    } else if (u64_flag("--chunk-configs", &out.flags.chunk_configs)) {
-      if (bad_value || out.flags.chunk_configs == 0) {
-        return fail("bad --chunk-configs (want >= 1)");
-      }
-    } else if (u64_flag("--parallel-threshold",
-                        &out.flags.parallel_threshold)) {
-      if (bad_value) return fail("bad --parallel-threshold");
     } else if (value_flag("--checkpoint-dir", &out.flags.checkpoint_dir)) {
       if (bad_value || out.flags.checkpoint_dir.empty()) {
         return fail("--checkpoint-dir needs a directory");
