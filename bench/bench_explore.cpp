@@ -7,8 +7,9 @@
 // Usage: bench_explore [--smoke] [--overhead] [--stats=FILE] [--json=FILE]
 //                      [max_n]
 //   --smoke       one small run (n = 4, low cap) for CI
-//   --overhead    E13: instrumentation cost — the same enumeration at three
-//                 tiers (off / stats-only / stats+trace), configs/sec each,
+//   --overhead    E13: instrumentation cost — the same enumeration at six
+//                 tiers (off / stats / stats+trace / prof+flight /
+//                 stats+ticks / checkpoint), configs/sec each,
 //                 plus the per-level table recovered from the stats JSONL
 //                 by the same analyzer `tsb report` uses
 //   --stats=FILE  stream per-BFS-level stats to FILE during the runs
@@ -70,7 +71,7 @@ double configs_per_sec(const RunResult& r) {
   return r.secs > 0 ? static_cast<double>(r.visited) / r.secs : 0.0;
 }
 
-// E13: the same enumeration at three instrumentation tiers. The contract
+// E13: the same enumeration at six instrumentation tiers. The contract
 // (ISSUE: "full instrumentation within 10% of uninstrumented throughput")
 // holds because per-level stats amortize over whole BFS levels and trace
 // spans bracket phases, not configurations — nothing per-config changes.
@@ -85,9 +86,9 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
     bool trace;
     bool prof;   ///< sampling profiler + flight recorder (PR 6 acceptance:
                  ///< within a few percent of the bare run)
-    bool telem;  ///< --telemetry time-series sampler + watchdog (PR 8
-                 ///< acceptance: within ~1% of the stats tier — it rides
-                 ///< the same heartbeat, adding one JSONL append per tick)
+    bool ticks;  ///< stats stream with heartbeat telemetry ticks and the
+                 ///< watchdog at a 100 ms cadence (gate: within tolerance
+                 ///< of the stats tier — one JSONL append + flush per tick)
     bool ckpt = false;  ///< checkpoint service armed with a state-sized
                         ///< payload (PR 9 acceptance: serialize+commit time
                         ///< <= 5% of the tier's wall clock; the quiescent-
@@ -97,7 +98,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
                         {"stats", true, false, false, false},
                         {"stats+trace", true, true, false, false},
                         {"prof+flight", false, false, true, false},
-                        {"telemetry", false, false, false, true},
+                        {"stats+ticks", true, false, false, true},
                         {"checkpoint", false, false, false, false, true}};
 
   std::cout << "E13: instrumentation overhead, ballot n=" << n << " cap "
@@ -115,7 +116,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
                      "vs off"});
   double base_cps = 0.0;
   double stats_cps = 0.0;
-  double telemetry_cps = 0.0;
+  double ticks_cps = 0.0;
   double ckpt_secs = 0.0;
   std::uint64_t ckpt_writes = 0;
   std::uint64_t ckpt_bytes = 0;
@@ -136,11 +137,8 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
       }
     }
     const std::chrono::milliseconds saved_interval = obs::progress_interval();
-    if (tier.telem) {
-      if (!obs::telemetry::open(stats_path + ".tsl")) {
-        std::cerr << "could not open " << stats_path << ".tsl\n";
-        return 1;
-      }
+    if (tier.ticks) {
+      obs::telemetry::reset();
       // A bench run is short; sample fast enough that the tier actually
       // pays for ticks instead of idling past the default 1 s cadence.
       obs::set_progress_interval(std::chrono::milliseconds(100));
@@ -179,10 +177,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
       std::error_code ec;
       std::filesystem::remove_all(ckpt_dir, ec);
     }
-    if (tier.telem) {
-      obs::telemetry::close();
-      obs::set_progress_interval(saved_interval);
-    }
+    if (tier.ticks) obs::set_progress_interval(saved_interval);
     if (tier.prof) {
       obs::Profiler::global().stop();
       obs::flight::disable();
@@ -193,7 +188,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
     const double cps = configs_per_sec(r);
     if (base_cps == 0.0) base_cps = cps;
     if (std::strcmp(tier.name, "stats") == 0) stats_cps = cps;
-    if (tier.telem) telemetry_cps = cps;
+    if (tier.ticks) ticks_cps = cps;
     char rel[32];
     std::snprintf(rel, sizeof rel, "%+.1f%%",
                   base_cps > 0 ? (cps / base_cps - 1.0) * 100.0 : 0.0);
@@ -201,16 +196,16 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
   }
   table.print(std::cout, "instrumentation tiers (same enumeration)");
 
-  // PR 8 acceptance gate: the telemetry tier must stay within tolerance of
-  // the stats tier. The expectation is ~1% (both ride the same heartbeat);
-  // the default gate is looser because shared CI runners jitter far more
-  // than the sampler costs. BENCH_OVERHEAD_TOL_PCT overrides.
+  // The stats+ticks tier must stay within tolerance of the stats tier. The
+  // expectation is ~1% (ticks ride the heartbeat the engine already
+  // beats); the default gate is looser because shared CI runners jitter
+  // far more than the sampler costs. BENCH_OVERHEAD_TOL_PCT overrides.
   double tol_pct = 25.0;
   if (const char* env = std::getenv("BENCH_OVERHEAD_TOL_PCT")) {
     tol_pct = std::strtod(env, nullptr);
   }
-  if (stats_cps > 0 && telemetry_cps < stats_cps * (1.0 - tol_pct / 100.0)) {
-    std::cerr << "FAIL: telemetry tier " << telemetry_cps
+  if (stats_cps > 0 && ticks_cps < stats_cps * (1.0 - tol_pct / 100.0)) {
+    std::cerr << "FAIL: stats+ticks tier " << ticks_cps
               << " configs/s is more than " << tol_pct
               << "% below the stats tier " << stats_cps << " configs/s\n";
     return 1;

@@ -28,10 +28,10 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run() {
     Result out;
     out.budget_exhausted = true;
     out.error = e.what();
-    if (obs::audit_enabled()) {
+    if (obs::stats_enabled()) {
       obs::JsonObj ev = obs::audit_event("adversary.budget_exhausted");
       ev.str("protocol", proto_.name()).str("detail", e.what());
-      obs::audit_sink().write(ev.render());
+      obs::stats_sink().write(ev.render());
     }
     return out;
   } catch (const util::CheckpointStop& e) {
@@ -41,10 +41,10 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run() {
     Result out;
     out.stopped = true;
     out.error = e.what();
-    if (obs::audit_enabled()) {
+    if (obs::stats_enabled()) {
       obs::JsonObj ev = obs::audit_event("adversary.stopped");
       ev.str("protocol", proto_.name()).str("detail", e.what());
-      obs::audit_sink().write(ev.render());
+      obs::stats_sink().write(ev.render());
     }
     return out;
   }
@@ -114,7 +114,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
         // invariant.
         obs::telemetry::set_tick_base(m.get_u64("telemetry_ticks"));
       }
-      if (obs::audit_enabled()) {
+      if (obs::stats_enabled()) {
         obs::JsonObj ev = obs::audit_event("adversary.resume");
         ev.str("protocol", proto_.name())
             .str("dir", opts_.checkpoint_dir)
@@ -122,7 +122,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
                  static_cast<std::int64_t>(m.get_u64("generation")))
             .num("graph_nodes",
                  static_cast<std::int64_t>(oracle.graph_nodes()));
-        obs::audit_sink().write(ev.render());
+        obs::stats_sink().write(ev.render());
       }
     }
   } else if (opts_.resume) {
@@ -137,7 +137,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
   LemmaToolkit lemmas(proto_, oracle);
   lemmas.enable_narrative(opts_.narrative);
 
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("adversary.begin");
     ev.str("protocol", proto_.name())
         .num("n", n)
@@ -147,7 +147,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
         .boolean("graph_spill",
                  opts_.spill_threshold_bytes != 0 && opts_.graph_spill)
         .boolean("symmetric", proto_.symmetric());
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   }
 
   // Proposition 2: initial bivalent configuration.
@@ -190,7 +190,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
     // solo terminating execution from C0-alpha'.
     const ProcId z = (l4.q.without(l3.q)).min();
     const auto covered = covered_registers(proto_, cq, r);
-    if (obs::audit_enabled()) {
+    if (obs::stats_enabled()) {
       // The construction's claim going into the final escape: R covers
       // these registers at C0-alpha'; z's escape register must join them.
       // `tsb report` checks this narrative against the certificate event
@@ -201,7 +201,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
           .raw("procs", obs::json_int_array(r.to_vector()))
           .raw("regs", obs::json_int_array(regs))
           .num("z", z);
-      obs::audit_sink().write(ev.render());
+      obs::stats_sink().write(ev.render());
     }
     obs::flight::record(obs::flight::Ev::kPhase, 3);
     auto esc = lemmas.solo_escape(cq, z, covered);
@@ -256,7 +256,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
 
   // Independent verification through the raw engine.
   out.check = check_certificate(proto_, out.certificate);
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     // Registers come from the replay verification, NOT from the
     // construction: `tsb report` compares the two and fails loudly if the
     // adversary's narrative and the checked certificate ever disagree.
@@ -273,7 +273,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
         .num("schedule_len",
              static_cast<std::int64_t>(out.certificate.schedule.size()));
     if (!out.check.ok) ev.str("error", out.check.error);
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   }
   if (!out.check.ok) {
     out.error = "certificate check failed: " + out.check.error;

@@ -39,14 +39,14 @@ LemmaToolkit::InitialBivalent LemmaToolkit::proposition2() {
               "Validity violated: {p1} not 1-univalent from I");
   note("Proposition 2: initial configuration with inputs(p0)=0, inputs(p1)=1 "
        "is bivalent for {p0,p1}");
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("prop2");
     ev.num("config",
            static_cast<std::int64_t>(oracle_.intern_root(out.config)))
         .raw("inputs", obs::json_int_array(
                            std::vector<int>(out.inputs.begin(),
                                             out.inputs.end())));
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   }
   return out;
 }
@@ -56,14 +56,14 @@ LemmaToolkit::Lemma1Result LemmaToolkit::lemma1(const Config& c, ProcSet p) {
   TSB_REQUIRE(p.size() >= 3, "Lemma 1 needs |P| >= 3");
   TSB_REQUIRE(oracle_.bivalent(c, p), "Lemma 1 precondition: P bivalent");
   auto audit = [&](const char* how, const Lemma1Result& res) {
-    if (!obs::audit_enabled()) return;
+    if (!obs::stats_enabled()) return;
     obs::JsonObj ev = obs::audit_event("lemma1");
     ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(c)))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .str("how", how)
         .num("z", res.z)
         .num("phi_len", static_cast<std::int64_t>(res.phi.size()));
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   };
 
   // Pick any two processes of P (we take the two largest ids so the pair
@@ -143,7 +143,7 @@ LemmaToolkit::SoloEscape LemmaToolkit::solo_escape(
   // cannot distinguish the run with it from the run without it. One audit
   // event per attempt; `tsb report` counts the found ones as clones.
   auto audit = [&] {
-    if (!obs::audit_enabled()) return;
+    if (!obs::stats_enabled()) return;
     obs::JsonObj ev = obs::audit_event("solo_escape");
     ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(c)))
         .num("z", z)
@@ -151,7 +151,7 @@ LemmaToolkit::SoloEscape LemmaToolkit::solo_escape(
         .boolean("found", out.found)
         .num("steps", static_cast<std::int64_t>(out.zeta_prime.size()));
     if (out.found) ev.num("escape_reg", out.escape_reg);
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   };
   Config cur = c;
   for (std::size_t i = 0; i < max_steps; ++i) {
@@ -185,7 +185,7 @@ LemmaToolkit::Lemma3Result LemmaToolkit::lemma3(const Config& c, ProcSet p,
   const ProcSet q_set = p - r;
   TSB_REQUIRE(oracle_.bivalent(c, q_set), "Lemma 3 precondition: Q bivalent");
   auto audit = [&](const char* how, const Lemma3Result& res) {
-    if (!obs::audit_enabled()) return;
+    if (!obs::stats_enabled()) return;
     obs::JsonObj ev = obs::audit_event("lemma3");
     ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(c)))
         .raw("procs", obs::json_int_array(p.to_vector()))
@@ -195,7 +195,7 @@ LemmaToolkit::Lemma3Result LemmaToolkit::lemma3(const Config& c, ProcSet p,
         .str("how", how)
         .num("q", res.q)
         .num("phi_len", static_cast<std::int64_t>(res.phi.size()));
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   };
 
   const Schedule beta = block_write(r);
@@ -256,23 +256,23 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
   ++stats_.lemma4_calls;
   TSB_REQUIRE(p.size() >= 2, "Lemma 4 needs |P| >= 2");
   TSB_REQUIRE(oracle_.bivalent(c, p), "Lemma 4 precondition: P bivalent");
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("lemma4.enter");
     ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(c)))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .num("depth", depth_);
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   }
 
   if (p.size() == 2) {
     note("Lemma 4 base: |P| = 2, alpha empty, Q = " + p.to_string());
-    if (obs::audit_enabled()) {
+    if (obs::stats_enabled()) {
       obs::JsonObj ev = obs::audit_event("lemma4.done");
       ev.raw("procs", obs::json_int_array(p.to_vector()))
           .raw("bivalent_pair", obs::json_int_array(p.to_vector()))
           .num("alpha_len", 0)
           .num("depth", depth_);
-      obs::audit_sink().write(ev.render());
+      obs::stats_sink().write(ev.render());
     }
     return {Schedule{}, p};
   }
@@ -318,7 +318,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
              std::to_string(stages.size()) + " covered=" +
              std::to_string(stages.empty() ? 0 : stages.back().covered.size());
     });
-    if (obs::audit_enabled()) {
+    if (obs::stats_enabled()) {
       obs::JsonObj ev = obs::audit_event("lemma4.stage");
       ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(s.d_i)))
           .num("stage", static_cast<std::int64_t>(stages.size()))
@@ -326,7 +326,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
           .raw("bivalent_pair", obs::json_int_array(s.q_i.to_vector()))
           .raw("covering_procs", obs::json_int_array(s.r_i.to_vector()))
           .raw("covered", obs::json_int_array(regs_vec(s.covered)));
-      obs::audit_sink().write(ev.render());
+      obs::stats_sink().write(ev.render());
     }
     stages.push_back(std::move(s));
     ++stats_.total_di_stages;
@@ -358,7 +358,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
       prev.beta_i = block_write(prev.r_i);
       const Config after_block =
           sim::run(proto_, prev.d_i, prev.phi_i + prev.beta_i);
-      if (obs::audit_enabled()) {
+      if (obs::stats_enabled()) {
         // This block write joins the constructed execution (the probes
         // inside lemma3 do not): it obliterates R_{j-1}'s covered
         // registers, which is what hides z's insertions later.
@@ -369,7 +369,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
             .num("depth", depth_)
             .raw("procs", obs::json_int_array(prev.r_i.to_vector()))
             .raw("regs", obs::json_int_array(regs_vec(prev.covered)));
-        obs::audit_sink().write(ev.render());
+        obs::stats_sink().write(ev.render());
       }
       // R_i u {q} bivalent => superset P - {z} bivalent: hypothesis applies.
       auto sub = lemma4(after_block, pz);
@@ -392,13 +392,13 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
   stats_.max_di_stages = std::max(stats_.max_di_stages, stages.size());
   note("pigeonhole: stages " + std::to_string(rep_i) + " and " +
        std::to_string(rep_j) + " cover the same registers");
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("lemma4.pigeonhole");
     ev.num("depth", depth_)
         .num("stage_i", static_cast<std::int64_t>(rep_i))
         .num("stage_j", static_cast<std::int64_t>(rep_j))
         .raw("covered", obs::json_int_array(regs_vec(stages[rep_i].covered)));
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   }
 
   // Insert z's hidden steps: run z solo from D_i-phi_i until it is poised
@@ -451,7 +451,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
   note("Lemma 4 done: |alpha| = " + std::to_string(alpha.size()) +
        ", bivalent pair " + q_j.to_string() + ", covering " +
        describe_covering(proto_, c_alpha, p - q_j));
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("lemma4.done");
     ev.num("config",
            static_cast<std::int64_t>(oracle_.intern_root(c_alpha)))
@@ -462,7 +462,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
                                                        p - q_j))))
         .num("alpha_len", static_cast<std::int64_t>(alpha.size()))
         .num("depth", depth_);
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   }
   return {alpha, q_j};
 }

@@ -30,7 +30,7 @@ void audit_query(const char* op, sim::ConfigId root, ProcSet p, Value v,
   if (witness != sim::kNoConfig) {
     ev.num("witness", static_cast<std::int64_t>(witness));
   }
-  obs::audit_sink().write(ev.render());
+  obs::stats_sink().write(ev.render());
 }
 }  // namespace
 
@@ -44,7 +44,7 @@ bool ValencyOracle::can_decide(const Config& c, ProcSet p, Value v) {
   TSB_REQUIRE(v == 0 || v == 1, "valency queries are binary");
   ++queries_;
   const PairAnswer& a = lookup(c, p);
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     audit_query("can_decide", last_root_id_, p, v, a.can[v], last_lookup_hit_,
                 a.witness_id[v]);
   }
@@ -65,7 +65,7 @@ std::optional<Schedule> ValencyOracle::deciding_schedule(const Config& c,
   TSB_REQUIRE(v == 0 || v == 1, "valency queries are binary");
   ++queries_;
   const PairAnswer& a = lookup(c, p);
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     audit_query("deciding_schedule", last_root_id_, p, v, a.can[v],
                 last_lookup_hit_, a.witness_id[v]);
   }
@@ -139,13 +139,13 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
                       static_cast<std::int64_t>(last_root_id_), 0);
   PairAnswer answer =
       opts_.reuse ? compute_pair_shared(c, p) : compute_pair(c, p);
-  if (obs::audit_enabled()) {
+  if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("valency.explore");
     ev.num("config", static_cast<std::int64_t>(last_root_id_))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .boolean("can0", answer.can[0])
         .boolean("can1", answer.can[1]);
-    obs::audit_sink().write(ev.render());
+    obs::stats_sink().write(ev.render());
   }
   const PairAnswer& stored = memo_.emplace(key, std::move(answer)).first->second;
   // Memo growth only happens here (one entry per miss), so this is the

@@ -33,6 +33,10 @@ extern std::atomic<bool> g_dump_requested;
 void record_impl(Ev ev, std::int64_t a, std::int64_t b);
 }  // namespace detail
 
+/// Kept apart from the stats stream on purpose: rings are dumped from a
+/// fatal-signal handler (SIGSEGV, SIGABRT, ...), where the stream's mutex
+/// and stdio cannot be used.
+///
 /// Per-thread lock-free ring buffers of the last `ring_events` events each
 /// (power of two, default 64k). Recording is wait-free for the owning
 /// thread: a steady-clock read plus three relaxed stores into the ring.

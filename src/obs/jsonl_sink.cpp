@@ -1,10 +1,11 @@
 #include "obs/jsonl_sink.hpp"
 
+#include <cmath>
+
 namespace tsb::obs {
 
 namespace detail {
 std::atomic<bool> g_stats_enabled{false};
-std::atomic<bool> g_audit_enabled{false};
 std::atomic<bool> g_chaos_enabled{false};
 }  // namespace detail
 
@@ -24,6 +25,10 @@ JsonObj& JsonObj::num(std::string_view k, std::int64_t v) {
 
 JsonObj& JsonObj::numf(std::string_view k, double v) {
   key(k);
+  if (!std::isfinite(v)) {  // JSON has no inf/nan
+    s_ += "null";
+    return *this;
+  }
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.6g", v);
   s_ += buf;
@@ -119,15 +124,15 @@ void JsonlSink::write(const std::string& line) {
   lines_.fetch_add(1, std::memory_order_relaxed);
 }
 
+void JsonlSink::flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (f_) std::fflush(f_);
+}
+
 JsonlSink& stats_sink() {
   // Leaked like Registry::global(): records may be written from object
   // destructors at shutdown.
   static JsonlSink* sink = new JsonlSink(detail::g_stats_enabled);
-  return *sink;
-}
-
-JsonlSink& audit_sink() {
-  static JsonlSink* sink = new JsonlSink(detail::g_audit_enabled);
   return *sink;
 }
 

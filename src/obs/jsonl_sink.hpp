@@ -13,7 +13,7 @@ namespace tsb::obs {
 
 /// One-line JSON object builder for structured forensics records.
 ///
-/// Every record the stats and audit sinks carry is a flat-ish JSON object
+/// Every record the stats and chaos sinks carry is a flat-ish JSON object
 /// built field by field; the builder owns escaping and comma placement so
 /// emitters never hand-assemble JSON. Methods return *this for chaining:
 ///
@@ -41,7 +41,7 @@ class JsonObj {
   bool first_ = true;
 };
 
-/// "[1,2,3]" — the array form stats/audit records use for register sets,
+/// "[1,2,3]" — the array form stats records use for register sets,
 /// shard occupancies and input vectors.
 std::string json_int_array(const std::vector<int>& xs);
 std::string json_u64_array(const std::vector<std::uint64_t>& xs);
@@ -50,17 +50,12 @@ namespace detail {
 // Plain globals for the same reason as g_trace_enabled: the disabled check
 // at an instrumentation site must be one relaxed load, nothing more.
 extern std::atomic<bool> g_stats_enabled;
-extern std::atomic<bool> g_audit_enabled;
 extern std::atomic<bool> g_chaos_enabled;
 }  // namespace detail
 
-/// True while per-level exploration stats are being recorded.
+/// True while the run record stream (--stats) is being recorded.
 inline bool stats_enabled() {
   return detail::g_stats_enabled.load(std::memory_order_relaxed);
-}
-/// True while the adversary audit trail is being recorded.
-inline bool audit_enabled() {
-  return detail::g_audit_enabled.load(std::memory_order_relaxed);
 }
 /// True while chaos-campaign per-run records are being recorded.
 inline bool chaos_enabled() {
@@ -74,8 +69,8 @@ inline bool chaos_enabled() {
 /// one per BFS level, one per adversary decision — and are written through
 /// a FILE* under a mutex, so nothing is lost on a crash mid-run and there
 /// is no capacity to size. Emitters must gate on stats_enabled() /
-/// audit_enabled() before building a record; write() on a closed sink is a
-/// counted no-op, never an error.
+/// chaos_enabled() before building a record; write() on a closed sink is a
+/// no-op, never an error.
 class JsonlSink {
  public:
   explicit JsonlSink(std::atomic<bool>& gate) : gate_(gate) {}
@@ -96,6 +91,9 @@ class JsonlSink {
 
   /// Append one record (a rendered JsonObj) as its own line.
   void write(const std::string& line);
+  /// Push buffered records to the file (telemetry ticks call this, so a
+  /// killed run loses at most one heartbeat interval).
+  void flush();
 
   std::uint64_t lines() const { return lines_.load(std::memory_order_relaxed); }
 
@@ -107,22 +105,26 @@ class JsonlSink {
   std::chrono::steady_clock::time_point epoch_{};
 };
 
-/// Process-wide sinks. stats_sink() carries machine-shaped run telemetry
-/// (per-BFS-level exploration records, bench phase summaries); audit_sink()
-/// carries the adversary's decision trail; chaos_sink() carries the chaos
-/// campaign's per-run records. All feed `tsb report`. Chaos records must
-/// carry NO timestamps — the determinism tests byte-compare whole files.
+/// Process-wide sinks.
+///
+/// stats_sink() is the run's one typed record stream: per-BFS-level and
+/// per-query engine records, the adversary's Lemma 1-4 decision trail,
+/// checkpoint writes, the memory ledger, profiler rows, heartbeat
+/// telemetry ticks and watchdog alerts. `tsb report`, `tsb monitor` and
+/// `tsb report --compare` all read it.
+///
+/// chaos_sink() stays separate: chaos records must carry NO timestamps,
+/// because the determinism tests byte-compare whole campaign files.
 JsonlSink& stats_sink();
-JsonlSink& audit_sink();
 JsonlSink& chaos_sink();
 
-/// Start an audit record: {"type":..., "ts_ns":...}. Callers append their
-/// event's fields and write() the result to audit_sink(). Only call when
-/// audit_enabled().
+/// Start a decision-trail record: {"type":..., "ts_ns":...}. Callers append
+/// their event's fields and write() the result to stats_sink(). Only call
+/// when stats_enabled().
 inline JsonObj audit_event(std::string_view type) {
   JsonObj o;
   o.str("type", type)
-      .num("ts_ns", static_cast<std::int64_t>(audit_sink().now_ns()));
+      .num("ts_ns", static_cast<std::int64_t>(stats_sink().now_ns()));
   return o;
 }
 

@@ -31,15 +31,15 @@ enum class MemAccount : int {
 
 constexpr int kMemAccounts = static_cast<int>(MemAccount::kCount);
 
-/// Name of an account as it appears in ledger records, status files and
+/// Name of an account as it appears in ledger records, telemetry ticks and
 /// budget reports ("arena.words", "reach.edges", ...).
 const char* mem_account_name(MemAccount a);
 
 /// Process-wide registry of per-subsystem byte gauges.
 ///
 /// The ledger answers "which subsystem is eating the budget" — a question
-/// raw RSS cannot: it feeds heartbeat lines, the --status-file snapshot,
-/// the `ledger` JSONL record, and the exit-4 budget report. Accounts hold
+/// raw RSS cannot: it feeds heartbeat lines, telemetry ticks, the `ledger`
+/// JSONL record, and the exit-4 budget report. Accounts hold
 /// the owner's *current* heap bytes (capacities, the same arithmetic as
 /// each subsystem's memory_bytes()) plus a high-water mark, so a report
 /// rendered after shrink-on-truncation still shows where the peak went.
@@ -67,7 +67,7 @@ class MemLedger {
     return cells_[static_cast<int>(a)].peak.load(std::memory_order_relaxed);
   }
   /// Sum of current account values (the tracked-heap total heartbeats and
-  /// the status file report next to peak RSS).
+  /// telemetry ticks report next to peak RSS).
   std::uint64_t total() const;
   /// Sum of per-account peaks — an upper bound on the tracked peak.
   std::uint64_t peak_total() const;
@@ -83,7 +83,7 @@ class MemLedger {
   /// Non-zero accounts, largest current first.
   std::vector<Row> snapshot() const;
 
-  /// {"arena.words":123,...} of non-zero accounts, for the status file and
+  /// {"arena.words":123,...} of non-zero accounts, for telemetry ticks and
   /// the `ledger` stats record.
   std::string json() const;
 
@@ -108,7 +108,7 @@ class MemLedger {
 };
 
 /// "412.0MiB" / "87.5KiB" / "640B" — shared by the budget report, heartbeat
-/// lines and `tsb top`.
+/// lines and `tsb monitor`.
 std::string format_bytes(std::uint64_t bytes);
 
 }  // namespace tsb::obs

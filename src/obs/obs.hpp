@@ -18,7 +18,6 @@
 #include "obs/profiler.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
-#include "obs/status.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_sink.hpp"
 #include "obs/watchdog.hpp"

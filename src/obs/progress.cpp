@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "obs/flight.hpp"
+#include "obs/jsonl_sink.hpp"
 #include "obs/memledger.hpp"
 #include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
@@ -45,21 +46,20 @@ void Heartbeat::beat(const std::function<std::string()>& line) {
 }
 
 void Heartbeat::beat(const std::function<std::string()>& line,
-                     const StatusFn& status) {
+                     const SampleFn& sample) {
   // A SIGUSR1 dump request is served from here even when neither progress
-  // nor a status file is on: the beat is the one rate-limited hook every
+  // nor the stats stream is on: the beat is the one rate-limited hook every
   // long-running engine already calls.
   flight::service_dump_request();
   const bool prog = progress_enabled();
-  const bool stat = status_enabled();
-  const bool telem = telemetry::enabled();
-  if (!prog && !stat && !telem) return;
+  const bool ticks = stats_enabled();
+  if (!prog && !ticks) return;
   const auto now = std::chrono::steady_clock::now();
   if (now - last_ < interval_) return;
   last_ = now;
   // Mid-level RSS sample: level boundaries can be minutes apart at n >= 6,
-  // and a blowup inside one must show in progress lines and the status
-  // file, not only post mortem.
+  // and a blowup inside one must show in progress lines and telemetry
+  // ticks, not only post mortem.
   const std::int64_t rss = peak_rss_kb();
   static Gauge& rss_gauge = Registry::global().gauge("process.peak_rss_kb");
   rss_gauge.set(rss);
@@ -70,12 +70,11 @@ void Heartbeat::beat(const std::function<std::string()>& line,
                  format_bytes(MemLedger::global().total()).c_str());
     std::fflush(stderr);
   }
-  if (stat || telem) {
-    StatusSnapshot s;
+  if (ticks) {
+    Sample s;
     s.phase = what_;
-    if (status) status(s);
-    if (stat) publish_status(s);
-    if (telem) telemetry::tick(s);
+    if (sample) sample(s);
+    telemetry::tick(s);
   }
 }
 

@@ -2,11 +2,21 @@
 
 #include <chrono>
 #include <functional>
+#include <cstdint>
 #include <string>
 
-#include "obs/status.hpp"
-
 namespace tsb::obs {
+
+/// Fields a long-running engine contributes to each heartbeat sample (the
+/// telemetry tick in the stats stream). Negative values mean "not
+/// applicable" and are omitted from the record.
+struct Sample {
+  const char* phase = "";        ///< "explore", "valency.reach", ...
+  std::int64_t level = -1;       ///< current BFS level
+  std::int64_t frontier = -1;    ///< configurations awaiting expansion
+  std::int64_t visited = -1;     ///< configurations/nodes so far
+  std::int64_t cap = -1;         ///< configuration cap (drives ETA-to-cap)
+};
 
 /// Global switch for progress heartbeats (CLI --progress). Off by default:
 /// library code calls Heartbeat::beat unconditionally and the disabled
@@ -34,20 +44,20 @@ std::chrono::milliseconds progress_interval();
 /// The beat is also the engine's slow-path tick: it samples peak RSS into
 /// the "process.peak_rss_kb" gauge (so mid-level blowups are visible, not
 /// just level boundaries), services pending SIGUSR1 flight-recorder dumps,
-/// and — when the caller supplies a status callback — publishes the
-/// --status-file snapshot at the same cadence.
+/// and — while the stats stream is open — appends a telemetry tick filled
+/// by the caller's sample callback at the same cadence.
 class Heartbeat {
  public:
   /// Uses the process-wide progress_interval().
   explicit Heartbeat(const char* what);
   Heartbeat(const char* what, std::chrono::milliseconds interval);
 
-  using StatusFn = std::function<void(StatusSnapshot&)>;
+  using SampleFn = std::function<void(Sample&)>;
 
   void beat(const std::function<std::string()>& line);
-  /// Same, and fill `status` into the live status file when one is
-  /// configured. The callback runs under the same rate limit as the line.
-  void beat(const std::function<std::string()>& line, const StatusFn& status);
+  /// Same, and let `sample` fill the telemetry tick when the stats stream
+  /// is open. The callback runs under the same rate limit as the line.
+  void beat(const std::function<std::string()>& line, const SampleFn& sample);
 
   /// Emit unconditionally (end-of-phase summary), if progress is enabled.
   void flush(const std::string& line);

@@ -1,5 +1,6 @@
 #include "obs/timeseries.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -13,20 +14,16 @@
 
 namespace tsb::obs::telemetry {
 
-namespace detail {
-std::atomic<bool> g_telemetry_enabled{false};
-}  // namespace detail
-
 namespace {
 
 // All state under one mutex: ticks are heartbeat-cadence rare, and the
 // writer may be any engine thread that beats the heartbeat or the CLI's
-// final-snapshot path.
+// final-tick path.
 std::mutex g_mu;
-std::FILE* g_file = nullptr;
 std::uint64_t g_tick = 0;
-std::chrono::steady_clock::time_point g_epoch{};
 std::uint64_t g_mem_budget = 0;
+std::chrono::steady_clock::time_point g_deadline =
+    std::chrono::steady_clock::time_point::max();
 std::int64_t (*g_ckpt_age_fn)() = nullptr;
 std::uint64_t g_ckpt_interval_ms = 0;
 
@@ -36,50 +33,23 @@ std::string g_prev_phase;
 std::int64_t g_prev_visited = -1;
 double g_prev_t = 0.0;
 
-void write_line(const std::string& line) {
-  std::fwrite(line.data(), 1, line.size(), g_file);
-  std::fputc('\n', g_file);
-  // Flushed per record: a killed campaign keeps everything up to the last
-  // completed interval, and a truncated final line is the worst case the
-  // consumers must (and do) tolerate.
-  std::fflush(g_file);
-}
-
 }  // namespace
 
-bool open(const std::string& path) {
+void reset() {
   std::lock_guard<std::mutex> lock(g_mu);
-  if (g_file != nullptr) {
-    std::fclose(g_file);
-    g_file = nullptr;
-  }
-  g_file = std::fopen(path.c_str(), "w");
-  if (g_file == nullptr) {
-    detail::g_telemetry_enabled.store(false, std::memory_order_relaxed);
-    return false;
-  }
   g_tick = 0;
-  g_epoch = std::chrono::steady_clock::now();
   g_prev_phase.clear();
   g_prev_visited = -1;
   g_prev_t = 0.0;
   Watchdog::global().reset();
-  detail::g_telemetry_enabled.store(true, std::memory_order_relaxed);
-  return true;
 }
 
-void close() {
+void set_budgets(std::uint64_t mem_bytes, std::uint64_t time_ms) {
   std::lock_guard<std::mutex> lock(g_mu);
-  detail::g_telemetry_enabled.store(false, std::memory_order_relaxed);
-  if (g_file != nullptr) {
-    std::fclose(g_file);
-    g_file = nullptr;
-  }
-}
-
-void set_mem_budget(std::uint64_t bytes) {
-  std::lock_guard<std::mutex> lock(g_mu);
-  g_mem_budget = bytes;
+  g_mem_budget = mem_bytes;
+  g_deadline = time_ms == 0 ? std::chrono::steady_clock::time_point::max()
+                            : std::chrono::steady_clock::now() +
+                                  std::chrono::milliseconds(time_ms);
 }
 
 void set_tick_base(std::uint64_t base) {
@@ -98,14 +68,15 @@ std::uint64_t ticks() {
   return g_tick;
 }
 
-void tick(const StatusSnapshot& s) {
-  if (!enabled()) return;
+void tick(const Sample& s) {
+  if (!stats_enabled()) return;
+  JsonlSink& sink = stats_sink();
   std::lock_guard<std::mutex> lock(g_mu);
-  if (g_file == nullptr) return;
 
-  const double t_s = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - g_epoch)
-                         .count();
+  // One clock for the whole stream: t_s is the sink's, like the decision
+  // trail's ts_ns.
+  const auto now = std::chrono::steady_clock::now();
+  const double t_s = static_cast<double>(sink.now_ns()) / 1e9;
   const std::uint64_t id = g_tick++;
 
   double cps = -1.0;
@@ -127,12 +98,22 @@ void tick(const StatusSnapshot& s) {
   if (s.visited >= 0) o.num("visited", s.visited);
   if (s.cap >= 0) o.num("cap", s.cap);
   if (cps >= 0) o.numf("cps", cps);
+  if (g_deadline != std::chrono::steady_clock::time_point::max()) {
+    // Seconds left, floored at 0 once the deadline has passed.
+    o.numf("deadline_s",
+           std::max(0.0, std::chrono::duration<double>(g_deadline - now)
+                             .count()));
+  }
+  if (flight::enabled()) {
+    o.num("flight_events",
+          static_cast<std::int64_t>(flight::events_recorded()));
+  }
   o.num("peak_rss_kb", peak_rss_kb())
       .num("ledger_total", static_cast<std::int64_t>(ledger.total()))
       .raw("ledger", ledger.json())
       .raw("counters", reg.counters_json())
       .raw("gauges", reg.gauges_json());
-  write_line(o.render());
+  sink.write(o.render());
 
   WatchSample w;
   w.tick = id;
@@ -158,7 +139,7 @@ void tick(const StatusSnapshot& s) {
         .numf("t_s", t_s)
         .str("phase", s.phase)
         .str("detail", a.detail);
-    write_line(alert.render());
+    sink.write(alert.render());
     std::fprintf(stderr, "[watch +%.1fs] %s: %s (tick %llu)\n", t_s, rule,
                  a.detail.c_str(), static_cast<unsigned long long>(a.tick));
     std::fflush(stderr);
@@ -171,12 +152,16 @@ void tick(const StatusSnapshot& s) {
         .str("rule", watch_rule_name(r))
         .num("tick", static_cast<std::int64_t>(id))
         .numf("t_s", t_s);
-    write_line(clear.render());
+    sink.write(clear.render());
   }
 
   g_prev_phase = s.phase;
   g_prev_visited = s.visited;
   g_prev_t = t_s;
+  // Flushed per tick: a killed campaign keeps everything up to the last
+  // completed interval, and a truncated final line is the worst case the
+  // consumers must (and do) tolerate.
+  sink.flush();
 }
 
 }  // namespace tsb::obs::telemetry

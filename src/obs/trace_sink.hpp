@@ -55,6 +55,11 @@ inline bool trace_enabled() {
 /// rounds, first contention) is worth more than the steady-state tail.
 ///
 /// Exports happen after the run quiesces (threads joined / work done).
+///
+/// Kept apart from the stats stream on purpose: spans bracket nanosecond-
+/// scale work, where a mutex-guarded FILE* append per event would swamp
+/// what it measures, so events go to a bounded in-memory buffer and are
+/// written out once at exit (perfbench's runner reads the `.jsonl` export).
 class TraceSink {
  public:
   static TraceSink& global();

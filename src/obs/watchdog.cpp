@@ -164,15 +164,6 @@ bool Watchdog::active(WatchRule r) const {
   return latched_[static_cast<int>(r)];
 }
 
-std::vector<WatchRule> Watchdog::active_rules() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<WatchRule> out;
-  for (int i = 0; i < kWatchRules; ++i) {
-    if (latched_[i]) out.push_back(static_cast<WatchRule>(i));
-  }
-  return out;
-}
-
 std::vector<WatchRule> Watchdog::cleared_last() const {
   std::lock_guard<std::mutex> lock(mu_);
   return cleared_;

@@ -20,7 +20,7 @@ enum class WatchRule : int {
 
 constexpr int kWatchRules = static_cast<int>(WatchRule::kCount);
 
-/// Rule name as it appears in watch.* records, status files and stderr
+/// Rule name as it appears in watch.* records, `tsb monitor` and stderr
 /// lines ("throughput_collapse", "spill_thrash", ...).
 const char* watch_rule_name(WatchRule r);
 
@@ -59,9 +59,9 @@ struct WatchAlert {
 ///
 /// The class is deliberately pure — observe() in, alerts out — so synthetic
 /// timelines unit-test every rule without a process or a clock; the global()
-/// instance is the one the telemetry tick feeds and the status file reads.
-/// Methods take an internal mutex: observe() runs on whichever engine
-/// thread beats the heartbeat while the status publisher reads active().
+/// instance is the one the telemetry tick feeds. Methods take an internal
+/// mutex: observe() runs on whichever engine thread beats the heartbeat
+/// while another thread may read active().
 class Watchdog {
  public:
   struct Options {
@@ -84,8 +84,6 @@ class Watchdog {
   std::vector<WatchAlert> observe(const WatchSample& s);
 
   bool active(WatchRule r) const;
-  /// Currently-latched rules, for the status file and `tsb monitor`.
-  std::vector<WatchRule> active_rules() const;
   /// Rules cleared by the most recent observe() (episode ended).
   std::vector<WatchRule> cleared_last() const;
   /// Episodes started so far for `r` (the "exactly once per episode" count).

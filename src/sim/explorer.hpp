@@ -266,7 +266,7 @@ class Explorer {
               return "configs=" + std::to_string(res.visited) +
                      " frontier=" + std::to_string(arena_.size() - head);
             },
-            [&](obs::StatusSnapshot& s) {
+            [&](obs::Sample& s) {
               s.level = static_cast<std::int64_t>(level_idx);
               s.frontier = static_cast<std::int64_t>(arena_.size() - head);
               s.visited = static_cast<std::int64_t>(res.visited);

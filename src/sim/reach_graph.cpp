@@ -534,7 +534,7 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
                    " entries=" + std::to_string(entries_.size()) +
                    " facts=" + std::to_string(facts_.size());
           },
-          [&](obs::StatusSnapshot& s) {
+          [&](obs::Sample& s) {
             s.frontier = static_cast<std::int64_t>(entries_.size() - head);
             s.visited = static_cast<std::int64_t>(arena_.size());
             s.cap = static_cast<std::int64_t>(opts_.max_configs);

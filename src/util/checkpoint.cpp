@@ -516,20 +516,6 @@ void CheckpointService::set_writer(Serializer s,
   manifest_extra_ = std::move(extra);
 }
 
-bool CheckpointService::due() const {
-  if (stop_requested_.load(std::memory_order_relaxed)) return true;
-  if (!active_.load(std::memory_order_relaxed)) return false;
-  if (in_write_.load(std::memory_order_relaxed)) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!writer_) return false;
-  if (every_work_ != 0 && work_acc_ >= every_work_) return true;
-  if (interval_ms_ != 0) {
-    const auto now = std::chrono::steady_clock::now();
-    return now - last_write_ >= std::chrono::milliseconds(interval_ms_);
-  }
-  return false;
-}
-
 void CheckpointService::stop_after_polls(std::uint64_t n) {
   stop_after_.store(n, std::memory_order_relaxed);
   if (n != 0) engaged_.store(true, std::memory_order_relaxed);
@@ -582,9 +568,9 @@ void CheckpointService::poll_slow(std::uint64_t work) {
 
 void CheckpointService::write_now(const char* why) {
   // Copy everything the write needs under the lock, then run the
-  // serializer with mu_ RELEASED: a serializer that calls poll(),
-  // add_work(), or due() on the same thread must hit the in_write_
-  // reentrancy guard, not deadlock on the non-recursive mutex.
+  // serializer with mu_ RELEASED: a serializer that calls poll() on the
+  // same thread must hit the in_write_ reentrancy guard, not deadlock on
+  // the non-recursive mutex.
   Serializer writer;
   std::function<void(Manifest&)> extra;
   std::string dir;

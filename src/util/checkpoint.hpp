@@ -225,20 +225,6 @@ class CheckpointService {
     poll_slow(work);
   }
 
-  /// True when an interval/work checkpoint is due or a stop was requested.
-  /// Lets a caller that is not at a quiescent point ask whether it should
-  /// reach one.
-  bool due() const;
-
-  /// Accumulate expansion work from a context that is NOT quiescent, so
-  /// work-count cadences see that progress; the write itself still happens
-  /// only at a later poll(). One relaxed load when checkpointing is off.
-  void add_work(std::uint64_t work) {
-    if (!engaged_.load(std::memory_order_relaxed)) return;
-    std::lock_guard<std::mutex> lock(mu_);
-    work_acc_ += work;
-  }
-
   /// Async-signal-safe stop request (SIGTERM/SIGINT): two atomic stores.
   void request_stop() {
     stop_requested_.store(true, std::memory_order_relaxed);
@@ -291,7 +277,7 @@ class CheckpointService {
   std::uint64_t generation_ = 0;
   std::uint64_t work_acc_ = 0;
   /// Reentrancy guard: set (outside mu_) for the duration of a write so a
-  /// serializer that calls poll()/due() no-ops instead of recursing. The
+  /// serializer that calls poll() no-ops instead of recursing. The
   /// serializer itself runs with mu_ released — holding the non-recursive
   /// mutex across the callback would deadlock any such re-entry.
   std::atomic<bool> in_write_{false};

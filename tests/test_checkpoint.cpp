@@ -394,19 +394,24 @@ TEST_F(CheckpointServiceTest, WorkCadenceCountsParallelAddWork) {
   svc.configure(tdir("cadence"), 0, /*every_work=*/100, "fp");
   set_trivial_writer();
   EXPECT_TRUE(svc.enabled());
-  EXPECT_FALSE(svc.due());
-  // add_work is the parallel workers' non-quiescent feed: accumulation
-  // alone must make the cadence due, with the write deferred to a
-  // rendezvoused quiescent point.
-  svc.add_work(50);
-  EXPECT_FALSE(svc.due());
-  svc.add_work(60);
-  EXPECT_TRUE(svc.due());
-  svc.write_now("interval");
-  EXPECT_FALSE(svc.due()) << "write_now must reset the work accumulator";
+  // Work reported at quiescent points accumulates across polls: no write
+  // until the sum reaches the cadence, then exactly one.
+  svc.poll(50);
+  EXPECT_EQ(svc.checkpoints_written(), 0u);
+  svc.poll(60);
   EXPECT_EQ(svc.checkpoints_written(), 1u);
-  EXPECT_GT(svc.bytes_written(), 0u);
+  const std::uint64_t one_write = svc.bytes_written();
+  EXPECT_GT(one_write, 0u);
   EXPECT_GE(svc.seconds_since_last_write(), 0);
+  // An explicit write restarts the accumulator: the 50 units polled
+  // before it no longer count, so 90 more stay short of the cadence.
+  svc.poll(50);
+  svc.write_now("interval");
+  EXPECT_EQ(svc.checkpoints_written(), 2u);
+  svc.poll(90);
+  EXPECT_EQ(svc.checkpoints_written(), 2u)
+      << "write_now must reset the work accumulator";
+  EXPECT_GT(svc.bytes_written(), one_write);
 }
 
 TEST_F(CheckpointServiceTest, GenerationsCommitAndCleanUp) {
@@ -465,17 +470,14 @@ TEST_F(CheckpointServiceTest, StopWithoutDirectoryStillStopsGracefully) {
 
 TEST_F(CheckpointServiceTest, SerializerMayPollWithoutDeadlockOrRecursion) {
   // A serializer whose save_state walks engine code that itself contains
-  // quiescent-point hooks (poll/add_work/due) must hit the in_write_
-  // reentrancy guard, not deadlock on the service mutex or recurse into a
-  // nested write. The write runs with the mutex released, so all three
-  // calls return immediately.
+  // quiescent-point hooks must hit the in_write_ reentrancy guard, not
+  // deadlock on the service mutex or recurse into a nested write. The
+  // write runs with the mutex released, so the poll returns immediately.
   auto& svc = CheckpointService::global();
   svc.configure(tdir("reenter"), 0, /*every_work=*/1, "fp");
   svc.set_writer([&svc](SectionWriter& w) {
     w.begin("reenter");
     EXPECT_NO_THROW(svc.poll(1000));  // due by work count, but in_write_
-    EXPECT_FALSE(svc.due());
-    svc.add_work(1000);
     w.put_u64(1);
     w.end();
   });

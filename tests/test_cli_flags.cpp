@@ -13,12 +13,10 @@ namespace {
 
 TEST(ParseArgs, FileFlagsLandInTheirFields) {
   const auto r = parse_args({"--trace=t.jsonl", "--stats=s.jsonl",
-                             "--audit=a.jsonl", "--baseline=b.json",
-                             "--metrics", "--progress"});
+                             "--baseline=b.json", "--metrics", "--progress"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.flags.trace_file, "t.jsonl");
   EXPECT_EQ(r.flags.stats_file, "s.jsonl");
-  EXPECT_EQ(r.flags.audit_file, "a.jsonl");
   EXPECT_EQ(r.flags.baseline_file, "b.json");
   EXPECT_TRUE(r.flags.metrics);
   EXPECT_TRUE(r.flags.progress);
@@ -26,7 +24,7 @@ TEST(ParseArgs, FileFlagsLandInTheirFields) {
 }
 
 TEST(ParseArgs, EmptyFileArgumentsAreErrors) {
-  for (const char* bad : {"--trace=", "--stats=", "--audit=", "--baseline="}) {
+  for (const char* bad : {"--trace=", "--stats=", "--baseline="}) {
     EXPECT_FALSE(parse_args({bad}).ok) << bad;
   }
 }
@@ -46,6 +44,16 @@ TEST(ParseArgs, ValencyCapAndTopValidation) {
   EXPECT_EQ(ok.flags.valency_cap, 5000u);
   EXPECT_EQ(ok.flags.top, 1);
   EXPECT_FALSE(parse_args({"--valency-cap=0"}).ok);
+  // The whole value must be a decimal >= 1: no sign wrapping to 2^64-5, no
+  // trailing garbage silently dropped, no overflow.
+  for (const char* bad :
+       {"--valency-cap=-5", "--valency-cap=12abc", "--valency-cap=",
+        "--valency-cap= 5", "--valency-cap=+5",
+        "--valency-cap=99999999999999999999999"}) {
+    const auto r = parse_args({"adversary", bad});
+    EXPECT_FALSE(r.ok) << bad;
+    EXPECT_NE(r.error.find("--valency-cap"), std::string::npos) << r.error;
+  }
   EXPECT_FALSE(parse_args({"--top=0"}).ok);
   EXPECT_FALSE(parse_args({"--top=-2"}).ok);
 }
@@ -55,8 +63,10 @@ TEST(ParseArgs, UnknownFlagIsAnError) {
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.error.find("--frobnicate"), std::string::npos) << r.error;
   // The exploration engine is sequential; its old tuning flags are gone.
+  // The decision trail and telemetry ride --stats; the status file is gone.
   for (const char* gone :
-       {"--threads=4", "--chunk-configs=64", "--parallel-threshold=1024"}) {
+       {"--threads=4", "--chunk-configs=64", "--parallel-threshold=1024",
+        "--audit=a.jsonl", "--telemetry=run.tsl", "--status-file=st.json"}) {
     const auto g = parse_args({"adversary", gone});
     EXPECT_FALSE(g.ok) << gone;
     EXPECT_NE(g.error.find("unknown flag"), std::string::npos) << g.error;
@@ -106,6 +116,8 @@ TEST(ParseArgs, ChaosFlagsAcceptBothForms) {
 
 TEST(ParseArgs, ChaosFlagValidation) {
   EXPECT_FALSE(parse_args({"--runs=0"}).ok);
+  EXPECT_FALSE(parse_args({"--runs=-5"}).ok);  // no wrap to a huge count
+  EXPECT_FALSE(parse_args({"--seed=-1"}).ok);
   EXPECT_FALSE(parse_args({"--runs"}).ok);  // missing value
   EXPECT_FALSE(parse_args({"--n=1"}).ok);
   EXPECT_FALSE(parse_args({"--n=65"}).ok);
@@ -128,6 +140,8 @@ TEST(ParseBytes, SuffixesAndRejects) {
   EXPECT_FALSE(parse_bytes("k", &v));
   EXPECT_FALSE(parse_bytes("12q", &v));
   EXPECT_FALSE(parse_bytes("12kb", &v));
+  EXPECT_FALSE(parse_bytes("-5", &v));
+  EXPECT_FALSE(parse_bytes(" 5k", &v));
 }
 
 TEST(ParseArgs, BudgetFlags) {
@@ -144,11 +158,10 @@ TEST(ParseArgs, BudgetFlags) {
 
 TEST(ParseArgs, IntrospectionFlags) {
   const auto r = parse_args({"adversary", "--progress-interval-ms=250",
-                             "--status-file", "st.json", "--flight=fl.jsonl",
-                             "--profile", "--profile-hz=97", "5"});
+                             "--flight", "fl.jsonl", "--profile",
+                             "--profile-hz=97", "5"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.flags.progress_interval_ms, 250u);
-  EXPECT_EQ(r.flags.status_file, "st.json");
   EXPECT_EQ(r.flags.flight_file, "fl.jsonl");
   EXPECT_TRUE(r.flags.profile);
   EXPECT_EQ(r.flags.profile_hz, 97);
@@ -159,7 +172,6 @@ TEST(ParseArgs, IntrospectionDefaults) {
   const auto r = parse_args({"adversary"});
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.flags.progress_interval_ms, 1'000u);
-  EXPECT_TRUE(r.flags.status_file.empty());
   EXPECT_TRUE(r.flags.flight_file.empty());
   EXPECT_FALSE(r.flags.profile);
   EXPECT_EQ(r.flags.profile_hz, 200);
@@ -169,11 +181,11 @@ TEST(ParseArgs, IntrospectionDefaults) {
 TEST(ParseArgs, IntrospectionValidation) {
   EXPECT_FALSE(parse_args({"--progress-interval-ms=0"}).ok);
   EXPECT_FALSE(parse_args({"--progress-interval-ms=fast"}).ok);
-  EXPECT_FALSE(parse_args({"--status-file="}).ok);
+  EXPECT_FALSE(parse_args({"--progress-interval-ms=-1"}).ok);
   EXPECT_FALSE(parse_args({"--flight="}).ok);
   EXPECT_FALSE(parse_args({"--profile-hz=0"}).ok);
   EXPECT_FALSE(parse_args({"--profile-hz=20000"}).ok);
-  EXPECT_FALSE(parse_args({"--status-file"}).ok);  // missing value
+  EXPECT_FALSE(parse_args({"--flight"}).ok);  // missing value
 }
 
 TEST(ParseArgs, SpillFlagsAcceptBothFormsAndByteSuffixes) {
@@ -205,34 +217,21 @@ TEST(ParseArgs, SpillDefaultsAndValidation) {
   EXPECT_FALSE(parse_args({"--spill-seg-configs=0"}).ok);
 }
 
-TEST(ParseArgs, TopSubcommandOnce) {
-  const auto r = parse_args({"top", "st.json", "--once"});
+TEST(ParseArgs, MonitorSubcommandOnce) {
+  const auto r = parse_args({"monitor", "run.jsonl", "--once"});
   ASSERT_TRUE(r.ok);
   EXPECT_TRUE(r.flags.once);
-  EXPECT_EQ(r.args, (std::vector<std::string>{"top", "st.json"}));
-}
-
-TEST(ParseArgs, TelemetryFlagsAcceptBothForms) {
-  const auto eq = parse_args({"adversary", "--telemetry=run.tsl", "6"});
-  const auto sp = parse_args({"adversary", "--telemetry", "run.tsl", "6"});
-  for (const auto* r : {&eq, &sp}) {
-    ASSERT_TRUE(r->ok) << r->error;
-    EXPECT_EQ(r->flags.telemetry_file, "run.tsl");
-    EXPECT_EQ(r->args, (std::vector<std::string>{"adversary", "6"}));
-  }
-  const auto d = parse_args({"adversary"});
-  EXPECT_TRUE(d.flags.telemetry_file.empty());
-  EXPECT_FALSE(parse_args({"--telemetry="}).ok);
-  EXPECT_FALSE(parse_args({"--telemetry"}).ok);  // missing value
+  EXPECT_EQ(r.args, (std::vector<std::string>{"monitor", "run.jsonl"}));
 }
 
 TEST(ParseArgs, CompareAndTolerance) {
   const auto r = parse_args(
-      {"report", "--compare", "a.tsl", "b.tsl", "--tolerance=10.5"});
+      {"report", "--compare", "a.jsonl", "b.jsonl", "--tolerance=10.5"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.flags.compare);
   EXPECT_DOUBLE_EQ(r.flags.tolerance, 10.5);
-  EXPECT_EQ(r.args, (std::vector<std::string>{"report", "a.tsl", "b.tsl"}));
+  EXPECT_EQ(r.args,
+            (std::vector<std::string>{"report", "a.jsonl", "b.jsonl"}));
   const auto d = parse_args({"report", "x.jsonl"});
   ASSERT_TRUE(d.ok);
   EXPECT_FALSE(d.flags.compare);

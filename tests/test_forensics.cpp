@@ -1,11 +1,13 @@
 // Run forensics: the `tsb report` analyzer (tools/report.*) against both
-// hand-built JSONL lines and a real adversary run's audit trail. The
-// end-to-end test is the repo's contract that the audit emitters and the
-// analyzer agree on the format — and that the analyzer's covering
+// hand-built JSONL lines and a real adversary run's stats stream. The
+// end-to-end test is the repo's contract that the decision-trail emitters
+// and the analyzer agree on the format — and that the analyzer's covering
 // narrative reconstruction matches the independently verified certificate.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -90,6 +92,65 @@ TEST(ParseJson, RejectsMalformedInputAndTrailingGarbage) {
   EXPECT_TRUE(parse_json("  {\"a\":1}  ", v));
 }
 
+TEST(ParseJson, NestingPastTheDepthLimitIsMalformedNotACrash) {
+  JsonValue v;
+  const auto nest = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(parse_json(nest(kMaxJsonDepth), v));
+  EXPECT_FALSE(parse_json(nest(kMaxJsonDepth + 1), v));
+  // Objects and arrays share one depth budget.
+  std::string mixed;
+  for (int i = 0; i < kMaxJsonDepth; ++i) mixed += i % 2 ? "[" : "{\"k\":";
+  mixed += "1";
+  for (int i = kMaxJsonDepth - 1; i >= 0; --i) mixed += i % 2 ? "]" : "}";
+  EXPECT_TRUE(parse_json(mixed, v));
+  EXPECT_FALSE(parse_json("[" + mixed + "]", v));
+
+  // A line of 2,000,000 brackets used to overflow the recursive-descent
+  // stack; now it is one malformed line and the report still succeeds.
+  const std::string bomb(2'000'000, '[');
+  EXPECT_FALSE(parse_json(bomb, v));
+  const std::string path = ::testing::TempDir() + "forensics_deep.jsonl";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << bomb << "\n";
+  }
+  RunReport rep;
+  rep.ingest_line(bomb);
+  EXPECT_EQ(rep.lines_malformed(), 1u);
+  std::ostringstream report_out;
+  EXPECT_EQ(analyze_files({path}, 5, "", report_out), 0);
+  EXPECT_NE(report_out.str().find("malformed: 1"), std::string::npos)
+      << report_out.str();
+  std::remove(path.c_str());
+}
+
+TEST(ParseJson, NumbersStayInsideTheViewAndRejectNonJsonForms) {
+  JsonValue v;
+  // The view ends after "12": the digits beyond it must not be read.
+  const std::string buf = "1234";
+  ASSERT_TRUE(parse_json(std::string_view(buf).substr(0, 2), v));
+  EXPECT_EQ(v.num, 12.0);
+  EXPECT_TRUE(parse_json("-1.5e+06", v));
+  EXPECT_EQ(v.num, -1.5e6);
+  EXPECT_FALSE(parse_json("inf", v));
+  EXPECT_FALSE(parse_json("-nan", v));
+  EXPECT_FALSE(parse_json("0x10", v));
+}
+
+TEST(ParseJson, OutOfRangeNumbersSaturateOnIntegerReads) {
+  // Hostile input: casting 1e300 to an integer is undefined behaviour, so
+  // integer reads saturate instead.
+  JsonValue v;
+  ASSERT_TRUE(parse_json(R"({"a":1e300,"b":-1e300,"c":[1e300,-7]})", v));
+  EXPECT_EQ(v.int_or("a", 0), std::numeric_limits<std::int64_t>::max());
+  EXPECT_EQ(v.int_or("b", 0), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(v.int_array("c"),
+            (std::vector<int>{std::numeric_limits<int>::max(), -7}));
+}
+
 // --- narrative-vs-certificate consistency on hand-built trails -----------
 
 void ingest(RunReport& rep, std::initializer_list<const char*> lines) {
@@ -171,23 +232,19 @@ void ingest_file(RunReport& rep, const std::string& path) {
 }
 
 TEST(RunReport, AdversaryAuditTrailMatchesTheVerifiedCertificate) {
-  const std::string audit_path =
-      ::testing::TempDir() + "forensics_audit.jsonl";
+  // One file: the decision trail rides the stats stream.
   const std::string stats_path =
       ::testing::TempDir() + "forensics_stats.jsonl";
-  ASSERT_TRUE(obs::audit_sink().open(audit_path));
   ASSERT_TRUE(obs::stats_sink().open(stats_path));
 
   const int n = 3;
   consensus::BallotConsensus proto(n, 2 * n);
   bound::SpaceBoundAdversary adversary(proto);
   const auto result = adversary.run();
-  obs::audit_sink().close();
   obs::stats_sink().close();
   ASSERT_TRUE(result.ok) << result.error;
 
   RunReport rep;
-  ingest_file(rep, audit_path);
   ingest_file(rep, stats_path);
   rep.finalize();
 
@@ -224,10 +281,10 @@ TEST(RunReport, AdversaryAuditTrailMatchesTheVerifiedCertificate) {
 
   // analyze_files agrees: exit 0 over the same artifacts.
   std::ostringstream sink;
-  EXPECT_EQ(analyze_files({audit_path, stats_path}, 5, "", sink), 0);
+  EXPECT_EQ(analyze_files({stats_path}, 5, "", sink), 0);
   // ... and 2 for an unreadable file.
   std::ostringstream devnull;
-  EXPECT_EQ(analyze_files({audit_path, "/nonexistent-tsb/x.jsonl"}, 5, "",
+  EXPECT_EQ(analyze_files({stats_path, "/nonexistent-tsb/x.jsonl"}, 5, "",
                           devnull),
             2);
 }

@@ -1,7 +1,7 @@
 // In-flight introspection: memory ledger, sampling profiler, flight
-// recorder, status file — and the end-to-end budget-exhaustion story the
-// pieces exist for (a run killed by --mem-budget must leave a ledger
-// attribution, a flight dump, and a status file an operator can read).
+// recorder — and the end-to-end budget-exhaustion story the pieces exist
+// for (a run killed by --mem-budget must leave a ledger attribution and a
+// flight dump an operator can read).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -186,41 +186,6 @@ TEST(Flight, Sigusr1RequestsDumpServicedByHeartbeat) {
   const std::string text = slurp(path);
   EXPECT_NE(text.find("\"reason\":\"sigusr1\""), std::string::npos);
   EXPECT_NE(text.find("\"ev\":\"level\""), std::string::npos);
-  std::remove(path.c_str());
-}
-
-// --- status file -----------------------------------------------------------
-
-TEST(Status, PublishWritesParseableAtomicSnapshot) {
-  const std::string path = temp_path("status.json");
-  obs::set_status_file(path);
-  ASSERT_TRUE(obs::status_enabled());
-  obs::MemLedger::global().set(obs::MemAccount::kReachNodes, 12345);
-
-  obs::StatusSnapshot s;
-  s.phase = "test.phase";
-  s.level = 3;
-  s.frontier = 100;
-  s.visited = 500;
-  s.cap = 1000;
-  obs::publish_status(s);
-  obs::set_status_file("");
-  EXPECT_FALSE(obs::status_enabled());
-
-  report::JsonValue v;
-  ASSERT_TRUE(report::parse_json(slurp(path), v));
-  EXPECT_EQ(v.str_or("phase", ""), "test.phase");
-  EXPECT_EQ(v.int_or("level", -1), 3);
-  EXPECT_EQ(v.int_or("visited", -1), 500);
-  EXPECT_EQ(v.int_or("cap", -1), 1000);
-  EXPECT_GE(v.num_or("configs_per_sec", -1.0), 0.0);
-  const report::JsonValue* ledger = v.find("ledger");
-  ASSERT_NE(ledger, nullptr);
-  EXPECT_EQ(ledger->int_or("reach.nodes", 0), 12345);
-  // No half-written temp file left behind.
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good());
-  obs::MemLedger::global().reset();
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -315,6 +317,15 @@ TEST(JsonObj, EscapesQuotesBackslashesAndBluntsControlCharacters) {
   EXPECT_EQ(json_int_array({1, -2, 3}), "[1,-2,3]");
 }
 
+TEST(JsonObj, NonFiniteNumbersRenderAsNull) {
+  // JSON has no inf/nan; a division by a zero interval must not make the
+  // record unparseable.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(JsonObj().numf("a", inf).numf("b", -inf).numf("c", 0.5).render(),
+            "{\"a\":null,\"b\":null,\"c\":0.5}");
+  EXPECT_EQ(JsonObj().numf("n", std::nan("")).render(), "{\"n\":null}");
+}
+
 TEST(JsonlSink, GateFollowsOpenCloseAndLinesCount) {
   JsonlSink& sink = stats_sink();
   ASSERT_FALSE(stats_enabled());
@@ -345,9 +356,9 @@ TEST(JsonlSink, GateFollowsOpenCloseAndLinesCount) {
 }
 
 TEST(JsonlSink, FailedOpenLeavesTheGateDown) {
-  JsonlSink& sink = audit_sink();
-  EXPECT_FALSE(sink.open("/nonexistent-dir-tsb-test/audit.jsonl"));
-  EXPECT_FALSE(audit_enabled());
+  JsonlSink& sink = chaos_sink();
+  EXPECT_FALSE(sink.open("/nonexistent-dir-tsb-test/chaos.jsonl"));
+  EXPECT_FALSE(chaos_enabled());
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
-// Campaign telemetry: the --telemetry time-series sampler, the anomaly
+// Campaign telemetry: the heartbeat ticks in the stats stream, the anomaly
 // watchdog's episode semantics on synthetic timelines, the Timeline parser
-// (including crash-truncated files), the cross-run comparator, and the
-// end-to-end story: an adversary run's timeline must agree with its own
-// exit state.
+// (including crash-truncated files and the stream's other record types),
+// the cross-run comparator, and the end-to-end story: an adversary run's
+// one stats file must agree with its own exit state and certificate.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,8 +53,8 @@ TEST(Watchdog, QuietTimelineFiresNothing) {
   }
   for (int r = 0; r < obs::kWatchRules; ++r) {
     EXPECT_EQ(dog.fires(static_cast<obs::WatchRule>(r)), 0u);
+    EXPECT_FALSE(dog.active(static_cast<obs::WatchRule>(r)));
   }
-  EXPECT_TRUE(dog.active_rules().empty());
 }
 
 TEST(Watchdog, CollapseFiresOncePerEpisodeAndClears) {
@@ -162,14 +163,20 @@ TEST(Watchdog, LedgerRunawayProjectsExitEta) {
 
 // --- sampler round trip ----------------------------------------------------
 
+// Open the stats stream the way the CLI does for a run command.
+void open_stream(const std::string& path) {
+  ASSERT_TRUE(obs::stats_sink().open(path));
+  obs::telemetry::reset();
+}
+
 TEST(Telemetry, RoundTripPreservesCountersAndTickIds) {
-  const std::string path = temp_path("roundtrip.tsl");
+  const std::string path = temp_path("roundtrip.jsonl");
   obs::Registry::global().reset();
   obs::Registry::global().counter("test.alpha").add(7);
   obs::Registry::global().counter("test.beta").add(123);
-  ASSERT_TRUE(obs::telemetry::open(path));
+  open_stream(path);
   for (int i = 0; i < 5; ++i) {
-    obs::StatusSnapshot s;
+    obs::Sample s;
     s.phase = "explore";
     s.visited = 1000 * (i + 1);
     s.frontier = 50 - i;
@@ -177,8 +184,9 @@ TEST(Telemetry, RoundTripPreservesCountersAndTickIds) {
     obs::telemetry::tick(s);
   }
   EXPECT_EQ(obs::telemetry::ticks(), 5u);
-  obs::telemetry::close();
-  EXPECT_FALSE(obs::telemetry::enabled());
+  obs::stats_sink().close();
+  obs::telemetry::tick(obs::Sample{});  // stream closed: a no-op
+  EXPECT_EQ(obs::telemetry::ticks(), 5u);
 
   report::Timeline tl;
   std::string err;
@@ -204,29 +212,62 @@ TEST(Telemetry, RoundTripPreservesCountersAndTickIds) {
 }
 
 TEST(Telemetry, ReopenResetsTickCounterAndWatchdog) {
-  const std::string path = temp_path("reopen.tsl");
-  ASSERT_TRUE(obs::telemetry::open(path));
-  obs::StatusSnapshot s;
+  const std::string path = temp_path("reopen.jsonl");
+  open_stream(path);
+  obs::Sample s;
   s.phase = "explore";
   obs::telemetry::tick(s);
   obs::telemetry::tick(s);
   EXPECT_EQ(obs::telemetry::ticks(), 2u);
-  ASSERT_TRUE(obs::telemetry::open(path));  // a file is one run
+  // Latch an episode on the global watchdog, as a collapsing run would.
+  obs::Watchdog& dog = obs::Watchdog::global();
+  for (std::uint64_t t = 0; t < 8; ++t) dog.observe(sample(t, 1000.0));
+  dog.observe(sample(8, 50.0));
+  ASSERT_TRUE(dog.active(obs::WatchRule::kThroughputCollapse));
+
+  open_stream(path);  // a file is one run
   EXPECT_EQ(obs::telemetry::ticks(), 0u);
-  obs::telemetry::close();
+  EXPECT_FALSE(dog.active(obs::WatchRule::kThroughputCollapse));
+  obs::stats_sink().close();
+  std::remove(path.c_str());
+}
+
+TEST(Telemetry, TicksCarryDeadlineAndFlightEventsOnlyWhenConfigured) {
+  const std::string path = temp_path("fields.jsonl");
+  open_stream(path);
+  obs::Sample s;
+  s.phase = "explore";
+  obs::telemetry::tick(s);  // no time budget, no flight recorder
+  obs::telemetry::set_budgets(0, 60'000);
+  obs::flight::enable();
+  obs::flight::record(obs::flight::Ev::kLevel, 1, 2);
+  obs::telemetry::tick(s);
+  obs::flight::disable();
+  obs::telemetry::set_budgets(0, 0);
+  obs::stats_sink().close();
+
+  report::Timeline tl;
+  std::string err;
+  ASSERT_TRUE(tl.load(path, &err)) << err;
+  ASSERT_EQ(tl.ticks().size(), 2u);
+  EXPECT_LT(tl.ticks()[0].deadline_s, 0.0);
+  EXPECT_LT(tl.ticks()[0].flight_events, 0);
+  EXPECT_GT(tl.ticks()[1].deadline_s, 0.0);
+  EXPECT_LE(tl.ticks()[1].deadline_s, 60.0);
+  EXPECT_GE(tl.ticks()[1].flight_events, 1);
   std::remove(path.c_str());
 }
 
 TEST(Timeline, ToleratesTruncatedFinalLine) {
-  const std::string path = temp_path("truncated.tsl");
-  ASSERT_TRUE(obs::telemetry::open(path));
+  const std::string path = temp_path("truncated.jsonl");
+  open_stream(path);
   for (int i = 0; i < 3; ++i) {
-    obs::StatusSnapshot s;
+    obs::Sample s;
     s.phase = "explore";
     s.visited = 100 * (i + 1);
     obs::telemetry::tick(s);
   }
-  obs::telemetry::close();
+  obs::stats_sink().close();
 
   // Simulate a kill -9 mid-append: chop the file mid last record.
   std::string text = slurp(path);
@@ -261,6 +302,19 @@ TEST(Timeline, ActiveAlertsTracksLatchedEpisodes) {
   EXPECT_EQ(tl.alerts().size(), 3u);
 }
 
+TEST(Timeline, SkipsTheStreamsOtherRecordTypes) {
+  report::Timeline tl;
+  tl.ingest_line(R"({"type":"explore.level","level":0,"frontier":1})");
+  tl.ingest_line(R"({"type":"lemma4.enter","ts_ns":12,"stage":0})");
+  tl.ingest_line(R"({"type":"ledger","total":4096})");
+  tl.ingest_line(R"({"type":"telemetry.tick","tick":0,"t_s":1.0,)"
+                 R"("phase":"explore"})");
+  EXPECT_EQ(tl.ticks().size(), 1u);
+  EXPECT_EQ(tl.malformed(), 0u) << "other record types are not malformed";
+  tl.ingest_line("{\"type\":");  // only an unparseable line is
+  EXPECT_EQ(tl.malformed(), 1u);
+}
+
 // --- sparkline -------------------------------------------------------------
 
 TEST(Sparkline, ScalesAndDownsamples) {
@@ -274,14 +328,22 @@ TEST(Sparkline, ScalesAndDownsamples) {
   for (int i = 0; i < 16; ++i) xs.push_back(i);
   const std::string wide = report::sparkline(xs, 8);
   EXPECT_EQ(wide, "▁▂▃▄▅▆▇█");
+  // Non-finite samples (a hostile file's 1e999) still render a full row.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(report::sparkline({0, inf, 1}, 3), "▁▁▁");
 }
 
 // --- comparator ------------------------------------------------------------
 
+// A stats file as a run writes it: telemetry ticks interleaved with the
+// stream's other records, which the comparator must skip.
 void write_timeline(const std::string& path, double cps_scale,
                     double wall_scale) {
   std::ofstream out(path, std::ios::trunc);
+  out << R"({"type":"adversary.begin","ts_ns":1,"n":4})" << "\n";
   for (int i = 0; i < 10; ++i) {
+    out << R"({"type":"explore.level","level":)" << i
+        << R"(,"frontier":100})" << "\n";
     out << R"({"type":"telemetry.tick","tick":)" << i
         << R"(,"t_s":)" << (0.5 * (i + 1) * wall_scale)
         << R"(,"phase":"explore","visited":)" << (1000 * (i + 1))
@@ -292,8 +354,8 @@ void write_timeline(const std::string& path, double cps_scale,
 }
 
 TEST(CompareTimelines, IdenticalFilesPassInjectedSlowdownFails) {
-  const std::string a = temp_path("cmp_a.tsl");
-  const std::string b = temp_path("cmp_b.tsl");
+  const std::string a = temp_path("cmp_a.jsonl");
+  const std::string b = temp_path("cmp_b.jsonl");
   write_timeline(a, 1.0, 1.0);
   write_timeline(b, 1.0, 1.0);
   std::ostringstream out;
@@ -313,13 +375,13 @@ TEST(CompareTimelines, IdenticalFilesPassInjectedSlowdownFails) {
 }
 
 TEST(CompareTimelines, MissingOrEmptyFileIsUsage) {
-  const std::string a = temp_path("cmp_present.tsl");
+  const std::string a = temp_path("cmp_present.jsonl");
   write_timeline(a, 1.0, 1.0);
   std::ostringstream out;
-  EXPECT_EQ(report::compare_timelines(a, temp_path("cmp_absent.tsl"), 25.0,
+  EXPECT_EQ(report::compare_timelines(a, temp_path("cmp_absent.jsonl"), 25.0,
                                       out),
             2);
-  const std::string empty = temp_path("cmp_empty.tsl");
+  const std::string empty = temp_path("cmp_empty.jsonl");
   { std::ofstream touch(empty); }
   std::ostringstream out2;
   EXPECT_EQ(report::compare_timelines(a, empty, 25.0, out2), 2);
@@ -350,9 +412,9 @@ TEST(RunReport, CountsTelemetryRecords) {
 // --- end to end ------------------------------------------------------------
 
 TEST(TelemetryEndToEnd, AdversaryTimelineMatchesExitState) {
-  const std::string path = temp_path("e2e.tsl");
+  const std::string path = temp_path("e2e.jsonl");
   obs::MemLedger::global().reset();
-  ASSERT_TRUE(obs::telemetry::open(path));
+  open_stream(path);
   // Fast cadence so even a sub-second n=4 construction lands ticks.
   const auto saved = obs::progress_interval();
   obs::set_progress_interval(std::chrono::milliseconds(1));
@@ -364,10 +426,10 @@ TEST(TelemetryEndToEnd, AdversaryTimelineMatchesExitState) {
 
   // The final tick is the CLI's job; mirror it here so the tail of the
   // file reflects the run's exit state.
-  obs::StatusSnapshot last;
+  obs::Sample last;
   last.phase = "done";
   obs::telemetry::tick(last);
-  obs::telemetry::close();
+  obs::stats_sink().close();
   obs::set_progress_interval(saved);
 
   report::Timeline tl;
@@ -386,6 +448,16 @@ TEST(TelemetryEndToEnd, AdversaryTimelineMatchesExitState) {
   for (const auto& [name, bytes] : final_tick.ledger) accounted += bytes;
   EXPECT_EQ(accounted, final_tick.ledger_total)
       << "per-account breakdown must sum to the total";
+
+  // The same file carries the decision trail: the report finds the
+  // certificate and agrees with it.
+  std::ostringstream rendered;
+  EXPECT_EQ(report::analyze_files({path}, 5, "", rendered), 0);
+  EXPECT_NE(rendered.str().find("\"consistent\":true"), std::string::npos)
+      << rendered.str();
+  const std::string text = slurp(path);
+  EXPECT_NE(text.find("\"type\":\"certificate\""), std::string::npos);
+  EXPECT_NE(text.find("\"type\":\"lemma4."), std::string::npos);
   std::remove(path.c_str());
 }
 

@@ -1,9 +1,11 @@
 #include "report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -55,9 +57,13 @@ class Parser {
     if (pos_ >= s_.size()) return false;
     switch (s_[pos_]) {
       case '{':
-        return object(out);
-      case '[':
-        return array(out);
+      case '[': {
+        if (depth_ == kMaxJsonDepth) return false;
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.type = JsonValue::Type::kStr;
         return string(out.str);
@@ -199,20 +205,39 @@ class Parser {
   }
 
   bool number(JsonValue& out) {
-    const char* start = s_.data() + pos_;
-    char* end = nullptr;
-    out.num = std::strtod(start, &end);
-    if (end == start) return false;
+    // strtod on a copy of the token: the view need not be NUL-terminated,
+    // and strtod alone would also take "inf", "nan" and hex floats.
+    std::size_t end = pos_;
+    while (end < s_.size() &&
+           ((s_[end] >= '0' && s_[end] <= '9') || s_[end] == '-' ||
+            s_[end] == '+' || s_[end] == '.' || s_[end] == 'e' ||
+            s_[end] == 'E')) {
+      ++end;
+    }
+    const std::string token(s_.substr(pos_, end - pos_));
+    char* stop = nullptr;
+    out.num = std::strtod(token.c_str(), &stop);
+    if (token.empty() || stop != token.c_str() + token.size()) return false;
     out.type = JsonValue::Type::kNum;
-    pos_ += static_cast<std::size_t>(end - start);
+    pos_ = end;
     return true;
   }
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 std::string fmt(double v) { return util::Table::to_cell(v); }
+
+// Parsed numbers are hostile input: saturate instead of the undefined
+// behaviour of casting an out-of-range double (1e300, inf, nan).
+std::int64_t to_i64(double x) {
+  if (std::isnan(x)) return 0;
+  if (x <= -9.2e18) return std::numeric_limits<std::int64_t>::min();
+  if (x >= 9.2e18) return std::numeric_limits<std::int64_t>::max();
+  return static_cast<std::int64_t>(x);
+}
 
 }  // namespace
 
@@ -234,7 +259,7 @@ double JsonValue::num_or(std::string_view key, double def) const {
 
 std::int64_t JsonValue::int_or(std::string_view key, std::int64_t def) const {
   const JsonValue* v = find(key);
-  return v && v->type == Type::kNum ? static_cast<std::int64_t>(v->num) : def;
+  return v && v->type == Type::kNum ? to_i64(v->num) : def;
 }
 
 bool JsonValue::bool_or(std::string_view key, bool def) const {
@@ -254,7 +279,10 @@ std::vector<int> JsonValue::int_array(std::string_view key) const {
   if (!v || v->type != Type::kArr) return out;
   out.reserve(v->arr.size());
   for (const JsonValue& e : v->arr) {
-    if (e.type == Type::kNum) out.push_back(static_cast<int>(e.num));
+    if (e.type == Type::kNum) {
+      out.push_back(static_cast<int>(
+          std::clamp<std::int64_t>(to_i64(e.num), INT32_MIN, INT32_MAX)));
+    }
   }
   return out;
 }
@@ -313,13 +341,13 @@ void RunReport::ingest_introspection(const JsonValue& v,
     if (const JsonValue* acc = v.find("accounts");
         acc && acc->type == JsonValue::Type::kObj) {
       for (const auto& [name, val] : acc->obj) {
-        ledger_accounts_[name] = static_cast<std::int64_t>(val.num);
+        ledger_accounts_[name] = to_i64(val.num);
       }
     }
     if (const JsonValue* pk = v.find("peaks");
         pk && pk->type == JsonValue::Type::kObj) {
       for (const auto& [name, val] : pk->obj) {
-        ledger_peaks_[name] = static_cast<std::int64_t>(val.num);
+        ledger_peaks_[name] = to_i64(val.num);
       }
     }
     ledger_total_ = v.int_or("total", 0);
@@ -947,18 +975,20 @@ void Timeline::ingest_line(const std::string& line) {
     t.visited = v.int_or("visited", -1);
     t.cap = v.int_or("cap", -1);
     t.cps = v.num_or("cps", -1.0);
+    t.deadline_s = v.num_or("deadline_s", -1.0);
+    t.flight_events = v.int_or("flight_events", -1);
     t.peak_rss_kb = v.int_or("peak_rss_kb", 0);
     t.ledger_total = v.int_or("ledger_total", 0);
     if (const JsonValue* led = v.find("ledger");
         led && led->type == JsonValue::Type::kObj) {
       for (const auto& [name, val] : led->obj) {
-        t.ledger[name] = static_cast<std::int64_t>(val.num);
+        t.ledger[name] = to_i64(val.num);
       }
     }
     if (const JsonValue* c = v.find("counters");
         c && c->type == JsonValue::Type::kObj) {
       for (const auto& [name, val] : c->obj) {
-        t.counters[name] = static_cast<std::int64_t>(val.num);
+        t.counters[name] = to_i64(val.num);
       }
     }
     ticks_.push_back(std::move(t));
@@ -971,9 +1001,9 @@ void Timeline::ingest_line(const std::string& line) {
     a.detail = v.str_or("detail", "");
     a.clear = type == "watch.clear";
     alerts_.push_back(std::move(a));
-  } else {
-    ++malformed_;
   }
+  // Every other record type in the stream (levels, decision trail, ledger)
+  // is not part of the timeline and is skipped.
 }
 
 bool Timeline::load(const std::string& path, std::string* err) {
@@ -1025,9 +1055,9 @@ std::string sparkline(const std::vector<double>& xs, std::size_t width) {
   const double mn = *mn_it, mx = *mx_it;
   std::string out;
   for (double x : cells) {
-    const int level =
-        mx > mn ? static_cast<int>((x - mn) / (mx - mn) * 7.0 + 0.5) : 0;
-    out += kBlocks[std::clamp(level, 0, 7)];
+    // Clamped as a double: an inf/nan sample must not reach the int cast.
+    const double f = mx > mn ? (x - mn) / (mx - mn) * 7.0 + 0.5 : 0.0;
+    out += kBlocks[f >= 7.0 ? 7 : f >= 0.0 ? static_cast<int>(f) : 0];
   }
   out.append(width - w, ' ');
   return out;

@@ -2,9 +2,10 @@
 
 // Run-forensics analyzer behind `tsb report` (and the benches' per-level
 // tables): ingests the JSONL artifacts a run leaves behind — trace events
-// (--trace=*.jsonl), exploration stats (--stats), adversary audit trail
-// (--audit) — and renders a human report plus a machine-diffable one-line
-// baseline JSON.
+// (--trace=*.jsonl), the run record stream (--stats: engine records, the
+// adversary's decision trail, telemetry ticks), chaos records (--out) and
+// flight dumps — and renders a human report plus a machine-diffable
+// one-line baseline JSON.
 //
 // The analyzer is deliberately file-format driven, not in-process: it reads
 // only what the sinks wrote, so `tsb report` works on artifacts from any
@@ -22,8 +23,8 @@ namespace tsb::report {
 
 /// Minimal recursive-descent JSON reader — just enough for the sinks'
 /// output (objects, arrays, strings, numbers, booleans, null). Exists so
-/// the analyzer has zero dependencies; not a general-purpose parser (no
-/// \uXXXX escapes, numbers via strtod).
+/// the analyzer has zero dependencies; not a general-purpose parser
+/// (numbers via strtod, nesting capped at kMaxJsonDepth).
 struct JsonValue {
   enum class Type { kNull, kBool, kNum, kStr, kArr, kObj };
   Type type = Type::kNull;
@@ -41,8 +42,13 @@ struct JsonValue {
   std::vector<int> int_array(std::string_view key) const;
 };
 
-/// Parse one complete JSON value from `text`; false on malformed input or
-/// trailing garbage.
+/// Deepest array/object nesting parse_json accepts. Every emitter nests at
+/// most 3 levels; the cap keeps a hostile line of brackets from exhausting
+/// the stack of the recursive-descent reader.
+constexpr int kMaxJsonDepth = 64;
+
+/// Parse one complete JSON value from `text`; false on malformed input,
+/// nesting deeper than kMaxJsonDepth, or trailing garbage.
 bool parse_json(std::string_view text, JsonValue& out);
 
 /// Aggregated view of one run's artifacts. Feed every line of every file
@@ -112,8 +118,7 @@ class RunReport {
   std::uint64_t flight_events() const { return flight_rows_.size(); }
   std::string flight_dump_reason() const { return flight_reason_; }
   std::uint64_t profile_labels() const { return prof_rows_.size(); }
-  /// telemetry.tick / watch.alert records seen (a .tsl fed to `tsb report`
-  /// alongside the other artifacts).
+  /// telemetry.tick / watch.alert records seen in the stats stream.
   std::uint64_t telemetry_ticks() const { return telemetry_ticks_; }
   std::uint64_t watch_alerts() const { return watch_alerts_; }
 
@@ -261,7 +266,7 @@ class RunReport {
   std::int64_t flight_threads_ = 0;
   std::int64_t flight_total_events_ = 0;
 
-  // Telemetry (.tsl records mixed into a report's inputs).
+  // Telemetry (heartbeat ticks and watchdog records in the stats stream).
   std::uint64_t telemetry_ticks_ = 0;
   std::uint64_t watch_alerts_ = 0;
   std::map<std::string, std::uint64_t> watch_alert_counts_;
@@ -287,7 +292,7 @@ class RunReport {
 int analyze_files(const std::vector<std::string>& files, int top_k,
                   const std::string& baseline_file, std::ostream& out);
 
-// --- telemetry timelines (--telemetry .tsl files) --------------------------
+// --- telemetry timelines (the ticks of a --stats file) -----------------------
 
 /// One "telemetry.tick" record. Counter-shaped fields are cumulative (the
 /// sampler never diffs); negative means the emitting engine did not supply
@@ -301,6 +306,8 @@ struct TimelineTick {
   std::int64_t visited = -1;
   std::int64_t cap = -1;
   double cps = -1.0;  ///< interval rate, valid only within one phase
+  double deadline_s = -1.0;  ///< seconds left under --time-budget-ms
+  std::int64_t flight_events = -1;  ///< flight-recorder events so far
   std::int64_t peak_rss_kb = 0;
   std::int64_t ledger_total = 0;
   std::map<std::string, std::int64_t> ledger;    ///< account -> bytes
@@ -317,9 +324,11 @@ struct TimelineAlert {
   bool clear = false;
 };
 
-/// Parsed .tsl file. A crash-truncated final line is tolerated (counted as
-/// malformed, never fatal): the sampler flushes per record, so the worst
-/// case a kill -9 leaves behind is one torn tail line.
+/// The telemetry view of a stats file: its telemetry.tick and watch.*
+/// records; records of every other type are skipped. A crash-truncated
+/// final line is tolerated (counted as malformed, never fatal): the sink
+/// flushes per tick, so the worst case a kill -9 leaves behind is one torn
+/// tail line.
 class Timeline {
  public:
   void ingest_line(const std::string& line);
@@ -347,8 +356,8 @@ class Timeline {
 /// downsampled by averaging when xs.size() > width. Empty input -> spaces.
 std::string sparkline(const std::vector<double>& xs, std::size_t width);
 
-/// `tsb report --compare A.tsl B.tsl`: per-phase, per-metric delta table of
-/// B against baseline A. Wall time and throughput are gated at tol_pct
+/// `tsb report --compare A B` on two stats files: per-phase, per-metric
+/// delta table of B's telemetry ticks against baseline A's. Wall time and throughput are gated at tol_pct
 /// (B regressing past it fails); memory and rss deltas are informational.
 /// Returns 0 within tolerance, 1 regression past tolerance, 2 a file could
 /// not be read or holds no ticks.

@@ -7,34 +7,31 @@
 //   tsb mutex [n]                  canonical-cost + Burns-Lynch summary
 //   tsb perturb [n]                JTT perturbation adversary on a counter
 //   tsb chaos                      seeded fault-injection campaign (rt layer)
-//   tsb report FILE...             analyze trace/stats/audit JSONL artifacts
-//   tsb report --compare A B       diff two --telemetry timelines (.tsl)
-//   tsb top <status-file>          live view of a running tsb's status file
-//   tsb monitor <telemetry-file>   trend view of a --telemetry timeline
+//   tsb report FILE...             analyze trace/stats/chaos JSONL artifacts
+//   tsb report --compare A B       diff the telemetry of two --stats files
+//   tsb monitor <stats-file>       live view of a run's --stats stream
 //
 // Observability flags (any position, any subcommand):
 //   --trace=FILE     record a trace; .jsonl gets JSONL, else Chrome
 //                    trace_event JSON (chrome://tracing, Perfetto)
-//   --stats=FILE     stream per-BFS-level exploration stats as JSONL
-//   --audit=FILE     stream the adversary's decision trail as JSONL
+//   --stats=FILE     the run's one record stream, JSONL (run commands
+//                    only): per-BFS-level and per-query engine records, the
+//                    adversary's Lemma 1-4 decision trail and certificate,
+//                    checkpoint writes, the memory ledger, profiler rows,
+//                    and one telemetry.tick per heartbeat (counters, ledger,
+//                    rates, peak RSS, monotonic tick ids; flushed per tick,
+//                    so a killed run keeps everything up to the last
+//                    interval). A rule-driven watchdog rides the same ticks
+//                    and emits watch.alert records, stderr warnings, and
+//                    flight events on throughput collapse, spill thrash,
+//                    memory-budget runaway and checkpoint stalls. Watch live
+//                    with `tsb monitor FILE`; diff two runs with
+//                    `tsb report --compare A B`.
 //   --metrics        print the metrics registry as one JSON line at exit
 //   --progress       heartbeat lines on stderr during long computations
 //
 // In-flight introspection (see DESIGN.md "In-flight introspection"):
-//   --progress-interval-ms=MS  heartbeat/status cadence (default 1000)
-//   --status-file=FILE  atomically rewritten JSON snapshot of the run
-//                       (level, frontier, ledger, configs/sec, ETAs);
-//                       watch it live with `tsb top FILE`
-//   --telemetry=FILE measured time-series: one self-contained JSONL record
-//                    per heartbeat tick (counters, ledger, rates, peak RSS,
-//                    monotonic tick ids; flushed per record, so a killed
-//                    run keeps everything up to the last interval). A
-//                    rule-driven watchdog rides the same ticks and emits
-//                    watch.alert records, stderr warnings, and flight
-//                    events on throughput collapse, spill thrash,
-//                    memory-budget runaway and checkpoint stalls. Watch live
-//                    with `tsb monitor FILE`; diff two runs with
-//                    `tsb report --compare A.tsl B.tsl`.
+//   --progress-interval-ms=MS  heartbeat/telemetry cadence (default 1000)
 //   --tolerance=PCT  report --compare: gate width in percent (default 25)
 //   --flight=FILE    enable the in-memory flight recorder; rings dump to
 //                    FILE on fatal signal, budget exhaustion, SIGUSR1, and
@@ -43,7 +40,7 @@
 //                    per-span table on stderr at exit, JSONL records into
 //                    --stats when that sink is open
 //   --profile-hz=HZ  sampling rate (default 200)
-//   --once           tsb top: render one frame and exit (CI-friendly)
+//   --once           tsb monitor: render one frame and exit (CI-friendly)
 //   --valency-cap=N  valency oracle configuration cap (adversary only)
 //   --top=K          report: how many hottest registers to show (default 5)
 //   --baseline=FILE  report: write the one-line baseline JSON to FILE
@@ -107,7 +104,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
@@ -150,10 +146,10 @@ constexpr int kExitStopped = 5;      ///< checkpointed-and-stopped (resumable)
 constexpr int kExitCkptInvalid = 6;  ///< checkpoint refused (corrupt/mismatch)
 
 // Subcommands that execute a run (vs read artifacts someone else wrote).
-// --telemetry only makes sense for the former: a viewer or analyzer must
-// never truncate the file it is about to read.
+// --stats only makes sense for the former: a viewer or analyzer must never
+// truncate the file it is about to read.
 bool cmd_is_run(const std::string& cmd) {
-  return cmd != "report" && cmd != "top" && cmd != "monitor";
+  return cmd != "report" && cmd != "monitor";
 }
 
 int usage() {
@@ -170,15 +166,13 @@ int usage() {
          "  tsb perturb [n=5]                JTT adversary on the counter\n"
          "  tsb chaos                        seeded rt fault campaign\n"
          "  tsb report FILE...               analyze run artifacts (JSONL)\n"
-         "  tsb report --compare A.tsl B.tsl diff two telemetry timelines\n"
+         "  tsb report --compare A B         diff two --stats timelines\n"
          "      [--tolerance=PCT]            (exit 1 past tolerance)\n"
-         "  tsb top <status-file> [--once]   live view of a --status-file\n"
-         "  tsb monitor <file.tsl> [--once]  trend view of a --telemetry file\n"
-         "flags: --trace=FILE --stats=FILE --audit=FILE --metrics "
-         "--progress\n"
+         "  tsb monitor <stats> [--once]     live view of a --stats stream\n"
+         "flags: --trace=FILE --stats=FILE --metrics --progress\n"
          "       --valency-cap=N --top=K --baseline=FILE\n"
-         "introspection: --progress-interval-ms=MS --status-file=FILE\n"
-         "       --telemetry=FILE --flight=FILE --profile --profile-hz=HZ\n"
+         "introspection: --progress-interval-ms=MS --flight=FILE --profile\n"
+         "       --profile-hz=HZ\n"
          "chaos: --runs=N --seed=S --n=P --targets=LIST|all --mix=LIST|all\n"
          "       --run-timeout-ms=MS --out=FILE\n"
          "adversary budgets: --mem-budget=BYTES[k|m|g] --time-budget-ms=MS\n"
@@ -407,93 +401,9 @@ int cmd_chaos(const ObsFlags& obs_flags) {
   return result.timeouts > 0 ? kExitTimeout : kExitOk;
 }
 
-// One frame of `tsb top`: parse the status snapshot and render a compact
-// dashboard. Returns false when the file is missing/unparseable (the
-// writer may be mid-rename only on filesystems without atomic rename(2),
-// so persistent failure means the path is wrong or the run never started).
-bool top_frame(const std::string& path, std::ostream& out) {
-  std::ifstream in(path);
-  if (!in) return false;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  report::JsonValue v;
-  if (!report::parse_json(text, v)) return false;
-
-  out << "tsb top — " << path << "\n";
-  out << "  phase      " << v.str_or("phase", "?") << "\n";
-  out << "  uptime     " << v.num_or("uptime_s", 0.0) << " s\n";
-  if (v.find("level")) out << "  level      " << v.int_or("level", -1) << "\n";
-  if (v.find("frontier")) {
-    out << "  frontier   " << v.int_or("frontier", -1) << "\n";
-  }
-  if (v.find("visited")) {
-    out << "  visited    " << v.int_or("visited", -1);
-    if (v.find("cap")) out << " / cap " << v.int_or("cap", -1);
-    out << "\n";
-  }
-  if (v.find("configs_per_sec")) {
-    out << "  rate       " << static_cast<std::int64_t>(
-               v.num_or("configs_per_sec", 0.0))
-        << " configs/s\n";
-  }
-  if (v.find("eta_cap_s")) {
-    out << "  eta->cap   " << v.num_or("eta_cap_s", 0.0) << " s\n";
-  }
-  if (v.find("eta_deadline_s")) {
-    out << "  deadline   " << v.num_or("eta_deadline_s", 0.0) << " s left\n";
-  }
-  out << "  rss peak   " << v.int_or("peak_rss_kb", 0) << " KiB, tracked "
-      << obs::format_bytes(
-             static_cast<std::size_t>(v.int_or("ledger_total", 0)))
-      << "\n";
-  if (const report::JsonValue* ledger = v.find("ledger");
-      ledger && ledger->type == report::JsonValue::Type::kObj) {
-    for (const auto& [name, bytes] : ledger->obj) {
-      if (bytes.num <= 0) continue;
-      out << "    " << name << std::string(name.size() < 18
-                                               ? 18 - name.size()
-                                               : 1, ' ')
-          << obs::format_bytes(static_cast<std::size_t>(bytes.num)) << "\n";
-    }
-  }
-  if (v.find("flight_events")) {
-    out << "  flight     " << v.int_or("flight_events", 0) << " events\n";
-  }
-  return true;
-}
-
-// Shared viewer driver for `tsb top` and `tsb monitor`. Both read files a
-// live producer owns, so a missing file, an empty file, or a snapshot
-// caught mid-rename is a normal startup state, never a parse-error exit:
-// --once retries briefly before failing loudly (CI probes fire the moment
-// the producer starts), and live mode just keeps waiting.
-int run_viewer(const char* who, const std::string& path, bool once,
-               bool (*frame_fn)(const std::string&, std::ostream&)) {
-  if (once) {
-    for (int attempt = 0; attempt < 20; ++attempt) {
-      std::ostringstream frame;
-      if (frame_fn(path, frame)) {
-        std::cout << frame.str();
-        return kExitOk;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    std::cerr << who << ": no readable sample in " << path << "\n";
-    return kExitViolation;
-  }
-  while (true) {
-    std::ostringstream frame;
-    const bool ok = frame_fn(path, frame);
-    std::cout << "\x1b[H\x1b[2J"
-              << (ok ? frame.str()
-                     : "waiting for first sample in " + path + " ...\n")
-              << std::flush;
-    std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  }
-}
-
-// One frame of `tsb monitor`: re-read the timeline and render sparkline
-// trend columns over the trailing ticks plus any still-latched alerts.
+// One frame of `tsb monitor`: re-read the stats stream and render the
+// latest sample (uptime, rate, ETAs, ledger) above sparkline trend columns
+// over the trailing ticks, plus any still-latched alerts.
 bool monitor_frame(const std::string& path, std::ostream& out) {
   report::Timeline tl;
   std::string err;
@@ -501,6 +411,48 @@ bool monitor_frame(const std::string& path, std::ostream& out) {
   const auto& ticks = tl.ticks();
   if (ticks.empty()) return false;
   const report::TimelineTick& last = ticks.back();
+
+  out << "tsb monitor — " << path << " (" << ticks.size() << " ticks"
+      << (tl.monotonic() ? "" : ", NON-MONOTONIC TICK IDS")
+      << (tl.malformed() > 0
+              ? ", " + std::to_string(tl.malformed()) + " torn line(s)"
+              : "")
+      << ")\n";
+  out << "  phase      " << last.phase << ", tick " << last.tick << "\n";
+  out << "  uptime     " << last.t_s << " s\n";
+  if (last.level >= 0) out << "  level      " << last.level << "\n";
+  if (last.visited >= 0) {
+    out << "  visited    " << last.visited;
+    if (last.cap >= 0) out << " / cap " << last.cap;
+    out << "\n";
+  }
+  // The terminal tick carries no engine sample, so the rate and the ETA to
+  // the cap come from the latest tick that measured a rate.
+  for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) {
+    if (it->cps < 0) continue;
+    out << "  rate       " << static_cast<std::int64_t>(it->cps)
+        << " configs/s (" << it->phase << ", tick " << it->tick << ")\n";
+    if (it->cps > 0 && it->cap > it->visited) {
+      out << "  eta->cap   "
+          << static_cast<double>(it->cap - it->visited) / it->cps << " s\n";
+    }
+    break;
+  }
+  if (last.deadline_s >= 0) {
+    out << "  deadline   " << last.deadline_s << " s left\n";
+  }
+  out << "  rss peak   " << last.peak_rss_kb << " KiB, tracked "
+      << obs::format_bytes(static_cast<std::size_t>(last.ledger_total))
+      << "\n";
+  for (const auto& [name, bytes] : last.ledger) {
+    if (bytes <= 0) continue;
+    out << "    " << name
+        << std::string(name.size() < 18 ? 18 - name.size() : 1, ' ')
+        << obs::format_bytes(static_cast<std::size_t>(bytes)) << "\n";
+  }
+  if (last.flight_events >= 0) {
+    out << "  flight     " << last.flight_events << " events\n";
+  }
 
   constexpr std::size_t kTrendTicks = 96;  // window the sparklines cover
   constexpr std::size_t kWidth = 32;
@@ -520,20 +472,6 @@ bool monitor_frame(const std::string& path, std::ostream& out) {
     out << "  " << name << " " << report::sparkline(xs, kWidth) << "  "
         << current << "\n";
   };
-
-  out << "tsb monitor — " << path << " (" << ticks.size() << " ticks"
-      << (tl.monotonic() ? "" : ", NON-MONOTONIC TICK IDS")
-      << (tl.malformed() > 0
-              ? ", " + std::to_string(tl.malformed()) + " torn line(s)"
-              : "")
-      << ")\n";
-  out << "  phase      " << last.phase << ", t=" << last.t_s << " s, tick "
-      << last.tick << "\n";
-  if (last.visited >= 0) {
-    out << "  visited    " << last.visited;
-    if (last.cap >= 0) out << " / cap " << last.cap;
-    out << "\n";
-  }
   trend("cps       ",
         series([](const report::TimelineTick& t) { return t.cps; }),
         last.cps >= 0
@@ -574,6 +512,34 @@ bool monitor_frame(const std::string& path, std::ostream& out) {
     }
   }
   return true;
+}
+
+// `tsb monitor` reads a file a live producer owns, so a missing file or one
+// with no tick yet is a normal startup state, never a parse-error exit:
+// --once retries briefly before failing loudly (CI probes fire the moment
+// the producer starts), and live mode just keeps waiting.
+int run_monitor(const std::string& path, bool once) {
+  if (once) {
+    for (int attempt = 0; attempt < 20; ++attempt) {
+      std::ostringstream frame;
+      if (monitor_frame(path, frame)) {
+        std::cout << frame.str();
+        return kExitOk;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    std::cerr << "tsb monitor: no telemetry tick in " << path << "\n";
+    return kExitViolation;
+  }
+  while (true) {
+    std::ostringstream frame;
+    const bool ok = monitor_frame(path, frame);
+    std::cout << "\x1b[H\x1b[2J"
+              << (ok ? frame.str()
+                     : "waiting for the first tick in " + path + " ...\n")
+              << std::flush;
+    std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  }
 }
 
 // SIGTERM/SIGINT on a run command request a graceful stop: the handler is
@@ -625,26 +591,11 @@ int main(int argc, char** argv) {
   const std::vector<std::string>& args = parsed.args;
   if (args.empty()) return usage();
 
+  const std::string cmd = args[0];
+  const bool run = cmd_is_run(cmd);
   if (obs_flags.progress) obs::set_progress(true);
   obs::set_progress_interval(
       std::chrono::milliseconds(obs_flags.progress_interval_ms));
-  if (!obs_flags.status_file.empty()) {
-    obs::set_status_file(obs_flags.status_file);
-    if (obs_flags.time_budget_ms > 0) {
-      obs::set_status_deadline_ms(obs_flags.time_budget_ms);
-    }
-  }
-  const bool telemetry_run = !obs_flags.telemetry_file.empty() &&
-                             cmd_is_run(args.empty() ? "" : args[0]);
-  if (telemetry_run) {
-    if (!obs::telemetry::open(obs_flags.telemetry_file)) {
-      std::cerr << "could not open telemetry file "
-                << obs_flags.telemetry_file << "\n";
-      return kExitUsage;
-    }
-    // The watchdog's runaway rule projects time-to-exit-4 against this.
-    obs::telemetry::set_mem_budget(obs_flags.mem_budget);
-  }
   if (!obs_flags.flight_file.empty()) {
     obs::flight::enable();
     obs::flight::set_dump_path(obs_flags.flight_file);
@@ -656,15 +607,19 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
   if (!obs_flags.trace_file.empty()) obs::TraceSink::global().enable();
-  if (!obs_flags.stats_file.empty() &&
-      !obs::stats_sink().open(obs_flags.stats_file)) {
-    std::cerr << "could not open stats file " << obs_flags.stats_file << "\n";
-    return kExitUsage;
-  }
-  if (!obs_flags.audit_file.empty() &&
-      !obs::audit_sink().open(obs_flags.audit_file)) {
-    std::cerr << "could not open audit file " << obs_flags.audit_file << "\n";
-    return kExitUsage;
+  const bool stats_run = run && !obs_flags.stats_file.empty();
+  if (stats_run) {
+    if (!obs::stats_sink().open(obs_flags.stats_file)) {
+      std::cerr << "could not open stats file " << obs_flags.stats_file
+                << "\n";
+      return kExitUsage;
+    }
+    // A stats file is one run: its telemetry ticks start at 0, and the
+    // ticks project the watchdog's exit-4 runaway and the deadline against
+    // the configured budgets.
+    obs::telemetry::reset();
+    obs::telemetry::set_budgets(obs_flags.mem_budget,
+                                obs_flags.time_budget_ms);
   }
   if (!obs_flags.chaos_file.empty() &&
       !obs::chaos_sink().open(obs_flags.chaos_file)) {
@@ -672,12 +627,11 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
 
-  const std::string cmd = args[0];
   auto arg = [&](std::size_t i, int def) {
     return args.size() > i ? std::atoi(args[i].c_str()) : def;
   };
 
-  if (cmd_is_run(cmd)) {
+  if (run) {
     // Hostile-I/O fault injection (TSB_IO_FAULT=kind[:countdown]) arms the
     // layer every write-path syscall in the spill/checkpoint writers runs
     // through; a no-op without the env var.
@@ -712,7 +666,7 @@ int main(int argc, char** argv) {
   } else if (cmd == "report" && obs_flags.compare) {
     std::vector<std::string> files(args.begin() + 1, args.end());
     if (files.size() != 2) {
-      std::cerr << "tsb report --compare needs exactly two timeline files\n";
+      std::cerr << "tsb report --compare needs exactly two stats files\n";
       return usage();
     }
     rc = report::compare_timelines(files[0], files[1], obs_flags.tolerance,
@@ -728,10 +682,8 @@ int main(int argc, char** argv) {
     if (files.empty()) return usage();
     rc = report::analyze_files(files, obs_flags.top, obs_flags.baseline_file,
                                std::cout);
-  } else if (cmd == "top" && args.size() >= 2) {
-    return run_viewer("tsb top", args[1], obs_flags.once, top_frame);
   } else if (cmd == "monitor" && args.size() >= 2) {
-    return run_viewer("tsb monitor", args[1], obs_flags.once, monitor_frame);
+    return run_monitor(args[1], obs_flags.once);
   } else {
     return usage();
   }
@@ -773,33 +725,20 @@ int main(int argc, char** argv) {
   if (obs::stats_enabled() && obs::MemLedger::global().total() > 0) {
     obs::MemLedger::global().emit_record();
   }
-  if (obs::status_enabled() || obs::telemetry::enabled()) {
-    // Final snapshot: short runs can finish inside the first heartbeat
-    // interval, and watchers deserve a terminal state either way. For the
-    // timeline this is also the record whose ledger must match the exit
-    // report — nothing allocates after it.
-    obs::StatusSnapshot last;
+  if (stats_run) {
+    // Final tick: short runs can finish inside the first heartbeat
+    // interval, and watchers deserve a terminal state either way. It is
+    // also the record whose ledger must match the exit report — nothing
+    // allocates after it.
+    obs::Sample last;
     last.phase = rc == kExitBudget    ? "budget-exhausted"
                  : rc == kExitStopped ? "checkpointed"
                                       : "done";
-    if (obs::status_enabled()) obs::publish_status(last);
-    if (obs::telemetry::enabled()) {
-      obs::telemetry::tick(last);
-      std::cerr << "telemetry: " << obs::telemetry::ticks() << " tick(s) -> "
-                << obs_flags.telemetry_file << "\n";
-      obs::telemetry::close();
-    }
-  }
-
-  if (!obs_flags.stats_file.empty()) {
-    std::cerr << "stats: " << obs::stats_sink().lines() << " records -> "
+    obs::telemetry::tick(last);
+    std::cerr << "stats: " << obs::stats_sink().lines() << " records ("
+              << obs::telemetry::ticks() << " telemetry ticks) -> "
               << obs_flags.stats_file << "\n";
     obs::stats_sink().close();
-  }
-  if (!obs_flags.audit_file.empty()) {
-    std::cerr << "audit: " << obs::audit_sink().lines() << " events -> "
-              << obs_flags.audit_file << "\n";
-    obs::audit_sink().close();
   }
   if (!obs_flags.chaos_file.empty()) {
     std::cerr << "chaos: " << obs::chaos_sink().lines() << " records -> "

@@ -7,6 +7,7 @@
 // toggled) — main() applies the parsed flags, and the tests exercise the
 // parse paths without side effects.
 
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -17,20 +18,17 @@ namespace tsb::cli {
 
 struct ObsFlags {
   std::string trace_file;     ///< --trace=FILE (in-memory sink, Chrome/JSONL)
-  std::string stats_file;     ///< --stats=FILE (per-level exploration JSONL)
-  std::string audit_file;     ///< --audit=FILE (adversary decision JSONL)
+  std::string stats_file;     ///< --stats=FILE (the run record stream JSONL)
   std::string baseline_file;  ///< --baseline=FILE (report: one-line JSON)
   bool metrics = false;       ///< --metrics
   bool progress = false;      ///< --progress
 
   // In-flight introspection (tsb adversary / tsb chaos / benches).
   std::uint64_t progress_interval_ms = 1'000;  ///< --progress-interval-ms=MS
-  std::string status_file;    ///< --status-file=FILE (atomic JSON snapshot)
-  std::string telemetry_file; ///< --telemetry=FILE (append-only .tsl JSONL)
   std::string flight_file;    ///< --flight=FILE (ring dump path / report input)
   bool profile = false;       ///< --profile (SIGPROF sampling profiler)
   int profile_hz = 200;       ///< --profile-hz=HZ (sampling rate)
-  bool once = false;          ///< --once (tsb top: render one frame and exit)
+  bool once = false;          ///< --once (tsb monitor: one frame and exit)
   std::size_t valency_cap = 0;  ///< --valency-cap=N; 0 = scale with n
   int top = 5;                ///< --top=K (report: hottest registers shown)
 
@@ -70,7 +68,7 @@ struct ObsFlags {
   std::uint64_t checkpoint_interval_ms = 0;  ///< --checkpoint-interval-ms=MS
   std::uint64_t checkpoint_every = 0;  ///< --checkpoint-every=EXPANSIONS
 
-  // Cross-run regression diffing (tsb report --compare A.tsl B.tsl).
+  // Cross-run regression diffing (tsb report --compare A B, stats files).
   bool compare = false;       ///< --compare (report: diff two timelines)
   double tolerance = 25.0;    ///< --tolerance=PCT (compare gate, percent)
 };
@@ -82,20 +80,28 @@ struct ParseResult {
   std::vector<std::string> args;    ///< positional arguments, in order
 };
 
+/// Parse all of `s` as a decimal u64. Unlike bare strtoull, a sign,
+/// leading blanks, trailing garbage or an out-of-range value is rejected,
+/// so "-5" can never wrap to 2^64-5.
+inline bool parse_u64(const std::string& s, std::uint64_t* v) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  *v = std::strtoull(s.c_str(), &end, 10);
+  return *end == '\0' && errno != ERANGE;
+}
+
 /// Parse "123", "64k", "256m", "2g" into bytes (suffix = binary multiple).
 /// Returns false on anything else.
-inline bool parse_bytes(const std::string& s, std::uint64_t* bytes) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, 10);
-  if (end == s.c_str()) return false;
-  std::uint64_t mult = 1;
-  if (*end == 'k' || *end == 'K') mult = 1ull << 10;
-  else if (*end == 'm' || *end == 'M') mult = 1ull << 20;
-  else if (*end == 'g' || *end == 'G') mult = 1ull << 30;
-  if (mult != 1) ++end;
-  if (*end != '\0') return false;
-  *bytes = v * mult;
+inline bool parse_bytes(std::string s, std::uint64_t* bytes) {
+  const char unit = s.empty() ? '\0' : s.back();
+  const int shift = unit == 'k' || unit == 'K'   ? 10
+                    : unit == 'm' || unit == 'M' ? 20
+                    : unit == 'g' || unit == 'G' ? 30
+                                                 : 0;
+  if (shift != 0) s.pop_back();
+  if (!parse_u64(s, bytes)) return false;
+  *bytes <<= shift;
   return true;
 }
 
@@ -135,10 +141,7 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
     auto u64_flag = [&](const char* name, std::uint64_t* dst) {
       std::string v;
       if (!value_flag(name, &v)) return false;
-      if (bad_value) return true;
-      char* end = nullptr;
-      *dst = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || end == v.c_str() || *end != '\0') bad_value = true;
+      if (!bad_value && !parse_u64(v, dst)) bad_value = true;
       return true;
     };
     std::string sval;
@@ -147,8 +150,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       if (out.flags.trace_file.empty()) return fail("--trace needs a file");
     } else if (file_flag(a, "--stats=", out.flags.stats_file)) {
       if (out.flags.stats_file.empty()) return fail("--stats needs a file");
-    } else if (file_flag(a, "--audit=", out.flags.audit_file)) {
-      if (out.flags.audit_file.empty()) return fail("--audit needs a file");
     } else if (file_flag(a, "--baseline=", out.flags.baseline_file)) {
       if (out.flags.baseline_file.empty()) {
         return fail("--baseline needs a file");
@@ -165,14 +166,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
                         &out.flags.progress_interval_ms)) {
       if (bad_value || out.flags.progress_interval_ms == 0) {
         return fail("bad --progress-interval-ms (want >= 1)");
-      }
-    } else if (value_flag("--status-file", &out.flags.status_file)) {
-      if (bad_value || out.flags.status_file.empty()) {
-        return fail("--status-file needs a file");
-      }
-    } else if (value_flag("--telemetry", &out.flags.telemetry_file)) {
-      if (bad_value || out.flags.telemetry_file.empty()) {
-        return fail("--telemetry needs a file");
       }
     } else if (a == "--compare") {
       out.flags.compare = true;
@@ -197,10 +190,11 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       out.flags.profile_hz = static_cast<int>(uval);
     } else if (a == "--once") {
       out.flags.once = true;
-    } else if (a.rfind("--valency-cap=", 0) == 0) {
-      out.flags.valency_cap = std::strtoull(
-          a.c_str() + std::strlen("--valency-cap="), nullptr, 10);
-      if (out.flags.valency_cap == 0) return fail("bad --valency-cap");
+    } else if (file_flag(a, "--valency-cap=", sval)) {
+      if (!parse_u64(sval, &uval) || uval == 0) {
+        return fail("bad --valency-cap (want >= 1)");
+      }
+      out.flags.valency_cap = static_cast<std::size_t>(uval);
     } else if (a.rfind("--top=", 0) == 0) {
       char* end = nullptr;
       const char* s = a.c_str() + std::strlen("--top=");
