@@ -48,8 +48,9 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run() {
     }
     return out;
   }
-  // util::CheckpointInvalid deliberately propagates: a corrupt or
-  // mismatched checkpoint is a refusal, not a run outcome.
+  // util::CheckpointInvalid and util::UsageError deliberately propagate: a
+  // corrupt or mismatched checkpoint and an unusable spill directory are
+  // refusals, not run outcomes.
 }
 
 SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
@@ -68,8 +69,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
                         .reuse = opts_.reuse,
                         .spill_dir = opts_.spill_dir,
                         .spill_threshold_bytes = opts_.spill_threshold_bytes,
-                        .spill_seg_configs = opts_.spill_seg_configs,
-                        .graph_spill = opts_.graph_spill});
+                        .spill_seg_configs = opts_.spill_seg_configs});
 
   // Checkpoint/resume wiring. The serializer captures the oracle by
   // reference, so it must be unregistered on every exit path before the
@@ -144,8 +144,6 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
         .num("registers", proto_.num_registers())
         .boolean("reuse", opts_.reuse)
         .boolean("spill", opts_.spill_threshold_bytes != 0)
-        .boolean("graph_spill",
-                 opts_.spill_threshold_bytes != 0 && opts_.graph_spill)
         .boolean("symmetric", proto_.symmetric());
     obs::stats_sink().write(ev.render());
   }

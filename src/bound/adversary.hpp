@@ -33,16 +33,14 @@ class SpaceBoundAdversary {
     /// Off = the fresh-BFS-per-query backend, kept as the differential
     /// anchor; identical verdicts and certificates either way.
     bool reuse = true;
-    /// Out-of-core spill for the oracle's config storage (see
+    /// Out-of-core spill for the oracle's config and edge storage (see
     /// ValencyOracle::Options). threshold 0 = all in RAM. Verdicts and
     /// certificates are unchanged by spilling; it exists so campaigns past
-    /// the RAM wall (n = 7) can keep the frontier advancing from disk.
+    /// the RAM wall (n = 7) can keep the frontier advancing from disk. An
+    /// unusable spill_dir makes run() throw util::UsageError up front.
     std::string spill_dir = ".";
     std::size_t spill_threshold_bytes = 0;
     std::size_t spill_seg_configs = 0;
-    /// Spill the shared engine's edge arrays too (ValencyOracle::Options::
-    /// graph_spill); false reproduces the PR 7 node-arena-only behaviour.
-    bool graph_spill = true;
     /// Crash-safe campaigns: non-empty = checkpoint the oracle's session
     /// state (roots, memo, shared graph) into this directory at the
     /// engines' quiescent points, every `checkpoint_interval_ms` of wall

@@ -1,6 +1,7 @@
 #include "bound/valency.hpp"
 
 #include <cassert>
+#include <cerrno>
 #include <cstring>
 
 #include "obs/flight.hpp"
@@ -103,8 +104,7 @@ sim::ReachGraph& ValencyOracle::ensure_graph() {
                     .max_arena_bytes = opts_.max_arena_bytes,
                     .spill_dir = opts_.spill_dir,
                     .spill_threshold_bytes = opts_.spill_threshold_bytes,
-                    .spill_seg_configs = opts_.spill_seg_configs,
-                    .graph_spill = opts_.graph_spill});
+                    .spill_seg_configs = opts_.spill_seg_configs});
     graph_->set_deadline(deadline_);
   }
   return *graph_;
@@ -250,8 +250,10 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair(const Config& c,
     seq_.emplace(proto_, sim::Explorer::Options{opts_.max_configs});
     seq_->set_budget(opts_.max_arena_bytes, deadline_);
     if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
-      seq_->set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
-                      opts_.spill_seg_configs);
+      if (!seq_->set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
+                           opts_.spill_seg_configs)) {
+        util::spill::throw_unusable_dir(opts_.spill_dir, errno);
+      }
     }
   }
   const sim::ExploreResult res = seq_->explore(c, p, visit);

@@ -69,23 +69,18 @@ class ValencyOracle {
     std::uint64_t time_budget_ms = 0;
     /// Shared-subgraph engine on/off (see class comment).
     bool reuse = true;
-    /// Out-of-core node storage: when resident packed-config bytes exceed
-    /// spill_threshold_bytes (0 = never), the backend arena compresses
-    /// cold full segments to an unlinked file under spill_dir and reads
-    /// them back through mmap. Verdicts and witnesses are unchanged;
-    /// max_arena_bytes keeps capping RAM (spilled bytes leave it), so
-    /// spill + budget together turn "OOM at n = 7" into "slower but
-    /// finishes". spill_seg_configs (0 = default) shrinks segments so
-    /// tests/CI can force spilling on tiny campaigns.
+    /// Out-of-core storage: past spill_threshold_bytes (0 = never) of
+    /// resident bytes, the backend arena and the shared engine's edge
+    /// stores compress cold full segments to unlinked files under
+    /// spill_dir and read them back through mmap. Verdicts and witnesses
+    /// are unchanged; max_arena_bytes keeps capping RAM (spilled bytes
+    /// leave it), so spill + budget together turn "OOM at n = 7" into
+    /// "slower but finishes". spill_seg_configs (0 = default) shrinks
+    /// segments so tests/CI can force spilling on tiny campaigns. An
+    /// unusable spill_dir is refused at construction (util::UsageError).
     std::string spill_dir = ".";
     std::size_t spill_threshold_bytes = 0;
     std::size_t spill_seg_configs = 0;
-    /// Out-of-core edge arrays: with spilling enabled, the shared engine's
-    /// per-node edge data spills alongside the node arena. False keeps the
-    /// PR 7 behaviour (edge arrays always resident) for A/B comparisons.
-    /// Purely a memory-plan knob — verdicts and witnesses never change, so
-    /// it is excluded from the checkpoint fingerprint.
-    bool graph_spill = true;
   };
 
   explicit ValencyOracle(const Protocol& proto)
@@ -94,6 +89,9 @@ class ValencyOracle {
       : proto_(proto),
         opts_(opts),
         roots_(proto.num_processes(), proto.num_registers()) {
+    if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
+      util::spill::require_usable_dir(opts_.spill_dir);
+    }
     if (opts_.time_budget_ms > 0) {
       deadline_ = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(opts_.time_budget_ms);
@@ -155,15 +153,9 @@ class ValencyOracle {
   std::uint64_t fact_subsumed() const {
     return graph_ ? graph_->fact_subsumed() : 0;
   }
-  /// Edge-store spill accounting (0 unless graph spilling is armed).
+  /// Edge bytes on disk (0 unless spilling is armed).
   std::size_t graph_spilled_bytes() const {
     return graph_ ? graph_->edge_spilled_bytes() : 0;
-  }
-  std::size_t graph_spilled_segments() const {
-    return graph_ ? graph_->edge_spilled_segments() : 0;
-  }
-  std::size_t graph_faulted_in() const {
-    return graph_ ? graph_->edge_faulted_in() : 0;
   }
   std::size_t graph_nodes() const { return graph_ ? graph_->nodes() : 0; }
   std::size_t fact_entries() const {

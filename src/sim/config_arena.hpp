@@ -49,27 +49,22 @@ inline std::optional<Value> decision_of(const Protocol& proto,
 /// Packed, interned, out-of-core configuration storage.
 ///
 /// A configuration of an (n, m) protocol is exactly n state words followed
-/// by m register words. The arena stores them back to back in fixed-size
-/// SEGMENTS (a power-of-two number of configurations each, sized to a few
-/// MB) allocated flat with new[] — the geas Vec idiom: no per-configuration
-/// allocation, no reallocation copying, and word pointers stay stable for
-/// the lifetime of a segment's residency. Deduplication goes through an
-/// open-addressing hash table of 8-byte slots (a 32-bit hash tag plus the
-/// id), so a probe touches the word data only on a tag match and the table
-/// stays half the size a full-hash layout would need. Growth re-derives
-/// each slot's bucket by rehashing its words from the store.
+/// by m register words. The arena keeps them as the records of one
+/// util::spill::SpillStore<Value> (stride n + m): fixed-size segments of a
+/// few MB allocated flat, no per-configuration allocation, no reallocation
+/// copying, and word pointers stable for the lifetime of a segment's
+/// residency. Deduplication goes through an open-addressing hash table of
+/// 8-byte slots (a 32-bit hash tag plus the id), so a probe touches the
+/// word data only on a tag match and the table stays half the size a
+/// full-hash layout would need.
 ///
 /// Out-of-core operation (set_spill): when resident word bytes exceed the
-/// spill threshold, maybe_spill() takes cold FULL segments (lowest ids
-/// first — in BFS id order those are the oldest levels), delta/varint
-/// compresses them against the previous configuration in the segment (most
-/// successors differ from a neighbour in one or two slots), appends the
-/// compressed block to an unlinked backing file in the spill directory,
-/// maps it read-only, and frees the resident array. words() on a spilled
-/// id decodes the configuration into a thread-local buffer. Spilling only
-/// happens inside maybe_spill(), which callers invoke at quiescent points
-/// between expansions, so no word pointer handed out by the current
-/// expansion is torn down under it.
+/// spill threshold, maybe_spill() hands the store's cold FULL segments
+/// (lowest ids first — in BFS id order those are the oldest levels) to the
+/// backing file; words() on a spilled id decodes into a thread-local
+/// buffer. Spilling only happens inside maybe_spill(), which callers
+/// invoke at quiescent points between expansions, so no word pointer
+/// handed out by the current expansion is torn down under it.
 ///
 /// Thread safety: single-threaded. Every engine that owns an arena runs
 /// its whole reachability pass on one thread.
@@ -79,7 +74,6 @@ inline std::optional<Value> decision_of(const Protocol& proto,
 class ConfigArena {
  public:
   ConfigArena(int num_states, int num_regs);
-  ~ConfigArena();
 
   ConfigArena(const ConfigArena&) = delete;
   ConfigArena& operator=(const ConfigArena&) = delete;
@@ -87,7 +81,7 @@ class ConfigArena {
   int num_states() const { return n_; }
   int num_regs() const { return m_; }
   std::size_t words_per_config() const { return words_; }
-  std::size_t size() const { return count_; }
+  std::size_t size() const { return store_.size(); }
 
   /// Drop all configurations but keep the allocations for reuse. Unmaps
   /// spilled blocks and truncates the backing file.
@@ -137,13 +131,7 @@ class ConfigArena {
   /// Read access to one configuration's packed words. Resident segments
   /// return a direct pointer; spilled segments decode into a thread-local
   /// buffer valid until the next words() call on a spilled id.
-  const Value* words(ConfigId id) const {
-    const Seg& s = segs_[id >> seg_shift_];
-    if (s.data != nullptr) {
-      return s.data + (static_cast<std::size_t>(id) & seg_mask_) * words_;
-    }
-    return decode_spilled(s, static_cast<std::size_t>(id) & seg_mask_);
-  }
+  const Value* words(ConfigId id) const { return store_.read(id); }
   ConfigView view(ConfigId id) const {
     const Value* w = words(id);
     return ConfigView{id, w, w + n_, n_, m_};
@@ -160,37 +148,31 @@ class ConfigArena {
   /// under `dir` once resident word bytes exceed `threshold_bytes`.
   /// `seg_configs_hint` (power of two, 0 = default ~4 MB segments) is for
   /// tests that need multiple segments within tiny runs. Must be called
-  /// while the arena is empty. Returns false if the directory is unusable
-  /// (spilling stays disabled).
+  /// before the first configuration is added. Returns false if the
+  /// directory is unusable (spilling stays disabled).
   bool set_spill(const std::string& dir, std::size_t threshold_bytes,
                  std::size_t seg_configs_hint = 0);
 
-  bool spill_enabled() const { return spill_file_.valid(); }
-  std::size_t spill_threshold() const { return spill_threshold_; }
+  bool spill_enabled() const { return store_.spill_enabled(); }
 
-  /// True when resident word bytes exceed the spill threshold and at least
-  /// one full cold segment could be released. Cheap.
-  bool spill_needed() const {
-    return spill_file_.valid() && resident_words_bytes_ > spill_threshold_ &&
-           first_resident_seg_ < count_ >> seg_shift_;
-  }
+  /// True when resident word bytes exceed the spill threshold and a full
+  /// cold segment may be left to release. Cheap.
+  bool spill_needed() const { return store_.spill_needed(spill_threshold_); }
 
   /// Spill cold full segments (lowest ids first) until resident word bytes
   /// drop to the threshold or only pinned/partial segments remain. Ids >=
   /// pin_floor are never spilled (callers pin the unexpanded frontier so
   /// the hot read path stays pointer-direct). Callers invoke it at
-  /// quiescent points only. Returns bytes released.
-  /// A write/mmap failure (ENOSPC, short write that retries don't clear)
-  /// throws util::BudgetExhausted after recording a flight event: the
-  /// operator's memory plan can no longer be kept, and pretending
-  /// otherwise by quietly staying resident would trade a clean exit 4 for
-  /// an OOM-kill hours later.
-  std::size_t maybe_spill(ConfigId pin_floor);
+  /// quiescent points only. Returns bytes released. A write/mmap failure
+  /// throws util::BudgetExhausted (see SpillStore::maybe_spill).
+  std::size_t maybe_spill(ConfigId pin_floor) {
+    return store_.maybe_spill(spill_threshold_, pin_floor);
+  }
 
-  std::size_t spilled_bytes() const { return spilled_bytes_; }
-  std::size_t mapped_bytes() const { return mapped_bytes_; }
-  std::size_t spilled_segments() const { return spilled_segments_; }
-  std::size_t spill_failures() const { return spill_failures_; }
+  std::size_t spilled_bytes() const { return store_.spilled_bytes(); }
+  std::size_t mapped_bytes() const { return store_.mapped_bytes(); }
+  std::size_t spilled_segments() const { return store_.spilled_segments(); }
+  std::size_t spill_failures() const { return store_.spill_failures(); }
 
   /// Capacity of the dedup table (power of two; 0 before first insertion).
   /// Every interned configuration owns exactly one slot, so occupancy is
@@ -203,12 +185,12 @@ class ConfigArena {
   /// neither counts against the RAM budget; they get their own ledger
   /// accounts (arena.spill / arena.mapped).
   std::size_t words_bytes() const {
-    return resident_words_bytes_ + scratch_.capacity() * sizeof(Value);
+    return store_.resident_bytes() + scratch_.capacity() * sizeof(Value);
   }
   std::size_t table_bytes() const { return table_.capacity() * sizeof(Slot); }
   std::size_t memory_bytes() const { return words_bytes() + table_bytes(); }
 
-  std::size_t segment_configs() const { return seg_configs_; }
+  std::size_t segment_configs() const { return store_.segment_records(); }
 
  private:
   /// Buckets are the hash's top log2(table size) bits — a prefix of the
@@ -220,44 +202,18 @@ class ConfigArena {
     ConfigId id = kNoConfig;
   };
 
-  /// One fixed-size segment of seg_configs_ configurations. `data` is the
-  /// flat resident array (null once spilled); `blk` describes the
-  /// compressed block in the backing file after a spill.
-  struct Seg {
-    Value* data = nullptr;
-    util::spill::BackingFile::Block blk;
-  };
-
   void grow_table();
-  const Value* decode_spilled(const Seg& s, std::size_t local) const;
-  bool spill_segment(Seg& s);
-  void release_map(Seg& s);
-  void add_segment();
-  void alloc_seg_data(Seg& s);
 
   int n_;
   int m_;
   std::size_t words_;
-  std::size_t count_ = 0;
-  std::size_t seg_configs_ = 0;  ///< configs per segment (power of two)
-  std::size_t seg_mask_ = 0;     ///< seg_configs_ - 1
-  int seg_shift_ = 0;            ///< log2(seg_configs_)
-
-  std::vector<Seg> segs_;
+  util::spill::SpillStore<Value> store_;  ///< the packed words, by id
+  std::size_t spill_threshold_ = 0;
 
   std::vector<Value> scratch_;  ///< words_ staging words
   std::vector<Slot> table_;     ///< open addressing, power-of-two size
   std::size_t mask_ = 0;        ///< table size - 1 (probe wrap)
   int shift_ = 0;               ///< 64 - log2(table size) (bucket index)
-
-  util::spill::BackingFile spill_file_;
-  std::size_t spill_threshold_ = 0;
-  std::size_t first_resident_seg_ = 0;
-  std::size_t spilled_segments_ = 0;
-  std::size_t spill_failures_ = 0;
-  std::size_t resident_words_bytes_ = 0;
-  std::size_t spilled_bytes_ = 0;
-  std::size_t mapped_bytes_ = 0;
 };
 
 }  // namespace tsb::sim

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cerrno>
 #include <string>
 
 #include "obs/flight.hpp"
@@ -19,6 +20,19 @@ inline std::uint64_t mix64(std::uint64_t h) {
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
   return h ^ (h >> 31);
+}
+
+/// A stored edge renaming as canonicalize_states builds it: a permutation
+/// of the process slots [0, n) that fixes the unused slots beyond n.
+bool valid_renaming(std::uint64_t packed, int n) {
+  const ProcPerm pi(packed);
+  unsigned seen = 0;
+  for (int p = 0; p < ProcPerm::kMaxProcs; ++p) {
+    const int img = pi(p);
+    if (p < n ? img >= n : img != p) return false;
+    seen |= 1u << img;
+  }
+  return seen == 0xFFu;
 }
 }  // namespace
 
@@ -88,15 +102,14 @@ ReachGraph::ReachGraph(const Protocol& proto, Options opts)
                ProcPerm::identity().packed());
   }
   if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
-    arena_.set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
-                     opts_.spill_seg_configs);
-    if (opts_.graph_spill) {
-      // The edge stores share the arena's segment-size hint so CI smoke
-      // runs that shrink segments to force spilling force it everywhere.
-      edge_spill_on_ =
-          flags_.set_spill(opts_.spill_dir, opts_.spill_seg_configs) &&
-          succ_.set_spill(opts_.spill_dir, opts_.spill_seg_configs) &&
-          (!sym_ || perm_.set_spill(opts_.spill_dir, opts_.spill_seg_configs));
+    // The edge stores share the arena's segment-size hint so CI smoke
+    // runs that shrink segments to force spilling force it everywhere.
+    if (!arena_.set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
+                          opts_.spill_seg_configs) ||
+        !flags_.set_spill(opts_.spill_dir, opts_.spill_seg_configs) ||
+        !succ_.set_spill(opts_.spill_dir, opts_.spill_seg_configs) ||
+        (sym_ && !perm_.set_spill(opts_.spill_dir, opts_.spill_seg_configs))) {
+      util::spill::throw_unusable_dir(opts_.spill_dir, errno);
     }
   }
 }
@@ -130,7 +143,7 @@ void ReachGraph::update_ledger() const {
     ledger.set(obs::MemAccount::kArenaSpill, arena_.spilled_bytes());
     ledger.set(obs::MemAccount::kArenaMapped, arena_.mapped_bytes());
   }
-  if (edge_spill_on_ || edge_spilled_bytes() != 0) {
+  if (arena_.spill_enabled() || edge_spilled_bytes() != 0) {
     ledger.set(obs::MemAccount::kGraphSpill, edge_spilled_bytes());
     ledger.set(obs::MemAccount::kGraphMapped, edge_mapped_bytes());
   }
@@ -245,16 +258,33 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
     for (std::uint64_t i = 0; i < count; ++i) *flags_.write_ptr(i) = fb[i];
     const std::uint8_t* sb = r.get_bytes(edge_count * sizeof(ConfigId));
     for (std::uint64_t i = 0; i < count; ++i) {
-      std::memcpy(succ_.write_ptr(i),
+      ConfigId* row = succ_.write_ptr(i);
+      std::memcpy(row,
                   sb + i * static_cast<std::size_t>(n_) * sizeof(ConfigId),
                   static_cast<std::size_t>(n_) * sizeof(ConfigId));
+      for (int q = 0; q < n_; ++q) {
+        if (row[q] >= count && row[q] != kUnexpanded && row[q] != kNoConfig) {
+          throw util::CheckpointInvalid(
+              "checkpoint graph section carries successor id " +
+              std::to_string(row[q]) + " at node " + std::to_string(i) +
+              " but restores only " + std::to_string(count) + " nodes");
+        }
+      }
     }
     if (sym_) {
       const std::uint8_t* pb = r.get_bytes(edge_count * sizeof(std::uint64_t));
       for (std::uint64_t i = 0; i < count; ++i) {
-        std::memcpy(perm_.write_ptr(i),
+        std::uint64_t* row = perm_.write_ptr(i);
+        std::memcpy(row,
                     pb + i * static_cast<std::size_t>(n_) * sizeof(std::uint64_t),
                     static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
+        for (int q = 0; q < n_; ++q) {
+          if (!valid_renaming(row[q], n_)) {
+            throw util::CheckpointInvalid(
+                "checkpoint graph section carries a renaming at node " +
+                std::to_string(i) + " that permutes no process slots");
+          }
+        }
       }
     }
   }
@@ -352,7 +382,7 @@ void ReachGraph::ensure_marks(ConfigId id) {
 }
 
 void ReachGraph::maybe_spill_edges() {
-  if (!edge_spill_on_) return;
+  if (!arena_.spill_enabled()) return;
   const std::size_t target = opts_.spill_threshold_bytes;
   std::size_t resident = edge_resident_bytes();
   if (resident <= target) return;

@@ -88,26 +88,23 @@ class ReachGraph {
     /// the point — so once tripped, every later query throws
     /// util::BudgetExhausted too.
     std::size_t max_arena_bytes = 0;
-    /// Out-of-core node arena: once resident packed-node bytes exceed
-    /// spill_threshold_bytes (0 = never spill), cold full segments are
-    /// delta/varint-compressed to an unlinked backing file under
-    /// spill_dir and read back through mmap on demand. Spilled bytes
-    /// leave memory_bytes(), so max_arena_bytes caps RAM while the graph
-    /// keeps growing on disk. Unlike the explorer's cold-prefix pattern,
-    /// re-probes of spilled nodes pay a decode — spilling trades query
-    /// speed for the ability to finish at all.
+    /// Out-of-core storage: with spill_threshold_bytes != 0 the node arena
+    /// and each per-node edge store (successor ids, per-edge renamings,
+    /// decide flags) delta/varint-compress their cold full segments to
+    /// unlinked backing files under spill_dir and read them back through
+    /// mmap on demand. The arena and the edge stores each spill down to
+    /// the threshold on their own, so resident spillable bytes can reach
+    /// about twice it. Spilled bytes leave memory_bytes(), so
+    /// max_arena_bytes caps RAM while the graph keeps growing on disk.
+    /// Unlike the explorer's cold-prefix pattern, re-probes of spilled
+    /// nodes pay a decode — spilling trades query speed for the ability to
+    /// finish at all. An unusable spill_dir throws util::UsageError.
     std::string spill_dir = ".";
     std::size_t spill_threshold_bytes = 0;
-    /// Configs per arena segment (power of two, 0 = default ~4 MB): CI
-    /// smoke tests shrink it to force spilling on small campaigns.
+    /// Records per arena and edge segment (power of two, 0 = default
+    /// ~4 MB): CI smoke tests shrink it to force spilling on small
+    /// campaigns.
     std::size_t spill_seg_configs = 0;
-    /// Out-of-core edge arrays: with spilling enabled, the per-node edge
-    /// data (successor ids, per-edge renamings, decide flags) also spills
-    /// — each store's cold full segments compress to the same-format
-    /// backing files once their combined resident bytes exceed
-    /// spill_threshold_bytes. False reproduces the PR 7 behaviour (node
-    /// arena spills, edge arrays stay resident) for A/B runs.
-    bool graph_spill = true;
   };
 
   ReachGraph(const Protocol& proto, Options opts);
@@ -168,7 +165,6 @@ class ReachGraph {
   /// Edge-store spill accounting (graph.spill / graph.mapped ledger
   /// accounts): compressed bytes of the spilled edge segments on disk,
   /// their mmap'd read-back pages, and the resident remainder.
-  bool edge_spill_enabled() const { return edge_spill_on_; }
   std::size_t edge_spilled_bytes() const {
     return succ_.spilled_bytes() + perm_.spilled_bytes() +
            flags_.spilled_bytes();
@@ -179,13 +175,6 @@ class ReachGraph {
   std::size_t edge_resident_bytes() const {
     return succ_.resident_bytes() + perm_.resident_bytes() +
            flags_.resident_bytes();
-  }
-  std::size_t edge_spilled_segments() const {
-    return succ_.spilled_segments() + perm_.spilled_segments() +
-           flags_.spilled_segments();
-  }
-  std::size_t edge_faulted_in() const {
-    return succ_.faulted_in() + perm_.faulted_in() + flags_.faulted_in();
   }
 
   /// Serialize the engine's persistent cross-query state (node words,
@@ -200,7 +189,10 @@ class ReachGraph {
   /// node words are re-interned in id order so the dedup table rebuilds
   /// exactly, then flags/edges/facts are bulk-loaded without
   /// register_config. Shape mismatch (different n, word count, or
-  /// symmetry mode) throws util::CheckpointInvalid.
+  /// symmetry mode) throws util::CheckpointInvalid, and so does an edge
+  /// word no engine could have written: a successor id that is neither a
+  /// restored node nor a sentinel, or a renaming that is not a
+  /// permutation of the process slots.
   void restore(util::ckpt::SectionReader& r);
 
   /// State word marking a masked (outside-P) slot of a projected
@@ -307,7 +299,6 @@ class ReachGraph {
   util::spill::SpillStore<std::uint8_t> flags_;
   util::spill::SpillStore<ConfigId> succ_;
   util::spill::SpillStore<std::uint64_t> perm_;
-  bool edge_spill_on_ = false;
   FactMap facts_;
 
   std::chrono::steady_clock::time_point deadline_ =

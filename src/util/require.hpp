@@ -31,6 +31,14 @@ class BudgetExhausted : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
+/// A run configuration that cannot be honoured at all (e.g. a spill
+/// directory that cannot hold a backing file). Refused before any work is
+/// done, like a bad flag: the CLI maps it to the usage exit code (2).
+class UsageError : public std::runtime_error {
+ public:
+  explicit UsageError(const std::string& what) : std::runtime_error(what) {}
+};
+
 [[noreturn]] inline void require_failed(const char* expr, const char* file,
                                         int line, const std::string& msg) {
   throw RequirementFailed(std::string(file) + ":" + std::to_string(line) +

@@ -100,4 +100,15 @@ void throw_spill_failure(const std::string& name, int err,
       obs::MemLedger::global().attribution(3));
 }
 
+void throw_unusable_dir(const std::string& dir, int err) {
+  throw UsageError("spill directory '" + dir + "' is unusable (" +
+                   std::string(std::strerror(err)) +
+                   "); the out-of-core memory plan cannot be kept");
+}
+
+void require_usable_dir(const std::string& dir) {
+  BackingFile probe;
+  if (!probe.open(dir)) throw_unusable_dir(dir, errno);
+}
+
 }  // namespace tsb::util::spill

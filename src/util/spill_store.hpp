@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <cstddef>
 #include <cstdint>
@@ -219,36 +220,42 @@ class BackingFile {
   std::uint64_t end_ = 0;
 };
 
-/// A segmented, spillable array of fixed-stride records: the reach graph's
-/// per-node edge data (successor ids, per-edge renamings, decide flags)
-/// each live in one of these. Records are `stride` words of W, stored in
-/// power-of-two segments allocated flat; cold full segments compress into
-/// the BackingFile at quiescent points and decode on demand.
+/// The one segmented, spillable array of fixed-stride records: ConfigArena
+/// keeps its packed configurations in one, the reach graph its per-node
+/// edge data (successor ids, per-edge renamings, decide flags) in three
+/// more. Records are `stride` words of W in power-of-two segments allocated
+/// flat with new[] and filled only as ensure() admits records, so pages
+/// past the last record are never touched. Cold full segments compress
+/// into the BackingFile at quiescent points and decode on demand.
 ///
-/// Unlike ConfigArena's immutable configuration words, edge records MUTATE
-/// after they are first written (a later query with a different ProcSet
-/// expands a previously unexpanded edge at an old node), so write_ptr() on
-/// a spilled record faults the whole segment back to resident — decoding
-/// it, releasing the stale disk block (hole-punched), and letting the next
-/// quiescent spill re-encode it. read() on a spilled record decodes into a
-/// thread-local buffer and never faults anything in.
+/// Arena records never change once written, but edge records MUTATE (a
+/// later query with a different ProcSet expands a previously unexpanded
+/// edge at an old node), so write_ptr() on a spilled record faults the
+/// whole segment back to resident — decoding it, releasing the stale disk
+/// block (hole-punched), and letting the next quiescent spill re-encode it.
+/// read() on a spilled record decodes into a thread-local buffer and never
+/// faults anything in.
 ///
-/// Thread safety: none — callers are externally synchronized (the reach
-/// graph is single-threaded).
+/// Thread safety: none — every owner runs its whole reachability pass on
+/// one thread.
 template <class W>
 class SpillStore {
  public:
-  /// `name` labels ledger attributions and failure messages; `fill` is the
-  /// value new records are initialized to (kUnexpanded for successor ids).
+  SpillStore() = default;
+  ~SpillStore() { release_maps(); }
+  SpillStore(const SpillStore&) = delete;
+  SpillStore& operator=(const SpillStore&) = delete;
+
+  /// `name` labels failure messages; `fill` is the value admitted records
+  /// are initialized to (kUnexpanded for successor ids).
   void init(std::string name, std::size_t stride, W fill) {
     TSB_REQUIRE(segs_.empty(), "SpillStore::init on a non-empty store");
-    TSB_REQUIRE(stride >= 1 && stride <= 255,
-                "spill delta encoding stores word counts in one byte");
+    TSB_REQUIRE(stride >= 1, "SpillStore records need at least one word");
     name_ = std::move(name);
     stride_ = stride;
     fill_ = fill;
-    // Segments target ~4 MB each, like the arena: big enough to amortize
-    // the spill syscalls, small enough to be a meaningful spill quantum.
+    // Segments target ~4 MB each: big enough to amortize the spill
+    // syscalls, small enough to be a meaningful spill quantum.
     seg_recs_ = kGroupRecords;
     while (seg_recs_ * stride_ * sizeof(W) < (4u << 20) &&
            seg_recs_ < (1u << 22)) {
@@ -259,10 +266,12 @@ class SpillStore {
 
   /// Enable spilling to an unlinked backing file under `dir`.
   /// `seg_recs_hint` (0 = keep the ~4 MB default) shrinks segments so tiny
-  /// test runs still cross segment boundaries. Must be called while the
-  /// store is empty. Returns false if the directory is unusable.
+  /// test runs still cross segment boundaries. Must be called before the
+  /// first ensure(). Returns false if the directory is unusable.
   bool set_spill(const std::string& dir, std::size_t seg_recs_hint) {
-    TSB_REQUIRE(size_ == 0, "SpillStore::set_spill on a non-empty store");
+    TSB_REQUIRE(segs_.empty(), "SpillStore::set_spill after first ensure()");
+    TSB_REQUIRE(stride_ <= 255,
+                "spill delta encoding stores changed-word counts in one byte");
     if (seg_recs_hint != 0) {
       std::size_t sr = kGroupRecords;
       while (sr < seg_recs_hint) sr <<= 1;
@@ -276,20 +285,37 @@ class SpillStore {
   std::size_t size() const { return size_; }
   std::size_t stride() const { return stride_; }
   std::size_t segment_records() const { return seg_recs_; }
-  const std::string& name() const { return name_; }
 
-  /// Grow to at least `nrecs` records; new records read as `fill`.
+  /// Grow to at least `nrecs` records; newly admitted records read as fill.
   void ensure(std::size_t nrecs) {
-    if (nrecs <= cap_) {
-      if (nrecs > size_) size_ = nrecs;
-      return;
-    }
+    if (nrecs <= size_) return;
     while (cap_ < nrecs) {
       segs_.emplace_back();
       alloc_seg(segs_.back());
       cap_ += seg_recs_;
     }
-    size_ = nrecs;
+    // Records past size() live in resident segments: only full segments
+    // spill, and clear() re-arms every spilled one.
+    for (; size_ < nrecs; ++size_) {
+      std::fill_n(segs_[size_ >> shift_].data.get() + (size_ & mask_) * stride_,
+                  stride_, fill_);
+    }
+  }
+
+  /// Drop every record but keep the segments allocated for reuse: spilled
+  /// segments are re-armed, their blocks unmapped and the backing file
+  /// truncated.
+  void clear() {
+    size_ = 0;
+    if (spilled_segments_ == 0 && file_.end_offset() == 0) return;
+    for (Seg& s : segs_) {
+      release(s);
+      if (s.data == nullptr) alloc_seg(s);
+    }
+    file_.truncate();
+    first_resident_ = 0;
+    spilled_segments_ = 0;
+    spilled_bytes_ = 0;
   }
 
   /// Read access to one record. Resident segments return a direct pointer;
@@ -306,19 +332,15 @@ class SpillStore {
   /// stale either way).
   W* write_ptr(std::size_t idx) {
     Seg& s = segs_[idx >> shift_];
-    if (s.data == nullptr) fault_in(s);
+    if (s.data == nullptr) fault_in(idx >> shift_);
     return s.data.get() + (idx & mask_) * stride_;
   }
 
   /// True when resident bytes exceed `resident_target` and a cold full
-  /// segment exists to release. Cheap.
+  /// segment may be left to release. Cheap.
   bool spill_needed(std::size_t resident_target) const {
-    if (!file_.valid() || resident_bytes_ <= resident_target) return false;
-    const std::size_t full = size_ >> shift_;
-    for (std::size_t i = 0; i < full; ++i) {
-      if (segs_[i].data != nullptr) return true;
-    }
-    return false;
+    return file_.valid() && resident_bytes_ > resident_target &&
+           first_resident_ < size_ >> shift_;
   }
 
   /// Spill cold full segments (lowest record ids first) until resident
@@ -330,11 +352,9 @@ class SpillStore {
   /// pretending otherwise would trade a clean exit 4 for an OOM-kill later.
   std::size_t maybe_spill(std::size_t resident_target, std::size_t pin_floor);
 
-  std::size_t resident_bytes() const {
-    // The TLS decode buffer is shared across stores and bounded by one
-    // record; charge the segment arrays only.
-    return resident_bytes_;
-  }
+  /// Heap bytes of the allocated segment arrays. The TLS decode buffer is
+  /// shared across stores and bounded by one record, so it is not charged.
+  std::size_t resident_bytes() const { return resident_bytes_; }
   std::size_t spilled_bytes() const { return spilled_bytes_; }
   std::size_t mapped_bytes() const { return mapped_bytes_; }
   std::size_t spilled_segments() const { return spilled_segments_; }
@@ -354,21 +374,31 @@ class SpillStore {
   }
 
   void alloc_seg(Seg& s) {
-    const std::size_t n = seg_recs_ * stride_;
-    s.data.reset(new W[n]);
-    for (std::size_t i = 0; i < n; ++i) s.data[i] = fill_;
-    resident_bytes_ += n * sizeof(W);
+    // Uninitialized: ensure() fills records as it admits them.
+    s.data.reset(new W[seg_recs_ * stride_]);
+    resident_bytes_ += seg_recs_ * stride_ * sizeof(W);
   }
 
-  void fault_in(Seg& s) {
+  void release(Seg& s) {
+    if (!s.blk.valid()) return;
+    mapped_bytes_ -= s.blk.map_len;
+    file_.release(s.blk);
+  }
+
+  void release_maps() {
+    for (Seg& s : segs_) release(s);
+  }
+
+  void fault_in(std::size_t seg) {
+    Seg& s = segs_[seg];
     const std::size_t n = seg_recs_ * stride_;
     std::unique_ptr<W[]> fresh(new W[n]);
     decode_all<W>(s.blk.map + s.blk.skip, seg_recs_, stride_, fresh.get());
     spilled_bytes_ -= s.blk.bytes;
-    mapped_bytes_ -= s.blk.map_len;
-    file_.release(s.blk);
+    release(s);
     s.data = std::move(fresh);
     resident_bytes_ += n * sizeof(W);
+    if (seg < first_resident_) first_resident_ = seg;
     ++faulted_in_;
   }
 
@@ -388,6 +418,8 @@ class SpillStore {
   std::size_t size_ = 0;
   std::size_t cap_ = 0;
   std::vector<Seg> segs_;
+  /// Every segment below this index is spilled; the spill loop starts here.
+  std::size_t first_resident_ = 0;
   BackingFile file_;
   std::size_t resident_bytes_ = 0;
   std::size_t spilled_bytes_ = 0;
@@ -402,6 +434,14 @@ class SpillStore {
                                       std::size_t resident_bytes,
                                       std::size_t resident_target);
 
+/// Refuse a run whose spill directory cannot hold a backing file (errno
+/// `err` from the failed open): throws util::UsageError naming `dir`.
+[[noreturn]] void throw_unusable_dir(const std::string& dir, int err);
+
+/// Probe `dir` with a backing file (unlinked at once, closed on return),
+/// so a run refuses an unusable spill directory before doing any work.
+void require_usable_dir(const std::string& dir);
+
 template <class W>
 std::size_t SpillStore<W>::maybe_spill(std::size_t resident_target,
                                        std::size_t pin_floor) {
@@ -414,25 +454,27 @@ std::size_t SpillStore<W>::maybe_spill(std::size_t resident_target,
   const std::size_t limit = full < pinned ? full : pinned;
   std::size_t released = 0;
   std::vector<std::uint8_t> block;
-  for (std::size_t i = 0; i < limit; ++i) {
+  for (std::size_t i = first_resident_; i < limit; ++i) {
     if (resident_bytes_ <= resident_target) break;
     Seg& s = segs_[i];
-    if (s.data == nullptr) continue;
-    encode_block<W>(s.data.get(), seg_recs_, stride_, block);
-    BackingFile::Block blk;
-    if (!file_.append(block.data(), block.size(), blk)) {
-      ++spill_failures_;
-      const int err = errno;
-      file_.close();
-      throw_spill_failure(name_, err, resident_bytes_, resident_target);
+    if (s.data != nullptr) {
+      encode_block<W>(s.data.get(), seg_recs_, stride_, block);
+      BackingFile::Block blk;
+      if (!file_.append(block.data(), block.size(), blk)) {
+        ++spill_failures_;
+        const int err = errno;
+        file_.close();
+        throw_spill_failure(name_, err, resident_bytes_, resident_target);
+      }
+      s.blk = blk;
+      s.data.reset();
+      resident_bytes_ -= seg_bytes;
+      spilled_bytes_ += blk.bytes;
+      mapped_bytes_ += blk.map_len;
+      ++spilled_segments_;
+      released += seg_bytes;
     }
-    s.blk = blk;
-    s.data.reset();
-    resident_bytes_ -= seg_bytes;
-    spilled_bytes_ += blk.bytes;
-    mapped_bytes_ += blk.map_len;
-    ++spilled_segments_;
-    released += seg_bytes;
+    first_resident_ = i + 1;
   }
   return released;
 }

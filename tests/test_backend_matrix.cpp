@@ -4,8 +4,9 @@
 //
 //   backend  reuse (the shared-subgraph engine) or no-reuse (fresh BFS per
 //            query, the differential anchor)
-//   spill    none; arena (node/config segments out of core); arena + graph
-//            (the shared engine's edge arrays too, so reuse only)
+//   spill    resident; or spilled (every store out of core: the node/config
+//            arena, plus the shared engine's edge arrays under reuse — the
+//            cell name says which, "arena_graph" or "arena")
 //   resume   straight through; or stopped at a quiescent point after a
 //            final checkpoint, then resumed from it
 //
@@ -32,7 +33,7 @@ namespace {
 namespace fs = std::filesystem;
 using util::ckpt::CheckpointService;
 
-enum class Spill { kNone, kArena, kArenaGraph };
+enum class Spill { kResident, kSpilled };
 
 struct Cell {
   int n;
@@ -42,10 +43,11 @@ struct Cell {
 };
 
 std::string cell_name(const Cell& c) {
-  static const char* const kSpill[] = {"resident", "arena", "arena_graph"};
+  const char* spill = c.spill == Spill::kResident ? "resident"
+                      : c.reuse                    ? "arena_graph"
+                                                   : "arena";
   return "n" + std::to_string(c.n) + "_" + (c.reuse ? "reuse" : "noreuse") +
-         "_" + kSpill[static_cast<int>(c.spill)] + "_" +
-         (c.resume ? "resumed" : "straight");
+         "_" + spill + "_" + (c.resume ? "resumed" : "straight");
 }
 
 // Test names and gtest's parameter printout use the cell name (the default
@@ -55,12 +57,11 @@ void PrintTo(const Cell& c, std::ostream* os) { *os << cell_name(c); }
 std::vector<Cell> all_cells() {
   std::vector<Cell> out;
   for (const int n : {3, 4, 5}) {
-    for (const Spill spill : {Spill::kNone, Spill::kArena, Spill::kArenaGraph}) {
+    for (const Spill spill : {Spill::kResident, Spill::kSpilled}) {
       for (const bool resume : {false, true}) {
         out.push_back({n, true, spill, resume});
         const bool polls = n == 5;
-        if (spill != Spill::kArenaGraph &&
-            (polls || (spill == Spill::kNone && !resume))) {
+        if (polls || (spill == Spill::kResident && !resume)) {
           out.push_back({n, false, spill, resume});
         }
       }
@@ -101,14 +102,13 @@ TEST_P(BackendMatrix, CertificateMatchesResidentStraightReuseRun) {
   const std::string base = tdir(cell_name(cell));
   bound::SpaceBoundAdversary::Options opts;
   opts.reuse = cell.reuse;
-  if (cell.spill != Spill::kNone) {
+  if (cell.spill == Spill::kSpilled) {
     opts.spill_dir = base + "/spill";
     fs::create_directories(opts.spill_dir);
     // Threshold 1 byte + 64-record segments: every cold full segment
     // leaves RAM at each quiescent point, on test-sized runs.
     opts.spill_threshold_bytes = 1;
     opts.spill_seg_configs = 64;
-    opts.graph_spill = cell.spill == Spill::kArenaGraph;
   }
   if (cell.resume) {
     opts.checkpoint_dir = base + "/ckpt";
@@ -147,13 +147,13 @@ TEST_P(BackendMatrix, CertificateMatchesResidentStraightReuseRun) {
     EXPECT_EQ(got.reach_expanded, 0u);
   }
 
-  if (cell.spill != Spill::kNone) {
+  if (cell.spill == Spill::kSpilled) {
     EXPECT_GT(obs::MemLedger::global().peak(obs::MemAccount::kArenaSpill), 0u)
         << "the arena never spilled";
     // Backing files are unlinked at creation: nothing may remain.
     EXPECT_TRUE(dir_empty(opts.spill_dir));
   }
-  if (cell.spill == Spill::kArenaGraph) {
+  if (cell.spill == Spill::kSpilled && cell.reuse) {
     EXPECT_GT(got.graph_spilled_bytes, 0u) << "the edge arrays never spilled";
   } else {
     EXPECT_EQ(got.graph_spilled_bytes, 0u);

@@ -28,8 +28,10 @@
 #include "bound/adversary.hpp"
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
+#include "consensus/racing.hpp"
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
+#include "sim/reach_graph.hpp"
 #include "util/checkpoint.hpp"
 #include "util/iofault.hpp"
 #include "util/require.hpp"
@@ -548,6 +550,90 @@ TEST(OracleState, FingerprintCoversVerdictAffectingOptions) {
   bound::ValencyOracle no_reuse(p3, {.reuse = false});
   EXPECT_NE(base.state_fingerprint(), other_shape.state_fingerprint());
   EXPECT_NE(base.state_fingerprint(), no_reuse.state_fingerprint());
+}
+
+// --- Hostile graph sections ------------------------------------------------
+
+/// A CRC-valid "graph" section for `proto` with two nodes (all-zero and
+/// all-one words), no facts, and the given per-node edge rows: `succ` holds
+/// 2 * n successor ids and, in symmetric mode, `perm` 2 * n renamings.
+/// Written through SectionWriter, so only the graph parser can refuse it.
+std::string write_graph_section(const std::string& tag,
+                                const sim::Protocol& proto,
+                                const std::vector<std::uint32_t>& succ,
+                                const std::vector<std::uint64_t>& perm) {
+  const int n = proto.num_processes();
+  const std::size_t words =
+      static_cast<std::size_t>(n + proto.num_registers());
+  const std::string path = tdir(tag) + "/graph.bin";
+  SectionWriter w(path);
+  w.begin("graph");
+  w.put_u32(static_cast<std::uint32_t>(n));
+  w.put_u32(static_cast<std::uint32_t>(words));
+  w.put_u8(perm.empty() ? 0 : 1);
+  w.put_u8(1);  // facts on (n <= 28)
+  w.put_u64(2);
+  for (const sim::Value v : {sim::Value{0}, sim::Value{1}}) {
+    const std::vector<sim::Value> node(words, v);
+    w.put_bytes(node.data(), words * sizeof(sim::Value));
+  }
+  const std::uint8_t flags[2] = {0, 0};
+  w.put_bytes(flags, sizeof flags);
+  w.put_bytes(succ.data(), succ.size() * sizeof(std::uint32_t));
+  if (!perm.empty()) w.put_bytes(perm.data(), perm.size() * sizeof(std::uint64_t));
+  w.put_u64(0);  // facts
+  for (int i = 0; i < 4; ++i) w.put_u64(0);  // expansion counters
+  w.end();
+  w.finish();
+  return path;
+}
+
+void restore_graph(const sim::Protocol& proto, const std::string& path) {
+  sim::ReachGraph graph(proto, {});
+  SectionReader r(path);
+  graph.restore(r);
+}
+
+// Edge sentinels as ReachGraph stores them: never expanded / decided here.
+constexpr std::uint32_t kUnexpanded = 0xFFFFFFFEu;
+constexpr std::uint32_t kNoSucc = 0xFFFFFFFFu;
+constexpr std::uint64_t kIdentityPerm = 0x0706050403020100ull;
+
+TEST(GraphRestore, OutOfRangeSuccessorIdIsRefused) {
+  consensus::BallotConsensus proto(3, 6);
+  ASSERT_FALSE(proto.symmetric());
+  // Control: in-range ids and both sentinels restore.
+  EXPECT_NO_THROW(restore_graph(
+      proto, write_graph_section("succ_ok", proto,
+                                 {1, kUnexpanded, kNoSucc, 0, 1, kUnexpanded},
+                                 {})));
+  // Id 2 names a node the section does not restore: it would index the
+  // visited marks and the arena out of bounds on the first walk.
+  EXPECT_THROW(restore_graph(proto, write_graph_section(
+                                        "succ_bad", proto,
+                                        {1, kUnexpanded, kNoSucc, 0, 2, 1},
+                                        {})),
+               CheckpointInvalid);
+}
+
+TEST(GraphRestore, NonPermutationRenamingIsRefused) {
+  consensus::RacingConsensus proto(3);
+  ASSERT_TRUE(proto.symmetric());
+  const std::vector<std::uint32_t> succ(6, kUnexpanded);
+  std::vector<std::uint64_t> perm(6, kIdentityPerm);
+  perm[1] = 0x0706050403020001ull;  // a real renaming: swaps slots 0 and 1
+  EXPECT_NO_THROW(
+      restore_graph(proto, write_graph_section("perm_ok", proto, succ, perm)));
+  // Slot 0 renamed to 9: ProcPerm would shift by 72 bits.
+  perm[4] = 0x0706050403020109ull;
+  EXPECT_THROW(
+      restore_graph(proto, write_graph_section("perm_wide", proto, succ, perm)),
+      CheckpointInvalid);
+  // In range but not a bijection: slots 0 and 1 both map to 0.
+  perm[4] = 0x0706050403020000ull;
+  EXPECT_THROW(
+      restore_graph(proto, write_graph_section("perm_dup", proto, succ, perm)),
+      CheckpointInvalid);
 }
 
 // --- Adversary-level resume ------------------------------------------------

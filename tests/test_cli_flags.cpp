@@ -217,6 +217,16 @@ TEST(ParseArgs, SpillDefaultsAndValidation) {
   EXPECT_FALSE(parse_args({"--spill-seg-configs=0"}).ok);
 }
 
+TEST(ParseArgs, NoGraphSpillIsAnUnknownFlag) {
+  // Edge spilling follows --spill-threshold like the node arena does; the
+  // toggle that kept the edge arrays resident is gone, so main() answers
+  // it with the usage exit code (2).
+  const auto r = parse_args({"adversary", "5", "--spill-threshold=256k",
+                             "--no-graph-spill"});
+  ASSERT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "unknown flag: --no-graph-spill");
+}
+
 TEST(ParseArgs, MonitorSubcommandOnce) {
   const auto r = parse_args({"monitor", "run.jsonl", "--once"});
   ASSERT_TRUE(r.ok);

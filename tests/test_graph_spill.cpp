@@ -5,12 +5,17 @@
 //
 //   * a forced-spill campaign produces the IDENTICAL verdict, certificate,
 //     and expansion count as the fully-resident run (test_backend_matrix);
-//   * --no-graph-spill keeps the edge arrays resident with the same verdict;
 //   * a checkpoint taken while edge segments are on disk restores into a
 //     warm oracle that answers without re-exploration;
 //   * a write failure on an edge-segment append degrades to
 //     util::BudgetExhausted (the CLI's exit-4 path) and leaves no debris —
-//     backing files are unlinked at creation, so a fault can strand nothing.
+//     backing files are unlinked at creation, so a fault can strand nothing;
+//   * a spill directory that cannot hold a backing file is refused with
+//     util::UsageError (the CLI's exit-2 path) before any valency query.
+//
+// The store under every one of them, util::spill::SpillStore, is tested
+// directly too: admitted records read as the fill value whatever happened
+// to their segment before, and clear() re-arms spilled segments.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +28,7 @@
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
 #include "sim/engine.hpp"
+#include "sim/reach_graph.hpp"
 #include "util/checkpoint.hpp"
 #include "util/iofault.hpp"
 #include "util/require.hpp"
@@ -53,55 +59,141 @@ std::size_t dir_entries(const std::string& d) {
   return n;
 }
 
-bound::SpaceBoundAdversary::Result run_spilled(int n, int cap,
-                                               bool graph_spill,
-                                               const std::string& dir) {
-  consensus::BallotConsensus proto(n, cap);
-  bound::SpaceBoundAdversary::Options opts;
-  opts.spill_dir = dir;
-  // Threshold 1 byte + 64-record segments: every cold full segment of
-  // every store leaves RAM at each quiescent point, on test-sized runs.
-  opts.spill_threshold_bytes = 1;
-  opts.spill_seg_configs = 64;
-  opts.graph_spill = graph_spill;
-  bound::SpaceBoundAdversary adversary(proto, opts);
-  return adversary.run();
+// --- SpillStore ---------------------------------------------------------------
+
+constexpr std::uint64_t kFill = 0xF111F111F111F111ull;
+constexpr std::size_t kNoPin = std::numeric_limits<std::size_t>::max();
+
+/// Overwrite records [from, to) with values that are never kFill.
+void scribble(util::spill::SpillStore<std::uint64_t>& store, std::size_t from,
+              std::size_t to, std::uint64_t salt) {
+  for (std::size_t i = from; i < to; ++i) {
+    std::uint64_t* row = store.write_ptr(i);
+    for (std::size_t w = 0; w < store.stride(); ++w) row[w] = salt + i * 4 + w;
+  }
 }
 
-void expect_same_certificate(const bound::SpaceBoundAdversary::Result& a,
-                             const bound::SpaceBoundAdversary::Result& b) {
-  EXPECT_EQ(a.certificate.protocol, b.certificate.protocol);
-  EXPECT_EQ(a.certificate.inputs, b.certificate.inputs);
-  EXPECT_EQ(a.certificate.schedule.steps(), b.certificate.schedule.steps());
-  EXPECT_EQ(a.certificate.covering, b.certificate.covering);
-  EXPECT_EQ(a.check.distinct_registers, b.check.distinct_registers);
-  EXPECT_EQ(a.check.registers, b.check.registers);
+void expect_fill(const util::spill::SpillStore<std::uint64_t>& store,
+                 std::size_t from, std::size_t to, const char* when) {
+  for (std::size_t i = from; i < to; ++i) {
+    const std::uint64_t* row = store.read(i);
+    for (std::size_t w = 0; w < store.stride(); ++w) {
+      ASSERT_EQ(row[w], kFill) << when << ": record " << i << " word " << w;
+    }
+  }
 }
 
-// --- A/B: edge spilling on and off -----------------------------------------
+TEST(SpillStore, AdmittedRecordsReadAsFillAfterAllocationFaultInAndClear) {
+  util::spill::SpillStore<std::uint64_t> store;
+  store.init("test", 3, kFill);
+  ASSERT_TRUE(store.set_spill(tdir("store_fill"), 64));
+  ASSERT_EQ(store.segment_records(), 64u);
 
-TEST(GraphSpill, NoGraphSpillFlagKeepsEdgesResidentWithSameVerdict) {
-  // --no-graph-spill reproduces the node-arena-only behaviour: the A/B
-  // anchor for attributing wins to edge spilling specifically.
-  const auto full = run_spilled(4, 8, true, tdir("ab_full"));
-  const auto arena_only = run_spilled(4, 8, false, tdir("ab_arena"));
-  ASSERT_TRUE(full.ok) << full.error;
-  ASSERT_TRUE(arena_only.ok) << arena_only.error;
-  expect_same_certificate(full, arena_only);
-  EXPECT_EQ(arena_only.reach_expanded, full.reach_expanded);
-  EXPECT_GT(full.graph_spilled_bytes, 0u);
-  EXPECT_EQ(arena_only.graph_spilled_bytes, 0u);
+  // A fresh segment: the admitted records read as fill.
+  store.ensure(10);
+  expect_fill(store, 0, 10, "fresh segment");
+
+  // Two full segments, even records written, odd ones left as admitted.
+  store.ensure(128);
+  for (std::size_t i = 0; i < 128; i += 2) scribble(store, i, i + 1, 1000);
+  ASSERT_GT(store.maybe_spill(0, kNoPin), 0u);
+  ASSERT_EQ(store.spilled_segments(), 2u);
+  for (std::size_t i = 1; i < 128; i += 2) {
+    expect_fill(store, i, i + 1, "spilled (decoded) segment");
+  }
+  // A third segment allocated after the spill.
+  store.ensure(150);
+  expect_fill(store, 128, 150, "segment allocated after a spill");
+
+  // Fault segment 0 back in through a write: its untouched records still
+  // read as fill.
+  store.write_ptr(0)[0] = 7;
+  ASSERT_EQ(store.faulted_in(), 1u);
+  for (std::size_t i = 1; i < 64; i += 2) {
+    expect_fill(store, i, i + 1, "faulted-in segment");
+  }
+
+  // Dirty every record (resident, faulted-in and spilled segments alike),
+  // then clear and regrow past the old size: nothing stale may show.
+  scribble(store, 0, 150, 5000);
+  ASSERT_GT(store.maybe_spill(0, kNoPin), 0u);
+  store.clear();
+  EXPECT_EQ(store.size(), 0u);
+  store.ensure(200);
+  expect_fill(store, 0, 200, "regrowth after clear");
+}
+
+TEST(SpillStore, ClearWithoutSpillingRefillsRegrownRecords) {
+  util::spill::SpillStore<std::uint64_t> store;
+  store.init("test", 2, kFill);
+  store.ensure(100);
+  scribble(store, 0, 100, 9000);
+  store.clear();
+  store.ensure(100);
+  expect_fill(store, 0, 100, "regrowth after a resident clear");
+}
+
+TEST(SpillStore, ClearRearmsSpilledSegmentsForReuse) {
+  util::spill::SpillStore<std::uint64_t> store;
+  store.init("test", 4, 0);
+  ASSERT_TRUE(store.set_spill(tdir("store_rearm"), 64));
+  store.ensure(300);
+  scribble(store, 0, 300, 0);
+  ASSERT_GT(store.maybe_spill(0, kNoPin), 0u);
+  store.clear();
+  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.spilled_bytes(), 0u);
+  EXPECT_EQ(store.mapped_bytes(), 0u);
+
+  // Second generation with different contents: the re-armed segments must
+  // hold and spill the new records correctly.
+  store.ensure(300);
+  scribble(store, 0, 300, 70'000);
+  ASSERT_GT(store.maybe_spill(0, kNoPin), 0u);
+  for (std::size_t i = 0; i < 300; ++i) {
+    ASSERT_EQ(store.read(i)[3], 70'000 + i * 4 + 3) << "record " << i;
+  }
+}
+
+// --- An unusable spill directory ----------------------------------------------
+
+TEST(SpillDir, UnusableDirectoryIsRefusedBeforeAnyQuery) {
+  const std::string bad = tdir("unusable") + "/missing/dir";
+  consensus::BallotConsensus proto(3, 6);
+
+  bound::ValencyOracle::Options oo;
+  oo.spill_dir = bad;
+  oo.spill_threshold_bytes = 64 << 10;
+  try {
+    bound::ValencyOracle oracle(proto, oo);
+    FAIL() << "an unusable spill directory was accepted";
+  } catch (const util::UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
+  }
+  // The engine refuses on its own too, rather than running resident.
+  EXPECT_THROW(sim::ReachGraph(proto, {.spill_dir = bad,
+                                       .spill_threshold_bytes = 64 << 10}),
+               util::UsageError);
+
+  // Both adversary backends refuse the run outright: no verdict, no
+  // budget outcome, just the refusal.
+  for (const bool reuse : {true, false}) {
+    bound::SpaceBoundAdversary::Options ao;
+    ao.reuse = reuse;
+    ao.spill_dir = bad;
+    ao.spill_threshold_bytes = 64 << 10;
+    EXPECT_THROW(bound::SpaceBoundAdversary(proto, ao).run(), util::UsageError)
+        << "reuse=" << reuse;
+  }
 }
 
 // --- Checkpoint while edges are on disk -------------------------------------
 
-bound::ValencyOracle::Options spill_opts(const std::string& dir,
-                                         bool graph_spill = true) {
+bound::ValencyOracle::Options spill_opts(const std::string& dir) {
   bound::ValencyOracle::Options o;
   o.spill_dir = dir;
   o.spill_threshold_bytes = 1;
   o.spill_seg_configs = 64;
-  o.graph_spill = graph_spill;
   return o;
 }
 
@@ -141,41 +233,6 @@ TEST(GraphSpillCheckpoint, SaveWithEdgesOnDiskRestoresWarmAndSpilled) {
   EXPECT_EQ(b.can_decide(init, everyone, 0), can0);
   EXPECT_EQ(b.explorations(), 0u)
       << "restored spilled state missed the memo and re-explored";
-}
-
-TEST(GraphSpillCheckpoint, SpilledStateRestoresIntoEdgeResidentOracle) {
-  // graph_spill is a pure memory-plan knob, excluded from the fingerprint
-  // (unlike spill_thresh/spill_seg, which shape the arena layout): a
-  // campaign may checkpoint with edges on disk and resume with them
-  // resident, e.g. for an A/B run on the same warm state.
-  consensus::BallotConsensus proto(3, 6);
-  const sim::Config init = sim::initial_config(proto, {0, 1, 1});
-  const sim::ProcSet everyone = sim::ProcSet::first_n(3);
-
-  bound::ValencyOracle spilled(proto, spill_opts(tdir("xr_a")));
-  const bool biv = spilled.bivalent(init, everyone);
-
-  const std::string path = tdir("xr_state") + "/state.bin";
-  {
-    SectionWriter w(path);
-    spilled.save_state(w);
-    w.finish();
-  }
-
-  // Same arena spill plan, edge spilling off.
-  bound::ValencyOracle resident(proto,
-                                spill_opts(tdir("xr_b"), /*graph_spill=*/false));
-  EXPECT_EQ(resident.state_fingerprint(), spilled.state_fingerprint());
-  {
-    SectionReader r(path);
-    resident.restore_state(r);
-    r.expect_end();
-  }
-  EXPECT_EQ(resident.graph_nodes(), spilled.graph_nodes());
-  EXPECT_EQ(resident.graph_spilled_bytes(), 0u)
-      << "graph_spill=false restore still pushed edges to disk";
-  EXPECT_EQ(resident.bivalent(init, everyone), biv);
-  EXPECT_EQ(resident.explorations(), 0u);
 }
 
 // --- Hostile I/O ------------------------------------------------------------

@@ -58,18 +58,17 @@
 //   --time-budget-ms=MS        wall-clock watchdog across valency queries
 //
 // Out-of-core flags (tsb adversary; campaigns past the RAM wall):
-//   --spill-threshold=BYTES[k|m|g]  once resident packed configs pass this,
-//                    cold arena segments are delta/varint-compressed to an
-//                    unlinked backing file and read back through mmap; the
-//                    ledger tracks disk bytes under arena.spill. The shared
-//                    engine's edge arrays spill the same way (graph.spill)
-//                    unless --no-graph-spill. 0 = off.
+//   --spill-threshold=BYTES[k|m|g]  cold arena and edge segments past this
+//                    many resident bytes are delta/varint-compressed to
+//                    unlinked backing files and read back through mmap
+//                    (ledger: arena.spill, graph.spill). The arena and the
+//                    edge arrays each spill down to it on their own, so
+//                    resident spillable bytes can reach about twice it.
 //   --spill-dir=DIR  where the backing files live (default "."; pick a
-//                    real disk, not tmpfs, or spilling cannot free RAM)
+//                    real disk, not tmpfs, or spilling cannot free RAM); a
+//                    directory that cannot hold one is refused with exit 2
 //   --spill-seg-configs=N  configs per arena/edge segment (testing/CI:
 //                    small values force spilling on small campaigns)
-//   --no-graph-spill  keep the edge arrays resident (node arena still
-//                    spills): the pre-edge-spill memory plan, for A/B runs
 //
 // Crash-safe campaigns (tsb adversary / tsb resume):
 //   --checkpoint-dir=DIR    checkpoint the oracle's session state (roots,
@@ -91,7 +90,8 @@
 // Exit codes (distinct so CI can tell misuse from refutation):
 //   0  success
 //   1  violation / failed construction / report inconsistency
-//   2  usage error: unknown subcommand, unknown protocol, bad flag
+//   2  usage error: unknown subcommand, unknown protocol, bad flag,
+//      unusable --spill-dir
 //   3  chaos campaign clean of violations but some runs timed out
 //   4  budget exhausted (adversary stopped by --mem-budget/--time-budget-ms)
 //   5  checkpointed and stopped (SIGTERM/SIGINT at a quiescent point after
@@ -180,7 +180,6 @@ int usage() {
          "                   shared-subgraph engine)\n"
          "out-of-core: --spill-threshold=BYTES[k|m|g] --spill-dir=DIR\n"
          "             --spill-seg-configs=N (segment size, testing)\n"
-         "             --no-graph-spill (edge arrays stay resident)\n"
          "checkpointing: --checkpoint-dir=DIR --checkpoint-interval-ms=MS\n"
          "               --checkpoint-every=N (SIGTERM/SIGINT = checkpoint\n"
          "               and stop; continue with tsb resume DIR)\n"
@@ -241,7 +240,6 @@ int cmd_adversary(int n, int cap, const ObsFlags& obs_flags,
       static_cast<std::size_t>(obs_flags.spill_threshold);
   opts.spill_seg_configs =
       static_cast<std::size_t>(obs_flags.spill_seg_configs);
-  opts.graph_spill = !obs_flags.no_graph_spill;
   opts.checkpoint_dir = checkpoint_dir;
   opts.checkpoint_interval_ms = obs_flags.checkpoint_interval_ms;
   opts.checkpoint_every = obs_flags.checkpoint_every;
@@ -687,6 +685,10 @@ int main(int argc, char** argv) {
   } else {
     return usage();
   }
+  } catch (const util::UsageError& e) {
+    // An unusable --spill-dir: refused before any work, like a bad flag.
+    std::cerr << "tsb: " << e.what() << "\n";
+    rc = kExitUsage;
   } catch (const util::CheckpointInvalid& e) {
     // A refusal, never a degraded answer: resume (or a mid-run write that
     // discovered corruption on load) found state it cannot trust. The

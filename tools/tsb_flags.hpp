@@ -50,10 +50,6 @@ struct ObsFlags {
   std::string spill_dir = ".";        ///< --spill-dir=DIR (backing file home)
   std::uint64_t spill_threshold = 0;  ///< --spill-threshold=BYTES[k|m|g]; 0=off
   std::uint64_t spill_seg_configs = 0;///< --spill-seg-configs=N; 0 = default
-  /// --no-graph-spill: with --spill-threshold set, keep the shared
-  /// engine's edge arrays resident (node arena still spills) — the PR 7
-  /// memory plan, kept for A/B runs against out-of-core edge storage.
-  bool no_graph_spill = false;
 
   /// --no-reuse: run valency queries on the fresh-BFS-per-query backend
   /// instead of the shared-subgraph engine (differential anchor / A-B
@@ -156,8 +152,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       }
     } else if (a == "--no-reuse") {
       out.flags.no_reuse = true;
-    } else if (a == "--no-graph-spill") {
-      out.flags.no_graph_spill = true;
     } else if (a == "--metrics") {
       out.flags.metrics = true;
     } else if (a == "--progress") {
