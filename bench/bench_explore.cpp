@@ -8,7 +8,7 @@
 //                      [max_n]
 //   --smoke       one small run (n = 4, low cap) for CI
 //   --overhead    E13: instrumentation cost — the same enumeration at six
-//                 tiers (off / stats / stats+trace / prof+flight /
+//                 tiers (off / stats / stats+trace / flight /
 //                 stats+ticks / checkpoint), configs/sec each,
 //                 plus the per-level table recovered from the stats JSONL
 //                 by the same analyzer `tsb report` uses
@@ -84,8 +84,8 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
     const char* name;
     bool stats;
     bool trace;
-    bool prof;   ///< sampling profiler + flight recorder (PR 6 acceptance:
-                 ///< within a few percent of the bare run)
+    bool flight;  ///< flight recorder armed (expected within a few
+                  ///< percent of the bare run)
     bool ticks;  ///< stats stream with heartbeat telemetry ticks and the
                  ///< watchdog at a 100 ms cadence (gate: within tolerance
                  ///< of the stats tier — one JSONL append + flush per tick)
@@ -97,7 +97,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
   const Tier tiers[] = {{"off", false, false, false, false},
                         {"stats", true, false, false, false},
                         {"stats+trace", true, true, false, false},
-                        {"prof+flight", false, false, true, false},
+                        {"flight", false, false, true, false},
                         {"stats+ticks", true, false, false, true},
                         {"checkpoint", false, false, false, false, true}};
 
@@ -129,13 +129,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
       return 1;
     }
     if (tier.trace) obs::TraceSink::global().enable(1 << 18);
-    if (tier.prof) {
-      obs::flight::enable();
-      if (!obs::Profiler::global().start(200)) {
-        std::cerr << "could not start the sampling profiler\n";
-        return 1;
-      }
-    }
+    if (tier.flight) obs::flight::enable();
     const std::chrono::milliseconds saved_interval = obs::progress_interval();
     if (tier.ticks) {
       obs::telemetry::reset();
@@ -178,10 +172,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
       std::filesystem::remove_all(ckpt_dir, ec);
     }
     if (tier.ticks) obs::set_progress_interval(saved_interval);
-    if (tier.prof) {
-      obs::Profiler::global().stop();
-      obs::flight::disable();
-    }
+    if (tier.flight) obs::flight::disable();
     if (tier.trace) obs::TraceSink::global().disable();
     if (tier.stats) obs::stats_sink().close();
 

@@ -109,9 +109,9 @@ class JsonlSink {
 ///
 /// stats_sink() is the run's one typed record stream: per-BFS-level and
 /// per-query engine records, the adversary's Lemma 1-4 decision trail,
-/// checkpoint writes, the memory ledger, profiler rows, heartbeat
-/// telemetry ticks and watchdog alerts. `tsb report`, `tsb monitor` and
-/// `tsb report --compare` all read it.
+/// checkpoint writes, the memory ledger, heartbeat telemetry ticks and
+/// watchdog alerts. `tsb report`, `tsb monitor` and `tsb report --compare`
+/// all read it.
 ///
 /// chaos_sink() stays separate: chaos records must carry NO timestamps,
 /// because the determinism tests byte-compare whole campaign files.

@@ -15,7 +15,6 @@
 #include "obs/jsonl_sink.hpp"
 #include "obs/memledger.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "obs/progress.hpp"
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"

@@ -1,6 +1,5 @@
 #pragma once
 
-#include "obs/profiler.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace tsb::obs {
@@ -13,10 +12,6 @@ namespace tsb::obs {
 /// `value` rides along in the event's args; callers use it for a result
 /// the span produced (configs visited, round number, ...). Names must be
 /// static strings — the sink stores the pointer.
-///
-/// Spans also feed the sampling profiler's per-thread label stack while it
-/// runs, so profile samples resolve to these same names. That adds one
-/// more relaxed load when the profiler is off.
 class Span {
  public:
   explicit Span(const char* name) {
@@ -26,10 +21,6 @@ class Span {
       start_ns_ = sink.now_ns();
       live_ = true;
     }
-    if (profiler_enabled()) {
-      prof_detail::push(name);
-      prof_pushed_ = true;
-    }
   }
 
   Span(const Span&) = delete;
@@ -38,7 +29,6 @@ class Span {
   void set_value(std::int64_t v) { value_ = v; }
 
   ~Span() {
-    if (prof_pushed_) prof_detail::pop();
     if (!live_) return;
     TraceSink& sink = TraceSink::global();
     // If tracing stopped mid-span, drop it rather than emit a bogus time.
@@ -52,7 +42,6 @@ class Span {
   std::uint64_t start_ns_ = 0;
   std::int64_t value_ = 0;
   bool live_ = false;
-  bool prof_pushed_ = false;
 };
 
 }  // namespace tsb::obs

@@ -91,10 +91,7 @@ void ConfigArena::grow_table() {
 
 ConfigId ConfigArena::append_words(const Value* w) {
   assert(size() < kNoConfig);
-  const std::size_t id = size();
-  store_.ensure(id + 1);
-  std::memcpy(store_.write_ptr(id), w, words_ * sizeof(Value));
-  return static_cast<ConfigId>(id);
+  return static_cast<ConfigId>(store_.append(w));
 }
 
 ConfigArena::Interned ConfigArena::intern_words(const Value* w) {

@@ -224,9 +224,10 @@ class BackingFile {
 /// keeps its packed configurations in one, the reach graph its per-node
 /// edge data (successor ids, per-edge renamings, decide flags) in three
 /// more. Records are `stride` words of W in power-of-two segments allocated
-/// flat with new[] and filled only as ensure() admits records, so pages
-/// past the last record are never touched. Cold full segments compress
-/// into the BackingFile at quiescent points and decode on demand.
+/// flat with new[] and written only as ensure() or append() admits
+/// records, so pages past the last record are never touched. Cold full
+/// segments compress into the BackingFile at quiescent points and decode
+/// on demand.
 ///
 /// Arena records never change once written, but edge records MUTATE (a
 /// later query with a different ProcSet expands a previously unexpanded
@@ -302,6 +303,21 @@ class SpillStore {
     }
   }
 
+  /// Append a copy of the `stride` words at `rec` and return its index.
+  /// The tail segment is always resident (only full segments spill, and
+  /// clear() re-arms every spilled one), so this is one copy: no fill and
+  /// no spill check. Stores that need the fill value use ensure().
+  std::size_t append(const W* rec) {
+    if (size_ == cap_) {
+      segs_.emplace_back();
+      alloc_seg(segs_.back());
+      cap_ += seg_recs_;
+    }
+    std::copy_n(rec, stride_,
+                segs_[size_ >> shift_].data.get() + (size_ & mask_) * stride_);
+    return size_++;
+  }
+
   /// Drop every record but keep the segments allocated for reuse: spilled
   /// segments are re-armed, their blocks unmapped and the backing file
   /// truncated.
@@ -374,7 +390,8 @@ class SpillStore {
   }
 
   void alloc_seg(Seg& s) {
-    // Uninitialized: ensure() fills records as it admits them.
+    // Uninitialized: ensure() fills records as it admits them, and
+    // append() copies them in.
     s.data.reset(new W[seg_recs_ * stride_]);
     resident_bytes_ += seg_recs_ * stride_ * sizeof(W);
   }

@@ -155,6 +155,31 @@ TEST(SpillStore, ClearRearmsSpilledSegmentsForReuse) {
   }
 }
 
+TEST(SpillStore, AppendCrossesSegmentsSpillsAndReusesAfterClear) {
+  util::spill::SpillStore<std::uint64_t> store;
+  store.init("test", 3, kFill);
+  ASSERT_TRUE(store.set_spill(tdir("store_append"), 64));
+  const auto row = [](std::size_t i, std::uint64_t salt) {
+    return std::vector<std::uint64_t>{salt + i, salt + 2 * i, salt + 3 * i};
+  };
+  for (const std::uint64_t salt : {100u, 50'000u}) {
+    // Appends interleave with spills, so the tail segment keeps moving
+    // past spilled ones; the second round reuses the re-armed segments.
+    for (std::size_t i = 0; i < 200; ++i) {
+      ASSERT_EQ(store.append(row(i, salt).data()), i);
+      if (i % 64 == 63) store.maybe_spill(0, kNoPin);
+    }
+    ASSERT_EQ(store.size(), 200u);
+    ASSERT_EQ(store.spilled_segments(), 3u);
+    for (std::size_t i = 0; i < 200; ++i) {
+      const std::uint64_t* r = store.read(i);
+      ASSERT_EQ(std::vector<std::uint64_t>(r, r + 3), row(i, salt))
+          << "record " << i;
+    }
+    store.clear();
+  }
+}
+
 // --- An unusable spill directory ----------------------------------------------
 
 TEST(SpillDir, UnusableDirectoryIsRefusedBeforeAnyQuery) {

@@ -311,8 +311,7 @@ void RunReport::ingest_line(const std::string& line) {
     ingest_stats(v, type);
   } else if (type.rfind("chaos.", 0) == 0) {
     ingest_chaos(v, type);
-  } else if (type == "ledger" || type.rfind("prof.", 0) == 0 ||
-             type.rfind("flight.", 0) == 0) {
+  } else if (type == "ledger" || type.rfind("flight.", 0) == 0) {
     ingest_introspection(v, type);
   } else if (type.rfind("telemetry.", 0) == 0 ||
              type.rfind("watch.", 0) == 0) {
@@ -352,19 +351,6 @@ void RunReport::ingest_introspection(const JsonValue& v,
     }
     ledger_total_ = v.int_or("total", 0);
     ledger_peak_total_ = v.int_or("peak_total", 0);
-  } else if (type == "prof.label") {
-    ProfRow row;
-    row.label = v.str_or("label", "?");
-    row.cpu_self_ms = v.num_or("cpu_self_ms", 0.0);
-    row.cpu_total_ms = v.num_or("cpu_total_ms", 0.0);
-    row.wall_self_ms = v.num_or("wall_self_ms", 0.0);
-    row.wall_total_ms = v.num_or("wall_total_ms", 0.0);
-    prof_rows_.push_back(std::move(row));
-  } else if (type == "prof.summary") {
-    prof_hz_ = static_cast<int>(v.int_or("hz", 0));
-    prof_cpu_samples_ = static_cast<std::uint64_t>(v.int_or("cpu_samples", 0));
-    prof_wall_samples_ =
-        static_cast<std::uint64_t>(v.int_or("wall_samples", 0));
   } else if (type == "flight.dump") {
     flight_reason_ = v.str_or("reason", "?");
     flight_threads_ = v.int_or("threads", 0);
@@ -385,13 +371,27 @@ void RunReport::ingest_trace(const JsonValue& v) {
   ++trace_events_;
   const std::string ph = v.str_or("ph", "");
   if (ph != "X") return;  // only spans carry durations
-  const std::string name = v.str_or("name", "?");
-  // --trace=x.jsonl writes dur_ns; the Chrome format writes dur (us).
-  double ms = v.num_or("dur_ns", -1.0);
-  ms = ms >= 0 ? ms / 1e6 : v.num_or("dur", 0.0) / 1e3;
-  SpanAgg& agg = spans_[name];
+  TraceSpan span;
+  span.tid = v.int_or("tid", 0);
+  span.name = v.str_or("name", "?");
+  // --trace=x.jsonl writes ts_ns/dur_ns; the Chrome format writes ts/dur
+  // in us.
+  double dur_ns = v.num_or("dur_ns", -1.0);
+  if (dur_ns >= 0) {
+    span.start_ns = v.num_or("ts_ns", 0.0);
+  } else {
+    dur_ns = v.num_or("dur", 0.0) * 1e3;
+    span.start_ns = v.num_or("ts", 0.0) * 1e3;
+  }
+  span.end_ns = span.start_ns + dur_ns;
+  SpanAgg& agg = spans_[span.name];
   ++agg.count;
-  agg.total_ms += ms;
+  agg.total_ms += dur_ns / 1e6;
+  // Hostile input: 1e400 parses as inf, and a NaN end would break the
+  // nesting sort's ordering.
+  if (std::isfinite(span.start_ns) && std::isfinite(span.end_ns)) {
+    trace_spans_.push_back(std::move(span));
+  }
 }
 
 void RunReport::ingest_stats(const JsonValue& v, const std::string& type) {
@@ -551,6 +551,36 @@ void RunReport::ingest_chaos(const JsonValue& v, const std::string& type) {
 }
 
 void RunReport::finalize() {
+  // Self time from the span nesting on each tid: walk the spans in start
+  // order (longest first on ties) with a stack of open ancestors, and charge
+  // each span to its direct parent. A child is clipped to its parent,
+  // because the Chrome encoding truncates ts and dur to whole us.
+  for (auto& [name, agg] : spans_) agg.self_ms = 0.0;
+  std::sort(trace_spans_.begin(), trace_spans_.end(),
+            [](const TraceSpan& a, const TraceSpan& b) {
+              if (a.tid != b.tid) return a.tid < b.tid;
+              if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
+              return a.end_ns > b.end_ns;
+            });
+  std::vector<std::pair<const TraceSpan*, double>> open;  // span, child ns
+  const auto close = [&] {
+    const auto& [s, child_ns] = open.back();
+    spans_[s->name].self_ms += (s->end_ns - s->start_ns - child_ns) / 1e6;
+    open.pop_back();
+  };
+  for (const TraceSpan& s : trace_spans_) {
+    while (!open.empty() && (open.back().first->tid != s.tid ||
+                             open.back().first->end_ns <= s.start_ns)) {
+      close();
+    }
+    if (!open.empty()) {
+      open.back().second +=
+          std::min(s.end_ns, open.back().first->end_ns) - s.start_ns;
+    }
+    open.emplace_back(&s, 0.0);
+  }
+  while (!open.empty()) close();
+
   // The construction's own account of the final covering: the registers R
   // covered going into the last escape, plus z's escape register. For
   // n = 2 there is no pre-escape event and the escape register is the
@@ -591,9 +621,9 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
     std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
       return a.second.total_ms > b.second.total_ms;
     });
-    util::Table t({"phase", "count", "total_ms"});
+    util::Table t({"phase", "count", "total_ms", "self_ms"});
     for (const auto& [name, agg] : rows) {
-      t.row(name, agg.count, agg.total_ms);
+      t.row(name, agg.count, agg.total_ms, agg.self_ms);
     }
     t.print(out, "phase time breakdown (" + std::to_string(trace_events_) +
                      " trace events)");
@@ -761,22 +791,6 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
     }
     t.print(out, "memory ledger (tracked " + std::to_string(ledger_total_) +
                      " B, peak " + std::to_string(ledger_peak_total_) + " B)");
-  }
-
-  if (!prof_rows_.empty()) {
-    std::vector<ProfRow> rows = prof_rows_;
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      return a.cpu_self_ms > b.cpu_self_ms;
-    });
-    util::Table t({"label", "cpu_self_ms", "cpu_total_ms", "wall_self_ms",
-                   "wall_total_ms"});
-    for (const ProfRow& r : rows) {
-      t.row(r.label, r.cpu_self_ms, r.cpu_total_ms, r.wall_self_ms,
-            r.wall_total_ms);
-    }
-    t.print(out, "sampling profile (" + std::to_string(prof_hz_) + " Hz, " +
-                     std::to_string(prof_cpu_samples_) + " cpu + " +
-                     std::to_string(prof_wall_samples_) + " wall samples)");
   }
 
   if (!flight_rows_.empty()) {

@@ -108,7 +108,7 @@ class RunReport {
   std::uint64_t lines_ingested() const { return lines_; }
   std::uint64_t lines_malformed() const { return malformed_; }
 
-  // --- introspection artifacts (ledger / profiler / flight recorder) -----
+  // --- introspection artifacts (ledger / flight recorder) ---------------
   /// Bytes per ledger account from the last "ledger" record (the CLI
   /// writes one at exit; mid-run records are cumulative gauges, so last
   /// wins is the final state).
@@ -117,15 +117,17 @@ class RunReport {
   }
   std::uint64_t flight_events() const { return flight_rows_.size(); }
   std::string flight_dump_reason() const { return flight_reason_; }
-  std::uint64_t profile_labels() const { return prof_rows_.size(); }
   /// telemetry.tick / watch.alert records seen in the stats stream.
   std::uint64_t telemetry_ticks() const { return telemetry_ticks_; }
   std::uint64_t watch_alerts() const { return watch_alerts_; }
 
   // --- aggregates (public: the benches read them directly) ---------------
+  /// Per-name span totals. self_ms is each span's duration minus its
+  /// direct children's on the same tid, summed; finalize() computes it.
   struct SpanAgg {
     std::uint64_t count = 0;
     double total_ms = 0.0;
+    double self_ms = 0.0;
   };
   struct LevelRow {
     std::string who;
@@ -153,9 +155,16 @@ class RunReport {
   std::uint64_t lines_ = 0;
   std::uint64_t malformed_ = 0;
 
-  // Trace.
+  // Trace. Complete spans are kept, in ns, until finalize() nests them.
+  struct TraceSpan {
+    std::int64_t tid = 0;
+    double start_ns = 0.0;
+    double end_ns = 0.0;
+    std::string name;
+  };
   std::uint64_t trace_events_ = 0;
   std::map<std::string, SpanAgg> spans_;
+  std::vector<TraceSpan> trace_spans_;
 
   // Stats.
   std::vector<LevelRow> levels_;
@@ -235,24 +244,12 @@ class RunReport {
   bool ckpt_resumed_ = false;      ///< run restored a checkpoint first
   bool ckpt_stopped_ = false;      ///< run ended checkpointed-and-stopped
 
-  // Introspection: memory ledger ("ledger"), sampling profiler
-  // ("prof.label"/"prof.summary"), flight recorder ("flight.dump"/
-  // "flight.event").
+  // Introspection: memory ledger ("ledger"), flight recorder
+  // ("flight.dump"/"flight.event").
   std::map<std::string, std::int64_t> ledger_accounts_;
   std::map<std::string, std::int64_t> ledger_peaks_;
   std::int64_t ledger_total_ = 0;
   std::int64_t ledger_peak_total_ = 0;
-  struct ProfRow {
-    std::string label;
-    double cpu_self_ms = 0.0;
-    double cpu_total_ms = 0.0;
-    double wall_self_ms = 0.0;
-    double wall_total_ms = 0.0;
-  };
-  std::vector<ProfRow> prof_rows_;
-  int prof_hz_ = 0;
-  std::uint64_t prof_cpu_samples_ = 0;
-  std::uint64_t prof_wall_samples_ = 0;
   struct FlightRow {
     std::int64_t tid = 0;
     std::int64_t seq = 0;

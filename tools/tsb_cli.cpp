@@ -17,8 +17,8 @@
 //   --stats=FILE     the run's one record stream, JSONL (run commands
 //                    only): per-BFS-level and per-query engine records, the
 //                    adversary's Lemma 1-4 decision trail and certificate,
-//                    checkpoint writes, the memory ledger, profiler rows,
-//                    and one telemetry.tick per heartbeat (counters, ledger,
+//                    checkpoint writes, the memory ledger, and one
+//                    telemetry.tick per heartbeat (counters, ledger,
 //                    rates, peak RSS, monotonic tick ids; flushed per tick,
 //                    so a killed run keeps everything up to the last
 //                    interval). A rule-driven watchdog rides the same ticks
@@ -36,10 +36,6 @@
 //   --flight=FILE    enable the in-memory flight recorder; rings dump to
 //                    FILE on fatal signal, budget exhaustion, SIGUSR1, and
 //                    exit. Feed the dump to `tsb report` for a narrative.
-//   --profile        sampling profiler (SIGPROF cpu + SIGALRM wall);
-//                    per-span table on stderr at exit, JSONL records into
-//                    --stats when that sink is open
-//   --profile-hz=HZ  sampling rate (default 200)
 //   --once           tsb monitor: render one frame and exit (CI-friendly)
 //   --valency-cap=N  valency oracle configuration cap (adversary only)
 //   --top=K          report: how many hottest registers to show (default 5)
@@ -171,8 +167,7 @@ int usage() {
          "  tsb monitor <stats> [--once]     live view of a --stats stream\n"
          "flags: --trace=FILE --stats=FILE --metrics --progress\n"
          "       --valency-cap=N --top=K --baseline=FILE\n"
-         "introspection: --progress-interval-ms=MS --flight=FILE --profile\n"
-         "       --profile-hz=HZ\n"
+         "introspection: --progress-interval-ms=MS --flight=FILE\n"
          "chaos: --runs=N --seed=S --n=P --targets=LIST|all --mix=LIST|all\n"
          "       --run-timeout-ms=MS --out=FILE\n"
          "adversary budgets: --mem-budget=BYTES[k|m|g] --time-budget-ms=MS\n"
@@ -599,11 +594,6 @@ int main(int argc, char** argv) {
     obs::flight::set_dump_path(obs_flags.flight_file);
     obs::flight::install_signal_handlers();
   }
-  if (obs_flags.profile &&
-      !obs::Profiler::global().start(obs_flags.profile_hz)) {
-    std::cerr << "could not start the sampling profiler\n";
-    return kExitUsage;
-  }
   if (!obs_flags.trace_file.empty()) obs::TraceSink::global().enable();
   const bool stats_run = run && !obs_flags.stats_file.empty();
   if (stats_run) {
@@ -710,14 +700,8 @@ int main(int argc, char** argv) {
     rc = kExitBudget;
   }
 
-  // Profiler first (stop the itimers before teardown), then the flight
-  // exit dump, so the sinks below flush after all introspection output.
-  if (obs_flags.profile) {
-    obs::Profiler& prof = obs::Profiler::global();
-    prof.stop();
-    prof.render(std::cerr);
-    if (obs::stats_enabled()) prof.emit_jsonl();
-  }
+  // The flight exit dump first, so the sinks below flush after all
+  // introspection output.
   if (!obs_flags.flight_file.empty() && cmd != "report") {
     obs::flight::dump(obs_flags.flight_file,
                       rc == kExitBudget     ? "budget"

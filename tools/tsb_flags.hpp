@@ -26,8 +26,6 @@ struct ObsFlags {
   // In-flight introspection (tsb adversary / tsb chaos / benches).
   std::uint64_t progress_interval_ms = 1'000;  ///< --progress-interval-ms=MS
   std::string flight_file;    ///< --flight=FILE (ring dump path / report input)
-  bool profile = false;       ///< --profile (SIGPROF sampling profiler)
-  int profile_hz = 200;       ///< --profile-hz=HZ (sampling rate)
   bool once = false;          ///< --once (tsb monitor: one frame and exit)
   std::size_t valency_cap = 0;  ///< --valency-cap=N; 0 = scale with n
   int top = 5;                ///< --top=K (report: hottest registers shown)
@@ -175,13 +173,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       if (bad_value || out.flags.flight_file.empty()) {
         return fail("--flight needs a file");
       }
-    } else if (a == "--profile") {
-      out.flags.profile = true;
-    } else if (u64_flag("--profile-hz", &uval)) {
-      if (bad_value || uval == 0 || uval > 10'000) {
-        return fail("bad --profile-hz (want 1..10000)");
-      }
-      out.flags.profile_hz = static_cast<int>(uval);
     } else if (a == "--once") {
       out.flags.once = true;
     } else if (file_flag(a, "--valency-cap=", sval)) {
