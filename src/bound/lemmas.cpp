@@ -300,7 +300,6 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
   };
   std::vector<Stage> stages;
 
-  obs::Heartbeat hb("lemma4");
   auto push_stage = [&](const Config& d_i, ProcSet q_i) {
     Stage s;
     s.d_i = d_i;
@@ -313,10 +312,9 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
     // registers as a Chrome counter track.
     obs::TraceSink::global().counter(
         "covered", static_cast<std::int64_t>(s.covered.size()));
-    hb.beat([&] {
-      return "|P|=" + std::to_string(p.size()) + " stage " +
-             std::to_string(stages.size()) + " covered=" +
-             std::to_string(stages.empty() ? 0 : stages.back().covered.size());
+    hb_.beat([&](obs::Sample& out) {
+      out.level = static_cast<std::int64_t>(stages.size());
+      out.covered = static_cast<std::int64_t>(s.covered.size());
     });
     if (obs::stats_enabled()) {
       obs::JsonObj ev = obs::audit_event("lemma4.stage");

@@ -7,6 +7,7 @@
 
 #include "bound/covering.hpp"
 #include "bound/valency.hpp"
+#include "obs/progress.hpp"
 
 namespace tsb::bound {
 
@@ -100,6 +101,9 @@ class LemmaToolkit {
   bool narrate_ = false;
   std::string narrative_;
   int depth_ = 0;  // recursion depth, for narrative indentation
+  // One lemma4 heartbeat for the whole construction: a clock per call would
+  // restart in every recursive lemma4 and almost never reach the interval.
+  obs::Heartbeat hb_{"lemma4"};
 };
 
 }  // namespace tsb::bound

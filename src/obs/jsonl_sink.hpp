@@ -111,20 +111,22 @@ class JsonlSink {
 /// per-query engine records, the adversary's Lemma 1-4 decision trail,
 /// checkpoint writes, the memory ledger, heartbeat telemetry ticks and
 /// watchdog alerts. `tsb report`, `tsb monitor` and `tsb report --compare`
-/// all read it.
+/// all read it through the one reader, report::RunReport.
 ///
 /// chaos_sink() stays separate: chaos records must carry NO timestamps,
 /// because the determinism tests byte-compare whole campaign files.
 JsonlSink& stats_sink();
 JsonlSink& chaos_sink();
 
-/// Start a decision-trail record: {"type":..., "ts_ns":...}. Callers append
-/// their event's fields and write() the result to stats_sink(). Only call
-/// when stats_enabled().
-inline JsonObj audit_event(std::string_view type) {
+/// Start a timed stats record: {"type":..., "ts_ns":...}. The decision
+/// trail, telemetry ticks and watch.* records all open with it, so every
+/// timed record carries the sink's clock. Callers append their event's
+/// fields and write() the result to stats_sink(); a tick passes the one
+/// `ts_ns` it also computes its rate from. Only call when stats_enabled().
+inline JsonObj audit_event(std::string_view type,
+                           std::uint64_t ts_ns = stats_sink().now_ns()) {
   JsonObj o;
-  o.str("type", type)
-      .num("ts_ns", static_cast<std::int64_t>(stats_sink().now_ns()));
+  o.str("type", type).num("ts_ns", static_cast<std::int64_t>(ts_ns));
   return o;
 }
 

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "obs/flight.hpp"
 #include "obs/jsonl_sink.hpp"
@@ -41,12 +43,7 @@ Heartbeat::Heartbeat(const char* what, std::chrono::milliseconds interval)
       start_(std::chrono::steady_clock::now()),
       last_(start_) {}
 
-void Heartbeat::beat(const std::function<std::string()>& line) {
-  beat(line, nullptr);
-}
-
-void Heartbeat::beat(const std::function<std::string()>& line,
-                     const SampleFn& sample) {
+void Heartbeat::beat(const SampleFn& sample) {
   // A SIGUSR1 dump request is served from here even when neither progress
   // nor the stats stream is on: the beat is the one rate-limited hook every
   // long-running engine already calls.
@@ -63,27 +60,24 @@ void Heartbeat::beat(const std::function<std::string()>& line,
   const std::int64_t rss = peak_rss_kb();
   static Gauge& rss_gauge = Registry::global().gauge("process.peak_rss_kb");
   rss_gauge.set(rss);
+  Sample s;
+  s.phase = what_;
+  sample(s);
   if (prog) {
     const double secs = std::chrono::duration<double>(now - start_).count();
-    std::fprintf(stderr, "[%s +%.1fs] %s rss=%lldKiB tracked=%s\n", what_,
-                 secs, line().c_str(), static_cast<long long>(rss),
+    std::string fields;
+    for (const auto& [name, v] :
+         {std::pair{"level", s.level}, std::pair{"frontier", s.frontier},
+          std::pair{"visited", s.visited}, std::pair{"cap", s.cap},
+          std::pair{"covered", s.covered}}) {
+      if (v >= 0) fields += std::string(name) + "=" + std::to_string(v) + " ";
+    }
+    std::fprintf(stderr, "[%s +%.1fs] %srss=%lldKiB tracked=%s\n", s.phase,
+                 secs, fields.c_str(), static_cast<long long>(rss),
                  format_bytes(MemLedger::global().total()).c_str());
     std::fflush(stderr);
   }
-  if (ticks) {
-    Sample s;
-    s.phase = what_;
-    if (sample) sample(s);
-    telemetry::tick(s);
-  }
-}
-
-void Heartbeat::flush(const std::string& line) {
-  if (!progress_enabled()) return;
-  const auto now = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(now - start_).count();
-  std::fprintf(stderr, "[%s +%.1fs] %s\n", what_, secs, line.c_str());
-  std::fflush(stderr);
+  if (ticks) telemetry::tick(s);
 }
 
 }  // namespace tsb::obs

@@ -3,19 +3,20 @@
 #include <chrono>
 #include <functional>
 #include <cstdint>
-#include <string>
 
 namespace tsb::obs {
 
-/// Fields a long-running engine contributes to each heartbeat sample (the
-/// telemetry tick in the stats stream). Negative values mean "not
-/// applicable" and are omitted from the record.
+/// Fields a long-running engine contributes to each heartbeat sample: the
+/// one description of its progress, which becomes both the telemetry tick
+/// in the stats stream and the --progress stderr line. Negative values mean
+/// "not applicable" and are omitted from both.
 struct Sample {
   const char* phase = "";        ///< "explore", "valency.reach", ...
-  std::int64_t level = -1;       ///< current BFS level
+  std::int64_t level = -1;       ///< BFS level / D_i stage / input vector
   std::int64_t frontier = -1;    ///< configurations awaiting expansion
   std::int64_t visited = -1;     ///< configurations/nodes so far
   std::int64_t cap = -1;         ///< configuration cap (drives ETA-to-cap)
+  std::int64_t covered = -1;     ///< distinct covered registers (lemma4)
 };
 
 /// Global switch for progress heartbeats (CLI --progress). Off by default:
@@ -30,22 +31,22 @@ bool progress_enabled();
 void set_progress_interval(std::chrono::milliseconds interval);
 std::chrono::milliseconds progress_interval();
 
-/// Rate-limited progress line for long computations. A caller in a hot
-/// loop calls beat() with a lambda that renders the line; the lambda runs
-/// only when progress is enabled and at most once per interval, so the
-/// rendering cost (string building) is never paid on the fast path.
+/// Rate-limited heartbeat for long computations. A caller in a hot loop
+/// calls beat() with a callback that fills a Sample; the callback runs only
+/// when progress or the stats stream is on, and at most once per interval,
+/// so describing the progress is never paid on the fast path.
 ///
 ///   obs::Heartbeat hb("model-check");
-///   ... hb.beat([&] { return "configs=" + std::to_string(n); });
+///   ... hb.beat([&](obs::Sample& s) { s.visited = n; });
 ///
-/// Lines go to stderr so they interleave with, but do not corrupt,
-/// machine-readable stdout.
+/// The filled sample is rendered as the --progress line on stderr (so it
+/// interleaves with, but does not corrupt, machine-readable stdout) and,
+/// while the stats stream is open, appended as a telemetry tick.
 ///
 /// The beat is also the engine's slow-path tick: it samples peak RSS into
 /// the "process.peak_rss_kb" gauge (so mid-level blowups are visible, not
-/// just level boundaries), services pending SIGUSR1 flight-recorder dumps,
-/// and — while the stats stream is open — appends a telemetry tick filled
-/// by the caller's sample callback at the same cadence.
+/// just level boundaries) and services pending SIGUSR1 flight-recorder
+/// dumps.
 class Heartbeat {
  public:
   /// Uses the process-wide progress_interval().
@@ -54,13 +55,7 @@ class Heartbeat {
 
   using SampleFn = std::function<void(Sample&)>;
 
-  void beat(const std::function<std::string()>& line);
-  /// Same, and let `sample` fill the telemetry tick when the stats stream
-  /// is open. The callback runs under the same rate limit as the line.
-  void beat(const std::function<std::string()>& line, const SampleFn& sample);
-
-  /// Emit unconditionally (end-of-phase summary), if progress is enabled.
-  void flush(const std::string& line);
+  void beat(const SampleFn& sample);
 
  private:
   const char* what_;

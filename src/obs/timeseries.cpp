@@ -73,10 +73,11 @@ void tick(const Sample& s) {
   JsonlSink& sink = stats_sink();
   std::lock_guard<std::mutex> lock(g_mu);
 
-  // One clock for the whole stream: t_s is the sink's, like the decision
-  // trail's ts_ns.
+  // One clock for the whole stream: ticks and watch.* records carry the
+  // sink's ts_ns, like the decision trail.
   const auto now = std::chrono::steady_clock::now();
-  const double t_s = static_cast<double>(sink.now_ns()) / 1e9;
+  const std::uint64_t ts_ns = sink.now_ns();
+  const double t_s = static_cast<double>(ts_ns) / 1e9;
   const std::uint64_t id = g_tick++;
 
   double cps = -1.0;
@@ -88,15 +89,13 @@ void tick(const Sample& s) {
   MemLedger& ledger = MemLedger::global();
   Registry& reg = Registry::global();
 
-  JsonObj o;
-  o.str("type", "telemetry.tick")
-      .num("tick", static_cast<std::int64_t>(id))
-      .numf("t_s", t_s)
-      .str("phase", s.phase);
+  JsonObj o = audit_event("telemetry.tick", ts_ns);
+  o.num("tick", static_cast<std::int64_t>(id)).str("phase", s.phase);
   if (s.level >= 0) o.num("level", s.level);
   if (s.frontier >= 0) o.num("frontier", s.frontier);
   if (s.visited >= 0) o.num("visited", s.visited);
   if (s.cap >= 0) o.num("cap", s.cap);
+  if (s.covered >= 0) o.num("covered", s.covered);
   if (cps >= 0) o.numf("cps", cps);
   if (g_deadline != std::chrono::steady_clock::time_point::max()) {
     // Seconds left, floored at 0 once the deadline has passed.
@@ -132,11 +131,9 @@ void tick(const Sample& s) {
   Watchdog& dog = Watchdog::global();
   for (const WatchAlert& a : dog.observe(w)) {
     const char* rule = watch_rule_name(a.rule);
-    JsonObj alert;
-    alert.str("type", "watch.alert")
-        .str("rule", rule)
+    JsonObj alert = audit_event("watch.alert", ts_ns);
+    alert.str("rule", rule)
         .num("tick", static_cast<std::int64_t>(a.tick))
-        .numf("t_s", t_s)
         .str("phase", s.phase)
         .str("detail", a.detail);
     sink.write(alert.render());
@@ -147,11 +144,9 @@ void tick(const Sample& s) {
                    static_cast<std::int64_t>(a.tick));
   }
   for (WatchRule r : dog.cleared_last()) {
-    JsonObj clear;
-    clear.str("type", "watch.clear")
-        .str("rule", watch_rule_name(r))
-        .num("tick", static_cast<std::int64_t>(id))
-        .numf("t_s", t_s);
+    JsonObj clear = audit_event("watch.clear", ts_ns);
+    clear.str("rule", watch_rule_name(r))
+        .num("tick", static_cast<std::int64_t>(id));
     sink.write(clear.render());
   }
 

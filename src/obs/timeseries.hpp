@@ -36,7 +36,8 @@ void set_tick_base(std::uint64_t base);
 void set_ckpt_probe(std::int64_t (*age_s)(), std::uint64_t interval_ms);
 
 /// Append one self-contained {"type":"telemetry.tick",...} record to the
-/// stats stream — phase, level/frontier/visited/cap from the sample,
+/// stats stream — the sink's ts_ns, phase, level/frontier/visited/cap/
+/// covered from the sample,
 /// interval configs/sec, deadline_s (with a time budget), flight_events
 /// (with the flight recorder on), every non-zero metrics-registry counter
 /// and gauge, the full memory ledger, and peak RSS — then run the watchdog

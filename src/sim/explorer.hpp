@@ -261,17 +261,12 @@ class Explorer {
           }
         }
         update_ledger();
-        hb.beat(
-            [&] {
-              return "configs=" + std::to_string(res.visited) +
-                     " frontier=" + std::to_string(arena_.size() - head);
-            },
-            [&](obs::Sample& s) {
-              s.level = static_cast<std::int64_t>(level_idx);
-              s.frontier = static_cast<std::int64_t>(arena_.size() - head);
-              s.visited = static_cast<std::int64_t>(res.visited);
-              s.cap = static_cast<std::int64_t>(opts_.max_configs);
-            });
+        hb.beat([&](obs::Sample& s) {
+          s.level = static_cast<std::int64_t>(level_idx);
+          s.frontier = static_cast<std::int64_t>(arena_.size() - head);
+          s.visited = static_cast<std::int64_t>(res.visited);
+          s.cap = static_cast<std::int64_t>(opts_.max_configs);
+        });
       }
       const ConfigId cur = head++;
       // Arena insertions may reallocate the word store; expand from a copy.

@@ -64,11 +64,9 @@ ModelChecker::Report ModelChecker::check(
     obs::Span span("mc.input_vector");
     ++rep.initial_configs;
     metrics.initial.add();
-    hb.beat([&] {
-      return "input " + std::to_string(rep.initial_configs) + "/" +
-             std::to_string(input_vectors.size()) +
-             " configs=" + std::to_string(rep.total_configs) +
-             " solo_runs=" + std::to_string(rep.solo_runs_checked);
+    hb.beat([&](obs::Sample& s) {
+      s.level = static_cast<std::int64_t>(rep.initial_configs - 1);
+      s.visited = static_cast<std::int64_t>(rep.total_configs);
     });
     const Config init = initial_config(proto_, inputs);
     const std::set<Value> legal(inputs.begin(), inputs.end());

@@ -558,17 +558,11 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
         }
       }
       maybe_spill_edges();
-      hb.beat(
-          [&] {
-            return "nodes=" + std::to_string(arena_.size()) +
-                   " entries=" + std::to_string(entries_.size()) +
-                   " facts=" + std::to_string(facts_.size());
-          },
-          [&](obs::Sample& s) {
-            s.frontier = static_cast<std::int64_t>(entries_.size() - head);
-            s.visited = static_cast<std::int64_t>(arena_.size());
-            s.cap = static_cast<std::int64_t>(opts_.max_configs);
-          });
+      hb.beat([&](obs::Sample& s) {
+        s.frontier = static_cast<std::int64_t>(entries_.size() - head);
+        s.visited = static_cast<std::int64_t>(arena_.size());
+        s.cap = static_cast<std::int64_t>(opts_.max_configs);
+      });
     }
     const std::uint32_t cur = static_cast<std::uint32_t>(head++);
     const Entry e = entries_[cur];  // copy: entries_ grows below

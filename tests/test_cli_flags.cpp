@@ -54,8 +54,17 @@ TEST(ParseArgs, ValencyCapAndTopValidation) {
     EXPECT_FALSE(r.ok) << bad;
     EXPECT_NE(r.error.find("--valency-cap"), std::string::npos) << r.error;
   }
-  EXPECT_FALSE(parse_args({"--top=0"}).ok);
-  EXPECT_FALSE(parse_args({"--top=-2"}).ok);
+  // --top is as strict, and bounded by INT_MAX instead of wrapping.
+  const auto big = parse_args({"--top=2147483647"});
+  ASSERT_TRUE(big.ok) << big.error;
+  EXPECT_EQ(big.flags.top, 2147483647);
+  for (const char* bad :
+       {"--top=0", "--top=-2", "--top=+3", "--top= 3", "--top=3x", "--top=",
+        "--top=2147483648", "--top=4294967297"}) {
+    const auto r = parse_args({"report", "a.jsonl", bad});
+    EXPECT_FALSE(r.ok) << bad;
+    EXPECT_NE(r.error.find("--top"), std::string::npos) << r.error;
+  }
 }
 
 TEST(ParseArgs, UnknownFlagIsAnError) {
@@ -65,10 +74,11 @@ TEST(ParseArgs, UnknownFlagIsAnError) {
   // The exploration engine is sequential; its old tuning flags are gone.
   // The decision trail and telemetry ride --stats; the status file is gone.
   // The sampling profiler is gone; self time comes from the trace.
+  // `tsb report FILE` is the one-frame monitor view, so --once is gone.
   for (const char* gone :
        {"--threads=4", "--chunk-configs=64", "--parallel-threshold=1024",
         "--audit=a.jsonl", "--telemetry=run.tsl", "--status-file=st.json",
-        "--profile", "--profile-hz=97"}) {
+        "--profile", "--profile-hz=97", "--once"}) {
     const auto g = parse_args({"adversary", gone});
     EXPECT_FALSE(g.ok) << gone;
     EXPECT_NE(g.error.find("unknown flag"), std::string::npos) << g.error;
@@ -126,6 +136,17 @@ TEST(ParseArgs, ChaosFlagValidation) {
   EXPECT_FALSE(parse_args({"--out="}).ok);
   EXPECT_FALSE(parse_args({"--mix="}).ok);
   EXPECT_FALSE(parse_args({"--seed=abc"}).ok);
+  // A count past INT_MAX is refused, never wrapped to a 0-run campaign.
+  const auto max = parse_args({"--runs=2147483647"});
+  ASSERT_TRUE(max.ok) << max.error;
+  EXPECT_EQ(max.flags.runs, 2147483647);
+  for (const char* bad : {"--runs=2147483648", "--runs=4294967296",
+                          "--runs=+3", "--runs= 3"}) {
+    const auto r = parse_args({"chaos", bad, "--out", "c.jsonl"});
+    EXPECT_FALSE(r.ok) << bad;
+    EXPECT_NE(r.error.find("--runs"), std::string::npos) << r.error;
+  }
+  EXPECT_FALSE(parse_args({"--runs", "4294967296"}).ok);
 }
 
 TEST(ParseBytes, SuffixesAndRejects) {
@@ -172,7 +193,6 @@ TEST(ParseArgs, IntrospectionDefaults) {
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.flags.progress_interval_ms, 1'000u);
   EXPECT_TRUE(r.flags.flight_file.empty());
-  EXPECT_FALSE(r.flags.once);
 }
 
 TEST(ParseArgs, IntrospectionValidation) {
@@ -222,11 +242,15 @@ TEST(ParseArgs, NoGraphSpillIsAnUnknownFlag) {
   EXPECT_EQ(r.error, "unknown flag: --no-graph-spill");
 }
 
+// `tsb monitor FILE` only repaints; its one-frame form is `tsb report FILE`,
+// so `monitor FILE --once` is refused instead of setting a flag.
 TEST(ParseArgs, MonitorSubcommandOnce) {
-  const auto r = parse_args({"monitor", "run.jsonl", "--once"});
-  ASSERT_TRUE(r.ok);
-  EXPECT_TRUE(r.flags.once);
+  const auto r = parse_args({"monitor", "run.jsonl"});
+  ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.args, (std::vector<std::string>{"monitor", "run.jsonl"}));
+  const auto once = parse_args({"monitor", "run.jsonl", "--once"});
+  ASSERT_FALSE(once.ok);
+  EXPECT_EQ(once.error, "unknown flag: --once");
 }
 
 TEST(ParseArgs, CompareAndTolerance) {
@@ -245,6 +269,13 @@ TEST(ParseArgs, CompareAndTolerance) {
   EXPECT_FALSE(parse_args({"--tolerance=loose"}).ok);
   EXPECT_FALSE(parse_args({"--tolerance="}).ok);
   EXPECT_FALSE(parse_args({"--tolerance"}).ok);  // missing value
+  // A non-finite tolerance would turn the regression gate off.
+  for (const char* bad : {"--tolerance=nan", "--tolerance=inf",
+                          "--tolerance=1e999", "--tolerance=-inf"}) {
+    const auto r = parse_args({"report", "--compare", "a", "b", bad});
+    EXPECT_FALSE(r.ok) << bad;
+    EXPECT_NE(r.error.find("--tolerance"), std::string::npos) << r.error;
+  }
 }
 
 }  // namespace

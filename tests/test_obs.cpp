@@ -229,42 +229,41 @@ TEST(TraceSink, ChromeTraceIsWellFormedJson) {
 TEST(Heartbeat, DisabledBeatNeverRendersTheLine) {
   set_progress(false);
   Heartbeat hb("test", std::chrono::milliseconds(0));
-  bool rendered = false;
-  hb.beat([&] {
-    rendered = true;
-    return std::string("x");
+  bool described = false;
+  hb.beat([&](Sample& s) {
+    described = true;
+    s.visited = 1;
   });
-  EXPECT_FALSE(rendered) << "line lambda must not run when progress is off";
+  EXPECT_FALSE(described)
+      << "sample callback must not run with progress and stats off";
 }
 
 TEST(Heartbeat, RateLimitSkipsTheLambdaInsideTheInterval) {
   // The interval clock starts at construction, so with a long interval no
-  // beat of a short computation ever pays for rendering the line.
+  // beat of a short computation ever pays for describing its progress.
   set_progress(true);
   Heartbeat hb("test", std::chrono::hours(1));
-  int renders = 0;
+  int samples = 0;
   for (int i = 0; i < 1000; ++i) {
-    hb.beat([&] {
-      ++renders;
-      return std::string("never");
-    });
+    hb.beat([&](Sample&) { ++samples; });
   }
   set_progress(false);
-  EXPECT_EQ(renders, 0);
+  EXPECT_EQ(samples, 0);
 }
 
 TEST(Heartbeat, ZeroIntervalRendersEveryBeat) {
   set_progress(true);
   Heartbeat hb("test", std::chrono::milliseconds(0));
-  int renders = 0;
+  int samples = 0;
   for (int i = 0; i < 3; ++i) {
-    hb.beat([&] {
-      ++renders;
-      return std::string("beat " + std::to_string(renders));
+    hb.beat([&](Sample& s) {
+      EXPECT_STREQ(s.phase, "test") << "the beat names the phase";
+      s.level = ++samples;
+      s.covered = 2;
     });
   }
   set_progress(false);
-  EXPECT_EQ(renders, 3);
+  EXPECT_EQ(samples, 3);
 }
 
 TEST(TraceSink, ConcurrentDropAccountingSumsAcrossCategories) {

@@ -1,8 +1,9 @@
 // Campaign telemetry: the heartbeat ticks in the stats stream, the anomaly
-// watchdog's episode semantics on synthetic timelines, the Timeline parser
-// (including crash-truncated files and the stream's other record types),
-// the cross-run comparator, and the end-to-end story: an adversary run's
-// one stats file must agree with its own exit state and certificate.
+// watchdog's episode semantics on synthetic timelines, RunReport's tick and
+// alert parsing (including crash-truncated files and the stream's other
+// record types) and its telemetry section, the cross-run comparator, and
+// the end-to-end story: an adversary run's one stats file must agree with
+// its own exit state and certificate.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -188,15 +189,20 @@ TEST(Telemetry, RoundTripPreservesCountersAndTickIds) {
   obs::telemetry::tick(obs::Sample{});  // stream closed: a no-op
   EXPECT_EQ(obs::telemetry::ticks(), 5u);
 
-  report::Timeline tl;
-  std::string err;
-  ASSERT_TRUE(tl.load(path, &err)) << err;
-  ASSERT_EQ(tl.ticks().size(), 5u);
-  EXPECT_TRUE(tl.monotonic());
-  EXPECT_EQ(tl.malformed(), 0u);
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(path));
+  ASSERT_EQ(rep.ticks().size(), 5u);
+  EXPECT_TRUE(rep.monotonic());
+  EXPECT_EQ(rep.lines_malformed(), 0u);
+  // One time field: ticks carry the sink's ts_ns, like the decision trail.
+  EXPECT_EQ(slurp(path).find("\"t_s\""), std::string::npos);
   for (std::size_t i = 0; i < 5; ++i) {
-    const report::TimelineTick& t = tl.ticks()[i];
+    const report::RunReport::Tick& t = rep.ticks()[i];
     EXPECT_EQ(t.tick, static_cast<std::int64_t>(i));
+    EXPECT_GT(t.ts_ns, 0);
+    if (i > 0) {
+      EXPECT_GE(t.ts_ns, rep.ticks()[i - 1].ts_ns);
+    }
     EXPECT_EQ(t.phase, "explore");
     EXPECT_EQ(t.visited, static_cast<std::int64_t>(1000 * (i + 1)));
     EXPECT_EQ(t.frontier, static_cast<std::int64_t>(50 - i));
@@ -246,19 +252,18 @@ TEST(Telemetry, TicksCarryDeadlineAndFlightEventsOnlyWhenConfigured) {
   obs::telemetry::set_budgets(0, 0);
   obs::stats_sink().close();
 
-  report::Timeline tl;
-  std::string err;
-  ASSERT_TRUE(tl.load(path, &err)) << err;
-  ASSERT_EQ(tl.ticks().size(), 2u);
-  EXPECT_LT(tl.ticks()[0].deadline_s, 0.0);
-  EXPECT_LT(tl.ticks()[0].flight_events, 0);
-  EXPECT_GT(tl.ticks()[1].deadline_s, 0.0);
-  EXPECT_LE(tl.ticks()[1].deadline_s, 60.0);
-  EXPECT_GE(tl.ticks()[1].flight_events, 1);
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(path));
+  ASSERT_EQ(rep.ticks().size(), 2u);
+  EXPECT_LT(rep.ticks()[0].deadline_s, 0.0);
+  EXPECT_LT(rep.ticks()[0].flight_events, 0);
+  EXPECT_GT(rep.ticks()[1].deadline_s, 0.0);
+  EXPECT_LE(rep.ticks()[1].deadline_s, 60.0);
+  EXPECT_GE(rep.ticks()[1].flight_events, 1);
   std::remove(path.c_str());
 }
 
-TEST(Timeline, ToleratesTruncatedFinalLine) {
+TEST(RunReport, ToleratesTruncatedFinalLine) {
   const std::string path = temp_path("truncated.jsonl");
   open_stream(path);
   for (int i = 0; i < 3; ++i) {
@@ -277,42 +282,95 @@ TEST(Timeline, ToleratesTruncatedFinalLine) {
     std::ofstream out(path, std::ios::trunc | std::ios::binary);
     out << text;
   }
-  report::Timeline tl;
-  std::string err;
-  ASSERT_TRUE(tl.load(path, &err)) << err;
-  EXPECT_EQ(tl.ticks().size(), 2u) << "torn tail dropped, prefix kept";
-  EXPECT_EQ(tl.malformed(), 1u);
-  EXPECT_TRUE(tl.monotonic());
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(path));
+  EXPECT_EQ(rep.ticks().size(), 2u) << "torn tail dropped, prefix kept";
+  EXPECT_EQ(rep.lines_malformed(), 1u);
+  EXPECT_TRUE(rep.monotonic());
   std::remove(path.c_str());
 }
 
-TEST(Timeline, ActiveAlertsTracksLatchedEpisodes) {
-  report::Timeline tl;
-  tl.ingest_line(
-      R"({"type":"watch.alert","rule":"spill_thrash","tick":4,"t_s":4.0,)"
+TEST(RunReport, ActiveAlertsTracksLatchedEpisodes) {
+  report::RunReport rep;
+  rep.ingest_line(
+      R"({"type":"watch.alert","ts_ns":4000,"rule":"spill_thrash","tick":4,)"
       R"("phase":"explore","detail":"churn"})");
-  tl.ingest_line(
-      R"({"type":"watch.alert","rule":"ledger_runaway","tick":5,"t_s":5.0,)"
-      R"("phase":"explore","detail":"eta 12s"})");
-  tl.ingest_line(
-      R"({"type":"watch.clear","rule":"spill_thrash","tick":7,"t_s":7.0})");
-  const std::vector<std::string> active = tl.active_alerts();
+  rep.ingest_line(
+      R"({"type":"watch.alert","ts_ns":5000,"rule":"ledger_runaway",)"
+      R"("tick":5,"phase":"explore","detail":"eta 12s"})");
+  rep.ingest_line(
+      R"({"type":"watch.clear","ts_ns":7000,"rule":"spill_thrash","tick":7})");
+  const std::vector<std::string> active = rep.active_alerts();
   ASSERT_EQ(active.size(), 1u);
   EXPECT_EQ(active[0], "ledger_runaway");
-  EXPECT_EQ(tl.alerts().size(), 3u);
+  ASSERT_EQ(rep.alerts().size(), 3u);
+  EXPECT_EQ(rep.alerts()[1].ts_ns, 5000);
 }
 
-TEST(Timeline, SkipsTheStreamsOtherRecordTypes) {
-  report::Timeline tl;
-  tl.ingest_line(R"({"type":"explore.level","level":0,"frontier":1})");
-  tl.ingest_line(R"({"type":"lemma4.enter","ts_ns":12,"stage":0})");
-  tl.ingest_line(R"({"type":"ledger","total":4096})");
-  tl.ingest_line(R"({"type":"telemetry.tick","tick":0,"t_s":1.0,)"
-                 R"("phase":"explore"})");
-  EXPECT_EQ(tl.ticks().size(), 1u);
-  EXPECT_EQ(tl.malformed(), 0u) << "other record types are not malformed";
-  tl.ingest_line("{\"type\":");  // only an unparseable line is
-  EXPECT_EQ(tl.malformed(), 1u);
+TEST(RunReport, ParsesTicksAmidTheStreamsOtherRecordTypes) {
+  report::RunReport rep;
+  rep.ingest_line(R"({"type":"explore.level","level":0,"frontier":1})");
+  rep.ingest_line(R"({"type":"lemma4.enter","ts_ns":12,"stage":0})");
+  rep.ingest_line(R"({"type":"ledger","total":4096})");
+  rep.ingest_line(R"({"type":"telemetry.tick","ts_ns":2000000000,"tick":0,)"
+                  R"("phase":"lemma4","level":3,"covered":2})");
+  // A tick from before ticks carried ts_ns still parses.
+  rep.ingest_line(R"({"type":"telemetry.tick","tick":1,"t_s":3.0,)"
+                  R"("phase":"explore"})");
+  ASSERT_EQ(rep.ticks().size(), 2u);
+  EXPECT_EQ(rep.ticks()[0].ts_ns, 2'000'000'000);
+  EXPECT_EQ(rep.ticks()[0].level, 3);
+  EXPECT_EQ(rep.ticks()[0].covered, 2);
+  EXPECT_EQ(rep.ticks()[1].covered, -1);
+  EXPECT_EQ(rep.levels().size(), 1u);
+  EXPECT_EQ(rep.lines_malformed(), 0u)
+      << "other record types and legacy ticks are not malformed";
+  rep.ingest_line("{\"type\":");  // only an unparseable line is
+  EXPECT_EQ(rep.lines_malformed(), 1u);
+}
+
+TEST(RunReport, TelemetrySectionRendersATornFileWithALatchedAlert) {
+  // A budgeted run killed mid-append: ticks, a latched alert, and a torn
+  // final line. The report's telemetry section (what `tsb monitor`
+  // repaints) still shows the last complete tick, and the file reports
+  // clean (exit 0).
+  const std::string path = temp_path("section.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << R"({"type":"adversary.begin","ts_ns":1,"n":5})" << "\n";
+    for (int i = 0; i < 4; ++i) {
+      out << R"({"type":"telemetry.tick","ts_ns":)" << (i + 1) * 500'000'000
+          << R"(,"tick":)" << i << R"(,"phase":"valency.reach","visited":)"
+          << 1000 * (i + 1) << R"(,"cap":2000000,"cps":2000,)"
+          << R"("deadline_s":)" << 4 - i
+          << R"(,"peak_rss_kb":1024,"ledger_total":4096,)"
+          << R"("ledger":{"arena.words":4096},"counters":{}})" << "\n";
+    }
+    out << R"({"type":"watch.alert","ts_ns":2000000000,)"
+        << R"("rule":"ledger_runaway","tick":3,"phase":"valency.reach",)"
+        << R"("detail":"projected exit-4 in 9 s"})" << "\n";
+    out << R"({"type":"telemetry.tick","ts_ns":25000)";  // torn
+  }
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(path));
+  rep.finalize();
+  EXPECT_EQ(rep.lines_malformed(), 1u);
+  std::ostringstream text;
+  rep.render_text(text, 5);
+  const std::string s = text.str();
+  for (const char* want :
+       {"telemetry: 4 tick(s), 1 watchdog alert(s)", "phase      valency.reach",
+        "uptime     2 s", "deadline   1 s left", "eta->cap", "arena.words",
+        "ALERTS    ledger_runaway", "projected exit-4 in 9 s"}) {
+    EXPECT_NE(s.find(want), std::string::npos) << want << "\n" << s;
+  }
+  std::ostringstream section;
+  rep.render_telemetry(section);
+  EXPECT_NE(s.find(section.str()), std::string::npos)
+      << "the monitor's frame is the report's section";
+  std::ostringstream analyzed;
+  EXPECT_EQ(report::analyze_files({path}, 5, "", analyzed), 0);
+  std::remove(path.c_str());
 }
 
 // --- sparkline -------------------------------------------------------------
@@ -345,7 +403,7 @@ void write_timeline(const std::string& path, double cps_scale,
     out << R"({"type":"explore.level","level":)" << i
         << R"(,"frontier":100})" << "\n";
     out << R"({"type":"telemetry.tick","tick":)" << i
-        << R"(,"t_s":)" << (0.5 * (i + 1) * wall_scale)
+        << R"(,"ts_ns":)" << (0.5e9 * (i + 1) * wall_scale)
         << R"(,"phase":"explore","visited":)" << (1000 * (i + 1))
         << R"(,"cps":)" << (2000.0 * cps_scale)
         << R"(,"peak_rss_kb":1024,"ledger_total":4096,"ledger":{},)"
@@ -393,16 +451,16 @@ TEST(CompareTimelines, MissingOrEmptyFileIsUsage) {
 
 TEST(RunReport, CountsTelemetryRecords) {
   report::RunReport rep;
+  rep.ingest_line(R"({"type":"telemetry.tick","ts_ns":1000000000,"tick":0,)"
+                  R"("phase":"explore"})");
+  rep.ingest_line(R"({"type":"telemetry.tick","ts_ns":2000000000,"tick":1,)"
+                  R"("phase":"explore"})");
   rep.ingest_line(
-      R"({"type":"telemetry.tick","tick":0,"t_s":1.0,"phase":"explore"})");
-  rep.ingest_line(
-      R"({"type":"telemetry.tick","tick":1,"t_s":2.0,"phase":"explore"})");
-  rep.ingest_line(
-      R"({"type":"watch.alert","rule":"spill_thrash","tick":1,)"
-      R"("t_s":2.0,"phase":"explore","detail":"churn"})");
+      R"({"type":"watch.alert","ts_ns":2000000000,"rule":"spill_thrash",)"
+      R"("tick":1,"phase":"explore","detail":"churn"})");
   rep.finalize();
-  EXPECT_EQ(rep.telemetry_ticks(), 2u);
-  EXPECT_EQ(rep.watch_alerts(), 1u);
+  EXPECT_EQ(rep.ticks().size(), 2u);
+  EXPECT_EQ(rep.alerts().size(), 1u);
   EXPECT_EQ(rep.lines_malformed(), 0u);
   std::ostringstream out;
   rep.render_text(out, 5);
@@ -432,13 +490,12 @@ TEST(TelemetryEndToEnd, AdversaryTimelineMatchesExitState) {
   obs::stats_sink().close();
   obs::set_progress_interval(saved);
 
-  report::Timeline tl;
-  std::string err;
-  ASSERT_TRUE(tl.load(path, &err)) << err;
-  ASSERT_GE(tl.ticks().size(), 1u);
-  EXPECT_TRUE(tl.monotonic()) << "tick ids must strictly increase";
-  EXPECT_EQ(tl.malformed(), 0u);
-  const report::TimelineTick& final_tick = tl.ticks().back();
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(path));
+  ASSERT_GE(rep.ticks().size(), 1u);
+  EXPECT_TRUE(rep.monotonic()) << "tick ids must strictly increase";
+  EXPECT_EQ(rep.lines_malformed(), 0u);
+  const report::RunReport::Tick& final_tick = rep.ticks().back();
   EXPECT_EQ(final_tick.phase, "done");
   // Nothing allocates between the construction's end and the final tick:
   // the timeline's last ledger totals are the exit report's.

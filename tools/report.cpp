@@ -11,6 +11,7 @@
 
 #include "obs/flight.hpp"
 #include "obs/jsonl_sink.hpp"
+#include "obs/memledger.hpp"
 #include "obs/watchdog.hpp"
 #include "util/table.hpp"
 
@@ -321,14 +322,67 @@ void RunReport::ingest_line(const std::string& line) {
   }
 }
 
+bool RunReport::load(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::string line;
+  while (std::getline(in, line)) ingest_line(line);
+  return true;
+}
+
 void RunReport::ingest_telemetry(const JsonValue& v, const std::string& type) {
   if (type == "telemetry.tick") {
-    ++telemetry_ticks_;
-  } else if (type == "watch.alert") {
-    ++watch_alerts_;
-    ++watch_alert_counts_[v.str_or("rule", "?")];
+    Tick t;
+    t.tick = v.int_or("tick", 0);
+    t.ts_ns = v.int_or("ts_ns", 0);
+    t.phase = v.str_or("phase", "?");
+    t.level = v.int_or("level", -1);
+    t.frontier = v.int_or("frontier", -1);
+    t.visited = v.int_or("visited", -1);
+    t.cap = v.int_or("cap", -1);
+    t.covered = v.int_or("covered", -1);
+    t.cps = v.num_or("cps", -1.0);
+    t.deadline_s = v.num_or("deadline_s", -1.0);
+    t.flight_events = v.int_or("flight_events", -1);
+    t.peak_rss_kb = v.int_or("peak_rss_kb", 0);
+    t.ledger_total = v.int_or("ledger_total", 0);
+    for (const auto& [key, dst] : {std::pair{"ledger", &t.ledger},
+                                   std::pair{"counters", &t.counters}}) {
+      if (const JsonValue* obj = v.find(key);
+          obj && obj->type == JsonValue::Type::kObj) {
+        for (const auto& [name, val] : obj->obj) {
+          (*dst)[name] = to_i64(val.num);
+        }
+      }
+    }
+    ticks_.push_back(std::move(t));
+  } else if (type == "watch.alert" || type == "watch.clear") {
+    Alert a;
+    a.rule = v.str_or("rule", "?");
+    a.tick = v.int_or("tick", 0);
+    a.ts_ns = v.int_or("ts_ns", 0);
+    a.phase = v.str_or("phase", "");
+    a.detail = v.str_or("detail", "");
+    a.clear = type == "watch.clear";
+    alerts_.push_back(std::move(a));
   }
-  // watch.clear is episode bookkeeping; nothing to aggregate.
+}
+
+std::vector<std::string> RunReport::active_alerts() const {
+  std::map<std::string, bool> latched;  // rule -> alert without later clear
+  for (const Alert& a : alerts_) latched[a.rule] = !a.clear;
+  std::vector<std::string> out;
+  for (const auto& [rule, on] : latched) {
+    if (on) out.push_back(rule);
+  }
+  return out;
+}
+
+bool RunReport::monotonic() const {
+  for (std::size_t i = 1; i < ticks_.size(); ++i) {
+    if (ticks_[i].tick <= ticks_[i - 1].tick) return false;
+  }
+  return true;
 }
 
 void RunReport::ingest_introspection(const JsonValue& v,
@@ -841,20 +895,7 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
     t.print(out, "last " + std::to_string(keep) + " flight events");
   }
 
-  if (telemetry_ticks_ > 0 || watch_alerts_ > 0) {
-    out << "\ntelemetry: " << telemetry_ticks_ << " tick(s), "
-        << watch_alerts_ << " watchdog alert(s)";
-    if (!watch_alert_counts_.empty()) {
-      out << " (";
-      bool first = true;
-      for (const auto& [rule, n] : watch_alert_counts_) {
-        out << (first ? "" : ", ") << rule << " x" << n;
-        first = false;
-      }
-      out << ")";
-    }
-    out << "\n";
-  }
+  render_telemetry(out);
 
   if (have_cert_) {
     auto regs_str = [](const std::vector<int>& regs) {
@@ -879,6 +920,107 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
         << (cert_verified_ ? "VERIFIED" : "NOT VERIFIED") << "\n";
     if (!cert_error_.empty()) out << "  error: " << cert_error_ << "\n";
     out << "  " << (consistent_ ? "CONSISTENT" : "MISMATCH") << "\n";
+  }
+}
+
+void RunReport::render_telemetry(std::ostream& out) const {
+  if (ticks_.empty() && alerts_.empty()) return;
+  std::uint64_t fired = 0;
+  for (const Alert& a : alerts_) fired += a.clear ? 0 : 1;
+  out << "\ntelemetry: " << ticks_.size() << " tick(s), " << fired
+      << " watchdog alert(s)" << (monotonic() ? "" : ", NON-MONOTONIC TICK IDS")
+      << "\n";
+  // The latest tick that carried a field: the terminal tick has no engine
+  // sample, and lemma4's ticks interleave with the valency engine's.
+  const auto latest = [&](auto has) -> const Tick* {
+    for (auto it = ticks_.rbegin(); it != ticks_.rend(); ++it) {
+      if (has(*it)) return &*it;
+    }
+    return nullptr;
+  };
+  if (!ticks_.empty()) {
+    const Tick& last = ticks_.back();
+    out << "  phase      " << last.phase << ", tick " << last.tick << "\n";
+    out << "  uptime     " << fmt(static_cast<double>(last.ts_ns) / 1e9)
+        << " s\n";
+    if (last.level >= 0) out << "  level      " << last.level << "\n";
+    if (last.visited >= 0) {
+      out << "  visited    " << last.visited;
+      if (last.cap >= 0) out << " / cap " << last.cap;
+      out << "\n";
+    }
+    if (const Tick* t = latest([](const Tick& x) { return x.covered >= 0; })) {
+      out << "  covered    " << t->covered << " registers (" << t->phase
+          << " stage " << t->level << ", tick " << t->tick << ")\n";
+    }
+    if (const Tick* t = latest([](const Tick& x) { return x.cps >= 0; })) {
+      out << "  rate       " << to_i64(t->cps) << " configs/s (" << t->phase
+          << ", tick " << t->tick << ")\n";
+      if (t->cps > 0 && t->visited >= 0 && t->cap > t->visited) {
+        out << "  eta->cap   "
+            << fmt(static_cast<double>(t->cap - t->visited) / t->cps)
+            << " s\n";
+      }
+    }
+    if (last.deadline_s >= 0) {
+      out << "  deadline   " << fmt(last.deadline_s) << " s left\n";
+    }
+    out << "  rss peak   " << last.peak_rss_kb << " KiB, tracked "
+        << obs::format_bytes(static_cast<std::size_t>(last.ledger_total))
+        << "\n";
+    for (const auto& [name, bytes] : last.ledger) {
+      if (bytes <= 0) continue;
+      out << "    " << name
+          << std::string(name.size() < 18 ? 18 - name.size() : 1, ' ')
+          << obs::format_bytes(static_cast<std::size_t>(bytes)) << "\n";
+    }
+    if (last.flight_events >= 0) {
+      out << "  flight     " << last.flight_events << " events\n";
+    }
+
+    constexpr std::size_t kTrendTicks = 96;  // window the sparklines cover
+    constexpr std::size_t kWidth = 32;
+    const std::size_t lo =
+        ticks_.size() > kTrendTicks ? ticks_.size() - kTrendTicks : 0;
+    const auto trend = [&](const char* name, auto get,
+                           const std::string& current) {
+      std::vector<double> xs;
+      for (std::size_t i = lo; i < ticks_.size(); ++i) {
+        const double v = get(ticks_[i]);
+        if (v >= 0) xs.push_back(v);
+      }
+      if (xs.empty()) return;
+      out << "  " << name << " " << sparkline(xs, kWidth) << "  " << current
+          << "\n";
+    };
+    trend("cps       ", [](const Tick& t) { return t.cps; },
+          last.cps >= 0 ? std::to_string(to_i64(last.cps)) + " configs/s" : "-");
+    trend("frontier  ",
+          [](const Tick& t) { return static_cast<double>(t.frontier); },
+          last.frontier >= 0 ? std::to_string(last.frontier) : "-");
+    trend("tracked   ",
+          [](const Tick& t) { return static_cast<double>(t.ledger_total); },
+          obs::format_bytes(static_cast<std::size_t>(last.ledger_total)));
+    trend("rss       ",
+          [](const Tick& t) { return static_cast<double>(t.peak_rss_kb); },
+          std::to_string(last.peak_rss_kb) + " KiB");
+  }
+
+  const std::vector<std::string> active = active_alerts();
+  if (active.empty()) return;
+  out << "  ALERTS    ";
+  for (std::size_t i = 0; i < active.size(); ++i) {
+    out << (i > 0 ? ", " : "") << active[i];
+  }
+  out << "\n";
+  // The most recent detail line per still-active rule.
+  for (const std::string& rule : active) {
+    for (auto it = alerts_.rbegin(); it != alerts_.rend(); ++it) {
+      if (it->rule == rule && !it->clear) {
+        out << "    " << rule << ": " << it->detail << "\n";
+        break;
+      }
+    }
   }
 }
 
@@ -937,13 +1079,10 @@ int analyze_files(const std::vector<std::string>& files, int top_k,
                   const std::string& baseline_file, std::ostream& out) {
   RunReport rep;
   for (const std::string& path : files) {
-    std::ifstream in(path);
-    if (!in) {
+    if (!rep.load(path)) {
       out << "tsb report: cannot read " << path << "\n";
       return 2;
     }
-    std::string line;
-    while (std::getline(in, line)) rep.ingest_line(line);
   }
   rep.finalize();
   rep.render_text(out, top_k);
@@ -968,85 +1107,7 @@ int analyze_files(const std::vector<std::string>& files, int top_k,
   return 0;
 }
 
-// --- telemetry timelines ---------------------------------------------------
-
-void Timeline::ingest_line(const std::string& line) {
-  if (line.empty()) return;
-  ++lines_;
-  JsonValue v;
-  if (!parse_json(line, v) || v.type != JsonValue::Type::kObj) {
-    ++malformed_;
-    return;
-  }
-  const std::string type = v.str_or("type", "");
-  if (type == "telemetry.tick") {
-    TimelineTick t;
-    t.tick = v.int_or("tick", 0);
-    t.t_s = v.num_or("t_s", 0.0);
-    t.phase = v.str_or("phase", "?");
-    t.level = v.int_or("level", -1);
-    t.frontier = v.int_or("frontier", -1);
-    t.visited = v.int_or("visited", -1);
-    t.cap = v.int_or("cap", -1);
-    t.cps = v.num_or("cps", -1.0);
-    t.deadline_s = v.num_or("deadline_s", -1.0);
-    t.flight_events = v.int_or("flight_events", -1);
-    t.peak_rss_kb = v.int_or("peak_rss_kb", 0);
-    t.ledger_total = v.int_or("ledger_total", 0);
-    if (const JsonValue* led = v.find("ledger");
-        led && led->type == JsonValue::Type::kObj) {
-      for (const auto& [name, val] : led->obj) {
-        t.ledger[name] = to_i64(val.num);
-      }
-    }
-    if (const JsonValue* c = v.find("counters");
-        c && c->type == JsonValue::Type::kObj) {
-      for (const auto& [name, val] : c->obj) {
-        t.counters[name] = to_i64(val.num);
-      }
-    }
-    ticks_.push_back(std::move(t));
-  } else if (type == "watch.alert" || type == "watch.clear") {
-    TimelineAlert a;
-    a.rule = v.str_or("rule", "?");
-    a.tick = v.int_or("tick", 0);
-    a.t_s = v.num_or("t_s", 0.0);
-    a.phase = v.str_or("phase", "");
-    a.detail = v.str_or("detail", "");
-    a.clear = type == "watch.clear";
-    alerts_.push_back(std::move(a));
-  }
-  // Every other record type in the stream (levels, decision trail, ledger)
-  // is not part of the timeline and is skipped.
-}
-
-bool Timeline::load(const std::string& path, std::string* err) {
-  std::ifstream in(path);
-  if (!in) {
-    if (err != nullptr) *err = "cannot read " + path;
-    return false;
-  }
-  std::string line;
-  while (std::getline(in, line)) ingest_line(line);
-  return true;
-}
-
-std::vector<std::string> Timeline::active_alerts() const {
-  std::map<std::string, bool> latched;  // rule -> alert without later clear
-  for (const TimelineAlert& a : alerts_) latched[a.rule] = !a.clear;
-  std::vector<std::string> out;
-  for (const auto& [rule, on] : latched) {
-    if (on) out.push_back(rule);
-  }
-  return out;
-}
-
-bool Timeline::monotonic() const {
-  for (std::size_t i = 1; i < ticks_.size(); ++i) {
-    if (ticks_[i].tick <= ticks_[i - 1].tick) return false;
-  }
-  return true;
-}
+// --- telemetry -------------------------------------------------------------
 
 std::string sparkline(const std::vector<double>& xs, std::size_t width) {
   static const char* kBlocks[] = {"▁", "▂", "▃", "▄",
@@ -1100,10 +1161,10 @@ struct CompareSide {
   std::map<std::string, PhaseAgg> phases;
 };
 
-CompareSide aggregate(const Timeline& tl) {
+CompareSide aggregate(const RunReport& rep) {
   CompareSide s;
-  for (const TimelineTick& t : tl.ticks()) {
-    s.wall_s = std::max(s.wall_s, t.t_s);
+  for (const RunReport::Tick& t : rep.ticks()) {
+    s.wall_s = std::max(s.wall_s, static_cast<double>(t.ts_ns) / 1e9);
     for (PhaseAgg* agg : {&s.total, &s.phases[t.phase]}) {
       ++agg->ticks;
       if (t.cps >= 0) {
@@ -1114,7 +1175,7 @@ CompareSide aggregate(const Timeline& tl) {
       agg->max_rss_kb = std::max(agg->max_rss_kb, t.peak_rss_kb);
     }
   }
-  for (const TimelineAlert& a : tl.alerts()) {
+  for (const RunReport::Alert& a : rep.alerts()) {
     if (!a.clear) ++s.alerts;
   }
   return s;
@@ -1128,10 +1189,12 @@ double pct_delta(double a, double b) {
 
 int compare_timelines(const std::string& path_a, const std::string& path_b,
                       double tol_pct, std::ostream& out) {
-  Timeline ta, tb;
-  std::string err;
-  if (!ta.load(path_a, &err) || !tb.load(path_b, &err)) {
-    out << "tsb report --compare: " << err << "\n";
+  RunReport ta, tb;
+  const std::string* unreadable = !ta.load(path_a)   ? &path_a
+                                  : !tb.load(path_b) ? &path_b
+                                                     : nullptr;
+  if (unreadable != nullptr) {
+    out << "tsb report --compare: cannot read " << *unreadable << "\n";
     return 2;
   }
   if (ta.ticks().empty() || tb.ticks().empty()) {

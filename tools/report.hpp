@@ -51,18 +51,30 @@ constexpr int kMaxJsonDepth = 64;
 /// nesting deeper than kMaxJsonDepth, or trailing garbage.
 bool parse_json(std::string_view text, JsonValue& out);
 
-/// Aggregated view of one run's artifacts. Feed every line of every file
-/// through ingest_line (order within a file matters for "last event wins"
-/// fields; file order does not), then finalize() once.
+/// Aggregated view of one run's artifacts, and the one reader of the
+/// stats stream: `tsb report`, `tsb report --compare` and `tsb monitor` are
+/// all views of it. Feed every line of every file through ingest_line or
+/// load (order within a file matters for "last event wins" fields; file
+/// order does not), then finalize() once. A crash-truncated final line is
+/// tolerated (counted as malformed, never fatal): the sink flushes per
+/// tick, so the worst case a kill -9 leaves behind is one torn tail line.
 class RunReport {
  public:
   void ingest_line(const std::string& line);
+  /// Ingest every line of `path`; false only when the file cannot be
+  /// opened — content problems just bump lines_malformed().
+  bool load(const std::string& path);
   void finalize();
 
   /// The full human-readable report: phase breakdown, per-level table,
-  /// valency cache stats, hottest registers, covering narrative vs
-  /// certificate.
+  /// valency cache stats, hottest registers, telemetry, covering narrative
+  /// vs certificate.
   void render_text(std::ostream& out, int top_k) const;
+  /// The telemetry section alone (what `tsb monitor` repaints): the last
+  /// tick's phase, uptime, rate, ETA to the cap, deadline, ledger,
+  /// sparkline trends and still-latched alerts. Prints nothing without
+  /// telemetry records.
+  void render_telemetry(std::ostream& out) const;
 
   /// One-line JSON of the run's deterministic outcomes (no timings), for
   /// BENCH_*.json trajectory files: diffing two baselines answers "did the
@@ -117,9 +129,44 @@ class RunReport {
   }
   std::uint64_t flight_events() const { return flight_rows_.size(); }
   std::string flight_dump_reason() const { return flight_reason_; }
-  /// telemetry.tick / watch.alert records seen in the stats stream.
-  std::uint64_t telemetry_ticks() const { return telemetry_ticks_; }
-  std::uint64_t watch_alerts() const { return watch_alerts_; }
+
+  // --- telemetry (heartbeat ticks and watchdog records) -----------------
+  /// One "telemetry.tick" record. Counter-shaped fields are cumulative (the
+  /// sampler never diffs); negative means the emitting engine did not
+  /// supply the field on that tick.
+  struct Tick {
+    std::int64_t tick = 0;
+    std::int64_t ts_ns = 0;  ///< the stats sink's clock
+    std::string phase;
+    std::int64_t level = -1;
+    std::int64_t frontier = -1;
+    std::int64_t visited = -1;
+    std::int64_t cap = -1;
+    std::int64_t covered = -1;  ///< distinct covered registers (lemma4)
+    double cps = -1.0;  ///< interval rate, valid only within one phase
+    double deadline_s = -1.0;  ///< seconds left under --time-budget-ms
+    std::int64_t flight_events = -1;  ///< flight-recorder events so far
+    std::int64_t peak_rss_kb = 0;
+    std::int64_t ledger_total = 0;
+    std::map<std::string, std::int64_t> ledger;    ///< account -> bytes
+    std::map<std::string, std::int64_t> counters;  ///< registry counters
+  };
+  /// A "watch.alert" (clear == false) or "watch.clear" (clear == true)
+  /// record.
+  struct Alert {
+    std::string rule;
+    std::int64_t tick = 0;
+    std::int64_t ts_ns = 0;
+    std::string phase;
+    std::string detail;
+    bool clear = false;
+  };
+  const std::vector<Tick>& ticks() const { return ticks_; }
+  const std::vector<Alert>& alerts() const { return alerts_; }
+  /// Rules with an alert and no later clear — still latched at end of file.
+  std::vector<std::string> active_alerts() const;
+  /// True iff tick ids strictly increase (the sampler's invariant).
+  bool monotonic() const;
 
   // --- aggregates (public: the benches read them directly) ---------------
   /// Per-name span totals. self_ms is each span's duration minus its
@@ -264,9 +311,8 @@ class RunReport {
   std::int64_t flight_total_events_ = 0;
 
   // Telemetry (heartbeat ticks and watchdog records in the stats stream).
-  std::uint64_t telemetry_ticks_ = 0;
-  std::uint64_t watch_alerts_ = 0;
-  std::map<std::string, std::uint64_t> watch_alert_counts_;
+  std::vector<Tick> ticks_;
+  std::vector<Alert> alerts_;
 
   // Certificate (last one wins).
   bool have_cert_ = false;
@@ -288,66 +334,6 @@ class RunReport {
 /// narrative, 2 a file could not be read.
 int analyze_files(const std::vector<std::string>& files, int top_k,
                   const std::string& baseline_file, std::ostream& out);
-
-// --- telemetry timelines (the ticks of a --stats file) -----------------------
-
-/// One "telemetry.tick" record. Counter-shaped fields are cumulative (the
-/// sampler never diffs); negative means the emitting engine did not supply
-/// the field on that tick.
-struct TimelineTick {
-  std::int64_t tick = 0;
-  double t_s = 0.0;
-  std::string phase;
-  std::int64_t level = -1;
-  std::int64_t frontier = -1;
-  std::int64_t visited = -1;
-  std::int64_t cap = -1;
-  double cps = -1.0;  ///< interval rate, valid only within one phase
-  double deadline_s = -1.0;  ///< seconds left under --time-budget-ms
-  std::int64_t flight_events = -1;  ///< flight-recorder events so far
-  std::int64_t peak_rss_kb = 0;
-  std::int64_t ledger_total = 0;
-  std::map<std::string, std::int64_t> ledger;    ///< account -> bytes
-  std::map<std::string, std::int64_t> counters;  ///< registry counters
-};
-
-/// A "watch.alert" (clear == false) or "watch.clear" (clear == true) record.
-struct TimelineAlert {
-  std::string rule;
-  std::int64_t tick = 0;
-  double t_s = 0.0;
-  std::string phase;
-  std::string detail;
-  bool clear = false;
-};
-
-/// The telemetry view of a stats file: its telemetry.tick and watch.*
-/// records; records of every other type are skipped. A crash-truncated
-/// final line is tolerated (counted as malformed, never fatal): the sink
-/// flushes per tick, so the worst case a kill -9 leaves behind is one torn
-/// tail line.
-class Timeline {
- public:
-  void ingest_line(const std::string& line);
-  /// Read every line of `path`; false (with *err set) only when the file
-  /// cannot be opened — content problems just bump malformed().
-  bool load(const std::string& path, std::string* err);
-
-  const std::vector<TimelineTick>& ticks() const { return ticks_; }
-  const std::vector<TimelineAlert>& alerts() const { return alerts_; }
-  /// Rules with an alert and no later clear — still latched at end of file.
-  std::vector<std::string> active_alerts() const;
-  /// True iff tick ids strictly increase (the sampler's invariant).
-  bool monotonic() const;
-  std::uint64_t lines() const { return lines_; }
-  std::uint64_t malformed() const { return malformed_; }
-
- private:
-  std::vector<TimelineTick> ticks_;
-  std::vector<TimelineAlert> alerts_;
-  std::uint64_t lines_ = 0;
-  std::uint64_t malformed_ = 0;
-};
 
 /// Fixed-width block-character trend of `xs` (min..max scaled to 8 levels),
 /// downsampled by averaging when xs.size() > width. Empty input -> spaces.

@@ -9,7 +9,8 @@
 //   tsb chaos                      seeded fault-injection campaign (rt layer)
 //   tsb report FILE...             analyze trace/stats/chaos JSONL artifacts
 //   tsb report --compare A B       diff the telemetry of two --stats files
-//   tsb monitor <stats-file>       live view of a run's --stats stream
+//   tsb monitor <stats-file>       repaint the telemetry section of
+//                                  `tsb report <stats-file>` every 500 ms
 //
 // Observability flags (any position, any subcommand):
 //   --trace=FILE     record a trace; .jsonl gets JSONL, else Chrome
@@ -24,9 +25,10 @@
 //                    interval). A rule-driven watchdog rides the same ticks
 //                    and emits watch.alert records, stderr warnings, and
 //                    flight events on throughput collapse, spill thrash,
-//                    memory-budget runaway and checkpoint stalls. Watch live
-//                    with `tsb monitor FILE`; diff two runs with
-//                    `tsb report --compare A B`.
+//                    memory-budget runaway and checkpoint stalls. `tsb
+//                    report FILE` shows the ticks in its telemetry section;
+//                    `tsb monitor FILE` repaints that section live; `tsb
+//                    report --compare A B` diffs two runs.
 //   --metrics        print the metrics registry as one JSON line at exit
 //   --progress       heartbeat lines on stderr during long computations
 //
@@ -36,7 +38,6 @@
 //   --flight=FILE    enable the in-memory flight recorder; rings dump to
 //                    FILE on fatal signal, budget exhaustion, SIGUSR1, and
 //                    exit. Feed the dump to `tsb report` for a narrative.
-//   --once           tsb monitor: render one frame and exit (CI-friendly)
 //   --valency-cap=N  valency oracle configuration cap (adversary only)
 //   --top=K          report: how many hottest registers to show (default 5)
 //   --baseline=FILE  report: write the one-line baseline JSON to FILE
@@ -164,7 +165,7 @@ int usage() {
          "  tsb report FILE...               analyze run artifacts (JSONL)\n"
          "  tsb report --compare A B         diff two --stats timelines\n"
          "      [--tolerance=PCT]            (exit 1 past tolerance)\n"
-         "  tsb monitor <stats> [--once]     live view of a --stats stream\n"
+         "  tsb monitor <stats>              live telemetry section of report\n"
          "flags: --trace=FILE --stats=FILE --metrics --progress\n"
          "       --valency-cap=N --top=K --baseline=FILE\n"
          "introspection: --progress-interval-ms=MS --flight=FILE\n"
@@ -394,142 +395,18 @@ int cmd_chaos(const ObsFlags& obs_flags) {
   return result.timeouts > 0 ? kExitTimeout : kExitOk;
 }
 
-// One frame of `tsb monitor`: re-read the stats stream and render the
-// latest sample (uptime, rate, ETAs, ledger) above sparkline trend columns
-// over the trailing ticks, plus any still-latched alerts.
-bool monitor_frame(const std::string& path, std::ostream& out) {
-  report::Timeline tl;
-  std::string err;
-  if (!tl.load(path, &err)) return false;
-  const auto& ticks = tl.ticks();
-  if (ticks.empty()) return false;
-  const report::TimelineTick& last = ticks.back();
-
-  out << "tsb monitor — " << path << " (" << ticks.size() << " ticks"
-      << (tl.monotonic() ? "" : ", NON-MONOTONIC TICK IDS")
-      << (tl.malformed() > 0
-              ? ", " + std::to_string(tl.malformed()) + " torn line(s)"
-              : "")
-      << ")\n";
-  out << "  phase      " << last.phase << ", tick " << last.tick << "\n";
-  out << "  uptime     " << last.t_s << " s\n";
-  if (last.level >= 0) out << "  level      " << last.level << "\n";
-  if (last.visited >= 0) {
-    out << "  visited    " << last.visited;
-    if (last.cap >= 0) out << " / cap " << last.cap;
-    out << "\n";
-  }
-  // The terminal tick carries no engine sample, so the rate and the ETA to
-  // the cap come from the latest tick that measured a rate.
-  for (auto it = ticks.rbegin(); it != ticks.rend(); ++it) {
-    if (it->cps < 0) continue;
-    out << "  rate       " << static_cast<std::int64_t>(it->cps)
-        << " configs/s (" << it->phase << ", tick " << it->tick << ")\n";
-    if (it->cps > 0 && it->cap > it->visited) {
-      out << "  eta->cap   "
-          << static_cast<double>(it->cap - it->visited) / it->cps << " s\n";
-    }
-    break;
-  }
-  if (last.deadline_s >= 0) {
-    out << "  deadline   " << last.deadline_s << " s left\n";
-  }
-  out << "  rss peak   " << last.peak_rss_kb << " KiB, tracked "
-      << obs::format_bytes(static_cast<std::size_t>(last.ledger_total))
-      << "\n";
-  for (const auto& [name, bytes] : last.ledger) {
-    if (bytes <= 0) continue;
-    out << "    " << name
-        << std::string(name.size() < 18 ? 18 - name.size() : 1, ' ')
-        << obs::format_bytes(static_cast<std::size_t>(bytes)) << "\n";
-  }
-  if (last.flight_events >= 0) {
-    out << "  flight     " << last.flight_events << " events\n";
-  }
-
-  constexpr std::size_t kTrendTicks = 96;  // window the sparklines cover
-  constexpr std::size_t kWidth = 32;
-  const std::size_t lo =
-      ticks.size() > kTrendTicks ? ticks.size() - kTrendTicks : 0;
-  auto series = [&](auto get) {
-    std::vector<double> xs;
-    for (std::size_t i = lo; i < ticks.size(); ++i) {
-      const double v = get(ticks[i]);
-      if (v >= 0) xs.push_back(v);
-    }
-    return xs;
-  };
-  auto trend = [&](const char* name, const std::vector<double>& xs,
-                   const std::string& current) {
-    if (xs.empty()) return;
-    out << "  " << name << " " << report::sparkline(xs, kWidth) << "  "
-        << current << "\n";
-  };
-  trend("cps       ",
-        series([](const report::TimelineTick& t) { return t.cps; }),
-        last.cps >= 0
-            ? std::to_string(static_cast<std::int64_t>(last.cps)) +
-                  " configs/s"
-            : "-");
-  trend("frontier  ",
-        series([](const report::TimelineTick& t) {
-          return static_cast<double>(t.frontier);
-        }),
-        last.frontier >= 0 ? std::to_string(last.frontier) : "-");
-  trend("tracked   ",
-        series([](const report::TimelineTick& t) {
-          return static_cast<double>(t.ledger_total);
-        }),
-        obs::format_bytes(static_cast<std::size_t>(last.ledger_total)));
-  trend("rss       ",
-        series([](const report::TimelineTick& t) {
-          return static_cast<double>(t.peak_rss_kb);
-        }),
-        std::to_string(last.peak_rss_kb) + " KiB");
-
-  const std::vector<std::string> active = tl.active_alerts();
-  if (!active.empty()) {
-    out << "  ALERTS    ";
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      out << (i > 0 ? ", " : "") << active[i];
-    }
-    out << "\n";
-    // The most recent detail line per still-active rule.
-    for (const std::string& rule : active) {
-      for (auto it = tl.alerts().rbegin(); it != tl.alerts().rend(); ++it) {
-        if (it->rule == rule && !it->clear) {
-          out << "    " << rule << ": " << it->detail << "\n";
-          break;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-// `tsb monitor` reads a file a live producer owns, so a missing file or one
-// with no tick yet is a normal startup state, never a parse-error exit:
-// --once retries briefly before failing loudly (CI probes fire the moment
-// the producer starts), and live mode just keeps waiting.
-int run_monitor(const std::string& path, bool once) {
-  if (once) {
-    for (int attempt = 0; attempt < 20; ++attempt) {
-      std::ostringstream frame;
-      if (monitor_frame(path, frame)) {
-        std::cout << frame.str();
-        return kExitOk;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    }
-    std::cerr << "tsb monitor: no telemetry tick in " << path << "\n";
-    return kExitViolation;
-  }
+// `tsb monitor` repaints the telemetry section of `tsb report` every 500 ms
+// until interrupted. It reads a file a live producer owns, so a missing
+// file or one with no tick yet is a normal startup state: it keeps waiting.
+[[noreturn]] void run_monitor(const std::string& path) {
   while (true) {
+    report::RunReport rep;
     std::ostringstream frame;
-    const bool ok = monitor_frame(path, frame);
+    if (rep.load(path)) rep.render_telemetry(frame);
     std::cout << "\x1b[H\x1b[2J"
-              << (ok ? frame.str()
-                     : "waiting for the first tick in " + path + " ...\n")
+              << (frame.str().empty()
+                      ? "waiting for the first tick in " + path + " ...\n"
+                      : "tsb monitor " + path + frame.str())
               << std::flush;
     std::this_thread::sleep_for(std::chrono::milliseconds(500));
   }
@@ -671,7 +548,7 @@ int main(int argc, char** argv) {
     rc = report::analyze_files(files, obs_flags.top, obs_flags.baseline_file,
                                std::cout);
   } else if (cmd == "monitor" && args.size() >= 2) {
-    return run_monitor(args[1], obs_flags.once);
+    run_monitor(args[1]);
   } else {
     return usage();
   }

@@ -8,6 +8,8 @@
 // parse paths without side effects.
 
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -26,14 +28,13 @@ struct ObsFlags {
   // In-flight introspection (tsb adversary / tsb chaos / benches).
   std::uint64_t progress_interval_ms = 1'000;  ///< --progress-interval-ms=MS
   std::string flight_file;    ///< --flight=FILE (ring dump path / report input)
-  bool once = false;          ///< --once (tsb monitor: one frame and exit)
   std::size_t valency_cap = 0;  ///< --valency-cap=N; 0 = scale with n
   int top = 5;                ///< --top=K (report: hottest registers shown)
 
   // Chaos campaign flags (tsb chaos). These accept both --flag=V and
   // --flag V forms.
   std::string chaos_file;     ///< --out=FILE (per-run chaos JSONL records)
-  int runs = 100;             ///< --runs=N (campaign size)
+  int runs = 100;             ///< --runs=N (campaign size, <= INT_MAX)
   std::uint64_t seed = 1;     ///< --seed=S (campaign seed)
   std::string mix = "all";    ///< --mix=crash,stall,yield (subset) | all
   std::string targets = "all";///< --targets=ballot,bakery,... | all
@@ -64,7 +65,7 @@ struct ObsFlags {
 
   // Cross-run regression diffing (tsb report --compare A B, stats files).
   bool compare = false;       ///< --compare (report: diff two timelines)
-  double tolerance = 25.0;    ///< --tolerance=PCT (compare gate, percent)
+  double tolerance = 25.0;    ///< --tolerance=PCT (compare gate, finite %)
 };
 
 struct ParseResult {
@@ -164,34 +165,34 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
     } else if (value_flag("--tolerance", &sval)) {
       char* end = nullptr;
       const double v = std::strtod(sval.c_str(), &end);
+      // nan, inf and overflowing values like 1e999 would turn the gate off.
       if (bad_value || sval.empty() || end == sval.c_str() || *end != '\0' ||
-          v < 0.0) {
-        return fail("bad --tolerance (want a percentage >= 0)");
+          !std::isfinite(v) || v < 0.0) {
+        return fail("bad --tolerance (want a finite percentage >= 0)");
       }
       out.flags.tolerance = v;
     } else if (value_flag("--flight", &out.flags.flight_file)) {
       if (bad_value || out.flags.flight_file.empty()) {
         return fail("--flight needs a file");
       }
-    } else if (a == "--once") {
-      out.flags.once = true;
     } else if (file_flag(a, "--valency-cap=", sval)) {
       if (!parse_u64(sval, &uval) || uval == 0) {
         return fail("bad --valency-cap (want >= 1)");
       }
       out.flags.valency_cap = static_cast<std::size_t>(uval);
-    } else if (a.rfind("--top=", 0) == 0) {
-      char* end = nullptr;
-      const char* s = a.c_str() + std::strlen("--top=");
-      const long v = std::strtol(s, &end, 10);
-      if (v < 1 || end == s || *end != '\0') return fail("bad --top");
-      out.flags.top = static_cast<int>(v);
+    } else if (file_flag(a, "--top=", sval)) {
+      if (!parse_u64(sval, &uval) || uval == 0 || uval > INT_MAX) {
+        return fail("bad --top (want 1..INT_MAX)");
+      }
+      out.flags.top = static_cast<int>(uval);
     } else if (value_flag("--out", &out.flags.chaos_file)) {
       if (bad_value || out.flags.chaos_file.empty()) {
         return fail("--out needs a file");
       }
     } else if (u64_flag("--runs", &uval)) {
-      if (bad_value || uval == 0) return fail("bad --runs (want >= 1)");
+      if (bad_value || uval == 0 || uval > INT_MAX) {
+        return fail("bad --runs (want 1..INT_MAX)");
+      }
       out.flags.runs = static_cast<int>(uval);
     } else if (u64_flag("--seed", &out.flags.seed)) {
       if (bad_value) return fail("bad --seed");
