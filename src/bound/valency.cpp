@@ -306,10 +306,9 @@ void ValencyOracle::save_state(util::ckpt::SectionWriter& w) const {
   const std::size_t W = roots_.words_per_config();
   const std::size_t count = roots_.size();
   w.put_u64(count);
-  for (std::size_t id = 0; id < count; ++id) {
-    w.put_bytes(roots_.words(static_cast<sim::ConfigId>(id)),
-                W * sizeof(sim::Value));
-  }
+  roots_.for_each_segment(count, [&](const sim::Value* recs, std::size_t n) {
+    w.put_bytes(recs, n * W * sizeof(sim::Value));
+  });
   w.end();
 
   w.begin("memo");

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -137,6 +138,15 @@ class ConfigArena {
     return ConfigView{id, w, w + n_, n_, m_};
   }
   Config materialize(ConfigId id) const { return view(id).materialize(); }
+
+  /// Bulk read of ids [0, limit) in order as contiguous runs of packed
+  /// words, fn(const Value* words, std::size_t nconfigs): whole resident
+  /// segments by pointer, spilled ones decoded once (SpillStore's
+  /// for_each_segment). The checkpoint save path.
+  template <class Fn>
+  void for_each_segment(std::size_t limit, Fn&& fn) const {
+    store_.for_each_segment(limit, std::forward<Fn>(fn));
+  }
 
   bool words_equal(const Value* a, const Value* b) const {
     return std::memcmp(a, b, words_ * sizeof(Value)) == 0;

@@ -187,25 +187,20 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
   w.put_u8(facts_on_ ? 1 : 0);
   const std::size_t count = arena_.size();
   w.put_u64(count);
-  // Logical node words in id order; arena_.words() decodes spilled
-  // segments transparently, so the checkpoint is independent of which
-  // segments happen to be on disk at write time. The edge stores stream
-  // record by record through read() for the same reason: a checkpoint
-  // taken while edge segments sit on disk is byte-identical to one taken
-  // fully resident.
-  for (std::size_t id = 0; id < count; ++id) {
-    w.put_bytes(arena_.words(static_cast<ConfigId>(id)),
-                words_ * sizeof(Value));
-  }
-  for (std::size_t id = 0; id < count; ++id) w.put_bytes(flags_.read(id), 1);
-  for (std::size_t id = 0; id < count; ++id) {
-    w.put_bytes(succ_.read(id), static_cast<std::size_t>(n_) * sizeof(ConfigId));
-  }
+  // Logical records in id order, one put per resident segment (or per
+  // delta group of a spilled one): for_each_segment decodes spilled
+  // segments once, sequentially, so a checkpoint taken while arena or edge
+  // segments sit on disk is byte-identical to one taken fully resident.
+  const auto put_all = [&](const auto& store, std::size_t rec_bytes) {
+    store.for_each_segment(count, [&](const auto* recs, std::size_t nrecs) {
+      w.put_bytes(recs, nrecs * rec_bytes);
+    });
+  };
+  put_all(arena_, words_ * sizeof(Value));
+  put_all(flags_, 1);
+  put_all(succ_, static_cast<std::size_t>(n_) * sizeof(ConfigId));
   if (sym_) {
-    for (std::size_t id = 0; id < count; ++id) {
-      w.put_bytes(perm_.read(id),
-                  static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
-    }
+    put_all(perm_, static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
   }
   w.put_u64(facts_.size());
   facts_.for_each([&](std::uint64_t key, std::uint32_t val) {

@@ -4,6 +4,8 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -68,47 +70,56 @@ void fsync_dir_of(const std::string& path) {
   }
 }
 
+/// Slicing-by-8 tables (Kounavis & Berry 2005). Row 0 is the bytewise
+/// table; row k maps a byte to the CRC of that byte followed by k zero
+/// bytes, so one step folds eight input bytes with eight lookups. Built at
+/// compile time: no static-init cost and no first-call guard.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> t{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    t[0][i] = c;
+  }
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
+}
+
+constexpr auto kCrcTables = make_crc_tables();
+
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
-  static const std::uint32_t* table = [] {
-    static std::uint32_t t[256];
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
+  const auto& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const std::uint8_t* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const std::uint32_t lo = rd32(p) ^ c;
+    const std::uint32_t hi = rd32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
   }
+  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 
 // --- SectionWriter ---------------------------------------------------------
 
 SectionWriter::SectionWriter(const std::string& path)
-    : path_(path), tmp_(path + ".tmp") {
+    : path_(path), tmp_(path + ".tmp"), buf_(new std::uint8_t[kBufBytes]) {
   fd_ = ::open(tmp_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd_ < 0) fail("open " + tmp_);
   std::uint8_t hdr[sizeof(kMagic) + 4];
   std::memcpy(hdr, kMagic, sizeof(kMagic));
   le32(hdr + sizeof(kMagic), kFormatVersion);
-  try {
-    raw(hdr, sizeof(hdr));
-  } catch (...) {
-    // A throwing constructor never runs the destructor: close and unlink
-    // here or a full-disk failure leaks the fd and a stray tmp file.
-    ::close(fd_);
-    ::unlink(tmp_.c_str());
-    fd_ = -1;
-    throw;
-  }
+  raw(hdr, sizeof(hdr));  // buffered: cannot fail
 }
 
 SectionWriter::~SectionWriter() {
@@ -127,8 +138,22 @@ void SectionWriter::fail(const std::string& what) {
 }
 
 void SectionWriter::raw(const void* data, std::size_t len) {
-  if (!iofault::write_full(fd_, data, len)) fail("write " + tmp_);
   total_ += len;
+  if (len > kBufBytes - buf_len_) {
+    flush();
+    if (len >= kBufBytes) {
+      if (!iofault::write_full(fd_, data, len)) fail("write " + tmp_);
+      return;
+    }
+  }
+  std::memcpy(buf_.get() + buf_len_, data, len);
+  buf_len_ += len;
+}
+
+void SectionWriter::flush() {
+  if (buf_len_ == 0) return;
+  if (!iofault::write_full(fd_, buf_.get(), buf_len_)) fail("write " + tmp_);
+  buf_len_ = 0;
 }
 
 void SectionWriter::begin(const std::string& name) {
@@ -173,6 +198,7 @@ void SectionWriter::put_str(const std::string& s) {
 
 void SectionWriter::end() {
   TSB_REQUIRE(in_section_, "checkpoint end without begin");
+  flush();  // the header being patched must be in the file first
   std::uint8_t hdr[12];
   le64(hdr, sec_len_);
   le32(hdr + 8, sec_crc_);
@@ -190,6 +216,7 @@ void SectionWriter::finish() {
   // truncated exactly at a section boundary".
   std::uint8_t sentinel[4 + 12] = {};
   raw(sentinel, sizeof(sentinel));
+  flush();
   if (iofault::fsync(fd_) != 0) fail("fsync " + tmp_);
   if (::close(fd_) != 0) {
     // fd_ is dead either way, so the destructor won't run the unlink:
@@ -216,12 +243,16 @@ void SectionWriter::finish() {
 
 SectionReader::SectionReader(const std::string& path) : path_(path) {
   fd_ = ::open(path_.c_str(), O_RDONLY);
-  if (fd_ < 0) {
+  struct ::stat st;
+  if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
+    const std::string detail = errno_detail();
+    if (fd_ >= 0) ::close(fd_);
     throw CheckpointInvalid("checkpoint state file missing or unreadable: " +
-                            path_ + ": " + errno_detail());
+                            path_ + ": " + detail);
   }
+  left_ = static_cast<std::uint64_t>(st.st_size);
   std::uint8_t hdr[sizeof(kMagic) + 4];
-  if (!iofault::read_full(fd_, hdr, sizeof(hdr))) fail("truncated header");
+  read_exact(hdr, sizeof(hdr), "header");
   if (std::memcmp(hdr, kMagic, sizeof(kMagic)) != 0) {
     fail("bad magic (not a checkpoint state file)");
   }
@@ -236,6 +267,13 @@ SectionReader::~SectionReader() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+void SectionReader::read_exact(void* buf, std::size_t len, const char* what) {
+  if (!iofault::read_full(fd_, buf, len)) {
+    fail(std::string("truncated ") + what);
+  }
+  left_ -= std::min<std::uint64_t>(len, left_);
+}
+
 void SectionReader::fail(const std::string& what) {
   throw CheckpointInvalid("checkpoint invalid: " + path_ +
                           (sec_name_.empty() ? "" : " section " + sec_name_) +
@@ -244,25 +282,26 @@ void SectionReader::fail(const std::string& what) {
 
 std::string SectionReader::next() {
   std::uint8_t len4[4];
-  if (!iofault::read_full(fd_, len4, 4)) fail("truncated at section header");
+  read_exact(len4, 4, "at section header");
   const std::uint32_t name_len = rd32(len4);
   if (name_len >= kMaxSectionName) fail("implausible section name length");
   std::string name(name_len, '\0');
-  if (name_len > 0 && !iofault::read_full(fd_, name.data(), name_len)) {
-    fail("truncated section name");
-  }
+  if (name_len > 0) read_exact(name.data(), name_len, "section name");
   sec_name_ = name_len > 0 ? name : "<end>";
   std::uint8_t hdr[12];
-  if (!iofault::read_full(fd_, hdr, sizeof(hdr))) {
-    fail("truncated section length/CRC");
-  }
+  read_exact(hdr, sizeof(hdr), "section length/CRC");
   const std::uint64_t len = rd64(hdr);
   const std::uint32_t want_crc = rd32(hdr + 8);
   if (name_len == 0 && len != 0) fail("END sentinel carries a payload");
-  payload_.resize(len);
-  if (len > 0 && !iofault::read_full(fd_, payload_.data(), len)) {
-    fail("truncated section payload (" + std::to_string(len) + " bytes)");
+  // The length is read off the disk: check it against the file before
+  // allocating, so a corrupt claim is a refusal, not a bad_alloc or a
+  // multi-GiB zero fill.
+  if (len > left_) {
+    fail("truncated section payload (claims " + std::to_string(len) +
+         " bytes, " + std::to_string(left_) + " left in the file)");
   }
+  payload_.resize(len);
+  if (len > 0) read_exact(payload_.data(), len, "section payload");
   const std::uint32_t got_crc =
       len > 0 ? crc32(payload_.data(), payload_.size()) : 0;
   if (got_crc != want_crc) {

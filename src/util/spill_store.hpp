@@ -140,6 +140,31 @@ void decode_record(const std::uint8_t* block, std::size_t local,
   }
 }
 
+/// Decode group `g` of the block (kGroupRecords records) into `out`
+/// (`kGroupRecords * stride` words): one raw copy, then each delta applied
+/// once against its decoded predecessor.
+template <class W>
+void decode_group(const std::uint8_t* block, std::size_t g,
+                  std::size_t stride, W* out) {
+  const std::size_t ngroups = get_u32(block);
+  TSB_REQUIRE(g < ngroups, "spill codec: group index out of block range");
+  const std::uint8_t* p = block + 4 + 4 * ngroups + get_u32(block + 4 + 4 * g);
+  std::memcpy(out, p, stride * sizeof(W));
+  p += stride * sizeof(W);
+  for (std::size_t c = 1; c < kGroupRecords; ++c) {
+    W* cur = out + c * stride;
+    std::memcpy(cur, cur - stride, stride * sizeof(W));
+    const std::uint8_t nchanged = *p++;
+    for (std::uint8_t j = 0; j < nchanged; ++j) {
+      const std::size_t slot = get_varint(p);
+      const std::uint64_t delta =
+          static_cast<std::uint64_t>(unzigzag(get_varint(p)));
+      cur[slot] =
+          static_cast<W>(static_cast<std::uint64_t>(cur[slot]) + delta);
+    }
+  }
+}
+
 /// Decode every record of the block into `out` (`nrecs * stride` words):
 /// the fault-in path when a spilled segment must become writable again.
 template <class W>
@@ -149,23 +174,7 @@ void decode_all(const std::uint8_t* block, std::size_t nrecs,
   TSB_REQUIRE(ngroups == nrecs / kGroupRecords,
               "spill codec: block group count mismatch");
   for (std::size_t g = 0; g < ngroups; ++g) {
-    const std::uint8_t* p =
-        block + 4 + 4 * ngroups + get_u32(block + 4 + 4 * g);
-    W* rec = out + g * kGroupRecords * stride;
-    std::memcpy(rec, p, stride * sizeof(W));
-    p += stride * sizeof(W);
-    for (std::size_t c = 1; c < kGroupRecords; ++c) {
-      W* cur = rec + c * stride;
-      std::memcpy(cur, cur - stride, stride * sizeof(W));
-      const std::uint8_t nchanged = *p++;
-      for (std::uint8_t j = 0; j < nchanged; ++j) {
-        const std::size_t slot = get_varint(p);
-        const std::uint64_t delta =
-            static_cast<std::uint64_t>(unzigzag(get_varint(p)));
-        cur[slot] =
-            static_cast<W>(static_cast<std::uint64_t>(cur[slot]) + delta);
-      }
-    }
+    decode_group<W>(block, g, stride, out + g * kGroupRecords * stride);
   }
 }
 
@@ -235,7 +244,8 @@ class BackingFile {
 /// whole segment back to resident — decoding it, releasing the stale disk
 /// block (hole-punched), and letting the next quiescent spill re-encode it.
 /// read() on a spilled record decodes into a thread-local buffer and never
-/// faults anything in.
+/// faults anything in; for_each_segment() is the bulk reader for passes
+/// over every record (checkpoint saves).
 ///
 /// Thread safety: none — every owner runs its whole reachability pass on
 /// one thread.
@@ -341,6 +351,33 @@ class SpillStore {
     const Seg& s = segs_[idx >> shift_];
     if (s.data != nullptr) return s.data.get() + (idx & mask_) * stride_;
     return decode_tls(s, idx & mask_);
+  }
+
+  /// Visit records [0, limit) in id order as contiguous runs,
+  /// fn(const W* recs, std::size_t nrecs). A resident segment is handed out
+  /// whole by pointer; a spilled one is decoded once, in order, one delta
+  /// group at a time into a one-group scratch buffer — where a read() per
+  /// record would replay up to kGroupRecords - 1 deltas for each. Faults
+  /// nothing in.
+  template <class Fn>
+  void for_each_segment(std::size_t limit, Fn&& fn) const {
+    TSB_REQUIRE(limit <= size_, "SpillStore::for_each_segment past size()");
+    std::vector<W> group;
+    for (std::size_t start = 0; start < limit; start += seg_recs_) {
+      const Seg& s = segs_[start >> shift_];
+      const std::size_t n = std::min(seg_recs_, limit - start);
+      if (s.data != nullptr) {
+        fn(static_cast<const W*>(s.data.get()), n);
+        continue;
+      }
+      group.resize(kGroupRecords * stride_);
+      for (std::size_t at = 0; at < n; at += kGroupRecords) {
+        decode_group<W>(s.blk.map + s.blk.skip, at / kGroupRecords, stride_,
+                        group.data());
+        fn(static_cast<const W*>(group.data()),
+           std::min(kGroupRecords, n - at));
+      }
+    }
   }
 
   /// Writable pointer to a record. Faults the segment back to resident if

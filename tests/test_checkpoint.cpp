@@ -18,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -111,6 +112,63 @@ TEST(Crc32, KnownAnswerAndSeedChaining) {
   EXPECT_EQ(util::ckpt::crc32("", 0), 0u);
 }
 
+/// The bytewise definition crc32 must agree with: one table lookup per
+/// byte, table built at run time here so it shares nothing with the
+/// implementation's compile-time slicing tables.
+std::uint32_t crc32_bytewise(const std::uint8_t* p, std::size_t len,
+                             std::uint32_t seed = 0) {
+  std::uint32_t table[256];
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[i] = c;
+  }
+  std::uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> crc_input(std::size_t len) {
+  std::vector<std::uint8_t> b(len);
+  std::uint32_t x = 0x9E3779B9u;
+  for (auto& byte : b) {
+    x = x * 1664525u + 1013904223u;
+    byte = static_cast<std::uint8_t>(x >> 24);
+  }
+  return b;
+}
+
+TEST(Crc32, SlicingBy8MatchesBytewiseAtEveryLengthAndOffset) {
+  // Every length 0..300 from every start offset 0..7: covers the 8-byte
+  // main loop, every tail length, and unaligned loads.
+  const std::vector<std::uint8_t> buf = crc_input(300 + 8);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(util::ckpt::crc32(buf.data() + off, len),
+                crc32_bytewise(buf.data() + off, len))
+          << "offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, ContinuationAtEverySplitPoint) {
+  // crc32(b, crc32(a)) == crc32(a || b) wherever the writer's puts happen
+  // to split a section payload.
+  const std::vector<std::uint8_t> buf = crc_input(300);
+  const std::uint32_t whole = util::ckpt::crc32(buf.data(), buf.size());
+  ASSERT_EQ(whole, crc32_bytewise(buf.data(), buf.size()));
+  for (std::size_t split = 0; split <= buf.size(); ++split) {
+    const std::uint32_t a = util::ckpt::crc32(buf.data(), split);
+    ASSERT_EQ(util::ckpt::crc32(buf.data() + split, buf.size() - split, a),
+              whole)
+        << "split " << split;
+  }
+}
+
 // --- Section file format ---------------------------------------------------
 
 TEST(SectionFile, RoundtripAllPutGetKinds) {
@@ -164,6 +222,65 @@ TEST(SectionFile, TruncatedPayloadIsRefused) {
   fs::resize_file(path, kSamplePayloadOff + kSamplePayloadLen / 2);
   SectionReader r(path);
   EXPECT_THROW(r.expect("data"), CheckpointInvalid);
+}
+
+TEST(SectionFile, HostileSectionLengthIsRefusedBeforeAllocating) {
+  // A hand-made 33-byte file: magic + version, then a "graph" section
+  // header whose u64 length claims far more than the file holds. The
+  // claim must be refused as corruption, not allocated: 2^62 would throw
+  // std::bad_alloc, and a few GiB would zero-fill that much RAM before the
+  // short read noticed.
+  for (const std::uint64_t claim :
+       {std::uint64_t{1} << 62, std::uint64_t{3} << 30, std::uint64_t{1}}) {
+    std::vector<std::uint8_t> bytes = {'T', 'S', 'B', 'C',
+                                       'K', 'P', 'T', '\n'};
+    const auto put_le = [&](std::uint64_t v, int n) {
+      for (int i = 0; i < n; ++i) {
+        bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    };
+    put_le(util::ckpt::kFormatVersion, 4);
+    put_le(5, 4);
+    bytes.insert(bytes.end(), {'g', 'r', 'a', 'p', 'h'});
+    put_le(claim, 8);
+    put_le(0, 4);  // CRC
+    ASSERT_EQ(bytes.size(), 33u);
+    const std::string path = tdir("hostile_len") + "/state.bin";
+    spit(path, bytes);
+    SectionReader r(path);
+    try {
+      r.expect("graph");
+      FAIL() << "a " << claim << "-byte claim in a 33-byte file was accepted";
+    } catch (const CheckpointInvalid& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated section payload"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(SectionFile, PutLargerThanTheWriteBufferRoundTrips) {
+  // A single put bigger than the writer's 1 MiB buffer bypasses it after a
+  // flush; small puts on either side must land in order around it.
+  const std::string path = tdir("big_put") + "/state.bin";
+  const std::vector<std::uint8_t> big = crc_input((3u << 20) + 5);
+  {
+    SectionWriter w(path);
+    w.begin("big");
+    w.put_u32(0xA1B2C3D4u);
+    w.put_bytes(big.data(), big.size());
+    w.put_u64(0x0102030405060708ull);
+    w.end();
+    w.finish();
+  }
+  SectionReader r(path);
+  r.expect("big");
+  EXPECT_EQ(r.get_u32(), 0xA1B2C3D4u);
+  const std::uint8_t* got = r.get_bytes(big.size());
+  EXPECT_TRUE(std::equal(big.begin(), big.end(), got));
+  EXPECT_EQ(r.get_u64(), 0x0102030405060708ull);
+  r.done();
+  r.expect_end();
 }
 
 TEST(SectionFile, MissingEndSentinelIsRefused) {
@@ -281,6 +398,43 @@ TEST_F(IoFaultTest, EnospcFailsWriterWithBudgetExhausted) {
   util::iofault::arm(util::iofault::Kind::kEnospc, 1);
   EXPECT_THROW(write_sample(path), BudgetExhausted);
   EXPECT_GE(util::iofault::fired(), 1u);
+  util::iofault::disarm();
+  EXPECT_FALSE(fs::exists(path)) << "failed write must not commit";
+  EXPECT_FALSE(fs::exists(path + ".tmp")) << "tmp must be cleaned up";
+}
+
+// The buffered writer's syscalls for write_sample(), in order: the end()
+// flush (write 1), the end() backpatch (pwrite 2), and the finish() flush
+// of the END sentinel (write 3). The constructor and the puts only buffer.
+
+TEST_F(IoFaultTest, EnospcOnSectionBackpatchLeavesNoTmp) {
+  const std::string path = tdir("enospc_backpatch") + "/state.bin";
+  util::iofault::arm(util::iofault::Kind::kEnospc, 2);
+  try {
+    write_sample(path);
+    FAIL() << "a failed backpatch was not reported";
+  } catch (const BudgetExhausted& e) {
+    EXPECT_NE(std::string(e.what()).find("backpatch"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(util::iofault::fired(), 1u);
+  util::iofault::disarm();
+  EXPECT_FALSE(fs::exists(path)) << "failed write must not commit";
+  EXPECT_FALSE(fs::exists(path + ".tmp")) << "tmp must be cleaned up";
+}
+
+TEST_F(IoFaultTest, EnospcOnFinishFlushLeavesNoTmp) {
+  const std::string path = tdir("enospc_finish") + "/state.bin";
+  util::iofault::arm(util::iofault::Kind::kEnospc, 3);
+  try {
+    write_sample(path);
+    FAIL() << "a failed final flush was not reported";
+  } catch (const BudgetExhausted& e) {
+    EXPECT_NE(std::string(e.what()).find(": write " + path + ".tmp"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(util::iofault::fired(), 1u);
   util::iofault::disarm();
   EXPECT_FALSE(fs::exists(path)) << "failed write must not commit";
   EXPECT_FALSE(fs::exists(path + ".tmp")) << "tmp must be cleaned up";
