@@ -86,9 +86,9 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
     bool trace;
     bool flight;  ///< flight recorder armed (expected within a few
                   ///< percent of the bare run)
-    bool ticks;  ///< stats stream with heartbeat telemetry ticks and the
-                 ///< watchdog at a 100 ms cadence (gate: within tolerance
-                 ///< of the stats tier — one JSONL append + flush per tick)
+    bool ticks;  ///< stats stream with heartbeat telemetry ticks at a
+                 ///< 100 ms cadence (gate: within tolerance of the stats
+                 ///< tier — one JSONL append + flush per tick)
     bool ckpt = false;  ///< checkpoint service armed with a state-sized
                         ///< payload (PR 9 acceptance: serialize+commit time
                         ///< <= 5% of the tier's wall clock; the quiescent-

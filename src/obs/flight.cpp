@@ -25,7 +25,6 @@ const char* ev_name(Ev ev) {
     case Ev::kChaosFault: return "chaos.fault";
     case Ev::kPhase: return "phase";
     case Ev::kSpill: return "spill";
-    case Ev::kWatch: return "watch";
     case Ev::kCkpt: return "ckpt";
   }
   return "?";

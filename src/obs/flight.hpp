@@ -18,7 +18,6 @@ enum class Ev : std::uint8_t {
   kChaosFault,    ///< rt fault injected: a=thread id, b=fault kind
   kPhase,         ///< adversary stage entered: a=phase code (see phase_name)
   kSpill,         ///< arena spill: a=bytes released, b=total spilled bytes
-  kWatch,         ///< telemetry watchdog fired: a=WatchRule, b=tick id
   kCkpt,          ///< checkpoint committed: a=state-file bytes, b=write ms
 };
 

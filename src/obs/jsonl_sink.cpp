@@ -76,15 +76,6 @@ std::string json_int_array(const std::vector<int>& xs) {
   return s + "]";
 }
 
-std::string json_u64_array(const std::vector<std::uint64_t>& xs) {
-  std::string s = "[";
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    if (i > 0) s += ',';
-    s += std::to_string(xs[i]);
-  }
-  return s + "]";
-}
-
 bool JsonlSink::open(const std::string& path) {
   std::lock_guard<std::mutex> lock(mu_);
   if (f_) {

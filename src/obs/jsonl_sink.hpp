@@ -44,7 +44,6 @@ class JsonObj {
 /// "[1,2,3]" — the array form stats records use for register sets,
 /// shard occupancies and input vectors.
 std::string json_int_array(const std::vector<int>& xs);
-std::string json_u64_array(const std::vector<std::uint64_t>& xs);
 
 namespace detail {
 // Plain globals for the same reason as g_trace_enabled: the disabled check
@@ -109,9 +108,10 @@ class JsonlSink {
 ///
 /// stats_sink() is the run's one typed record stream: per-BFS-level and
 /// per-query engine records, the adversary's Lemma 1-4 decision trail,
-/// checkpoint writes, the memory ledger, heartbeat telemetry ticks and
-/// watchdog alerts. `tsb report`, `tsb monitor` and `tsb report --compare`
-/// all read it through the one reader, report::RunReport.
+/// checkpoint writes, the memory ledger and heartbeat telemetry ticks —
+/// measurements only. `tsb report`, `tsb monitor` and `tsb report
+/// --compare` all read it through the one reader, report::RunReport, which
+/// also derives the watchdog alerts from the ticks.
 ///
 /// chaos_sink() stays separate: chaos records must carry NO timestamps,
 /// because the determinism tests byte-compare whole campaign files.
@@ -119,8 +119,8 @@ JsonlSink& stats_sink();
 JsonlSink& chaos_sink();
 
 /// Start a timed stats record: {"type":..., "ts_ns":...}. The decision
-/// trail, telemetry ticks and watch.* records all open with it, so every
-/// timed record carries the sink's clock. Callers append their event's
+/// trail and telemetry ticks both open with it, so every timed record
+/// carries the sink's clock. Callers append their event's
 /// fields and write() the result to stats_sink(); a tick passes the one
 /// `ts_ns` it also computes its rate from. Only call when stats_enabled().
 inline JsonObj audit_event(std::string_view type,

@@ -19,4 +19,3 @@
 #include "obs/span.hpp"
 #include "obs/timeseries.hpp"
 #include "obs/trace_sink.hpp"
-#include "obs/watchdog.hpp"

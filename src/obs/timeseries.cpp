@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
+#include <cstdint>
 #include <mutex>
 #include <string>
 
@@ -10,7 +10,6 @@
 #include "obs/jsonl_sink.hpp"
 #include "obs/memledger.hpp"
 #include "obs/metrics.hpp"
-#include "obs/watchdog.hpp"
 
 namespace tsb::obs::telemetry {
 
@@ -41,7 +40,6 @@ void reset() {
   g_prev_phase.clear();
   g_prev_visited = -1;
   g_prev_t = 0.0;
-  Watchdog::global().reset();
 }
 
 void set_budgets(std::uint64_t mem_bytes, std::uint64_t time_ms) {
@@ -73,8 +71,8 @@ void tick(const Sample& s) {
   JsonlSink& sink = stats_sink();
   std::lock_guard<std::mutex> lock(g_mu);
 
-  // One clock for the whole stream: ticks and watch.* records carry the
-  // sink's ts_ns, like the decision trail.
+  // One clock for the whole stream: ticks carry the sink's ts_ns, like the
+  // decision trail.
   const auto now = std::chrono::steady_clock::now();
   const std::uint64_t ts_ns = sink.now_ns();
   const double t_s = static_cast<double>(ts_ns) / 1e9;
@@ -107,48 +105,22 @@ void tick(const Sample& s) {
     o.num("flight_events",
           static_cast<std::int64_t>(flight::events_recorded()));
   }
+  // The inputs of RunReport's ledger-runaway and checkpoint-stall rules,
+  // present only when the run configures them.
+  const auto i64 = [](std::uint64_t v) {
+    return static_cast<std::int64_t>(std::min<std::uint64_t>(v, INT64_MAX));
+  };
+  if (g_mem_budget != 0) o.num("mem_budget", i64(g_mem_budget));
+  if (g_ckpt_age_fn != nullptr) {
+    o.num("ckpt_age_s", g_ckpt_age_fn())
+        .num("ckpt_interval_ms", i64(g_ckpt_interval_ms));
+  }
   o.num("peak_rss_kb", peak_rss_kb())
       .num("ledger_total", static_cast<std::int64_t>(ledger.total()))
       .raw("ledger", ledger.json())
       .raw("counters", reg.counters_json())
       .raw("gauges", reg.gauges_json());
   sink.write(o.render());
-
-  WatchSample w;
-  w.tick = id;
-  w.t_s = t_s;
-  w.phase = s.phase;
-  w.visited = s.visited;
-  w.frontier = s.frontier;
-  w.cps = cps;
-  w.mapped_bytes = ledger.get(MemAccount::kArenaMapped);
-  w.spill_bytes = ledger.get(MemAccount::kArenaSpill);
-  w.ledger_total = ledger.total();
-  w.mem_budget = g_mem_budget;
-  w.ckpt_age_s = g_ckpt_age_fn != nullptr ? g_ckpt_age_fn() : -1;
-  w.ckpt_interval_ms = g_ckpt_interval_ms;
-
-  Watchdog& dog = Watchdog::global();
-  for (const WatchAlert& a : dog.observe(w)) {
-    const char* rule = watch_rule_name(a.rule);
-    JsonObj alert = audit_event("watch.alert", ts_ns);
-    alert.str("rule", rule)
-        .num("tick", static_cast<std::int64_t>(a.tick))
-        .str("phase", s.phase)
-        .str("detail", a.detail);
-    sink.write(alert.render());
-    std::fprintf(stderr, "[watch +%.1fs] %s: %s (tick %llu)\n", t_s, rule,
-                 a.detail.c_str(), static_cast<unsigned long long>(a.tick));
-    std::fflush(stderr);
-    flight::record(flight::Ev::kWatch, static_cast<std::int64_t>(a.rule),
-                   static_cast<std::int64_t>(a.tick));
-  }
-  for (WatchRule r : dog.cleared_last()) {
-    JsonObj clear = audit_event("watch.clear", ts_ns);
-    clear.str("rule", watch_rule_name(r))
-        .num("tick", static_cast<std::int64_t>(id));
-    sink.write(clear.render());
-  }
 
   g_prev_phase = s.phase;
   g_prev_visited = s.visited;

@@ -21,8 +21,9 @@ namespace tsb::util::ckpt {
 
 namespace {
 
-/// Telemetry watchdog probe (checkpoint-stall rule): seconds since the
-/// service's last successful write.
+/// Telemetry probe (ckpt_age_s on each tick, the input of the report's
+/// checkpoint-stall rule): seconds since the service's last successful
+/// write.
 std::int64_t ckpt_age_probe() {
   return CheckpointService::global().seconds_since_last_write();
 }

@@ -271,7 +271,7 @@ class CheckpointService {
     return write_ms_.load(std::memory_order_relaxed);
   }
   /// Seconds since the last successful write (-1: never wrote / disabled).
-  /// The telemetry watchdog's checkpoint-stall rule reads this.
+  /// Telemetry ticks carry it as ckpt_age_s (the checkpoint-stall rule).
   std::int64_t seconds_since_last_write() const;
   std::uint64_t interval_ms() const { return interval_ms_; }
   std::string dir() const;

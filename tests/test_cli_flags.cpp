@@ -3,6 +3,8 @@
 // exercise every parse path without side effects.
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -147,6 +149,61 @@ TEST(ParseArgs, ChaosFlagValidation) {
     EXPECT_NE(r.error.find("--runs"), std::string::npos) << r.error;
   }
   EXPECT_FALSE(parse_args({"--runs", "4294967296"}).ok);
+}
+
+TEST(Positional, StrictDecimalInRangeOrAbsent) {
+  const std::vector<std::string> args = {"check", "ballot", "5", "12"};
+  std::uint64_t v = 7;
+  std::string error;
+  EXPECT_TRUE(positional(args, 4, "cap", 1, 100, &v, &error));
+  EXPECT_EQ(v, 7u) << "absent: the caller's default stands";
+  EXPECT_TRUE(positional(args, 2, "n", 2, 63, &v, &error));
+  EXPECT_EQ(v, 5u);
+  EXPECT_TRUE(positional(args, 3, "cap", 1, 100, &v, &error));
+  EXPECT_EQ(v, 12u);
+  EXPECT_TRUE(error.empty());
+}
+
+TEST(Positional, ValuesACommandCannotRunWithNameTheArgument) {
+  // `tsb check ballot 0`, `tsb mutex -2`, `tsb search -1` used to abort
+  // (rc 134) and `tsb adversary abc` ran n = 0 into a "FAILED"
+  // construction; main() now exits 2 with this message.
+  struct Case {
+    std::vector<std::string> args;
+    std::size_t i;
+    const char* name;
+    std::uint64_t lo, hi;
+  };
+  const Case cases[] = {
+      {{"check", "ballot", "0"}, 2, "n", 2, 63},
+      {{"check", "ballot", "x"}, 2, "n", 2, 63},
+      {{"check", "ballot", "1"}, 2, "n", 2, 63},
+      {{"check", "ballot", "3", "0"}, 3, "cap", 1, INT_MAX},
+      {{"adversary", "abc"}, 1, "n", 2, 63},
+      {{"adversary", "64"}, 1, "n", 2, 63},
+      {{"adversary", "4", "-8"}, 2, "cap", 1, INT_MAX},
+      {{"resume", "ck", "5x"}, 2, "n", 2, 63},
+      {{"mutex", "0"}, 1, "n", 2, INT_MAX},
+      {{"mutex", "-2"}, 1, "n", 2, INT_MAX},
+      {{"perturb", "1"}, 1, "n", 2, INT_MAX},
+      {{"search", "-1"}, 1, "modes", 1, 128},
+      {{"search", "0"}, 1, "modes", 1, 128},
+      {{"search", "1", "+5"}, 2, "cap", 0, UINT64_MAX},
+      {{"mutex", "99999999999999999999999"}, 1, "n", 2, INT_MAX},
+      {{"mutex", ""}, 1, "n", 2, INT_MAX},
+  };
+  for (const Case& c : cases) {
+    std::uint64_t v = 99;
+    std::string error;
+    EXPECT_FALSE(positional(c.args, c.i, c.name, c.lo, c.hi, &v, &error))
+        << c.args[c.i];
+    EXPECT_EQ(v, 99u);
+    EXPECT_EQ(error.rfind(std::string("bad ") + c.name + " '" + c.args[c.i] +
+                              "'",
+                          0),
+              0u)
+        << error;
+  }
 }
 
 TEST(ParseBytes, SuffixesAndRejects) {

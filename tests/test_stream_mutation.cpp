@@ -1,17 +1,20 @@
 // Seeded mutation test for the stats-stream reader: parse_json,
 // RunReport::ingest_line (the one parser of every record type, ticks
-// included), analyze_files and compare_timelines. The corpus is the real record stream of an adversary
-// n=4 run (decision trail, engine records, telemetry ticks, ledger); each
-// mutant is a byte flip, truncation, duplication, splice, structural-token
-// swap or nesting bomb of one record. Every mutant must end as a parsed
-// record or a counted malformed line — never a crash, a hang or undefined
-// behaviour (the ASan+UBSan build runs this with the rest of ctest).
+// included), analyze_files and compare_timelines. The corpus is the real
+// record stream of an adversary n=4 run (decision trail, engine records,
+// telemetry ticks, ledger); each mutant is a byte flip, truncation,
+// duplication, splice, structural-token swap or nesting bomb of one record.
+// Every mutant must end as a parsed record or a counted malformed line —
+// never a crash, a hang or undefined behaviour (the ASan+UBSan build runs
+// this with the rest of ctest). A second test feeds the alert rules
+// hostile tick fields: they read numbers from disk too.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -167,6 +170,8 @@ TEST(StreamMutation, EveryMutantParsesOrCountsAsMalformed) {
   EXPECT_TRUE(parse_json(rep.baseline_json(), baseline));
   (void)rep.monotonic();
   (void)rep.active_alerts();
+  std::ostringstream section;
+  rep.render_telemetry(section);
 
   // The file-level entry points over the same mutants: two halves, each
   // analysed and compared. Exit codes stay in their documented ranges.
@@ -189,6 +194,155 @@ TEST(StreamMutation, EveryMutantParsesOrCountsAsMalformed) {
   EXPECT_TRUE(rc >= 0 && rc <= 2) << rc;
   std::remove(a.c_str());
   std::remove(b.c_str());
+}
+
+// --- hostile tick fields ---------------------------------------------------
+
+constexpr int kTimelineTicks = 20;
+
+// Tick i of a timeline that arms every alert rule: the rate collapses at
+// tick 12, arena.mapped churns while visited stays flat, the ledger races
+// toward mem_budget, and the checkpoint age climbs past its 1 s cadence.
+// `over` replaces fields by name with raw JSON text.
+std::string hostile_tick(int i, const std::map<std::string, std::string>& over) {
+  std::map<std::string, std::string> f = {
+      {"ts_ns", std::to_string(i * 1'000'000'000LL)},
+      {"tick", std::to_string(i)},
+      {"visited", std::to_string(500'000 + i)},
+      {"frontier", "100"},
+      {"cap", "2000000"},
+      {"cps", i < 12 ? "1000" : "50"},
+      {"deadline_s", "30"},
+      {"mem_budget", "1073741824"},
+      {"ckpt_age_s", std::to_string(i)},
+      {"ckpt_interval_ms", "1000"},
+      {"peak_rss_kb", "1024"},
+      {"ledger_total", std::to_string((i + 1) * 100'000'000LL)},
+      {"arena.mapped", i % 2 == 0 ? "1000000" : "10000"},
+  };
+  for (const auto& [k, v] : over) f[k] = v;
+  std::string line = R"({"type":"telemetry.tick","phase":"explore")";
+  for (const auto& [k, v] : f) {
+    if (k != "arena.mapped") line += ",\"" + k + "\":" + v;
+  }
+  return line + R"(,"ledger":{"arena.mapped":)" + f["arena.mapped"] +
+         R"(},"counters":{}})";
+}
+
+RunReport derive(const std::vector<std::string>& lines) {
+  RunReport rep;
+  for (const std::string& line : lines) rep.ingest_line(line);
+  rep.finalize();
+  return rep;
+}
+
+std::vector<std::string> timeline(
+    const std::map<int, std::map<std::string, std::string>>& over = {}) {
+  std::vector<std::string> lines;
+  for (int i = 0; i < kTimelineTicks; ++i) {
+    const auto it = over.find(i);
+    lines.push_back(hostile_tick(i, it != over.end() ? it->second
+                                                    : decltype(it->second){}));
+  }
+  return lines;
+}
+
+const RunReport::Alert* find_alert(const RunReport& rep,
+                                   const std::string& rule) {
+  for (const RunReport::Alert& a : rep.alerts()) {
+    if (a.rule == rule) return &a;
+  }
+  return nullptr;
+}
+
+bool fired(const RunReport& rep, const std::string& rule) {
+  return find_alert(rep, rule) != nullptr;
+}
+
+TEST(StreamMutation, HostileTickFieldsFinalizeAndRender) {
+  // The clean timeline arms all four rules, so the sweep below reaches
+  // every rule's arithmetic.
+  const RunReport clean = derive(timeline());
+  for (const char* rule : {"throughput_collapse", "spill_thrash",
+                           "ledger_runaway", "checkpoint_stall"}) {
+    EXPECT_TRUE(fired(clean, rule)) << rule;
+  }
+
+  // Every field, every hostile value, on every tick / the last tick / every
+  // other tick: ingest, derive alerts, render. Never a crash or UB.
+  const char* fields[] = {"ts_ns", "tick", "visited", "frontier", "cap",
+                          "cps", "deadline_s", "mem_budget", "ckpt_age_s",
+                          "ckpt_interval_ms", "peak_rss_kb", "ledger_total",
+                          "arena.mapped"};
+  const char* values[] = {"1e300", "-1e300", "1e999", "-1e999", "-1", "0",
+                          "9.3e18", "-9.3e18", "18446744073709551615",
+                          "-9223372036854775808", "9223372036854775807",
+                          "1e-300", "null", "\"x\"", "nan", "inf"};
+  for (const char* field : fields) {
+    for (const char* value : values) {
+      for (int pattern = 0; pattern < 3; ++pattern) {
+        std::map<int, std::map<std::string, std::string>> over;
+        for (int i = 0; i < kTimelineTicks; ++i) {
+          if (pattern == 0 || (pattern == 1 && i == kTimelineTicks - 1) ||
+              (pattern == 2 && i % 2 == 1)) {
+            over[i][field] = value;
+          }
+        }
+        const RunReport rep = derive(timeline(over));
+        // JSON has no nan/inf literals: those lines are malformed, every
+        // other value parses.
+        const bool bare = std::string(value) == "nan" ||
+                          std::string(value) == "inf";
+        EXPECT_EQ(rep.lines_malformed(), bare ? over.size() : 0u)
+            << field << "=" << value;
+        EXPECT_EQ(rep.ticks().size() + rep.lines_malformed(),
+                  static_cast<std::size_t>(kTimelineTicks));
+        for (const RunReport::Alert& a : rep.alerts()) {
+          EXPECT_FALSE(a.detail.empty()) << a.rule;
+        }
+        std::ostringstream out;
+        rep.render_telemetry(out);
+        rep.render_text(out, 5);
+      }
+    }
+  }
+
+  // Non-finite rates disarm the collapse rule; 1e300 saturates in the
+  // detail instead of overflowing the cast.
+  std::map<int, std::map<std::string, std::string>> inf_tail, inf_head;
+  for (int i = 12; i < kTimelineTicks; ++i) inf_tail[i]["cps"] = "1e999";
+  for (int i = 0; i < 12; ++i) inf_head[i]["cps"] = "1e999";
+  EXPECT_FALSE(fired(derive(timeline(inf_tail)), "throughput_collapse"));
+  EXPECT_FALSE(fired(derive(timeline(inf_head)), "throughput_collapse"))
+      << "an infinite rate has no vote in the median";
+  std::map<int, std::map<std::string, std::string>> huge;
+  for (int i = 0; i < 12; ++i) huge[i]["cps"] = "1e300";
+  const RunReport sat = derive(timeline(huge));
+  const RunReport::Alert* collapse = find_alert(sat, "throughput_collapse");
+  ASSERT_NE(collapse, nullptr);
+  EXPECT_EQ(collapse->detail,
+            "rate 50 configs/s under 30% of trailing median "
+            "9223372036854775807");
+  std::ostringstream sat_text;
+  sat.render_telemetry(sat_text);
+  EXPECT_NE(sat_text.str().find("ALERTS"), std::string::npos);
+
+  // Negative ledgers read as no bytes: no runaway, no thrash.
+  std::map<int, std::map<std::string, std::string>> negative;
+  for (int i = 0; i < kTimelineTicks; ++i) {
+    negative[i] = {{"ledger_total", "-5"}, {"arena.mapped", "-1e300"}};
+  }
+  const RunReport neg = derive(timeline(negative));
+  EXPECT_FALSE(fired(neg, "ledger_runaway"));
+  EXPECT_FALSE(fired(neg, "spill_thrash"));
+
+  // A huge mem_budget saturates and leaves decades of headroom; a negative
+  // one disarms the rule.
+  for (const char* budget : {"1e300", "-1073741824"}) {
+    std::map<int, std::map<std::string, std::string>> over;
+    for (int i = 0; i < kTimelineTicks; ++i) over[i]["mem_budget"] = budget;
+    EXPECT_FALSE(fired(derive(timeline(over)), "ledger_runaway")) << budget;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Campaign telemetry: the heartbeat ticks in the stats stream, the anomaly
-// watchdog's episode semantics on synthetic timelines, RunReport's tick and
-// alert parsing (including crash-truncated files and the stream's other
-// record types) and its telemetry section, the cross-run comparator, and
+// Campaign telemetry: the heartbeat ticks in the stats stream, the alert
+// rules RunReport derives from them (episode semantics on synthetic
+// timelines), RunReport's tick parsing (including crash-truncated files,
+// the stream's other record types and legacy watch.* records) and its
+// telemetry section, the cross-run comparator, and
 // the end-to-end story: an adversary run's one stats file must agree with
 // its own exit state and certificate.
 #include <gtest/gtest.h>
@@ -33,133 +34,238 @@ std::string slurp(const std::string& path) {
   return ss.str();
 }
 
-// --- watchdog rules on synthetic timelines ---------------------------------
+// --- alert rules on synthetic timelines -----------------------------------
+//
+// The rules run in RunReport::finalize() over the ticks of a stats file. The
+// expected fire/clear ticks and details are the ones the in-process
+// watchdog produced on the same timelines before the rules moved to the
+// reader.
 
-obs::WatchSample sample(std::uint64_t tick, double cps,
-                        const char* phase = "explore") {
-  obs::WatchSample s;
-  s.tick = tick;
-  s.t_s = static_cast<double>(tick);
-  s.phase = phase;
-  s.visited = static_cast<std::int64_t>(1000 * (tick + 1));
-  s.frontier = 100;
-  s.cps = cps;
-  return s;
+// One telemetry.tick line as the sampler writes it (ts_ns = tick seconds);
+// fields at their "unknown" value are omitted, like the sampler does.
+struct TickSpec {
+  std::uint64_t tick = 0;
+  std::string phase = "explore";
+  std::int64_t visited = -1;
+  std::int64_t frontier = -1;
+  double cps = -1.0;
+  std::int64_t mapped = 0;  ///< ledger arena.mapped
+  std::int64_t total = 0;   ///< ledger_total
+  std::int64_t mem_budget = 0;
+  std::int64_t ckpt_age_s = -1;  ///< with ckpt_interval_ms; -1 = no dir
+  std::int64_t ckpt_interval_ms = 0;
+};
+
+std::string tick_line(const TickSpec& t) {
+  std::ostringstream o;
+  o << R"({"type":"telemetry.tick","ts_ns":)" << t.tick * 1'000'000'000
+    << R"(,"tick":)" << t.tick << R"(,"phase":")" << t.phase << '"';
+  if (t.frontier >= 0) o << R"(,"frontier":)" << t.frontier;
+  if (t.visited >= 0) o << R"(,"visited":)" << t.visited;
+  if (t.cps >= 0) o << R"(,"cps":)" << t.cps;
+  if (t.mem_budget != 0) o << R"(,"mem_budget":)" << t.mem_budget;
+  if (t.ckpt_age_s >= 0) {
+    o << R"(,"ckpt_age_s":)" << t.ckpt_age_s << R"(,"ckpt_interval_ms":)"
+      << t.ckpt_interval_ms;
+  }
+  o << R"(,"peak_rss_kb":1024,"ledger_total":)" << t.total
+    << R"(,"ledger":{"arena.mapped":)" << t.mapped << R"(},"counters":{}})";
+  return o.str();
 }
 
+report::RunReport derive(const std::vector<TickSpec>& timeline) {
+  report::RunReport rep;
+  for (const TickSpec& t : timeline) rep.ingest_line(tick_line(t));
+  rep.finalize();
+  return rep;
+}
+
+// Every episode as "rule fire..clear: detail" (clear -1 = still latched).
+std::vector<std::string> episodes(const report::RunReport& rep) {
+  std::vector<std::string> out;
+  for (const report::RunReport::Alert& a : rep.alerts()) {
+    out.push_back(a.rule + " " + std::to_string(a.tick) + ".." +
+                  std::to_string(a.cleared_tick) + ": " + a.detail);
+  }
+  return out;
+}
+
+TickSpec rate_tick(std::uint64_t tick, double cps,
+                   const char* phase = "explore") {
+  TickSpec t;
+  t.tick = tick;
+  t.phase = phase;
+  t.visited = static_cast<std::int64_t>(1000 * (tick + 1));
+  t.frontier = 100;
+  t.cps = cps;
+  return t;
+}
+
+using Lines = std::vector<std::string>;
+
 TEST(Watchdog, QuietTimelineFiresNothing) {
-  obs::Watchdog dog;
+  std::vector<TickSpec> tl;
   for (std::uint64_t t = 0; t < 64; ++t) {
-    EXPECT_TRUE(dog.observe(sample(t, 1000.0 + (t % 7))).empty());
+    tl.push_back(rate_tick(t, 1000.0 + static_cast<double>(t % 7)));
   }
-  for (int r = 0; r < obs::kWatchRules; ++r) {
-    EXPECT_EQ(dog.fires(static_cast<obs::WatchRule>(r)), 0u);
-    EXPECT_FALSE(dog.active(static_cast<obs::WatchRule>(r)));
-  }
+  const report::RunReport rep = derive(tl);
+  EXPECT_TRUE(rep.alerts().empty());
+  EXPECT_TRUE(rep.active_alerts().empty());
 }
 
 TEST(Watchdog, CollapseFiresOncePerEpisodeAndClears) {
-  obs::Watchdog dog;
+  // Steady, then 5% of the median for 4 ticks, recovery for 16, then a
+  // second collapse that lasts until it becomes the median itself.
+  std::vector<TickSpec> tl;
   std::uint64_t t = 0;
-  for (; t < 8; ++t) dog.observe(sample(t, 1000.0));
-  // Episode 1: rate falls to 5% of the median and stays there.
-  std::vector<obs::WatchAlert> fired = dog.observe(sample(t++, 50.0));
-  ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(fired[0].rule, obs::WatchRule::kThroughputCollapse);
-  EXPECT_TRUE(dog.active(obs::WatchRule::kThroughputCollapse));
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(dog.observe(sample(t++, 50.0)).empty()) << "latched, no refire";
-  }
-  // Recovery clears the episode...
-  bool cleared = false;
-  for (int i = 0; i < 16 && !cleared; ++i) {
-    dog.observe(sample(t++, 1000.0));
-    cleared = !dog.active(obs::WatchRule::kThroughputCollapse);
-  }
-  EXPECT_TRUE(cleared);
-  // ...and a second collapse is a second episode.
-  while (dog.fires(obs::WatchRule::kThroughputCollapse) < 2) {
-    const auto alerts = dog.observe(sample(t++, 50.0));
-    if (!alerts.empty()) break;
-    ASSERT_LT(t, 200u) << "second episode never fired";
-  }
-  EXPECT_EQ(dog.fires(obs::WatchRule::kThroughputCollapse), 2u);
+  for (; t < 8; ++t) tl.push_back(rate_tick(t, 1000.0));
+  for (int i = 0; i < 4; ++i, ++t) tl.push_back(rate_tick(t, 50.0));
+  for (int i = 0; i < 16; ++i, ++t) tl.push_back(rate_tick(t, 1000.0));
+  for (int i = 0; i < 16; ++i, ++t) tl.push_back(rate_tick(t, 50.0));
+  const report::RunReport rep = derive(tl);
+  const std::string detail =
+      "rate 50 configs/s under 30% of trailing median 1000";
+  EXPECT_EQ(episodes(rep),
+            (Lines{"throughput_collapse 8..12: " + detail,
+                   "throughput_collapse 28..36: " + detail}));
+  EXPECT_TRUE(rep.active_alerts().empty());
 }
 
 TEST(Watchdog, PhaseChangeResetsTheWindow) {
-  obs::Watchdog dog;
+  std::vector<TickSpec> tl;
   std::uint64_t t = 0;
-  for (; t < 8; ++t) dog.observe(sample(t, 1'000'000.0, "explore"));
+  for (; t < 8; ++t) tl.push_back(rate_tick(t, 1'000'000.0, "explore"));
   // lemma4 is legitimately 100x slower; a fresh phase must not inherit
   // explore's median.
-  EXPECT_TRUE(dog.observe(sample(t++, 10'000.0, "lemma4")).empty());
-  EXPECT_FALSE(dog.active(obs::WatchRule::kThroughputCollapse));
+  tl.push_back(rate_tick(t, 10'000.0, "lemma4"));
+  EXPECT_TRUE(derive(tl).alerts().empty());
 }
 
 TEST(Watchdog, SpillThrashNeedsChurnAndFlatVisited) {
-  obs::Watchdog dog;
-  std::uint64_t t = 0;
-  auto thrash_sample = [&](std::uint64_t mapped, std::int64_t visited) {
-    obs::WatchSample s;
-    s.tick = t;
-    s.t_s = static_cast<double>(t);
-    s.phase = "explore";
-    s.visited = visited;
-    s.frontier = 100;
-    s.mapped_bytes = mapped;
-    ++t;
-    return s;
-  };
   // Mapped bytes oscillate hard while visited barely moves: classic
   // map/unmap churn doing no useful work.
-  std::uint64_t fires = 0;
-  for (int i = 0; i < 12; ++i) {
-    const std::uint64_t mapped = (i % 2) == 0 ? 1'000'000 : 10'000;
-    fires += dog.observe(thrash_sample(mapped, 500'000 + i)).size();
-  }
-  EXPECT_EQ(dog.fires(obs::WatchRule::kSpillThrash), 1u);
-  EXPECT_EQ(fires, 1u);
+  const auto timeline = [](std::int64_t visited_step) {
+    std::vector<TickSpec> tl;
+    for (std::uint64_t i = 0; i < 12; ++i) {
+      TickSpec t;
+      t.tick = i;
+      t.visited = 500'000 + visited_step * static_cast<std::int64_t>(i);
+      t.frontier = 100;
+      t.mapped = (i % 2) == 0 ? 1'000'000 : 10'000;
+      tl.push_back(t);
+    }
+    return tl;
+  };
+  const report::RunReport rep = derive(timeline(1));
+  EXPECT_EQ(episodes(rep),
+            (Lines{"spill_thrash 4..-1: mapped-byte churn 3960000 B vs peak "
+                   "1000000 B with visited growth 4 over the window"}));
+  EXPECT_EQ(rep.active_alerts(), (Lines{"spill_thrash"}));
 
   // Same churn with healthy visited growth is a legitimate working set
   // cycling through memory — no alert.
-  obs::Watchdog dog2;
-  t = 0;
-  for (int i = 0; i < 12; ++i) {
-    const std::uint64_t mapped = (i % 2) == 0 ? 1'000'000 : 10'000;
-    dog2.observe(thrash_sample(mapped, 500'000 + 100'000 * i));
-  }
-  EXPECT_EQ(dog2.fires(obs::WatchRule::kSpillThrash), 0u);
+  EXPECT_TRUE(derive(timeline(100'000)).alerts().empty());
 }
 
 TEST(Watchdog, LedgerRunawayProjectsExitEta) {
-  obs::Watchdog dog;
-  auto mem_sample = [](std::uint64_t tick, std::uint64_t total,
-                       std::uint64_t budget) {
-    obs::WatchSample s;
-    s.tick = tick;
-    s.t_s = static_cast<double>(tick);
-    s.phase = "explore";
-    s.ledger_total = total;
-    s.mem_budget = budget;
-    return s;
+  const auto timeline = [](std::int64_t budget, std::int64_t step) {
+    std::vector<TickSpec> tl;
+    for (std::uint64_t t = 0; t < 4; ++t) {
+      TickSpec s;
+      s.tick = t;
+      s.total = step * static_cast<std::int64_t>(t + 1);
+      s.mem_budget = budget;
+      tl.push_back(s);
+    }
+    return tl;
   };
   // Growing 100 MB/s toward a 1 GB budget: ~8 s to exit 4, inside the 60 s
   // alert horizon.
-  const std::uint64_t kBudget = 1'000'000'000;
-  std::uint64_t fires = 0;
-  for (std::uint64_t t = 0; t < 4; ++t) {
-    fires +=
-        dog.observe(mem_sample(t, 100'000'000 * (t + 1), kBudget)).size();
-  }
-  EXPECT_EQ(dog.fires(obs::WatchRule::kLedgerRunaway), 1u);
-  EXPECT_EQ(fires, 1u);
-
+  EXPECT_EQ(episodes(derive(timeline(1'000'000'000, 100'000'000))),
+            (Lines{"ledger_runaway 1..-1: tracked bytes growing 100000000 "
+                   "B/s, projected exit-4 in 8 s (762.9MiB headroom)"}));
+  // Already over the budget.
+  EXPECT_EQ(episodes(derive(timeline(100, 1'000'000'000))),
+            (Lines{"ledger_runaway 1..-1: tracked 2000000000 B at/over "
+                   "budget 100 B"}));
   // Without a budget the rule is disarmed no matter the growth.
-  obs::Watchdog dog2;
-  for (std::uint64_t t = 0; t < 4; ++t) {
-    dog2.observe(mem_sample(t, 100'000'000 * (t + 1), 0));
+  EXPECT_TRUE(derive(timeline(0, 100'000'000)).alerts().empty());
+}
+
+// A checkpointed run: the age climbs one second per tick, a write at
+// `write_at` resets it, then it climbs again.
+std::vector<TickSpec> ckpt_timeline(std::int64_t interval_ms,
+                                    std::uint64_t write_at, std::uint64_t n) {
+  std::vector<TickSpec> tl;
+  for (std::uint64_t t = 0; t < n; ++t) {
+    TickSpec s;
+    s.tick = t;
+    s.ckpt_age_s = static_cast<std::int64_t>(t < write_at ? t : t - write_at);
+    s.ckpt_interval_ms = interval_ms;
+    tl.push_back(s);
   }
-  EXPECT_EQ(dog2.fires(obs::WatchRule::kLedgerRunaway), 0u);
+  return tl;
+}
+
+TEST(Watchdog, CheckpointStallIsDisarmedWithoutAWallClockCadence) {
+  // --checkpoint-every only (interval 0): an hour without a write is fine.
+  EXPECT_TRUE(derive(ckpt_timeline(0, 3600, 64)).alerts().empty());
+  // No checkpoint directory: the ticks carry no age at all.
+  std::vector<TickSpec> tl = ckpt_timeline(1000, 3600, 64);
+  for (TickSpec& t : tl) t.ckpt_age_s = -1;
+  EXPECT_TRUE(derive(tl).alerts().empty());
+}
+
+TEST(Watchdog, CheckpointStallFiresPastThreeCadencesAndFiveSeconds) {
+  const std::string tail =
+      " (engine not reaching a quiescent point, or writes stuck)";
+  // 1 s cadence: 3x is 3 s, so the 5 s floor decides.
+  EXPECT_EQ(episodes(derive(ckpt_timeline(1000, 1000, 16))),
+            (Lines{"checkpoint_stall 5..-1: last checkpoint 5 s ago vs "
+                   "configured interval 1 s" + tail}));
+  // 4 s cadence: 3x is 12 s, past the floor.
+  EXPECT_EQ(episodes(derive(ckpt_timeline(4000, 1000, 16))),
+            (Lines{"checkpoint_stall 12..-1: last checkpoint 12 s ago vs "
+                   "configured interval 4 s" + tail}));
+}
+
+TEST(Watchdog, CheckpointStallFiresOncePerEpisodeAndClearsWhenTheAgeDrops) {
+  // Ages 0..9, a write, then 0..15: two episodes, the first cleared by the
+  // write, each fired once however long it lasts.
+  const report::RunReport rep = derive(ckpt_timeline(1000, 10, 26));
+  ASSERT_EQ(rep.alerts().size(), 2u);
+  EXPECT_EQ(rep.alerts()[0].tick, 5);
+  EXPECT_EQ(rep.alerts()[0].cleared_tick, 10);
+  EXPECT_EQ(rep.alerts()[1].tick, 15);
+  EXPECT_EQ(rep.alerts()[1].cleared_tick, -1);
+  EXPECT_EQ(rep.active_alerts(), (Lines{"checkpoint_stall"}));
+}
+
+TEST(Watchdog, EachLoadedFileIsOneRun) {
+  // Run A ends in a collapse; run B is healthy. Read together, B's first
+  // tick must not be judged against A's window: it would clear A's
+  // episode.
+  const std::string a = temp_path("run_a.jsonl");
+  const std::string b = temp_path("run_b.jsonl");
+  {
+    std::ofstream fa(a, std::ios::trunc);
+    for (std::uint64_t t = 0; t < 12; ++t) {
+      fa << tick_line(rate_tick(t, t < 11 ? 1000.0 : 50.0)) << "\n";
+    }
+    std::ofstream fb(b, std::ios::trunc);
+    for (std::uint64_t t = 0; t < 8; ++t) {
+      fb << tick_line(rate_tick(t, 1000.0)) << "\n";
+    }
+  }
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(a));
+  ASSERT_TRUE(rep.load(b));
+  rep.finalize();
+  ASSERT_EQ(rep.alerts().size(), 1u);
+  EXPECT_EQ(rep.alerts()[0].tick, 11);
+  EXPECT_EQ(rep.alerts()[0].cleared_tick, -1) << "latched at the end of A";
+  std::remove(a.c_str());
+  std::remove(b.c_str());
 }
 
 // --- sampler round trip ----------------------------------------------------
@@ -218,23 +324,62 @@ TEST(Telemetry, RoundTripPreservesCountersAndTickIds) {
 }
 
 TEST(Telemetry, ReopenResetsTickCounterAndWatchdog) {
+  // A file is one run: reopening restarts the tick ids and the rate
+  // baseline. (The alert window restarts per file on the reader side; see
+  // Watchdog.EachLoadedFileIsOneRun.)
   const std::string path = temp_path("reopen.jsonl");
   open_stream(path);
   obs::Sample s;
   s.phase = "explore";
+  s.visited = 1000;
   obs::telemetry::tick(s);
+  s.visited = 2000;
   obs::telemetry::tick(s);
   EXPECT_EQ(obs::telemetry::ticks(), 2u);
-  // Latch an episode on the global watchdog, as a collapsing run would.
-  obs::Watchdog& dog = obs::Watchdog::global();
-  for (std::uint64_t t = 0; t < 8; ++t) dog.observe(sample(t, 1000.0));
-  dog.observe(sample(8, 50.0));
-  ASSERT_TRUE(dog.active(obs::WatchRule::kThroughputCollapse));
 
-  open_stream(path);  // a file is one run
+  open_stream(path);
   EXPECT_EQ(obs::telemetry::ticks(), 0u);
-  EXPECT_FALSE(dog.active(obs::WatchRule::kThroughputCollapse));
+  s.visited = 3000;
+  obs::telemetry::tick(s);
   obs::stats_sink().close();
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(path));
+  ASSERT_EQ(rep.ticks().size(), 1u);
+  EXPECT_EQ(rep.ticks()[0].tick, 0);
+  EXPECT_LT(rep.ticks()[0].cps, 0.0) << "no rate across the reopen";
+  std::remove(path.c_str());
+}
+
+std::int64_t ckpt_age_for_test() { return 42; }
+
+TEST(Telemetry, TicksCarryRuleInputsOnlyWhenConfigured) {
+  const std::string path = temp_path("rule_inputs.jsonl");
+  open_stream(path);
+  obs::Sample s;
+  s.phase = "explore";
+  obs::telemetry::tick(s);  // no memory budget, no checkpoint directory
+  obs::telemetry::set_budgets(64ull << 20, 0);
+  obs::telemetry::set_ckpt_probe(&ckpt_age_for_test, 2500);
+  obs::telemetry::tick(s);
+  obs::telemetry::set_ckpt_probe(nullptr, 0);
+  obs::telemetry::set_budgets(0, 0);
+  obs::stats_sink().close();
+
+  const std::string text = slurp(path);
+  const std::string first = text.substr(0, text.find('\n'));
+  for (const char* key : {"mem_budget", "ckpt_age_s", "ckpt_interval_ms"}) {
+    EXPECT_EQ(first.find(key), std::string::npos) << key;
+  }
+  // Ticks are measurements only: no alert records, whatever the rules say.
+  EXPECT_EQ(text.find("\"watch."), std::string::npos);
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(path));
+  ASSERT_EQ(rep.ticks().size(), 2u);
+  EXPECT_EQ(rep.ticks()[0].mem_budget, 0);
+  EXPECT_EQ(rep.ticks()[0].ckpt_age_s, -1);
+  EXPECT_EQ(rep.ticks()[1].mem_budget, 64 << 20);
+  EXPECT_EQ(rep.ticks()[1].ckpt_age_s, 42);
+  EXPECT_EQ(rep.ticks()[1].ckpt_interval_ms, 2500);
   std::remove(path.c_str());
 }
 
@@ -291,20 +436,22 @@ TEST(RunReport, ToleratesTruncatedFinalLine) {
 }
 
 TEST(RunReport, ActiveAlertsTracksLatchedEpisodes) {
-  report::RunReport rep;
-  rep.ingest_line(
-      R"({"type":"watch.alert","ts_ns":4000,"rule":"spill_thrash","tick":4,)"
-      R"("phase":"explore","detail":"churn"})");
-  rep.ingest_line(
-      R"({"type":"watch.alert","ts_ns":5000,"rule":"ledger_runaway",)"
-      R"("tick":5,"phase":"explore","detail":"eta 12s"})");
-  rep.ingest_line(
-      R"({"type":"watch.clear","ts_ns":7000,"rule":"spill_thrash","tick":7})");
-  const std::vector<std::string> active = rep.active_alerts();
-  ASSERT_EQ(active.size(), 1u);
-  EXPECT_EQ(active[0], "ledger_runaway");
-  ASSERT_EQ(rep.alerts().size(), 3u);
-  EXPECT_EQ(rep.alerts()[1].ts_ns, 5000);
+  // Two episodes on one timeline: a checkpoint stall the next write clears,
+  // and a budget overrun that is still latched at the end.
+  std::vector<TickSpec> tl = ckpt_timeline(1000, 8, 10);
+  for (TickSpec& t : tl) {
+    t.mem_budget = 4096;
+    t.total = t.tick >= 6 ? 8192 : 1024;
+  }
+  const report::RunReport rep = derive(tl);
+  ASSERT_EQ(rep.alerts().size(), 2u);
+  EXPECT_EQ(rep.alerts()[0].rule, "checkpoint_stall");
+  EXPECT_EQ(rep.alerts()[0].cleared_tick, 8);
+  EXPECT_EQ(rep.alerts()[1].rule, "ledger_runaway");
+  EXPECT_EQ(rep.alerts()[1].tick, 6);
+  EXPECT_EQ(rep.alerts()[1].ts_ns, 6'000'000'000);
+  EXPECT_EQ(rep.alerts()[1].phase, "explore");
+  EXPECT_EQ(rep.active_alerts(), (Lines{"ledger_runaway"}));
 }
 
 TEST(RunReport, ParsesTicksAmidTheStreamsOtherRecordTypes) {
@@ -343,12 +490,10 @@ TEST(RunReport, TelemetrySectionRendersATornFileWithALatchedAlert) {
           << R"(,"tick":)" << i << R"(,"phase":"valency.reach","visited":)"
           << 1000 * (i + 1) << R"(,"cap":2000000,"cps":2000,)"
           << R"("deadline_s":)" << 4 - i
-          << R"(,"peak_rss_kb":1024,"ledger_total":4096,)"
-          << R"("ledger":{"arena.words":4096},"counters":{}})" << "\n";
+          << R"(,"peak_rss_kb":1024,"ledger_total":)" << 1024 * (i + 1)
+          << R"(,"mem_budget":3072,"ledger":{"arena.words":4096},)"
+          << R"("counters":{}})" << "\n";
     }
-    out << R"({"type":"watch.alert","ts_ns":2000000000,)"
-        << R"("rule":"ledger_runaway","tick":3,"phase":"valency.reach",)"
-        << R"("detail":"projected exit-4 in 9 s"})" << "\n";
     out << R"({"type":"telemetry.tick","ts_ns":25000)";  // torn
   }
   report::RunReport rep;
@@ -361,7 +506,9 @@ TEST(RunReport, TelemetrySectionRendersATornFileWithALatchedAlert) {
   for (const char* want :
        {"telemetry: 4 tick(s), 1 watchdog alert(s)", "phase      valency.reach",
         "uptime     2 s", "deadline   1 s left", "eta->cap", "arena.words",
-        "ALERTS    ledger_runaway", "projected exit-4 in 9 s"}) {
+        "ALERTS    ledger_runaway",
+        "ledger_runaway: tracked bytes growing 2048 B/s, projected exit-4 "
+        "in 0 s (1.0KiB headroom)"}) {
     EXPECT_NE(s.find(want), std::string::npos) << want << "\n" << s;
   }
   std::ostringstream section;
@@ -432,6 +579,34 @@ TEST(CompareTimelines, IdenticalFilesPassInjectedSlowdownFails) {
   std::remove(b.c_str());
 }
 
+TEST(CompareTimelines, WatchAlertsRowCountsDerivedAlerts) {
+  const std::string a = temp_path("cmp_quiet.jsonl");
+  const std::string b = temp_path("cmp_collapse.jsonl");
+  write_timeline(a, 1.0, 1.0);
+  {
+    std::ofstream out(b, std::ios::trunc);
+    for (std::uint64_t t = 0; t < 10; ++t) {
+      out << tick_line(rate_tick(t, t < 8 ? 2000.0 : 50.0)) << "\n";
+    }
+  }
+  std::ostringstream out;
+  report::compare_timelines(a, b, 25.0, out);
+  std::istringstream lines(out.str());
+  std::string line;
+  while (std::getline(lines, line) &&
+         line.find(" watch_alerts ") == std::string::npos) {
+  }
+  std::istringstream row(line);
+  std::vector<std::string> cells;
+  for (std::string c; row >> c;) cells.push_back(c);
+  ASSERT_GE(cells.size(), 4u) << out.str();
+  EXPECT_EQ(cells[1], "watch_alerts");
+  EXPECT_EQ(cells[2], "0") << "A is quiet";
+  EXPECT_EQ(cells[3], "1") << "B collapses once";
+  std::remove(a.c_str());
+  std::remove(b.c_str());
+}
+
 TEST(CompareTimelines, MissingOrEmptyFileIsUsage) {
   const std::string a = temp_path("cmp_present.jsonl");
   write_timeline(a, 1.0, 1.0);
@@ -450,21 +625,38 @@ TEST(CompareTimelines, MissingOrEmptyFileIsUsage) {
 // --- report ingestion ------------------------------------------------------
 
 TEST(RunReport, CountsTelemetryRecords) {
+  // A stats file from before alerts moved to the reader: its watch.*
+  // records are skipped — not malformed, not alerts — and the report stays
+  // clean.
+  const std::string path = temp_path("legacy_watch.jsonl");
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << R"({"type":"telemetry.tick","ts_ns":1000000000,"tick":0,)"
+        << R"("phase":"explore"})" << "\n";
+    out << R"({"type":"telemetry.tick","ts_ns":2000000000,"tick":1,)"
+        << R"("phase":"explore"})" << "\n";
+    out << R"({"type":"watch.alert","ts_ns":2000000000,)"
+        << R"("rule":"spill_thrash","tick":1,"phase":"explore",)"
+        << R"("detail":"churn"})" << "\n";
+    out << R"({"type":"watch.clear","ts_ns":3000000000,)"
+        << R"("rule":"spill_thrash","tick":2})" << "\n";
+  }
   report::RunReport rep;
-  rep.ingest_line(R"({"type":"telemetry.tick","ts_ns":1000000000,"tick":0,)"
-                  R"("phase":"explore"})");
-  rep.ingest_line(R"({"type":"telemetry.tick","ts_ns":2000000000,"tick":1,)"
-                  R"("phase":"explore"})");
-  rep.ingest_line(
-      R"({"type":"watch.alert","ts_ns":2000000000,"rule":"spill_thrash",)"
-      R"("tick":1,"phase":"explore","detail":"churn"})");
+  ASSERT_TRUE(rep.load(path));
   rep.finalize();
   EXPECT_EQ(rep.ticks().size(), 2u);
-  EXPECT_EQ(rep.alerts().size(), 1u);
+  EXPECT_TRUE(rep.alerts().empty());
+  EXPECT_EQ(rep.lines_ingested(), 4u);
   EXPECT_EQ(rep.lines_malformed(), 0u);
   std::ostringstream out;
   rep.render_text(out, 5);
-  EXPECT_NE(out.str().find("spill_thrash"), std::string::npos);
+  EXPECT_NE(out.str().find("telemetry: 2 tick(s), 0 watchdog alert(s)"),
+            std::string::npos)
+      << out.str();
+  EXPECT_EQ(out.str().find("spill_thrash"), std::string::npos);
+  std::ostringstream analyzed;
+  EXPECT_EQ(report::analyze_files({path}, 5, "", analyzed), 0);
+  std::remove(path.c_str());
 }
 
 // --- end to end ------------------------------------------------------------

@@ -62,8 +62,11 @@ class RunReport {
  public:
   void ingest_line(const std::string& line);
   /// Ingest every line of `path`; false only when the file cannot be
-  /// opened — content problems just bump lines_malformed().
+  /// opened — content problems just bump lines_malformed(). A file is one
+  /// run: the alert rules' window starts afresh at its first tick.
   bool load(const std::string& path);
+  /// Derive everything the views read (self times, consistency, alerts).
+  /// Call once all input is ingested, before any render.
   void finalize();
 
   /// The full human-readable report: phase breakdown, per-level table,
@@ -130,7 +133,7 @@ class RunReport {
   std::uint64_t flight_events() const { return flight_rows_.size(); }
   std::string flight_dump_reason() const { return flight_reason_; }
 
-  // --- telemetry (heartbeat ticks and watchdog records) -----------------
+  // --- telemetry (heartbeat ticks and the alerts derived from them) -----
   /// One "telemetry.tick" record. Counter-shaped fields are cumulative (the
   /// sampler never diffs); negative means the emitting engine did not
   /// supply the field on that tick.
@@ -150,20 +153,31 @@ class RunReport {
     std::int64_t ledger_total = 0;
     std::map<std::string, std::int64_t> ledger;    ///< account -> bytes
     std::map<std::string, std::int64_t> counters;  ///< registry counters
+    std::int64_t mem_budget = 0;        ///< --mem-budget; 0 = none
+    std::int64_t ckpt_age_s = -1;       ///< s since last checkpoint; -1 = off
+    std::int64_t ckpt_interval_ms = 0;  ///< wall-clock cadence; 0 = none
   };
-  /// A "watch.alert" (clear == false) or "watch.clear" (clear == true)
-  /// record.
+  /// One watchdog episode finalize() derives from the ticks: the rule's
+  /// condition rose on `tick` and fell on `cleared_tick` (-1 = still
+  /// latched at the end of the stream). The rules, over the last 16 ticks
+  /// of the current phase of one file (a file is one run):
+  ///   throughput_collapse  cps under 30% of the trailing median
+  ///   spill_thrash         arena.mapped churn over 2x its peak with
+  ///                        visited growth under 1%
+  ///   ledger_runaway       ledger_total at mem_budget, or projected to
+  ///                        reach it within 60 s
+  ///   checkpoint_stall     ckpt_age_s past max(3x the cadence, 5 s)
   struct Alert {
     std::string rule;
     std::int64_t tick = 0;
     std::int64_t ts_ns = 0;
     std::string phase;
     std::string detail;
-    bool clear = false;
+    std::int64_t cleared_tick = -1;
   };
   const std::vector<Tick>& ticks() const { return ticks_; }
   const std::vector<Alert>& alerts() const { return alerts_; }
-  /// Rules with an alert and no later clear — still latched at end of file.
+  /// Rules with an episode still latched at the end of the stream.
   std::vector<std::string> active_alerts() const;
   /// True iff tick ids strictly increase (the sampler's invariant).
   bool monotonic() const;
@@ -196,7 +210,8 @@ class RunReport {
   void ingest_audit(const JsonValue& v, const std::string& type);
   void ingest_chaos(const JsonValue& v, const std::string& type);
   void ingest_introspection(const JsonValue& v, const std::string& type);
-  void ingest_telemetry(const JsonValue& v, const std::string& type);
+  void ingest_tick(const JsonValue& v);
+  void derive_alerts(std::size_t begin, std::size_t end);
   void count_regs(const std::vector<int>& regs);
 
   std::uint64_t lines_ = 0;
@@ -310,8 +325,10 @@ class RunReport {
   std::int64_t flight_threads_ = 0;
   std::int64_t flight_total_events_ = 0;
 
-  // Telemetry (heartbeat ticks and watchdog records in the stats stream).
+  // Telemetry: the stream's heartbeat ticks, the index of each loaded
+  // file's first tick, and finalize()'s alerts.
   std::vector<Tick> ticks_;
+  std::vector<std::size_t> run_starts_;
   std::vector<Alert> alerts_;
 
   // Certificate (last one wins).

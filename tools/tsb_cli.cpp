@@ -22,13 +22,13 @@
 //                    telemetry.tick per heartbeat (counters, ledger,
 //                    rates, peak RSS, monotonic tick ids; flushed per tick,
 //                    so a killed run keeps everything up to the last
-//                    interval). A rule-driven watchdog rides the same ticks
-//                    and emits watch.alert records, stderr warnings, and
-//                    flight events on throughput collapse, spill thrash,
-//                    memory-budget runaway and checkpoint stalls. `tsb
-//                    report FILE` shows the ticks in its telemetry section;
-//                    `tsb monitor FILE` repaints that section live; `tsb
-//                    report --compare A B` diffs two runs.
+//                    interval). The ticks are measurements only; `tsb
+//                    report FILE` shows them in its telemetry section,
+//                    with the alerts its rules derive from them (throughput
+//                    collapse, spill thrash, memory-budget runaway,
+//                    checkpoint stalls); `tsb monitor FILE` repaints that
+//                    section live; `tsb report --compare A B` diffs two
+//                    runs.
 //   --metrics        print the metrics registry as one JSON line at exit
 //   --progress       heartbeat lines on stderr during long computations
 //
@@ -100,6 +100,8 @@
 #include <csignal>
 
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -402,7 +404,10 @@ int cmd_chaos(const ObsFlags& obs_flags) {
   while (true) {
     report::RunReport rep;
     std::ostringstream frame;
-    if (rep.load(path)) rep.render_telemetry(frame);
+    if (rep.load(path)) {
+      rep.finalize();
+      rep.render_telemetry(frame);
+    }
     std::cout << "\x1b[H\x1b[2J"
               << (frame.str().empty()
                       ? "waiting for the first tick in " + path + " ...\n"
@@ -479,9 +484,9 @@ int main(int argc, char** argv) {
                 << "\n";
       return kExitUsage;
     }
-    // A stats file is one run: its telemetry ticks start at 0, and the
-    // ticks project the watchdog's exit-4 runaway and the deadline against
-    // the configured budgets.
+    // A stats file is one run: its telemetry ticks start at 0, and they
+    // carry the configured budgets (the deadline as seconds left, the
+    // memory budget for the report's exit-4 runaway rule).
     obs::telemetry::reset();
     obs::telemetry::set_budgets(obs_flags.mem_budget,
                                 obs_flags.time_budget_ms);
@@ -492,8 +497,22 @@ int main(int argc, char** argv) {
     return kExitUsage;
   }
 
-  auto arg = [&](std::size_t i, int def) {
-    return args.size() > i ? std::atoi(args[i].c_str()) : def;
+  // Numeric positionals; a bad one is refused like a bad flag (exit 2).
+  auto arg = [&](std::size_t i, const char* name, std::uint64_t lo,
+                 std::uint64_t hi, std::uint64_t def) {
+    std::string error;
+    if (!cli::positional(args, i, name, lo, hi, &def, &error)) {
+      throw util::UsageError(error);
+    }
+    return def;
+  };
+  // Simulated processes live in one ProcSet word; ballot ids stop at 63.
+  constexpr std::uint64_t kMaxSimN = 63;
+  const auto sim_n = [&](std::size_t i, int def) {
+    return static_cast<int>(arg(i, "n", 2, kMaxSimN, def));
+  };
+  const auto ballot_cap = [&](std::size_t i, int def) {
+    return static_cast<int>(arg(i, "cap", 1, INT_MAX, def));
   };
 
   if (run) {
@@ -510,22 +529,24 @@ int main(int argc, char** argv) {
   int rc = kExitUsage;
   try {
   if (cmd == "adversary") {
-    const int n = arg(1, 4);
-    rc = cmd_adversary(n, arg(2, default_ballot_cap(n)), obs_flags,
+    const int n = sim_n(1, 4);
+    rc = cmd_adversary(n, ballot_cap(2, default_ballot_cap(n)), obs_flags,
                        obs_flags.checkpoint_dir, /*resume=*/false);
   } else if (cmd == "resume" && args.size() >= 2) {
-    const int n = arg(2, 4);
-    rc = cmd_adversary(n, arg(3, default_ballot_cap(n)), obs_flags,
+    const int n = sim_n(2, 4);
+    rc = cmd_adversary(n, ballot_cap(3, default_ballot_cap(n)), obs_flags,
                        /*checkpoint_dir=*/args[1], /*resume=*/true);
   } else if (cmd == "check" && args.size() >= 2) {
-    const int n = arg(2, 2);
-    rc = cmd_check(args[1], n, arg(3, 2 * n));
+    const int n = sim_n(2, 2);
+    rc = cmd_check(args[1], n, ballot_cap(3, 2 * n));
   } else if (cmd == "search") {
-    rc = cmd_search(arg(1, 1), static_cast<std::size_t>(arg(2, 0)));
+    // A state id is one byte: 2 * modes <= 256.
+    rc = cmd_search(static_cast<int>(arg(1, "modes", 1, 128, 1)),
+                    static_cast<std::size_t>(arg(2, "cap", 0, SIZE_MAX, 0)));
   } else if (cmd == "mutex") {
-    rc = cmd_mutex(arg(1, 8));
+    rc = cmd_mutex(static_cast<int>(arg(1, "n", 2, INT_MAX, 8)));
   } else if (cmd == "perturb") {
-    rc = cmd_perturb(arg(1, 5));
+    rc = cmd_perturb(static_cast<int>(arg(1, "n", 2, INT_MAX, 5)));
   } else if (cmd == "chaos") {
     rc = cmd_chaos(obs_flags);
   } else if (cmd == "report" && obs_flags.compare) {
@@ -553,7 +574,8 @@ int main(int argc, char** argv) {
     return usage();
   }
   } catch (const util::UsageError& e) {
-    // An unusable --spill-dir: refused before any work, like a bad flag.
+    // A bad positional or an unusable --spill-dir: refused before any
+    // work, like a bad flag.
     std::cerr << "tsb: " << e.what() << "\n";
     rc = kExitUsage;
   } catch (const util::CheckpointInvalid& e) {

@@ -86,6 +86,25 @@ inline bool parse_u64(const std::string& s, std::uint64_t* v) {
   return *end == '\0' && errno != ERANGE;
 }
 
+/// Positional argument args[i] as a decimal in [lo, hi]; *v is left alone
+/// (the caller's default) when there are not that many arguments. False on
+/// non-numeric text, a sign or an out-of-range value, with *error naming
+/// the argument: a value the subcommand cannot run with is a usage error,
+/// never an abort mid-run.
+inline bool positional(const std::vector<std::string>& args, std::size_t i,
+                       const char* name, std::uint64_t lo, std::uint64_t hi,
+                       std::uint64_t* v, std::string* error) {
+  if (i >= args.size()) return true;
+  std::uint64_t x = 0;
+  if (parse_u64(args[i], &x) && x >= lo && x <= hi) {
+    *v = x;
+    return true;
+  }
+  *error = "bad " + std::string(name) + " '" + args[i] + "' (want " +
+           std::to_string(lo) + ".." + std::to_string(hi) + ")";
+  return false;
+}
+
 /// Parse "123", "64k", "256m", "2g" into bytes (suffix = binary multiple).
 /// Returns false on anything else.
 inline bool parse_bytes(std::string s, std::uint64_t* bytes) {
