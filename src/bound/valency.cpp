@@ -137,16 +137,43 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
   last_lookup_hit_ = false;
   obs::flight::record(obs::flight::Ev::kValencyQuery,
                       static_cast<std::int64_t>(last_root_id_), 0);
-  PairAnswer answer =
-      opts_.reuse ? compute_pair_shared(c, p) : compute_pair(c, p);
+  sim::ReachGraph::QueryResult pass;  // the shared engine's counters
+  bool replay_ok = true;
+  PairAnswer answer = opts_.reuse
+                          ? compute_pair_shared(c, p, &pass, &replay_ok)
+                          : compute_pair(c, p);
   if (obs::stats_enabled()) {
-    obs::JsonObj ev = obs::audit_event("valency.explore");
+    // One record per reachability pass, on both backends: the verdicts,
+    // and with reuse what the pass paid (expanded = fresh protocol steps)
+    // versus consumed for free (reused = stored edges, from_facts = no
+    // graph work at all).
+    obs::JsonObj ev = obs::audit_event("valency.pass");
     ev.num("config", static_cast<std::int64_t>(last_root_id_))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .boolean("can0", answer.can[0])
         .boolean("can1", answer.can[1]);
+    if (opts_.reuse) {
+      ev.num("expanded", static_cast<std::int64_t>(pass.expanded))
+          .num("reused", static_cast<std::int64_t>(pass.reused))
+          .num("visited", static_cast<std::int64_t>(pass.visited))
+          .boolean("from_facts", pass.from_facts)
+          .boolean("truncated", pass.truncated)
+          .boolean("replay_ok", replay_ok)
+          .num("graph_nodes", static_cast<std::int64_t>(graph_->nodes()))
+          .num("facts", static_cast<std::int64_t>(graph_->fact_entries()));
+      if (graph_->symmetric()) {
+        ev.num("canonical", static_cast<std::int64_t>(key.root))
+            .boolean("identity", last_perm_.is_identity());
+      }
+    }
     obs::stats_sink().write(ev.render());
   }
+  // The record above is written first so `tsb report` can flag the failure
+  // from artifacts even though the run itself dies right here.
+  TSB_REQUIRE(replay_ok,
+              "shared-graph witness failed de-canonicalized replay — "
+              "reachability engine or a Protocol::symmetric() declaration "
+              "is unsound");
   const PairAnswer& stored = memo_.emplace(key, std::move(answer)).first->second;
   // Memo growth only happens here (one entry per miss), so this is the
   // natural ledger refresh point. An approximation: node + entry bytes per
@@ -165,64 +192,30 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
   return stored;
 }
 
-ValencyOracle::PairAnswer ValencyOracle::compute_pair_shared(const Config& c,
-                                                             ProcSet p) {
+ValencyOracle::PairAnswer ValencyOracle::compute_pair_shared(
+    const Config& c, ProcSet p, sim::ReachGraph::QueryResult* qr,
+    bool* replay_ok) {
   ++explorations_;
   check_deadline();
   sim::ProcPerm perm;
-  sim::ReachGraph::QueryResult qr = graph_->query(c, p, &perm);
+  *qr = graph_->query(c, p, &perm);
   last_perm_ = perm;
-  if (qr.truncated) ever_truncated_ = true;
+  if (qr->truncated) ever_truncated_ = true;
 
   PairAnswer answer;
-  bool replay_ok = true;
   for (int v = 0; v < 2; ++v) {
-    if (!qr.can[v]) continue;
+    if (!qr->can[v]) continue;
     answer.can[v] = true;
-    answer.witness_id[v] = qr.witness_id[v];
-    answer.witness[v] = std::move(qr.witness[v]);
+    answer.witness_id[v] = qr->witness_id[v];
+    answer.witness[v] = std::move(qr->witness[v]);
     // De-canonicalized replay through the raw engine: the canonical-frame
     // witness, translated into the caller's process ids, must decide v
     // from the *original* configuration. This is the soundness check on
     // the whole reuse/symmetry machinery, run on every fresh witness.
     const Schedule w = decanonicalize(answer.witness[v], perm);
     const Config end = sim::run(proto_, c, w);
-    replay_ok = replay_ok && sim::some_decided(proto_, end, v);
+    *replay_ok = *replay_ok && sim::some_decided(proto_, end, v);
   }
-
-  if (obs::stats_enabled()) {
-    obs::JsonObj rec;
-    rec.str("type", "valency.reuse")
-        .num("config", static_cast<std::int64_t>(last_root_id_))
-        .raw("procs", obs::json_int_array(p.to_vector()))
-        .num("expanded", static_cast<std::int64_t>(qr.expanded))
-        .num("reused", static_cast<std::int64_t>(qr.reused))
-        .num("visited", static_cast<std::int64_t>(qr.visited))
-        .boolean("from_facts", qr.from_facts)
-        .boolean("truncated", qr.truncated)
-        .boolean("can0", qr.can[0])
-        .boolean("can1", qr.can[1])
-        .boolean("replay_ok", replay_ok)
-        .num("graph_nodes", static_cast<std::int64_t>(graph_->nodes()))
-        .num("facts", static_cast<std::int64_t>(graph_->fact_entries()));
-    obs::stats_sink().write(rec.render());
-    if (graph_->symmetric()) {
-      obs::JsonObj orb;
-      orb.str("type", "canonical.orbit")
-          .num("config", static_cast<std::int64_t>(last_root_id_))
-          .num("canonical",
-               static_cast<std::int64_t>(graph_->intern_node(c, p, nullptr).id))
-          .raw("procs", obs::json_int_array(p.to_vector()))
-          .boolean("identity", perm.is_identity());
-      obs::stats_sink().write(orb.render());
-    }
-  }
-  // The record above is written first so `tsb report` can flag the failure
-  // from artifacts even though the run itself dies right here.
-  TSB_REQUIRE(replay_ok,
-              "shared-graph witness failed de-canonicalized replay — "
-              "reachability engine or a Protocol::symmetric() declaration "
-              "is unsound");
   return answer;
 }
 

@@ -226,7 +226,12 @@ class ValencyOracle {
   /// Memoized shared-exploration answer for (c, p).
   const PairAnswer& lookup(const Config& c, ProcSet p);
   PairAnswer compute_pair(const Config& c, ProcSet p);
-  PairAnswer compute_pair_shared(const Config& c, ProcSet p);
+  /// The shared pass leaves its counters in *qr (witnesses moved out) and
+  /// the de-canonicalized replay verdict in *replay_ok, for lookup()'s
+  /// valency.pass record.
+  PairAnswer compute_pair_shared(const Config& c, ProcSet p,
+                                 sim::ReachGraph::QueryResult* qr,
+                                 bool* replay_ok);
   Schedule decanonicalize(const Schedule& s, sim::ProcPerm pi) const;
   void check_deadline() const;
 

@@ -82,10 +82,16 @@ std::uint64_t now_rel_ns() {
           .count());
 }
 
+// One formatted line; false if it did not all reach the file.
+bool put_line(int fd, const char* buf, int len) {
+  return len > 0 && write(fd, buf, static_cast<std::size_t>(len)) == len;
+}
+
 // Signal-context dump: snprintf into a stack buffer + write(2) per line,
 // no allocation, no stdio streams, no locks (a fatal handler cannot wait
 // for a writer mid-record anyway — relaxed slot reads tolerate the race).
-void dump_fd(int fd, const char* reason) {
+// False if any line failed to write.
+bool dump_fd(int fd, const char* reason) {
   char buf[256];
   std::uint64_t total = 0;
   std::size_t nrings = 0;
@@ -101,7 +107,7 @@ void dump_fd(int fd, const char* reason) {
       "{\"type\":\"flight.dump\",\"reason\":\"%s\",\"threads\":%zu,"
       "\"events\":%llu,\"ring_events\":%zu}\n",
       reason, nrings, static_cast<unsigned long long>(total), g_ring_events);
-  if (len > 0) (void)!write(fd, buf, static_cast<std::size_t>(len));
+  bool ok = put_line(fd, buf, len);
   for (std::size_t i = 0; i < nrings; ++i) {
     Ring* r = rs[i];
     const std::uint64_t head = r->head.load(std::memory_order_acquire);
@@ -119,9 +125,10 @@ void dump_fd(int fd, const char* reason) {
           static_cast<unsigned long long>(ts_ev >> 8), ev_name(ev),
           static_cast<long long>(s.a.load(std::memory_order_relaxed)),
           static_cast<long long>(s.b.load(std::memory_order_relaxed)));
-      if (len > 0) (void)!write(fd, buf, static_cast<std::size_t>(len));
+      ok = put_line(fd, buf, len) && ok;
     }
   }
+  return ok;
 }
 
 void sigusr1_handler(int) {
@@ -132,7 +139,7 @@ void fatal_handler(int sig) {
   const int fd =
       open(g_dump_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd >= 0) {
-    dump_fd(fd, "fatal");
+    (void)dump_fd(fd, "fatal");
     close(fd);
   }
   signal(sig, SIG_DFL);
@@ -190,9 +197,8 @@ bool dump(const std::string& path, const char* reason) {
       open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return false;
   std::lock_guard<std::mutex> lock(g_rings_mu);
-  dump_fd(fd, reason);
-  close(fd);
-  return true;
+  const bool ok = dump_fd(fd, reason);
+  return close(fd) == 0 && ok;
 }
 
 void set_dump_path(const std::string& path) {

@@ -63,7 +63,7 @@ std::uint64_t events_recorded();
 /// Dump every ring, oldest surviving event first per thread, as JSONL:
 /// one {"type":"flight.dump",...} header then {"type":"flight.event",...}
 /// lines. Stdio path — not for signal context. False if the file cannot
-/// be written.
+/// be opened or a line fails to write.
 bool dump(const std::string& path, const char* reason);
 
 /// Where signal-triggered dumps go (also the default `dump()` target the

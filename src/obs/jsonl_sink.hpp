@@ -17,7 +17,7 @@ namespace tsb::obs {
 /// built field by field; the builder owns escaping and comma placement so
 /// emitters never hand-assemble JSON. Methods return *this for chaining:
 ///
-///   JsonObj().str("type", "explore.level").num("frontier", 128).render()
+///   audit_event("explore.level").num("frontier", 128).render()
 ///
 /// num() takes std::int64_t (casts at call sites keep overload resolution
 /// trivial); raw() splices a pre-rendered JSON value (arrays, nested
@@ -106,23 +106,25 @@ class JsonlSink {
 
 /// Process-wide sinks.
 ///
-/// stats_sink() is the run's one typed record stream: per-BFS-level and
-/// per-query engine records, the adversary's Lemma 1-4 decision trail,
-/// checkpoint writes, the memory ledger and heartbeat telemetry ticks —
-/// measurements only. `tsb report`, `tsb monitor` and `tsb report
-/// --compare` all read it through the one reader, report::RunReport, which
-/// also derives the watchdog alerts from the ticks.
+/// stats_sink() is the run's one typed record stream: per-BFS-level
+/// records, one valency.pass per reachability pass, the adversary's Lemma
+/// 1-4 decision trail, checkpoint writes, the memory ledger and heartbeat
+/// telemetry ticks — measurements only, every one opened by audit_event().
+/// `tsb report`, `tsb monitor` and `tsb report --compare` all read it
+/// through the one reader, report::RunReport, which also derives the
+/// watchdog alerts from the ticks.
 ///
 /// chaos_sink() stays separate: chaos records must carry NO timestamps,
 /// because the determinism tests byte-compare whole campaign files.
 JsonlSink& stats_sink();
 JsonlSink& chaos_sink();
 
-/// Start a timed stats record: {"type":..., "ts_ns":...}. The decision
-/// trail and telemetry ticks both open with it, so every timed record
-/// carries the sink's clock. Callers append their event's
-/// fields and write() the result to stats_sink(); a tick passes the one
-/// `ts_ns` it also computes its rate from. Only call when stats_enabled().
+/// Start a stats record: {"type":..., "ts_ns":...}. Every record the
+/// stats sink carries opens with it, so each one has the sink's clock
+/// (no tid: the stats records all come from the run's one engine thread).
+/// Callers append their event's fields and write() the result to
+/// stats_sink(); a tick passes the one `ts_ns` it also computes its rate
+/// from. Only call when stats_enabled().
 inline JsonObj audit_event(std::string_view type,
                            std::uint64_t ts_ns = stats_sink().now_ns()) {
   JsonObj o;

@@ -120,9 +120,8 @@ void MemLedger::render(std::ostream& out) const {
 
 void MemLedger::emit_record() const {
   if (!stats_enabled()) return;
-  JsonObj rec;
-  rec.str("type", "ledger")
-      .num("total", static_cast<std::int64_t>(total()))
+  JsonObj rec = audit_event("ledger");
+  rec.num("total", static_cast<std::int64_t>(total()))
       .num("peak_total", static_cast<std::int64_t>(peak_total()))
       .raw("accounts", json());
   JsonObj peaks;

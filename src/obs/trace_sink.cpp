@@ -125,7 +125,8 @@ bool TraceSink::write_file(const std::string& path) const {
   } else {
     write_chrome_trace(out);
   }
-  return out.good();
+  out.close();  // flushes: a full disk fails here, not silently
+  return !out.fail();
 }
 
 std::vector<TraceEvent> TraceSink::snapshot() const {

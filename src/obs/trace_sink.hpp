@@ -109,7 +109,8 @@ class TraceSink {
   /// One JSON object per line, ts/dur in nanoseconds.
   void write_jsonl(std::ostream& out) const;
   /// Write to `path`, picking the format by extension: ".jsonl" gets JSONL,
-  /// anything else the Chrome format. Returns false if the file can't open.
+  /// anything else the Chrome format. False if the file can't be opened or
+  /// written in full.
   bool write_file(const std::string& path) const;
 
   /// Events recorded so far, in claim order (quiescent callers only).

@@ -42,9 +42,8 @@ obs::JsonObj LevelStatsTracker::level_record(const ConfigArena& arena,
   obs::Registry& reg = obs::Registry::global();
   reg.gauge("sim.explore.arena_bytes").set(bytes);
   reg.gauge("process.peak_rss_kb").set(rss);
-  obs::JsonObj rec;
-  rec.str("type", "explore.level")
-      .str("who", who_)
+  obs::JsonObj rec = obs::audit_event("explore.level");
+  rec.str("who", who_)
       .num("level", static_cast<std::int64_t>(levels_++))
       .num("frontier", static_cast<std::int64_t>(frontier))
       .num("discovered", static_cast<std::int64_t>(discovered))
@@ -77,8 +76,7 @@ void LevelStatsTracker::done(const ConfigArena& arena,
     for (const std::string& line : buffered_) sink.write(line);
   }
   const double ms = elapsed_ms(t_start_, std::chrono::steady_clock::now());
-  sink.write(obs::JsonObj()
-                 .str("type", "explore.done")
+  sink.write(obs::audit_event("explore.done")
                  .str("who", who_)
                  .num("visited", static_cast<std::int64_t>(res.visited))
                  .num("levels", static_cast<std::int64_t>(levels_))

@@ -62,8 +62,9 @@ class LevelStatsTracker {
   bool active() const { return active_; }
 
   /// Start the record for a completed level, preloaded with timing, rates,
-  /// arena geometry and peak RSS. Callers append their own fields and hand
-  /// it to commit_level().
+  /// arena geometry and peak RSS, and stamped now: a buffered level keeps
+  /// the time it completed, not the time done() flushes it. Callers append
+  /// their own fields and hand it to commit_level().
   obs::JsonObj level_record(const ConfigArena& arena, std::uint64_t frontier,
                             std::uint64_t discovered, std::uint64_t dedup);
   void commit_level(obs::JsonObj&& record);

@@ -138,8 +138,7 @@ ModelChecker::Report ModelChecker::check(
       in.reserve(inputs.size());
       for (Value v : inputs) in.push_back(static_cast<int>(v));
       obs::stats_sink().write(
-          obs::JsonObj()
-              .str("type", "mc.input")
+          obs::audit_event("mc.input")
               .num("index", static_cast<std::int64_t>(rep.initial_configs - 1))
               .raw("inputs", obs::json_int_array(in))
               .num("visited", static_cast<std::int64_t>(result.visited))

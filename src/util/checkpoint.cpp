@@ -681,9 +681,8 @@ void CheckpointService::write_now(const char* why) {
                       static_cast<std::int64_t>(state_bytes),
                       static_cast<std::int64_t>(ms));
   if (obs::stats_enabled()) {
-    obs::JsonObj rec;
-    rec.str("type", "ckpt.write")
-        .str("why", why)
+    obs::JsonObj rec = obs::audit_event("ckpt.write");
+    rec.str("why", why)
         .num("generation", static_cast<std::int64_t>(gen))
         .num("bytes", static_cast<std::int64_t>(state_bytes))
         .num("ms", static_cast<std::int64_t>(ms))

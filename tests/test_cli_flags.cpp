@@ -15,36 +15,35 @@ namespace {
 
 TEST(ParseArgs, FileFlagsLandInTheirFields) {
   const auto r = parse_args({"--trace=t.jsonl", "--stats=s.jsonl",
-                             "--baseline=b.json", "--metrics", "--progress"});
+                             "--flight=f.jsonl", "--metrics", "--progress"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.flags.trace_file, "t.jsonl");
   EXPECT_EQ(r.flags.stats_file, "s.jsonl");
-  EXPECT_EQ(r.flags.baseline_file, "b.json");
+  EXPECT_EQ(r.flags.flight_file, "f.jsonl");
   EXPECT_TRUE(r.flags.metrics);
   EXPECT_TRUE(r.flags.progress);
   EXPECT_TRUE(r.args.empty());
 }
 
 TEST(ParseArgs, EmptyFileArgumentsAreErrors) {
-  for (const char* bad : {"--trace=", "--stats=", "--baseline="}) {
+  for (const char* bad : {"--trace=", "--stats=", "--flight="}) {
     EXPECT_FALSE(parse_args({bad}).ok) << bad;
   }
 }
 
 TEST(ParseArgs, FlagsMayAppearAnywhereAmongPositionals) {
   const auto r =
-      parse_args({"report", "run.jsonl", "--top=7", "audit.jsonl"});
+      parse_args({"report", "run.jsonl", "--metrics", "audit.jsonl"});
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.flags.top, 7);
+  EXPECT_TRUE(r.flags.metrics);
   EXPECT_EQ(r.args,
             (std::vector<std::string>{"report", "run.jsonl", "audit.jsonl"}));
 }
 
 TEST(ParseArgs, ValencyCapAndTopValidation) {
-  const auto ok = parse_args({"--valency-cap=5000", "--top=1"});
+  const auto ok = parse_args({"--valency-cap=5000"});
   ASSERT_TRUE(ok.ok) << ok.error;
   EXPECT_EQ(ok.flags.valency_cap, 5000u);
-  EXPECT_EQ(ok.flags.top, 1);
   EXPECT_FALSE(parse_args({"--valency-cap=0"}).ok);
   // The whole value must be a decimal >= 1: no sign wrapping to 2^64-5, no
   // trailing garbage silently dropped, no overflow.
@@ -56,17 +55,6 @@ TEST(ParseArgs, ValencyCapAndTopValidation) {
     EXPECT_FALSE(r.ok) << bad;
     EXPECT_NE(r.error.find("--valency-cap"), std::string::npos) << r.error;
   }
-  // --top is as strict, and bounded by INT_MAX instead of wrapping.
-  const auto big = parse_args({"--top=2147483647"});
-  ASSERT_TRUE(big.ok) << big.error;
-  EXPECT_EQ(big.flags.top, 2147483647);
-  for (const char* bad :
-       {"--top=0", "--top=-2", "--top=+3", "--top= 3", "--top=3x", "--top=",
-        "--top=2147483648", "--top=4294967297"}) {
-    const auto r = parse_args({"report", "a.jsonl", bad});
-    EXPECT_FALSE(r.ok) << bad;
-    EXPECT_NE(r.error.find("--top"), std::string::npos) << r.error;
-  }
 }
 
 TEST(ParseArgs, UnknownFlagIsAnError) {
@@ -77,10 +65,13 @@ TEST(ParseArgs, UnknownFlagIsAnError) {
   // The decision trail and telemetry ride --stats; the status file is gone.
   // The sampling profiler is gone; self time comes from the trace.
   // `tsb report FILE` is the one-frame monitor view, so --once is gone.
+  // The report has no knobs: it always prints the baseline line, keeps the
+  // top 5 rows and gates --compare at 25%.
   for (const char* gone :
        {"--threads=4", "--chunk-configs=64", "--parallel-threshold=1024",
         "--audit=a.jsonl", "--telemetry=run.tsl", "--status-file=st.json",
-        "--profile", "--profile-hz=97", "--once"}) {
+        "--profile", "--profile-hz=97", "--once", "--baseline=b.json",
+        "--top=7", "--tolerance=10.5"}) {
     const auto g = parse_args({"adversary", gone});
     EXPECT_FALSE(g.ok) << gone;
     EXPECT_NE(g.error.find("unknown flag"), std::string::npos) << g.error;
@@ -90,7 +81,6 @@ TEST(ParseArgs, UnknownFlagIsAnError) {
 TEST(ParseArgs, DefaultsMatchTheDocumentedOnes) {
   const auto r = parse_args({});
   ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.flags.top, 5);
   EXPECT_EQ(r.flags.valency_cap, 0u);
   EXPECT_FALSE(r.flags.metrics);
   EXPECT_FALSE(r.flags.progress);
@@ -311,27 +301,20 @@ TEST(ParseArgs, MonitorSubcommandOnce) {
 }
 
 TEST(ParseArgs, CompareAndTolerance) {
-  const auto r = parse_args(
-      {"report", "--compare", "a.jsonl", "b.jsonl", "--tolerance=10.5"});
+  const auto r =
+      parse_args({"report", "--compare", "a.jsonl", "b.jsonl"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.flags.compare);
-  EXPECT_DOUBLE_EQ(r.flags.tolerance, 10.5);
   EXPECT_EQ(r.args,
             (std::vector<std::string>{"report", "a.jsonl", "b.jsonl"}));
   const auto d = parse_args({"report", "x.jsonl"});
   ASSERT_TRUE(d.ok);
   EXPECT_FALSE(d.flags.compare);
-  EXPECT_DOUBLE_EQ(d.flags.tolerance, 25.0);
-  EXPECT_FALSE(parse_args({"--tolerance=-3"}).ok);
-  EXPECT_FALSE(parse_args({"--tolerance=loose"}).ok);
-  EXPECT_FALSE(parse_args({"--tolerance="}).ok);
-  EXPECT_FALSE(parse_args({"--tolerance"}).ok);  // missing value
-  // A non-finite tolerance would turn the regression gate off.
-  for (const char* bad : {"--tolerance=nan", "--tolerance=inf",
-                          "--tolerance=1e999", "--tolerance=-inf"}) {
-    const auto r = parse_args({"report", "--compare", "a", "b", bad});
-    EXPECT_FALSE(r.ok) << bad;
-    EXPECT_NE(r.error.find("--tolerance"), std::string::npos) << r.error;
+  // The gate width is a constant (report::kTolerancePct), not a flag.
+  for (const char* gone : {"--tolerance=10.5", "--tolerance"}) {
+    const auto g = parse_args({"report", "--compare", "a", "b", gone});
+    EXPECT_FALSE(g.ok) << gone;
+    EXPECT_NE(g.error.find("unknown flag"), std::string::npos) << g.error;
   }
 }
 

@@ -121,7 +121,7 @@ TEST(ParseJson, NestingPastTheDepthLimitIsMalformedNotACrash) {
   rep.ingest_line(bomb);
   EXPECT_EQ(rep.lines_malformed(), 1u);
   std::ostringstream report_out;
-  EXPECT_EQ(analyze_files({path}, 5, "", report_out), 0);
+  EXPECT_EQ(analyze_files({path}, report_out), 0);
   EXPECT_NE(report_out.str().find("malformed: 1"), std::string::npos)
       << report_out.str();
   std::remove(path.c_str());
@@ -285,7 +285,7 @@ TEST(RunReport, SelfTimeSubtractsDirectChildrenPerTidInBothEncodings) {
     // The legacy prof.* records leave the report clean (exit 0) and add no
     // table of their own.
     std::ostringstream report_out;
-    EXPECT_EQ(analyze_files({path}, 5, "", report_out), 0);
+    EXPECT_EQ(analyze_files({path}, report_out), 0);
     const std::string text = report_out.str();
     EXPECT_NE(text.find("self_ms"), std::string::npos) << text;
     EXPECT_NE(text.find("malformed: 0"), std::string::npos) << text;
@@ -347,35 +347,42 @@ TEST(RunReport, AdversaryAuditTrailMatchesTheVerifiedCertificate) {
       << baseline;
 
   std::ostringstream text;
-  rep.render_text(text, 5);
+  rep.render_text(text);
   EXPECT_NE(text.str().find("CONSISTENT"), std::string::npos) << text.str();
 
   // analyze_files agrees: exit 0 over the same artifacts.
   std::ostringstream sink;
-  EXPECT_EQ(analyze_files({stats_path}, 5, "", sink), 0);
+  EXPECT_EQ(analyze_files({stats_path}, sink), 0);
   // ... and 2 for an unreadable file.
   std::ostringstream devnull;
-  EXPECT_EQ(analyze_files({stats_path, "/nonexistent-tsb/x.jsonl"}, 5, "",
-                          devnull),
+  EXPECT_EQ(analyze_files({stats_path, "/nonexistent-tsb/x.jsonl"}, devnull),
             2);
 }
 
-// --- shared-subgraph engine records (valency.reuse / canonical.orbit) ------
+// --- reachability passes (valency.pass) ------------------------------------
 
 TEST(RunReport, ReuseRecordsAggregateRenderAndBaseline) {
   RunReport rep;
   ingest(rep, {
-    R"({"type":"valency.reuse","config":7,"procs":[0,1],"expanded":100,"reused":300,"visited":400,"from_facts":false,"truncated":false,"can0":true,"can1":true,"replay_ok":true,"graph_nodes":120,"facts":80})",
-    R"({"type":"valency.reuse","config":9,"procs":[2],"expanded":0,"reused":0,"visited":1,"from_facts":true,"truncated":false,"can0":true,"can1":false,"replay_ok":true,"graph_nodes":121,"facts":81})",
+    R"({"type":"valency.pass","ts_ns":10,"config":7,"procs":[0,1],"can0":true,"can1":true,"expanded":100,"reused":300,"visited":400,"from_facts":false,"truncated":false,"replay_ok":true,"graph_nodes":120,"facts":80,"canonical":3,"identity":false})",
+    R"({"type":"valency.pass","ts_ns":20,"config":9,"procs":[2],"can0":true,"can1":false,"expanded":0,"reused":0,"visited":1,"from_facts":true,"truncated":false,"replay_ok":true,"graph_nodes":121,"facts":81})",
+    // A fresh-BFS pass carries no engine counters: an exploration, not a
+    // shared-engine pass.
+    R"({"type":"valency.pass","ts_ns":30,"config":11,"procs":[1],"can0":false,"can1":true})",
+    // The three records valency.pass replaced are legacy: well-formed,
+    // skipped, and never counted twice.
+    R"({"type":"valency.explore","config":7,"procs":[0,1],"can0":true,"can1":true})",
+    R"({"type":"valency.reuse","config":7,"procs":[0,1],"expanded":100,"reused":300,"visited":400,"from_facts":false,"truncated":false,"can0":true,"can1":true,"replay_ok":false,"graph_nodes":120,"facts":80})",
     R"({"type":"canonical.orbit","config":7,"canonical":3,"procs":[0,1],"identity":false})",
   });
+  EXPECT_EQ(rep.lines_malformed(), 0u);
   EXPECT_EQ(rep.reuse_records(), 2u);
   EXPECT_EQ(rep.replay_failures(), 0u);
   EXPECT_DOUBLE_EQ(rep.reuse_rate(), 0.75);  // 300 / (100 + 300)
   EXPECT_TRUE(rep.consistent());
 
   std::ostringstream text;
-  rep.render_text(text, 5);
+  rep.render_text(text);
   EXPECT_NE(text.str().find("shared-subgraph valency queries"),
             std::string::npos)
       << text.str();
@@ -392,7 +399,7 @@ TEST(RunReport, ReuseRecordsAggregateRenderAndBaseline) {
         "\"reach_reused\":300", "\"reach_fact_answers\":1",
         "\"reach_graph_nodes\":121", "\"reach_facts\":81",
         "\"reach_replay_failures\":0", "\"orbit_records\":1",
-        "\"orbit_nonidentity\":1"}) {
+        "\"orbit_nonidentity\":1", "\"valency_explorations\":3"}) {
     EXPECT_NE(baseline.find(want), std::string::npos)
         << want << " missing from " << baseline;
   }
@@ -402,11 +409,11 @@ TEST(RunReport, WitnessReplayFailureFailsTheReport) {
   const std::string path = ::testing::TempDir() + "forensics_replay.jsonl";
   {
     std::ofstream out(path);
-    out << R"({"type":"valency.reuse","config":7,"procs":[0,1],"expanded":10,"reused":5,"visited":12,"from_facts":false,"truncated":false,"can0":true,"can1":false,"replay_ok":false,"graph_nodes":12,"facts":4})"
+    out << R"({"type":"valency.pass","ts_ns":5,"config":7,"procs":[0,1],"can0":true,"can1":false,"expanded":10,"reused":5,"visited":12,"from_facts":false,"truncated":false,"replay_ok":false,"graph_nodes":12,"facts":4})"
         << "\n";
   }
   std::ostringstream report_text;
-  EXPECT_EQ(analyze_files({path}, 5, "", report_text), 1)
+  EXPECT_EQ(analyze_files({path}, report_text), 1)
       << "an unsound witness must fail tsb report";
   EXPECT_NE(report_text.str().find("REPLAY FAILURES"), std::string::npos)
       << report_text.str();
@@ -415,6 +422,64 @@ TEST(RunReport, WitnessReplayFailureFailsTheReport) {
   ingest_file(rep, path);
   rep.finalize();
   EXPECT_EQ(rep.replay_failures(), 1u);
+}
+
+// Ballot consensus is not symmetric: its ballots are process ids. Declared
+// symmetric anyway, the engine's canonical-frame witnesses stop replaying
+// from the caller's configuration at n = 3.
+class FalselySymmetricBallot final : public sim::Protocol {
+ public:
+  std::string name() const override { return inner_.name(); }
+  int num_processes() const override { return inner_.num_processes(); }
+  int num_registers() const override { return inner_.num_registers(); }
+  sim::Value initial_register() const override {
+    return inner_.initial_register();
+  }
+  bool symmetric() const override { return true; }
+  sim::State initial_state(sim::ProcId p, sim::Value input) const override {
+    return inner_.initial_state(p, input);
+  }
+  sim::PendingOp poised(sim::ProcId p, sim::State s) const override {
+    return inner_.poised(p, s);
+  }
+  sim::State after_read(sim::ProcId p, sim::State s,
+                        sim::Value observed) const override {
+    return inner_.after_read(p, s, observed);
+  }
+  sim::State after_write(sim::ProcId p, sim::State s) const override {
+    return inner_.after_write(p, s);
+  }
+
+ private:
+  consensus::BallotConsensus inner_{3, 6};
+};
+
+TEST(RunReport, ReplayFailureRecordIsWrittenBeforeTheRunFails) {
+  const std::string path =
+      ::testing::TempDir() + "forensics_replay_engine.jsonl";
+  ASSERT_TRUE(obs::stats_sink().open(path));
+  FalselySymmetricBallot proto;
+  bound::SpaceBoundAdversary adversary(proto);
+  const auto result = adversary.run();
+  obs::stats_sink().close();
+  ASSERT_FALSE(result.ok);
+  EXPECT_NE(result.error.find("de-canonicalized replay"), std::string::npos)
+      << result.error;
+
+  // The requirement fires right after its pass record: the failing pass is
+  // the last valency.pass in the file, and it says replay_ok:false.
+  std::ifstream in(path);
+  std::string last_pass;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find("\"type\":\"valency.pass\"") != std::string::npos) {
+      last_pass = line;
+    }
+  }
+  EXPECT_NE(last_pass.find("\"replay_ok\":false"), std::string::npos)
+      << last_pass;
+  std::ostringstream report_text;
+  EXPECT_EQ(analyze_files({path}, report_text), 1) << report_text.str();
+  std::remove(path.c_str());
 }
 
 // --- chaos records ---------------------------------------------------------
@@ -443,7 +508,7 @@ TEST(RunReport, ChaosViolationFailsTheReport) {
         << "\n";
   }
   std::ostringstream devnull;
-  EXPECT_EQ(analyze_files({path}, 5, "", devnull), 1)
+  EXPECT_EQ(analyze_files({path}, devnull), 1)
       << "a chaos safety violation must fail tsb report";
 }
 
@@ -457,7 +522,7 @@ TEST(RunReport, BudgetExhaustedIsCleanNotAFailure) {
         << "\n";
   }
   std::ostringstream report_text;
-  EXPECT_EQ(analyze_files({path}, 5, "", report_text), 0)
+  EXPECT_EQ(analyze_files({path}, report_text), 0)
       << "budget truncation is a clean outcome, not a report failure";
   EXPECT_NE(report_text.str().find("budget exhausted"), std::string::npos);
 }

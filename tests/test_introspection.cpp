@@ -202,7 +202,7 @@ TEST(BudgetExhaustion, LedgerAttributesAndFlightDumpReplays) {
   EXPECT_NE(text.find("\"ev\":\"budget.trip\""), std::string::npos);
 
   std::ostringstream rendered;
-  rep.render_text(rendered, 5);
+  rep.render_text(rendered);
   EXPECT_NE(rendered.str().find("flight recorder"), std::string::npos);
   EXPECT_NE(rendered.str().find("budget.trip"), std::string::npos);
   std::remove(path.c_str());

@@ -165,7 +165,7 @@ TEST(StreamMutation, EveryMutantParsesOrCountsAsMalformed) {
   // Whatever survived must aggregate and render without tripping anything.
   rep.finalize();
   std::ostringstream text;
-  rep.render_text(text, 5);
+  rep.render_text(text);
   JsonValue baseline;
   EXPECT_TRUE(parse_json(rep.baseline_json(), baseline));
   (void)rep.monotonic();
@@ -186,11 +186,11 @@ TEST(StreamMutation, EveryMutantParsesOrCountsAsMalformed) {
   }
   for (const std::string& path : {a, b}) {
     std::ostringstream out;
-    const int rc = analyze_files({path}, 5, "", out);
+    const int rc = analyze_files({path}, out);
     EXPECT_TRUE(rc == 0 || rc == 1) << rc;
   }
   std::ostringstream cmp;
-  const int rc = compare_timelines(a, b, 25.0, cmp);
+  const int rc = compare_timelines(a, b, cmp);
   EXPECT_TRUE(rc >= 0 && rc <= 2) << rc;
   std::remove(a.c_str());
   std::remove(b.c_str());
@@ -302,7 +302,7 @@ TEST(StreamMutation, HostileTickFieldsFinalizeAndRender) {
         }
         std::ostringstream out;
         rep.render_telemetry(out);
-        rep.render_text(out, 5);
+        rep.render_text(out);
       }
     }
   }

@@ -501,7 +501,7 @@ TEST(RunReport, TelemetrySectionRendersATornFileWithALatchedAlert) {
   rep.finalize();
   EXPECT_EQ(rep.lines_malformed(), 1u);
   std::ostringstream text;
-  rep.render_text(text, 5);
+  rep.render_text(text);
   const std::string s = text.str();
   for (const char* want :
        {"telemetry: 4 tick(s), 1 watchdog alert(s)", "phase      valency.reach",
@@ -516,7 +516,7 @@ TEST(RunReport, TelemetrySectionRendersATornFileWithALatchedAlert) {
   EXPECT_NE(s.find(section.str()), std::string::npos)
       << "the monitor's frame is the report's section";
   std::ostringstream analyzed;
-  EXPECT_EQ(report::analyze_files({path}, 5, "", analyzed), 0);
+  EXPECT_EQ(report::analyze_files({path}, analyzed), 0);
   std::remove(path.c_str());
 }
 
@@ -564,17 +564,18 @@ TEST(CompareTimelines, IdenticalFilesPassInjectedSlowdownFails) {
   write_timeline(a, 1.0, 1.0);
   write_timeline(b, 1.0, 1.0);
   std::ostringstream out;
-  EXPECT_EQ(report::compare_timelines(a, b, 25.0, out), 0) << out.str();
+  EXPECT_EQ(report::compare_timelines(a, b, out), 0) << out.str();
 
   // B at 40% of A's throughput and 1.5x the wall time: both gates trip.
   write_timeline(b, 0.4, 1.5);
   std::ostringstream out2;
-  EXPECT_EQ(report::compare_timelines(a, b, 25.0, out2), 1);
+  EXPECT_EQ(report::compare_timelines(a, b, out2), 1);
   EXPECT_NE(out2.str().find("REGRESSED"), std::string::npos);
 
-  // The same slowdown passes a 90% tolerance.
+  // A slowdown inside the fixed 25% gate passes.
+  write_timeline(b, 0.9, 1.1);
   std::ostringstream out3;
-  EXPECT_EQ(report::compare_timelines(a, b, 90.0, out3), 0) << out3.str();
+  EXPECT_EQ(report::compare_timelines(a, b, out3), 0) << out3.str();
   std::remove(a.c_str());
   std::remove(b.c_str());
 }
@@ -590,7 +591,7 @@ TEST(CompareTimelines, WatchAlertsRowCountsDerivedAlerts) {
     }
   }
   std::ostringstream out;
-  report::compare_timelines(a, b, 25.0, out);
+  report::compare_timelines(a, b, out);
   std::istringstream lines(out.str());
   std::string line;
   while (std::getline(lines, line) &&
@@ -611,13 +612,12 @@ TEST(CompareTimelines, MissingOrEmptyFileIsUsage) {
   const std::string a = temp_path("cmp_present.jsonl");
   write_timeline(a, 1.0, 1.0);
   std::ostringstream out;
-  EXPECT_EQ(report::compare_timelines(a, temp_path("cmp_absent.jsonl"), 25.0,
-                                      out),
+  EXPECT_EQ(report::compare_timelines(a, temp_path("cmp_absent.jsonl"), out),
             2);
   const std::string empty = temp_path("cmp_empty.jsonl");
   { std::ofstream touch(empty); }
   std::ostringstream out2;
-  EXPECT_EQ(report::compare_timelines(a, empty, 25.0, out2), 2);
+  EXPECT_EQ(report::compare_timelines(a, empty, out2), 2);
   std::remove(a.c_str());
   std::remove(empty.c_str());
 }
@@ -649,13 +649,13 @@ TEST(RunReport, CountsTelemetryRecords) {
   EXPECT_EQ(rep.lines_ingested(), 4u);
   EXPECT_EQ(rep.lines_malformed(), 0u);
   std::ostringstream out;
-  rep.render_text(out, 5);
+  rep.render_text(out);
   EXPECT_NE(out.str().find("telemetry: 2 tick(s), 0 watchdog alert(s)"),
             std::string::npos)
       << out.str();
   EXPECT_EQ(out.str().find("spill_thrash"), std::string::npos);
   std::ostringstream analyzed;
-  EXPECT_EQ(report::analyze_files({path}, 5, "", analyzed), 0);
+  EXPECT_EQ(report::analyze_files({path}, analyzed), 0);
   std::remove(path.c_str());
 }
 
@@ -701,7 +701,7 @@ TEST(TelemetryEndToEnd, AdversaryTimelineMatchesExitState) {
   // The same file carries the decision trail: the report finds the
   // certificate and agrees with it.
   std::ostringstream rendered;
-  EXPECT_EQ(report::analyze_files({path}, 5, "", rendered), 0);
+  EXPECT_EQ(report::analyze_files({path}, rendered), 0);
   EXPECT_NE(rendered.str().find("\"consistent\":true"), std::string::npos)
       << rendered.str();
   const std::string text = slurp(path);

@@ -307,20 +307,7 @@ void RunReport::ingest_line(const std::string& line) {
     ++malformed_;
     return;
   }
-  if (type.rfind("explore", 0) == 0 || type.rfind("mc.", 0) == 0 ||
-      type.rfind("bench", 0) == 0 || type.rfind("ckpt.", 0) == 0) {
-    ingest_stats(v, type);
-  } else if (type.rfind("chaos.", 0) == 0) {
-    ingest_chaos(v, type);
-  } else if (type == "ledger" || type.rfind("flight.", 0) == 0) {
-    ingest_introspection(v, type);
-  } else if (type == "telemetry.tick") {
-    ingest_tick(v);
-  } else {
-    // Includes the legacy records older runs wrote (prof.*, watch.*):
-    // well-formed, and skipped.
-    ingest_audit(v, type);
-  }
+  ingest_record(v, type);
 }
 
 bool RunReport::load(const std::string& path) {
@@ -379,42 +366,6 @@ bool RunReport::monotonic() const {
   return true;
 }
 
-void RunReport::ingest_introspection(const JsonValue& v,
-                                     const std::string& type) {
-  if (type == "ledger") {
-    // Gauges, not counters: every record is a full snapshot, last wins.
-    ledger_accounts_.clear();
-    ledger_peaks_.clear();
-    if (const JsonValue* acc = v.find("accounts");
-        acc && acc->type == JsonValue::Type::kObj) {
-      for (const auto& [name, val] : acc->obj) {
-        ledger_accounts_[name] = to_i64(val.num);
-      }
-    }
-    if (const JsonValue* pk = v.find("peaks");
-        pk && pk->type == JsonValue::Type::kObj) {
-      for (const auto& [name, val] : pk->obj) {
-        ledger_peaks_[name] = to_i64(val.num);
-      }
-    }
-    ledger_total_ = v.int_or("total", 0);
-    ledger_peak_total_ = v.int_or("peak_total", 0);
-  } else if (type == "flight.dump") {
-    flight_reason_ = v.str_or("reason", "?");
-    flight_threads_ = v.int_or("threads", 0);
-    flight_total_events_ = v.int_or("events", 0);
-  } else if (type == "flight.event") {
-    FlightRow row;
-    row.tid = v.int_or("tid", 0);
-    row.seq = v.int_or("seq", 0);
-    row.ts_ns = v.int_or("ts_ns", 0);
-    row.ev = v.str_or("ev", "?");
-    row.a = v.int_or("a", 0);
-    row.b = v.int_or("b", 0);
-    flight_rows_.push_back(std::move(row));
-  }
-}
-
 void RunReport::ingest_trace(const JsonValue& v) {
   ++trace_events_;
   const std::string ph = v.str_or("ph", "");
@@ -442,8 +393,14 @@ void RunReport::ingest_trace(const JsonValue& v) {
   }
 }
 
-void RunReport::ingest_stats(const JsonValue& v, const std::string& type) {
-  if (type == "explore.level") {
+void RunReport::count_regs(const std::vector<int>& regs) {
+  for (int r : regs) ++reg_cover_counts_[r];
+}
+
+void RunReport::ingest_record(const JsonValue& v, const std::string& type) {
+  if (type == "telemetry.tick") {
+    ingest_tick(v);
+  } else if (type == "explore.level") {
     LevelRow row;
     row.who = v.str_or("who", "?");
     row.level = v.int_or("level", 0);
@@ -468,47 +425,43 @@ void RunReport::ingest_stats(const JsonValue& v, const std::string& type) {
     ckpt_ms_ += static_cast<std::uint64_t>(v.int_or("ms", 0));
     ckpt_last_generation_ = v.int_or("generation", ckpt_last_generation_);
     ckpt_last_why_ = v.str_or("why", ckpt_last_why_);
-  }
-}
-
-void RunReport::count_regs(const std::vector<int>& regs) {
-  for (int r : regs) ++reg_cover_counts_[r];
-}
-
-void RunReport::ingest_audit(const JsonValue& v, const std::string& type) {
-  if (type == "adversary.begin") {
+  } else if (type == "adversary.begin") {
     protocol_ = v.str_or("protocol", "");
     n_ = static_cast<int>(v.int_or("n", 0));
   } else if (type == "valency") {
     ++valency_queries_;
     if (v.bool_or("memo_hit", false)) ++valency_memo_hits_;
-  } else if (type == "valency.explore") {
+  } else if (type == "valency.pass") {
     ++valency_explores_;
-  } else if (type == "valency.reuse") {
-    ++reuse_records_;
-    ReuseRow row;
-    row.config = v.int_or("config", -1);
-    const std::vector<int> procs = v.int_array("procs");
-    for (std::size_t i = 0; i < procs.size(); ++i) {
-      if (i > 0) row.procs += ",";
-      row.procs += std::to_string(procs[i]);
+    // The shared-subgraph engine's counters ride only its passes; the
+    // fresh-BFS backend's work shows in its explore.* records instead.
+    if (v.find("expanded") != nullptr) {
+      ++reuse_records_;
+      ReuseRow row;
+      row.config = v.int_or("config", -1);
+      const std::vector<int> procs = v.int_array("procs");
+      for (std::size_t i = 0; i < procs.size(); ++i) {
+        if (i > 0) row.procs += ",";
+        row.procs += std::to_string(procs[i]);
+      }
+      row.expanded = static_cast<std::uint64_t>(v.int_or("expanded", 0));
+      row.reused = static_cast<std::uint64_t>(v.int_or("reused", 0));
+      row.visited = static_cast<std::uint64_t>(v.int_or("visited", 0));
+      row.from_facts = v.bool_or("from_facts", false);
+      row.replay_ok = v.bool_or("replay_ok", true);
+      reuse_expanded_ += row.expanded;
+      reuse_reused_ += row.reused;
+      if (row.from_facts) ++reuse_fact_answers_;
+      if (v.bool_or("truncated", false)) ++reuse_truncated_;
+      if (!row.replay_ok) ++reuse_replay_failures_;
+      reuse_graph_nodes_ = v.int_or("graph_nodes", reuse_graph_nodes_);
+      reuse_facts_ = v.int_or("facts", reuse_facts_);
+      reuse_rows_.push_back(std::move(row));
     }
-    row.expanded = static_cast<std::uint64_t>(v.int_or("expanded", 0));
-    row.reused = static_cast<std::uint64_t>(v.int_or("reused", 0));
-    row.visited = static_cast<std::uint64_t>(v.int_or("visited", 0));
-    row.from_facts = v.bool_or("from_facts", false);
-    row.replay_ok = v.bool_or("replay_ok", true);
-    reuse_expanded_ += row.expanded;
-    reuse_reused_ += row.reused;
-    if (row.from_facts) ++reuse_fact_answers_;
-    if (v.bool_or("truncated", false)) ++reuse_truncated_;
-    if (!row.replay_ok) ++reuse_replay_failures_;
-    reuse_graph_nodes_ = v.int_or("graph_nodes", reuse_graph_nodes_);
-    reuse_facts_ = v.int_or("facts", reuse_facts_);
-    reuse_rows_.push_back(std::move(row));
-  } else if (type == "canonical.orbit") {
-    ++orbit_records_;
-    if (!v.bool_or("identity", true)) ++orbit_nonidentity_;
+    if (v.find("canonical") != nullptr) {
+      ++orbit_records_;
+      if (!v.bool_or("identity", true)) ++orbit_nonidentity_;
+    }
   } else if (type == "lemma1") {
     ++lemma1_;
   } else if (type == "lemma3") {
@@ -551,11 +504,35 @@ void RunReport::ingest_audit(const JsonValue& v, const std::string& type) {
     cert_schedule_len_ = v.int_or("schedule_len", 0);
     cert_error_ = v.str_or("error", "");
     if (protocol_.empty()) protocol_ = v.str_or("protocol", "");
-  }
-}
-
-void RunReport::ingest_chaos(const JsonValue& v, const std::string& type) {
-  if (type == "chaos.run") {
+  } else if (type == "ledger") {
+    // Gauges, not counters: every record is a full snapshot, last wins.
+    ledger_accounts_.clear();
+    ledger_peaks_.clear();
+    for (const auto& [key, dst] : {std::pair{"accounts", &ledger_accounts_},
+                                   std::pair{"peaks", &ledger_peaks_}}) {
+      if (const JsonValue* obj = v.find(key);
+          obj && obj->type == JsonValue::Type::kObj) {
+        for (const auto& [name, val] : obj->obj) {
+          (*dst)[name] = to_i64(val.num);
+        }
+      }
+    }
+    ledger_total_ = v.int_or("total", 0);
+    ledger_peak_total_ = v.int_or("peak_total", 0);
+  } else if (type == "flight.dump") {
+    flight_reason_ = v.str_or("reason", "?");
+    flight_threads_ = v.int_or("threads", 0);
+    flight_total_events_ = v.int_or("events", 0);
+  } else if (type == "flight.event") {
+    FlightRow row;
+    row.tid = v.int_or("tid", 0);
+    row.seq = v.int_or("seq", 0);
+    row.ts_ns = v.int_or("ts_ns", 0);
+    row.ev = v.str_or("ev", "?");
+    row.a = v.int_or("a", 0);
+    row.b = v.int_or("b", 0);
+    flight_rows_.push_back(std::move(row));
+  } else if (type == "chaos.run") {
     ++chaos_runs_;
     ChaosTargetAgg& agg = chaos_targets_[v.str_or("target", "?")];
     ++agg.runs;
@@ -596,6 +573,10 @@ void RunReport::ingest_chaos(const JsonValue& v, const std::string& type) {
         .boolean("ok", v.bool_or("ok", false));
     chaos_campaign_line_ = o.render();
   }
+  // Any other type is well-formed and skipped: the decision-trail records
+  // no view aggregates (prop2, lemma4.done, ...) and the legacy records
+  // older runs wrote (prof.*, watch.*, valency.explore, valency.reuse,
+  // canonical.orbit).
 }
 
 // --- alerts ----------------------------------------------------------------
@@ -827,7 +808,7 @@ void RunReport::finalize() {
 
 // --- rendering -------------------------------------------------------------
 
-void RunReport::render_text(std::ostream& out, int top_k) const {
+void RunReport::render_text(std::ostream& out) const {
   out << "== tsb report ==\n";
   out << "lines: " << lines_ << " (malformed: " << malformed_ << ")";
   if (!protocol_.empty()) out << "  protocol: " << protocol_;
@@ -895,9 +876,7 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
               [](const ReuseRow* a, const ReuseRow* b) {
                 return a->expanded + a->reused > b->expanded + b->reused;
               });
-    if (static_cast<int>(rows.size()) > top_k) {
-      rows.resize(static_cast<std::size_t>(top_k));
-    }
+    if (rows.size() > kTopK) rows.resize(kTopK);
     util::Table t({"config", "procs", "expanded", "reused", "visited",
                    "from_facts", "replay"});
     for (const ReuseRow* r : rows) {
@@ -905,7 +884,7 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
             r->from_facts ? "yes" : "no", r->replay_ok ? "ok" : "FAILED");
     }
     t.print(out, "shared-subgraph valency queries (top " +
-                     std::to_string(top_k) + " by traversals)");
+                     std::to_string(kTopK) + " by traversals)");
     const std::uint64_t total = reuse_expanded_ + reuse_reused_;
     out << "work saved: " << reuse_reused_ << " stored-edge reuses + "
         << reuse_fact_answers_ << " fact-answered queries of "
@@ -940,14 +919,12 @@ void RunReport::render_text(std::ostream& out, int top_k) const {
     std::sort(hot.begin(), hot.end(), [](const auto& a, const auto& b) {
       return a.second != b.second ? a.second > b.second : a.first < b.first;
     });
-    if (static_cast<int>(hot.size()) > top_k) {
-      hot.resize(static_cast<std::size_t>(top_k));
-    }
+    if (hot.size() > kTopK) hot.resize(kTopK);
     util::Table t({"register", "cover_count"});
     for (const auto& [reg, cnt] : hot) {
       t.row("R" + std::to_string(reg), cnt);
     }
-    t.print(out, "hottest registers (top " + std::to_string(top_k) + ")");
+    t.print(out, "hottest registers (top " + std::to_string(kTopK) + ")");
   }
 
   if (chaos_runs_ > 0 || have_chaos_campaign_) {
@@ -1233,8 +1210,7 @@ std::string RunReport::baseline_json() const {
   return o.render();
 }
 
-int analyze_files(const std::vector<std::string>& files, int top_k,
-                  const std::string& baseline_file, std::ostream& out) {
+int analyze_files(const std::vector<std::string>& files, std::ostream& out) {
   RunReport rep;
   for (const std::string& path : files) {
     if (!rep.load(path)) {
@@ -1243,18 +1219,8 @@ int analyze_files(const std::vector<std::string>& files, int top_k,
     }
   }
   rep.finalize();
-  rep.render_text(out, top_k);
-  if (!baseline_file.empty()) {
-    std::ofstream bf(baseline_file);
-    if (!bf) {
-      out << "tsb report: cannot write " << baseline_file << "\n";
-      return 2;
-    }
-    bf << rep.baseline_json() << "\n";
-    out << "baseline -> " << baseline_file << "\n";
-  } else {
-    out << "baseline: " << rep.baseline_json() << "\n";
-  }
+  rep.render_text(out);
+  out << "baseline: " << rep.baseline_json() << "\n";
   if (rep.has_certificate() && !rep.consistent()) return 1;
   // A safety violation or failed solo run in the chaos records fails the
   // report; a budget-exhausted adversary run does not (clean truncation).
@@ -1344,7 +1310,7 @@ double pct_delta(double a, double b) {
 }  // namespace
 
 int compare_timelines(const std::string& path_a, const std::string& path_b,
-                      double tol_pct, std::ostream& out) {
+                      std::ostream& out) {
   RunReport ta, tb;
   const std::string* unreadable = !ta.load(path_a)   ? &path_a
                                   : !tb.load(path_b) ? &path_b
@@ -1372,12 +1338,13 @@ int compare_timelines(const std::string& path_a, const std::string& path_b,
   bool regressed = false;
   util::Table t({"phase", "metric", "A", "B", "delta_pct", "verdict"});
   // Gated rows: wall time may grow, throughput may shrink, by at most
-  // tol_pct. A phase missing on either side is structural drift the rate
-  // gates cannot judge; it renders as informational.
+  // kTolerancePct. A phase missing on either side is structural drift the
+  // rate gates cannot judge; it renders as informational.
   auto gate = [&](const std::string& phase, const char* metric, double va,
                   double vb, bool higher_is_better) {
     const double d = pct_delta(va, vb);
-    const bool bad = higher_is_better ? d < -tol_pct : d > tol_pct;
+    const bool bad =
+        higher_is_better ? d < -kTolerancePct : d > kTolerancePct;
     regressed = regressed || bad;
     t.row(phase, metric, va, vb, d, bad ? "REGRESSED" : "ok");
   };
@@ -1420,7 +1387,7 @@ int compare_timelines(const std::string& path_a, const std::string& path_b,
         pct_delta(static_cast<double>(a.alerts),
                   static_cast<double>(b.alerts)),
         "info");
-  t.print(out, "B vs A, tolerance " + std::to_string(tol_pct) + "%");
+  t.print(out, "B vs A, tolerance " + std::to_string(kTolerancePct) + "%");
   out << (regressed ? "REGRESSED past tolerance\n" : "within tolerance\n");
   return regressed ? 1 : 0;
 }

@@ -4,8 +4,8 @@
 // tables): ingests the JSONL artifacts a run leaves behind — trace events
 // (--trace=*.jsonl), the run record stream (--stats: engine records, the
 // adversary's decision trail, telemetry ticks), chaos records (--out) and
-// flight dumps — and renders a human report plus a machine-diffable
-// one-line baseline JSON.
+// flight dumps (--flight) — and renders a human report plus a
+// machine-diffable one-line baseline JSON.
 //
 // The analyzer is deliberately file-format driven, not in-process: it reads
 // only what the sinks wrote, so `tsb report` works on artifacts from any
@@ -51,13 +51,22 @@ constexpr int kMaxJsonDepth = 64;
 /// nesting deeper than kMaxJsonDepth, or trailing garbage.
 bool parse_json(std::string_view text, JsonValue& out);
 
+/// Rows the report's ranked tables keep (heaviest reachability passes,
+/// hottest registers).
+constexpr std::size_t kTopK = 5;
+/// `tsb report --compare` gate: B's wall time may grow, and its throughput
+/// shrink, by at most this many percent of A's.
+constexpr double kTolerancePct = 25.0;
+
 /// Aggregated view of one run's artifacts, and the one reader of the
 /// stats stream: `tsb report`, `tsb report --compare` and `tsb monitor` are
 /// all views of it. Feed every line of every file through ingest_line or
 /// load (order within a file matters for "last event wins" fields; file
-/// order does not), then finalize() once. A crash-truncated final line is
-/// tolerated (counted as malformed, never fatal): the sink flushes per
-/// tick, so the worst case a kill -9 leaves behind is one torn tail line.
+/// order does not), then finalize() once. A line with "ph" is a trace
+/// event; every other line is dispatched once, on its "type". A
+/// crash-truncated final line is tolerated (counted as malformed, never
+/// fatal): the sink flushes per tick, so the worst case a kill -9 leaves
+/// behind is one torn tail line.
 class RunReport {
  public:
   void ingest_line(const std::string& line);
@@ -72,7 +81,7 @@ class RunReport {
   /// The full human-readable report: phase breakdown, per-level table,
   /// valency cache stats, hottest registers, telemetry, covering narrative
   /// vs certificate.
-  void render_text(std::ostream& out, int top_k) const;
+  void render_text(std::ostream& out) const;
   /// The telemetry section alone (what `tsb monitor` repaints): the last
   /// tick's phase, uptime, rate, ETA to the cap, deadline, ledger,
   /// sparkline trends and still-latched alerts. Prints nothing without
@@ -97,12 +106,12 @@ class RunReport {
     return chaos_violations_ + chaos_solo_fails_;
   }
 
-  /// valency.reuse records whose witness failed the de-canonicalized
+  /// valency.pass records whose witness failed the de-canonicalized
   /// replay (replay_ok:false). Any such record fails the report: it means
   /// the shared-subgraph engine handed back an unsound witness.
   std::uint64_t replay_failures() const { return reuse_replay_failures_; }
   /// Stored-edge traversals / (expansions + traversals) over all ingested
-  /// valency.reuse records; 0 when none were ingested.
+  /// shared-engine valency.pass records; 0 when none were ingested.
   double reuse_rate() const {
     const double total =
         static_cast<double>(reuse_expanded_ + reuse_reused_);
@@ -111,8 +120,8 @@ class RunReport {
   std::uint64_t reuse_records() const { return reuse_records_; }
   bool budget_exhausted() const { return budget_exhausted_; }
 
-  // Checkpointing (ckpt.write stats records + adversary.resume/.stopped
-  // audit events). Writes/bytes/ms are cadence-dependent, so they render
+  // Checkpointing (ckpt.write records + adversary.resume/.stopped
+  // events). Writes/bytes/ms are cadence-dependent, so they render
   // as an overhead line but never enter the baseline JSON.
   std::uint64_t ckpt_writes() const { return ckpt_writes_; }
   std::uint64_t ckpt_bytes() const { return ckpt_bytes_; }
@@ -206,10 +215,9 @@ class RunReport {
 
  private:
   void ingest_trace(const JsonValue& v);
-  void ingest_stats(const JsonValue& v, const std::string& type);
-  void ingest_audit(const JsonValue& v, const std::string& type);
-  void ingest_chaos(const JsonValue& v, const std::string& type);
-  void ingest_introspection(const JsonValue& v, const std::string& type);
+  /// The one dispatch for typed records: stats, decision trail, chaos and
+  /// flight records alike.
+  void ingest_record(const JsonValue& v, const std::string& type);
   void ingest_tick(const JsonValue& v);
   void derive_alerts(std::size_t begin, std::size_t end);
   void count_regs(const std::vector<int>& regs);
@@ -228,7 +236,7 @@ class RunReport {
   std::map<std::string, SpanAgg> spans_;
   std::vector<TraceSpan> trace_spans_;
 
-  // Stats.
+  // Engine records.
   std::vector<LevelRow> levels_;
   std::uint64_t explore_runs_ = 0;
   std::uint64_t explore_visited_ = 0;
@@ -236,12 +244,12 @@ class RunReport {
   double explore_ms_ = 0.0;
   std::uint64_t mc_inputs_ = 0;
 
-  // Audit.
+  // Decision trail.
   std::string protocol_;
   int n_ = 0;
   std::uint64_t valency_queries_ = 0;
   std::uint64_t valency_memo_hits_ = 0;
-  std::uint64_t valency_explores_ = 0;
+  std::uint64_t valency_explores_ = 0;  ///< valency.pass records
   std::uint64_t lemma1_ = 0;
   std::uint64_t lemma3_ = 0;
   std::uint64_t lemma4_ = 0;
@@ -251,7 +259,8 @@ class RunReport {
   std::uint64_t clones_ = 0;  ///< solo_escape events with found=true
   std::map<int, std::uint64_t> reg_cover_counts_;
 
-  // Shared-subgraph engine (valency.reuse / canonical.orbit records).
+  // Shared-subgraph engine (the valency.pass records that carry engine
+  // counters; orbit_* counts those that also carry "canonical").
   struct ReuseRow {
     std::int64_t config = 0;
     std::string procs;
@@ -345,23 +354,22 @@ class RunReport {
   std::vector<int> narrative_regs_;
 };
 
-/// Ingest `files`, render the report to `out`, and (when baseline_file is
-/// non-empty) write the baseline JSON line there. Returns a process exit
-/// code: 0 ok, 1 certificate missing verification or inconsistent with the
-/// narrative, 2 a file could not be read.
-int analyze_files(const std::vector<std::string>& files, int top_k,
-                  const std::string& baseline_file, std::ostream& out);
+/// Ingest `files`, render the report to `out`, and end it with the
+/// "baseline: {...}" line. Returns a process exit code: 0 ok, 1 certificate
+/// missing verification or inconsistent with the narrative, a chaos
+/// violation or a witness replay failure, 2 a file could not be read.
+int analyze_files(const std::vector<std::string>& files, std::ostream& out);
 
 /// Fixed-width block-character trend of `xs` (min..max scaled to 8 levels),
 /// downsampled by averaging when xs.size() > width. Empty input -> spaces.
 std::string sparkline(const std::vector<double>& xs, std::size_t width);
 
 /// `tsb report --compare A B` on two stats files: per-phase, per-metric
-/// delta table of B's telemetry ticks against baseline A's. Wall time and throughput are gated at tol_pct
-/// (B regressing past it fails); memory and rss deltas are informational.
-/// Returns 0 within tolerance, 1 regression past tolerance, 2 a file could
-/// not be read or holds no ticks.
+/// delta table of B's telemetry ticks against baseline A's. Wall time and
+/// throughput are gated at kTolerancePct (B regressing past it fails);
+/// memory and rss deltas are informational. Returns 0 within tolerance, 1
+/// regression past tolerance, 2 a file could not be read or holds no ticks.
 int compare_timelines(const std::string& path_a, const std::string& path_b,
-                      double tol_pct, std::ostream& out);
+                      std::ostream& out);
 
 }  // namespace tsb::report

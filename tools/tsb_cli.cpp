@@ -7,16 +7,18 @@
 //   tsb mutex [n]                  canonical-cost + Burns-Lynch summary
 //   tsb perturb [n]                JTT perturbation adversary on a counter
 //   tsb chaos                      seeded fault-injection campaign (rt layer)
-//   tsb report FILE...             analyze trace/stats/chaos JSONL artifacts
-//   tsb report --compare A B       diff the telemetry of two --stats files
+//   tsb report FILE...             analyze trace/stats/chaos/flight JSONL
+//                                  artifacts, ending with a baseline: line
+//   tsb report --compare A B       diff two --stats timelines (25% gate)
 //   tsb monitor <stats-file>       repaint the telemetry section of
 //                                  `tsb report <stats-file>` every 500 ms
 //
-// Observability flags (any position, any subcommand):
+// Observability flags (any position; outputs are opened before the run):
 //   --trace=FILE     record a trace; .jsonl gets JSONL, else Chrome
 //                    trace_event JSON (chrome://tracing, Perfetto)
 //   --stats=FILE     the run's one record stream, JSONL (run commands
-//                    only): per-BFS-level and per-query engine records, the
+//                    only; each record opens with "type", "ts_ns"): engine
+//                    records, one valency.pass per reachability pass, the
 //                    adversary's Lemma 1-4 decision trail and certificate,
 //                    checkpoint writes, the memory ledger, and one
 //                    telemetry.tick per heartbeat (counters, ledger,
@@ -34,13 +36,11 @@
 //
 // In-flight introspection (see DESIGN.md "In-flight introspection"):
 //   --progress-interval-ms=MS  heartbeat/telemetry cadence (default 1000)
-//   --tolerance=PCT  report --compare: gate width in percent (default 25)
-//   --flight=FILE    enable the in-memory flight recorder; rings dump to
-//                    FILE on fatal signal, budget exhaustion, SIGUSR1, and
-//                    exit. Feed the dump to `tsb report` for a narrative.
+//   --flight=FILE    enable the in-memory flight recorder (run commands
+//                    only); rings dump to FILE on fatal signal, budget
+//                    exhaustion, SIGUSR1, and exit. `tsb report` takes the
+//                    dump as an input file and renders a narrative.
 //   --valency-cap=N  valency oracle configuration cap (adversary only)
-//   --top=K          report: how many hottest registers to show (default 5)
-//   --baseline=FILE  report: write the one-line baseline JSON to FILE
 //
 // Chaos flags (tsb chaos; both --flag=V and --flag V forms):
 //   --runs=N --seed=S --n=P            campaign size / seed / processes
@@ -87,10 +87,11 @@
 // Exit codes (distinct so CI can tell misuse from refutation):
 //   0  success
 //   1  violation / failed construction / report inconsistency
-//   2  usage error: unknown subcommand, unknown protocol, bad flag,
-//      unusable --spill-dir
+//   2  usage error: unknown subcommand, unknown protocol, bad flag, unusable
+//      --spill-dir/--trace/--stats/--flight, --stats/--flight on a viewer
 //   3  chaos campaign clean of violations but some runs timed out
 //   4  budget exhausted (adversary stopped by --mem-budget/--time-budget-ms)
+//      or a failed write (checkpoint, spill, exit-time trace/flight dump)
 //   5  checkpointed and stopped (SIGTERM/SIGINT at a quiescent point after
 //      a final checkpoint; resume later with `tsb resume DIR`)
 //   6  checkpoint refused (bad CRC, truncated section, format version or
@@ -103,6 +104,7 @@
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
@@ -145,10 +147,16 @@ constexpr int kExitStopped = 5;      ///< checkpointed-and-stopped (resumable)
 constexpr int kExitCkptInvalid = 6;  ///< checkpoint refused (corrupt/mismatch)
 
 // Subcommands that execute a run (vs read artifacts someone else wrote).
-// --stats only makes sense for the former: a viewer or analyzer must never
-// truncate the file it is about to read.
+// --stats and --flight only make sense for the former: a viewer or analyzer
+// must never truncate the file it is about to read.
 bool cmd_is_run(const std::string& cmd) {
   return cmd != "report" && cmd != "monitor";
+}
+
+// An output written only at exit (or from a fatal-signal handler) is
+// created now, like --stats, so an unusable path is refused before the run.
+bool can_create(const std::string& path) {
+  return std::ofstream(path).is_open();
 }
 
 int usage() {
@@ -166,10 +174,10 @@ int usage() {
          "  tsb chaos                        seeded rt fault campaign\n"
          "  tsb report FILE...               analyze run artifacts (JSONL)\n"
          "  tsb report --compare A B         diff two --stats timelines\n"
-         "      [--tolerance=PCT]            (exit 1 past tolerance)\n"
+         "                                   (exit 1 past a 25% regression)\n"
          "  tsb monitor <stats>              live telemetry section of report\n"
          "flags: --trace=FILE --stats=FILE --metrics --progress\n"
-         "       --valency-cap=N --top=K --baseline=FILE\n"
+         "       --valency-cap=N\n"
          "introspection: --progress-interval-ms=MS --flight=FILE\n"
          "chaos: --runs=N --seed=S --n=P --targets=LIST|all --mix=LIST|all\n"
          "       --run-timeout-ms=MS --out=FILE\n"
@@ -468,16 +476,31 @@ int main(int argc, char** argv) {
 
   const std::string cmd = args[0];
   const bool run = cmd_is_run(cmd);
+  if (!run && (!obs_flags.stats_file.empty() ||
+               !obs_flags.flight_file.empty())) {
+    std::cerr << "tsb " << cmd << " reads artifacts; "
+              << (obs_flags.stats_file.empty() ? "--flight" : "--stats")
+              << " is a run output (pass an artifact as a file)\n";
+    return kExitUsage;
+  }
   if (obs_flags.progress) obs::set_progress(true);
   obs::set_progress_interval(
       std::chrono::milliseconds(obs_flags.progress_interval_ms));
+  for (const auto& [flag, file] :
+       {std::pair{"--trace", &obs_flags.trace_file},
+        std::pair{"--flight", &obs_flags.flight_file}}) {
+    if (!file->empty() && !can_create(*file)) {
+      std::cerr << "could not open " << flag << " file " << *file << "\n";
+      return kExitUsage;
+    }
+  }
   if (!obs_flags.flight_file.empty()) {
     obs::flight::enable();
     obs::flight::set_dump_path(obs_flags.flight_file);
     obs::flight::install_signal_handlers();
   }
   if (!obs_flags.trace_file.empty()) obs::TraceSink::global().enable();
-  const bool stats_run = run && !obs_flags.stats_file.empty();
+  const bool stats_run = !obs_flags.stats_file.empty();
   if (stats_run) {
     if (!obs::stats_sink().open(obs_flags.stats_file)) {
       std::cerr << "could not open stats file " << obs_flags.stats_file
@@ -555,19 +578,11 @@ int main(int argc, char** argv) {
       std::cerr << "tsb report --compare needs exactly two stats files\n";
       return usage();
     }
-    rc = report::compare_timelines(files[0], files[1], obs_flags.tolerance,
-                                   std::cout);
+    rc = report::compare_timelines(files[0], files[1], std::cout);
   } else if (cmd == "report") {
-    // --flight=FILE names an extra input here (symmetric with the flag
-    // that produced the dump on the recording side).
-    std::vector<std::string> files(args.begin() + 1, args.end());
-    if (!obs_flags.flight_file.empty()) {
-      obs::flight::disable();  // report reads the file, doesn't record
-      files.push_back(obs_flags.flight_file);
-    }
+    const std::vector<std::string> files(args.begin() + 1, args.end());
     if (files.empty()) return usage();
-    rc = report::analyze_files(files, obs_flags.top, obs_flags.baseline_file,
-                               std::cout);
+    rc = report::analyze_files(files, std::cout);
   } else if (cmd == "monitor" && args.size() >= 2) {
     run_monitor(args[1]);
   } else {
@@ -600,12 +615,16 @@ int main(int argc, char** argv) {
   }
 
   // The flight exit dump first, so the sinks below flush after all
-  // introspection output.
-  if (!obs_flags.flight_file.empty() && cmd != "report") {
-    obs::flight::dump(obs_flags.flight_file,
-                      rc == kExitBudget     ? "budget"
-                      : rc == kExitStopped  ? "checkpoint"
-                                            : "exit");
+  // introspection output. A failed exit-time write is a failed write
+  // (exit 4, like the checkpoint and spill writers), never a violation.
+  if (!obs_flags.flight_file.empty() &&
+      !obs::flight::dump(obs_flags.flight_file,
+                         rc == kExitBudget    ? "budget"
+                         : rc == kExitStopped ? "checkpoint"
+                                              : "exit")) {
+    std::cerr << "could not write flight dump to " << obs_flags.flight_file
+              << "\n";
+    if (rc == kExitOk) rc = kExitBudget;
   }
   if (obs::stats_enabled() && obs::MemLedger::global().total() > 0) {
     obs::MemLedger::global().emit_record();
@@ -635,7 +654,7 @@ int main(int argc, char** argv) {
     sink.disable();
     if (!sink.write_file(obs_flags.trace_file)) {
       std::cerr << "could not write trace to " << obs_flags.trace_file << "\n";
-      if (rc == kExitOk) rc = kExitViolation;
+      if (rc == kExitOk) rc = kExitBudget;
     } else {
       std::cerr << "trace: " << sink.size() << " events (dropped: "
                 << sink.dropped(obs::Ph::kComplete) << " span, "

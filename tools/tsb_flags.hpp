@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -19,17 +18,18 @@
 namespace tsb::cli {
 
 struct ObsFlags {
+  // `tsb report` and `tsb monitor` read artifacts and refuse the run
+  // outputs --stats and --flight (a flight dump is a positional report
+  // input).
   std::string trace_file;     ///< --trace=FILE (in-memory sink, Chrome/JSONL)
   std::string stats_file;     ///< --stats=FILE (the run record stream JSONL)
-  std::string baseline_file;  ///< --baseline=FILE (report: one-line JSON)
   bool metrics = false;       ///< --metrics
   bool progress = false;      ///< --progress
 
   // In-flight introspection (tsb adversary / tsb chaos / benches).
   std::uint64_t progress_interval_ms = 1'000;  ///< --progress-interval-ms=MS
-  std::string flight_file;    ///< --flight=FILE (ring dump path / report input)
+  std::string flight_file;    ///< --flight=FILE (ring dump path)
   std::size_t valency_cap = 0;  ///< --valency-cap=N; 0 = scale with n
-  int top = 5;                ///< --top=K (report: hottest registers shown)
 
   // Chaos campaign flags (tsb chaos). These accept both --flag=V and
   // --flag V forms.
@@ -63,9 +63,9 @@ struct ObsFlags {
   std::uint64_t checkpoint_interval_ms = 0;  ///< --checkpoint-interval-ms=MS
   std::uint64_t checkpoint_every = 0;  ///< --checkpoint-every=EXPANSIONS
 
-  // Cross-run regression diffing (tsb report --compare A B, stats files).
+  // Cross-run regression diffing (tsb report --compare A B, stats files;
+  // the gate is report::kTolerancePct).
   bool compare = false;       ///< --compare (report: diff two timelines)
-  double tolerance = 25.0;    ///< --tolerance=PCT (compare gate, finite %)
 };
 
 struct ParseResult {
@@ -164,10 +164,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       if (out.flags.trace_file.empty()) return fail("--trace needs a file");
     } else if (file_flag(a, "--stats=", out.flags.stats_file)) {
       if (out.flags.stats_file.empty()) return fail("--stats needs a file");
-    } else if (file_flag(a, "--baseline=", out.flags.baseline_file)) {
-      if (out.flags.baseline_file.empty()) {
-        return fail("--baseline needs a file");
-      }
     } else if (a == "--no-reuse") {
       out.flags.no_reuse = true;
     } else if (a == "--metrics") {
@@ -181,15 +177,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       }
     } else if (a == "--compare") {
       out.flags.compare = true;
-    } else if (value_flag("--tolerance", &sval)) {
-      char* end = nullptr;
-      const double v = std::strtod(sval.c_str(), &end);
-      // nan, inf and overflowing values like 1e999 would turn the gate off.
-      if (bad_value || sval.empty() || end == sval.c_str() || *end != '\0' ||
-          !std::isfinite(v) || v < 0.0) {
-        return fail("bad --tolerance (want a finite percentage >= 0)");
-      }
-      out.flags.tolerance = v;
     } else if (value_flag("--flight", &out.flags.flight_file)) {
       if (bad_value || out.flags.flight_file.empty()) {
         return fail("--flight needs a file");
@@ -199,11 +186,6 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
         return fail("bad --valency-cap (want >= 1)");
       }
       out.flags.valency_cap = static_cast<std::size_t>(uval);
-    } else if (file_flag(a, "--top=", sval)) {
-      if (!parse_u64(sval, &uval) || uval == 0 || uval > INT_MAX) {
-        return fail("bad --top (want 1..INT_MAX)");
-      }
-      out.flags.top = static_cast<int>(uval);
     } else if (value_flag("--out", &out.flags.chaos_file)) {
       if (bad_value || out.flags.chaos_file.empty()) {
         return fail("--out needs a file");
