@@ -4,7 +4,6 @@
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/checkpoint.hpp"
 #include "util/require.hpp"
@@ -81,58 +80,25 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
     }
   } writer_guard;
   if (!opts_.checkpoint_dir.empty()) {
-    const std::string fingerprint = oracle.state_fingerprint();
-    // configure() first: it reads any committed manifest to continue the
-    // generation numbering, whether or not this run resumes from it.
     ckpt.configure(opts_.checkpoint_dir, opts_.checkpoint_interval_ms,
-                   opts_.checkpoint_every, fingerprint);
-    if (opts_.resume) {
-      const util::ckpt::Manifest m = util::ckpt::Manifest::load(
-          util::ckpt::manifest_path(opts_.checkpoint_dir));
-      if (m.get_u64("format") != util::ckpt::kFormatVersion) {
-        throw util::CheckpointInvalid(
-            "checkpoint format version " + m.get("format") +
-            " is not this binary's " +
-            std::to_string(util::ckpt::kFormatVersion) + "; refusing to resume");
-      }
-      if (m.get("fingerprint") != fingerprint) {
-        throw util::CheckpointInvalid(
-            "checkpoint fingerprint mismatch: written by {" +
-            m.get("fingerprint") + "} but this run is {" + fingerprint +
-            "}; resuming across incompatible flags would silently change "
-            "the campaign");
-      }
-      {
-        util::ckpt::SectionReader r(util::ckpt::state_path(
-            opts_.checkpoint_dir, m.get_u64("generation")));
-        oracle.restore_state(r);
-        r.expect_end();
-      }
-      if (m.has("telemetry_ticks")) {
-        // Tick ids continue where the interrupted run's file ended, so a
-        // report over the concatenated timelines keeps its monotonic-tick
-        // invariant.
-        obs::telemetry::set_tick_base(m.get_u64("telemetry_ticks"));
-      }
-      if (obs::stats_enabled()) {
-        obs::JsonObj ev = obs::audit_event("adversary.resume");
-        ev.str("protocol", proto_.name())
-            .str("dir", opts_.checkpoint_dir)
-            .num("generation",
-                 static_cast<std::int64_t>(m.get_u64("generation")))
-            .num("graph_nodes",
-                 static_cast<std::int64_t>(oracle.graph_nodes()));
-        obs::stats_sink().write(ev.render());
-      }
+                   opts_.checkpoint_every, oracle.state_fingerprint());
+  }
+  if (opts_.resume) {
+    const std::uint64_t generation =
+        ckpt.resume([&oracle](util::ckpt::SectionReader& r) {
+              oracle.restore_state(r);
+            }).generation;
+    if (obs::stats_enabled()) {
+      obs::JsonObj ev = obs::audit_event("adversary.resume");
+      ev.str("protocol", proto_.name())
+          .str("dir", opts_.checkpoint_dir)
+          .num("generation", static_cast<std::int64_t>(generation))
+          .num("graph_nodes", static_cast<std::int64_t>(oracle.graph_nodes()));
+      obs::stats_sink().write(ev.render());
     }
-  } else if (opts_.resume) {
-    throw util::CheckpointInvalid("resume requested without a checkpoint dir");
   }
   ckpt.set_writer(
-      [&oracle](util::ckpt::SectionWriter& w) { oracle.save_state(w); },
-      [](util::ckpt::Manifest& m) {
-        m.set_u64("telemetry_ticks", obs::telemetry::ticks());
-      });
+      [&oracle](util::ckpt::SectionWriter& w) { oracle.save_state(w); });
 
   LemmaToolkit lemmas(proto_, oracle);
   lemmas.enable_narrative(opts_.narrative);

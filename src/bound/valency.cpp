@@ -364,11 +364,26 @@ void ValencyOracle::restore_state(util::ckpt::SectionReader& r) {
     for (int v = 0; v < 2; ++v) {
       a.can[v] = r.get_u8() != 0;
       a.witness_id[v] = r.get_u32();
+      // The length and the steps are read off the disk: one byte per step
+      // must be left in the section before anything is reserved, and each
+      // step must name a process the replay can run.
       const std::uint32_t len = r.get_u32();
+      if (len > r.remaining()) {
+        throw util::CheckpointInvalid(
+            "checkpoint memo witness claims " + std::to_string(len) +
+            " steps but its section has " + std::to_string(r.remaining()) +
+            " bytes left");
+      }
       std::vector<sim::ProcId> steps;
       steps.reserve(len);
       for (std::uint32_t s = 0; s < len; ++s) {
-        steps.push_back(static_cast<sim::ProcId>(r.get_u8()));
+        const int q = r.get_u8();
+        if (q >= proto_.num_processes()) {
+          throw util::CheckpointInvalid(
+              "checkpoint memo witness steps process " + std::to_string(q) +
+              " of " + std::to_string(proto_.num_processes()));
+        }
+        steps.push_back(static_cast<sim::ProcId>(q));
       }
       a.witness[v] = Schedule(std::move(steps));
       memo_witness_bytes_ += a.witness[v].size() * sizeof(sim::ProcId);

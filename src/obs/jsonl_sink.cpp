@@ -84,19 +84,21 @@ bool JsonlSink::open(const std::string& path) {
   }
   f_ = std::fopen(path.c_str(), "w");
   if (!f_) return false;
+  failed_ = false;
   lines_.store(0, std::memory_order_relaxed);
   epoch_ = std::chrono::steady_clock::now();
   gate_.store(true, std::memory_order_release);
   return true;
 }
 
-void JsonlSink::close() {
+bool JsonlSink::close() {
   gate_.store(false, std::memory_order_release);
   std::lock_guard<std::mutex> lock(mu_);
   if (f_) {
-    std::fclose(f_);
+    if (std::fclose(f_) != 0) failed_ = true;
     f_ = nullptr;
   }
+  return !failed_;
 }
 
 std::uint64_t JsonlSink::now_ns() const {
@@ -110,14 +112,16 @@ std::uint64_t JsonlSink::now_ns() const {
 void JsonlSink::write(const std::string& line) {
   std::lock_guard<std::mutex> lock(mu_);
   if (!f_) return;
-  std::fwrite(line.data(), 1, line.size(), f_);
-  std::fputc('\n', f_);
+  if (std::fwrite(line.data(), 1, line.size(), f_) != line.size() ||
+      std::fputc('\n', f_) == EOF) {
+    failed_ = true;
+  }
   lines_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void JsonlSink::flush() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (f_) std::fflush(f_);
+  if (f_ && std::fflush(f_) != 0) failed_ = true;
 }
 
 JsonlSink& stats_sink() {

@@ -69,7 +69,8 @@ inline bool chaos_enabled() {
 /// a FILE* under a mutex, so nothing is lost on a crash mid-run and there
 /// is no capacity to size. Emitters must gate on stats_enabled() /
 /// chaos_enabled() before building a record; write() on a closed sink is a
-/// no-op, never an error.
+/// no-op, never an error. A failed write, flush or close (a full disk) is
+/// remembered, and close() reports it.
 class JsonlSink {
  public:
   explicit JsonlSink(std::atomic<bool>& gate) : gate_(gate) {}
@@ -81,8 +82,9 @@ class JsonlSink {
   /// Truncate `path`, start the clock, raise the gate. Returns false (gate
   /// stays down) if the file cannot be opened.
   bool open(const std::string& path);
-  /// Lower the gate, flush and close. Safe to call repeatedly.
-  void close();
+  /// Lower the gate, flush and close. False when any write, flush or the
+  /// close itself failed since open(). Safe to call repeatedly.
+  bool close();
   bool is_open() const { return gate_.load(std::memory_order_relaxed); }
 
   /// Nanoseconds since open(); 0 when closed.
@@ -100,6 +102,7 @@ class JsonlSink {
   std::atomic<bool>& gate_;
   mutable std::mutex mu_;
   std::FILE* f_ = nullptr;
+  bool failed_ = false;  ///< a write, flush or close failed since open()
   std::atomic<std::uint64_t> lines_{0};
   std::chrono::steady_clock::time_point epoch_{};
 };

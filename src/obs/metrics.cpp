@@ -5,8 +5,6 @@
 #endif
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 
@@ -183,16 +181,8 @@ std::int64_t peak_rss_kb() {
 }
 
 void emit_metrics(const std::string& who) {
-  const std::string line =
-      "{\"metrics_for\":\"" + who + "\"," + Registry::global().json().substr(1);
-  std::cout << line << "\n";
-  if (const char* path = std::getenv("TSB_METRICS_OUT")) {
-    if (std::FILE* f = std::fopen(path, "a")) {
-      std::fputs(line.c_str(), f);
-      std::fputc('\n', f);
-      std::fclose(f);
-    }
-  }
+  std::cout << "{\"metrics_for\":\"" << who << "\","
+            << Registry::global().json().substr(1) << "\n";
 }
 
 }  // namespace tsb::obs

@@ -179,8 +179,7 @@ std::int64_t peak_rss_kb();
 
 /// Print the process's metrics as a single JSON line on stdout, tagged with
 /// `who` — every bench binary calls this last, giving perf-tracking scripts
-/// one greppable machine-readable record per run. When the TSB_METRICS_OUT
-/// environment variable names a file, the line is also appended there.
+/// one greppable machine-readable record per run.
 void emit_metrics(const std::string& who);
 
 }  // namespace tsb::obs

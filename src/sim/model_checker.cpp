@@ -98,7 +98,7 @@ ModelChecker::Report ModelChecker::check(
                            std::to_string(opts_.k));
       }
 
-      if (opts_.check_solo_termination && opts_.solo_from_every_config) {
+      if (opts_.check_solo_termination) {
         for (ProcId p = 0; p < n; ++p) {
           if (decision_of(proto_, c, p)) continue;
           // run_solo materializes: it steps through Config objects. The
@@ -149,22 +149,6 @@ ModelChecker::Report ModelChecker::check(
                    static_cast<std::int64_t>(rep.solo_failures))
               .boolean("ok", rep.ok)
               .render());
-    }
-
-    if (opts_.check_solo_termination && !opts_.solo_from_every_config) {
-      for (ProcId p = 0; p < n; ++p) {
-        SoloRun solo = run_solo(proto_, init, p, opts_.solo_step_cap);
-        ++rep.solo_runs_checked;
-        metrics.solo_runs.add();
-        rep.max_solo_steps_seen =
-            std::max(rep.max_solo_steps_seen, solo.schedule.size());
-        if (!solo.decided) {
-          rep.ok = false;
-          rep.violation = "solo termination from initial configuration";
-          rep.bad_config = init;
-          rep.bad_inputs = inputs;
-        }
-      }
     }
 
     if (!rep.ok) {

@@ -30,10 +30,8 @@ class ModelChecker {
     int k = 1;                        ///< k-set agreement; 1 = consensus
     std::size_t max_configs = 2'000'000;
     std::size_t solo_step_cap = 10'000;
+    /// Check solo termination on every visited configuration.
     bool check_solo_termination = true;
-    /// Check solo termination on every visited configuration. Quadratic-ish;
-    /// disable (false) to only check initial configurations.
-    bool solo_from_every_config = true;
     /// When true, a solo-termination failure aborts with a violation.
     /// When false, failures are only counted (Report::solo_failures) and a
     /// sample failing configuration is retained — used for protocols whose

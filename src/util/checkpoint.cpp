@@ -248,14 +248,14 @@ SectionReader::SectionReader(const std::string& path) : path_(path) {
   if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
     const std::string detail = errno_detail();
     if (fd_ >= 0) ::close(fd_);
-    throw CheckpointInvalid("checkpoint state file missing or unreadable: " +
+    throw CheckpointInvalid("checkpoint file missing or unreadable: " +
                             path_ + ": " + detail);
   }
   left_ = static_cast<std::uint64_t>(st.st_size);
   std::uint8_t hdr[sizeof(kMagic) + 4];
   read_exact(hdr, sizeof(hdr), "header");
   if (std::memcmp(hdr, kMagic, sizeof(kMagic)) != 0) {
-    fail("bad magic (not a checkpoint state file)");
+    fail("bad magic (not a checkpoint section file)");
   }
   const std::uint32_t version = rd32(hdr + sizeof(kMagic));
   if (version != kFormatVersion) {
@@ -355,121 +355,29 @@ void SectionReader::done() {
 
 // --- Manifest --------------------------------------------------------------
 
-void Manifest::set_u64(const std::string& k, std::uint64_t v) {
-  kv[k] = std::to_string(v);
-}
-
-const std::string& Manifest::get(const std::string& k) const {
-  const auto it = kv.find(k);
-  if (it == kv.end()) {
-    throw CheckpointInvalid("checkpoint manifest missing key '" + k + "'");
-  }
-  return it->second;
-}
-
-std::uint64_t Manifest::get_u64(const std::string& k) const {
-  return std::strtoull(get(k).c_str(), nullptr, 10);
-}
-
 void Manifest::save(const std::string& path) const {
-  std::string body;
-  for (const auto& [k, v] : kv) {
-    body += k;
-    body += '=';
-    body += v;
-    body += '\n';
-  }
-  char crc_line[32];
-  std::snprintf(crc_line, sizeof(crc_line), "crc=%08x\n",
-                crc32(body.data(), body.size()));
-  body += crc_line;
-
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    throw BudgetExhausted("checkpoint manifest write failed: open " + tmp +
-                          ": " + errno_detail());
-  }
-  const bool ok =
-      iofault::write_full(fd, body.data(), body.size()) &&
-      iofault::fsync(fd) == 0;
-  const int saved_errno = errno;
-  ::close(fd);
-  if (!ok) {
-    ::unlink(tmp.c_str());
-    errno = saved_errno;
-    throw BudgetExhausted("checkpoint manifest write failed: " + tmp + ": " +
-                          errno_detail());
-  }
-  // The commit point of the whole checkpoint: before this rename the
-  // previous manifest (if any) still names the previous complete state
-  // file; after it, the new one. Crash anywhere: one of the two, whole.
-  if (iofault::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    throw BudgetExhausted("checkpoint manifest rename failed: " + path + ": " +
-                          errno_detail());
-  }
-  fsync_dir_of(path);
+  SectionWriter w(path);
+  w.begin("manifest");
+  w.put_u64(generation);
+  w.put_str(fingerprint);
+  w.put_str(why);
+  w.put_u64(checkpoints);
+  w.put_u64(telemetry_ticks);
+  w.end();
+  w.finish();
 }
 
 Manifest Manifest::load(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    throw CheckpointInvalid("checkpoint manifest missing or unreadable: " +
-                            path + ": " + errno_detail());
-  }
-  std::string body;
-  char buf[4096];
-  for (;;) {
-    const ssize_t r = iofault::read(fd, buf, sizeof(buf));
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      throw CheckpointInvalid("checkpoint manifest read failed: " + path +
-                              ": " + errno_detail());
-    }
-    if (r == 0) break;
-    body.append(buf, static_cast<std::size_t>(r));
-  }
-  ::close(fd);
-
-  // The trailing line must be the self-CRC; anything else means the write
-  // was torn mid-file and the manifest cannot be trusted.
-  if (body.empty() || body.back() != '\n') {
-    throw CheckpointInvalid("checkpoint manifest torn (no trailing newline): " +
-                            path);
-  }
-  const std::size_t last_nl = body.rfind('\n', body.size() - 2);
-  const std::size_t crc_at = last_nl == std::string::npos ? 0 : last_nl + 1;
-  const std::string crc_line = body.substr(crc_at, body.size() - crc_at - 1);
-  if (crc_line.rfind("crc=", 0) != 0) {
-    throw CheckpointInvalid(
-        "checkpoint manifest torn (self-CRC line missing): " + path);
-  }
-  const std::uint32_t want =
-      static_cast<std::uint32_t>(std::strtoul(crc_line.c_str() + 4, nullptr, 16));
-  const std::uint32_t got = crc32(body.data(), crc_at);
-  if (want != got) {
-    char detail[64];
-    std::snprintf(detail, sizeof(detail), " (stored %08x, computed %08x)",
-                  want, got);
-    throw CheckpointInvalid("checkpoint manifest checksum mismatch" +
-                            std::string(detail) + ": " + path);
-  }
-
+  SectionReader r(path);
+  r.expect("manifest");
   Manifest m;
-  std::size_t at = 0;
-  while (at < crc_at) {
-    const std::size_t nl = body.find('\n', at);
-    const std::string line = body.substr(at, nl - at);
-    at = nl + 1;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw CheckpointInvalid("checkpoint manifest malformed line '" + line +
-                              "': " + path);
-    }
-    m.kv[line.substr(0, eq)] = line.substr(eq + 1);
-  }
+  m.generation = r.get_u64();
+  m.fingerprint = r.get_str();
+  m.why = r.get_str();
+  m.checkpoints = r.get_u64();
+  m.telemetry_ticks = r.get_u64();
+  r.done();
+  r.expect_end();
   return m;
 }
 
@@ -507,17 +415,18 @@ void CheckpointService::configure(const std::string& dir,
   work_acc_ = 0;
   last_write_ = std::chrono::steady_clock::now();
   ever_wrote_ = false;
-  generation_ = 0;
+  committed_ = Manifest{};
+  manifest_error_ = nullptr;
   if (!dir_.empty()) {
     ::mkdir(dir_.c_str(), 0755);  // EEXIST is fine
-    // Continue the generation sequence of an existing (valid) checkpoint
-    // so resume's next write never clobbers the state file the manifest
-    // still commits to. A corrupt manifest just restarts at generation 1 —
-    // resume validation (which refuses corrupt manifests loudly) has
-    // already run by the time anything depends on the old state.
+    // Continue the generation sequence of an existing checkpoint so the
+    // next write never clobbers the state file the manifest still commits
+    // to. An unreadable manifest restarts at generation 1; resume() is
+    // what refuses it.
     try {
-      generation_ = Manifest::load(manifest_path(dir_)).get_u64("generation");
+      committed_ = Manifest::load(manifest_path(dir_));
     } catch (const CheckpointInvalid&) {
+      manifest_error_ = std::current_exception();
     }
   }
   active_.store(!dir_.empty(), std::memory_order_relaxed);
@@ -535,8 +444,8 @@ void CheckpointService::reset() {
   interval_ms_ = 0;
   every_work_ = 0;
   writer_ = nullptr;
-  manifest_extra_ = nullptr;
-  generation_ = 0;
+  committed_ = Manifest{};
+  manifest_error_ = nullptr;
   work_acc_ = 0;
   ever_wrote_ = false;
   writes_.store(0, std::memory_order_relaxed);
@@ -549,11 +458,40 @@ void CheckpointService::reset() {
   engaged_.store(false, std::memory_order_relaxed);
 }
 
-void CheckpointService::set_writer(Serializer s,
-                                   std::function<void(Manifest&)> extra) {
+void CheckpointService::set_writer(Serializer s) {
   std::lock_guard<std::mutex> lock(mu_);
   writer_ = std::move(s);
-  manifest_extra_ = std::move(extra);
+}
+
+Manifest CheckpointService::resume(
+    const std::function<void(SectionReader&)>& restore) {
+  Manifest m;
+  std::string dir;
+  std::string fingerprint;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (dir_.empty()) {
+      throw CheckpointInvalid("resume requested without a checkpoint dir");
+    }
+    if (manifest_error_) std::rethrow_exception(manifest_error_);
+    m = committed_;
+    dir = dir_;
+    fingerprint = fingerprint_;
+  }
+  if (m.fingerprint != fingerprint) {
+    throw CheckpointInvalid(
+        "checkpoint fingerprint mismatch: written by {" + m.fingerprint +
+        "} but this run is {" + fingerprint +
+        "}; resuming across incompatible flags would silently change the "
+        "campaign");
+  }
+  SectionReader r(state_path(dir, m.generation));
+  restore(r);
+  r.expect_end();
+  // Tick ids continue where the interrupted run's file ended, so a report
+  // over the concatenated timelines keeps its monotonic-tick invariant.
+  obs::telemetry::set_tick_base(m.telemetry_ticks);
+  return m;
 }
 
 void CheckpointService::stop_after_polls(std::uint64_t n) {
@@ -612,10 +550,8 @@ void CheckpointService::write_now(const char* why) {
   // same thread must hit the in_write_ reentrancy guard, not deadlock on
   // the non-recursive mutex.
   Serializer writer;
-  std::function<void(Manifest&)> extra;
   std::string dir;
-  std::string fingerprint;
-  std::uint64_t gen = 0;
+  Manifest m;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!active_.load(std::memory_order_relaxed) || !writer_ ||
@@ -624,10 +560,9 @@ void CheckpointService::write_now(const char* why) {
     }
     in_write_.store(true, std::memory_order_relaxed);
     writer = writer_;
-    extra = manifest_extra_;
     dir = dir_;
-    fingerprint = fingerprint_;
-    gen = generation_ + 1;
+    m.generation = committed_.generation + 1;
+    m.fingerprint = fingerprint_;
   }
   struct Guard {
     std::atomic<bool>* flag;
@@ -635,22 +570,19 @@ void CheckpointService::write_now(const char* why) {
   } guard{&in_write_};
 
   const auto t0 = std::chrono::steady_clock::now();
-  const std::string spath = state_path(dir, gen);
   std::uint64_t state_bytes = 0;
   {
-    SectionWriter w(spath);
+    SectionWriter w(state_path(dir, m.generation));
     writer(w);
     w.finish();
     state_bytes = w.bytes_written();
   }
-  Manifest m;
-  m.set_u64("format", kFormatVersion);
-  m.set_u64("generation", gen);
-  m.set("state", "state-" + std::to_string(gen) + ".bin");
-  m.set("fingerprint", fingerprint);
-  m.set("why", why);
-  m.set_u64("checkpoints", writes_.load(std::memory_order_relaxed) + 1);
-  if (extra) extra(m);
+  m.why = why;
+  m.checkpoints = writes_.load(std::memory_order_relaxed) + 1;
+  m.telemetry_ticks = obs::telemetry::ticks();
+  // The commit point of the whole checkpoint: before this rename the
+  // previous manifest (if any) still names the previous complete state
+  // file; after it, the new one. Crash anywhere: one of the two, whole.
   m.save(manifest_path(dir));
 
   std::uint64_t ms = 0;
@@ -660,10 +592,10 @@ void CheckpointService::write_now(const char* why) {
     // is now garbage and can go. (Deleting only after the commit point is
     // what makes a crash during THIS write recoverable from the previous
     // one.)
-    if (generation_ != 0 && generation_ != gen) {
-      ::unlink(state_path(dir, generation_).c_str());
+    if (committed_.generation != 0) {
+      ::unlink(state_path(dir, committed_.generation).c_str());
     }
-    generation_ = gen;
+    committed_ = m;
     work_acc_ = 0;
     last_write_ = std::chrono::steady_clock::now();
     ever_wrote_ = true;
@@ -683,7 +615,7 @@ void CheckpointService::write_now(const char* why) {
   if (obs::stats_enabled()) {
     obs::JsonObj rec = obs::audit_event("ckpt.write");
     rec.str("why", why)
-        .num("generation", static_cast<std::int64_t>(gen))
+        .num("generation", static_cast<std::int64_t>(m.generation))
         .num("bytes", static_cast<std::int64_t>(state_bytes))
         .num("ms", static_cast<std::int64_t>(ms))
         .num("total_writes",

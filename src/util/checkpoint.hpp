@@ -5,8 +5,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -46,12 +46,13 @@ namespace ckpt {
 /// compile-time tables, the same value as the bytewise definition.
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 
-/// Bump when the state-file layout changes incompatibly; readers refuse
-/// other versions rather than guessing.
-inline constexpr std::uint32_t kFormatVersion = 1;
+/// Bump when the layout of a checkpoint file (state or manifest) changes
+/// incompatibly; readers refuse other versions rather than guessing.
+/// Version 2: the manifest became a section file.
+inline constexpr std::uint32_t kFormatVersion = 2;
 
-/// Streaming writer for the versioned, per-section-CRC checkpoint state
-/// file. Layout:
+/// Streaming writer for the versioned, per-section-CRC checkpoint file
+/// format (the state file and the manifest). Layout:
 ///
 ///   "TSBCKPT\n" magic, u32 format version,
 ///   then per section: u32 name length, name bytes,
@@ -161,29 +162,27 @@ class SectionReader {
   std::size_t pos_ = 0;
 };
 
-/// The checkpoint directory's commit record: a short text file of
-/// `key=value` lines with a trailing self-CRC line covering everything
-/// above it. The manifest names the format version, the state-file
-/// generation it commits, the flag fingerprint the resuming run must
-/// match, and observability continuity (telemetry tick count). It is
-/// written tmp + fsync + rename *after* the state file it points to, so
-/// the rename is the checkpoint's commit point: a crash anywhere in the
-/// sequence leaves either the previous complete checkpoint or the new one,
-/// never a half-committed mix.
+/// The checkpoint directory's commit record: one "manifest" section in a
+/// SectionWriter file, so it shares the state file's magic, version word,
+/// CRC, END sentinel and tmp + fsync + rename. It names the generation it
+/// commits (the state file is state_path(dir, generation)), the flag
+/// fingerprint the resuming run must match, and the telemetry tick count a
+/// resumed run continues from. It is written *after* the state file it
+/// points to, so its rename is the checkpoint's commit point: a crash
+/// anywhere in the sequence leaves either the previous complete checkpoint
+/// or the new one, never a half-committed mix.
 struct Manifest {
-  std::map<std::string, std::string> kv;
+  std::uint64_t generation = 0;  ///< 0: nothing committed
+  std::string fingerprint;
+  std::string why;               ///< the ckpt.write reason
+  std::uint64_t checkpoints = 0;  ///< writes by the run that committed it
+  std::uint64_t telemetry_ticks = 0;
 
-  void set(const std::string& k, const std::string& v) { kv[k] = v; }
-  void set_u64(const std::string& k, std::uint64_t v);
-  const std::string& get(const std::string& k) const;  ///< throws if absent
-  std::uint64_t get_u64(const std::string& k) const;
-  bool has(const std::string& k) const { return kv.count(k) != 0; }
-
-  /// Serialize + CRC + tmp/fsync/rename to `path`. Throws
-  /// BudgetExhausted on I/O failure (exit-4 path, like SectionWriter).
+  /// Throws BudgetExhausted on I/O failure (exit-4 path, like any
+  /// SectionWriter).
   void save(const std::string& path) const;
-  /// Parse + CRC-validate `path`. Throws CheckpointInvalid when the file
-  /// is missing, torn, or fails its checksum.
+  /// Throws CheckpointInvalid when the file is missing, torn, of another
+  /// format version, or fails its checksum.
   static Manifest load(const std::string& path);
 };
 
@@ -207,7 +206,9 @@ std::string state_path(const std::string& dir, std::uint64_t gen);
 /// the next poll() at a quiescent point writes a final checkpoint and
 /// throws CheckpointStop, which unwinds to the CLI for a flushed exit 5.
 /// When no checkpoint directory is configured, a stop request still
-/// throws CheckpointStop (graceful stop without persistence).
+/// throws CheckpointStop (graceful stop without persistence). The service
+/// is the only reader of the manifest: configure() loads it once, and
+/// resume() restores the state file it commits.
 class CheckpointService {
  public:
   static CheckpointService& global();
@@ -215,18 +216,25 @@ class CheckpointService {
   /// Configure the directory and cadence. interval_ms and every_work are
   /// alternatives (0 = unused); when both are 0 checkpoints are written
   /// only on request_stop(). `fingerprint` is recorded in every manifest
-  /// and must match on resume.
+  /// and must match on resume. Loads the directory's committed manifest,
+  /// if any, so writes continue its generation numbering; an unreadable
+  /// one restarts at generation 1 and only resume() refuses it.
   void configure(const std::string& dir, std::uint64_t interval_ms,
                  std::uint64_t every_work, const std::string& fingerprint);
   /// Drop configuration and serializer (tests; between CLI runs).
   void reset();
 
   using Serializer = std::function<void(SectionWriter&)>;
-  /// Register/clear the state serializer. Extra manifest keys (telemetry
-  /// tick counts, engine counters) are re-collected per write via
-  /// `manifest_extra` (may be null).
-  void set_writer(Serializer s,
-                  std::function<void(Manifest&)> manifest_extra = nullptr);
+  /// Register/clear the state serializer.
+  void set_writer(Serializer s);
+
+  /// Resume from the committed checkpoint configure() found: hand its
+  /// state file to `restore`, require the END sentinel, and continue the
+  /// telemetry tick ids. Throws CheckpointInvalid when no directory is
+  /// configured, the directory holds no readable manifest (rethrowing why),
+  /// the manifest's fingerprint is not this run's, or the state file fails
+  /// validation. Returns the manifest resumed from.
+  Manifest resume(const std::function<void(SectionReader&)>& restore);
 
   bool enabled() const {
     return active_.load(std::memory_order_relaxed);
@@ -290,8 +298,8 @@ class CheckpointService {
   std::uint64_t interval_ms_ = 0;
   std::uint64_t every_work_ = 0;
   Serializer writer_;
-  std::function<void(Manifest&)> manifest_extra_;
-  std::uint64_t generation_ = 0;
+  Manifest committed_;  ///< the directory's newest commit record
+  std::exception_ptr manifest_error_;  ///< why configure() could not load it
   std::uint64_t work_acc_ = 0;
   /// Reentrancy guard: set (outside mu_) for the duration of a write so a
   /// serializer that calls poll() no-ops instead of recursing. The

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -30,6 +31,7 @@
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
 #include "consensus/racing.hpp"
+#include "obs/obs.hpp"
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
 #include "sim/reach_graph.hpp"
@@ -340,25 +342,30 @@ TEST(SectionFile, OverreadAndUnderconsumeAreRefused) {
 TEST(Manifest, RoundtripPreservesKeys) {
   const std::string path = tdir("manifest") + "/manifest.tsb";
   Manifest m;
-  m.set_u64("format", util::ckpt::kFormatVersion);
-  m.set_u64("generation", 7);
-  m.set("fingerprint", "proto=ballot n=4 cap=8");
-  m.set("why", "interval");
+  m.generation = 7;
+  m.fingerprint = "proto=ballot n=4 cap=8";
+  m.why = "interval";
+  m.checkpoints = 3;
+  m.telemetry_ticks = 41;
   m.save(path);
+  EXPECT_FALSE(fs::exists(path + ".tmp")) << "tmp file must not survive";
   const Manifest back = Manifest::load(path);
-  EXPECT_EQ(back.kv, m.kv);
-  EXPECT_EQ(back.get_u64("generation"), 7u);
-  EXPECT_TRUE(back.has("why"));
-  EXPECT_FALSE(back.has("absent"));
-  EXPECT_THROW(back.get("absent"), std::exception);
+  EXPECT_EQ(back.generation, 7u);
+  EXPECT_EQ(back.fingerprint, m.fingerprint);
+  EXPECT_EQ(back.why, "interval");
+  EXPECT_EQ(back.checkpoints, 3u);
+  EXPECT_EQ(back.telemetry_ticks, 41u);
+  // The manifest is a section file: the section reader opens it.
+  SectionReader r(path);
+  r.expect("manifest");
 }
 
 TEST(Manifest, CorruptTruncatedAndMissingAreRefused) {
   const std::string dir = tdir("manifest_bad");
   const std::string path = dir + "/manifest.tsb";
   Manifest m;
-  m.set_u64("generation", 1);
-  m.set("fingerprint", "fp");
+  m.generation = 1;
+  m.fingerprint = "fp";
   m.save(path);
 
   EXPECT_THROW(Manifest::load(dir + "/never-written.tsb"), CheckpointInvalid);
@@ -369,7 +376,7 @@ TEST(Manifest, CorruptTruncatedAndMissingAreRefused) {
 
   spit(path, pristine);
   EXPECT_NO_THROW(Manifest::load(path));  // restored copy is valid again
-  fs::resize_file(path, pristine.size() - 4);  // tear off part of the CRC
+  fs::resize_file(path, pristine.size() - 4);  // tear off the END sentinel
   EXPECT_THROW(Manifest::load(path), CheckpointInvalid);
 }
 
@@ -500,8 +507,8 @@ TEST_F(IoFaultTest, TornRenameStateFileIsRefusedOnLoad) {
 TEST_F(IoFaultTest, TornRenameManifestIsRefusedOnLoad) {
   const std::string path = tdir("torn_manifest") + "/manifest.tsb";
   Manifest m;
-  m.set_u64("generation", 3);
-  m.set("fingerprint", "fp");
+  m.generation = 3;
+  m.fingerprint = "fp";
   util::iofault::arm(util::iofault::Kind::kTornRename, 1);
   EXPECT_NO_THROW(m.save(path));
   util::iofault::disarm();
@@ -582,9 +589,9 @@ TEST_F(CheckpointServiceTest, GenerationsCommitAndCleanUp) {
   EXPECT_TRUE(fs::exists(util::ckpt::state_path(dir, 2)));
   EXPECT_FALSE(fs::exists(util::ckpt::state_path(dir, 1)));
   const Manifest m = Manifest::load(util::ckpt::manifest_path(dir));
-  EXPECT_EQ(m.get_u64("generation"), 2u);
-  EXPECT_EQ(m.get("fingerprint"), "fp");
-  EXPECT_EQ(m.get_u64("format"), util::ckpt::kFormatVersion);
+  EXPECT_EQ(m.generation, 2u);
+  EXPECT_EQ(m.fingerprint, "fp");
+  EXPECT_EQ(m.checkpoints, 2u);
 
   // Reconfiguring over an existing valid checkpoint (the resume path)
   // continues the numbering: the next write must never clobber the state
@@ -595,9 +602,7 @@ TEST_F(CheckpointServiceTest, GenerationsCommitAndCleanUp) {
   svc.write_now("interval");
   EXPECT_TRUE(fs::exists(util::ckpt::state_path(dir, 3)));
   EXPECT_FALSE(fs::exists(util::ckpt::state_path(dir, 2)));
-  EXPECT_EQ(Manifest::load(util::ckpt::manifest_path(dir)).get_u64(
-                "generation"),
-            3u);
+  EXPECT_EQ(Manifest::load(util::ckpt::manifest_path(dir)).generation, 3u);
 }
 
 TEST_F(CheckpointServiceTest, StopAfterPollsWritesFinalCheckpointAndThrows) {
@@ -859,18 +864,20 @@ TEST_F(AdversaryResumeTest, FingerprintMismatchIsRefused) {
 
 TEST_F(AdversaryResumeTest, FutureFormatVersionIsRefused) {
   const std::string dir = make_completed_checkpoint("format_drift");
+  // The version word follows the 8-byte magic in the manifest's header.
   const std::string mpath = util::ckpt::manifest_path(dir);
-  Manifest m = Manifest::load(mpath);
-  m.set_u64("format", util::ckpt::kFormatVersion + 1);
-  m.save(mpath);
+  auto bytes = slurp(mpath);
+  ASSERT_EQ(bytes[8], util::ckpt::kFormatVersion);
+  bytes[8] = static_cast<std::uint8_t>(util::ckpt::kFormatVersion + 1);
+  spit(mpath, bytes);
   EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
                CheckpointInvalid);
 }
 
 TEST_F(AdversaryResumeTest, CorruptStateFileIsRefused) {
   const std::string dir = make_completed_checkpoint("state_rot");
-  const Manifest m = Manifest::load(util::ckpt::manifest_path(dir));
-  const std::string spath = dir + "/" + m.get("state");
+  const std::string spath = util::ckpt::state_path(
+      dir, Manifest::load(util::ckpt::manifest_path(dir)).generation);
   ASSERT_TRUE(fs::exists(spath));
   flip_byte(spath, fs::file_size(spath) / 2);
   EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
@@ -883,6 +890,71 @@ TEST_F(AdversaryResumeTest, TornManifestIsRefused) {
   fs::resize_file(mpath, fs::file_size(mpath) - 4);
   EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
                CheckpointInvalid);
+}
+
+TEST_F(AdversaryResumeTest, TextManifestOfFormatOneIsRefused) {
+  // A directory written before the manifest became a section file: the
+  // key=value text it held names a state file that is still there, but the
+  // reader refuses the text by its magic instead of guessing.
+  const std::string dir = make_completed_checkpoint("text_manifest");
+  const std::string mpath = util::ckpt::manifest_path(dir);
+  const Manifest m = Manifest::load(mpath);
+  std::ofstream(mpath, std::ios::trunc)
+      << "fingerprint=" << m.fingerprint << "\nformat=1\ngeneration="
+      << m.generation << "\nstate=state-" << m.generation
+      << ".bin\ncrc=00000000\n";
+  EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
+               CheckpointInvalid);
+}
+
+TEST_F(AdversaryResumeTest, WallClockCadenceCheckpointsAndResumes) {
+  // --checkpoint-interval-ms alone, as campaigns run it: a 1 ms cadence
+  // must write during an n=4 run, every tick must carry the cadence, and
+  // the last committed checkpoint must resume to the same certificate.
+  const auto baseline = run_adversary(4, 8, "", false, 0);
+  ASSERT_TRUE(baseline.ok) << baseline.error;
+  CheckpointService::global().reset();
+
+  const std::string dir = tdir("wall_clock");
+  const std::string stats = ::testing::TempDir() + "tsb_ckpt_wall_clock.jsonl";
+  ASSERT_TRUE(obs::stats_sink().open(stats));
+  obs::telemetry::reset();
+  const auto saved = obs::progress_interval();
+  obs::set_progress_interval(std::chrono::milliseconds(1));
+  consensus::BallotConsensus proto(4, 8);
+  bound::SpaceBoundAdversary::Options opts;
+  opts.checkpoint_dir = dir;
+  opts.checkpoint_interval_ms = 1;
+  opts.checkpoint_every = 0;
+  const auto timed = bound::SpaceBoundAdversary(proto, opts).run();
+  obs::Sample last;  // the CLI's terminal tick
+  last.phase = "done";
+  obs::telemetry::tick(last);
+  obs::set_progress_interval(saved);
+  obs::stats_sink().close();
+  ASSERT_TRUE(timed.ok) << timed.error;
+
+  int writes = 0;
+  int ticks = 0;
+  std::ifstream in(stats);
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(R"("type":"ckpt.write")") != std::string::npos) {
+      ++writes;
+      EXPECT_NE(line.find(R"("why":"interval")"), std::string::npos) << line;
+    }
+    if (line.find(R"("type":"telemetry.tick")") != std::string::npos) {
+      ++ticks;
+      EXPECT_NE(line.find(R"("ckpt_interval_ms":1,)"), std::string::npos)
+          << line;
+    }
+  }
+  EXPECT_GE(writes, 1);
+  EXPECT_GE(ticks, 1);
+  CheckpointService::global().reset();
+
+  const auto resumed = run_adversary(4, 8, dir, true, 0);
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  expect_same_certificate(baseline, resumed);
 }
 
 // --- Crash recovery (SIGKILL, no unwinding at all) -------------------------

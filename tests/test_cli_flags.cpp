@@ -31,6 +31,23 @@ TEST(ParseArgs, EmptyFileArgumentsAreErrors) {
   }
 }
 
+TEST(ParseArgs, TraceStatsAndValencyCapAcceptBothForms) {
+  const auto r = parse_args({"adversary", "5", "--stats", "s.jsonl", "--trace",
+                             "t.jsonl", "--valency-cap", "7"});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.flags.stats_file, "s.jsonl");
+  EXPECT_EQ(r.flags.trace_file, "t.jsonl");
+  EXPECT_EQ(r.flags.valency_cap, 7u);
+  EXPECT_EQ(r.args, (std::vector<std::string>{"adversary", "5"}));
+  // A trailing value flag with nothing after it names the flag.
+  for (const char* flag : {"--stats", "--trace", "--valency-cap"}) {
+    const auto bad = parse_args({"adversary", flag});
+    EXPECT_FALSE(bad.ok) << flag;
+    EXPECT_NE(bad.error.find(flag), std::string::npos) << bad.error;
+    EXPECT_EQ(bad.error.find("unknown flag"), std::string::npos) << bad.error;
+  }
+}
+
 TEST(ParseArgs, FlagsMayAppearAnywhereAmongPositionals) {
   const auto r =
       parse_args({"report", "run.jsonl", "--metrics", "audit.jsonl"});

@@ -225,73 +225,86 @@ TEST(RunReport, MalformedLinesAreCountedNotFatal) {
 
 // --- phase self time from the trace's span nesting -----------------------
 
-// One complete span as TraceSink writes it: `jsonl` picks ts_ns/dur_ns,
-// otherwise the Chrome encoding's ts/dur in us. Times are given in us.
-std::string span_line(const char* name, int tid, long ts_us, long dur_us,
-                      bool jsonl) {
-  const long scale = jsonl ? 1000 : 1;
+// One complete span as TraceSink writes it to a .jsonl trace. Times are
+// given in us.
+std::string span_line(const char* name, int tid, long ts_us, long dur_us) {
   return std::string("{\"name\":\"") + name +
-         "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) + ",\"" +
-         (jsonl ? "ts_ns" : "ts") + "\":" + std::to_string(ts_us * scale) +
-         ",\"" + (jsonl ? "dur_ns" : "dur") +
-         "\":" + std::to_string(dur_us * scale) + ",\"args\":{\"value\":0}}";
+         "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
+         ",\"ts_ns\":" + std::to_string(ts_us * 1000) +
+         ",\"dur_ns\":" + std::to_string(dur_us * 1000) +
+         ",\"args\":{\"value\":0}}";
 }
 
-TEST(RunReport, SelfTimeSubtractsDirectChildrenPerTidInBothEncodings) {
-  for (const bool jsonl : {true, false}) {
-    SCOPED_TRACE(jsonl ? "jsonl ns" : "chrome us");
-    // tid 1: outer [0,1000) > mid [100,400) > leaf [150,250), and
-    //        outer > mid [500,900).
-    // tid 2: outer [50,650) > mid [100,600). It overlaps tid 1 in time but
-    //        must not nest into it. Lines arrive in completion order.
-    const std::string path =
-        ::testing::TempDir() + (jsonl ? "self_ns.jsonl" : "self_us.jsonl");
-    {
-      std::ofstream out(path, std::ios::trunc);
-      out << span_line("leaf", 1, 150, 100, jsonl) << "\n"
-          << span_line("mid", 1, 100, 300, jsonl) << "\n"
-          << span_line("mid", 2, 100, 500, jsonl) << "\n"
-          << span_line("outer", 2, 50, 600, jsonl) << "\n"
-          << span_line("mid", 1, 500, 400, jsonl) << "\n"
-          << span_line("outer", 1, 0, 1000, jsonl) << "\n"
-          // A stats file from before the sampling profiler was removed.
-          << R"({"type":"prof.label","label":"outer","cpu_self_ms":3,"cpu_total_ms":9,"cpu_samples":2})"
-          << "\n"
-          << R"({"type":"prof.summary","hz":200,"cpu_samples":2,"wall_samples":2})"
-          << "\n";
-    }
-    RunReport rep;
-    std::ifstream in(path);
-    for (std::string line; std::getline(in, line);) rep.ingest_line(line);
-    rep.finalize();
-    EXPECT_EQ(rep.lines_malformed(), 0u);
-
-    const auto& spans = rep.spans();
-    ASSERT_EQ(spans.size(), 3u);
-    const RunReport::SpanAgg& outer = spans.at("outer");
-    const RunReport::SpanAgg& mid = spans.at("mid");
-    const RunReport::SpanAgg& leaf = spans.at("leaf");
-    EXPECT_EQ(outer.count, 2u);
-    EXPECT_EQ(mid.count, 3u);
-    EXPECT_DOUBLE_EQ(outer.total_ms, 1.6);
-    EXPECT_DOUBLE_EQ(mid.total_ms, 1.2);
-    EXPECT_DOUBLE_EQ(leaf.total_ms, 0.1);
-    // Self = total minus the covered child time: outer loses tid 1's two
-    // mids (0.7) and tid 2's mid (0.5); mid loses the leaf (0.1).
-    EXPECT_NEAR(outer.self_ms, 1.6 - 0.7 - 0.5, 1e-9);
-    EXPECT_NEAR(mid.self_ms, 1.2 - 0.1, 1e-9);
-    EXPECT_NEAR(leaf.self_ms, 0.1, 1e-9);
-
-    // The legacy prof.* records leave the report clean (exit 0) and add no
-    // table of their own.
-    std::ostringstream report_out;
-    EXPECT_EQ(analyze_files({path}, report_out), 0);
-    const std::string text = report_out.str();
-    EXPECT_NE(text.find("self_ms"), std::string::npos) << text;
-    EXPECT_NE(text.find("malformed: 0"), std::string::npos) << text;
-    EXPECT_EQ(text.find("profile"), std::string::npos) << text;
-    std::remove(path.c_str());
+TEST(RunReport, SelfTimeSubtractsDirectChildrenPerTid) {
+  // tid 1: outer [0,1000) > mid [100,400) > leaf [150,250), and
+  //        outer > mid [500,900).
+  // tid 2: outer [50,650) > mid [100,600). It overlaps tid 1 in time but
+  //        must not nest into it. Lines arrive in completion order.
+  const std::string path = ::testing::TempDir() + "self_ns.jsonl";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << span_line("leaf", 1, 150, 100) << "\n"
+        << span_line("mid", 1, 100, 300) << "\n"
+        << span_line("mid", 2, 100, 500) << "\n"
+        << span_line("outer", 2, 50, 600) << "\n"
+        << span_line("mid", 1, 500, 400) << "\n"
+        << span_line("outer", 1, 0, 1000) << "\n"
+        // A stats file from before the sampling profiler was removed.
+        << R"({"type":"prof.label","label":"outer","cpu_self_ms":3,"cpu_total_ms":9,"cpu_samples":2})"
+        << "\n"
+        << R"({"type":"prof.summary","hz":200,"cpu_samples":2,"wall_samples":2})"
+        << "\n";
   }
+  RunReport rep;
+  std::ifstream in(path);
+  for (std::string line; std::getline(in, line);) rep.ingest_line(line);
+  rep.finalize();
+  EXPECT_EQ(rep.lines_malformed(), 0u);
+
+  const auto& spans = rep.spans();
+  ASSERT_EQ(spans.size(), 3u);
+  const RunReport::SpanAgg& outer = spans.at("outer");
+  const RunReport::SpanAgg& mid = spans.at("mid");
+  const RunReport::SpanAgg& leaf = spans.at("leaf");
+  EXPECT_EQ(outer.count, 2u);
+  EXPECT_EQ(mid.count, 3u);
+  EXPECT_DOUBLE_EQ(outer.total_ms, 1.6);
+  EXPECT_DOUBLE_EQ(mid.total_ms, 1.2);
+  EXPECT_DOUBLE_EQ(leaf.total_ms, 0.1);
+  // Self = total minus the covered child time: outer loses tid 1's two
+  // mids (0.7) and tid 2's mid (0.5); mid loses the leaf (0.1).
+  EXPECT_NEAR(outer.self_ms, 1.6 - 0.7 - 0.5, 1e-9);
+  EXPECT_NEAR(mid.self_ms, 1.2 - 0.1, 1e-9);
+  EXPECT_NEAR(leaf.self_ms, 0.1, 1e-9);
+
+  // The legacy prof.* records leave the report clean (exit 0) and add no
+  // table of their own.
+  std::ostringstream report_out;
+  EXPECT_EQ(analyze_files({path}, report_out), 0);
+  const std::string text = report_out.str();
+  EXPECT_NE(text.find("self_ms"), std::string::npos) << text;
+  EXPECT_NE(text.find("malformed: 0"), std::string::npos) << text;
+  EXPECT_EQ(text.find("profile"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
+TEST(RunReport, ChromeTraceDocumentIsRefusedWithUsageExit) {
+  // What --trace=FILE writes without a .jsonl suffix: one JSON document for
+  // Perfetto, not a line per event. The report says so instead of counting
+  // every line malformed and exiting 0.
+  const std::string path = ::testing::TempDir() + "chrome_trace.json";
+  std::ofstream(path, std::ios::trunc)
+      << R"({"displayTimeUnit":"ns","traceEvents":[{"name":"a","ph":"X","pid":1,"tid":0,"ts":1,"dur":2},)"
+      << "\n"
+      << R"({"name":"b","ph":"i","pid":1,"tid":0,"ts":3,"s":"t"}]})"
+      << "\n";
+  std::ostringstream out;
+  EXPECT_EQ(analyze_files({path}, out), 2);
+  EXPECT_NE(out.str().find("--trace=FILE.jsonl"), std::string::npos)
+      << out.str();
+  std::ostringstream cmp;
+  EXPECT_EQ(compare_timelines(path, path, cmp), 2);
+  std::remove(path.c_str());
 }
 
 // --- end to end: a real adversary run through the analyzer ---------------

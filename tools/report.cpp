@@ -310,12 +310,24 @@ void RunReport::ingest_line(const std::string& line) {
   ingest_record(v, type);
 }
 
-bool RunReport::load(const std::string& path) {
+bool RunReport::load(const std::string& path, std::string* error) {
+  const auto refuse = [&](std::string why) {
+    if (error != nullptr) *error = std::move(why);
+    return false;
+  };
   std::ifstream in(path);
-  if (!in) return false;
+  if (!in) return refuse("cannot read " + path);
   run_starts_.push_back(ticks_.size());
   std::string line;
-  while (std::getline(in, line)) ingest_line(line);
+  for (bool first = true; std::getline(in, line); first = false) {
+    if (first && line.find(R"("traceEvents":[)") != std::string::npos) {
+      return refuse(path +
+                    " is a Chrome trace_event document (open it in "
+                    "Perfetto); tsb report reads the JSONL trace: record "
+                    "with --trace=FILE.jsonl");
+    }
+    ingest_line(line);
+  }
   return true;
 }
 
@@ -373,15 +385,8 @@ void RunReport::ingest_trace(const JsonValue& v) {
   TraceSpan span;
   span.tid = v.int_or("tid", 0);
   span.name = v.str_or("name", "?");
-  // --trace=x.jsonl writes ts_ns/dur_ns; the Chrome format writes ts/dur
-  // in us.
-  double dur_ns = v.num_or("dur_ns", -1.0);
-  if (dur_ns >= 0) {
-    span.start_ns = v.num_or("ts_ns", 0.0);
-  } else {
-    dur_ns = v.num_or("dur", 0.0) * 1e3;
-    span.start_ns = v.num_or("ts", 0.0) * 1e3;
-  }
+  span.start_ns = v.num_or("ts_ns", 0.0);
+  const double dur_ns = v.num_or("dur_ns", 0.0);
   span.end_ns = span.start_ns + dur_ns;
   SpanAgg& agg = spans_[span.name];
   ++agg.count;
@@ -754,8 +759,8 @@ void RunReport::finalize() {
 
   // Self time from the span nesting on each tid: walk the spans in start
   // order (longest first on ties) with a stack of open ancestors, and charge
-  // each span to its direct parent. A child is clipped to its parent,
-  // because the Chrome encoding truncates ts and dur to whole us.
+  // each span to its direct parent. A child is clipped to its parent, so
+  // a hostile file cannot charge a parent more child time than it lasted.
   for (auto& [name, agg] : spans_) agg.self_ms = 0.0;
   std::sort(trace_spans_.begin(), trace_spans_.end(),
             [](const TraceSpan& a, const TraceSpan& b) {
@@ -1040,8 +1045,8 @@ void RunReport::render_text(std::ostream& out) const {
     auto regs_str = [](const std::vector<int>& regs) {
       std::string s = "{";
       for (std::size_t i = 0; i < regs.size(); ++i) {
-        if (i > 0) s += ", ";
-        s += "R" + std::to_string(regs[i]);
+        s += i > 0 ? ", R" : "R";
+        s += std::to_string(regs[i]);
       }
       return s + "}";
     };
@@ -1213,8 +1218,8 @@ std::string RunReport::baseline_json() const {
 int analyze_files(const std::vector<std::string>& files, std::ostream& out) {
   RunReport rep;
   for (const std::string& path : files) {
-    if (!rep.load(path)) {
-      out << "tsb report: cannot read " << path << "\n";
+    if (std::string error; !rep.load(path, &error)) {
+      out << "tsb report: " << error << "\n";
       return 2;
     }
   }
@@ -1312,11 +1317,8 @@ double pct_delta(double a, double b) {
 int compare_timelines(const std::string& path_a, const std::string& path_b,
                       std::ostream& out) {
   RunReport ta, tb;
-  const std::string* unreadable = !ta.load(path_a)   ? &path_a
-                                  : !tb.load(path_b) ? &path_b
-                                                     : nullptr;
-  if (unreadable != nullptr) {
-    out << "tsb report --compare: cannot read " << *unreadable << "\n";
+  if (std::string error; !ta.load(path_a, &error) || !tb.load(path_b, &error)) {
+    out << "tsb report --compare: " << error << "\n";
     return 2;
   }
   ta.finalize();

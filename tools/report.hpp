@@ -70,10 +70,12 @@ constexpr double kTolerancePct = 25.0;
 class RunReport {
  public:
   void ingest_line(const std::string& line);
-  /// Ingest every line of `path`; false only when the file cannot be
-  /// opened — content problems just bump lines_malformed(). A file is one
+  /// Ingest every line of `path`. False, with *error saying why, when the
+  /// file cannot be opened or is a Chrome trace_event document (what
+  /// --trace writes without a .jsonl suffix, for Perfetto); content
+  /// problems in a JSONL file just bump lines_malformed(). A file is one
   /// run: the alert rules' window starts afresh at its first tick.
-  bool load(const std::string& path);
+  bool load(const std::string& path, std::string* error = nullptr);
   /// Derive everything the views read (self times, consistency, alerts).
   /// Call once all input is ingested, before any render.
   void finalize();

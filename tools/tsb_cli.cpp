@@ -13,9 +13,10 @@
 //   tsb monitor <stats-file>       repaint the telemetry section of
 //                                  `tsb report <stats-file>` every 500 ms
 //
-// Observability flags (any position; outputs are opened before the run):
-//   --trace=FILE     record a trace; .jsonl gets JSONL, else Chrome
-//                    trace_event JSON (chrome://tracing, Perfetto)
+// Observability flags (any position; outputs are opened before the run;
+// every flag that takes a value takes it as --flag=V or --flag V):
+//   --trace=FILE     record a trace; .jsonl gets JSONL (what `tsb report`
+//                    reads), else Chrome trace_event JSON (for Perfetto)
 //   --stats=FILE     the run's one record stream, JSONL (run commands
 //                    only; each record opens with "type", "ts_ns"): engine
 //                    records, one valency.pass per reachability pass, the
@@ -42,7 +43,7 @@
 //                    dump as an input file and renders a narrative.
 //   --valency-cap=N  valency oracle configuration cap (adversary only)
 //
-// Chaos flags (tsb chaos; both --flag=V and --flag V forms):
+// Chaos flags (tsb chaos):
 //   --runs=N --seed=S --n=P            campaign size / seed / processes
 //   --targets=LIST   ballot,rounds,randomized,commit-adopt,leader,
 //                    peterson,tournament,bakery (or "all")
@@ -88,10 +89,12 @@
 //   0  success
 //   1  violation / failed construction / report inconsistency
 //   2  usage error: unknown subcommand, unknown protocol, bad flag, unusable
-//      --spill-dir/--trace/--stats/--flight, --stats/--flight on a viewer
+//      --spill-dir/--trace/--stats/--flight, --stats/--flight on a viewer,
+//      a Chrome trace given to `tsb report`
 //   3  chaos campaign clean of violations but some runs timed out
 //   4  budget exhausted (adversary stopped by --mem-budget/--time-budget-ms)
-//      or a failed write (checkpoint, spill, exit-time trace/flight dump)
+//      or a failed write (checkpoint, spill, exit-time trace/flight dump,
+//      the --stats or --out record stream)
 //   5  checkpointed and stopped (SIGTERM/SIGINT at a quiescent point after
 //      a final checkpoint; resume later with `tsb resume DIR`)
 //   6  checkpoint refused (bad CRC, truncated section, format version or
@@ -639,15 +642,25 @@ int main(int argc, char** argv) {
                  : rc == kExitStopped ? "checkpointed"
                                       : "done";
     obs::telemetry::tick(last);
-    std::cerr << "stats: " << obs::stats_sink().lines() << " records ("
-              << obs::telemetry::ticks() << " telemetry ticks) -> "
-              << obs_flags.stats_file << "\n";
-    obs::stats_sink().close();
+    if (!obs::stats_sink().close()) {
+      std::cerr << "could not write stats to " << obs_flags.stats_file
+                << "\n";
+      if (rc == kExitOk) rc = kExitBudget;
+    } else {
+      std::cerr << "stats: " << obs::stats_sink().lines() << " records ("
+                << obs::telemetry::ticks() << " telemetry ticks) -> "
+                << obs_flags.stats_file << "\n";
+    }
   }
   if (!obs_flags.chaos_file.empty()) {
-    std::cerr << "chaos: " << obs::chaos_sink().lines() << " records -> "
-              << obs_flags.chaos_file << "\n";
-    obs::chaos_sink().close();
+    if (!obs::chaos_sink().close()) {
+      std::cerr << "could not write chaos records to " << obs_flags.chaos_file
+                << "\n";
+      if (rc == kExitOk) rc = kExitBudget;
+    } else {
+      std::cerr << "chaos: " << obs::chaos_sink().lines() << " records -> "
+                << obs_flags.chaos_file << "\n";
+    }
   }
   if (!obs_flags.trace_file.empty()) {
     obs::TraceSink& sink = obs::TraceSink::global();

@@ -11,7 +11,6 @@
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -31,8 +30,7 @@ struct ObsFlags {
   std::string flight_file;    ///< --flight=FILE (ring dump path)
   std::size_t valency_cap = 0;  ///< --valency-cap=N; 0 = scale with n
 
-  // Chaos campaign flags (tsb chaos). These accept both --flag=V and
-  // --flag V forms.
+  // Chaos campaign flags (tsb chaos).
   std::string chaos_file;     ///< --out=FILE (per-run chaos JSONL records)
   int runs = 100;             ///< --runs=N (campaign size, <= INT_MAX)
   std::uint64_t seed = 1;     ///< --seed=S (campaign seed)
@@ -41,7 +39,7 @@ struct ObsFlags {
   int chaos_n = 4;            ///< --n=N (processes per run)
   std::uint64_t run_timeout_ms = 5'000;  ///< --run-timeout-ms=MS (per run)
 
-  // Graceful-degradation budgets (tsb adversary). Same two flag forms.
+  // Graceful-degradation budgets (tsb adversary).
   std::uint64_t mem_budget = 0;      ///< --mem-budget=BYTES[k|m|g]; 0 = off
   std::uint64_t time_budget_ms = 0;  ///< --time-budget-ms=MS; 0 = off
 
@@ -58,7 +56,7 @@ struct ObsFlags {
   // Crash-safe campaigns (tsb adversary / tsb resume). A non-empty dir
   // checkpoints the oracle session at the engines' quiescent points; the
   // cadences pick wall-clock and/or expansion-count triggers (0 disables
-  // each; both 0 still checkpoints on SIGTERM/SIGINT). Same two flag forms.
+  // each; both 0 still checkpoints on SIGTERM/SIGINT).
   std::string checkpoint_dir;  ///< --checkpoint-dir=DIR; empty = off
   std::uint64_t checkpoint_interval_ms = 0;  ///< --checkpoint-interval-ms=MS
   std::uint64_t checkpoint_every = 0;  ///< --checkpoint-every=EXPANSIONS
@@ -126,16 +124,11 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
     out.error = std::move(msg);
     return out;
   };
-  auto file_flag = [](const std::string& a, const char* prefix,
-                      std::string& dst) {
-    if (a.rfind(prefix, 0) != 0) return false;
-    dst = a.substr(std::strlen(prefix));
-    return true;
-  };
   bool bad_value = false;
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& a = argv[i];
-    // The newer flags take a value in either form: --flag=V or --flag V.
+    // Every value flag takes its value in either form: --flag=V or
+    // --flag V.
     auto value_flag = [&](const char* name, std::string* dst) {
       const std::string prefix = std::string(name) + "=";
       if (a.rfind(prefix, 0) == 0) {
@@ -160,10 +153,14 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
     };
     std::string sval;
     std::uint64_t uval = 0;
-    if (file_flag(a, "--trace=", out.flags.trace_file)) {
-      if (out.flags.trace_file.empty()) return fail("--trace needs a file");
-    } else if (file_flag(a, "--stats=", out.flags.stats_file)) {
-      if (out.flags.stats_file.empty()) return fail("--stats needs a file");
+    if (value_flag("--trace", &out.flags.trace_file)) {
+      if (bad_value || out.flags.trace_file.empty()) {
+        return fail("--trace needs a file");
+      }
+    } else if (value_flag("--stats", &out.flags.stats_file)) {
+      if (bad_value || out.flags.stats_file.empty()) {
+        return fail("--stats needs a file");
+      }
     } else if (a == "--no-reuse") {
       out.flags.no_reuse = true;
     } else if (a == "--metrics") {
@@ -181,10 +178,8 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       if (bad_value || out.flags.flight_file.empty()) {
         return fail("--flight needs a file");
       }
-    } else if (file_flag(a, "--valency-cap=", sval)) {
-      if (!parse_u64(sval, &uval) || uval == 0) {
-        return fail("bad --valency-cap (want >= 1)");
-      }
+    } else if (u64_flag("--valency-cap", &uval)) {
+      if (bad_value || uval == 0) return fail("bad --valency-cap (want >= 1)");
       out.flags.valency_cap = static_cast<std::size_t>(uval);
     } else if (value_flag("--out", &out.flags.chaos_file)) {
       if (bad_value || out.flags.chaos_file.empty()) {
