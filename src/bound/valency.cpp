@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cerrno>
-#include <cstring>
 
 #include "obs/flight.hpp"
 #include "obs/jsonl_sink.hpp"
@@ -112,8 +111,7 @@ sim::ReachGraph& ValencyOracle::ensure_graph() {
 
 const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
                                                        ProcSet p) {
-  roots_.pack(c, roots_.scratch());
-  last_root_id_ = roots_.intern_scratch().id;
+  last_root_id_ = roots_.intern(c).id;
   last_perm_ = sim::ProcPerm::identity();
   PairKey key{last_root_id_, p.bits()};
   if (opts_.reuse) {
@@ -296,12 +294,7 @@ void ValencyOracle::save_state(util::ckpt::SectionWriter& w) const {
   w.end();
 
   w.begin("roots");
-  const std::size_t W = roots_.words_per_config();
-  const std::size_t count = roots_.size();
-  w.put_u64(count);
-  roots_.for_each_segment(count, [&](const sim::Value* recs, std::size_t n) {
-    w.put_bytes(recs, n * W * sizeof(sim::Value));
-  });
+  roots_.save(w);
   w.end();
 
   w.begin("memo");
@@ -340,18 +333,7 @@ void ValencyOracle::restore_state(util::ckpt::SectionReader& r) {
   }
 
   r.expect("roots");
-  const std::size_t W = roots_.words_per_config();
-  const std::uint64_t root_count = r.get_u64();
-  for (std::uint64_t i = 0; i < root_count; ++i) {
-    std::memcpy(roots_.scratch(), r.get_bytes(W * sizeof(sim::Value)),
-                W * sizeof(sim::Value));
-    const auto res = roots_.intern_scratch();
-    if (!res.inserted || static_cast<std::uint64_t>(res.id) != i) {
-      throw util::CheckpointInvalid(
-          "checkpoint roots section re-interned to a different id (root " +
-          std::to_string(i) + " -> " + std::to_string(res.id) + ")");
-    }
-  }
+  roots_.restore(r, "roots");
   r.done();
 
   r.expect("memo");

@@ -88,7 +88,7 @@ class ValencyOracle {
   ValencyOracle(const Protocol& proto, Options opts)
       : proto_(proto),
         opts_(opts),
-        roots_(proto.num_processes(), proto.num_registers()) {
+        roots_(proto.num_processes(), proto.num_registers(), "valency roots") {
     if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
       util::spill::require_usable_dir(opts_.spill_dir);
     }
@@ -171,8 +171,7 @@ class ValencyOracle {
   /// space is the *original* one: canonicalization never leaks into the
   /// audit trail's config ids.
   sim::ConfigId intern_root(const Config& c) {
-    roots_.pack(c, roots_.scratch());
-    return roots_.intern_scratch().id;
+    return roots_.intern(c).id;
   }
 
   // --- checkpoint/resume ---------------------------------------------------

@@ -1,17 +1,23 @@
 #include "sim/config_arena.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
+#include "obs/memledger.hpp"
+#include "sim/engine.hpp"
+#include "util/checkpoint.hpp"
+#include "util/require.hpp"
 
 namespace tsb::sim {
 
 namespace {
 constexpr std::size_t kInitialSlots = 1u << 10;
+constexpr std::size_t kInitialDictSlots = 1u << 6;
 
 // splitmix64 finalizer: one full-avalanche pass over the accumulated
-// hash. The per-word step is a single xor-multiply (FNV-ish) — one mul of
-// latency per word instead of three — and this finalizer restores
+// hash. The per-lane step is a single xor-multiply (FNV-ish) — one mul of
+// latency per lane instead of three — and this finalizer restores
 // avalanche in both the low bits (bucket index) and the high bits (slot
 // tag). Interning is the engines' single hottest function; the hash runs
 // once per protocol step ever taken.
@@ -21,25 +27,57 @@ inline std::uint64_t finalize(std::uint64_t h) {
   return h ^ (h >> 31);
 }
 
+int shift_for(std::size_t slots) {
+  int shift = 64;
+  for (std::size_t s = slots; s > 1; s >>= 1) --shift;
+  return shift;
+}
+
+/// Fibonacci hashing of a dictionary value: the top bits of the product
+/// index the value -> code table.
+inline std::uint64_t value_hash(Value v) {
+  return static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ull;
+}
+
 }  // namespace
 
-ConfigArena::ConfigArena(int num_states, int num_regs)
-    : n_(num_states),
+ConfigArena::ConfigArena(int num_states, int num_regs, std::string name)
+    : name_(std::move(name)),
+      n_(num_states),
       m_(num_regs),
       words_(static_cast<std::size_t>(num_states) +
              static_cast<std::size_t>(num_regs)),
-      scratch_(words_, 0),
-      table_(kInitialSlots),
-      mask_(kInitialSlots - 1) {
+      stage_(words_, 0),
+      dict_slots_(kInitialDictSlots, 0),
+      dict_shift_(shift_for(kInitialDictSlots)) {
   assert(num_states > 0 && num_regs >= 0);
-  shift_ = 64;
-  for (std::size_t s = kInitialSlots; s > 1; s >>= 1) --shift_;
-  store_.init("arena", words_, 0);
+  reset_table(kInitialSlots);
+  store_.init(name_ + " arena", words_, 0);
+}
+
+void ConfigArena::reset_table(std::size_t slots) {
+  std::vector<Slot>(slots).swap(table_);
+  mask_ = slots - 1;
+  shift_ = shift_for(slots);
 }
 
 void ConfigArena::clear() {
-  for (Slot& s : table_) s = Slot{};
+  // `need` is the table the last fill needed at the 0.7 load bound. One
+  // grown far past it by an earlier, larger fill is replaced rather than
+  // swept, so a run of small passes after a large one never zeroes the
+  // large table; within kShrinkFactor of it, zeroing in place is cheaper
+  // than growing back through the doublings.
+  constexpr std::size_t kShrinkFactor = 16;
+  std::size_t need = kInitialSlots;
+  while (size() * 10 >= need * 7) need *= 2;
+  if (need * kShrinkFactor < table_.size()) {
+    reset_table(need);
+  } else {
+    std::fill(table_.begin(), table_.end(), Slot{});
+  }
   store_.clear();
+  dict_.clear();
+  std::fill(dict_slots_.begin(), dict_slots_.end(), 0u);
 }
 
 void ConfigArena::pack(const Config& c, Value* dst) const {
@@ -51,10 +89,85 @@ void ConfigArena::pack(const Config& c, Value* dst) const {
               static_cast<std::size_t>(m_) * sizeof(Value));
 }
 
-std::uint64_t ConfigArena::hash_words(const Value* w) const {
+std::uint32_t ConfigArena::dict_find(Value v) const {
+  const std::size_t mask = dict_slots_.size() - 1;
+  std::size_t i = value_hash(v) >> dict_shift_;
+  while (true) {
+    const std::uint32_t s = dict_slots_[i];
+    if (s == 0) return kNoSlot;
+    if (dict_[s - 1] == v) return s - 1;
+    i = (i + 1) & mask;
+  }
+}
+
+Code ConfigArena::dict_insert(Value v) {
+  if (dict_.size() == kMaxCodes) {
+    throw util::BudgetExhausted(
+        "value dictionary of the " + name_ + " arena is full: " +
+        std::to_string(kMaxCodes) +
+        " distinct configuration words, the most a 16-bit code names; "
+        "ledger: " +
+        obs::MemLedger::global().attribution(3));
+  }
+  if ((dict_.size() + 1) * 2 > dict_slots_.size()) {
+    // Keep the value -> code table at most half full; rebuilt from dict_.
+    dict_slots_.assign(dict_slots_.size() * 2, 0u);
+    --dict_shift_;
+    const std::size_t mask = dict_slots_.size() - 1;
+    for (std::size_t c = 0; c < dict_.size(); ++c) {
+      std::size_t i = value_hash(dict_[c]) >> dict_shift_;
+      while (dict_slots_[i] != 0) i = (i + 1) & mask;
+      dict_slots_[i] = static_cast<std::uint32_t>(c + 1);
+    }
+  }
+  const std::size_t mask = dict_slots_.size() - 1;
+  std::size_t i = value_hash(v) >> dict_shift_;
+  while (dict_slots_[i] != 0) i = (i + 1) & mask;
+  dict_.push_back(v);
+  dict_slots_[i] = static_cast<std::uint32_t>(dict_.size());
+  return static_cast<Code>(dict_.size() - 1);
+}
+
+Config ConfigArena::materialize(ConfigId id) const {
+  std::vector<Value> w(words_);
+  decode(id, w.data());
+  Config c;
+  c.states.assign(w.begin(), w.begin() + n_);
+  c.regs.assign(w.begin() + n_, w.end());
+  return c;
+}
+
+ConfigArena::StepUndo ConfigArena::step(const Protocol& proto,
+                                        const PendingOp& op, ProcId p,
+                                        Value* vals, const Code* codes,
+                                        Code* scodes) {
+  const std::size_t s = static_cast<std::size_t>(p);
+  const std::size_t r = static_cast<std::size_t>(n_ + op.reg);
+  const StepUndo undo{s, r, vals[s], vals[r]};
+  std::memcpy(scodes, codes, words_ * sizeof(Code));
+  apply_op(proto, op, p, vals, vals + n_);
+  if (vals[s] != undo.state) scodes[s] = encode(vals[s]);
+  if (vals[r] != undo.reg) scodes[r] = encode(vals[r]);
+  return undo;
+}
+
+std::uint64_t ConfigArena::hash_codes(const Code* c) const {
   std::uint64_t h = 0x5bd1e995u;
-  for (std::size_t i = 0; i < words_; ++i) {
-    h = (h ^ static_cast<std::uint64_t>(w[i])) * 0x100000001b3ull;
+  std::size_t i = 0;
+  for (; i + 4 <= words_; i += 4) {
+    std::uint64_t lane;
+    std::memcpy(&lane, c + i, sizeof(lane));
+    h = (h ^ lane) * 0x100000001b3ull;
+  }
+  if (i < words_) {
+    // The last 1-3 codes, assembled in registers: a variable-length memcpy
+    // here is a libc call per hash, which measured as several percent of
+    // a fresh-BFS pass.
+    std::uint64_t lane = 0;
+    for (int shift = 0; i < words_; ++i, shift += 16) {
+      lane |= static_cast<std::uint64_t>(c[i]) << shift;
+    }
+    h = (h ^ lane) * 0x100000001b3ull;
   }
   return finalize(h);
 }
@@ -62,7 +175,7 @@ std::uint64_t ConfigArena::hash_words(const Value* w) const {
 void ConfigArena::grow_table() {
   // High-bit bucket indexing makes growth a single sequential pass: each
   // entry's new bucket is a prefix of its stored tag, so nothing is
-  // rehashed and the word store is never touched. The only random access
+  // rehashed and the row store is never touched. The only random access
   // is the destination write, which the lookahead prefetch below covers.
   std::vector<Slot> bigger(table_.size() * 2);
   const std::size_t mask = bigger.size() - 1;
@@ -89,16 +202,12 @@ void ConfigArena::grow_table() {
   shift_ = shift;
 }
 
-ConfigId ConfigArena::append_words(const Value* w) {
+ConfigId ConfigArena::append_codes(const Code* c) {
   assert(size() < kNoConfig);
-  return static_cast<ConfigId>(store_.append(w));
+  return static_cast<ConfigId>(store_.append(c));
 }
 
-ConfigArena::Interned ConfigArena::intern_words(const Value* w) {
-  return intern_prehashed(w, hash_words(w));
-}
-
-ConfigArena::Interned ConfigArena::intern_prehashed(const Value* w,
+ConfigArena::Interned ConfigArena::intern_prehashed(const Code* c,
                                                     std::uint64_t h) {
   // Keep the load factor below 0.7 (growth check before the probe so slot
   // references stay valid through the insertion).
@@ -108,25 +217,93 @@ ConfigArena::Interned ConfigArena::intern_prehashed(const Value* w,
   while (true) {
     Slot& s = table_[i];
     if (s.id == kNoConfig) {
-      const ConfigId id = append_words(w);
+      const ConfigId id = append_codes(c);
       s.tag = tag;
       s.id = id;
       return {id, true};
     }
-    if (s.tag == tag && words_equal(words(s.id), w)) return {s.id, false};
+    if (s.tag == tag && codes_equal(codes(s.id), c)) return {s.id, false};
     i = (i + 1) & mask_;
   }
 }
 
+ConfigArena::Interned ConfigArena::intern(const Value* w) {
+  for (std::size_t i = 0; i < words_; ++i) stage_[i] = encode(w[i]);
+  return intern_codes(stage_.data());
+}
+
+ConfigArena::Interned ConfigArena::intern(const Config& c) {
+  std::vector<Value> w(words_);
+  pack(c, w.data());
+  return intern(w.data());
+}
+
 ConfigId ConfigArena::find(const Value* w) const {
-  const std::uint64_t h = hash_words(w);
+  std::vector<Code> row(words_);
+  for (std::size_t i = 0; i < words_; ++i) {
+    const std::uint32_t c = dict_find(w[i]);
+    if (c == kNoSlot) return kNoConfig;
+    row[i] = static_cast<Code>(c);
+  }
+  const std::uint64_t h = hash_codes(row.data());
   const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
   std::size_t i = h >> shift_;
   while (true) {
     const Slot& s = table_[i];
     if (s.id == kNoConfig) return kNoConfig;
-    if (s.tag == tag && words_equal(words(s.id), w)) return s.id;
+    if (s.tag == tag && codes_equal(codes(s.id), row.data())) return s.id;
     i = (i + 1) & mask_;
+  }
+}
+
+void ConfigArena::save(util::ckpt::SectionWriter& w) const {
+  w.put_u32(static_cast<std::uint32_t>(dict_.size()));
+  for (const Value v : dict_) w.put_i64(v);
+  const std::size_t count = size();
+  w.put_u64(count);
+  for_each_segment(count, [&](const Code* rows, std::size_t k) {
+    w.put_bytes(rows, k * words_ * sizeof(Code));
+  });
+}
+
+void ConfigArena::restore(util::ckpt::SectionReader& r,
+                          const std::string& section) {
+  TSB_REQUIRE(size() == 0 && dict_.empty(),
+              "ConfigArena::restore requires an empty arena");
+  const std::string where = "checkpoint " + section + " section";
+  const std::uint32_t nd = r.get_u32();
+  if (nd > kMaxCodes) {
+    throw util::CheckpointInvalid(
+        where + " claims a value dictionary of " + std::to_string(nd) +
+        " words; a 16-bit code names at most " + std::to_string(kMaxCodes));
+  }
+  for (std::uint32_t c = 0; c < nd; ++c) {
+    const Value v = r.get_i64();
+    if (dict_find(v) != kNoSlot) {
+      throw util::CheckpointInvalid(where + " names dictionary value " +
+                                    std::to_string(v) + " twice");
+    }
+    dict_insert(v);
+  }
+  const std::uint64_t count = r.get_u64();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::memcpy(stage_.data(), r.get_bytes(words_ * sizeof(Code)),
+                words_ * sizeof(Code));
+    for (std::size_t j = 0; j < words_; ++j) {
+      if (stage_[j] >= nd) {
+        throw util::CheckpointInvalid(
+            where + " carries code " + std::to_string(stage_[j]) +
+            " in configuration " + std::to_string(i) + " but its dictionary "
+            "holds " + std::to_string(nd) + " values");
+      }
+    }
+    const auto [id, inserted] = intern_codes(stage_.data());
+    if (!inserted || static_cast<std::uint64_t>(id) != i) {
+      throw util::CheckpointInvalid(
+          where + " re-interned to a different id (configuration " +
+          std::to_string(i) + " -> " + std::to_string(id) +
+          "): duplicate or reordered rows");
+    }
   }
 }
 

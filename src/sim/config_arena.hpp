@@ -10,6 +10,11 @@
 #include "sim/config.hpp"
 #include "util/spill_store.hpp"
 
+namespace tsb::util::ckpt {
+class SectionWriter;
+class SectionReader;
+}  // namespace tsb::util::ckpt
+
 namespace tsb::sim {
 
 /// Dense identifier of a configuration interned in a ConfigArena. Ids are
@@ -19,11 +24,15 @@ namespace tsb::sim {
 using ConfigId = std::uint32_t;
 inline constexpr ConfigId kNoConfig = 0xFFFFFFFFu;
 
-/// Zero-copy read access to one interned configuration: `states` and `regs`
-/// point directly into the arena's resident segment (or, for a spilled
-/// segment, into a thread-local decode buffer that the next words()/view()
-/// call on the same thread overwrites). Visitors that need to retain a
-/// configuration call materialize().
+/// A configuration word as the arena stores it: an index into the arena's
+/// value dictionary.
+using Code = std::uint16_t;
+/// Distinct values one arena's dictionary can name.
+inline constexpr std::size_t kMaxCodes = std::size_t{1} << 16;
+
+/// Read access to one configuration's decoded words: `states` and `regs`
+/// point into a buffer the caller owns (the Explorer's expansion buffer).
+/// Visitors that need to retain a configuration call materialize().
 struct ConfigView {
   ConfigId id = kNoConfig;
   const Value* states = nullptr;
@@ -47,34 +56,41 @@ inline std::optional<Value> decision_of(const Protocol& proto,
   return std::nullopt;
 }
 
-/// Packed, interned, out-of-core configuration storage.
+/// Compact, interned, out-of-core configuration storage.
 ///
 /// A configuration of an (n, m) protocol is exactly n state words followed
-/// by m register words. The arena keeps them as the records of one
-/// util::spill::SpillStore<Value> (stride n + m): fixed-size segments of a
-/// few MB allocated flat, no per-configuration allocation, no reallocation
-/// copying, and word pointers stable for the lifetime of a segment's
-/// residency. Deduplication goes through an open-addressing hash table of
-/// 8-byte slots (a 32-bit hash tag plus the id), so a probe touches the
-/// word data only on a tag match and the table stays half the size a
-/// full-hash layout would need.
+/// by m register words. The values are sparse — an adversary 6 run
+/// interns 13M configurations over fewer than 5,000 distinct words — so
+/// the arena stores each word once, in a value dictionary it owns
+/// (code -> value array plus a small open-addressing value -> code map),
+/// and each configuration as a row of 16-bit codes: SPIN's COLLAPSE
+/// compression (Holzmann, "State compression in SPIN", 1997). The rows are
+/// the records of one util::spill::SpillStore<Code> (stride n + m), and
+/// deduplication goes through an open-addressing hash table of 8-byte
+/// slots (a 32-bit hash tag plus the id), so a probe touches row data only
+/// on a tag match. Because the dictionary is a bijection, two rows are
+/// equal exactly when their configurations are; hashing and comparing
+/// touch 2 bytes per word.
 ///
-/// Out-of-core operation (set_spill): when resident word bytes exceed the
+/// The engines work in code space: step() computes a successor from the
+/// parent's codes and decoded words, re-encoding only the (at most two)
+/// words the step changed. The 65,537th distinct value throws
+/// util::BudgetExhausted; there is no wider fallback.
+///
+/// Out-of-core operation (set_spill): when resident row bytes exceed the
 /// spill threshold, maybe_spill() hands the store's cold FULL segments
 /// (lowest ids first — in BFS id order those are the oldest levels) to the
-/// backing file; words() on a spilled id decodes into a thread-local
-/// buffer. Spilling only happens inside maybe_spill(), which callers
-/// invoke at quiescent points between expansions, so no word pointer
-/// handed out by the current expansion is torn down under it.
+/// backing file. Spilling only happens inside maybe_spill(), which callers
+/// invoke at quiescent points between expansions. The dictionary never
+/// spills.
 ///
 /// Thread safety: single-threaded. Every engine that owns an arena runs
 /// its whole reachability pass on one thread.
-///
-/// Usage: build the next configuration's words in scratch(), then
-/// intern_scratch(). The id space is dense and insertion-ordered.
 class ConfigArena {
  public:
-  ConfigArena(int num_states, int num_regs);
+  /// `name` labels the arena in failure messages ("reach graph",
+  /// "explorer", ...).
+  ConfigArena(int num_states, int num_regs, std::string name);
 
   ConfigArena(const ConfigArena&) = delete;
   ConfigArena& operator=(const ConfigArena&) = delete;
@@ -84,78 +100,136 @@ class ConfigArena {
   std::size_t words_per_config() const { return words_; }
   std::size_t size() const { return store_.size(); }
 
-  /// Drop all configurations but keep the allocations for reuse. Unmaps
-  /// spilled blocks and truncates the backing file.
+  /// Drop all configurations and the dictionary. Costs time proportional
+  /// to the configurations dropped, not to the largest size the arena ever
+  /// reached: a dedup table grown past what the last fill needed is
+  /// replaced by one that fits it. Unmaps spilled blocks and truncates the
+  /// backing file.
   void clear();
-
-  /// Staging buffer for the configuration about to be interned
-  /// (words_per_config() words: states then regs).
-  Value* scratch() { return scratch_.data(); }
 
   /// Pack a Config's words into dst (words_per_config() words).
   void pack(const Config& c, Value* dst) const;
 
-  /// Hash of a packed word sequence; the same function the dedup table
-  /// stores, exposed for intern_prehashed().
-  std::uint64_t hash_words(const Value* w) const;
+  // --- value dictionary ---------------------------------------------------
+
+  std::size_t dict_size() const { return dict_.size(); }
+  Value value(Code c) const { return dict_[c]; }
+  /// The code of `v`, adding it to the dictionary if it is new. Throws
+  /// util::BudgetExhausted if the dictionary already names kMaxCodes
+  /// values; the arena is left unchanged.
+  Code encode(Value v) {
+    const std::uint32_t slot = dict_find(v);
+    if (slot != kNoSlot) return static_cast<Code>(slot);
+    return dict_insert(v);
+  }
+
+  // --- rows -----------------------------------------------------------------
+
+  /// One configuration's codes. Resident segments return a direct
+  /// pointer; a spilled segment decodes into a thread-local buffer that the
+  /// next codes() of a spilled id overwrites, so callers copy or use the
+  /// row at once.
+  const Code* codes(ConfigId id) const { return store_.read(id); }
+  /// One configuration's decoded words (words_per_config() words).
+  void decode(ConfigId id, Value* out) const {
+    const Code* c = codes(id);
+    for (std::size_t i = 0; i < words_; ++i) out[i] = value(c[i]);
+  }
+  /// One configuration's codes and decoded words, copied out together:
+  /// the parent row an expansion steps from (see step()).
+  void load(ConfigId id, Code* codes_out, Value* vals_out) const {
+    std::memcpy(codes_out, codes(id), words_ * sizeof(Code));
+    for (std::size_t i = 0; i < words_; ++i) vals_out[i] = value(codes_out[i]);
+  }
+  Config materialize(ConfigId id) const;
+
+  /// The two words a step may change, as they were before it.
+  struct StepUndo {
+    std::size_t state_at;
+    std::size_t reg_at;
+    Value state;
+    Value reg;
+    /// Turn the successor's words back into the parent's.
+    void apply(Value* vals) const {
+      vals[reg_at] = reg;
+      vals[state_at] = state;
+    }
+  };
+  /// One protocol step in code space — the successor computation of both
+  /// engines. `vals` holds the parent's decoded words and `codes` its
+  /// codes. apply_op steps `vals` in place (and counts the step), so they
+  /// are the successor's words until the returned undo is applied;
+  /// `scodes` receives the successor's codes: the parent's, with only the
+  /// words the step changed (p's state and, for a write or swap, the
+  /// register) encoded again.
+  StepUndo step(const Protocol& proto, const PendingOp& op, ProcId p,
+                Value* vals, const Code* codes, Code* scodes);
+
+  /// Hash of a code row (4 codes per 64-bit lane); the function the dedup
+  /// table stores, exposed for intern_prehashed().
+  std::uint64_t hash_codes(const Code* c) const;
 
   struct Interned {
     ConfigId id;
     bool inserted;  ///< false: already present, id is the prior copy's
   };
-  /// Intern the scratch buffer's configuration.
-  Interned intern_scratch() { return intern_words(scratch_.data()); }
+  /// Intern a code row (every code must name a dictionary value). `c`
+  /// must not alias the arena's own row store.
+  Interned intern_codes(const Code* c) {
+    return intern_prehashed(c, hash_codes(c));
+  }
 
-  /// Intern an externally staged word sequence (words_per_config() words).
-  /// `w` must not alias the arena's own word store.
-  Interned intern_words(const Value* w);
-
-  /// intern_words with the hash precomputed (must be hash_words(w)). Pair
+  /// intern_codes with the hash precomputed (must be hash_codes(c)). Pair
   /// with prefetch(): callers that stage several configurations before
   /// interning any of them can overlap the table's cache misses, which
   /// dominate interning once the table outgrows the cache.
-  Interned intern_prehashed(const Value* w, std::uint64_t h);
+  Interned intern_prehashed(const Code* c, std::uint64_t h);
+
+  /// Intern a configuration given as words (encoding each, which may grow
+  /// the dictionary).
+  Interned intern(const Value* w);
+  Interned intern(const Config& c);
 
   /// Hint the CPU to pull the hash's home slot into cache ahead of
-  /// intern_prehashed / find on the same hash. Never faults.
+  /// intern_prehashed on the same hash. Never faults.
   void prefetch(std::uint64_t h) const {
     __builtin_prefetch(table_.data() + (h >> shift_));
   }
 
-  /// Lookup without insertion; kNoConfig if absent.
+  /// Lookup without insertion; kNoConfig if absent. Never grows the
+  /// dictionary: a word it does not name cannot be in any row.
   ConfigId find(const Value* w) const;
 
-  /// Append words as a new configuration WITHOUT consulting the dedup
-  /// table (find() will not see it). Tests fill arenas with it directly.
-  ConfigId append_words(const Value* w);
+  /// Append a code row as a new configuration WITHOUT consulting the
+  /// dedup table (find() will not see it). Tests fill arenas with it.
+  ConfigId append_codes(const Code* c);
 
-  /// Read access to one configuration's packed words. Resident segments
-  /// return a direct pointer; spilled segments decode into a thread-local
-  /// buffer valid until the next words() call on a spilled id.
-  const Value* words(ConfigId id) const { return store_.read(id); }
-  ConfigView view(ConfigId id) const {
-    const Value* w = words(id);
-    return ConfigView{id, w, w + n_, n_, m_};
-  }
-  Config materialize(ConfigId id) const { return view(id).materialize(); }
-
-  /// Bulk read of ids [0, limit) in order as contiguous runs of packed
-  /// words, fn(const Value* words, std::size_t nconfigs): whole resident
-  /// segments by pointer, spilled ones decoded once (SpillStore's
-  /// for_each_segment). The checkpoint save path.
+  /// Bulk read of ids [0, limit) in order as contiguous runs of code rows,
+  /// fn(const Code* rows, std::size_t nconfigs): whole resident segments
+  /// by pointer, spilled ones decoded once (SpillStore's for_each_segment).
   template <class Fn>
   void for_each_segment(std::size_t limit, Fn&& fn) const {
     store_.for_each_segment(limit, std::forward<Fn>(fn));
   }
 
-  bool words_equal(const Value* a, const Value* b) const {
-    return std::memcmp(a, b, words_ * sizeof(Value)) == 0;
-  }
+  // --- checkpoint -----------------------------------------------------------
+
+  /// Write the dictionary (u32 count, then the values) and then every row
+  /// (u64 count, then the raw codes) into the open section. Rows of
+  /// spilled segments decode once, so the bytes do not depend on where the
+  /// rows live.
+  void save(util::ckpt::SectionWriter& w) const;
+  /// Inverse of save() into an empty arena; rows are re-interned in id
+  /// order so the dedup table rebuilds and ids stay stable. Throws
+  /// util::CheckpointInvalid, naming `section`, for a dictionary of more
+  /// than kMaxCodes values, a duplicate dictionary value, a code past the
+  /// dictionary, or a row that does not re-intern to its own id.
+  void restore(util::ckpt::SectionReader& r, const std::string& section);
 
   // --- out-of-core ------------------------------------------------------
 
   /// Enable spilling: cold full segments move to an unlinked backing file
-  /// under `dir` once resident word bytes exceed `threshold_bytes`.
+  /// under `dir` once resident row bytes exceed `threshold_bytes`.
   /// `seg_configs_hint` (power of two, 0 = default ~4 MB segments) is for
   /// tests that need multiple segments within tiny runs. Must be called
   /// before the first configuration is added. Returns false if the
@@ -165,11 +239,11 @@ class ConfigArena {
 
   bool spill_enabled() const { return store_.spill_enabled(); }
 
-  /// True when resident word bytes exceed the spill threshold and a full
+  /// True when resident row bytes exceed the spill threshold and a full
   /// cold segment may be left to release. Cheap.
   bool spill_needed() const { return store_.spill_needed(spill_threshold_); }
 
-  /// Spill cold full segments (lowest ids first) until resident word bytes
+  /// Spill cold full segments (lowest ids first) until resident row bytes
   /// drop to the threshold or only pinned/partial segments remain. Ids >=
   /// pin_floor are never spilled (callers pin the unexpanded frontier so
   /// the hot read path stays pointer-direct). Callers invoke it at
@@ -184,18 +258,21 @@ class ConfigArena {
   std::size_t spilled_segments() const { return store_.spilled_segments(); }
   std::size_t spill_failures() const { return store_.spill_failures(); }
 
-  /// Capacity of the dedup table (power of two; 0 before first insertion).
-  /// Every interned configuration owns exactly one slot, so occupancy is
-  /// size() / table_slots() — the load factor the stats records report.
+  /// Capacity of the dedup table (power of two). Every interned
+  /// configuration owns exactly one slot, so occupancy is size() /
+  /// table_slots() — the load factor the stats records report.
   std::size_t table_slots() const { return table_.size(); }
 
-  /// Resident heap bytes held by the arena (word segments + dedup table +
-  /// scratch). Spilled bytes live in the (unlinked) backing file and
-  /// mmap'd blocks are clean file-backed pages the kernel can drop, so
-  /// neither counts against the RAM budget; they get their own ledger
-  /// accounts (arena.spill / arena.mapped).
+  /// Resident heap bytes held by the arena: row segments, staging and the
+  /// value dictionary (words_bytes), plus the dedup table. Spilled bytes
+  /// live in the (unlinked) backing file and mmap'd blocks are clean
+  /// file-backed pages the kernel can drop, so neither counts against the
+  /// RAM budget; they get their own ledger accounts (arena.spill /
+  /// arena.mapped).
   std::size_t words_bytes() const {
-    return store_.resident_bytes() + scratch_.capacity() * sizeof(Value);
+    return store_.resident_bytes() + stage_.capacity() * sizeof(Code) +
+           dict_.capacity() * sizeof(Value) +
+           dict_slots_.capacity() * sizeof(std::uint32_t);
   }
   std::size_t table_bytes() const { return table_.capacity() * sizeof(Slot); }
   std::size_t memory_bytes() const { return words_bytes() + table_bytes(); }
@@ -205,25 +282,40 @@ class ConfigArena {
  private:
   /// Buckets are the hash's top log2(table size) bits — a prefix of the
   /// stored tag — so growth re-derives every bucket from tags alone: one
-  /// sequential read pass, no rehashing of word data. (Holds while the
+  /// sequential read pass, no rehashing of row data. (Holds while the
   /// table has <= 2^32 slots; the 32-bit id space runs out first.)
   struct Slot {
-    std::uint32_t tag = 0;  ///< top 32 hash bits; full equality is by words
+    std::uint32_t tag = 0;  ///< top 32 hash bits; full equality is by codes
     ConfigId id = kNoConfig;
   };
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
+  bool codes_equal(const Code* a, const Code* b) const {
+    return std::memcmp(a, b, words_ * sizeof(Code)) == 0;
+  }
   void grow_table();
+  void reset_table(std::size_t slots);
+  /// Code of `v`, or kNoSlot if the dictionary does not name it.
+  std::uint32_t dict_find(Value v) const;
+  Code dict_insert(Value v);
 
+  std::string name_;
   int n_;
   int m_;
   std::size_t words_;
-  util::spill::SpillStore<Value> store_;  ///< the packed words, by id
+  util::spill::SpillStore<Code> store_;  ///< the code rows, by id
   std::size_t spill_threshold_ = 0;
 
-  std::vector<Value> scratch_;  ///< words_ staging words
+  std::vector<Code> stage_;     ///< words_ codes: intern(Value*) staging
   std::vector<Slot> table_;     ///< open addressing, power-of-two size
   std::size_t mask_ = 0;        ///< table size - 1 (probe wrap)
   int shift_ = 0;               ///< 64 - log2(table size) (bucket index)
+
+  std::vector<Value> dict_;  ///< code -> value
+  /// value -> code, open addressing over a power-of-two table; a slot
+  /// holds code + 1 (0 = empty).
+  std::vector<std::uint32_t> dict_slots_;
+  int dict_shift_ = 0;  ///< 64 - log2(dict_slots_.size())
 };
 
 }  // namespace tsb::sim

@@ -95,8 +95,8 @@ class LevelStatsTracker {
 /// state protocols the experiments target — and otherwise reports
 /// truncation at a configurable cap rather than diverging.
 ///
-/// Storage is a packed ConfigArena: configurations are interned as
-/// fixed-width word sequences with dense 32-bit ids assigned in discovery
+/// Storage is a ConfigArena: configurations are interned as fixed-width
+/// rows of 16-bit codes with dense 32-bit ids assigned in discovery
 /// order, so the BFS frontier is simply the id sequence itself (level k is
 /// a contiguous id range) and the visited set is the arena's open-addressing
 /// table — no per-configuration allocation, no rehash on lookup.
@@ -124,8 +124,10 @@ class Explorer {
   Explorer(const Protocol& proto, Options opts)
       : proto_(proto),
         opts_(opts),
-        arena_(proto.num_processes(), proto.num_registers()),
-        cur_(arena_.words_per_config()) {}
+        arena_(proto.num_processes(), proto.num_registers(), "explorer"),
+        pvals_(arena_.words_per_config()),
+        pcodes_(arena_.words_per_config()),
+        scodes_(arena_.words_per_config()) {}
 
   /// Graceful-degradation budgets: when the exploration's tracked heap
   /// footprint (tracked_bytes(), the same arithmetic the memory ledger
@@ -142,7 +144,7 @@ class Explorer {
 
   /// Out-of-core operation: cold arena segments spill (delta/varint
   /// compressed) to an unlinked backing file under `dir` once resident
-  /// word bytes exceed `threshold_bytes`. Spilled bytes leave
+  /// row bytes exceed `threshold_bytes`. Spilled bytes leave
   /// tracked_bytes(), so a memory budget caps RAM while the reachable set
   /// keeps growing on disk. Call before the first explore(). Returns
   /// false (and leaves spilling off) if the directory is unusable.
@@ -179,16 +181,15 @@ class Explorer {
     detail::ExploreMetrics& metrics = detail::explore_metrics();
     detail::LevelStatsTracker stats("explore", opts_.stats_min_visited);
     obs::Heartbeat hb("explore");
-    const int n = arena_.num_states();
 
-    arena_.pack(root, arena_.scratch());
-    arena_.intern_scratch();
+    arena_.pack(root, pvals_.data());
+    arena_.intern(pvals_.data());
     parent_.emplace_back(kNoConfig, -1);
     ++res.visited;
     metrics.visited.add();
-    if (!visit(arena_.view(0))) {
+    if (!visit(words_view(0))) {
       res.aborted = true;
-      res.abort_config = arena_.materialize(0);
+      res.abort_config = words_view(0).materialize();
       if (stats.active()) stats.done(arena_, res, 0);
       return res;
     }
@@ -270,34 +271,35 @@ class Explorer {
         });
       }
       const ConfigId cur = head++;
-      // Arena insertions may reallocate the word store; expand from a copy.
-      std::memcpy(cur_.data(), arena_.words(cur),
-                  arena_.words_per_config() * sizeof(Value));
+      // Arena insertions may grow the row store; expand from a copy of the
+      // parent's codes and its words, decoded once for all its successors.
+      arena_.load(cur, pcodes_.data(), pvals_.data());
 
       bool keep_going = true;
       p.for_each([&](int q) {
         if (!keep_going) return;
-        const PendingOp op = proto_.poised(q, cur_[static_cast<std::size_t>(q)]);
+        const PendingOp op =
+            proto_.poised(q, pvals_[static_cast<std::size_t>(q)]);
         if (op.is_decide()) return;  // terminated: no edge
-        Value* scratch = arena_.scratch();
-        std::memcpy(scratch, cur_.data(),
-                    arena_.words_per_config() * sizeof(Value));
-        apply_op(proto_, op, q, scratch, scratch + n);
-        const auto [id, inserted] = arena_.intern_scratch();
+        // pvals_ holds the successor's words until undo.apply().
+        const ConfigArena::StepUndo undo = arena_.step(
+            proto_, op, q, pvals_.data(), pcodes_.data(), scodes_.data());
+        const auto [id, inserted] = arena_.intern_codes(scodes_.data());
         if (!inserted) {
           metrics.dedup_hits.add();
           ++level_dedup;
           ++dedup_total;
-          return;
+        } else {
+          parent_.emplace_back(cur, q);
+          ++res.visited;
+          metrics.visited.add();
+          if (!visit(words_view(id))) {
+            res.aborted = true;
+            res.abort_config = words_view(id).materialize();
+            keep_going = false;
+          }
         }
-        parent_.emplace_back(cur, q);
-        ++res.visited;
-        metrics.visited.add();
-        if (!visit(arena_.view(id))) {
-          res.aborted = true;
-          res.abort_config = arena_.materialize(id);
-          keep_going = false;
-        }
+        undo.apply(pvals_.data());
       });
       if (!keep_going) break;
     }
@@ -324,12 +326,22 @@ class Explorer {
   /// Number of configurations interned by the last explore().
   std::size_t size() const { return arena_.size(); }
 
-  ConfigView view(ConfigId id) const { return arena_.view(id); }
+  /// A configuration of the last explore(), by the id a visitor saw.
+  Config materialize(ConfigId id) const { return arena_.materialize(id); }
 
  private:
+  /// The visitor's view of configuration `id` over pvals_, which holds its
+  /// words right after it was interned (the root, or a successor the
+  /// expansion stepped into place): no decode of its codes.
+  ConfigView words_view(ConfigId id) const {
+    const int n = arena_.num_states();
+    return ConfigView{id, pvals_.data(), pvals_.data() + n, n,
+                      arena_.num_regs()};
+  }
   std::size_t frontier_bytes() const {
     return parent_.capacity() * sizeof(std::pair<ConfigId, ProcId>) +
-           cur_.capacity() * sizeof(Value);
+           pvals_.capacity() * sizeof(Value) +
+           (pcodes_.capacity() + scodes_.capacity()) * sizeof(Code);
   }
   void update_ledger() const {
     obs::MemLedger& ledger = obs::MemLedger::global();
@@ -351,7 +363,9 @@ class Explorer {
   // BFS bookkeeping from the most recent explore() call, kept for witness
   // reconstruction.
   ConfigArena arena_;
-  std::vector<Value> cur_;  ///< copy of the configuration being expanded
+  std::vector<Value> pvals_;  ///< words of the configuration being expanded
+  std::vector<Code> pcodes_;  ///< codes of the configuration being expanded
+  std::vector<Code> scodes_;  ///< codes of the successor being interned
   std::vector<std::pair<ConfigId, ProcId>> parent_;  // (parent id, step proc)
 };
 

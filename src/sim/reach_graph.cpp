@@ -91,10 +91,15 @@ ReachGraph::ReachGraph(const Protocol& proto, Options opts)
       // n > 28 (no experiment goes near it) facts are simply disabled —
       // edge reuse still works.
       facts_on_(proto.num_processes() <= 28),
-      arena_(proto.num_processes(), proto.num_registers()),
+      arena_(proto.num_processes(), proto.num_registers(), "reach graph"),
       stage_(words_, 0),
       sub_stage_(words_, 0),
-      exp_words_(words_ * static_cast<std::size_t>(proto.num_processes()), 0) {
+      pvals_(words_, 0),
+      pcodes_(words_, 0),
+      exp_codes_(words_ * static_cast<std::size_t>(proto.num_processes()), 0),
+      exp_states_(static_cast<std::size_t>(proto.num_processes()) *
+                      static_cast<std::size_t>(proto.num_processes()),
+                  0) {
   flags_.init("graph.flags", 1, 0);
   succ_.init("graph.succ", static_cast<std::size_t>(n_), kUnexpanded);
   if (sym_) {
@@ -185,18 +190,18 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
   w.put_u32(static_cast<std::uint32_t>(words_));
   w.put_u8(sym_ ? 1 : 0);
   w.put_u8(facts_on_ ? 1 : 0);
-  const std::size_t count = arena_.size();
-  w.put_u64(count);
-  // Logical records in id order, one put per resident segment (or per
-  // delta group of a spilled one): for_each_segment decodes spilled
+  // The node arena's value dictionary and code rows, then the edge stores:
+  // logical records in id order, one put per resident segment (or per
+  // delta group of a spilled one). for_each_segment decodes spilled
   // segments once, sequentially, so a checkpoint taken while arena or edge
   // segments sit on disk is byte-identical to one taken fully resident.
+  arena_.save(w);
+  const std::size_t count = arena_.size();
   const auto put_all = [&](const auto& store, std::size_t rec_bytes) {
     store.for_each_segment(count, [&](const auto* recs, std::size_t nrecs) {
       w.put_bytes(recs, nrecs * rec_bytes);
     });
   };
-  put_all(arena_, words_ * sizeof(Value));
   put_all(flags_, 1);
   put_all(succ_, static_cast<std::size_t>(n_) * sizeof(ConfigId));
   if (sym_) {
@@ -225,21 +230,11 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
         "checkpoint graph section disagrees with the protocol's shape "
         "(process count, word count, or symmetry mode)");
   }
-  const std::uint64_t count = r.get_u64();
   // Re-intern in id order: the arena's dedup table (and any spill
   // segmentation) rebuilds itself, and ids are stable because interning
   // order defines them.
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t* p = r.get_bytes(words_ * sizeof(Value));
-    std::memcpy(stage_.data(), p, words_ * sizeof(Value));
-    const auto [id, inserted] = arena_.intern_words(stage_.data());
-    if (!inserted || static_cast<std::uint64_t>(id) != i) {
-      throw util::CheckpointInvalid(
-          "checkpoint graph section re-interned to a different id (node " +
-          std::to_string(i) + " -> " + std::to_string(id) +
-          "): duplicate or reordered node words");
-    }
-  }
+  arena_.restore(r, "graph");
+  const std::uint64_t count = arena_.size();
   // Bulk-load flags/edges/facts without register_config: the stored
   // values already carry its decide scan. Everything lands resident
   // (restore runs on a fresh engine); the trailing maybe_spill_edges()
@@ -302,7 +297,7 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
   update_ledger();
 }
 
-void ReachGraph::register_config(ConfigId id) {
+void ReachGraph::register_config(ConfigId id, const Value* st) {
   flags_.ensure(arena_.size());
   succ_.ensure(arena_.size());
   if (sym_) perm_.ensure(arena_.size());
@@ -312,7 +307,6 @@ void ReachGraph::register_config(ConfigId id) {
   // processes outside the projection's P — their (query-constant) decide
   // contribution is query_ambient_, not a per-node flag. A fresh id always
   // lands in the resident tail segment, so these write_ptrs never fault.
-  const Value* st = arena_.words(id);
   ConfigId* srow = succ_.write_ptr(id);
   std::uint8_t flags = 0;
   for (int q = 0; q < n_; ++q) {
@@ -351,20 +345,33 @@ ReachGraph::Node ReachGraph::intern_node(const Config& c, ProcSet p,
     pi = ProcPerm::compose(rho, tau);
     pbits = pc.bits();
   }
-  const auto [id, inserted] = arena_.intern_words(stage_.data());
-  if (inserted) register_config(id);
+  const auto [id, inserted] = arena_.intern(stage_.data());
+  if (inserted) register_config(id, stage_.data());
   if (perm_out) *perm_out = pi;
   return Node{id, pbits, ambient};
 }
 
-void ReachGraph::compute_successor(ConfigId id, int q, Value* out,
-                                   ProcPerm* sigma) const {
-  std::memcpy(out, arena_.words(id), words_ * sizeof(Value));
+Value ReachGraph::compute_successor(int q, Code* scodes, Value* sstates,
+                                    ProcPerm* sigma) {
   // register_config() pre-marked decided processes kNoConfig, so the op
   // here is never a decide.
-  const PendingOp op = proto_.poised(q, out[q]);
-  apply_op(proto_, op, q, out, out + n_);
-  *sigma = sym_ ? canonicalize_states(out, n_) : ProcPerm::identity();
+  const std::size_t qs = static_cast<std::size_t>(q);
+  const PendingOp op = proto_.poised(q, pvals_[qs]);
+  const ConfigArena::StepUndo undo =
+      arena_.step(proto_, op, q, pvals_.data(), pcodes_.data(), scodes);
+  const Value q_state = pvals_[qs];
+  *sigma = ProcPerm::identity();
+  if (sym_) {
+    // Canonicalize on the words (the sort order is the values'), then move
+    // the state codes along the same renaming.
+    std::copy_n(pvals_.data(), n_, sstates);
+    *sigma = canonicalize_states(sstates, n_);
+    Code sorted[ProcPerm::kMaxProcs];
+    for (int p = 0; p < n_; ++p) sorted[(*sigma)(p)] = scodes[p];
+    std::memcpy(scodes, sorted, static_cast<std::size_t>(n_) * sizeof(Code));
+  }
+  undo.apply(pvals_.data());
+  return q_state;
 }
 
 void ReachGraph::ensure_marks(ConfigId id) {
@@ -624,14 +631,17 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
     // than any saving inside a single intern.
     ProcPerm pend_sigma[64];
     std::uint64_t pend_h[64];
+    Value pend_state[64];  ///< q's state in the successor
     int npend = 0;
     ProcSet(pb).for_each([&](int q) {
       const ConfigId s = srow[q];
       if (s == kUnexpanded) {
-        Value* buf =
-            exp_words_.data() + static_cast<std::size_t>(npend) * words_;
-        compute_successor(e.id, q, buf, &pend_sigma[npend]);
-        pend_h[npend] = arena_.hash_words(buf);
+        if (npend == 0) arena_.load(e.id, pcodes_.data(), pvals_.data());
+        Code* buf =
+            exp_codes_.data() + static_cast<std::size_t>(npend) * words_;
+        pend_state[npend] = compute_successor(
+            q, buf, exp_states_.data() + npend * n_, &pend_sigma[npend]);
+        pend_h[npend] = arena_.hash_codes(buf);
         arena_.prefetch(pend_h[npend]);
         ++npend;
       } else if (s != kNoConfig && !sym_ &&
@@ -645,12 +655,20 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
       if (s == kNoConfig) return;  // q decided here: no edge
       ProcPerm sigma;
       if (s == kUnexpanded) {
-        const Value* buf =
-            exp_words_.data() + static_cast<std::size_t>(pend) * words_;
         sigma = pend_sigma[pend];
-        const auto [sid, inserted] = arena_.intern_prehashed(buf, pend_h[pend]);
+        const auto [sid, inserted] = arena_.intern_prehashed(
+            exp_codes_.data() + static_cast<std::size_t>(pend) * words_,
+            pend_h[pend]);
+        if (inserted && sym_) {
+          register_config(sid, exp_states_.data() + pend * n_);
+        } else if (inserted) {
+          // The successor's states are the parent's with q's replaced.
+          const Value parent_state = pvals_[static_cast<std::size_t>(q)];
+          pvals_[static_cast<std::size_t>(q)] = pend_state[pend];
+          register_config(sid, pvals_.data());
+          pvals_[static_cast<std::size_t>(q)] = parent_state;
+        }
         ++pend;
-        if (inserted) register_config(sid);
         if (!wrow) wrow = succ_.write_ptr(e.id);
         wrow[q] = sid;
         if (sym_) {
@@ -668,8 +686,9 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
       std::uint32_t child;
       if (sym_) {
         ProcSet cpbs;
+        arena_.decode(s, sub_stage_.data());
         const ProcPerm tau = refine_procset(
-            arena_.words(s), n_, sigma.apply(ProcSet(pb)), &cpbs);
+            sub_stage_.data(), n_, sigma.apply(ProcSet(pb)), &cpbs);
         const ProcPerm cperm =
             ProcPerm::compose(ProcPerm::compose(eperm, sigma), tau);
         child = enter(s, static_cast<std::uint8_t>(cpbs.bits()), cur,
@@ -708,7 +727,8 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
       if (sym_) {
         const ProcPerm sigma(perm_.read(id)[q]);
         ProcSet cpbs;
-        const ProcPerm tau = refine_procset(arena_.words(s), n_,
+        arena_.decode(s, sub_stage_.data());
+        const ProcPerm tau = refine_procset(sub_stage_.data(), n_,
                                             sigma.apply(ProcSet(pb)), &cpbs);
         pb = cpbs.bits();
         pi = ProcPerm::compose(ProcPerm::compose(pi, sigma), tau);

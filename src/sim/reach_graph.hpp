@@ -177,22 +177,24 @@ class ReachGraph {
            flags_.resident_bytes();
   }
 
-  /// Serialize the engine's persistent cross-query state (node words,
-  /// decide flags, successor edges and renamings, the fact map, and the
-  /// expansion counters) as one "graph" checkpoint section. Per-query
+  /// Serialize the engine's persistent cross-query state (the node
+  /// arena's value dictionary and code rows, decide flags, successor edges
+  /// and renamings, the fact map, and the expansion counters) as one
+  /// "graph" checkpoint section. Per-query
   /// scratch is deliberately excluded: checkpoints happen at quiescent
   /// points and resume re-runs the in-flight query from its root, walking
   /// the restored edges instead of re-paying protocol steps.
   void save(util::ckpt::SectionWriter& w) const;
   /// Inverse of save(). Must run on a freshly constructed engine (the
   /// ctor has already configured arena spill while the arena is empty);
-  /// node words are re-interned in id order so the dedup table rebuilds
-  /// exactly, then flags/edges/facts are bulk-loaded without
-  /// register_config. Shape mismatch (different n, word count, or
-  /// symmetry mode) throws util::CheckpointInvalid, and so does an edge
-  /// word no engine could have written: a successor id that is neither a
-  /// restored node nor a sentinel, or a renaming that is not a
-  /// permutation of the process slots.
+  /// the node arena restores its dictionary and re-interns its rows in id
+  /// order (ConfigArena::restore, with its refusals), then
+  /// flags/edges/facts are bulk-loaded without register_config. Shape
+  /// mismatch (different n, word count, or symmetry mode) throws
+  /// util::CheckpointInvalid, and so does an edge word no engine could
+  /// have written: a successor id that is neither a restored node nor a
+  /// sentinel, or a renaming that is not a permutation of the process
+  /// slots.
   void restore(util::ckpt::SectionReader& r);
 
   /// State word marking a masked (outside-P) slot of a projected
@@ -269,8 +271,14 @@ class ReachGraph {
     return f ? static_cast<std::uint8_t>(*f & 0x0F) : 0;
   }
 
-  void register_config(ConfigId id);
-  void compute_successor(ConfigId id, int q, Value* out, ProcPerm* sigma) const;
+  /// Decide scan of a fresh node whose state words are `states`.
+  void register_config(ConfigId id, const Value* states);
+  /// The successor by q of the node loaded into pcodes_/pvals_: its codes
+  /// into scodes and, in symmetric mode, its canonical state words into
+  /// sstates (n_ words), with the renaming in *sigma. Returns q's state in
+  /// the successor, the one state word a step changes.
+  Value compute_successor(int q, Code* scodes, Value* sstates,
+                          ProcPerm* sigma);
   void check_budget();
   void update_ledger() const;
   void ensure_marks(ConfigId id);
@@ -320,12 +328,17 @@ class ReachGraph {
   std::vector<std::uint32_t> mark_idx_;
   std::uint32_t epoch_ = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> visited_;  ///< symmetric
-  std::vector<Value> stage_;      ///< inline expansion staging buffer
+  std::vector<Value> stage_;      ///< intern_node staging buffer
   std::vector<Value> sub_stage_;  ///< superset-projection probe staging
-  std::vector<Value> exp_words_;  ///< per-process successor staging: the
-                                  ///< expansion loop computes and hashes a
-                                  ///< whole entry's successors (prefetching
-                                  ///< their dedup slots) before interning any
+                                  ///< and symmetric-mode child decode
+  std::vector<Value> pvals_;      ///< words of the node being expanded
+  std::vector<Code> pcodes_;      ///< codes of the node being expanded
+  /// Per-process successor staging (codes, and canonical state words in
+  /// symmetric mode): the expansion loop computes and hashes a whole
+  /// entry's successors (prefetching their dedup slots) before interning
+  /// any.
+  std::vector<Code> exp_codes_;
+  std::vector<Value> exp_states_;
 
   // Backward-propagation scratch.
   std::vector<std::uint32_t> rev_off_;

@@ -36,15 +36,19 @@ inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-inline std::uint64_t get_varint(const std::uint8_t*& p) {
+/// Read one varint from [p, end). A varint that runs past `end` or past
+/// ten bytes is refused: spilled blocks are read back from disk, so their
+/// bytes are hostile input.
+inline std::uint64_t get_varint(const std::uint8_t*& p,
+                                const std::uint8_t* end) {
   std::uint64_t v = 0;
-  int shift = 0;
-  while (*p & 0x80) {
-    v |= static_cast<std::uint64_t>(*p++ & 0x7f) << shift;
-    shift += 7;
+  for (int shift = 0;; shift += 7) {
+    TSB_REQUIRE(p < end, "spill codec: varint runs past the block");
+    TSB_REQUIRE(shift < 70, "spill codec: varint longer than ten bytes");
+    const std::uint8_t b = *p++;
+    if (shift < 64) v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+    if ((b & 0x80) == 0) return v;
   }
-  v |= static_cast<std::uint64_t>(*p++) << shift;
-  return v;
 }
 
 inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
@@ -67,7 +71,7 @@ inline std::size_t round_up(std::size_t v, std::size_t align) {
   return (v + align - 1) & ~(align - 1);
 }
 
-/// Delta/varint/zigzag block codec shared by ConfigArena (Value words) and
+/// Delta/varint/zigzag block codec shared by ConfigArena (u16 codes) and
 /// the reach graph's edge stores (u8 / u32 / u64 words). A block holds
 /// `nrecs` fixed-stride records in groups of kGroupRecords: per group the
 /// first record is raw, the rest are (changed-word count, then per change a
@@ -116,65 +120,81 @@ void encode_block(const W* recs, std::size_t nrecs, std::size_t stride,
   block.insert(block.end(), payload.begin(), payload.end());
 }
 
-/// Decode one record (index `local` within the block) into `out`
-/// (`stride` words).
+/// Start of group `g`'s raw record in a `len`-byte block, with every
+/// header word the lookup reads checked against `len`.
 template <class W>
-void decode_record(const std::uint8_t* block, std::size_t local,
-                   std::size_t stride, W* out) {
+const std::uint8_t* group_start(const std::uint8_t* block, std::size_t len,
+                                std::size_t g, std::size_t stride) {
+  TSB_REQUIRE(len >= 4, "spill codec: block shorter than its header");
   const std::size_t ngroups = get_u32(block);
-  const std::size_t g = local / kGroupRecords;
-  TSB_REQUIRE(g < ngroups, "spill codec: record index out of block range");
-  const std::uint8_t* p = block + 4 + 4 * ngroups + get_u32(block + 4 + 4 * g);
-  std::memcpy(out, p, stride * sizeof(W));
-  p += stride * sizeof(W);
-  const std::size_t upto = local % kGroupRecords;
-  for (std::size_t c = 1; c <= upto; ++c) {
-    const std::uint8_t nchanged = *p++;
-    for (std::uint8_t j = 0; j < nchanged; ++j) {
-      const std::size_t slot = get_varint(p);
-      const std::uint64_t delta =
-          static_cast<std::uint64_t>(unzigzag(get_varint(p)));
-      out[slot] =
-          static_cast<W>(static_cast<std::uint64_t>(out[slot]) + delta);
-    }
+  TSB_REQUIRE(g < ngroups, "spill codec: group index out of block range");
+  TSB_REQUIRE(ngroups <= (len - 4) / 4,
+              "spill codec: group table runs past the block");
+  const std::size_t base = 4 + 4 * ngroups;
+  const std::size_t off = get_u32(block + 4 + 4 * g);
+  TSB_REQUIRE(off <= len - base && stride * sizeof(W) <= len - base - off,
+              "spill codec: group offset runs past the block");
+  return block + base + off;
+}
+
+/// Apply one delta record at p (bounded by `end`) to `rec`. A changed-word
+/// index outside the record is refused, never written.
+template <class W>
+void apply_delta(const std::uint8_t*& p, const std::uint8_t* end,
+                 std::size_t stride, W* rec) {
+  TSB_REQUIRE(p < end, "spill codec: delta record runs past the block");
+  const std::uint8_t nchanged = *p++;
+  for (std::uint8_t j = 0; j < nchanged; ++j) {
+    const std::uint64_t slot = get_varint(p, end);
+    TSB_REQUIRE(slot < stride,
+                "spill codec: delta names a word past the record");
+    const std::uint64_t delta =
+        static_cast<std::uint64_t>(unzigzag(get_varint(p, end)));
+    rec[slot] = static_cast<W>(static_cast<std::uint64_t>(rec[slot]) + delta);
   }
 }
 
-/// Decode group `g` of the block (kGroupRecords records) into `out`
-/// (`kGroupRecords * stride` words): one raw copy, then each delta applied
-/// once against its decoded predecessor.
+/// Decode one record (index `local` within the `len`-byte block) into
+/// `out` (`stride` words).
 template <class W>
-void decode_group(const std::uint8_t* block, std::size_t g,
+void decode_record(const std::uint8_t* block, std::size_t len,
+                   std::size_t local, std::size_t stride, W* out) {
+  const std::uint8_t* p =
+      group_start<W>(block, len, local / kGroupRecords, stride);
+  const std::uint8_t* end = block + len;
+  std::memcpy(out, p, stride * sizeof(W));
+  p += stride * sizeof(W);
+  const std::size_t upto = local % kGroupRecords;
+  for (std::size_t c = 1; c <= upto; ++c) apply_delta<W>(p, end, stride, out);
+}
+
+/// Decode group `g` of the `len`-byte block (kGroupRecords records) into
+/// `out` (`kGroupRecords * stride` words): one raw copy, then each delta
+/// applied once against its decoded predecessor.
+template <class W>
+void decode_group(const std::uint8_t* block, std::size_t len, std::size_t g,
                   std::size_t stride, W* out) {
-  const std::size_t ngroups = get_u32(block);
-  TSB_REQUIRE(g < ngroups, "spill codec: group index out of block range");
-  const std::uint8_t* p = block + 4 + 4 * ngroups + get_u32(block + 4 + 4 * g);
+  const std::uint8_t* p = group_start<W>(block, len, g, stride);
+  const std::uint8_t* end = block + len;
   std::memcpy(out, p, stride * sizeof(W));
   p += stride * sizeof(W);
   for (std::size_t c = 1; c < kGroupRecords; ++c) {
     W* cur = out + c * stride;
     std::memcpy(cur, cur - stride, stride * sizeof(W));
-    const std::uint8_t nchanged = *p++;
-    for (std::uint8_t j = 0; j < nchanged; ++j) {
-      const std::size_t slot = get_varint(p);
-      const std::uint64_t delta =
-          static_cast<std::uint64_t>(unzigzag(get_varint(p)));
-      cur[slot] =
-          static_cast<W>(static_cast<std::uint64_t>(cur[slot]) + delta);
-    }
+    apply_delta<W>(p, end, stride, cur);
   }
 }
 
-/// Decode every record of the block into `out` (`nrecs * stride` words):
-/// the fault-in path when a spilled segment must become writable again.
+/// Decode every record of the `len`-byte block into `out` (`nrecs * stride`
+/// words): the fault-in path when a spilled segment must become writable
+/// again.
 template <class W>
-void decode_all(const std::uint8_t* block, std::size_t nrecs,
+void decode_all(const std::uint8_t* block, std::size_t len, std::size_t nrecs,
                 std::size_t stride, W* out) {
-  const std::size_t ngroups = get_u32(block);
-  TSB_REQUIRE(ngroups == nrecs / kGroupRecords,
+  TSB_REQUIRE(len >= 4 && get_u32(block) == nrecs / kGroupRecords,
               "spill codec: block group count mismatch");
-  for (std::size_t g = 0; g < ngroups; ++g) {
-    decode_group<W>(block, g, stride, out + g * kGroupRecords * stride);
+  for (std::size_t g = 0; g < nrecs / kGroupRecords; ++g) {
+    decode_group<W>(block, len, g, stride, out + g * kGroupRecords * stride);
   }
 }
 
@@ -230,7 +250,7 @@ class BackingFile {
 };
 
 /// The one segmented, spillable array of fixed-stride records: ConfigArena
-/// keeps its packed configurations in one, the reach graph its per-node
+/// keeps its configurations' code rows in one, the reach graph its per-node
 /// edge data (successor ids, per-edge renamings, decide flags) in three
 /// more. Records are `stride` words of W in power-of-two segments allocated
 /// flat with new[] and written only as ensure() or append() admits
@@ -372,8 +392,8 @@ class SpillStore {
       }
       group.resize(kGroupRecords * stride_);
       for (std::size_t at = 0; at < n; at += kGroupRecords) {
-        decode_group<W>(s.blk.map + s.blk.skip, at / kGroupRecords, stride_,
-                        group.data());
+        decode_group<W>(s.blk.map + s.blk.skip, s.blk.bytes,
+                        at / kGroupRecords, stride_, group.data());
         fn(static_cast<const W*>(group.data()),
            std::min(kGroupRecords, n - at));
       }
@@ -447,7 +467,8 @@ class SpillStore {
     Seg& s = segs_[seg];
     const std::size_t n = seg_recs_ * stride_;
     std::unique_ptr<W[]> fresh(new W[n]);
-    decode_all<W>(s.blk.map + s.blk.skip, seg_recs_, stride_, fresh.get());
+    decode_all<W>(s.blk.map + s.blk.skip, s.blk.bytes, seg_recs_, stride_,
+                  fresh.get());
     spilled_bytes_ -= s.blk.bytes;
     release(s);
     s.data = std::move(fresh);
@@ -459,7 +480,8 @@ class SpillStore {
   const W* decode_tls(const Seg& s, std::size_t local) const {
     static thread_local std::vector<W> buf;
     if (buf.size() < stride_) buf.resize(stride_);
-    decode_record<W>(s.blk.map + s.blk.skip, local, stride_, buf.data());
+    decode_record<W>(s.blk.map + s.blk.skip, s.blk.bytes, local, stride_,
+                     buf.data());
     return buf.data();
   }
 

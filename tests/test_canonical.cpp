@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "bound/adversary.hpp"
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
 #include "consensus/racing.hpp"
@@ -229,6 +230,84 @@ TEST(Canonicalize, WitnessesReplayAfterDecanonicalization) {
     c = sim::step(proto, c, static_cast<int>(rng.below(3)));
   }
 }
+
+/// The symmetric quotient, pinned end to end. Every query against
+/// RacingConsensus runs in symmetric mode, so the graph counts, verdicts
+/// and decanonicalized witnesses below pin the canonical node rows and the
+/// renamings that produce them: how the arena stores a row must not move
+/// any of them.
+TEST(SymmetricQuotient, RacingAdversaryGraphAndCertificateArePinned) {
+  RacingConsensus proto(3);
+  const SpaceBoundAdversary::Result r = SpaceBoundAdversary(proto).run();
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.check.ok);
+  EXPECT_EQ(r.reach_graph_nodes, 2588u);
+  EXPECT_EQ(r.reach_expanded, 5629u);
+  EXPECT_EQ(r.reach_reused, 41u);
+  EXPECT_EQ(r.certificate.inputs, (std::vector<Value>{0, 1, 0}));
+  EXPECT_EQ(r.certificate.schedule.steps(),
+            (std::vector<sim::ProcId>{2, 2, 2, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1,
+                                      1, 0, 0, 0}));
+  EXPECT_EQ(r.certificate.covering,
+            (std::vector<std::pair<sim::ProcId, sim::RegId>>{{2, 0}, {0, 2}}));
+}
+
+/// A seeded walk over RacingConsensus(n): at each configuration, every
+/// non-empty P and both values, folding each verdict and witness into one
+/// digest. (The adversary itself stops on a lemma precondition at n = 4, so
+/// the walk is what pins the quotient there.)
+struct QuotientPin {
+  int n;
+  std::size_t nodes;
+  std::uint64_t expanded;
+  std::uint64_t reused;
+  std::uint64_t digest;
+};
+
+void PrintTo(const QuotientPin& pin, std::ostream* os) { *os << "n=" << pin.n; }
+
+class SymmetricQuotient : public ::testing::TestWithParam<QuotientPin> {};
+
+TEST_P(SymmetricQuotient, RacingOracleWalkIsPinned) {
+  const QuotientPin& pin = GetParam();
+  RacingConsensus proto(pin.n);
+  ValencyOracle oracle(proto);
+  util::Rng rng(2016);
+  std::uint64_t digest = 0;
+  std::vector<Value> inputs(static_cast<std::size_t>(pin.n), 0);
+  inputs[0] = 1;
+  Config c = sim::initial_config(proto, inputs);
+  for (int walk = 0; walk < 8; ++walk) {
+    for (std::uint64_t bits = 1; bits < (1ull << pin.n); ++bits) {
+      for (const Value v : {0, 1}) {
+        const std::optional<sim::Schedule> w =
+            oracle.deciding_schedule(c, ProcSet{bits}, v);
+        digest = util::hash_combine(digest, w.has_value() ? 1 : 0);
+        if (!w) continue;
+        for (const sim::ProcId q : w->steps()) {
+          digest = util::hash_combine(digest, static_cast<std::uint64_t>(q));
+        }
+      }
+    }
+    c = sim::step(proto, c, static_cast<int>(rng.below(
+                                static_cast<std::uint64_t>(pin.n))));
+  }
+  EXPECT_EQ(oracle.graph_nodes(), pin.nodes);
+  EXPECT_EQ(oracle.edges_expanded(), pin.expanded);
+  EXPECT_EQ(oracle.edges_reused(), pin.reused);
+  EXPECT_EQ(digest, pin.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Racing, SymmetricQuotient,
+    ::testing::Values(
+        QuotientPin{3, 2548, 5578, 1441, 11942689383694919074ull},
+        QuotientPin{4, 87347, 262041, 15305, 4960442554259023494ull}),
+    [](const ::testing::TestParamInfo<QuotientPin>& info) {
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      return name;
+    });
 
 TEST(FactAnswers, DrainedPassAnswersRepeatAndPrefixQueriesForFree) {
   // A drained exhaustive pass persists per-node decided-value facts. A

@@ -519,15 +519,15 @@ TEST_F(IoFaultTest, SpillWriteFailureIsBudgetExhausted) {
   // The arena spill writer shares the wrapped-syscall layer and the same
   // degradation contract: a dead disk mid-spill is a clean budget failure
   // upstream (exit 4 at the CLI), never an abort or silent RAM overrun.
-  sim::ConfigArena arena(4, 4);
+  sim::ConfigArena arena(4, 4, "test");
   ASSERT_TRUE(arena.set_spill(tdir("spill"), 0, 64));
   const std::size_t w = arena.words_per_config();
-  std::vector<sim::Value> words(w);
+  std::vector<sim::Code> row(w);
   for (std::uint64_t i = 0; i < 1000; ++i) {
     for (std::size_t j = 0; j < w; ++j) {
-      words[j] = static_cast<sim::Value>((i * 31 + j * 7) & 0x3F);
+      row[j] = static_cast<sim::Code>((i * 31 + j * 7) & 0x3F);
     }
-    arena.append_words(words.data());
+    arena.append_codes(row.data());
   }
   util::iofault::arm(util::iofault::Kind::kEnospc, 1);
   EXPECT_THROW(arena.maybe_spill(sim::kNoConfig), BudgetExhausted);
@@ -714,9 +714,10 @@ TEST(OracleState, FingerprintCoversVerdictAffectingOptions) {
 // --- Hostile graph sections ------------------------------------------------
 
 /// A CRC-valid "graph" section for `proto` with two nodes (all-zero and
-/// all-one words), no facts, and the given per-node edge rows: `succ` holds
-/// 2 * n successor ids and, in symmetric mode, `perm` 2 * n renamings.
-/// Written through SectionWriter, so only the graph parser can refuse it.
+/// all-one words: a two-value dictionary and rows of code 0 and code 1), no
+/// facts, and the given per-node edge rows: `succ` holds 2 * n successor
+/// ids and, in symmetric mode, `perm` 2 * n renamings. Written through
+/// SectionWriter, so only the graph parser can refuse it.
 std::string write_graph_section(const std::string& tag,
                                 const sim::Protocol& proto,
                                 const std::vector<std::uint32_t>& succ,
@@ -731,10 +732,13 @@ std::string write_graph_section(const std::string& tag,
   w.put_u32(static_cast<std::uint32_t>(words));
   w.put_u8(perm.empty() ? 0 : 1);
   w.put_u8(1);  // facts on (n <= 28)
+  w.put_u32(2);  // dictionary: code 0 -> 0, code 1 -> 1
+  w.put_i64(0);
+  w.put_i64(1);
   w.put_u64(2);
-  for (const sim::Value v : {sim::Value{0}, sim::Value{1}}) {
-    const std::vector<sim::Value> node(words, v);
-    w.put_bytes(node.data(), words * sizeof(sim::Value));
+  for (const sim::Code c : {sim::Code{0}, sim::Code{1}}) {
+    const std::vector<sim::Code> node(words, c);
+    w.put_bytes(node.data(), words * sizeof(sim::Code));
   }
   const std::uint8_t flags[2] = {0, 0};
   w.put_bytes(flags, sizeof flags);
@@ -872,6 +876,27 @@ TEST_F(AdversaryResumeTest, FutureFormatVersionIsRefused) {
   spit(mpath, bytes);
   EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
                CheckpointInvalid);
+}
+
+TEST_F(AdversaryResumeTest, FormatTwoCheckpointIsRefused) {
+  // Format 2 stored configuration words as raw int64 values; format 3
+  // stores a value dictionary and 16-bit code rows. A format-2 directory is
+  // refused by its version word (the CLI's exit 6), whichever file carries
+  // it, never decoded as codes.
+  const std::string dir = make_completed_checkpoint("format_two");
+  const std::string mpath = util::ckpt::manifest_path(dir);
+  const std::string spath = util::ckpt::state_path(
+      dir, Manifest::load(mpath).generation);
+  for (const std::string& path : {spath, mpath}) {
+    auto bytes = slurp(path);
+    ASSERT_EQ(bytes[8], 3u);
+    bytes[8] = 2;
+    spit(path, bytes);
+    EXPECT_THROW(run_adversary(3, 6, dir, /*resume=*/true, 0),
+                 CheckpointInvalid)
+        << path;
+    CheckpointService::global().reset();
+  }
 }
 
 TEST_F(AdversaryResumeTest, CorruptStateFileIsRefused) {

@@ -1,8 +1,9 @@
 // Seeded mutation test for the checkpoint decoders: Manifest::load,
 // SectionReader, and every state section's restore path (the oracle, roots
 // and memo sections of ValencyOracle::restore_state, and the ReachGraph
-// section it carries), all reached through CheckpointService::resume the
-// way `tsb resume` reaches them. The corpus is the committed checkpoint of
+// section it carries, down to the arenas' value dictionaries and code
+// rows), all reached through CheckpointService::resume the way
+// `tsb resume` reaches them. The corpus is the committed checkpoint of
 // an adversary n=4 run: its manifest.tsb and its state file.
 //
 //   * With the CRCs left stale, every byte flip or truncation must be
@@ -14,6 +15,7 @@
 //     build runs this with the rest of ctest).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -267,6 +269,63 @@ TEST(CheckpointMutation, MemoWitnessIsBoundedAndRangeChecked) {
       with_memo_witness(true, [](Bytes& b, std::size_t len_at) {
         b[len_at + 4] = kN;
       })));
+}
+
+/// The corpus state file with `edit(bytes, offset)` applied to section
+/// `name` at the offset of its arena: the value dictionary's u32 count, then
+/// the values (i64 each), then the u64 row count and the code rows (u16
+/// each, n + m per row). The section's CRC is recomputed, so only the arena
+/// decoder can refuse the result.
+template <typename Edit>
+Bytes with_arena_edit(const std::string& name, Edit edit) {
+  Bytes state = corpus().state;
+  for (const Section& s : sections(state)) {
+    if (s.name != name) continue;
+    // The graph section opens with n, the word count, the symmetry flag and
+    // the facts flag; the roots section opens with its arena.
+    const std::size_t arena = s.payload + (name == "graph" ? 10 : 0);
+    edit(state, arena);
+    fix_crc(state, s);
+    return state;
+  }
+  ADD_FAILURE() << "no " << name << " section in the corpus";
+  return state;
+}
+
+std::size_t dict_count(const Bytes& b, std::size_t arena) {
+  return static_cast<std::size_t>(rd_le(b, arena, 4));
+}
+
+TEST(CheckpointMutation, ArenaDictionaryAndCodesAreRangeChecked) {
+  for (const std::string name : {"graph", "roots"}) {
+    SCOPED_TRACE(name);
+    // A dictionary of 65,537 values: more than a 16-bit code can name.
+    EXPECT_FALSE(resume_from(
+        corpus().manifest, with_arena_edit(name, [](Bytes& b, std::size_t at) {
+          const std::uint32_t n = 65'537;
+          for (int i = 0; i < 4; ++i) {
+            b[at + i] = static_cast<std::uint8_t>(n >> (8 * i));
+          }
+        })));
+    // The second dictionary value overwritten with the first: a value with
+    // two codes would make equal configurations compare unequal.
+    EXPECT_FALSE(resume_from(
+        corpus().manifest, with_arena_edit(name, [](Bytes& b, std::size_t at) {
+          ASSERT_GE(dict_count(b, at), 2u);
+          std::copy_n(b.begin() + static_cast<std::ptrdiff_t>(at + 4), 8,
+                      b.begin() + static_cast<std::ptrdiff_t>(at + 12));
+        })));
+    // The first row's first code set to the dictionary's size: a code that
+    // names no value.
+    EXPECT_FALSE(resume_from(
+        corpus().manifest, with_arena_edit(name, [](Bytes& b, std::size_t at) {
+          const std::size_t nd = dict_count(b, at);
+          const std::size_t row = at + 4 + 8 * nd + 8;
+          ASSERT_GE(rd_le(b, row - 8, 8), 1u);
+          b[row] = static_cast<std::uint8_t>(nd);
+          b[row + 1] = static_cast<std::uint8_t>(nd >> 8);
+        })));
+  }
 }
 
 }  // namespace

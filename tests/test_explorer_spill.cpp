@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,8 +20,8 @@
 namespace tsb::sim {
 namespace {
 
-// Deterministic synthetic word patterns (valid for the codec regardless of
-// protocol meaning: the spill layer stores opaque fixed-width words).
+// Deterministic synthetic word patterns (valid for the arena regardless of
+// protocol meaning: the dictionary and the spill layer store opaque words).
 std::vector<Value> synth_words(std::size_t words, std::uint64_t seed) {
   std::vector<Value> w(words);
   std::uint64_t x = seed * 0x9E3779B97F4A7C15ull + 1;
@@ -39,15 +38,24 @@ std::vector<Value> synth_words(std::size_t words, std::uint64_t seed) {
 }
 
 TEST(ArenaSpill, SpilledSegmentsDecodeBitExact) {
-  ConfigArena arena(4, 4);
+  ConfigArena arena(4, 4, "test");
   ASSERT_TRUE(arena.set_spill(::testing::TempDir(), 0, 64));
   const std::size_t W = arena.words_per_config();
 
+  // Rows the way a BFS interns them: each configuration is an earlier one
+  // after one step, which changes a state and at most one register. Codes
+  // are first-appearance indices, so independent random rows would carry
+  // no delta structure at all; successor rows do.
   std::vector<std::vector<Value>> expect;
-  for (std::uint64_t i = 0; i < 1000; ++i) {
-    expect.push_back(synth_words(W, i));
-    const ConfigId id = arena.append_words(expect.back().data());
-    ASSERT_EQ(id, static_cast<ConfigId>(i));
+  std::vector<Value> w = synth_words(W, 0);
+  for (std::uint64_t i = 0; expect.size() < 1000; ++i) {
+    const std::vector<Value> r = synth_words(2, i);
+    w[i % 4] = r[0];
+    if (i % 3 == 0) w[4 + (i / 3) % 4] = r[1];
+    const auto [id, inserted] = arena.intern(w.data());
+    if (!inserted) continue;
+    ASSERT_EQ(id, static_cast<ConfigId>(expect.size()));
+    expect.push_back(w);
   }
   ASSERT_TRUE(arena.spill_needed());
   const std::size_t released = arena.maybe_spill(kNoConfig);
@@ -55,28 +63,28 @@ TEST(ArenaSpill, SpilledSegmentsDecodeBitExact) {
   EXPECT_GT(arena.spilled_segments(), 0u);
   EXPECT_GT(arena.spilled_bytes(), 0u);
   EXPECT_EQ(arena.spill_failures(), 0u);
-  // Compression must beat the raw encoding on this correlated data.
+  // Compression must beat the raw code rows on successor-shaped data.
   EXPECT_LT(arena.spilled_bytes(),
             arena.spilled_segments() * arena.segment_configs() * W *
-                sizeof(Value));
+                sizeof(Code));
 
+  std::vector<Value> got(W);
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(arena.words_equal(arena.words(static_cast<ConfigId>(i)),
-                                  expect[i].data()))
-        << "id " << i << " decoded differently after spilling";
+    arena.decode(static_cast<ConfigId>(i), got.data());
+    ASSERT_EQ(got, expect[i]) << "id " << i
+                              << " decoded differently after spilling";
   }
 }
 
 TEST(ArenaSpill, DedupProbesCompareThroughSpilledSegments) {
-  ConfigArena arena(4, 4);
+  ConfigArena arena(4, 4, "test");
   ASSERT_TRUE(arena.set_spill(::testing::TempDir(), 0, 64));
   const std::size_t W = arena.words_per_config();
 
   std::vector<ConfigId> ids;
   for (std::uint64_t i = 0; i < 500; ++i) {
     const auto w = synth_words(W, i);
-    std::memcpy(arena.scratch(), w.data(), W * sizeof(Value));
-    const auto [id, inserted] = arena.intern_scratch();
+    const auto [id, inserted] = arena.intern(w.data());
     ASSERT_TRUE(inserted);
     ids.push_back(id);
   }
@@ -85,24 +93,24 @@ TEST(ArenaSpill, DedupProbesCompareThroughSpilledSegments) {
   // Re-interning every configuration must dedup against spilled words.
   for (std::uint64_t i = 0; i < 500; ++i) {
     const auto w = synth_words(W, i);
-    std::memcpy(arena.scratch(), w.data(), W * sizeof(Value));
-    const auto [id, inserted] = arena.intern_scratch();
+    const auto [id, inserted] = arena.intern(w.data());
     EXPECT_FALSE(inserted) << "seed " << i;
     EXPECT_EQ(id, ids[i]);
   }
 }
 
 TEST(ArenaSpill, ClearRearmsSpilledSegmentsForReuse) {
-  ConfigArena arena(4, 4);
+  ConfigArena arena(4, 4, "test");
   ASSERT_TRUE(arena.set_spill(::testing::TempDir(), 0, 64));
   const std::size_t W = arena.words_per_config();
 
   for (std::uint64_t i = 0; i < 300; ++i) {
-    arena.append_words(synth_words(W, i).data());
+    arena.intern(synth_words(W, i).data());
   }
   ASSERT_GT(arena.maybe_spill(kNoConfig), 0u);
   arena.clear();
   EXPECT_EQ(arena.size(), 0u);
+  EXPECT_EQ(arena.dict_size(), 0u);
   EXPECT_EQ(arena.spilled_bytes(), 0u);
 
   // Second generation with different contents: the re-armed segments must
@@ -110,13 +118,13 @@ TEST(ArenaSpill, ClearRearmsSpilledSegmentsForReuse) {
   std::vector<std::vector<Value>> expect;
   for (std::uint64_t i = 0; i < 300; ++i) {
     expect.push_back(synth_words(W, 7'000 + i));
-    arena.append_words(expect.back().data());
+    arena.intern(expect.back().data());
   }
   ASSERT_GT(arena.maybe_spill(kNoConfig), 0u);
+  std::vector<Value> got(W);
   for (std::uint64_t i = 0; i < 300; ++i) {
-    ASSERT_TRUE(arena.words_equal(arena.words(static_cast<ConfigId>(i)),
-                                  expect[i].data()))
-        << "id " << i;
+    arena.decode(static_cast<ConfigId>(i), got.data());
+    ASSERT_EQ(got, expect[i]) << "id " << i;
   }
 }
 
@@ -127,13 +135,12 @@ struct SetSnapshot {
 
 SetSnapshot set_snapshot(const Protocol& proto, Explorer& explorer,
                          const Config& root, ProcSet p) {
-  ConfigArena packer(proto.num_processes(), proto.num_registers());
+  ConfigArena packer(proto.num_processes(), proto.num_registers(), "packer");
   SetSnapshot s;
   s.result = explorer.explore(root, p, [&](const ConfigView& c) {
-    const Config cfg = c.materialize();
-    packer.pack(cfg, packer.scratch());
-    s.packed.emplace_back(packer.scratch(),
-                          packer.scratch() + packer.words_per_config());
+    std::vector<Value> w(packer.words_per_config());
+    packer.pack(c.materialize(), w.data());
+    s.packed.push_back(std::move(w));
     return true;
   });
   std::sort(s.packed.begin(), s.packed.end());
@@ -178,12 +185,13 @@ TEST(ExplorerSpill, WitnessesReplayThroughSpilledSegments) {
   ASSERT_FALSE(result.aborted);
   ASSERT_GT(seen.size(), 100u);
 
-  // Witness reconstruction and view() must read through spilled segments.
+  // Witness reconstruction and materialize() must decode through spilled
+  // segments.
   for (std::size_t i = 0; i < seen.size(); i += seen.size() / 32 + 1) {
     const ConfigId id = seen[i];
     const auto w = explorer.witness_by_id(id);
     ASSERT_TRUE(w.has_value()) << "id " << id;
-    EXPECT_EQ(run(proto, root, *w), explorer.view(id).materialize())
+    EXPECT_EQ(run(proto, root, *w), explorer.materialize(id))
         << "witness for id " << id;
   }
 }

@@ -17,18 +17,22 @@
 // directly too: admitted records read as the fill value whatever happened
 // to their segment before, and clear() re-arms spilled segments.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "bound/adversary.hpp"
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
+#include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
 #include "sim/reach_graph.hpp"
 #include "util/checkpoint.hpp"
@@ -239,9 +243,112 @@ void check_bulk_reader(std::size_t stride, const std::string& dir) {
 }
 
 TEST(SpillStore, BulkReaderYieldsThePerRecordBytes) {
+  check_bulk_reader<sim::Code>(10, tdir("bulk_code"));
   check_bulk_reader<sim::Value>(6, tdir("bulk_value"));
   check_bulk_reader<sim::ConfigId>(4, tdir("bulk_id"));
   check_bulk_reader<std::uint8_t>(1, tdir("bulk_u8"));
+}
+
+// --- Hostile spilled blocks -------------------------------------------------
+
+/// A mapping whose last page is inaccessible. at_end(bytes) copies a block
+/// so that it ends exactly where that page begins: a decoder that reads
+/// one byte past the block faults in every build, optimized or sanitized.
+class GuardedBuffer {
+ public:
+  explicit GuardedBuffer(std::size_t max_bytes) {
+    page_ = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    len_ = (max_bytes + page_ - 1) / page_ * page_ + page_;
+    void* m = mmap(nullptr, len_, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    EXPECT_NE(m, MAP_FAILED);
+    base_ = static_cast<std::uint8_t*>(m);
+    EXPECT_EQ(mprotect(base_ + len_ - page_, page_, PROT_NONE), 0);
+  }
+  ~GuardedBuffer() { munmap(base_, len_); }
+  GuardedBuffer(const GuardedBuffer&) = delete;
+  GuardedBuffer& operator=(const GuardedBuffer&) = delete;
+
+  const std::uint8_t* at_end(const std::vector<std::uint8_t>& bytes) {
+    std::uint8_t* at = base_ + len_ - page_ - bytes.size();
+    std::copy(bytes.begin(), bytes.end(), at);
+    return at;
+  }
+
+ private:
+  std::uint8_t* base_ = nullptr;
+  std::size_t len_ = 0;
+  std::size_t page_ = 0;
+};
+
+/// Every byte of a spilled segment comes back from disk. Seeded mutants of
+/// encode_block output — byte flips and truncations — must either decode
+/// or be refused through TSB_REQUIRE (util::RequirementFailed); none may
+/// read past the block (each mutant ends at a guard page) or write past
+/// the record (the ASan+UBSan build runs this).
+template <class W>
+void check_hostile_blocks(std::uint64_t seed) {
+  namespace sp = util::spill;
+  constexpr std::size_t kStride = 6;
+  constexpr std::size_t kGroups = 4;
+  constexpr std::size_t kRecs = kGroups * sp::kGroupRecords;
+  std::mt19937_64 rng(seed);
+  // Successor-shaped records: each changes one or two words of the last,
+  // now and then by a delta as wide as W.
+  std::vector<W> recs(kRecs * kStride);
+  for (std::size_t i = 0; i < kRecs; ++i) {
+    W* rec = recs.data() + i * kStride;
+    if (i != 0) std::copy_n(rec - kStride, kStride, rec);
+    for (std::size_t k = 0; k < (i == 0 ? kStride : 1 + i % 2); ++k) {
+      rec[rng() % kStride] = static_cast<W>(i % 7 == 0 ? rng() : rng() % 64);
+    }
+  }
+  std::vector<std::uint8_t> pristine;
+  sp::encode_block<W>(recs.data(), kRecs, kStride, pristine);
+  std::vector<W> out(kRecs * kStride);
+  sp::decode_all<W>(pristine.data(), pristine.size(), kRecs, kStride,
+                    out.data());
+  ASSERT_EQ(out, recs);
+
+  GuardedBuffer guarded(pristine.size());
+  int refused = 0;
+  int decoded = 0;
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<std::uint8_t> m = pristine;
+    if (i % 4 == 3) {
+      m.resize(rng() % m.size());  // a torn block
+    } else {
+      for (int f = 0; f < 1 + i % 3; ++f) {
+        m[rng() % m.size()] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+      }
+    }
+    const std::uint8_t* block = guarded.at_end(m);
+    try {
+      switch (i % 3) {
+        case 0:
+          sp::decode_all<W>(block, m.size(), kRecs, kStride, out.data());
+          break;
+        case 1:
+          sp::decode_group<W>(block, m.size(), rng() % kGroups, kStride,
+                              out.data());
+          break;
+        default:
+          sp::decode_record<W>(block, m.size(), rng() % kRecs, kStride,
+                               out.data());
+      }
+      ++decoded;
+    } catch (const util::RequirementFailed&) {
+      ++refused;
+    }
+  }
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(decoded, 0);
+}
+
+TEST(SpillCodec, HostileBlocksAreRefusedOrDecode) {
+  check_hostile_blocks<std::uint16_t>(0x5eed16);
+  check_hostile_blocks<std::uint32_t>(0x5eed32);
+  check_hostile_blocks<std::uint64_t>(0x5eed64);
 }
 
 // --- An unusable spill directory ----------------------------------------------

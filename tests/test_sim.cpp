@@ -2,6 +2,7 @@
 
 #include "sim/engine.hpp"
 #include "sim/explorer.hpp"
+#include "util/require.hpp"
 #include "toy_protocol.hpp"
 
 namespace tsb::sim {
@@ -189,6 +190,88 @@ TEST(Explorer, TruncationReported) {
   auto result = explorer.explore(root, ProcSet::first_n(3),
                                  [](const ConfigView&) { return true; });
   EXPECT_TRUE(result.truncated);
+}
+
+/// One process counting up: it writes its count to R0, then counts on.
+/// Every step brings one word the arena has never seen, so a solo run
+/// walks straight into the value dictionary's 16-bit limit.
+class CounterProtocol final : public Protocol {
+ public:
+  std::string name() const override { return "counter"; }
+  int num_processes() const override { return 1; }
+  int num_registers() const override { return 1; }
+  State initial_state(ProcId, Value) const override { return 0; }
+  PendingOp poised(ProcId, State s) const override {
+    return s >= 1'000'000 ? PendingOp::decide(0) : PendingOp::write(0, s);
+  }
+  State after_read(ProcId, State s, Value) const override { return s; }
+  State after_write(ProcId, State s) const override { return s + 1; }
+};
+
+TEST(ArenaDictionary, OverflowIsBudgetExhaustedAndKeepsEarlierIds) {
+  CounterProtocol proto;
+  const Config root = initial_config(proto, {0});
+  Explorer explorer(proto);
+  std::string what;
+  try {
+    explorer.explore(root, ProcSet::single(0),
+                     [](const ConfigView&) { return true; });
+  } catch (const util::BudgetExhausted& e) {
+    what = e.what();
+  }
+  // The root holds {0, empty}; configuration k holds {k, k - 1}, so the
+  // dictionary fills at k = 65,534 and the next step's count is refused.
+  EXPECT_NE(what.find("value dictionary of the explorer arena"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(what.find("ledger: "), std::string::npos) << what;
+  ASSERT_EQ(explorer.size(), kMaxCodes - 1);
+  EXPECT_EQ(explorer.materialize(0), root);
+  const Config last =
+      explorer.materialize(static_cast<ConfigId>(kMaxCodes - 2));
+  EXPECT_EQ(last.states, std::vector<Value>{65'534});
+  EXPECT_EQ(last.regs, std::vector<Value>{65'533});
+  const auto w = explorer.witness_by_id(1'000);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(run(proto, root, *w), explorer.materialize(1'000));
+}
+
+TEST(ArenaClear, TableShrinksToTheLastFill) {
+  ConfigArena arena(2, 1, "test");
+  const auto fill = [&](Value rows) {
+    for (Value i = 0; i < rows; ++i) {
+      const std::vector<Value> w = {i % 1'000, i / 1'000, -1};
+      ASSERT_EQ(arena.intern(w.data()).id, static_cast<ConfigId>(i));
+    }
+  };
+  fill(100'000);
+  const std::size_t big = arena.table_slots();
+  ASSERT_GE(big * 7, 100'000u * 10);
+  // The fill just dropped needed the big table: it is zeroed in place.
+  arena.clear();
+  EXPECT_EQ(arena.size(), 0u);
+  EXPECT_EQ(arena.table_slots(), big);
+  fill(10);
+  // This time it needed 1/128 of it: clear() allocates a table sized for
+  // ten rows instead of sweeping the big one again.
+  arena.clear();
+  EXPECT_EQ(arena.table_slots(), 1024u);
+  fill(100'000);  // grows back; ids restart at 0
+  EXPECT_EQ(arena.table_slots(), big);
+}
+
+TEST(ArenaDictionary, LookupsNeverGrowTheDictionary) {
+  ConfigArena arena(2, 1, "test");
+  const std::vector<Value> a = {3, 4, -1};
+  const std::vector<Value> b = {3, 5, -1};
+  ASSERT_TRUE(arena.intern(a.data()).inserted);
+  ASSERT_EQ(arena.dict_size(), 3u);
+  EXPECT_EQ(arena.find(a.data()), 0u);
+  EXPECT_EQ(arena.find(b.data()), kNoConfig);
+  EXPECT_EQ(arena.dict_size(), 3u) << "find() added the unseen word 5";
+  std::vector<Value> got(3);
+  arena.decode(0, got.data());
+  EXPECT_EQ(got, a);
 }
 
 }  // namespace
