@@ -119,8 +119,9 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
     // Memoize on the canonical projected (config, ProcSet-orbit, ambient)
     // triple, so any two queries the engine cannot distinguish — same
     // P-states, registers, frozen-process decide bits — share one entry;
-    // audit ids stay in the roots_ space above. Ambient rides in bits the
-    // P mask can never reach (n <= 28 whenever facts/ambient are live).
+    // audit ids stay in the roots_ space above. Ambient rides in bits
+    // 60..61, which no P mask reaches: the constructor refuses reuse for
+    // n > 60.
     const sim::ReachGraph::Node node = graph_->intern_node(c, p, &last_perm_);
     key = PairKey{node.id,
                   node.pbits | (static_cast<std::uint64_t>(node.ambient) << 60)};

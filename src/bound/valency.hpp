@@ -4,10 +4,12 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 
 #include "sim/explorer.hpp"
 #include "sim/reach_graph.hpp"
+#include "util/require.hpp"
 
 namespace tsb::bound {
 
@@ -67,7 +69,8 @@ class ValencyOracle {
     /// shared graph is precisely what holds the memory.
     std::size_t max_arena_bytes = 0;
     std::uint64_t time_budget_ms = 0;
-    /// Shared-subgraph engine on/off (see class comment).
+    /// Shared-subgraph engine on/off (see class comment). On, it takes at
+    /// most 60 processes; the constructor throws util::UsageError past that.
     bool reuse = true;
     /// Out-of-core storage: past spill_threshold_bytes (0 = never) of
     /// resident bytes, the backend arena and the shared engine's edge
@@ -91,6 +94,15 @@ class ValencyOracle {
         roots_(proto.num_processes(), proto.num_registers(), "valency roots") {
     if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
       util::spill::require_usable_dir(opts_.spill_dir);
+    }
+    // The shared engine's memo key carries the ambient decide bits in bits
+    // 60..61 of the P mask (lookup), where process 60 or 61 would alias
+    // them.
+    if (opts_.reuse && proto.num_processes() > 60) {
+      throw util::UsageError(
+          "the shared valency engine supports at most 60 processes (got " +
+          std::to_string(proto.num_processes()) +
+          "); run with reuse off (--no-reuse)");
     }
     if (opts_.time_budget_ms > 0) {
       deadline_ = std::chrono::steady_clock::now() +

@@ -34,6 +34,11 @@ bool valid_renaming(std::uint64_t packed, int n) {
   }
   return seen == 0xFFu;
 }
+
+/// Symmetric-mode visit key: a node and its P-orbit bits.
+inline std::uint64_t orbit_key(ConfigId id, std::uint8_t pb) {
+  return (static_cast<std::uint64_t>(id) << 8) | pb;
+}
 }  // namespace
 
 // ---------------------------------------------------------------- FactMap
@@ -119,13 +124,16 @@ ReachGraph::ReachGraph(const Protocol& proto, Options opts)
   }
 }
 
+std::size_t ReachGraph::query_bytes() const {
+  return entries_.capacity() * sizeof(Entry) +
+         entry_perm_.capacity() * sizeof(ProcPerm) +
+         (mark_idx_.size() << kMarkShift) * sizeof(std::uint32_t) +
+         mark_idx_.capacity() * sizeof(mark_idx_[0]);
+}
+
 std::size_t ReachGraph::memory_bytes() const {
   return arena_.memory_bytes() + edge_resident_bytes() +
-         facts_.memory_bytes() + entries_.capacity() * sizeof(Entry) +
-         entry_perm_.capacity() * sizeof(ProcPerm) +
-         edges_.capacity() * sizeof(EdgeRec) +
-         (mark_epoch_.capacity() + mark_idx_.capacity()) *
-             sizeof(std::uint32_t);
+         facts_.memory_bytes() + query_bytes();
 }
 
 void ReachGraph::update_ledger() const {
@@ -135,12 +143,7 @@ void ReachGraph::update_ledger() const {
   ledger.set(obs::MemAccount::kReachNodes, arena_.memory_bytes());
   ledger.set(obs::MemAccount::kReachEdges, edge_resident_bytes());
   ledger.set(obs::MemAccount::kReachFacts, facts_.memory_bytes());
-  ledger.set(obs::MemAccount::kReachQuery,
-             entries_.capacity() * sizeof(Entry) +
-                 entry_perm_.capacity() * sizeof(ProcPerm) +
-                 edges_.capacity() * sizeof(EdgeRec) +
-                 (mark_epoch_.capacity() + mark_idx_.capacity()) *
-                     sizeof(std::uint32_t));
+  ledger.set(obs::MemAccount::kReachQuery, query_bytes());
   if (arena_.spill_enabled() || arena_.spilled_bytes() != 0) {
     // Disk-resident and mmap-resident bytes are tracked separately: the
     // spill file is not RAM (excluded from memory_bytes/budget), while
@@ -202,7 +205,19 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
       w.put_bytes(recs, nrecs * rec_bytes);
     });
   };
-  put_all(flags_, 1);
+  // Flags carry only their decide bits (0..1): the probe filter bits are
+  // derived from the fact map, and restore() rebuilds them from it.
+  flags_.for_each_segment(count, [&](const std::uint8_t* recs,
+                                     std::size_t nrecs) {
+    std::uint8_t buf[4096];
+    for (std::size_t i = 0; i < nrecs; i += sizeof buf) {
+      const std::size_t k = std::min(sizeof buf, nrecs - i);
+      for (std::size_t j = 0; j < k; ++j) {
+        buf[j] = static_cast<std::uint8_t>(recs[i + j] & 0x3);
+      }
+      w.put_bytes(buf, k);
+    }
+  });
   put_all(succ_, static_cast<std::size_t>(n_) * sizeof(ConfigId));
   if (sym_) {
     put_all(perm_, static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
@@ -245,7 +260,11 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
   if (sym_) perm_.ensure(count);
   if (count != 0) {
     const std::uint8_t* fb = r.get_bytes(count);
-    for (std::uint64_t i = 0; i < count; ++i) *flags_.write_ptr(i) = fb[i];
+    // Bits 2..7 on disk are ignored: the probe filter is rebuilt below
+    // from the facts themselves.
+    for (std::uint64_t i = 0; i < count; ++i) {
+      *flags_.write_ptr(i) = static_cast<std::uint8_t>(fb[i] & 0x3);
+    }
     const std::uint8_t* sb = r.get_bytes(edge_count * sizeof(ConfigId));
     for (std::uint64_t i = 0; i < count; ++i) {
       ConfigId* row = succ_.write_ptr(i);
@@ -286,7 +305,15 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
       throw util::CheckpointInvalid(
           "checkpoint graph section carries an empty-sentinel fact key");
     }
-    facts_.at_or_insert(key) = val;
+    const ConfigId id = static_cast<ConfigId>(key);
+    if (id >= count) {
+      throw util::CheckpointInvalid(
+          "checkpoint graph section carries a fact at node " +
+          std::to_string(id) + " but restores only " + std::to_string(count) +
+          " nodes");
+    }
+    fact_slot(id, key >> 34, static_cast<std::uint8_t>((key >> 32) & 0x3)) =
+        val;
   }
   edges_expanded_ = r.get_u64();
   edges_reused_ = r.get_u64();
@@ -375,12 +402,78 @@ Value ReachGraph::compute_successor(int q, Code* scodes, Value* sstates,
 }
 
 void ReachGraph::ensure_marks(ConfigId id) {
-  if (static_cast<std::size_t>(id) < mark_epoch_.size()) return;
-  // Geometric growth: ids arrive in insertion order, so growing to the
-  // arena's size exactly would mean one resize call per new configuration.
-  const std::size_t ns = std::max(arena_.size(), mark_epoch_.size() * 2);
-  mark_epoch_.resize(ns, 0);
-  mark_idx_.resize(ns, kNoEntry);
+  // Zero-filled: any word is a valid stale mark, the id check rejects it.
+  while (static_cast<std::size_t>(id) >= mark_idx_.size() << kMarkShift) {
+    mark_idx_.push_back(std::make_unique<std::uint32_t[]>(1u << kMarkShift));
+  }
+}
+
+std::uint8_t ReachGraph::fact_filter(std::uint64_t pbits,
+                                     std::uint8_t ambient) {
+  return static_cast<std::uint8_t>(4u << (mix64((pbits << 2) | ambient) % 6));
+}
+
+const std::uint32_t* ReachGraph::fact_find(ConfigId id, std::uint64_t pbits,
+                                           std::uint8_t ambient) const {
+  if (!facts_on_ || (*flags_.read(id) & fact_filter(pbits, ambient)) == 0) {
+    return nullptr;
+  }
+  return facts_.find(fact_key(id, pbits, ambient));
+}
+
+std::uint32_t& ReachGraph::fact_slot(ConfigId id, std::uint64_t pbits,
+                                     std::uint8_t ambient) {
+  // Read first: write_ptr faults a spilled flags segment back resident,
+  // which a bit that is already set does not need.
+  const std::uint8_t bit = fact_filter(pbits, ambient);
+  if ((*flags_.read(id) & bit) == 0) *flags_.write_ptr(id) |= bit;
+  return facts_.at_or_insert(fact_key(id, pbits, ambient));
+}
+
+std::uint8_t ReachGraph::child_pbits(ConfigId s, ProcPerm sigma,
+                                     std::uint64_t pb, ProcPerm* tau) {
+  ProcSet cpbs;
+  arena_.decode(s, sub_stage_.data());
+  *tau = refine_procset(sub_stage_.data(), n_, sigma.apply(ProcSet(pb)), &cpbs);
+  return static_cast<std::uint8_t>(cpbs.bits());
+}
+
+template <class Fn>
+void ReachGraph::for_each_pass_edge(Fn&& fn) {
+  const std::uint32_t ne = static_cast<std::uint32_t>(entries_.size());
+  for (std::uint32_t i = 0; i < ne; ++i) {
+    const Entry& e = entries_[i];
+    if ((e.fact & 0x3) == 0x3) continue;  // the walk skipped it too
+    const std::uint64_t pb = sym_ ? e.pbits : query_pbits_;
+    // Row snapshots, as in the walk: a spilled row decodes into a
+    // thread-local buffer that the next store read would clobber.
+    ConfigId srow[64];
+    std::memcpy(srow, succ_.read(e.id),
+                static_cast<std::size_t>(n_) * sizeof(ConfigId));
+    std::uint64_t prow[64];
+    if (sym_) {
+      std::memcpy(prow, perm_.read(e.id),
+                  static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
+    }
+    ProcSet(pb).for_each([&](int q) {
+      const ConfigId s = srow[q];
+      if (s == kNoConfig) return;  // q decided here: no edge
+      TSB_REQUIRE(s != kUnexpanded, "drained pass left an edge unexpanded");
+      std::uint32_t child;
+      if (sym_) {
+        ProcPerm tau;
+        const auto it =
+            visited_.find(orbit_key(s, child_pbits(s, ProcPerm(prow[q]), pb,
+                                                   &tau)));
+        TSB_REQUIRE(it != visited_.end(),
+                    "drained pass left a successor unvisited");
+        child = it->second;
+      } else {
+        child = mark(s);
+      }
+      fn(i, child, static_cast<std::uint8_t>(q));
+    });
+  }
 }
 
 void ReachGraph::maybe_spill_edges() {
@@ -449,8 +542,7 @@ std::uint8_t ReachGraph::subsume_root_bits(const Config& c, ProcSet p) {
     }
     const ConfigId id = arena_.find(sub_stage_.data());
     if (id == kNoConfig) continue;
-    const std::uint32_t* f = facts_.find(
-        (pbits << 34) | (static_cast<std::uint64_t>(ambient) << 32) | id);
+    const std::uint32_t* f = fact_find(id, pbits, ambient);
     if (f == nullptr) continue;
     for (int v = 0; v < 2; ++v) {
       if (((*f >> v) & 1) && !((*f >> (2 + v)) & 1)) {
@@ -478,36 +570,30 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
 
   entries_.clear();
   entry_perm_.clear();
-  edges_.clear();
-  if (sym_) {
-    visited_.clear();
-  } else if (++epoch_ == 0) {
-    std::fill(mark_epoch_.begin(), mark_epoch_.end(), 0);
-    epoch_ = 1;
-  }
+  if (sym_) visited_.clear();
 
   // Enter a node occurrence, deduplicating per query. Entry perms are
   // relative to the *canonical root* (identity there), so witnesses come
   // out in the canonical frame and memoize cleanly; callers translate via
   // pi0^-1.
   auto enter = [&](ConfigId id, std::uint8_t pb, std::uint32_t parent,
-                   std::uint8_t via, ProcPerm perm) -> std::uint32_t {
+                   std::uint8_t via, ProcPerm perm) {
     if (sym_) {
-      const std::uint64_t key = (static_cast<std::uint64_t>(id) << 8) | pb;
-      const auto [it, fresh] =
-          visited_.try_emplace(key, static_cast<std::uint32_t>(entries_.size()));
-      if (!fresh) return it->second;
+      if (!visited_.try_emplace(orbit_key(id, pb),
+                                static_cast<std::uint32_t>(entries_.size()))
+               .second) {
+        return;
+      }
     } else {
       ensure_marks(id);
-      if (mark_epoch_[id] == epoch_) return mark_idx_[id];
-      mark_epoch_[id] = epoch_;
-      mark_idx_[id] = static_cast<std::uint32_t>(entries_.size());
+      std::uint32_t& m = mark(id);
+      if (m < entries_.size() && entries_[m].id == id) return;
+      m = static_cast<std::uint32_t>(entries_.size());
     }
     const std::uint64_t fpb = sym_ ? pb : query_pbits_;
     entries_.push_back(Entry{id, parent, via, pb, fact_probe(id, fpb)});
     if (sym_) entry_perm_.push_back(perm);
     ++res.visited;
-    return static_cast<std::uint32_t>(entries_.size() - 1);
   };
 
   enter(root.id, static_cast<std::uint8_t>(sym_ ? root.pbits : 0), kNoEntry, 0,
@@ -528,8 +614,7 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
       entries_[0].fact |= neg_known;  // known, can stays 0
       // Persist into the root's exact fact slot so the next identical
       // query answers without re-probing the superset keys.
-      std::uint32_t& slot = facts_.at_or_insert(fact_key(root.id, root.pbits));
-      slot |= neg_known;
+      fact_slot(root.id, root.pbits, root.ambient) |= neg_known;
     }
   }
 
@@ -574,7 +659,7 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
     // persisted facts. Ambient bits count as decisions at every node
     // (frozen processes stay poised throughout the P-only subgraph).
     const std::uint8_t df =
-        static_cast<std::uint8_t>(*flags_.read(e.id) | query_ambient_);
+        static_cast<std::uint8_t>((*flags_.read(e.id) & 0x3) | query_ambient_);
     for (int v = 0; v < 2; ++v) {
       if (found[v] == kNoEntry && ((df >> v) & 1)) found[v] = cur;
     }
@@ -603,7 +688,6 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
     }
     if (recording_ && entries_.size() > opts_.fact_entry_cap) {
       recording_ = false;
-      edges_.clear();  // keeps capacity, which stays O(fact_entry_cap)
     }
 
     const std::uint64_t pb = sym_ ? e.pbits : query_pbits_;
@@ -645,8 +729,8 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
         arena_.prefetch(pend_h[npend]);
         ++npend;
       } else if (s != kNoConfig && !sym_ &&
-                 static_cast<std::size_t>(s) < mark_epoch_.size()) {
-        __builtin_prefetch(&mark_epoch_[s]);
+                 static_cast<std::size_t>(s >> kMarkShift) < mark_idx_.size()) {
+        __builtin_prefetch(&mark(s));
       }
     });
     int pend = 0;
@@ -683,22 +767,14 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
         ++edges_reused_;
         if (sym_) sigma = ProcPerm(prow[q]);
       }
-      std::uint32_t child;
       if (sym_) {
-        ProcSet cpbs;
-        arena_.decode(s, sub_stage_.data());
-        const ProcPerm tau = refine_procset(
-            sub_stage_.data(), n_, sigma.apply(ProcSet(pb)), &cpbs);
+        ProcPerm tau;
+        const std::uint8_t cpb = child_pbits(s, sigma, pb, &tau);
         const ProcPerm cperm =
             ProcPerm::compose(ProcPerm::compose(eperm, sigma), tau);
-        child = enter(s, static_cast<std::uint8_t>(cpbs.bits()), cur,
-                      static_cast<std::uint8_t>(q), cperm);
+        enter(s, cpb, cur, static_cast<std::uint8_t>(q), cperm);
       } else {
-        child = enter(s, 0, cur, static_cast<std::uint8_t>(q),
-                      ProcPerm::identity());
-      }
-      if (recording_) {
-        edges_.push_back(EdgeRec{cur, child, static_cast<std::uint8_t>(q)});
+        enter(s, 0, cur, static_cast<std::uint8_t>(q), ProcPerm::identity());
       }
     });
   }
@@ -713,8 +789,8 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
     std::uint64_t pb = sym_ ? entries_[ent].pbits : query_pbits_;
     ProcPerm pi = sym_ ? entry_perm_[ent] : ProcPerm::identity();
     while (true) {
-      if (((*flags_.read(id) | query_ambient_) >> v) & 1) return id;
-      const std::uint32_t* f = facts_.find(fact_key(id, pb));
+      if ((((*flags_.read(id) & 0x3) | query_ambient_) >> v) & 1) return id;
+      const std::uint32_t* f = fact_find(id, pb, query_ambient_);
       TSB_REQUIRE(f != nullptr && ((*f >> v) & 1) && ((*f >> (2 + v)) & 1),
                   "fact chase hit a node without a positive fact");
       const int q = static_cast<int>((*f >> (8 + 8 * v)) & 0xFF);
@@ -726,11 +802,8 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
                   "fact chase: next-hop edge missing");
       if (sym_) {
         const ProcPerm sigma(perm_.read(id)[q]);
-        ProcSet cpbs;
-        arena_.decode(s, sub_stage_.data());
-        const ProcPerm tau = refine_procset(sub_stage_.data(), n_,
-                                            sigma.apply(ProcSet(pb)), &cpbs);
-        pb = cpbs.bits();
+        ProcPerm tau;
+        pb = child_pbits(s, sigma, pb, &tau);
         pi = ProcPerm::compose(ProcPerm::compose(pi, sigma), tau);
       }
       id = s;
@@ -776,54 +849,67 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
     if (recording_ && !early && !res.truncated) {
       // The pass drained: every visited entry's answers are exact (skipped
       // subtrees were behind fully known facts). Propagate decisions
-      // backward over this pass's edges and persist the results.
+      // backward over this pass's edges and persist the results. The
+      // reverse edges are a counting sort of the walk's edges by target,
+      // re-derived from the stored successor rows in walk order, so each
+      // target's list keeps the (source, process) order the walk met it in.
+      // Counts land two slots up, so after the prefix sum rev_off[t + 1]
+      // is t's fill cursor and ends as the start of t + 1: target t's
+      // sources are [rev_off[t], rev_off[t + 1]). The scratch is local: the
+      // blocks go back to the allocator for the graph's own growth.
       const std::size_t ne = entries_.size();
-      rev_off_.assign(ne + 1, 0);
-      for (const EdgeRec& er : edges_) ++rev_off_[er.to + 1];
-      for (std::size_t i = 1; i <= ne; ++i) rev_off_[i] += rev_off_[i - 1];
-      rev_cursor_.assign(rev_off_.begin(), rev_off_.end() - 1);
-      rev_from_.resize(edges_.size());
-      rev_via_.resize(edges_.size());
-      for (const EdgeRec& er : edges_) {
-        const std::uint32_t slot = rev_cursor_[er.to]++;
-        rev_from_[slot] = er.from;
-        rev_via_[slot] = er.via;
-      }
-      pos_.assign(ne, 0);
-      wtmp_.assign(ne * 2, kWpUnset);
+      std::vector<std::uint32_t> rev_off(ne + 2, 0);
+      std::size_t nedges = 0;
+      for_each_pass_edge([&](std::uint32_t, std::uint32_t to, std::uint8_t) {
+        ++rev_off[to + 2];
+        ++nedges;
+      });
+      for (std::size_t i = 2; i <= ne + 1; ++i) rev_off[i] += rev_off[i - 1];
+      std::vector<std::uint32_t> rev_from(nedges);
+      std::vector<std::uint8_t> rev_via(nedges);
+      for_each_pass_edge(
+          [&](std::uint32_t from, std::uint32_t to, std::uint8_t via) {
+            const std::uint32_t slot = rev_off[to + 1]++;
+            rev_from[slot] = from;
+            rev_via[slot] = via;
+          });
+      std::vector<std::uint8_t> pos(ne, 0);     // bit v: can decide v
+      std::vector<std::uint8_t> wtmp(ne * 2, kWpUnset);  // next-hop procs
+      std::vector<std::uint32_t> work;
       for (int v = 0; v < 2; ++v) {
-        work_.clear();
+        work.clear();
         for (std::size_t i = 0; i < ne; ++i) {
           const Entry& ei = entries_[i];
-          const bool self = ((*flags_.read(ei.id) | query_ambient_) >> v) & 1;
+          const bool self =
+              (((*flags_.read(ei.id) & 0x3) | query_ambient_) >> v) & 1;
           const bool fact_pos =
               ((ei.fact >> v) & 1) && ((ei.fact >> (2 + v)) & 1);
           if (!self && !fact_pos) continue;
-          pos_[i] |= static_cast<std::uint8_t>(1u << v);
-          if (self) wtmp_[i * 2 + v] = kWpSelf;
-          work_.push_back(static_cast<std::uint32_t>(i));
+          pos[i] |= static_cast<std::uint8_t>(1u << v);
+          if (self) wtmp[i * 2 + v] = kWpSelf;
+          work.push_back(static_cast<std::uint32_t>(i));
         }
-        for (std::size_t k = 0; k < work_.size(); ++k) {
-          const std::uint32_t t = work_[k];
-          for (std::uint32_t s = rev_off_[t]; s < rev_off_[t + 1]; ++s) {
-            const std::uint32_t u = rev_from_[s];
-            if ((pos_[u] >> v) & 1) continue;
-            pos_[u] |= static_cast<std::uint8_t>(1u << v);
-            wtmp_[u * 2 + v] = rev_via_[s];
-            work_.push_back(u);
+        for (std::size_t k = 0; k < work.size(); ++k) {
+          const std::uint32_t t = work[k];
+          for (std::uint32_t s = rev_off[t]; s < rev_off[t + 1]; ++s) {
+            const std::uint32_t u = rev_from[s];
+            if ((pos[u] >> v) & 1) continue;
+            pos[u] |= static_cast<std::uint8_t>(1u << v);
+            wtmp[u * 2 + v] = rev_via[s];
+            work.push_back(u);
           }
         }
       }
       for (std::size_t i = 0; i < ne; ++i) {
         const Entry& ei = entries_[i];
         std::uint32_t& slot =
-            facts_.at_or_insert(fact_key(ei.id, sym_ ? ei.pbits : query_pbits_));
+            fact_slot(ei.id, sym_ ? ei.pbits : query_pbits_, query_ambient_);
         for (int v = 0; v < 2; ++v) {
           if ((slot >> v) & 1) continue;  // never overwrite a known fact
           slot |= 1u << v;
-          if ((pos_[i] >> v) & 1) {
+          if ((pos[i] >> v) & 1) {
             slot |= 1u << (2 + v);
-            std::uint8_t w = wtmp_[i * 2 + v];
+            std::uint8_t w = wtmp[i * 2 + v];
             if (w == kWpUnset) w = kWpSelf;
             slot |= static_cast<std::uint32_t>(w) << (8 + 8 * v);
           }
@@ -840,8 +926,8 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
         std::uint8_t via_down = kWpSelf;  // found entry decides itself
         while (true) {
           const Entry& et = entries_[t];
-          std::uint32_t& slot = facts_.at_or_insert(
-              fact_key(et.id, sym_ ? et.pbits : query_pbits_));
+          std::uint32_t& slot =
+              fact_slot(et.id, sym_ ? et.pbits : query_pbits_, query_ambient_);
           if (!((slot >> v) & 1)) {
             slot |= (1u << v) | (1u << (2 + v));
             slot |= static_cast<std::uint32_t>(via_down) << (8 + 8 * v);

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -221,10 +222,6 @@ class ReachGraph {
     std::uint8_t pbits;    ///< P in this node's frame (symmetric mode)
     std::uint8_t fact;     ///< cached fact bits (known/can) at enqueue
   };
-  struct EdgeRec {
-    std::uint32_t from, to;  ///< entry indices
-    std::uint8_t via;        ///< process in `from`'s frame
-  };
 
   /// Open-addressing (config, pbits, ambient) -> packed fact map. Packing:
   /// bit v = known[v], bit 2+v = can[v], byte 1+v = next-hop process of a
@@ -259,15 +256,26 @@ class ReachGraph {
     std::size_t count_ = 0;
   };
 
-  /// Folds the query-constant ambient bits in above the id; pbits sits
-  /// above those (facts_on_ caps n so nothing collides).
-  std::uint64_t fact_key(ConfigId id, std::uint64_t pbits) const {
-    return (pbits << 34) |
-           (static_cast<std::uint64_t>(query_ambient_) << 32) | id;
+  /// Folds the ambient bits in above the id; pbits sits above those
+  /// (facts_on_ caps n so nothing collides).
+  static std::uint64_t fact_key(ConfigId id, std::uint64_t pbits,
+                                std::uint8_t ambient) {
+    return (pbits << 34) | (static_cast<std::uint64_t>(ambient) << 32) | id;
   }
+  /// Probe filter: flags_ bits 2..7 of a node record which (P, ambient)
+  /// combinations, hashed to one of six bits, hold a fact there. A clear
+  /// bit proves the fact map has no such key, so the probe skips it.
+  static std::uint8_t fact_filter(std::uint64_t pbits, std::uint8_t ambient);
+  /// The fact stored for (id, pbits, ambient), or nullptr: every fact map
+  /// lookup goes through the node's filter bit first.
+  const std::uint32_t* fact_find(ConfigId id, std::uint64_t pbits,
+                                 std::uint8_t ambient) const;
+  /// The fact slot for (id, pbits, ambient), inserted empty if absent. The
+  /// one insert path: it sets the node's filter bit.
+  std::uint32_t& fact_slot(ConfigId id, std::uint64_t pbits,
+                           std::uint8_t ambient);
   std::uint8_t fact_probe(ConfigId id, std::uint64_t pbits) const {
-    if (!facts_on_) return 0;
-    const std::uint32_t* f = facts_.find(fact_key(id, pbits));
+    const std::uint32_t* f = fact_find(id, pbits, query_ambient_);
     return f ? static_cast<std::uint8_t>(*f & 0x0F) : 0;
   }
 
@@ -279,9 +287,27 @@ class ReachGraph {
   /// the successor, the one state word a step changes.
   Value compute_successor(int q, Code* scodes, Value* sstates,
                           ProcPerm* sigma);
+  /// Symmetric mode: the P-orbit bits, in the successor's frame, of node
+  /// s reached from a node with P-bits `pb` over an edge with renaming
+  /// `sigma`; *tau receives the refinement renaming. The walk, the witness
+  /// chase and the reverse-edge rebuild all key children through it.
+  std::uint8_t child_pbits(ConfigId s, ProcPerm sigma, std::uint64_t pb,
+                           ProcPerm* tau);
+  /// Call fn(from, to, via) for every edge of the current (drained) pass,
+  /// in walk order: entries ascending, skipping those a fully known fact
+  /// settled, then each entry's processes of P ascending, skipping
+  /// decided ones. The targets come from the stored successor rows.
+  template <class Fn>
+  void for_each_pass_edge(Fn&& fn);
   void check_budget();
   void update_ledger() const;
+  /// Bytes of the per-query walk scratch (the reach.query account).
+  std::size_t query_bytes() const;
+  /// Admit node ids up to `id` to the visit marks.
   void ensure_marks(ConfigId id);
+  std::uint32_t& mark(ConfigId id) {
+    return mark_idx_[id >> kMarkShift][id & ((1u << kMarkShift) - 1)];
+  }
   /// Spill cold full edge segments until their combined resident bytes
   /// drop to the spill threshold. Renamings go first (largest, read only
   /// on edge reuse), then successor rows, then the decide flags last
@@ -301,7 +327,9 @@ class ReachGraph {
 
   ConfigArena arena_;
   /// Per-node edge data, one spillable record per node id. flags_: bit v
-  /// set iff some process poised-decides v here. succ_: n successor ids
+  /// (v = 0, 1) set iff some process poised-decides v here; bits 2..7 are
+  /// the fact probe filter (fact_filter). Decide reads mask to bits 0..1,
+  /// and checkpoints store only those. succ_: n successor ids
   /// per node ([q] -> successor, kUnexpanded / kNoConfig sentinels).
   /// perm_: symmetric mode only, the renaming sigma per edge.
   util::spill::SpillStore<std::uint8_t> flags_;
@@ -323,10 +351,14 @@ class ReachGraph {
   std::vector<Entry> entries_;
   std::vector<ProcPerm> entry_perm_;  ///< symmetric mode: canonical-root
                                       ///< frame -> entry frame, per entry
-  std::vector<EdgeRec> edges_;
-  std::vector<std::uint32_t> mark_epoch_;  ///< asymmetric visited marks
-  std::vector<std::uint32_t> mark_idx_;
-  std::uint32_t epoch_ = 0;
+  /// Asymmetric visit marks, one word per node, as a sparse set (Briggs
+  /// and Torczon 1993): node id is visited in this pass iff m = mark(id)
+  /// satisfies m < entries_.size() && entries_[m].id == id, so a new pass
+  /// needs no clearing and stale words are harmless. The words live in
+  /// fixed chunks of 2^kMarkShift that are added as the arena grows and
+  /// never move: growth copies nothing and frees no block.
+  static constexpr unsigned kMarkShift = 14;
+  std::vector<std::unique_ptr<std::uint32_t[]>> mark_idx_;
   std::unordered_map<std::uint64_t, std::uint32_t> visited_;  ///< symmetric
   std::vector<Value> stage_;      ///< intern_node staging buffer
   std::vector<Value> sub_stage_;  ///< superset-projection probe staging
@@ -339,15 +371,6 @@ class ReachGraph {
   /// any.
   std::vector<Code> exp_codes_;
   std::vector<Value> exp_states_;
-
-  // Backward-propagation scratch.
-  std::vector<std::uint32_t> rev_off_;
-  std::vector<std::uint32_t> rev_cursor_;
-  std::vector<std::uint32_t> rev_from_;
-  std::vector<std::uint8_t> rev_via_;
-  std::vector<std::uint8_t> pos_;    ///< per entry: bit v = can decide v
-  std::vector<std::uint8_t> wtmp_;   ///< per entry * 2: next-hop proc
-  std::vector<std::uint32_t> work_;
 };
 
 }  // namespace tsb::sim

@@ -341,6 +341,37 @@ TEST(FactAnswers, DrainedPassAnswersRepeatAndPrefixQueriesForFree) {
   EXPECT_TRUE(prefix.can[1]);
 }
 
+TEST(VisitMarks, SmallPassAfterALargerOneVisitsNodesWithStaleMarks) {
+  // Visit marks are a sparse set: a node's mark word is whatever index the
+  // last pass that visited it gave it, so a later, smaller pass meets
+  // stale words that point inside its own entry range. Only the id check
+  // of the entry they point at tells those nodes apart from visited ones.
+  // Query a successor first (it becomes entry 0 of a large pass), then its
+  // parent: the parent's pass reaches that successor while holding just
+  // one entry, its root. With fact_entry_cap = 0 no pass persists the
+  // facts of a drained walk, so the parent's walk must match a cold
+  // engine's, entry for entry.
+  BallotConsensus proto(3, 9);
+  const Config c = sim::initial_config(proto, {1, 1, 1});
+  const ProcSet p = ProcSet::single(1).with(2);
+  const sim::ReachGraph::Options opts{.fact_entry_cap = 0};
+
+  sim::ReachGraph warm(proto, opts);
+  ProcPerm pi;
+  const auto large = warm.query(sim::step(proto, c, 1), p, &pi);
+  const auto small = warm.query(c, p, &pi);
+  sim::ReachGraph cold(proto, opts);
+  const auto fresh = cold.query(c, p, &pi);
+
+  ASSERT_FALSE(fresh.truncated);
+  EXPECT_GT(large.visited, 1u);
+  EXPECT_EQ(small.visited, fresh.visited);
+  EXPECT_EQ(small.expanded + small.reused, fresh.expanded + fresh.reused);
+  EXPECT_EQ(small.can[0], fresh.can[0]);
+  EXPECT_EQ(small.can[1], fresh.can[1]);
+  EXPECT_EQ(small.witness[1].steps(), fresh.witness[1].steps());
+}
+
 // --- differential: shared-subgraph engine vs fresh-BFS anchor ------------
 
 class DifferentialTest : public ::testing::TestWithParam<int> {

@@ -25,6 +25,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bound/adversary.hpp"
@@ -714,14 +715,16 @@ TEST(OracleState, FingerprintCoversVerdictAffectingOptions) {
 // --- Hostile graph sections ------------------------------------------------
 
 /// A CRC-valid "graph" section for `proto` with two nodes (all-zero and
-/// all-one words: a two-value dictionary and rows of code 0 and code 1), no
-/// facts, and the given per-node edge rows: `succ` holds 2 * n successor
-/// ids and, in symmetric mode, `perm` 2 * n renamings. Written through
-/// SectionWriter, so only the graph parser can refuse it.
-std::string write_graph_section(const std::string& tag,
-                                const sim::Protocol& proto,
-                                const std::vector<std::uint32_t>& succ,
-                                const std::vector<std::uint64_t>& perm) {
+/// all-one words: a two-value dictionary and rows of code 0 and code 1), the
+/// given per-node edge rows — `succ` holds 2 * n successor ids and, in
+/// symmetric mode, `perm` 2 * n renamings — and the given (key, value)
+/// facts. Written through SectionWriter, so only the graph parser can
+/// refuse it.
+std::string write_graph_section(
+    const std::string& tag, const sim::Protocol& proto,
+    const std::vector<std::uint32_t>& succ,
+    const std::vector<std::uint64_t>& perm,
+    const std::vector<std::pair<std::uint64_t, std::uint32_t>>& facts = {}) {
   const int n = proto.num_processes();
   const std::size_t words =
       static_cast<std::size_t>(n + proto.num_registers());
@@ -744,7 +747,11 @@ std::string write_graph_section(const std::string& tag,
   w.put_bytes(flags, sizeof flags);
   w.put_bytes(succ.data(), succ.size() * sizeof(std::uint32_t));
   if (!perm.empty()) w.put_bytes(perm.data(), perm.size() * sizeof(std::uint64_t));
-  w.put_u64(0);  // facts
+  w.put_u64(facts.size());
+  for (const auto& [key, val] : facts) {
+    w.put_u64(key);
+    w.put_u32(val);
+  }
   for (int i = 0; i < 4; ++i) w.put_u64(0);  // expansion counters
   w.end();
   w.finish();
@@ -797,6 +804,54 @@ TEST(GraphRestore, NonPermutationRenamingIsRefused) {
   EXPECT_THROW(
       restore_graph(proto, write_graph_section("perm_dup", proto, succ, perm)),
       CheckpointInvalid);
+}
+
+TEST(GraphRestore, RestoredFactsAnswerTheQueryWithTheSameWitness) {
+  // Facts are probed through per-node filter bits that checkpoints do not
+  // store (flags keep only their decide bits on disk), so restore() must
+  // rebuild the filter from the facts it loads, or every restored fact
+  // would be invisible to the next walk.
+  consensus::BallotConsensus proto(3, 9);
+  const sim::Config c = sim::initial_config(proto, {1, 1, 1});
+  const util::ProcSet p = util::ProcSet::single(1).with(2);
+  sim::ProcPerm pi;
+  sim::ReachGraph graph(proto, {});
+  ASSERT_FALSE(graph.query(c, p, &pi).from_facts);  // drains, persists facts
+  const auto before = graph.query(c, p, &pi);
+  ASSERT_TRUE(before.from_facts);
+  ASSERT_TRUE(before.can[1]);
+
+  const std::string path = tdir("graph_facts") + "/graph.bin";
+  {
+    SectionWriter w(path);
+    graph.save(w);
+    w.finish();
+  }
+  sim::ReachGraph restored(proto, {});
+  SectionReader r(path);
+  restored.restore(r);
+  const auto after = restored.query(c, p, &pi);
+  EXPECT_TRUE(after.from_facts);
+  EXPECT_EQ(after.expanded, 0u);
+  EXPECT_EQ(after.reused, 0u);
+  EXPECT_EQ(after.can[0], before.can[0]);
+  EXPECT_EQ(after.can[1], before.can[1]);
+  EXPECT_EQ(after.witness[1].steps(), before.witness[1].steps());
+  EXPECT_EQ(after.witness_id[1], before.witness_id[1]);
+}
+
+TEST(GraphRestore, FactAtAnUnrestoredNodeIsRefused) {
+  // A fact key's low 32 bits name its node; restore() marks that node's
+  // filter bit, so a node the section does not restore is refused.
+  consensus::BallotConsensus proto(3, 6);
+  const std::vector<std::uint32_t> succ(6, kUnexpanded);
+  const std::uint64_t p12 = std::uint64_t{0x6} << 34;  // P = {1, 2}
+  // Control: a fact at node 1 restores.
+  EXPECT_NO_THROW(restore_graph(
+      proto, write_graph_section("fact_ok", proto, succ, {}, {{p12 | 1, 0x1}})));
+  EXPECT_THROW(restore_graph(proto, write_graph_section("fact_bad", proto, succ,
+                                                        {}, {{p12 | 2, 0x1}})),
+               CheckpointInvalid);
 }
 
 // --- Adversary-level resume ------------------------------------------------

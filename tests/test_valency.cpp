@@ -127,5 +127,22 @@ TEST(Valency, SingletonValencyTracksSoloRun) {
   }
 }
 
+TEST(Valency, SharedEngineRefusesProcessIdsThatAliasTheAmbientBits) {
+  // The shared engine's memo key carries the ambient decide bits in bits
+  // 60..61 of the P mask. At n = 60 the P bits end at 59 and the engine
+  // answers; at n = 61 process 60 would alias ambient bit 0, so the
+  // oracle is refused unless it runs the fresh-BFS backend.
+  BallotConsensus at60(60, 60);
+  ValencyOracle oracle(at60);
+  const Config init =
+      sim::initial_config(at60, std::vector<Value>(60, Value{1}));
+  EXPECT_TRUE(oracle.can_decide(init, ProcSet::single(59), 1));
+  EXPECT_FALSE(oracle.can_decide(init, ProcSet::single(59), 0));
+
+  BallotConsensus at61(61, 61);
+  EXPECT_THROW(ValencyOracle{at61}, util::UsageError);
+  EXPECT_NO_THROW((ValencyOracle{at61, {.reuse = false}}));
+}
+
 }  // namespace
 }  // namespace tsb::bound
