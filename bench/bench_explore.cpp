@@ -108,7 +108,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
   // predictors so the first tier doesn't pay the cold-start tax the later
   // tiers dodge.
   {
-    sim::Explorer warmup(proto, {.max_configs = cap});
+    sim::Explorer warmup(proto, {.limits = {.max_configs = cap}});
     timed_explore(warmup, proto, n);
   }
 
@@ -158,7 +158,8 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
       });
     }
 
-    sim::Explorer explorer(proto, {.max_configs = cap, .stats_min_visited = 0});
+    sim::Explorer explorer(
+        proto, {.limits = {.max_configs = cap}, .stats_min_visited = 0});
     const RunResult r = timed_explore(explorer, proto, n);
 
     if (tier.ckpt) {
@@ -314,7 +315,7 @@ int main(int argc, char** argv) {
     std::size_t seq_visited = 0;
     bool seq_truncated = false;
     {
-      sim::Explorer explorer(proto, {.max_configs = cap});
+      sim::Explorer explorer(proto, {.limits = {.max_configs = cap}});
       const RunResult r = timed_explore(explorer, proto, n);
       seq_visited = r.visited;
       seq_truncated = r.truncated;
@@ -338,18 +339,21 @@ int main(int argc, char** argv) {
     // below), so the row isolates the codec + backing-file overhead; the
     // arena_spill column proves the run actually left RAM.
     {
-      sim::Explorer explorer(proto, {.max_configs = cap});
-      const bool armed = explorer.set_spill(".", 256 * 1024, 512);
+      // An unusable "." throws util::UsageError from the constructor.
+      sim::Explorer explorer(
+          proto, {.limits = {.max_configs = cap,
+                             .spill = {.dir = ".",
+                                       .threshold_bytes = 256 * 1024,
+                                       .seg_configs = 512}}});
       const RunResult r = timed_explore(explorer, proto, n);
-      if (armed && !r.truncated && !seq_truncated &&
-          r.visited != seq_visited) {
+      if (!r.truncated && !seq_truncated && r.visited != seq_visited) {
         std::cerr << "DETERMINISM VIOLATION: spilled run saw " << r.visited
                   << " configs, resident saw " << seq_visited << "\n";
         return 1;
       }
       const std::size_t spill_bytes = static_cast<std::size_t>(
           obs::MemLedger::global().peak(obs::MemAccount::kArenaSpill));
-      if (armed && spill_bytes == 0) {
+      if (spill_bytes == 0) {
         std::cerr << "SPILL NEVER ENGAGED: forced-spill row stayed resident\n";
         return 1;
       }

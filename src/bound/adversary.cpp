@@ -1,9 +1,12 @@
 #include "bound/adversary.hpp"
 
+#include <chrono>
+
 #include "obs/flight.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "obs/timeseries.hpp"
 #include "obs/trace_sink.hpp"
 #include "util/checkpoint.hpp"
 #include "util/require.hpp"
@@ -61,14 +64,21 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
     return out;
   }
 
-  ValencyOracle oracle(proto_,
-                       {.max_configs = opts_.valency_max_configs,
-                        .max_arena_bytes = opts_.valency_max_arena_bytes,
-                        .time_budget_ms = opts_.valency_time_budget_ms,
-                        .reuse = opts_.reuse,
-                        .spill_dir = opts_.spill_dir,
-                        .spill_threshold_bytes = opts_.spill_threshold_bytes,
-                        .spill_seg_configs = opts_.spill_seg_configs});
+  // The construction's one stopping policy: the wall-clock budget starts
+  // here, and the engines enforce the same deadline the ticks report.
+  using Clock = sim::Limits::Clock;
+  const sim::Limits limits{
+      .max_configs = opts_.valency_max_configs,
+      .max_bytes = opts_.valency_max_arena_bytes,
+      .deadline = opts_.valency_time_budget_ms == 0
+                      ? Clock::time_point::max()
+                      : Clock::now() + std::chrono::milliseconds(
+                                           opts_.valency_time_budget_ms),
+      .spill = {.dir = opts_.spill_dir,
+                .threshold_bytes = opts_.spill_threshold_bytes,
+                .seg_configs = opts_.spill_seg_configs}};
+  obs::telemetry::set_budgets(limits.max_bytes, limits.deadline);
+  ValencyOracle oracle(proto_, {.limits = limits, .reuse = opts_.reuse});
 
   // Checkpoint/resume wiring. The serializer captures the oracle by
   // reference, so it must be unregistered on every exit path before the

@@ -22,11 +22,12 @@ class SpaceBoundAdversary {
     /// so existing callers that set it still compile.
     int threads = 1;
     bool narrative = false;  ///< record a human-readable walkthrough
-    /// Graceful-degradation budgets passed through to the valency oracle
-    /// (see ValencyOracle::Options): arena heap cap in bytes and total
-    /// wall-clock budget in ms; 0 disables each. Exhaustion yields a
-    /// Result with budget_exhausted set — a distinct clean outcome, never
-    /// an OOM or a hang.
+    /// Graceful-degradation budgets: the valency engine's tracked heap
+    /// cap in bytes and the construction's wall-clock budget in ms,
+    /// counted from the start of run(); 0 disables each. run() builds them,
+    /// the configuration cap and the spill plan into one sim::Limits.
+    /// Exhaustion yields a Result with budget_exhausted set — a distinct
+    /// clean outcome, never an OOM or a hang.
     std::size_t valency_max_arena_bytes = 0;
     std::uint64_t valency_time_budget_ms = 0;
     /// Shared-subgraph valency engine (ValencyOracle::Options::reuse).
@@ -34,7 +35,7 @@ class SpaceBoundAdversary {
     /// anchor; identical verdicts and certificates either way.
     bool reuse = true;
     /// Out-of-core spill for the oracle's config and edge storage (see
-    /// ValencyOracle::Options). threshold 0 = all in RAM. Verdicts and
+    /// sim::Limits::Spill). threshold 0 = all in RAM. Verdicts and
     /// certificates are unchanged by spilling; it exists so campaigns past
     /// the RAM wall (n = 7) can keep the frontier advancing from disk. An
     /// unusable spill_dir makes run() throw util::UsageError up front.

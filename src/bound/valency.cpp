@@ -1,7 +1,6 @@
 #include "bound/valency.hpp"
 
 #include <cassert>
-#include <cerrno>
 
 #include "obs/flight.hpp"
 #include "obs/jsonl_sink.hpp"
@@ -83,30 +82,18 @@ Schedule ValencyOracle::decanonicalize(const Schedule& s,
   return Schedule(std::move(steps));
 }
 
-void ValencyOracle::check_deadline() const {
-  // Wall-clock watchdog: don't even start a pass past the deadline. Both
-  // backends re-check it mid-pass, so a single long pass cannot hang
-  // either.
-  if (deadline_ != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() >= deadline_) {
-    throw util::BudgetExhausted(
-        "valency oracle wall-clock budget exhausted (" +
-        std::to_string(opts_.time_budget_ms) + " ms)");
-  }
-}
-
 sim::ReachGraph& ValencyOracle::ensure_graph() {
   if (!graph_) {
     graph_ = std::make_unique<sim::ReachGraph>(
-        proto_, sim::ReachGraph::Options{
-                    .max_configs = opts_.max_configs,
-                    .max_arena_bytes = opts_.max_arena_bytes,
-                    .spill_dir = opts_.spill_dir,
-                    .spill_threshold_bytes = opts_.spill_threshold_bytes,
-                    .spill_seg_configs = opts_.spill_seg_configs});
-    graph_->set_deadline(deadline_);
+        proto_, sim::ReachGraph::Options{.limits = opts_.limits});
   }
   return *graph_;
+}
+
+void ValencyOracle::update_memo_ledger() const {
+  obs::MemLedger::global().set(
+      obs::MemAccount::kValencyMemo,
+      obs::node_map_bytes(memo_) + memo_witness_bytes_ + roots_.memory_bytes());
 }
 
 const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
@@ -175,19 +162,11 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
               "is unsound");
   const PairAnswer& stored = memo_.emplace(key, std::move(answer)).first->second;
   // Memo growth only happens here (one entry per miss), so this is the
-  // natural ledger refresh point. An approximation: node + entry bytes per
-  // bucket, the witness schedules' steps (accumulated — entries are never
-  // evicted), and the root-id arena.
+  // natural ledger refresh point.
   for (int v = 0; v < 2; ++v) {
     memo_witness_bytes_ += stored.witness[v].size() * sizeof(sim::ProcId);
   }
-  const std::size_t memo_bytes =
-      memo_.bucket_count() * sizeof(void*) +
-      memo_.size() *
-          (sizeof(PairKey) + sizeof(PairAnswer) + 2 * sizeof(void*)) +
-      memo_witness_bytes_;
-  obs::MemLedger::global().set(obs::MemAccount::kValencyMemo,
-                               memo_bytes + roots_.memory_bytes());
+  update_memo_ledger();
   return stored;
 }
 
@@ -195,7 +174,6 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair_shared(
     const Config& c, ProcSet p, sim::ReachGraph::QueryResult* qr,
     bool* replay_ok) {
   ++explorations_;
-  check_deadline();
   sim::ProcPerm perm;
   *qr = graph_->query(c, p, &perm);
   last_perm_ = perm;
@@ -221,7 +199,6 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair_shared(
 ValencyOracle::PairAnswer ValencyOracle::compute_pair(const Config& c,
                                                       ProcSet p) {
   ++explorations_;
-  check_deadline();
   const int n = proto_.num_processes();
   sim::ConfigId found[2] = {sim::kNoConfig, sim::kNoConfig};
   // One pass answers both values: scan each visited configuration for
@@ -238,28 +215,12 @@ ValencyOracle::PairAnswer ValencyOracle::compute_pair(const Config& c,
     return found[0] == sim::kNoConfig || found[1] == sim::kNoConfig;
   };
 
-  if (!seq_) {
-    seq_.emplace(proto_, sim::Explorer::Options{opts_.max_configs});
-    seq_->set_budget(opts_.max_arena_bytes, deadline_);
-    if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
-      if (!seq_->set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
-                           opts_.spill_seg_configs)) {
-        util::spill::throw_unusable_dir(opts_.spill_dir, errno);
-      }
-    }
-  }
+  if (!seq_) seq_.emplace(proto_, sim::Explorer::Options{opts_.limits});
   const sim::ExploreResult res = seq_->explore(c, p, visit);
 
   // A truncated pass can only under-report; positive answers found before
-  // the cap are still sound. A *budget* truncation with a value still
-  // unresolved must not produce a negative answer at all — the
-  // graceful-degradation contract is a distinct failure, not a verdict.
-  if (res.budget_exhausted &&
-      (found[0] == sim::kNoConfig || found[1] == sim::kNoConfig)) {
-    throw util::BudgetExhausted(
-        "valency query exceeded its memory/time budget with a value "
-        "undetermined; negative answers would be unsound");
-  }
+  // the cap are still sound. (A budget trip never gets here: it throws
+  // out of explore().)
   if (res.truncated) ever_truncated_ = true;
   PairAnswer answer;
   for (int v = 0; v < 2; ++v) {
@@ -281,10 +242,10 @@ std::string ValencyOracle::state_fingerprint() const {
   return "proto=" + proto_.name() +
          " n=" + std::to_string(proto_.num_processes()) +
          " m=" + std::to_string(proto_.num_registers()) +
-         " cap=" + std::to_string(opts_.max_configs) +
+         " cap=" + std::to_string(opts_.limits.max_configs) +
          " reuse=" + (opts_.reuse ? std::string("1") : std::string("0")) +
-         " spill_thresh=" + std::to_string(opts_.spill_threshold_bytes) +
-         " spill_seg=" + std::to_string(opts_.spill_seg_configs) +
+         " spill_thresh=" + std::to_string(opts_.limits.spill.threshold_bytes) +
+         " spill_seg=" + std::to_string(opts_.limits.spill.seg_configs) +
          " ckpt_fmt=" + std::to_string(util::ckpt::kFormatVersion);
 }
 
@@ -386,13 +347,7 @@ void ValencyOracle::restore_state(util::ckpt::SectionReader& r) {
     ensure_graph().restore(r);
   }
 
-  const std::size_t memo_bytes =
-      memo_.bucket_count() * sizeof(void*) +
-      memo_.size() *
-          (sizeof(PairKey) + sizeof(PairAnswer) + 2 * sizeof(void*)) +
-      memo_witness_bytes_;
-  obs::MemLedger::global().set(obs::MemAccount::kValencyMemo,
-                               memo_bytes + roots_.memory_bytes());
+  update_memo_ledger();
 }
 
 }  // namespace tsb::bound

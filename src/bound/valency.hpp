@@ -1,11 +1,11 @@
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "sim/explorer.hpp"
 #include "sim/reach_graph.hpp"
@@ -58,42 +58,26 @@ using sim::Value;
 class ValencyOracle {
  public:
   struct Options {
-    std::size_t max_configs = 2'000'000;
-    /// Graceful-degradation budgets. When a reachability pass would push
-    /// the arena past `max_arena_bytes` (0 = uncapped), or any pass runs
-    /// past `time_budget_ms` of wall clock measured from the oracle's
-    /// construction (0 = no watchdog), the query throws
-    /// util::BudgetExhausted rather than returning an unsound negative
-    /// answer or OOMing/hanging. With reuse = true the byte budget covers
-    /// the whole persistent graph (cumulative across queries), since the
-    /// shared graph is precisely what holds the memory.
-    std::size_t max_arena_bytes = 0;
-    std::uint64_t time_budget_ms = 0;
+    /// The per-pass configuration cap, the memory/time budget and the
+    /// spill plan (sim::Limits), handed as one value to whichever engine
+    /// runs the passes. A budget trip throws util::BudgetExhausted out of
+    /// the query rather than returning an unsound negative answer or
+    /// OOMing/hanging. An armed spill plan with an unusable directory is
+    /// refused at construction (util::UsageError).
+    sim::Limits limits{};
     /// Shared-subgraph engine on/off (see class comment). On, it takes at
     /// most 60 processes; the constructor throws util::UsageError past that.
     bool reuse = true;
-    /// Out-of-core storage: past spill_threshold_bytes (0 = never) of
-    /// resident bytes, the backend arena and the shared engine's edge
-    /// stores compress cold full segments to unlinked files under
-    /// spill_dir and read them back through mmap. Verdicts and witnesses
-    /// are unchanged; max_arena_bytes keeps capping RAM (spilled bytes
-    /// leave it), so spill + budget together turn "OOM at n = 7" into
-    /// "slower but finishes". spill_seg_configs (0 = default) shrinks
-    /// segments so tests/CI can force spilling on tiny campaigns. An
-    /// unusable spill_dir is refused at construction (util::UsageError).
-    std::string spill_dir = ".";
-    std::size_t spill_threshold_bytes = 0;
-    std::size_t spill_seg_configs = 0;
   };
 
   explicit ValencyOracle(const Protocol& proto)
       : ValencyOracle(proto, Options{}) {}
   ValencyOracle(const Protocol& proto, Options opts)
       : proto_(proto),
-        opts_(opts),
+        opts_(std::move(opts)),
         roots_(proto.num_processes(), proto.num_registers(), "valency roots") {
-    if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
-      util::spill::require_usable_dir(opts_.spill_dir);
+    if (opts_.limits.spill.armed()) {
+      util::spill::require_usable_dir(opts_.limits.spill.dir);
     }
     // The shared engine's memo key carries the ambient decide bits in bits
     // 60..61 of the P mask (lookup), where process 60 or 61 would alias
@@ -103,10 +87,6 @@ class ValencyOracle {
           "the shared valency engine supports at most 60 processes (got " +
           std::to_string(proto.num_processes()) +
           "); run with reuse off (--no-reuse)");
-    }
-    if (opts_.time_budget_ms > 0) {
-      deadline_ = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(opts_.time_budget_ms);
     }
   }
 
@@ -244,7 +224,9 @@ class ValencyOracle {
                                  sim::ReachGraph::QueryResult* qr,
                                  bool* replay_ok);
   Schedule decanonicalize(const Schedule& s, sim::ProcPerm pi) const;
-  void check_deadline() const;
+  /// Refresh the valency.memo ledger account: the pair memo, its witness
+  /// steps (accumulated — entries are never evicted) and the root arena.
+  void update_memo_ledger() const;
 
   const Protocol& proto_;
   Options opts_;
@@ -254,8 +236,6 @@ class ValencyOracle {
   std::optional<sim::Explorer> seq_;        ///< reuse = false backend,
                                             ///< reused across queries
   std::unique_ptr<sim::ReachGraph> graph_;  ///< reuse = true backend
-  std::chrono::steady_clock::time_point deadline_ =
-      std::chrono::steady_clock::time_point::max();
   bool ever_truncated_ = false;
   std::size_t queries_ = 0;
   std::size_t cache_hits_ = 0;

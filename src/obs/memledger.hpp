@@ -1,6 +1,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -23,7 +24,8 @@ enum class MemAccount : int {
   kGraphSpill,       ///< compressed bytes in edge-store spill backing files
   kGraphMapped,      ///< mmap'd (clean, file-backed) edge spill block bytes
   kReachFacts,       ///< shared reach graph: persisted fact map
-  kReachQuery,       ///< shared reach graph: per-query entry/edge/mark state
+  kReachQuery,       ///< shared reach graph: per-query entries, visit marks
+                     ///< or map, drained-pass propagation scratch
   kValencyMemo,      ///< valency oracle: pair memo + root-id arena
   kCkptState,        ///< last checkpoint state file's on-disk bytes
   kCount
@@ -110,5 +112,15 @@ class MemLedger {
 /// "412.0MiB" / "87.5KiB" / "640B" — shared by the budget report, heartbeat
 /// lines and `tsb monitor`.
 std::string format_bytes(std::uint64_t bytes);
+
+/// Ledger estimate of a node-based hash map (std::unordered_map): one
+/// pointer per bucket, and per entry its key and value plus two pointers
+/// of node overhead.
+template <class Map>
+std::size_t node_map_bytes(const Map& m) {
+  return m.bucket_count() * sizeof(void*) +
+         m.size() * (sizeof(typename Map::key_type) +
+                     sizeof(typename Map::mapped_type) + 2 * sizeof(void*));
+}
 
 }  // namespace tsb::obs

@@ -37,17 +37,18 @@ double g_prev_t = 0.0;
 void reset() {
   std::lock_guard<std::mutex> lock(g_mu);
   g_tick = 0;
+  g_mem_budget = 0;
+  g_deadline = std::chrono::steady_clock::time_point::max();
   g_prev_phase.clear();
   g_prev_visited = -1;
   g_prev_t = 0.0;
 }
 
-void set_budgets(std::uint64_t mem_bytes, std::uint64_t time_ms) {
+void set_budgets(std::uint64_t mem_bytes,
+                 std::chrono::steady_clock::time_point deadline) {
   std::lock_guard<std::mutex> lock(g_mu);
   g_mem_budget = mem_bytes;
-  g_deadline = time_ms == 0 ? std::chrono::steady_clock::time_point::max()
-                            : std::chrono::steady_clock::now() +
-                                  std::chrono::milliseconds(time_ms);
+  g_deadline = deadline;
 }
 
 void set_tick_base(std::uint64_t base) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 
 #include "obs/progress.hpp"
@@ -10,17 +11,18 @@ namespace tsb::obs::telemetry {
 /// Heartbeat tick appends one {"type":"telemetry.tick",...} record to
 /// stats_sink(). There is no separate file or gate.
 
-/// Start a new timeline: tick ids restart at 0 and the interval-rate
-/// baseline is dropped. The CLI calls it right after opening the stats file
-/// for a run command — a file is one run.
+/// Start a new timeline: tick ids restart at 0, the interval-rate
+/// baseline is dropped and the budgets are cleared. The CLI calls it right
+/// after opening the stats file for a run command — a file is one run.
 void reset();
 
-/// Budgets the ticks carry (the CLI forwards --mem-budget and
-/// --time-budget-ms). mem_bytes is written as `mem_budget` on each tick, the
-/// input of RunReport's ledger-runaway rule; time_ms fixes a deadline
-/// `time_ms` from now, reported as `deadline_s` (seconds left) on each
-/// tick. 0 disables either, and its field is then absent.
-void set_budgets(std::uint64_t mem_bytes, std::uint64_t time_ms);
+/// Budgets the ticks carry: the ones a construction enforces, set by
+/// SpaceBoundAdversary from its sim::Limits. mem_bytes is written as
+/// `mem_budget` on each tick, the input of RunReport's ledger-runaway rule
+/// (0 = none); the deadline is reported as `deadline_s` (seconds left) on
+/// each tick (time_point::max() = none). An unset budget's field is absent.
+void set_budgets(std::uint64_t mem_bytes,
+                 std::chrono::steady_clock::time_point deadline);
 
 /// First tick id the next ticks will use. A resumed run passes the tick
 /// count recorded in the checkpoint manifest so tick ids stay monotonic

@@ -1,6 +1,9 @@
 #include "sim/explorer.hpp"
 
 #include <algorithm>
+#include <cerrno>
+
+#include "util/spill_store.hpp"
 
 namespace tsb::sim {
 
@@ -92,6 +95,20 @@ void LevelStatsTracker::done(const ConfigArena& arena,
                  .render());
 }
 }  // namespace detail
+
+Explorer::Explorer(const Protocol& proto, Options opts)
+    : proto_(proto),
+      opts_(std::move(opts)),
+      arena_(proto.num_processes(), proto.num_registers(), "explorer"),
+      pvals_(arena_.words_per_config()),
+      pcodes_(arena_.words_per_config()),
+      scodes_(arena_.words_per_config()) {
+  const Limits::Spill& spill = opts_.limits.spill;
+  if (spill.armed() &&
+      !arena_.set_spill(spill.dir, spill.threshold_bytes, spill.seg_configs)) {
+    util::spill::throw_unusable_dir(spill.dir, errno);
+  }
+}
 
 std::optional<Schedule> Explorer::witness(const Config& target) const {
   std::vector<Value> packed(arena_.words_per_config());

@@ -13,6 +13,7 @@
 #include "obs/progress.hpp"
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
+#include "sim/limits.hpp"
 #include "util/checkpoint.hpp"
 
 namespace tsb::sim {
@@ -31,11 +32,6 @@ ExploreMetrics& explore_metrics();
 struct ExploreResult {
   bool truncated = false;       ///< hit max_configs before exhausting
   bool aborted = false;         ///< visitor returned false
-  /// The truncation came from a set_budget() memory or wall-clock budget
-  /// rather than the configuration cap — the graceful-degradation signal
-  /// callers surface as a distinct "budget-exhausted" status. Implies
-  /// truncated.
-  bool budget_exhausted = false;
   std::size_t visited = 0;      ///< configurations enumerated
   std::optional<Config> abort_config;  ///< config the visitor stopped on
 };
@@ -111,7 +107,14 @@ class LevelStatsTracker {
 class Explorer {
  public:
   struct Options {
-    std::size_t max_configs = 2'000'000;
+    /// The per-pass configuration cap, the memory/time budget and the
+    /// spill plan (sim::Limits). The budget is checked on the first
+    /// expansion and every 256th; a trip throws util::BudgetExhausted out
+    /// of explore(). With the spill plan armed, cold arena segments
+    /// compress to an unlinked backing file, so a memory budget caps RAM
+    /// while the reachable set keeps growing on disk; an unusable spill
+    /// directory throws util::UsageError from the constructor.
+    Limits limits{};
     /// Runs visiting fewer configurations than this keep only their
     /// "explore.done" summary in the stats JSONL; per-level records are
     /// dropped (see detail::LevelStatsTracker).
@@ -121,44 +124,12 @@ class Explorer {
   using Result = ExploreResult;
 
   explicit Explorer(const Protocol& proto) : Explorer(proto, Options{}) {}
-  Explorer(const Protocol& proto, Options opts)
-      : proto_(proto),
-        opts_(opts),
-        arena_(proto.num_processes(), proto.num_registers(), "explorer"),
-        pvals_(arena_.words_per_config()),
-        pcodes_(arena_.words_per_config()),
-        scodes_(arena_.words_per_config()) {}
+  Explorer(const Protocol& proto, Options opts);
 
-  /// Graceful-degradation budgets: when the exploration's tracked heap
-  /// footprint (tracked_bytes(), the same arithmetic the memory ledger
-  /// reports) reaches `max_arena_bytes` (0 = uncapped) or the wall clock
-  /// passes `deadline` (time_point::max() = none), explore() stops cleanly
-  /// with truncated + budget_exhausted set instead of growing without
-  /// bound. Unlike the configuration cap, budget truncation points are
-  /// machine-dependent.
-  void set_budget(std::size_t max_arena_bytes,
-                  std::chrono::steady_clock::time_point deadline) {
-    budget_bytes_ = max_arena_bytes;
-    budget_deadline_ = deadline;
-  }
-
-  /// Out-of-core operation: cold arena segments spill (delta/varint
-  /// compressed) to an unlinked backing file under `dir` once resident
-  /// row bytes exceed `threshold_bytes`. Spilled bytes leave
-  /// tracked_bytes(), so a memory budget caps RAM while the reachable set
-  /// keeps growing on disk. Call before the first explore(). Returns
-  /// false (and leaves spilling off) if the directory is unusable.
-  /// `seg_configs_hint` shrinks segments for tests that must spill on
-  /// tiny runs.
-  bool set_spill(const std::string& dir, std::size_t threshold_bytes,
-                 std::size_t seg_configs_hint = 0) {
-    return arena_.set_spill(dir, threshold_bytes, seg_configs_hint);
-  }
-
-  /// Heap bytes this exploration owns — the quantity set_budget() caps and
-  /// the ledger's arena.words/arena.table/explore.frontier accounts sum to.
-  /// Replaces the raw-RSS proxy budget checks used before the ledger: RSS
-  /// counts every subsystem at once and cannot attribute an overrun.
+  /// Heap bytes this exploration owns — the quantity the memory budget
+  /// caps and the ledger's arena.words/arena.table/explore.frontier
+  /// accounts sum to. RSS would count every subsystem at once and could
+  /// not attribute an overrun.
   std::size_t tracked_bytes() const {
     return arena_.memory_bytes() + frontier_bytes();
   }
@@ -220,31 +191,16 @@ class Explorer {
                             static_cast<std::int64_t>(level_idx),
                             static_cast<std::int64_t>(level_end - level_start));
       }
-      if (arena_.size() >= opts_.max_configs) {
+      if (arena_.size() >= opts_.limits.max_configs) {
         res.truncated = true;
         break;
       }
-      if (budget_bytes_ != 0 && tracked_bytes() >= budget_bytes_) {
-        update_ledger();
-        obs::flight::record(obs::flight::Ev::kBudgetTrip,
-                            static_cast<std::int64_t>(tracked_bytes()),
-                            static_cast<std::int64_t>(budget_bytes_));
-        res.truncated = true;
-        res.budget_exhausted = true;
-        break;
-      }
-      ++expanded;
       // Checked on the first expansion and then every 256th: an
-      // already-expired deadline truncates immediately, even on graphs far
-      // smaller than the check interval.
-      if ((expanded & 0xFF) == 1 &&
-          budget_deadline_ != std::chrono::steady_clock::time_point::max() &&
-          std::chrono::steady_clock::now() >= budget_deadline_) {
-        obs::flight::record(obs::flight::Ev::kBudgetTrip,
-                            static_cast<std::int64_t>(tracked_bytes()), 0);
-        res.truncated = true;
-        res.budget_exhausted = true;
-        break;
+      // already-expired budget trips at once, even on graphs far smaller
+      // than the check interval.
+      if ((++expanded & 0xFF) == 1) {
+        update_ledger();
+        opts_.limits.check(tracked_bytes(), "explorer");
       }
       if ((expanded & 0xFFF) == 0) {
         // Quiescent point: per-pass BFS state is rebuilt by replay on
@@ -267,7 +223,7 @@ class Explorer {
           s.level = static_cast<std::int64_t>(level_idx);
           s.frontier = static_cast<std::int64_t>(arena_.size() - head);
           s.visited = static_cast<std::int64_t>(res.visited);
-          s.cap = static_cast<std::int64_t>(opts_.max_configs);
+          s.cap = static_cast<std::int64_t>(opts_.limits.max_configs);
         });
       }
       const ConfigId cur = head++;
@@ -356,9 +312,6 @@ class Explorer {
 
   const Protocol& proto_;
   Options opts_;
-  std::size_t budget_bytes_ = 0;
-  std::chrono::steady_clock::time_point budget_deadline_ =
-      std::chrono::steady_clock::time_point::max();
 
   // BFS bookkeeping from the most recent explore() call, kept for witness
   // reconstruction.

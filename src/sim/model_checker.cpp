@@ -53,7 +53,7 @@ std::string ModelChecker::Report::summary() const {
 
 ModelChecker::Report ModelChecker::check(
     const std::vector<std::vector<Value>>& input_vectors) {
-  Explorer explorer(proto_, {.max_configs = opts_.max_configs});
+  Explorer explorer(proto_, {.limits = {.max_configs = opts_.max_configs}});
   Report rep;
   const int n = proto_.num_processes();
   const ProcSet everyone = ProcSet::first_n(n);

@@ -111,15 +111,16 @@ ReachGraph::ReachGraph(const Protocol& proto, Options opts)
     perm_.init("graph.perm", static_cast<std::size_t>(n_),
                ProcPerm::identity().packed());
   }
-  if (opts_.spill_threshold_bytes != 0 && !opts_.spill_dir.empty()) {
+  const Limits::Spill& spill = opts_.limits.spill;
+  if (spill.armed()) {
     // The edge stores share the arena's segment-size hint so CI smoke
     // runs that shrink segments to force spilling force it everywhere.
-    if (!arena_.set_spill(opts_.spill_dir, opts_.spill_threshold_bytes,
-                          opts_.spill_seg_configs) ||
-        !flags_.set_spill(opts_.spill_dir, opts_.spill_seg_configs) ||
-        !succ_.set_spill(opts_.spill_dir, opts_.spill_seg_configs) ||
-        (sym_ && !perm_.set_spill(opts_.spill_dir, opts_.spill_seg_configs))) {
-      util::spill::throw_unusable_dir(opts_.spill_dir, errno);
+    if (!arena_.set_spill(spill.dir, spill.threshold_bytes,
+                          spill.seg_configs) ||
+        !flags_.set_spill(spill.dir, spill.seg_configs) ||
+        !succ_.set_spill(spill.dir, spill.seg_configs) ||
+        (sym_ && !perm_.set_spill(spill.dir, spill.seg_configs))) {
+      util::spill::throw_unusable_dir(spill.dir, errno);
     }
   }
 }
@@ -128,7 +129,8 @@ std::size_t ReachGraph::query_bytes() const {
   return entries_.capacity() * sizeof(Entry) +
          entry_perm_.capacity() * sizeof(ProcPerm) +
          (mark_idx_.size() << kMarkShift) * sizeof(std::uint32_t) +
-         mark_idx_.capacity() * sizeof(mark_idx_[0]);
+         mark_idx_.capacity() * sizeof(mark_idx_[0]) +
+         obs::node_map_bytes(visited_) + drain_bytes_;
 }
 
 std::size_t ReachGraph::memory_bytes() const {
@@ -158,33 +160,10 @@ void ReachGraph::update_ledger() const {
 }
 
 void ReachGraph::check_budget() {
-  // The budget poll doubles as the ledger refresh and a flight-recorder
-  // breadcrumb: every 256 BFS steps, current tracked bytes vs budget.
+  // The budget poll doubles as the ledger refresh: the check's breadcrumb
+  // and any trip message then carry the graph's current tracked bytes.
   update_ledger();
-  const std::size_t bytes = memory_bytes();
-  obs::flight::record(obs::flight::Ev::kBudgetCheck,
-                      static_cast<std::int64_t>(bytes),
-                      static_cast<std::int64_t>(opts_.max_arena_bytes));
-  if (opts_.max_arena_bytes != 0 && bytes >= opts_.max_arena_bytes) {
-    obs::flight::record(obs::flight::Ev::kBudgetTrip,
-                        static_cast<std::int64_t>(bytes),
-                        static_cast<std::int64_t>(opts_.max_arena_bytes));
-    throw util::BudgetExhausted(
-        "reachability engine memory budget exhausted (" +
-        std::to_string(opts_.max_arena_bytes) +
-        " bytes; the shared graph is cumulative across queries) after " +
-        std::to_string(arena_.size()) + " graph nodes; ledger: " +
-        obs::MemLedger::global().attribution(3));
-  }
-  if (deadline_ != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() >= deadline_) {
-    obs::flight::record(obs::flight::Ev::kBudgetTrip,
-                        static_cast<std::int64_t>(bytes), 0);
-    throw util::BudgetExhausted(
-        "valency wall-clock budget exhausted during a shared-graph query; "
-        "ledger: " +
-        obs::MemLedger::global().attribution(3));
-  }
+  opts_.limits.check(memory_bytes(), "reach graph");
 }
 
 void ReachGraph::save(util::ckpt::SectionWriter& w) const {
@@ -478,7 +457,7 @@ void ReachGraph::for_each_pass_edge(Fn&& fn) {
 
 void ReachGraph::maybe_spill_edges() {
   if (!arena_.spill_enabled()) return;
-  const std::size_t target = opts_.spill_threshold_bytes;
+  const std::size_t target = opts_.limits.spill.threshold_bytes;
   std::size_t resident = edge_resident_bytes();
   if (resident <= target) return;
   std::size_t over = resident - target;
@@ -648,7 +627,7 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
       hb.beat([&](obs::Sample& s) {
         s.frontier = static_cast<std::int64_t>(entries_.size() - head);
         s.visited = static_cast<std::int64_t>(arena_.size());
-        s.cap = static_cast<std::int64_t>(opts_.max_configs);
+        s.cap = static_cast<std::int64_t>(opts_.limits.max_configs);
       });
     }
     const std::uint32_t cur = static_cast<std::uint32_t>(head++);
@@ -682,7 +661,7 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
     // pass exact, because the skipped node's answers are themselves exact.
     if ((e.fact & 0x3) == 0x3) continue;
 
-    if (entries_.size() >= opts_.max_configs) {
+    if (entries_.size() >= opts_.limits.max_configs) {
       res.truncated = true;
       break;
     }
@@ -900,6 +879,13 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
           }
         }
       }
+      // The scratch is at its peak here: count it against the budget
+      // before the fact writes, and drop it from the ledger after them.
+      drain_bytes_ = (rev_off.capacity() + rev_from.capacity() +
+                      work.capacity()) *
+                         sizeof(std::uint32_t) +
+                     rev_via.capacity() + pos.capacity() + wtmp.capacity();
+      check_budget();
       for (std::size_t i = 0; i < ne; ++i) {
         const Entry& ei = entries_[i];
         std::uint32_t& slot =
@@ -915,6 +901,8 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
           }
         }
       }
+      drain_bytes_ = 0;
+      update_ledger();
     } else {
       // Interrupted pass (early exit or cap) or one past fact_entry_cap:
       // only the found witness paths are certainly positive; record those

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -10,6 +9,7 @@
 #include "sim/canonical.hpp"
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
+#include "sim/limits.hpp"
 #include "util/spill_store.hpp"
 
 namespace tsb::util::ckpt {
@@ -73,9 +73,20 @@ namespace tsb::sim {
 class ReachGraph {
  public:
   struct Options {
-    /// Per-query visited cap (BFS entries); hitting it truncates the query
-    /// (negative answers unsound — callers surface ever_truncated).
-    std::size_t max_configs = 2'000'000;
+    /// The per-query visited cap (BFS entries; hitting it truncates the
+    /// query, negative answers unsound — callers surface ever_truncated),
+    /// the memory/time budget and the spill plan (sim::Limits). The byte
+    /// budget covers the whole engine, cumulatively across queries — the
+    /// shared graph is the point — so once tripped, every later query
+    /// throws util::BudgetExhausted too. With the spill plan armed, the
+    /// node arena and each per-node edge store (successor ids, per-edge
+    /// renamings, decide flags) compress their cold full segments to
+    /// unlinked backing files, each down to the threshold on its own, so
+    /// resident spillable bytes can reach about twice it. Unlike the
+    /// explorer's cold-prefix pattern, re-probes of spilled nodes pay a
+    /// decode: spilling trades query speed for the ability to finish at
+    /// all. An unusable spill directory throws util::UsageError.
+    Limits limits{};
     /// Passes with at most this many entries persist full fact coverage on
     /// drain (edges recorded, decisions back-propagated, every entry
     /// facted). Bigger passes only persist their witness paths: the lemma
@@ -84,37 +95,9 @@ class ReachGraph {
     /// records and fact-map churn for entries no later query probes.
     /// Facts are an optimization — any cap is sound.
     std::size_t fact_entry_cap = 1u << 16;
-    /// Whole-engine heap budget (0 = uncapped). Unlike the fresh-BFS
-    /// explorers this is cumulative across queries — the shared graph is
-    /// the point — so once tripped, every later query throws
-    /// util::BudgetExhausted too.
-    std::size_t max_arena_bytes = 0;
-    /// Out-of-core storage: with spill_threshold_bytes != 0 the node arena
-    /// and each per-node edge store (successor ids, per-edge renamings,
-    /// decide flags) delta/varint-compress their cold full segments to
-    /// unlinked backing files under spill_dir and read them back through
-    /// mmap on demand. The arena and the edge stores each spill down to
-    /// the threshold on their own, so resident spillable bytes can reach
-    /// about twice it. Spilled bytes leave memory_bytes(), so
-    /// max_arena_bytes caps RAM while the graph keeps growing on disk.
-    /// Unlike the explorer's cold-prefix pattern, re-probes of spilled
-    /// nodes pay a decode — spilling trades query speed for the ability to
-    /// finish at all. An unusable spill_dir throws util::UsageError.
-    std::string spill_dir = ".";
-    std::size_t spill_threshold_bytes = 0;
-    /// Records per arena and edge segment (power of two, 0 = default
-    /// ~4 MB): CI smoke tests shrink it to force spilling on small
-    /// campaigns.
-    std::size_t spill_seg_configs = 0;
   };
 
   ReachGraph(const Protocol& proto, Options opts);
-
-  /// Wall-clock watchdog (time_point::max() = none), checked at query
-  /// start and every 256 BFS steps; throws util::BudgetExhausted.
-  void set_deadline(std::chrono::steady_clock::time_point deadline) {
-    deadline_ = deadline;
-  }
 
   /// Canonical (projected configuration, ProcSet-orbit, ambient) triple:
   /// the memo key space. For asymmetric protocols the id interns the
@@ -299,9 +282,12 @@ class ReachGraph {
   /// decided ones. The targets come from the stored successor rows.
   template <class Fn>
   void for_each_pass_edge(Fn&& fn);
+  /// Refresh the ledger, then run the budget check on memory_bytes().
   void check_budget();
   void update_ledger() const;
-  /// Bytes of the per-query walk scratch (the reach.query account).
+  /// Bytes of the per-query walk scratch (the reach.query account): the
+  /// entry stream, the visit marks or symmetric visit map, and a drained
+  /// pass's reverse-edge and propagation arrays while they live.
   std::size_t query_bytes() const;
   /// Admit node ids up to `id` to the visit marks.
   void ensure_marks(ConfigId id);
@@ -337,8 +323,6 @@ class ReachGraph {
   util::spill::SpillStore<std::uint64_t> perm_;
   FactMap facts_;
 
-  std::chrono::steady_clock::time_point deadline_ =
-      std::chrono::steady_clock::time_point::max();
   std::uint64_t edges_expanded_ = 0;
   std::uint64_t edges_reused_ = 0;
   std::uint64_t fact_answers_ = 0;
@@ -360,6 +344,7 @@ class ReachGraph {
   static constexpr unsigned kMarkShift = 14;
   std::vector<std::unique_ptr<std::uint32_t[]>> mark_idx_;
   std::unordered_map<std::uint64_t, std::uint32_t> visited_;  ///< symmetric
+  std::size_t drain_bytes_ = 0;  ///< live fact-propagation scratch
   std::vector<Value> stage_;      ///< intern_node staging buffer
   std::vector<Value> sub_stage_;  ///< superset-projection probe staging
                                   ///< and symmetric-mode child decode

@@ -309,35 +309,33 @@ namespace {
 TEST(Explorer, MemBudgetTruncatesWithDistinctStatus) {
   test::ToyProtocol proto(3);
   const Config root = initial_config(proto, {1, 2, 3});
-  Explorer explorer(proto);
-  explorer.set_budget(/*max_arena_bytes=*/1,
-                      std::chrono::steady_clock::time_point::max());
-  const auto res = explorer.explore(root, ProcSet::first_n(3),
-                                    [](const ConfigView&) { return true; });
-  EXPECT_TRUE(res.truncated);
-  EXPECT_TRUE(res.budget_exhausted);
+  Explorer explorer(proto, {.limits = {.max_bytes = 1}});
+  EXPECT_THROW(explorer.explore(root, ProcSet::first_n(3),
+                                [](const ConfigView&) { return true; }),
+               util::BudgetExhausted);
 }
 
 TEST(Explorer, DeadlineInThePastTruncatesWithDistinctStatus) {
   test::ToyProtocol proto(3);
   const Config root = initial_config(proto, {1, 2, 3});
-  Explorer explorer(proto);
-  explorer.set_budget(0, std::chrono::steady_clock::now() -
-                             std::chrono::seconds(1));
-  const auto res = explorer.explore(root, ProcSet::first_n(3),
-                                    [](const ConfigView&) { return true; });
-  EXPECT_TRUE(res.truncated);
-  EXPECT_TRUE(res.budget_exhausted);
+  Explorer explorer(
+      proto, {.limits = {.deadline = std::chrono::steady_clock::now() -
+                                     std::chrono::seconds(1)}});
+  EXPECT_THROW(explorer.explore(root, ProcSet::first_n(3),
+                                [](const ConfigView&) { return true; }),
+               util::BudgetExhausted);
 }
 
 TEST(Explorer, UnbudgetedRunIsUnaffected) {
   test::ToyProtocol proto(2);
   const Config root = initial_config(proto, {3, 4});
   Explorer explorer(proto);
-  const auto res = explorer.explore(root, ProcSet::first_n(2),
-                                    [](const ConfigView&) { return true; });
+  ExploreResult res;
+  EXPECT_NO_THROW(res = explorer.explore(
+                      root, ProcSet::first_n(2),
+                      [](const ConfigView&) { return true; }));
   EXPECT_FALSE(res.truncated);
-  EXPECT_FALSE(res.budget_exhausted);
+  EXPECT_GT(res.visited, 1u);
 }
 
 }  // namespace
@@ -347,14 +345,35 @@ namespace tsb::bound {
 namespace {
 
 TEST(Adversary, MemBudgetYieldsDistinctCleanOutcome) {
-  consensus::BallotConsensus proto(3, 6);
-  SpaceBoundAdversary::Options opts;
-  opts.valency_max_arena_bytes = 1;  // trips on the first valency pass
-  SpaceBoundAdversary adversary(proto, opts);
-  const auto res = adversary.run();
-  EXPECT_FALSE(res.ok);
-  EXPECT_TRUE(res.budget_exhausted);
-  EXPECT_NE(res.error.find("budget"), std::string::npos) << res.error;
+  // Every backend x budget cell ends in the same clean outcome: a memory
+  // budget of one byte trips at the first check, and a 1 ms wall-clock
+  // budget trips a few hundred steps into a construction that takes far
+  // longer. The error names the engine that tripped and carries the
+  // ledger's attribution.
+  consensus::BallotConsensus proto(4, 8);
+  for (const bool reuse : {true, false}) {
+    for (const bool memory : {true, false}) {
+      SCOPED_TRACE(std::string(reuse ? "reuse" : "no-reuse") + " x " +
+                   (memory ? "memory" : "time"));
+      SpaceBoundAdversary::Options opts;
+      opts.reuse = reuse;
+      if (memory) {
+        opts.valency_max_arena_bytes = 1;
+      } else {
+        opts.valency_time_budget_ms = 1;
+      }
+      const auto res = SpaceBoundAdversary(proto, opts).run();
+      EXPECT_FALSE(res.ok);
+      EXPECT_TRUE(res.budget_exhausted) << res.error;
+      EXPECT_NE(res.error.find(reuse ? "reach graph" : "explorer"),
+                std::string::npos)
+          << res.error;
+      EXPECT_NE(res.error.find(memory ? "memory budget" : "wall-clock budget"),
+                std::string::npos)
+          << res.error;
+      EXPECT_NE(res.error.find("ledger:"), std::string::npos) << res.error;
+    }
+  }
 }
 
 TEST(Adversary, UnbudgetedRunStillSucceeds) {

@@ -157,10 +157,11 @@ TEST(ExplorerSpill, SequentialSpillRunMatchesAllInRam) {
   ASSERT_FALSE(expected.result.truncated);
 
   obs::MemLedger::global().reset();
-  Explorer spilly(proto);
   // Threshold well below the space's footprint + tiny segments: the run
   // must spill repeatedly and still enumerate the identical set.
-  ASSERT_TRUE(spilly.set_spill(::testing::TempDir(), 1 << 14, 256));
+  Explorer spilly(proto, {.limits = {.spill = {.dir = ::testing::TempDir(),
+                                               .threshold_bytes = 1 << 14,
+                                               .seg_configs = 256}}});
   const SetSnapshot got = set_snapshot(proto, spilly, root, everyone);
 
   EXPECT_EQ(expected.result.visited, got.result.visited);
@@ -175,8 +176,9 @@ TEST(ExplorerSpill, WitnessesReplayThroughSpilledSegments) {
   const Config root = initial_config(proto, {0, 1, 0});
   const ProcSet everyone = ProcSet::first_n(3);
 
-  Explorer explorer(proto);
-  ASSERT_TRUE(explorer.set_spill(::testing::TempDir(), 1 << 14, 256));
+  Explorer explorer(proto, {.limits = {.spill = {.dir = ::testing::TempDir(),
+                                                 .threshold_bytes = 1 << 14,
+                                                 .seg_configs = 256}}});
   std::vector<ConfigId> seen;
   auto result = explorer.explore(root, everyone, [&](const ConfigView& c) {
     seen.push_back(c.id);
@@ -205,8 +207,10 @@ TEST(ExplorerSpill, CappedSpillRunStaysSoundUnderTruncation) {
   const ProcSet everyone = ProcSet::first_n(4);
   const std::size_t cap = 20'000;
 
-  Explorer explorer(proto, {.max_configs = cap});
-  ASSERT_TRUE(explorer.set_spill(::testing::TempDir(), 1 << 15, 512));
+  Explorer explorer(proto, {.limits = {.max_configs = cap,
+                                       .spill = {.dir = ::testing::TempDir(),
+                                                 .threshold_bytes = 1 << 15,
+                                                 .seg_configs = 512}}});
   const SetSnapshot got = set_snapshot(proto, explorer, root, everyone);
   EXPECT_TRUE(got.result.truncated);
   EXPECT_LE(got.result.visited, cap);

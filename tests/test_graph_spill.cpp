@@ -357,9 +357,9 @@ TEST(SpillDir, UnusableDirectoryIsRefusedBeforeAnyQuery) {
   const std::string bad = tdir("unusable") + "/missing/dir";
   consensus::BallotConsensus proto(3, 6);
 
-  bound::ValencyOracle::Options oo;
-  oo.spill_dir = bad;
-  oo.spill_threshold_bytes = 64 << 10;
+  const sim::Limits limits{
+      .spill = {.dir = bad, .threshold_bytes = 64 << 10}};
+  const bound::ValencyOracle::Options oo{.limits = limits};
   try {
     bound::ValencyOracle oracle(proto, oo);
     FAIL() << "an unusable spill directory was accepted";
@@ -367,9 +367,8 @@ TEST(SpillDir, UnusableDirectoryIsRefusedBeforeAnyQuery) {
     EXPECT_NE(std::string(e.what()).find(bad), std::string::npos) << e.what();
   }
   // The engine refuses on its own too, rather than running resident.
-  EXPECT_THROW(sim::ReachGraph(proto, {.spill_dir = bad,
-                                       .spill_threshold_bytes = 64 << 10}),
-               util::UsageError);
+  EXPECT_THROW(sim::ReachGraph(proto, {.limits = limits}), util::UsageError);
+  EXPECT_THROW(sim::Explorer(proto, {.limits = limits}), util::UsageError);
 
   // Both adversary backends refuse the run outright: no verdict, no
   // budget outcome, just the refusal.
@@ -386,11 +385,8 @@ TEST(SpillDir, UnusableDirectoryIsRefusedBeforeAnyQuery) {
 // --- Checkpoint while edges are on disk -------------------------------------
 
 bound::ValencyOracle::Options spill_opts(const std::string& dir) {
-  bound::ValencyOracle::Options o;
-  o.spill_dir = dir;
-  o.spill_threshold_bytes = 1;
-  o.spill_seg_configs = 64;
-  return o;
+  return {.limits = {.spill = {
+              .dir = dir, .threshold_bytes = 1, .seg_configs = 64}}};
 }
 
 TEST(GraphSpillCheckpoint, SaveWithEdgesOnDiskRestoresWarmAndSpilled) {
@@ -457,7 +453,7 @@ TEST(GraphSpillCheckpoint, SaveIsByteIdenticalResidentAndSpilled) {
   // Four delta groups per segment, so the spilled path decodes more than
   // each segment's first group.
   bound::ValencyOracle::Options tiny = spill_opts(tdir("ident_dir"));
-  tiny.spill_seg_configs = 256;
+  tiny.limits.spill.seg_configs = 256;
   const auto on_disk = save(tiny, "ident_spill", &spilled);
   EXPECT_EQ(resident_spilled, 0u);
   ASSERT_GT(spilled, 0u)

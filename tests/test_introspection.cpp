@@ -15,8 +15,10 @@
 
 #include "bound/adversary.hpp"
 #include "consensus/ballot.hpp"
+#include "consensus/racing.hpp"
 #include "obs/obs.hpp"
 #include "report.hpp"
+#include "sim/reach_graph.hpp"
 
 namespace tsb {
 namespace {
@@ -207,6 +209,38 @@ TEST(BudgetExhaustion, LedgerAttributesAndFlightDumpReplays) {
   EXPECT_NE(rendered.str().find("budget.trip"), std::string::npos);
   std::remove(path.c_str());
   ledger.reset();
+}
+
+TEST(BudgetExhaustion, DrainedSymmetricPassCountsVisitMapAndDrainScratch) {
+  // A drained symmetric pass holds a node-based visit map with one node per
+  // entry and, while it propagates facts, reverse-edge and propagation
+  // arrays sized by its entry and edge counts. The reach.query account
+  // must cover both at its peak, or --mem-budget cannot see them.
+  obs::MemLedger::global().reset();
+  consensus::RacingConsensus proto(3);
+  ASSERT_TRUE(proto.symmetric());
+  sim::ReachGraph graph(proto, {});
+  ASSERT_TRUE(graph.symmetric());
+  sim::ProcPerm pi;
+  // All inputs 0: validity rules out deciding 1, so the pass drains.
+  const auto res = graph.query(sim::initial_config(proto, {0, 0, 0}),
+                               sim::ProcSet::first_n(3), &pi);
+  ASSERT_TRUE(res.can[0]);
+  ASSERT_FALSE(res.can[1]);
+  ASSERT_FALSE(res.truncated);
+  ASSERT_GT(res.visited, 100u);
+
+  // Lower bounds: a bucket pointer and a (u64 key, u32 value, two
+  // pointers) node per visited entry; rev_off, pos and the two next-hop
+  // bytes per entry; rev_from and rev_via per edge.
+  const std::uint64_t visited = res.visited;
+  const std::uint64_t edges = res.expanded + res.reused;
+  const std::uint64_t map_bytes =
+      visited * (sizeof(void*) + 8 + 4 + 2 * sizeof(void*));
+  const std::uint64_t drain_bytes = (visited + 2) * 4 + visited * 3 + edges * 5;
+  EXPECT_GE(obs::MemLedger::global().peak(obs::MemAccount::kReachQuery),
+            map_bytes + drain_bytes);
+  obs::MemLedger::global().reset();
 }
 
 // --- out-of-core runs keep the forensic story intact -----------------------

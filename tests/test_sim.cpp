@@ -186,7 +186,7 @@ TEST(Explorer, RespectsProcessRestriction) {
 TEST(Explorer, TruncationReported) {
   ToyProtocol proto(3);
   const Config root = initial_config(proto, {1, 2, 3});
-  Explorer explorer(proto, {.max_configs = 2});
+  Explorer explorer(proto, {.limits = {.max_configs = 2}});
   auto result = explorer.explore(root, ProcSet::first_n(3),
                                  [](const ConfigView&) { return true; });
   EXPECT_TRUE(result.truncated);

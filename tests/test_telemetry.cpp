@@ -352,17 +352,19 @@ TEST(Telemetry, ReopenResetsTickCounterAndWatchdog) {
 
 std::int64_t ckpt_age_for_test() { return 42; }
 
+constexpr auto kNoDeadline = std::chrono::steady_clock::time_point::max();
+
 TEST(Telemetry, TicksCarryRuleInputsOnlyWhenConfigured) {
   const std::string path = temp_path("rule_inputs.jsonl");
   open_stream(path);
   obs::Sample s;
   s.phase = "explore";
   obs::telemetry::tick(s);  // no memory budget, no checkpoint directory
-  obs::telemetry::set_budgets(64ull << 20, 0);
+  obs::telemetry::set_budgets(64ull << 20, kNoDeadline);
   obs::telemetry::set_ckpt_probe(&ckpt_age_for_test, 2500);
   obs::telemetry::tick(s);
   obs::telemetry::set_ckpt_probe(nullptr, 0);
-  obs::telemetry::set_budgets(0, 0);
+  obs::telemetry::set_budgets(0, kNoDeadline);
   obs::stats_sink().close();
 
   const std::string text = slurp(path);
@@ -389,12 +391,13 @@ TEST(Telemetry, TicksCarryDeadlineAndFlightEventsOnlyWhenConfigured) {
   obs::Sample s;
   s.phase = "explore";
   obs::telemetry::tick(s);  // no time budget, no flight recorder
-  obs::telemetry::set_budgets(0, 60'000);
+  obs::telemetry::set_budgets(
+      0, std::chrono::steady_clock::now() + std::chrono::seconds(60));
   obs::flight::enable();
   obs::flight::record(obs::flight::Ev::kLevel, 1, 2);
   obs::telemetry::tick(s);
   obs::flight::disable();
-  obs::telemetry::set_budgets(0, 0);
+  obs::telemetry::set_budgets(0, kNoDeadline);
   obs::stats_sink().close();
 
   report::RunReport rep;
@@ -707,6 +710,45 @@ TEST(TelemetryEndToEnd, AdversaryTimelineMatchesExitState) {
   const std::string text = slurp(path);
   EXPECT_NE(text.find("\"type\":\"certificate\""), std::string::npos);
   EXPECT_NE(text.find("\"type\":\"lemma4."), std::string::npos);
+  std::remove(path.c_str());
+}
+
+TEST(TelemetryEndToEnd, TicksCarryTheBudgetsTheConstructionEnforces) {
+  // The construction builds its limits once and hands the same budget and
+  // deadline to the engines and the ticks: every tick of a budgeted run
+  // reports them, and a new timeline starts without them.
+  const std::string path = temp_path("budgets.jsonl");
+  open_stream(path);
+  const auto saved = obs::progress_interval();
+  obs::set_progress_interval(std::chrono::milliseconds(1));
+
+  consensus::BallotConsensus proto(4, 8);
+  bound::SpaceBoundAdversary::Options opts;
+  opts.valency_max_arena_bytes = std::size_t{1} << 40;  // never trips
+  opts.valency_time_budget_ms = 600'000;
+  const auto result = bound::SpaceBoundAdversary(proto, opts).run();
+  ASSERT_TRUE(result.ok) << result.error;
+  obs::Sample last;
+  last.phase = "done";
+  obs::telemetry::tick(last);
+  obs::stats_sink().close();
+  obs::set_progress_interval(saved);
+
+  report::RunReport rep;
+  ASSERT_TRUE(rep.load(path));
+  ASSERT_GE(rep.ticks().size(), 2u);
+  for (const report::RunReport::Tick& t : rep.ticks()) {
+    EXPECT_EQ(t.mem_budget, std::int64_t{1} << 40) << "tick " << t.tick;
+    EXPECT_GT(t.deadline_s, 0.0) << "tick " << t.tick;
+    EXPECT_LE(t.deadline_s, 600.0) << "tick " << t.tick;
+  }
+
+  open_stream(path);
+  obs::telemetry::tick(last);
+  obs::stats_sink().close();
+  const std::string text = slurp(path);
+  EXPECT_EQ(text.find("mem_budget"), std::string::npos) << text;
+  EXPECT_EQ(text.find("deadline_s"), std::string::npos) << text;
   std::remove(path.c_str());
 }
 

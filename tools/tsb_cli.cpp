@@ -52,8 +52,12 @@
 //   --out=FILE       per-run JSONL records (feeds tsb report)
 //
 // Budget flags (tsb adversary; graceful degradation instead of OOM/hang):
-//   --mem-budget=BYTES[k|m|g]  cap on the valency arena's heap growth
-//   --time-budget-ms=MS        wall-clock watchdog across valency queries
+//   --mem-budget=BYTES[k|m|g]  cap on the valency engine's tracked heap
+//                    bytes. The shared engine counts its whole graph,
+//                    cumulatively across passes; --no-reuse's fresh BFS
+//                    counts one pass's arena and frontier. Neither counts
+//                    the valency memo or the root arena.
+//   --time-budget-ms=MS        wall-clock budget of the whole construction
 //
 // Out-of-core flags (tsb adversary; campaigns past the RAM wall):
 //   --spill-threshold=BYTES[k|m|g]  cold arena and edge segments past this
@@ -510,12 +514,9 @@ int main(int argc, char** argv) {
                 << "\n";
       return kExitUsage;
     }
-    // A stats file is one run: its telemetry ticks start at 0, and they
-    // carry the configured budgets (the deadline as seconds left, the
-    // memory budget for the report's exit-4 runaway rule).
+    // A stats file is one run: its telemetry ticks start at 0. The budgets
+    // they carry are set by the construction that enforces them.
     obs::telemetry::reset();
-    obs::telemetry::set_budgets(obs_flags.mem_budget,
-                                obs_flags.time_budget_ms);
   }
   if (!obs_flags.chaos_file.empty() &&
       !obs::chaos_sink().open(obs_flags.chaos_file)) {
