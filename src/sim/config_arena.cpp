@@ -261,9 +261,7 @@ void ConfigArena::save(util::ckpt::SectionWriter& w) const {
   for (const Value v : dict_) w.put_i64(v);
   const std::size_t count = size();
   w.put_u64(count);
-  for_each_segment(count, [&](const Code* rows, std::size_t k) {
-    w.put_bytes(rows, k * words_ * sizeof(Code));
-  });
+  store_.save(w, count);
 }
 
 void ConfigArena::restore(util::ckpt::SectionReader& r,
@@ -286,25 +284,28 @@ void ConfigArena::restore(util::ckpt::SectionReader& r,
     dict_insert(v);
   }
   const std::uint64_t count = r.get_u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::memcpy(stage_.data(), r.get_bytes(words_ * sizeof(Code)),
-                words_ * sizeof(Code));
-    for (std::size_t j = 0; j < words_; ++j) {
-      if (stage_[j] >= nd) {
-        throw util::CheckpointInvalid(
-            where + " carries code " + std::to_string(stage_[j]) +
-            " in configuration " + std::to_string(i) + " but its dictionary "
-            "holds " + std::to_string(nd) + " values");
-      }
-    }
-    const auto [id, inserted] = intern_codes(stage_.data());
-    if (!inserted || static_cast<std::uint64_t>(id) != i) {
-      throw util::CheckpointInvalid(
-          where + " re-interned to a different id (configuration " +
-          std::to_string(i) + " -> " + std::to_string(id) +
-          "): duplicate or reordered rows");
-    }
-  }
+  util::spill::load_records<Code>(
+      r, count, words_, where,
+      [&](const Code* rows, std::size_t k, std::uint64_t first) {
+        for (std::size_t j = 0; j < k * words_; ++j) {
+          if (rows[j] >= nd) {
+            throw util::CheckpointInvalid(
+                where + " carries code " + std::to_string(rows[j]) +
+                " in configuration " + std::to_string(first + j / words_) +
+                " but its dictionary holds " + std::to_string(nd) +
+                " values");
+          }
+        }
+        for (std::size_t i = 0; i < k; ++i) {
+          const auto [id, inserted] = intern_codes(rows + i * words_);
+          if (!inserted || static_cast<std::uint64_t>(id) != first + i) {
+            throw util::CheckpointInvalid(
+                where + " re-interned to a different id (configuration " +
+                std::to_string(first + i) + " -> " + std::to_string(id) +
+                "): duplicate or reordered rows");
+          }
+        }
+      });
 }
 
 bool ConfigArena::set_spill(const std::string& dir,

@@ -126,9 +126,9 @@ class ConfigArena {
   // --- rows -----------------------------------------------------------------
 
   /// One configuration's codes. Resident segments return a direct
-  /// pointer; a spilled segment decodes into a thread-local buffer that the
-  /// next codes() of a spilled id overwrites, so callers copy or use the
-  /// row at once.
+  /// pointer; a spilled segment decodes into the row store's cursor buffer
+  /// that the next codes() of a spilled id overwrites, so callers copy or
+  /// use the row at once.
   const Code* codes(ConfigId id) const { return store_.read(id); }
   /// One configuration's decoded words (words_per_config() words).
   void decode(ConfigId id, Value* out) const {
@@ -204,26 +204,20 @@ class ConfigArena {
   /// dedup table (find() will not see it). Tests fill arenas with it.
   ConfigId append_codes(const Code* c);
 
-  /// Bulk read of ids [0, limit) in order as contiguous runs of code rows,
-  /// fn(const Code* rows, std::size_t nconfigs): whole resident segments
-  /// by pointer, spilled ones decoded once (SpillStore's for_each_segment).
-  template <class Fn>
-  void for_each_segment(std::size_t limit, Fn&& fn) const {
-    store_.for_each_segment(limit, std::forward<Fn>(fn));
-  }
-
   // --- checkpoint -----------------------------------------------------------
 
   /// Write the dictionary (u32 count, then the values) and then every row
-  /// (u64 count, then the raw codes) into the open section. Rows of
-  /// spilled segments decode once, so the bytes do not depend on where the
-  /// rows live.
+  /// (u64 count, then the rows as the spill codec's delta groups,
+  /// SpillStore::save) into the open section. Spilled groups are copied
+  /// as they are, resident ones encoded, and the bytes do not depend on
+  /// where the rows live.
   void save(util::ckpt::SectionWriter& w) const;
   /// Inverse of save() into an empty arena; rows are re-interned in id
   /// order so the dedup table rebuilds and ids stay stable. Throws
   /// util::CheckpointInvalid, naming `section`, for a dictionary of more
-  /// than kMaxCodes values, a duplicate dictionary value, a code past the
-  /// dictionary, or a row that does not re-intern to its own id.
+  /// than kMaxCodes values, a duplicate dictionary value, a malformed row
+  /// group (util::spill::load_records), a code past the dictionary, or a
+  /// row that does not re-intern to its own id.
   void restore(util::ckpt::SectionReader& r, const std::string& section);
 
   // --- out-of-core ------------------------------------------------------
@@ -263,14 +257,15 @@ class ConfigArena {
   /// table_slots() — the load factor the stats records report.
   std::size_t table_slots() const { return table_.size(); }
 
-  /// Resident heap bytes held by the arena: row segments, staging and the
-  /// value dictionary (words_bytes), plus the dedup table. Spilled bytes
+  /// Resident heap bytes held by the arena: the row segments' admitted
+  /// records (SpillStore::charged_bytes), staging and the value dictionary
+  /// (words_bytes), plus the dedup table. Spilled bytes
   /// live in the (unlinked) backing file and mmap'd blocks are clean
   /// file-backed pages the kernel can drop, so neither counts against the
   /// RAM budget; they get their own ledger accounts (arena.spill /
   /// arena.mapped).
   std::size_t words_bytes() const {
-    return store_.resident_bytes() + stage_.capacity() * sizeof(Code) +
+    return store_.charged_bytes() + stage_.capacity() * sizeof(Code) +
            dict_.capacity() * sizeof(Value) +
            dict_slots_.capacity() * sizeof(std::uint32_t);
   }

@@ -134,7 +134,7 @@ std::size_t ReachGraph::query_bytes() const {
 }
 
 std::size_t ReachGraph::memory_bytes() const {
-  return arena_.memory_bytes() + edge_resident_bytes() +
+  return arena_.memory_bytes() + edge_charged_bytes() +
          facts_.memory_bytes() + query_bytes();
 }
 
@@ -143,7 +143,7 @@ void ReachGraph::update_ledger() const {
   // attributes 100% of the graph's tracked bytes to named subsystems.
   obs::MemLedger& ledger = obs::MemLedger::global();
   ledger.set(obs::MemAccount::kReachNodes, arena_.memory_bytes());
-  ledger.set(obs::MemAccount::kReachEdges, edge_resident_bytes());
+  ledger.set(obs::MemAccount::kReachEdges, edge_charged_bytes());
   ledger.set(obs::MemAccount::kReachFacts, facts_.memory_bytes());
   ledger.set(obs::MemAccount::kReachQuery, query_bytes());
   if (arena_.spill_enabled() || arena_.spilled_bytes() != 0) {
@@ -172,20 +172,16 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
   w.put_u32(static_cast<std::uint32_t>(words_));
   w.put_u8(sym_ ? 1 : 0);
   w.put_u8(facts_on_ ? 1 : 0);
-  // The node arena's value dictionary and code rows, then the edge stores:
-  // logical records in id order, one put per resident segment (or per
-  // delta group of a spilled one). for_each_segment decodes spilled
-  // segments once, sequentially, so a checkpoint taken while arena or edge
+  // The node arena's value dictionary and code rows, then the edge stores
+  // in id order. Code rows, successor rows and renamings go out as the
+  // spill codec's delta groups (SpillStore::save: spilled groups copied
+  // from their blocks, resident ones encoded), so a checkpoint taken while
   // segments sit on disk is byte-identical to one taken fully resident.
   arena_.save(w);
   const std::size_t count = arena_.size();
-  const auto put_all = [&](const auto& store, std::size_t rec_bytes) {
-    store.for_each_segment(count, [&](const auto* recs, std::size_t nrecs) {
-      w.put_bytes(recs, nrecs * rec_bytes);
-    });
-  };
-  // Flags carry only their decide bits (0..1): the probe filter bits are
-  // derived from the fact map, and restore() rebuilds them from it.
+  // Flags stay raw and carry only their decide bits (0..1): the probe
+  // filter bits are derived from the fact map, and restore() rebuilds them
+  // from it.
   flags_.for_each_segment(count, [&](const std::uint8_t* recs,
                                      std::size_t nrecs) {
     std::uint8_t buf[4096];
@@ -197,10 +193,8 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
       w.put_bytes(buf, k);
     }
   });
-  put_all(succ_, static_cast<std::size_t>(n_) * sizeof(ConfigId));
-  if (sym_) {
-    put_all(perm_, static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
-  }
+  succ_.save(w, count);
+  if (sym_) perm_.save(w, count);
   w.put_u64(facts_.size());
   facts_.for_each([&](std::uint64_t key, std::uint32_t val) {
     w.put_u64(key);
@@ -233,7 +227,8 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
   // values already carry its decide scan. Everything lands resident
   // (restore runs on a fresh engine); the trailing maybe_spill_edges()
   // re-establishes the memory plan before the first query.
-  const std::size_t edge_count = count * static_cast<std::size_t>(n_);
+  const std::size_t stride = static_cast<std::size_t>(n_);
+  const std::string where = "checkpoint graph section";
   flags_.ensure(count);
   succ_.ensure(count);
   if (sym_) perm_.ensure(count);
@@ -244,37 +239,41 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
     for (std::uint64_t i = 0; i < count; ++i) {
       *flags_.write_ptr(i) = static_cast<std::uint8_t>(fb[i] & 0x3);
     }
-    const std::uint8_t* sb = r.get_bytes(edge_count * sizeof(ConfigId));
-    for (std::uint64_t i = 0; i < count; ++i) {
-      ConfigId* row = succ_.write_ptr(i);
-      std::memcpy(row,
-                  sb + i * static_cast<std::size_t>(n_) * sizeof(ConfigId),
-                  static_cast<std::size_t>(n_) * sizeof(ConfigId));
-      for (int q = 0; q < n_; ++q) {
-        if (row[q] >= count && row[q] != kUnexpanded && row[q] != kNoConfig) {
-          throw util::CheckpointInvalid(
-              "checkpoint graph section carries successor id " +
-              std::to_string(row[q]) + " at node " + std::to_string(i) +
-              " but restores only " + std::to_string(count) + " nodes");
-        }
-      }
-    }
-    if (sym_) {
-      const std::uint8_t* pb = r.get_bytes(edge_count * sizeof(std::uint64_t));
-      for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t* row = perm_.write_ptr(i);
-        std::memcpy(row,
-                    pb + i * static_cast<std::size_t>(n_) * sizeof(std::uint64_t),
-                    static_cast<std::size_t>(n_) * sizeof(std::uint64_t));
-        for (int q = 0; q < n_; ++q) {
-          if (!valid_renaming(row[q], n_)) {
+  }
+  util::spill::load_records<ConfigId>(
+      r, count, stride, where,
+      [&](const ConfigId* rows, std::size_t k, std::uint64_t first) {
+        for (std::size_t j = 0; j < k * stride; ++j) {
+          if (rows[j] >= count && rows[j] != kUnexpanded &&
+              rows[j] != kNoConfig) {
             throw util::CheckpointInvalid(
-                "checkpoint graph section carries a renaming at node " +
-                std::to_string(i) + " that permutes no process slots");
+                where + " carries successor id " + std::to_string(rows[j]) +
+                " at node " + std::to_string(first + j / stride) +
+                " but restores only " + std::to_string(count) + " nodes");
           }
         }
-      }
-    }
+        for (std::size_t i = 0; i < k; ++i) {
+          std::memcpy(succ_.write_ptr(first + i), rows + i * stride,
+                      stride * sizeof(ConfigId));
+        }
+      });
+  if (sym_) {
+    util::spill::load_records<std::uint64_t>(
+        r, count, stride, where,
+        [&](const std::uint64_t* rows, std::size_t k, std::uint64_t first) {
+          for (std::size_t j = 0; j < k * stride; ++j) {
+            if (!valid_renaming(rows[j], n_)) {
+              throw util::CheckpointInvalid(
+                  where + " carries a renaming at node " +
+                  std::to_string(first + j / stride) +
+                  " that permutes no process slots");
+            }
+          }
+          for (std::size_t i = 0; i < k; ++i) {
+            std::memcpy(perm_.write_ptr(first + i), rows + i * stride,
+                        stride * sizeof(std::uint64_t));
+          }
+        });
   }
   const std::uint64_t fact_count = r.get_u64();
   for (std::uint64_t i = 0; i < fact_count; ++i) {

@@ -148,7 +148,8 @@ class ReachGraph {
 
   /// Edge-store spill accounting (graph.spill / graph.mapped ledger
   /// accounts): compressed bytes of the spilled edge segments on disk,
-  /// their mmap'd read-back pages, and the resident remainder.
+  /// their mmap'd read-back pages, and the resident remainder — all of it
+  /// for the spill trigger, the touched part for the ledger and budget.
   std::size_t edge_spilled_bytes() const {
     return succ_.spilled_bytes() + perm_.spilled_bytes() +
            flags_.spilled_bytes();
@@ -160,11 +161,16 @@ class ReachGraph {
     return succ_.resident_bytes() + perm_.resident_bytes() +
            flags_.resident_bytes();
   }
+  std::size_t edge_charged_bytes() const {
+    return succ_.charged_bytes() + perm_.charged_bytes() +
+           flags_.charged_bytes();
+  }
 
   /// Serialize the engine's persistent cross-query state (the node
   /// arena's value dictionary and code rows, decide flags, successor edges
-  /// and renamings, the fact map, and the expansion counters) as one
-  /// "graph" checkpoint section. Per-query
+  /// and renamings — rows and edges as the spill codec's delta groups —
+  /// the fact map, and the expansion counters) as one "graph" checkpoint
+  /// section. Per-query
   /// scratch is deliberately excluded: checkpoints happen at quiescent
   /// points and resume re-runs the in-flight query from its root, walking
   /// the restored edges instead of re-paying protocol steps.
@@ -175,8 +181,9 @@ class ReachGraph {
   /// order (ConfigArena::restore, with its refusals), then
   /// flags/edges/facts are bulk-loaded without register_config. Shape
   /// mismatch (different n, word count, or symmetry mode) throws
-  /// util::CheckpointInvalid, and so does an edge word no engine could
-  /// have written: a successor id that is neither a restored node nor a
+  /// util::CheckpointInvalid, and so does a malformed edge group
+  /// (util::spill::load_records) or an edge word no engine could have
+  /// written: a successor id that is neither a restored node nor a
   /// sentinel, or a renaming that is not a permutation of the process
   /// slots.
   void restore(util::ckpt::SectionReader& r);

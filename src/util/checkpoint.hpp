@@ -49,8 +49,10 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 /// Bump when the layout of a checkpoint file (state or manifest) changes
 /// incompatibly; readers refuse other versions rather than guessing.
 /// Version 2: the manifest became a section file. Version 3: the graph and
-/// roots sections store a value dictionary and 16-bit code rows.
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// roots sections store a value dictionary and 16-bit code rows. Version 4:
+/// code rows, successor rows and renamings are stored as the spill codec's
+/// 64-record delta groups (util::spill::SpillStore::save).
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Streaming writer for the versioned, per-section-CRC checkpoint file
 /// format (the state file and the manifest). Layout:

@@ -7,8 +7,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "util/checkpoint.hpp"
 #include "util/require.hpp"
 
 namespace tsb::util::spill {
@@ -28,12 +30,14 @@ inline std::int64_t unzigzag(std::uint64_t u) {
   return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
-inline void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
+/// Write `v` as a varint at `out`; returns the byte past it.
+inline std::uint8_t* put_varint(std::uint8_t* out, std::uint64_t v) {
   while (v >= 0x80) {
-    out.push_back(static_cast<std::uint8_t>(v) | 0x80);
+    *out++ = static_cast<std::uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out.push_back(static_cast<std::uint8_t>(v));
+  *out++ = static_cast<std::uint8_t>(v);
+  return out;
 }
 
 /// Read one varint from [p, end). A varint that runs past `end` or past
@@ -51,11 +55,11 @@ inline std::uint64_t get_varint(const std::uint8_t*& p,
   }
 }
 
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+inline void put_u32(std::uint8_t* out, std::uint32_t v) {
+  out[0] = static_cast<std::uint8_t>(v);
+  out[1] = static_cast<std::uint8_t>(v >> 8);
+  out[2] = static_cast<std::uint8_t>(v >> 16);
+  out[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
 inline std::uint32_t get_u32(const std::uint8_t* p) {
@@ -72,52 +76,90 @@ inline std::size_t round_up(std::size_t v, std::size_t align) {
 }
 
 /// Delta/varint/zigzag block codec shared by ConfigArena (u16 codes) and
-/// the reach graph's edge stores (u8 / u32 / u64 words). A block holds
-/// `nrecs` fixed-stride records in groups of kGroupRecords: per group the
-/// first record is raw, the rest are (changed-word count, then per change a
-/// varint word index and a zigzag-varint value delta) against their
-/// predecessor. A per-group u32 offset table up front gives random access
-/// at group granularity. Deltas are computed mod 2^64, so the encoding is
-/// bit-exact for any unsigned or two's-complement word width. `nrecs` must
-/// be a multiple of kGroupRecords and `stride` must fit the one-byte
-/// changed-word count.
+/// the reach graph's edge stores (u8 / u32 / u64 words). A group holds up
+/// to kGroupRecords fixed-stride records: the first is raw, the rest are
+/// (changed-word count, then per change a varint word index and a
+/// zigzag-varint value delta) against their predecessor. Deltas are
+/// computed mod 2^64, so the encoding is bit-exact for any unsigned or
+/// two's-complement word width. `stride` must fit the one-byte changed-word
+/// count.
+///
+/// The most bytes one changed word can take in a delta record: its index
+/// (stride <= 255, so two varint bytes) and its value delta, which for a
+/// W narrower than 64 bits is under 2^(8 sizeof W) in magnitude, so its
+/// zigzag form needs 8 sizeof W + 1 bits.
+template <class W>
+constexpr std::size_t max_word_delta_bytes() {
+  return 2 + (sizeof(W) == 8 ? 10 : (8 * sizeof(W) + 1 + 6) / 7);
+}
+
+/// The most bytes encode_group writes for `nrecs` records.
+template <class W>
+constexpr std::size_t group_bound(std::size_t nrecs, std::size_t stride) {
+  return stride * sizeof(W) +
+         (nrecs - 1) * (1 + stride * max_word_delta_bytes<W>());
+}
+
+/// Encode records [0, nrecs) at `recs` (1 <= nrecs <= kGroupRecords) as
+/// one group at `out`, which must have group_bound(nrecs, stride) bytes.
+/// Returns the bytes written. The spill blocks and the checkpoint's coded
+/// record arrays are both made of these groups, so the encoding must not
+/// drift (tests pin its bytes).
+template <class W>
+std::size_t encode_group(const W* recs, std::size_t nrecs, std::size_t stride,
+                         std::uint8_t* out) {
+  std::uint8_t* at = out;
+  std::memcpy(at, recs, stride * sizeof(W));
+  at += stride * sizeof(W);
+  for (std::size_t c = 1; c < nrecs; ++c) {
+    const W* cur = recs + c * stride;
+    const W* prev = cur - stride;
+    std::uint8_t* count = at++;
+    std::uint8_t nchanged = 0;
+    // Mask the changed words first, without a branch per word, then visit
+    // only those: a record usually changes one or two words at positions
+    // a per-word branch cannot predict.
+    for (std::size_t lo = 0; lo < stride; lo += 64) {
+      const std::size_t hi = std::min(stride, lo + 64);
+      std::uint64_t changed = 0;
+      for (std::size_t i = lo; i < hi; ++i) {
+        changed |= static_cast<std::uint64_t>(cur[i] != prev[i]) << (i - lo);
+      }
+      for (; changed != 0; changed &= changed - 1) {
+        const std::size_t i =
+            lo + static_cast<std::size_t>(__builtin_ctzll(changed));
+        ++nchanged;
+        at = put_varint(at, i);
+        at = put_varint(at, zigzag(static_cast<std::int64_t>(
+                                static_cast<std::uint64_t>(cur[i]) -
+                                static_cast<std::uint64_t>(prev[i]))));
+      }
+    }
+    *count = nchanged;
+  }
+  return static_cast<std::size_t>(at - out);
+}
+
+/// A spill block: `nrecs` records (a multiple of kGroupRecords) as groups
+/// behind a u32 group count and a per-group u32 offset table, which gives
+/// random access at group granularity. The block is sized for the worst
+/// case one group at a time and written through a pointer.
 template <class W>
 void encode_block(const W* recs, std::size_t nrecs, std::size_t stride,
                   std::vector<std::uint8_t>& block) {
   const std::size_t ngroups = nrecs / kGroupRecords;
-  std::vector<std::uint8_t> payload;
-  payload.reserve(nrecs * 2);
-  std::vector<std::uint32_t> offsets(ngroups);
+  const std::size_t base = 4 + 4 * ngroups;
+  const std::size_t bound = group_bound<W>(kGroupRecords, stride);
+  block.resize(base + nrecs * stride * sizeof(W) / 2 + bound);
+  put_u32(block.data(), static_cast<std::uint32_t>(ngroups));
+  std::size_t at = base;
   for (std::size_t g = 0; g < ngroups; ++g) {
-    offsets[g] = static_cast<std::uint32_t>(payload.size());
-    const W* prev = nullptr;
-    for (std::size_t c = 0; c < kGroupRecords; ++c) {
-      const W* cur = recs + (g * kGroupRecords + c) * stride;
-      if (prev == nullptr) {
-        const std::size_t at = payload.size();
-        payload.resize(at + stride * sizeof(W));
-        std::memcpy(payload.data() + at, cur, stride * sizeof(W));
-      } else {
-        std::uint8_t nchanged = 0;
-        for (std::size_t i = 0; i < stride; ++i) nchanged += cur[i] != prev[i];
-        payload.push_back(nchanged);
-        for (std::size_t i = 0; i < stride; ++i) {
-          if (cur[i] == prev[i]) continue;
-          put_varint(payload, i);
-          put_varint(payload,
-                     zigzag(static_cast<std::int64_t>(
-                         static_cast<std::uint64_t>(cur[i]) -
-                         static_cast<std::uint64_t>(prev[i]))));
-        }
-      }
-      prev = cur;
-    }
+    if (block.size() - at < bound) block.resize(at + at / 2 + bound);
+    put_u32(block.data() + 4 + 4 * g, static_cast<std::uint32_t>(at - base));
+    at += encode_group<W>(recs + g * kGroupRecords * stride, kGroupRecords,
+                          stride, block.data() + at);
   }
-  block.clear();
-  block.reserve(4 + 4 * ngroups + payload.size());
-  put_u32(block, static_cast<std::uint32_t>(ngroups));
-  for (std::uint32_t off : offsets) put_u32(block, off);
-  block.insert(block.end(), payload.begin(), payload.end());
+  block.resize(at);
 }
 
 /// Start of group `g`'s raw record in a `len`-byte block, with every
@@ -137,6 +179,25 @@ const std::uint8_t* group_start(const std::uint8_t* block, std::size_t len,
   return block + base + off;
 }
 
+/// Group `g`'s coded bytes in a `len`-byte block, its raw record first:
+/// the start and the length up to the next group's offset (the block's end
+/// for the last group), checked like group_start.
+template <class W>
+std::pair<const std::uint8_t*, std::size_t> group_span(
+    const std::uint8_t* block, std::size_t len, std::size_t g,
+    std::size_t stride) {
+  const std::uint8_t* p = group_start<W>(block, len, g, stride);
+  const std::size_t ngroups = get_u32(block);
+  const std::size_t off = static_cast<std::size_t>(p - block);
+  std::size_t next = len;
+  if (g + 1 < ngroups) {
+    next = 4 + 4 * ngroups + get_u32(block + 8 + 4 * g);
+    TSB_REQUIRE(next <= len && next >= off + stride * sizeof(W),
+                "spill codec: group offsets out of order");
+  }
+  return {p, next - off};
+}
+
 /// Apply one delta record at p (bounded by `end`) to `rec`. A changed-word
 /// index outside the record is refused, never written.
 template <class W>
@@ -152,20 +213,6 @@ void apply_delta(const std::uint8_t*& p, const std::uint8_t* end,
         static_cast<std::uint64_t>(unzigzag(get_varint(p, end)));
     rec[slot] = static_cast<W>(static_cast<std::uint64_t>(rec[slot]) + delta);
   }
-}
-
-/// Decode one record (index `local` within the `len`-byte block) into
-/// `out` (`stride` words).
-template <class W>
-void decode_record(const std::uint8_t* block, std::size_t len,
-                   std::size_t local, std::size_t stride, W* out) {
-  const std::uint8_t* p =
-      group_start<W>(block, len, local / kGroupRecords, stride);
-  const std::uint8_t* end = block + len;
-  std::memcpy(out, p, stride * sizeof(W));
-  p += stride * sizeof(W);
-  const std::size_t upto = local % kGroupRecords;
-  for (std::size_t c = 1; c <= upto; ++c) apply_delta<W>(p, end, stride, out);
 }
 
 /// Decode group `g` of the `len`-byte block (kGroupRecords records) into
@@ -263,9 +310,10 @@ class BackingFile {
 /// edge at an old node), so write_ptr() on a spilled record faults the
 /// whole segment back to resident — decoding it, releasing the stale disk
 /// block (hole-punched), and letting the next quiescent spill re-encode it.
-/// read() on a spilled record decodes into a thread-local buffer and never
-/// faults anything in; for_each_segment() is the bulk reader for passes
-/// over every record (checkpoint saves).
+/// read() on a spilled record decodes through a per-store forward cursor
+/// and never faults anything in; for_each_segment() is the bulk reader for
+/// passes over every record, and save() writes the records into a
+/// checkpoint as the codec's groups.
 ///
 /// Thread safety: none — every owner runs its whole reachability pass on
 /// one thread.
@@ -352,6 +400,7 @@ class SpillStore {
   /// segments are re-armed, their blocks unmapped and the backing file
   /// truncated.
   void clear() {
+    admitted_ = std::max(admitted_, size_);
     size_ = 0;
     if (spilled_segments_ == 0 && file_.end_offset() == 0) return;
     for (Seg& s : segs_) {
@@ -364,13 +413,17 @@ class SpillStore {
     spilled_bytes_ = 0;
   }
 
-  /// Read access to one record. Resident segments return a direct pointer;
-  /// spilled segments decode into a thread-local buffer valid until this
-  /// thread's next read() of a spilled record in any SpillStore<W>.
+  /// Read access to one record. Resident segments return a direct pointer.
+  /// A spilled record decodes into this store's cursor buffer, valid until
+  /// the next read() of a spilled record in this store or the next call
+  /// that changes the store; reads of other stores leave it alone. The
+  /// cursor keeps the last record it decoded and where its delta ended, so
+  /// an ascending read in the same delta group applies only the deltas in
+  /// between; any other read restarts from the group's raw record.
   const W* read(std::size_t idx) const {
     const Seg& s = segs_[idx >> shift_];
     if (s.data != nullptr) return s.data.get() + (idx & mask_) * stride_;
-    return decode_tls(s, idx & mask_);
+    return read_spilled(s, idx);
   }
 
   /// Visit records [0, limit) in id order as contiguous runs,
@@ -400,6 +453,17 @@ class SpillStore {
     }
   }
 
+  /// Write records [0, limit) into the open checkpoint section as the
+  /// codec's groups of kGroupRecords records from record 0, the last one
+  /// partial when `limit` is not a multiple: per group its first record
+  /// raw, a u32 count of the bytes that follow, then one delta record per
+  /// later record. A full group of a spilled segment is copied out of its
+  /// mapped block as it is; resident records are encoded one group at a
+  /// time into a one-group scratch buffer. Groups start at the same records
+  /// whatever the segment size and the codec is deterministic, so the bytes
+  /// do not depend on where the records live. load_records() reads them.
+  void save(ckpt::SectionWriter& w, std::size_t limit) const;
+
   /// Writable pointer to a record. Faults the segment back to resident if
   /// it was spilled (the record is about to change, so the on-disk copy is
   /// stale either way).
@@ -425,9 +489,18 @@ class SpillStore {
   /// pretending otherwise would trade a clean exit 4 for an OOM-kill later.
   std::size_t maybe_spill(std::size_t resident_target, std::size_t pin_floor);
 
-  /// Heap bytes of the allocated segment arrays. The TLS decode buffer is
-  /// shared across stores and bounded by one record, so it is not charged.
+  /// Heap bytes of the allocated segment arrays: what the spill trigger
+  /// compares against its target.
   std::size_t resident_bytes() const { return resident_bytes_; }
+  /// The part of resident_bytes() the store can have touched: segments
+  /// are allocated uninitialized and written only as records are admitted,
+  /// so the pages past the most records ever admitted are untouched. The
+  /// memory ledger and the budget charge this. The one-record cursor
+  /// buffer is not charged.
+  std::size_t charged_bytes() const {
+    return resident_bytes_ -
+           (cap_ - std::max(admitted_, size_)) * stride_ * sizeof(W);
+  }
   std::size_t spilled_bytes() const { return spilled_bytes_; }
   std::size_t mapped_bytes() const { return mapped_bytes_; }
   std::size_t spilled_segments() const { return spilled_segments_; }
@@ -455,6 +528,7 @@ class SpillStore {
 
   void release(Seg& s) {
     if (!s.blk.valid()) return;
+    cur_idx_ = kNoCursor;
     mapped_bytes_ -= s.blk.map_len;
     file_.release(s.blk);
   }
@@ -477,12 +551,30 @@ class SpillStore {
     ++faulted_in_;
   }
 
-  const W* decode_tls(const Seg& s, std::size_t local) const {
-    static thread_local std::vector<W> buf;
-    if (buf.size() < stride_) buf.resize(stride_);
-    decode_record<W>(s.blk.map + s.blk.skip, s.blk.bytes, local, stride_,
-                     buf.data());
-    return buf.data();
+  // Out of line: read() is inlined into the engines' hot loops, where
+  // almost every record is resident; inlining this decode there measured
+  // about 2% more CPU on a resident n = 5 construction.
+  [[gnu::noinline]] const W* read_spilled(const Seg& s,
+                                          std::size_t idx) const {
+    const std::uint8_t* block = s.blk.map + s.blk.skip;
+    const std::uint8_t* end = block + s.blk.bytes;
+    // Segments hold whole groups, so one group index names the block too.
+    std::size_t at = cur_idx_;
+    cur_idx_ = kNoCursor;  // until the decode below succeeds
+    if (at == kNoCursor || idx < at ||
+        idx / kGroupRecords != at / kGroupRecords) {
+      cur_rec_.resize(stride_);  // allocated by a store's first spilled read
+      cur_p_ = group_start<W>(block, s.blk.bytes,
+                              (idx & mask_) / kGroupRecords, stride_);
+      std::memcpy(cur_rec_.data(), cur_p_, stride_ * sizeof(W));
+      cur_p_ += stride_ * sizeof(W);
+      at = idx - idx % kGroupRecords;
+    }
+    for (; at < idx; ++at) {
+      apply_delta<W>(cur_p_, end, stride_, cur_rec_.data());
+    }
+    cur_idx_ = idx;
+    return cur_rec_.data();
   }
 
   std::string name_;
@@ -503,6 +595,15 @@ class SpillStore {
   std::size_t spilled_segments_ = 0;
   std::size_t faulted_in_ = 0;
   std::size_t spill_failures_ = 0;
+  /// The spilled-read cursor: record cur_idx_ decoded into cur_rec_, and
+  /// cur_p_ just past its delta in its block. release() drops it.
+  static constexpr std::size_t kNoCursor = ~std::size_t{0};
+  mutable std::size_t cur_idx_ = kNoCursor;
+  mutable const std::uint8_t* cur_p_ = nullptr;
+  mutable std::vector<W> cur_rec_;
+  /// The most records admitted before the last clear(): their pages stay
+  /// touched in the segments clear() keeps.
+  std::size_t admitted_ = 0;
 };
 
 /// Out-of-line spill failure path shared by every SpillStore instantiation.
@@ -517,6 +618,88 @@ class SpillStore {
 /// Probe `dir` with a backing file (unlinked at once, closed on return),
 /// so a run refuses an unusable spill directory before doing any work.
 void require_usable_dir(const std::string& dir);
+
+template <class W>
+void SpillStore<W>::save(ckpt::SectionWriter& w, std::size_t limit) const {
+  TSB_REQUIRE(limit <= size_, "SpillStore::save past size()");
+  const std::size_t raw = stride_ * sizeof(W);
+  std::vector<std::uint8_t> scratch(group_bound<W>(kGroupRecords, stride_));
+  std::vector<W> decoded;
+  const auto put = [&](const std::uint8_t* group, std::size_t bytes) {
+    w.put_bytes(group, raw);
+    w.put_u32(static_cast<std::uint32_t>(bytes - raw));
+    w.put_bytes(group + raw, bytes - raw);
+  };
+  for (std::size_t first = 0; first < limit; first += kGroupRecords) {
+    const std::size_t n = std::min(kGroupRecords, limit - first);
+    const Seg& s = segs_[first >> shift_];
+    const std::size_t local = first & mask_;
+    if (s.data != nullptr) {
+      put(scratch.data(), encode_group<W>(s.data.get() + local * stride_, n,
+                                          stride_, scratch.data()));
+      continue;
+    }
+    const std::uint8_t* block = s.blk.map + s.blk.skip;
+    if (n == kGroupRecords) {
+      const auto [p, bytes] =
+          group_span<W>(block, s.blk.bytes, local / kGroupRecords, stride_);
+      put(p, bytes);
+      continue;
+    }
+    // A spilled group cut short by `limit`: encode the prefix it keeps.
+    decoded.resize(kGroupRecords * stride_);
+    decode_group<W>(block, s.blk.bytes, local / kGroupRecords, stride_,
+                    decoded.data());
+    put(scratch.data(),
+        encode_group<W>(decoded.data(), n, stride_, scratch.data()));
+  }
+}
+
+/// Read `count` records of `stride` words, written by SpillStore::save,
+/// from the open checkpoint section, and hand them to
+/// fn(const W* recs, std::size_t n, std::uint64_t first) one group at a
+/// time. The bytes are hostile input: a group whose byte count runs past
+/// the section, whose deltas run past that count or stop short of it, or
+/// whose delta names a word past the record is refused with
+/// util::CheckpointInvalid naming `where`.
+template <class W, class Fn>
+void load_records(ckpt::SectionReader& r, std::uint64_t count,
+                  std::size_t stride, const std::string& where, Fn&& fn) {
+  std::vector<W> recs(kGroupRecords * stride);
+  for (std::uint64_t first = 0; first < count; first += kGroupRecords) {
+    const std::size_t n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(kGroupRecords, count - first));
+    std::memcpy(recs.data(), r.get_bytes(stride * sizeof(W)),
+                stride * sizeof(W));
+    const std::uint32_t len = r.get_u32();
+    if (len > r.remaining()) {
+      throw CheckpointInvalid(
+          where + " group at record " + std::to_string(first) + " claims " +
+          std::to_string(len) + " bytes but the section has " +
+          std::to_string(r.remaining()) + " left");
+    }
+    const std::uint8_t* p = r.get_bytes(len);
+    const std::uint8_t* end = p + len;
+    try {
+      for (std::size_t c = 1; c < n; ++c) {
+        W* cur = recs.data() + c * stride;
+        std::memcpy(cur, cur - stride, stride * sizeof(W));
+        apply_delta<W>(p, end, stride, cur);
+      }
+    } catch (const RequirementFailed& e) {
+      throw CheckpointInvalid(where + " group at record " +
+                              std::to_string(first) +
+                              " is malformed: " + e.what());
+    }
+    if (p != end) {
+      throw CheckpointInvalid(
+          where + " group at record " + std::to_string(first) + " carries " +
+          std::to_string(end - p) + " bytes past its " + std::to_string(n) +
+          " records");
+    }
+    fn(static_cast<const W*>(recs.data()), n, first);
+  }
+}
 
 template <class W>
 std::size_t SpillStore<W>::maybe_spill(std::size_t resident_target,

@@ -376,6 +376,24 @@ TEST(Adversary, MemBudgetYieldsDistinctCleanOutcome) {
   }
 }
 
+TEST(Adversary, MebibyteBudgetAdmitsTheThreeProcessConstruction) {
+  // The ledger charges the records a store has admitted, not the ~4 MiB
+  // segments it allocates for them: the n = 3 construction (a few hundred
+  // configurations) fits a 1 MiB budget on both backends.
+  consensus::BallotConsensus proto(3, 6);
+  for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "reuse" : "no-reuse");
+    SpaceBoundAdversary::Options opts;
+    opts.reuse = reuse;
+    opts.valency_max_arena_bytes = 1u << 20;
+    const auto res = SpaceBoundAdversary(proto, opts).run();
+    EXPECT_TRUE(res.ok) << res.error;
+    EXPECT_FALSE(res.budget_exhausted) << res.error;
+    EXPECT_TRUE(res.check.ok);
+    EXPECT_EQ(res.check.distinct_registers, 2);
+  }
+}
+
 TEST(Adversary, UnbudgetedRunStillSucceeds) {
   consensus::BallotConsensus proto(3, 6);
   SpaceBoundAdversary adversary(proto, {});

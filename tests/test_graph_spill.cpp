@@ -20,6 +20,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +28,7 @@
 #include <limits>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bound/adversary.hpp"
@@ -332,9 +334,13 @@ void check_hostile_blocks(std::uint64_t seed) {
           sp::decode_group<W>(block, m.size(), rng() % kGroups, kStride,
                               out.data());
           break;
-        default:
-          sp::decode_record<W>(block, m.size(), rng() % kRecs, kStride,
-                               out.data());
+        default: {
+          // The span a checkpoint copies must lie inside the block.
+          const auto [p, len] =
+              sp::group_span<W>(block, m.size(), rng() % kGroups, kStride);
+          ASSERT_TRUE(p >= block && len <= m.size() &&
+                      static_cast<std::size_t>(p - block) <= m.size() - len);
+        }
       }
       ++decoded;
     } catch (const util::RequirementFailed&) {
@@ -349,6 +355,366 @@ TEST(SpillCodec, HostileBlocksAreRefusedOrDecode) {
   check_hostile_blocks<std::uint16_t>(0x5eed16);
   check_hostile_blocks<std::uint32_t>(0x5eed32);
   check_hostile_blocks<std::uint64_t>(0x5eed64);
+}
+
+// --- The codec's pinned bytes ------------------------------------------------
+
+/// Three-word records: word 0 steps every fourth record, word 1 flips
+/// between 5 and a wrapped negative, and word 2 jumps by a 64-bit constant
+/// every sixteenth — small, wrapped and word-wide deltas.
+template <class W>
+std::vector<W> golden_records(std::size_t n) {
+  std::vector<W> v(n * 3);
+  for (std::size_t r = 0; r < n; ++r) {
+    v[r * 3] = static_cast<W>(r / 4);
+    v[r * 3 + 1] = r % 3 == 0 ? static_cast<W>(0 - r) : static_cast<W>(5);
+    v[r * 3 + 2] = static_cast<W>(0x9E3779B97F4A7C15ull * (r / 16));
+  }
+  return v;
+}
+
+/// encode_group's bytes for the first four golden records must be
+/// `group4`, and encode_block's two-group block of 128 records must have
+/// `block_bytes` bytes with CRC-32 `block_crc`.
+template <class W>
+void expect_golden(const std::vector<std::uint8_t>& group4,
+                   std::size_t block_bytes, std::uint32_t block_crc) {
+  namespace sp = util::spill;
+  const std::vector<W> recs = golden_records<W>(128);
+  std::vector<std::uint8_t> group(sp::group_bound<W>(4, 3));
+  group.resize(sp::encode_group<W>(recs.data(), 4, 3, group.data()));
+  EXPECT_EQ(group, group4) << sizeof(W) << "-byte words";
+  std::vector<std::uint8_t> block;
+  sp::encode_block<W>(recs.data(), 128, 3, block);
+  EXPECT_EQ(block.size(), block_bytes) << sizeof(W) << "-byte words";
+  EXPECT_EQ(util::ckpt::crc32(block.data(), block.size()), block_crc)
+      << sizeof(W) << "-byte words";
+  // The block's first group (after the group count and two offsets) opens
+  // with the same bytes.
+  ASSERT_GE(block.size(), 12 + group.size());
+  EXPECT_TRUE(std::equal(group.begin(), group.end(), block.begin() + 12));
+}
+
+TEST(SpillCodec, EncoderBytesArePinned) {
+  // Spill blocks and the checkpoint's coded record arrays share these
+  // bytes, and a checkpoint copies spilled groups verbatim: an encoder
+  // change must show here, not as a checkpoint that differs by where its
+  // records lived. Four records: the first raw (all zero), then "one word
+  // changed, word 1 by +5", "nothing changed", and "word 1 by 5 - (2^w - 3)"
+  // — zigzag 2(2^w - 8) for w-bit words, but -8 (zigzag 15) for 64-bit
+  // words, whose difference wraps.
+  const auto with_raw = [](std::size_t zeros,
+                           std::vector<std::uint8_t> deltas) {
+    std::vector<std::uint8_t> out(zeros, 0);
+    out.insert(out.end(), deltas.begin(), deltas.end());
+    return out;
+  };
+  expect_golden<std::uint8_t>(
+      with_raw(3, {0x01, 0x01, 0x0A, 0x00, 0x01, 0x01, 0xF0, 0x03}), 467,
+      0x325A9B35u);
+  expect_golden<std::uint16_t>(
+      with_raw(6, {0x01, 0x01, 0x0A, 0x00, 0x01, 0x01, 0xF0, 0xFF, 0x07}),
+      568, 0x28CC6AFAu);
+  expect_golden<std::uint32_t>(
+      with_raw(12, {0x01, 0x01, 0x0A, 0x00, 0x01, 0x01, 0xF0, 0xFF, 0xFF,
+                    0xFF, 0x1F}),
+      758, 0xB4F335F5u);
+  expect_golden<std::uint64_t>(
+      with_raw(24, {0x01, 0x01, 0x0A, 0x00, 0x01, 0x01, 0x0F}), 525,
+      0x8196D8DCu);
+}
+
+TEST(SpillCodec, GroupBoundCoversTheWidestDeltas) {
+  // Every word of every record changes by the widest delta its type has:
+  // the encoder must stay inside group_bound (ASan checks the write).
+  namespace sp = util::spill;
+  const auto widest = [](auto zero) {
+    using W = decltype(zero);
+    constexpr std::size_t kStride = 255;
+    std::vector<W> recs(sp::kGroupRecords * kStride);
+    for (std::size_t r = 0; r < sp::kGroupRecords; ++r) {
+      for (std::size_t w = 0; w < kStride; ++w) {
+        recs[r * kStride + w] = r % 2 == 0 ? W{0} : static_cast<W>(~W{0});
+      }
+    }
+    const std::size_t bound = sp::group_bound<W>(sp::kGroupRecords, kStride);
+    std::vector<std::uint8_t> out(bound);
+    const std::size_t used =
+        sp::encode_group<W>(recs.data(), sp::kGroupRecords, kStride,
+                            out.data());
+    EXPECT_LE(used, bound) << sizeof(W) << "-byte words";
+    std::vector<W> back(recs.size());
+    std::vector<std::uint8_t> block(8);
+    sp::put_u32(block.data(), 1);
+    sp::put_u32(block.data() + 4, 0);
+    block.insert(block.end(), out.begin(), out.begin() + used);
+    sp::decode_group<W>(block.data(), block.size(), 0, kStride, back.data());
+    EXPECT_EQ(back, recs) << sizeof(W) << "-byte words";
+  };
+  widest(std::uint8_t{});
+  widest(std::uint16_t{});
+  widest(std::uint32_t{});
+  widest(std::uint64_t{});
+}
+
+// --- The spilled-read cursor -------------------------------------------------
+
+TEST(SpillStore, CursorReadsMatchAnAllResidentCopy) {
+  // Two spilled stores of one word type, read interleaved: ascending runs
+  // (the cursor's fast path), repeats, backward steps and jumps across
+  // groups and segments. Every read must return the all-resident copy's
+  // record, and a pointer one store returned must survive reads of the
+  // other store.
+  namespace sp = util::spill;
+  constexpr std::size_t kStride = 5;
+  constexpr std::size_t kRecs = 700;
+  const std::string dir = tdir("cursor");
+  sp::SpillStore<std::uint32_t> spilled[2];
+  sp::SpillStore<std::uint32_t> resident[2];
+  for (int k = 0; k < 2; ++k) {
+    spilled[k].init("cursor", kStride, 0);
+    resident[k].init("cursor.resident", kStride, 0);
+    ASSERT_TRUE(spilled[k].set_spill(dir, k == 0 ? 128 : 64));
+    for (std::size_t i = 0; i < kRecs; ++i) {
+      std::uint32_t rec[kStride];
+      for (std::size_t w = 0; w < kStride; ++w) {
+        rec[w] = static_cast<std::uint32_t>((i * 7 + w * 13 + k) % 50) +
+                 (i % 9 == 0 ? 1u << 30 : 0u);
+      }
+      spilled[k].append(rec);
+      resident[k].append(rec);
+    }
+    ASSERT_GT(spilled[k].maybe_spill(0, kNoPin), 0u);
+  }
+  const auto same = [&](int k, std::size_t i, const std::uint32_t* got) {
+    return std::equal(got, got + kStride, resident[k].read(i));
+  };
+  std::mt19937_64 rng(0xC0850);
+  std::size_t at[2] = {0, 0};
+  for (int step = 0; step < 20'000; ++step) {
+    const int k = static_cast<int>(rng() % 2);
+    switch (rng() % 5) {
+      case 0: at[k] = rng() % kRecs; break;                 // jump
+      case 1: at[k] = at[k] >= 3 ? at[k] - rng() % 4 : 0; break;  // back
+      case 2: break;                                         // repeat
+      default: at[k] = std::min(kRecs - 1, at[k] + 1 + rng() % 3);  // ahead
+    }
+    const std::uint32_t* got = spilled[k].read(at[k]);
+    ASSERT_TRUE(same(k, at[k], got)) << "store " << k << " record " << at[k];
+    const int o = 1 - k;
+    (void)spilled[o].read(rng() % kRecs);
+    ASSERT_TRUE(same(k, at[k], got))
+        << "store " << k << " record " << at[k]
+        << " changed under a read of the other store";
+  }
+  for (int k = 0; k < 2; ++k) EXPECT_EQ(spilled[k].faulted_in(), 0u);
+
+  // A write faults the cursor's segment back in and a later spill
+  // re-encodes it into a new block, with an earlier record of the
+  // cursor's group changed: the next ascending read in that group must
+  // decode the new block from its start, not resume at the old offset.
+  sp::SpillStore<std::uint32_t>& s = spilled[0];
+  (void)s.read(5);
+  s.write_ptr(3)[2] = 0xABCDu;
+  resident[0].write_ptr(3)[2] = 0xABCDu;
+  ASSERT_EQ(s.faulted_in(), 1u);
+  ASSERT_GT(s.maybe_spill(0, kNoPin), 0u);
+  EXPECT_TRUE(same(0, 7, s.read(7)));
+  EXPECT_TRUE(same(0, 9, s.read(9)));
+}
+
+// --- Charged bytes -----------------------------------------------------------
+
+TEST(SpillStore, ChargedBytesFollowAdmittedRecords) {
+  // Segments are allocated whole but written only as records are admitted:
+  // the ledger charges the admitted records, the spill trigger keeps
+  // seeing the allocated segments.
+  util::spill::SpillStore<std::uint64_t> store;
+  store.init("charge", 4, 0);
+  const std::size_t rec = 4 * sizeof(std::uint64_t);
+  const std::size_t seg = store.segment_records() * rec;
+  ASSERT_GT(store.segment_records(), 1000u);
+  store.ensure(10);
+  EXPECT_EQ(store.resident_bytes(), seg);
+  EXPECT_EQ(store.charged_bytes(), 10 * rec);
+  store.append(store.read(0));
+  EXPECT_EQ(store.charged_bytes(), 11 * rec);
+  // clear() keeps the segments and the pages the records touched.
+  store.clear();
+  EXPECT_EQ(store.charged_bytes(), 11 * rec);
+  store.ensure(5);
+  EXPECT_EQ(store.charged_bytes(), 11 * rec);
+  store.ensure(store.segment_records() + 1);
+  EXPECT_EQ(store.resident_bytes(), 2 * seg);
+  EXPECT_EQ(store.charged_bytes(), (store.segment_records() + 1) * rec);
+
+  // A spilled segment leaves both counts.
+  util::spill::SpillStore<std::uint64_t> small;
+  small.init("charge.spill", 4, 0);
+  ASSERT_TRUE(small.set_spill(tdir("charge"), 64));
+  small.ensure(100);
+  EXPECT_EQ(small.charged_bytes(), 100 * rec);
+  ASSERT_GT(small.maybe_spill(0, kNoPin), 0u);
+  EXPECT_EQ(small.resident_bytes(), 64 * rec);
+  EXPECT_EQ(small.charged_bytes(), 36 * rec);
+}
+
+// --- Coded checkpoint records ------------------------------------------------
+
+/// The section file `path` holding records [0, limit) of `store`, written
+/// by save().
+template <class W>
+std::vector<std::uint8_t> saved_records(
+    const util::spill::SpillStore<W>& store, std::size_t limit,
+    const std::string& path) {
+  {
+    SectionWriter w(path);
+    w.begin("recs");
+    store.save(w, limit);
+    w.end();
+    w.finish();
+  }
+  return slurp(path);
+}
+
+/// Records [0, count) of `stride` words read back from `path` with
+/// load_records, which must hand them out group by group in order.
+template <class W>
+std::vector<W> loaded_records(const std::string& path, std::uint64_t count,
+                              std::size_t stride) {
+  std::vector<W> out;
+  SectionReader r(path);
+  r.expect("recs");
+  util::spill::load_records<W>(
+      r, count, stride, "test",
+      [&](const W* recs, std::size_t n, std::uint64_t first) {
+        EXPECT_EQ(first * stride, out.size());
+        EXPECT_TRUE(n == util::spill::kGroupRecords || first + n == count);
+        out.insert(out.end(), recs, recs + n * stride);
+      });
+  r.done();
+  return out;
+}
+
+/// `nrecs` records (a partial last group) in a store that spills at
+/// `seg_hint` (0: the default segments) and in an all-resident copy: both
+/// must save to the same bytes at every limit — whole segments, a group
+/// cut short inside a spilled segment, one record, none — and the bytes
+/// must load back to the records.
+template <class W>
+void check_coded_save(std::size_t stride, std::size_t seg_hint,
+                      std::size_t nrecs, const std::string& dir) {
+  SCOPED_TRACE(std::to_string(sizeof(W)) + "-byte words, stride " +
+               std::to_string(stride) + ", segment hint " +
+               std::to_string(seg_hint));
+  util::spill::SpillStore<W> spilled;
+  util::spill::SpillStore<W> resident;
+  spilled.init("coded", stride, W{});
+  resident.init("coded.resident", stride, W{});
+  ASSERT_TRUE(spilled.set_spill(dir, seg_hint));
+  std::vector<W> all;
+  std::vector<W> rec(stride);
+  for (std::size_t i = 0; i < nrecs; ++i) {
+    for (std::size_t w = 0; w < stride; ++w) {
+      if (i == 0 || (i + w) % 3 == 0) {
+        rec[w] = static_cast<W>(i * 2654435761u + w * 40503u) -
+                 static_cast<W>(i % 7 == 0 ? 100 : 0);
+      }
+    }
+    spilled.append(rec.data());
+    resident.append(rec.data());
+    all.insert(all.end(), rec.begin(), rec.end());
+  }
+  ASSERT_GT(spilled.maybe_spill(0, kNoPin), 0u);
+  ASSERT_NE(nrecs % util::spill::kGroupRecords, 0u);
+  const std::size_t seg = spilled.segment_records();
+  for (const std::size_t limit :
+       {nrecs, seg + 10, seg, seg - 10, std::size_t{64}, std::size_t{1},
+        std::size_t{0}}) {
+    ASSERT_LE(limit, nrecs);
+    const auto a = saved_records(spilled, limit, dir + "/spilled.bin");
+    const auto b = saved_records(resident, limit, dir + "/resident.bin");
+    EXPECT_TRUE(a == b) << "limit " << limit << ": spilled " << a.size()
+                        << " bytes, resident " << b.size();
+    const std::vector<W> back =
+        loaded_records<W>(dir + "/spilled.bin", limit, stride);
+    EXPECT_TRUE(std::equal(back.begin(), back.end(), all.begin()) &&
+                back.size() == limit * stride)
+        << "limit " << limit;
+  }
+  EXPECT_EQ(spilled.faulted_in(), 0u) << "save must fault nothing in";
+}
+
+TEST(CodedRecords, SpilledAndResidentSavesAreByteIdentical) {
+  for (const std::size_t seg : {std::size_t{64}, std::size_t{512}}) {
+    check_coded_save<std::uint8_t>(1, seg, 1500, tdir("coded_u8"));
+    check_coded_save<sim::Code>(9, seg, 1500, tdir("coded_u16"));
+    check_coded_save<sim::ConfigId>(5, seg, 1500, tdir("coded_u32"));
+    check_coded_save<std::uint64_t>(5, seg, 1500, tdir("coded_u64"));
+  }
+  // The default (~4 MiB) segments: one full segment spills, the rest of
+  // the records sit in a resident tail.
+  util::spill::SpillStore<std::uint64_t> probe;
+  probe.init("probe", 16, 0);
+  check_coded_save<std::uint64_t>(16, 0, probe.segment_records() + 300,
+                                  tdir("coded_default"));
+}
+
+/// A "recs" section holding `bytes`, for a hostile-group case.
+std::string hostile_section(const std::string& tag,
+                            const std::vector<std::uint8_t>& bytes) {
+  const std::string path = tdir("hostile_" + tag) + "/recs.bin";
+  SectionWriter w(path);
+  w.begin("recs");
+  w.put_bytes(bytes.data(), bytes.size());
+  w.end();
+  w.finish();
+  return path;
+}
+
+TEST(CodedRecords, HostileGroupsAreRefusedAsCheckpointInvalid) {
+  // Two records of two u32 words: a raw record, a u32 byte count, then
+  // the delta records. Each case frames correctly (the section's CRC is
+  // valid), so only load_records can refuse it.
+  using Bytes = std::vector<std::uint8_t>;
+  const Bytes raw = {1, 0, 0, 0, 2, 0, 0, 0};
+  const auto group = [&](std::uint32_t len, const Bytes& deltas) {
+    Bytes g = raw;
+    for (int i = 0; i < 4; ++i) {
+      g.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
+    }
+    g.insert(g.end(), deltas.begin(), deltas.end());
+    return g;
+  };
+  const Bytes good = {0x01, 0x01, 0x02};  // word 1 += 1
+  const auto load = [](const std::string& path) {
+    return loaded_records<std::uint32_t>(path, 2, 2);
+  };
+  // Control: the well-formed group loads.
+  EXPECT_EQ(load(hostile_section("good", group(3, good))),
+            (std::vector<std::uint32_t>{1, 2, 1, 3}));
+  const std::vector<std::pair<std::string, Bytes>> cases = {
+      // A byte count of 0xFFFFFFFF: refused before it is read.
+      {"huge_len", group(0xFFFFFFFFu, good)},
+      // The deltas run past the group's byte count.
+      {"short_len", group(2, good)},
+      // The byte count leaves a byte no delta consumes.
+      {"long_len", group(4, {0x01, 0x01, 0x02, 0x00})},
+      // A delta record that names word 2 of a two-word record.
+      {"word_past_record", group(3, {0x01, 0x02, 0x02})},
+      // A varint of eleven bytes.
+      {"long_varint",
+       group(13, {0x01, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                  0x80, 0x80, 0x80, 0x01})},
+      // No byte count at all: the section ends after the raw record.
+      {"torn", raw},
+      // A changed-word count the group's bytes cannot hold.
+      {"count_past_group", group(1, {0x05})},
+  };
+  for (const auto& [tag, bytes] : cases) {
+    EXPECT_THROW(load(hostile_section(tag, bytes)), util::CheckpointInvalid)
+        << tag;
+  }
 }
 
 // --- An unusable spill directory ----------------------------------------------

@@ -56,7 +56,11 @@
 //                    bytes. The shared engine counts its whole graph,
 //                    cumulatively across passes; --no-reuse's fresh BFS
 //                    counts one pass's arena and frontier. Neither counts
-//                    the valency memo or the root arena.
+//                    the valency memo or the root arena. Row and edge
+//                    stores are charged for the records they have
+//                    admitted (the pages they can have touched), not for
+//                    the ~4 MiB segments they allocate, and spilled bytes
+//                    are not charged.
 //   --time-budget-ms=MS        wall-clock budget of the whole construction
 //
 // Out-of-core flags (tsb adversary; campaigns past the RAM wall):
