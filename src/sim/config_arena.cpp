@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "obs/memledger.hpp"
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "util/checkpoint.hpp"
 #include "util/require.hpp"
@@ -25,6 +26,21 @@ inline std::uint64_t finalize(std::uint64_t h) {
   h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
   h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
   return h ^ (h >> 31);
+}
+
+/// The table `rows` interned configurations need at the 0.7 load bound.
+std::size_t slots_for(std::size_t rows) {
+  std::size_t need = kInitialSlots;
+  while (rows * 10 >= need * 7) need *= 2;
+  return need;
+}
+
+// Cold: a tag match whose row differs. Rare while the tag is wide; the
+// tag narrows by a bit per table doubling, which this counter shows.
+[[gnu::noinline, gnu::cold]] void count_tag_false_match() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("sim.arena.tag_false_matches");
+  c.add();
 }
 
 int shift_for(std::size_t slots) {
@@ -68,8 +84,7 @@ void ConfigArena::clear() {
   // large table; within kShrinkFactor of it, zeroing in place is cheaper
   // than growing back through the doublings.
   constexpr std::size_t kShrinkFactor = 16;
-  std::size_t need = kInitialSlots;
-  while (size() * 10 >= need * 7) need *= 2;
+  const std::size_t need = slots_for(size());
   if (need * kShrinkFactor < table_.size()) {
     reset_table(need);
   } else {
@@ -173,33 +188,31 @@ std::uint64_t ConfigArena::hash_codes(const Code* c) const {
 }
 
 void ConfigArena::grow_table() {
-  // High-bit bucket indexing makes growth a single sequential pass: each
-  // entry's new bucket is a prefix of its stored tag, so nothing is
-  // rehashed and the row store is never touched. The only random access
-  // is the destination write, which the lookahead prefetch below covers.
-  std::vector<Slot> bigger(table_.size() * 2);
-  const std::size_t mask = bigger.size() - 1;
-  const int shift = shift_ - 1;
-  const int tag_shift = shift - 32;  // >= 0 while the table has < 2^32 slots
-  const std::size_t nslots = table_.size();
+  // An entry keeps only the hash bits below its bucket, so growth rehashes
+  // every row, in id order: resident rows by pointer, spilled ones through
+  // the row store's forward cursor. Hashing runs kAhead rows ahead of the
+  // insertions so each destination slot's cache miss is prefetched.
+  // Nothing is read from the old table, so it is freed before the doubled
+  // one is allocated.
+  const std::size_t slots = table_.size() * 2;
+  std::vector<Slot>().swap(table_);
+  reset_table(slots);
+  const std::size_t n = size();
   constexpr std::size_t kAhead = 8;
-  for (std::size_t j = 0; j < nslots; ++j) {
-    if (j + kAhead < nslots) {
-      const Slot& a = table_[j + kAhead];
-      if (a.id != kNoConfig) {
-        __builtin_prefetch(
-            bigger.data() + (static_cast<std::size_t>(a.tag) >> tag_shift), 1);
-      }
-    }
-    const Slot& s = table_[j];
-    if (s.id == kNoConfig) continue;
-    std::size_t i = static_cast<std::size_t>(s.tag) >> tag_shift;
-    while (bigger[i].id != kNoConfig) i = (i + 1) & mask;
-    bigger[i] = s;
+  std::uint64_t ring[kAhead] = {};
+  const auto hash_ahead = [&](std::size_t id) {
+    const std::uint64_t h = hash_codes(codes(static_cast<ConfigId>(id)));
+    ring[id % kAhead] = h;
+    __builtin_prefetch(table_.data() + (h >> shift_), 1);
+  };
+  for (std::size_t id = 0; id < std::min(kAhead, n); ++id) hash_ahead(id);
+  for (std::size_t id = 0; id < n; ++id) {
+    const std::uint64_t h = ring[id % kAhead];
+    if (id + kAhead < n) hash_ahead(id + kAhead);
+    std::size_t i = h >> shift_;
+    while (table_[i] != 0) i = (i + 1) & mask_;
+    table_[i] = tag_of(h) | static_cast<Slot>(id + 1);
   }
-  table_ = std::move(bigger);
-  mask_ = mask;
-  shift_ = shift;
 }
 
 ConfigId ConfigArena::append_codes(const Code* c) {
@@ -207,24 +220,31 @@ ConfigId ConfigArena::append_codes(const Code* c) {
   return static_cast<ConfigId>(store_.append(c));
 }
 
-ConfigArena::Interned ConfigArena::intern_prehashed(const Code* c,
-                                                    std::uint64_t h) {
-  // Keep the load factor below 0.7 (growth check before the probe so slot
-  // references stay valid through the insertion).
-  if ((size() + 1) * 10 >= table_.size() * 7) grow_table();
-  const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
+std::size_t ConfigArena::probe(const Code* c, std::uint64_t h) const {
+  const Slot tag = tag_of(h);
   std::size_t i = h >> shift_;
   while (true) {
-    Slot& s = table_[i];
-    if (s.id == kNoConfig) {
-      const ConfigId id = append_codes(c);
-      s.tag = tag;
-      s.id = id;
-      return {id, true};
+    const Slot s = table_[i];
+    if (s == 0) return i;
+    if (tag_of(s) == tag) {
+      if (codes_equal(codes(id_of(s)), c)) return i;
+      count_tag_false_match();
     }
-    if (s.tag == tag && codes_equal(codes(s.id), c)) return {s.id, false};
     i = (i + 1) & mask_;
   }
+}
+
+ConfigArena::Interned ConfigArena::intern_prehashed(const Code* c,
+                                                    std::uint64_t h) {
+  // Keep the load factor below 0.7 (growth check before the probe so the
+  // slot index stays valid through the insertion). The bound also keeps
+  // id + 1 inside an entry's id bits.
+  if ((size() + 1) * 10 >= table_.size() * 7) grow_table();
+  const std::size_t i = probe(c, h);
+  if (table_[i] != 0) return {id_of(table_[i]), false};
+  const ConfigId id = append_codes(c);
+  table_[i] = tag_of(h) | static_cast<Slot>(id + 1);
+  return {id, true};
 }
 
 ConfigArena::Interned ConfigArena::intern(const Value* w) {
@@ -245,15 +265,8 @@ ConfigId ConfigArena::find(const Value* w) const {
     if (c == kNoSlot) return kNoConfig;
     row[i] = static_cast<Code>(c);
   }
-  const std::uint64_t h = hash_codes(row.data());
-  const std::uint32_t tag = static_cast<std::uint32_t>(h >> 32);
-  std::size_t i = h >> shift_;
-  while (true) {
-    const Slot& s = table_[i];
-    if (s.id == kNoConfig) return kNoConfig;
-    if (s.tag == tag && codes_equal(codes(s.id), row.data())) return s.id;
-    i = (i + 1) & mask_;
-  }
+  const Slot s = table_[probe(row.data(), hash_codes(row.data()))];
+  return s == 0 ? kNoConfig : id_of(s);
 }
 
 void ConfigArena::save(util::ckpt::SectionWriter& w) const {
@@ -284,6 +297,14 @@ void ConfigArena::restore(util::ckpt::SectionReader& r,
     dict_insert(v);
   }
   const std::uint64_t count = r.get_u64();
+  // Size the table once instead of growing through every doubling. Each
+  // group of kGroupRecords rows takes at least its raw first row and a u32
+  // byte count, which caps the rows a hostile count can make us size for.
+  const std::uint64_t group_bytes = words_ * sizeof(Code) + 4;
+  const std::uint64_t fit = std::min<std::uint64_t>(
+      count, r.remaining() / group_bytes * util::spill::kGroupRecords);
+  const std::size_t need = slots_for(static_cast<std::size_t>(fit));
+  if (need > table_.size()) reset_table(need);
   util::spill::load_records<Code>(
       r, count, words_, where,
       [&](const Code* rows, std::size_t k, std::uint64_t first) {

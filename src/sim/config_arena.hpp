@@ -66,11 +66,13 @@ inline std::optional<Value> decision_of(const Protocol& proto,
 /// and each configuration as a row of 16-bit codes: SPIN's COLLAPSE
 /// compression (Holzmann, "State compression in SPIN", 1997). The rows are
 /// the records of one util::spill::SpillStore<Code> (stride n + m), and
-/// deduplication goes through an open-addressing hash table of 8-byte
-/// slots (a 32-bit hash tag plus the id), so a probe touches row data only
-/// on a tag match. Because the dictionary is a bijection, two rows are
-/// equal exactly when their configurations are; hashing and comparing
-/// touch 2 bytes per word.
+/// deduplication goes through an open-addressing hash table of 4-byte
+/// slots. With 2^k slots, a slot's low k bits hold id + 1 (0 = empty) and
+/// its high 32 - k bits hold hash bits k..31 as a tag, so a probe touches
+/// row data only on a tag match; growth rehashes the rows in id order.
+/// Because the dictionary is a bijection, two rows are equal exactly when
+/// their configurations are; hashing and comparing touch 2 bytes per
+/// word.
 ///
 /// The engines work in code space: step() computes a successor from the
 /// parent's codes and decoded words, re-encoding only the (at most two)
@@ -201,7 +203,9 @@ class ConfigArena {
   ConfigId find(const Value* w) const;
 
   /// Append a code row as a new configuration WITHOUT consulting the
-  /// dedup table (find() will not see it). Tests fill arenas with it.
+  /// dedup table (find() will not see it). Tests fill arenas with it; an
+  /// arena filled this way is not interned into afterwards, since table
+  /// growth re-inserts every row.
   ConfigId append_codes(const Code* c);
 
   // --- checkpoint -----------------------------------------------------------
@@ -213,7 +217,9 @@ class ConfigArena {
   /// where the rows live.
   void save(util::ckpt::SectionWriter& w) const;
   /// Inverse of save() into an empty arena; rows are re-interned in id
-  /// order so the dedup table rebuilds and ids stay stable. Throws
+  /// order so the dedup table rebuilds and ids stay stable. The table is
+  /// sized once for the saved row count, capped by the rows the section's
+  /// remaining bytes can hold, so a hostile count allocates nothing. Throws
   /// util::CheckpointInvalid, naming `section`, for a dictionary of more
   /// than kMaxCodes values, a duplicate dictionary value, a malformed row
   /// group (util::spill::load_records), a code past the dictionary, or a
@@ -275,19 +281,26 @@ class ConfigArena {
   std::size_t segment_configs() const { return store_.segment_records(); }
 
  private:
-  /// Buckets are the hash's top log2(table size) bits — a prefix of the
-  /// stored tag — so growth re-derives every bucket from tags alone: one
-  /// sequential read pass, no rehashing of row data. (Holds while the
-  /// table has <= 2^32 slots; the 32-bit id space runs out first.)
-  struct Slot {
-    std::uint32_t tag = 0;  ///< top 32 hash bits; full equality is by codes
-    ConfigId id = kNoConfig;
-  };
+  /// A dedup table entry. With 2^k slots, a bucket is the hash's top k
+  /// bits and the low k bits of an entry hold id + 1 (0 = empty; the 0.7
+  /// load bound keeps every id below 2^k). The high 32 - k bits hold hash
+  /// bits k..31, disjoint from the bucket, as the tag. Growth cannot
+  /// re-derive a bucket from the entry, so grow_table rehashes the rows.
+  using Slot = std::uint32_t;
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   bool codes_equal(const Code* a, const Code* b) const {
     return std::memcmp(a, b, words_ * sizeof(Code)) == 0;
   }
+  /// The tag bits of hash `h` in an entry of the current table.
+  Slot tag_of(std::uint64_t h) const {
+    return static_cast<Slot>(h) & ~static_cast<Slot>(mask_);
+  }
+  /// The id an occupied entry names.
+  ConfigId id_of(Slot s) const { return (s & static_cast<Slot>(mask_)) - 1; }
+  /// Index of the slot holding code row `c` (hash h), or of the empty
+  /// slot where it would go.
+  std::size_t probe(const Code* c, std::uint64_t h) const;
   void grow_table();
   void reset_table(std::size_t slots);
   /// Code of `v`, or kNoSlot if the dictionary does not name it.
@@ -303,7 +316,7 @@ class ConfigArena {
 
   std::vector<Code> stage_;     ///< words_ codes: intern(Value*) staging
   std::vector<Slot> table_;     ///< open addressing, power-of-two size
-  std::size_t mask_ = 0;        ///< table size - 1 (probe wrap)
+  std::size_t mask_ = 0;        ///< table size - 1 (probe wrap, id bits)
   int shift_ = 0;               ///< 64 - log2(table size) (bucket index)
 
   std::vector<Value> dict_;  ///< code -> value

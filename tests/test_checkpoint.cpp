@@ -534,6 +534,64 @@ TEST_F(IoFaultTest, SpillWriteFailureIsBudgetExhausted) {
   EXPECT_THROW(arena.maybe_spill(sim::kNoConfig), BudgetExhausted);
 }
 
+// --- ConfigArena restore -----------------------------------------------------
+
+std::vector<sim::Value> arena_row(sim::Value i) { return {i % 1'000, i / 1'000, -1}; }
+
+TEST(ArenaRestore, TableIsSizedOnceForTheSavedRows) {
+  // restore() sizes the dedup table for the section's row count up front:
+  // the same table a straight-through fill grows to, every row at its id.
+  sim::ConfigArena arena(2, 1, "test");
+  for (sim::Value i = 0; i < 100'000; ++i) {
+    ASSERT_TRUE(arena.intern(arena_row(i).data()).inserted);
+  }
+  const std::string path = tdir("arena_presize") + "/arena.bin";
+  {
+    SectionWriter w(path);
+    w.begin("arena");
+    arena.save(w);
+    w.end();
+    w.finish();
+  }
+  sim::ConfigArena restored(2, 1, "test");
+  SectionReader r(path);
+  r.expect("arena");
+  restored.restore(r, "arena");
+  EXPECT_EQ(r.remaining(), 0u);
+  ASSERT_EQ(restored.size(), arena.size());
+  EXPECT_EQ(restored.table_slots(), arena.table_slots());
+  for (sim::Value i = 0; i < 100'000; i += 997) {
+    EXPECT_EQ(restored.find(arena_row(i).data()), static_cast<sim::ConfigId>(i));
+  }
+}
+
+TEST(ArenaRestore, HostileRowCountIsRefusedWithoutSizingForIt) {
+  // A section claiming 2^40 rows but holding one group's header: the table
+  // is sized for the 64 rows those bytes could hold, never for the claim
+  // (which would be a multi-TiB allocation), and the short group is
+  // refused as a malformed checkpoint.
+  const std::string path = tdir("arena_hostile") + "/arena.bin";
+  {
+    SectionWriter w(path);
+    w.begin("arena");
+    w.put_u32(3);  // dictionary: 0, 1, -1
+    w.put_i64(0);
+    w.put_i64(1);
+    w.put_i64(-1);
+    w.put_u64(std::uint64_t{1} << 40);
+    const sim::Code raw[3] = {0, 1, 2};
+    w.put_bytes(raw, sizeof raw);
+    w.put_u32(0);  // no deltas for the group's other 63 rows
+    w.end();
+    w.finish();
+  }
+  sim::ConfigArena arena(2, 1, "test");
+  SectionReader r(path);
+  r.expect("arena");
+  EXPECT_THROW(arena.restore(r, "arena"), CheckpointInvalid);
+  EXPECT_EQ(arena.table_slots(), 1024u);
+}
+
 // --- CheckpointService orchestration ---------------------------------------
 
 class CheckpointServiceTest : public ::testing::Test {

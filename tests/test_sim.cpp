@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
+#include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/explorer.hpp"
 #include "util/require.hpp"
@@ -272,6 +275,64 @@ TEST(ArenaDictionary, LookupsNeverGrowTheDictionary) {
   std::vector<Value> got(3);
   arena.decode(0, got.data());
   EXPECT_EQ(got, a);
+}
+
+/// Interns `rows` distinct rows into a (2, 1) arena, calling `between`
+/// every 1,000 rows, then checks that the table grew through at least
+/// eight doublings and that every row re-interns to its own id while as
+/// many absent rows (all their words in the dictionary) are not found.
+template <class Between>
+void check_growth(ConfigArena& arena, Value rows, Between&& between) {
+  const auto present = [](Value i) {
+    return std::vector<Value>{i % 1'000, i / 1'000, -1};
+  };
+  const auto absent = [](Value i) {
+    return std::vector<Value>{i % 1'000, i / 1'000, i % 1'000};
+  };
+  for (Value i = 0; i < rows; ++i) {
+    const auto w = present(i);
+    const auto got = arena.intern(w.data());
+    ASSERT_TRUE(got.inserted) << i;
+    ASSERT_EQ(got.id, static_cast<ConfigId>(i));
+    if (i % 1'000 == 999) between();
+  }
+  EXPECT_GE(arena.table_slots(), std::size_t{1024} << 8);
+  EXPECT_EQ(arena.table_bytes(), arena.table_slots() * 4);
+  const std::size_t dict = arena.dict_size();
+  for (Value i = 0; i < rows; ++i) {
+    const auto w = present(i);
+    const auto got = arena.intern(w.data());
+    ASSERT_FALSE(got.inserted) << i;
+    ASSERT_EQ(got.id, static_cast<ConfigId>(i));
+    ASSERT_EQ(arena.find(w.data()), static_cast<ConfigId>(i));
+    const auto a = absent(i);
+    ASSERT_EQ(arena.find(a.data()), kNoConfig) << i;
+  }
+  EXPECT_EQ(arena.size(), static_cast<std::size_t>(rows));
+  EXPECT_EQ(arena.dict_size(), dict);
+}
+
+TEST(ArenaTable, GrowthRehashesEveryRowToItsOwnId) {
+  obs::Counter& false_matches =
+      obs::Registry::global().counter("sim.arena.tag_false_matches");
+  const std::uint64_t before = false_matches.value();
+  ConfigArena arena(2, 1, "test");
+  check_growth(arena, 200'000, [] {});
+  // 2^19 slots leave a 13-bit tag: among ~800k probes some tags collide
+  // with a different row, and only the code comparison tells them apart.
+  EXPECT_EQ(arena.table_slots(), std::size_t{1} << 19);
+  EXPECT_GT(false_matches.value(), before);
+}
+
+TEST(ArenaTable, GrowthRehashesSpilledRows) {
+  const std::string dir = ::testing::TempDir() + "tsb_arena_table_spill";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ConfigArena arena(2, 1, "test");
+  ASSERT_TRUE(arena.set_spill(dir, 0, 512));
+  check_growth(arena, 200'000, [&] { arena.maybe_spill(kNoConfig); });
+  // Every doubling past the first few read spilled rows back to hash them.
+  EXPECT_GT(arena.spilled_segments(), 300u);
 }
 
 }  // namespace
