@@ -5,7 +5,7 @@
 // enumerate exactly the resident row's configuration count.
 //
 // Usage: bench_explore [--smoke] [--overhead] [--stats=FILE] [--json=FILE]
-//                      [max_n]
+//                      [--progress-interval-ms=MS] [max_n]
 //   --smoke       one small run (n = 4, low cap) for CI
 //   --overhead    E13: instrumentation cost — the same enumeration at six
 //                 tiers (off / stats / stats+trace / flight /
@@ -14,6 +14,7 @@
 //                 by the same analyzer `tsb report` uses
 //   --stats=FILE  stream per-BFS-level stats to FILE during the runs
 //   --json=FILE   machine-readable per-row metrics for tools/check_perf.py
+// Any other argument is refused with exit 2.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -30,6 +31,7 @@
 #include "obs/obs.hpp"
 #include "report.hpp"
 #include "sim/explorer.hpp"
+#include "tsb_flags.hpp"
 #include "util/checkpoint.hpp"
 #include "util/table.hpp"
 
@@ -158,8 +160,7 @@ int run_overhead(int n, std::size_t cap, const std::string& stats_file) {
       });
     }
 
-    sim::Explorer explorer(
-        proto, {.limits = {.max_configs = cap}, .stats_min_visited = 0});
+    sim::Explorer explorer(proto, {.limits = {.max_configs = cap}});
     const RunResult r = timed_explore(explorer, proto, n);
 
     if (tier.ckpt) {
@@ -258,6 +259,7 @@ int main(int argc, char** argv) {
   std::string stats_file;
   std::string json_file;
   int max_n = 6;
+  std::uint64_t n = 0, ms = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
@@ -267,11 +269,16 @@ int main(int argc, char** argv) {
       stats_file = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_file = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--progress-interval-ms=", 23) == 0) {
-      obs::set_progress_interval(
-          std::chrono::milliseconds(std::atoll(argv[i] + 23)));
+    } else if (std::strncmp(argv[i], "--progress-interval-ms=", 23) == 0 &&
+               cli::parse_u64(argv[i] + 23, &ms) && ms >= 1) {
+      obs::set_progress_interval(std::chrono::milliseconds(ms));
+    } else if (cli::parse_u64(argv[i], &n) && n >= 4 && n <= 63) {
+      max_n = static_cast<int>(n);
     } else {
-      max_n = std::atoi(argv[i]);
+      std::cerr << "bench_explore: bad argument " << argv[i]
+                << " (want --smoke, --overhead, --stats=FILE, --json=FILE, "
+                   "--progress-interval-ms=MS >= 1 or max_n in 4..63)\n";
+      return 2;
     }
   }
 

@@ -3,11 +3,12 @@
 // invocations, D_i chain lengths, valency queries and cache behaviour,
 // shared-subgraph reuse, schedule lengths).
 //
-// Usage: bench_lemmas [--no-reuse] [--json=FILE] [max_n]
+// Usage: bench_lemmas [--no-reuse] [--json=FILE] [--progress-interval-ms=MS]
+//                     [max_n]
 //   --no-reuse   run the oracle's fresh-BFS-per-query backend (A/B anchor)
 //   --json=FILE  machine-readable per-n rows for tools/check_perf.py
+// Any other argument is refused with exit 2.
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -17,6 +18,7 @@
 #include "consensus/ballot.hpp"
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
+#include "tsb_flags.hpp"
 #include "util/table.hpp"
 
 using namespace tsb;
@@ -25,16 +27,22 @@ int main(int argc, char** argv) {
   bool reuse = true;
   std::string json_file;
   int max_n = 5;
+  std::uint64_t n = 0, ms = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--no-reuse") == 0) {
       reuse = false;
     } else if (std::strncmp(argv[i], "--json=", 7) == 0) {
       json_file = argv[i] + 7;
-    } else if (std::strncmp(argv[i], "--progress-interval-ms=", 23) == 0) {
-      obs::set_progress_interval(
-          std::chrono::milliseconds(std::atoll(argv[i] + 23)));
+    } else if (std::strncmp(argv[i], "--progress-interval-ms=", 23) == 0 &&
+               cli::parse_u64(argv[i] + 23, &ms) && ms >= 1) {
+      obs::set_progress_interval(std::chrono::milliseconds(ms));
+    } else if (cli::parse_u64(argv[i], &n) && n >= 2 && n <= 63) {
+      max_n = static_cast<int>(n);
     } else {
-      max_n = std::atoi(argv[i]);
+      std::cerr << "bench_lemmas: bad argument " << argv[i]
+                << " (want --no-reuse, --json=FILE, "
+                   "--progress-interval-ms=MS >= 1 or max_n in 2..63)\n";
+      return 2;
     }
   }
   int rc = 0;

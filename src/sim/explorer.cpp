@@ -24,8 +24,8 @@ double elapsed_ms(std::chrono::steady_clock::time_point from,
 }
 }  // namespace
 
-LevelStatsTracker::LevelStatsTracker(const char* who, std::size_t min_visited)
-    : who_(who), active_(obs::stats_enabled()), min_visited_(min_visited) {
+LevelStatsTracker::LevelStatsTracker(const char* who)
+    : who_(who), active_(obs::stats_enabled()) {
   if (!active_) return;
   t_start_ = std::chrono::steady_clock::now();
   t_level_ = t_start_;
@@ -75,7 +75,7 @@ void LevelStatsTracker::done(const ConfigArena& arena,
                              const ExploreResult& res,
                              std::uint64_t dedup_total) {
   obs::JsonlSink& sink = obs::stats_sink();
-  if (res.visited >= min_visited_) {
+  if (res.visited >= kStatsMinVisited) {
     for (const std::string& line : buffered_) sink.write(line);
   }
   const double ms = elapsed_ms(t_start_, std::chrono::steady_clock::now());

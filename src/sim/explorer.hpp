@@ -43,7 +43,7 @@ namespace detail {
 /// determinism tests run with it on).
 ///
 /// Level records are *buffered*, and flushed only if the exploration ends
-/// up visiting at least Options::stats_min_visited configurations: the
+/// up visiting at least kStatsMinVisited configurations: the
 /// valency oracle runs thousands of small reachability passes per
 /// adversary run, and per-level rows for a 40-config pass are noise that
 /// would swamp the stats file. Every exploration still contributes one
@@ -53,7 +53,9 @@ namespace detail {
 /// other method is behind active().
 class LevelStatsTracker {
  public:
-  LevelStatsTracker(const char* who, std::size_t min_visited);
+  static constexpr std::size_t kStatsMinVisited = 10'000;
+
+  explicit LevelStatsTracker(const char* who);
 
   bool active() const { return active_; }
 
@@ -73,7 +75,6 @@ class LevelStatsTracker {
  private:
   const char* who_;
   bool active_;
-  std::size_t min_visited_;
   std::size_t levels_ = 0;
   std::vector<std::string> buffered_;
   std::chrono::steady_clock::time_point t_start_{};
@@ -115,10 +116,6 @@ class Explorer {
     /// while the reachable set keeps growing on disk; an unusable spill
     /// directory throws util::UsageError from the constructor.
     Limits limits{};
-    /// Runs visiting fewer configurations than this keep only their
-    /// "explore.done" summary in the stats JSONL; per-level records are
-    /// dropped (see detail::LevelStatsTracker).
-    std::size_t stats_min_visited = 10'000;
   };
 
   using Result = ExploreResult;
@@ -150,7 +147,7 @@ class Explorer {
 
     Result res;
     detail::ExploreMetrics& metrics = detail::explore_metrics();
-    detail::LevelStatsTracker stats("explore", opts_.stats_min_visited);
+    detail::LevelStatsTracker stats("explore");
     obs::Heartbeat hb("explore");
 
     arena_.pack(root, pvals_.data());

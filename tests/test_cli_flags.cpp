@@ -5,7 +5,10 @@
 
 #include <climits>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "tsb_flags.hpp"
@@ -49,12 +52,10 @@ TEST(ParseArgs, TraceStatsAndValencyCapAcceptBothForms) {
 }
 
 TEST(ParseArgs, FlagsMayAppearAnywhereAmongPositionals) {
-  const auto r =
-      parse_args({"report", "run.jsonl", "--metrics", "audit.jsonl"});
+  const auto r = parse_args({"check", "ballot", "--metrics", "3"});
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.flags.metrics);
-  EXPECT_EQ(r.args,
-            (std::vector<std::string>{"report", "run.jsonl", "audit.jsonl"}));
+  EXPECT_EQ(r.args, (std::vector<std::string>{"check", "ballot", "3"}));
 }
 
 TEST(ParseArgs, ValencyCapAndTopValidation) {
@@ -333,6 +334,57 @@ TEST(ParseArgs, CompareAndTolerance) {
     EXPECT_FALSE(g.ok) << gone;
     EXPECT_NE(g.error.find("unknown flag"), std::string::npos) << g.error;
   }
+}
+
+// The flag table is the one place a flag is declared: every (subcommand,
+// flag) pair parses exactly when the flag's row lists that subcommand, and
+// a refusal names both.
+TEST(FlagTable, EachCommandTakesExactlyTheFlagsItsRowsList) {
+  ASSERT_EQ(std::size(kFlags), 24u);
+  const std::map<std::string, std::size_t> expected = {
+      {"adversary", 16}, {"resume", 15}, {"check", 6},  {"search", 6},
+      {"mutex", 6},      {"perturb", 6}, {"chaos", 13}, {"report", 1},
+      {"monitor", 0}};
+  for (const Command& c : kCommands) {
+    std::size_t taken = 0;
+    for (const Flag& f : kFlags) {
+      std::vector<std::string> argv = {c.name, f.name};
+      if (f.value != nullptr) {
+        argv.push_back(
+            std::holds_alternative<std::string ObsFlags::*>(f.field)
+                ? "x"
+                : std::to_string(f.lo));
+      }
+      const auto r = parse_args(argv);
+      const bool reads = (f.cmds & c.bit) != 0;
+      taken += reads;
+      EXPECT_EQ(r.ok, reads) << c.name << " " << f.name << ": " << r.error;
+      if (!reads) {
+        EXPECT_EQ(r.error,
+                  std::string("tsb ") + c.name + " does not read " + f.name);
+      }
+    }
+    EXPECT_EQ(taken, expected.at(c.name)) << c.name;
+  }
+}
+
+TEST(FlagTable, CommandComesFromTheFirstPositional) {
+  const auto r = parse_args({"--stats", "s.jsonl", "check", "ballot"});
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_NE(r.cmd, nullptr);
+  EXPECT_EQ(r.cmd->bit, kCheck);
+  // A value in the --flag V form is never taken for the command.
+  const auto v = parse_args({"--out", "report", "chaos"});
+  ASSERT_TRUE(v.ok) << v.error;
+  EXPECT_EQ(v.cmd->bit, kChaos);
+  EXPECT_EQ(v.flags.chaos_file, "report");
+  // --checkpoint-dir is the adversary's; resume takes its directory as a
+  // positional and refuses the flag instead of ignoring it.
+  const auto ck = parse_args({"resume", "ck", "4", "--checkpoint-dir=x"});
+  EXPECT_EQ(ck.error, "tsb resume does not read --checkpoint-dir");
+  const auto bad = parse_args({"frobnicate", "--stats=s.jsonl"});
+  EXPECT_EQ(bad.error, "unknown subcommand: frobnicate");
+  EXPECT_EQ(parse_args({"--stats=s.jsonl"}).cmd, nullptr);
 }
 
 }  // namespace

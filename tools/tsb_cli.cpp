@@ -1,104 +1,19 @@
-// tsb — command-line front end to the library's machinery.
-//
-//   tsb adversary [n] [cap]        run Theorem 1's construction (narrated)
-//   tsb resume <dir> [n] [cap]     resume a checkpointed adversary campaign
-//   tsb check <proto> [n] [cap]    exhaustively model check a protocol
-//   tsb search [modes] [cap]       sweep the 1-register protocol family
-//   tsb mutex [n]                  canonical-cost + Burns-Lynch summary
-//   tsb perturb [n]                JTT perturbation adversary on a counter
-//   tsb chaos                      seeded fault-injection campaign (rt layer)
-//   tsb report FILE...             analyze trace/stats/chaos/flight JSONL
-//                                  artifacts, ending with a baseline: line
-//   tsb report --compare A B       diff two --stats timelines (25% gate)
-//   tsb monitor <stats-file>       repaint the telemetry section of
-//                                  `tsb report <stats-file>` every 500 ms
-//
-// Observability flags (any position; outputs are opened before the run;
-// every flag that takes a value takes it as --flag=V or --flag V):
-//   --trace=FILE     record a trace; .jsonl gets JSONL (what `tsb report`
-//                    reads), else Chrome trace_event JSON (for Perfetto)
-//   --stats=FILE     the run's one record stream, JSONL (run commands
-//                    only; each record opens with "type", "ts_ns"): engine
-//                    records, one valency.pass per reachability pass, the
-//                    adversary's Lemma 1-4 decision trail and certificate,
-//                    checkpoint writes, the memory ledger, and one
-//                    telemetry.tick per heartbeat (counters, ledger,
-//                    rates, peak RSS, monotonic tick ids; flushed per tick,
-//                    so a killed run keeps everything up to the last
-//                    interval). The ticks are measurements only; `tsb
-//                    report FILE` shows them in its telemetry section,
-//                    with the alerts its rules derive from them (throughput
-//                    collapse, spill thrash, memory-budget runaway,
-//                    checkpoint stalls); `tsb monitor FILE` repaints that
-//                    section live; `tsb report --compare A B` diffs two
-//                    runs.
-//   --metrics        print the metrics registry as one JSON line at exit
-//   --progress       heartbeat lines on stderr during long computations
-//
-// In-flight introspection (see DESIGN.md "In-flight introspection"):
-//   --progress-interval-ms=MS  heartbeat/telemetry cadence (default 1000)
-//   --flight=FILE    enable the in-memory flight recorder (run commands
-//                    only); rings dump to FILE on fatal signal, budget
-//                    exhaustion, SIGUSR1, and exit. `tsb report` takes the
-//                    dump as an input file and renders a narrative.
-//   --valency-cap=N  valency oracle configuration cap (adversary only)
-//
-// Chaos flags (tsb chaos):
-//   --runs=N --seed=S --n=P            campaign size / seed / processes
-//   --targets=LIST   ballot,rounds,randomized,commit-adopt,leader,
-//                    peterson,tournament,bakery (or "all")
-//   --mix=LIST       crash,stall,yield (any subset, or "all")
-//   --run-timeout-ms=MS  per-run wall-clock backstop
-//   --out=FILE       per-run JSONL records (feeds tsb report)
-//
-// Budget flags (tsb adversary; graceful degradation instead of OOM/hang):
-//   --mem-budget=BYTES[k|m|g]  cap on the valency engine's tracked heap
-//                    bytes. The shared engine counts its whole graph,
-//                    cumulatively across passes; --no-reuse's fresh BFS
-//                    counts one pass's arena and frontier. Neither counts
-//                    the valency memo or the root arena. Row and edge
-//                    stores are charged for the records they have
-//                    admitted (the pages they can have touched), not for
-//                    the ~4 MiB segments they allocate, and spilled bytes
-//                    are not charged.
-//   --time-budget-ms=MS        wall-clock budget of the whole construction
-//
-// Out-of-core flags (tsb adversary; campaigns past the RAM wall):
-//   --spill-threshold=BYTES[k|m|g]  cold arena and edge segments past this
-//                    many resident bytes are delta/varint-compressed to
-//                    unlinked backing files and read back through mmap
-//                    (ledger: arena.spill, graph.spill). The arena and the
-//                    edge arrays each spill down to it on their own, so
-//                    resident spillable bytes can reach about twice it.
-//   --spill-dir=DIR  where the backing files live (default "."; pick a
-//                    real disk, not tmpfs, or spilling cannot free RAM); a
-//                    directory that cannot hold one is refused with exit 2
-//   --spill-seg-configs=N  configs per arena/edge segment (testing/CI:
-//                    small values force spilling on small campaigns)
-//
-// Crash-safe campaigns (tsb adversary / tsb resume):
-//   --checkpoint-dir=DIR    checkpoint the oracle's session state (roots,
-//                    memo, shared graph) into DIR at the engines' quiescent
-//                    points: versioned, per-section CRC-checked state file
-//                    committed by an atomic manifest rename. SIGTERM/SIGINT
-//                    then mean "write a final checkpoint and stop" (exit 5)
-//                    instead of losing the campaign; `tsb resume DIR n cap`
-//                    (same flags) warm-replays to the identical verdict,
-//                    visited set and certificate. A corrupt, truncated or
-//                    mismatched checkpoint is refused with exit 6 — never
-//                    silently degraded. TSB_IO_FAULT=kind[:countdown]
-//                    (enospc|short_write|eintr|torn_rename|bitflip) arms
-//                    hostile-I/O injection on the checkpoint/spill writers.
-//   --checkpoint-interval-ms=MS  wall-clock cadence (0 = off)
-//   --checkpoint-every=N    expansion-count cadence (0 = off; with both
-//                    cadences off, checkpoints are written only on a stop)
+// tsb — command-line front end to the library's machinery: Theorem 1's
+// construction and its independent certificate check, the model checker,
+// the protocol sweep, the mutex and perturbation adversaries, the chaos
+// campaign and the artifact analyzer. `tsb` with no arguments prints each
+// subcommand with the flags it reads, from the one flag table
+// (tsb_flags.hpp); a flag its subcommand does not read is a usage error.
+// TSB_IO_FAULT=kind[:countdown] (enospc|short_write|eintr|torn_rename|
+// bitflip) arms hostile-I/O injection on the checkpoint/spill writers.
 //
 // Exit codes (distinct so CI can tell misuse from refutation):
 //   0  success
 //   1  violation / failed construction / report inconsistency
-//   2  usage error: unknown subcommand, unknown protocol, bad flag, unusable
-//      --spill-dir/--trace/--stats/--flight, --stats/--flight on a viewer,
-//      a Chrome trace given to `tsb report`
+//   2  usage error: unknown subcommand, unknown protocol, bad positional,
+//      unknown or malformed flag, a flag the subcommand does not read,
+//      unusable --spill-dir/--trace/--stats/--flight, a Chrome trace given
+//      to `tsb report`
 //   3  chaos campaign clean of violations but some runs timed out
 //   4  budget exhausted (adversary stopped by --mem-budget/--time-budget-ms)
 //      or a failed write (checkpoint, spill, exit-time trace/flight dump,
@@ -107,14 +22,13 @@
 //      a final checkpoint; resume later with `tsb resume DIR`)
 //   6  checkpoint refused (bad CRC, truncated section, format version or
 //      flag-fingerprint mismatch — resume never runs on doubtful state)
-//
-// Protocols for `check`: ballot | racing-strict | racing-atleast | swap
 #include <csignal>
 
 #include <chrono>
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -122,6 +36,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bound/adversary.hpp"
@@ -157,53 +72,40 @@ constexpr int kExitBudget = 4;
 constexpr int kExitStopped = 5;      ///< checkpointed-and-stopped (resumable)
 constexpr int kExitCkptInvalid = 6;  ///< checkpoint refused (corrupt/mismatch)
 
-// Subcommands that execute a run (vs read artifacts someone else wrote).
-// --stats and --flight only make sense for the former: a viewer or analyzer
-// must never truncate the file it is about to read.
-bool cmd_is_run(const std::string& cmd) {
-  return cmd != "report" && cmd != "monitor";
-}
-
-// An output written only at exit (or from a fatal-signal handler) is
-// created now, like --stats, so an unusable path is refused before the run.
-bool can_create(const std::string& path) {
-  return std::ofstream(path).is_open();
-}
-
+// Every subcommand with the flags it reads, then every flag, from the
+// tables in tsb_flags.hpp.
 int usage() {
-  std::cerr
-      << "usage:\n"
-         "  tsb adversary [n=4] [cap=2n]     Theorem 1 construction\n"
-         "  tsb resume <dir> [n=4] [cap=2n]  resume a checkpointed campaign\n"
-         "      (pass the same n/cap/flags as the original run; a\n"
-         "      fingerprint mismatch is refused with exit 6)\n"
-         "  tsb check <proto> [n=2] [cap=2n] exhaustive model check\n"
-         "      proto: ballot | racing-strict | racing-atleast | swap\n"
-         "  tsb search [modes=1] [cap=0]     1-register protocol sweep\n"
-         "  tsb mutex [n=8]                  mutex cost + covering summary\n"
-         "  tsb perturb [n=5]                JTT adversary on the counter\n"
-         "  tsb chaos                        seeded rt fault campaign\n"
-         "  tsb report FILE...               analyze run artifacts (JSONL)\n"
-         "  tsb report --compare A B         diff two --stats timelines\n"
-         "                                   (exit 1 past a 25% regression)\n"
-         "  tsb monitor <stats>              live telemetry section of report\n"
-         "flags: --trace=FILE --stats=FILE --metrics --progress\n"
-         "       --valency-cap=N\n"
-         "introspection: --progress-interval-ms=MS --flight=FILE\n"
-         "chaos: --runs=N --seed=S --n=P --targets=LIST|all --mix=LIST|all\n"
-         "       --run-timeout-ms=MS --out=FILE\n"
-         "adversary budgets: --mem-budget=BYTES[k|m|g] --time-budget-ms=MS\n"
-         "adversary backend: --no-reuse (fresh-BFS valency; default is the\n"
-         "                   shared-subgraph engine)\n"
-         "out-of-core: --spill-threshold=BYTES[k|m|g] --spill-dir=DIR\n"
-         "             --spill-seg-configs=N (segment size, testing)\n"
-         "checkpointing: --checkpoint-dir=DIR --checkpoint-interval-ms=MS\n"
-         "               --checkpoint-every=N (SIGTERM/SIGINT = checkpoint\n"
-         "               and stop; continue with tsb resume DIR)\n"
-         "exit codes: 0 ok, 1 violation/failed construction, 2 usage "
-         "error,\n"
-         "            3 chaos timeouts (no violation), 4 budget exhausted,\n"
-         "            5 checkpointed and stopped, 6 checkpoint refused\n";
+  constexpr int kCol = 33;  // help column; a '\n' in a help line continues
+  const auto row = [](const std::string& head, const char* help) {
+    std::cerr << "  " << std::left << std::setw(kCol - 2) << head;
+    for (const char* c = help; *c != '\0'; ++c) {
+      std::cerr << *c << (*c == '\n' ? std::string(kCol, ' ') : "");
+    }
+    std::cerr << "\n";
+  };
+  std::cerr << "usage: tsb COMMAND [ARGS] [FLAGS]  (a flag may go anywhere; "
+               "it takes\n       a value as --flag=V or --flag V)\n";
+  for (const cli::Command& c : cli::kCommands) {
+    row(std::string(c.name) + " " + c.args, c.help);
+    std::string line = "     ";
+    for (const cli::Flag& f : cli::kFlags) {
+      if ((f.cmds & c.bit) == 0) continue;
+      if (line.size() + std::strlen(f.name) >= 79) {
+        std::cerr << line << "\n";
+        line = "     ";
+      }
+      line = line + " " + f.name;
+    }
+    std::cerr << (line.size() > 5 ? line : "      (no flags)") << "\n";
+  }
+  std::cerr << "flags:\n";
+  for (const cli::Flag& f : cli::kFlags) {
+    row(f.value ? std::string(f.name) + "=" + f.value : f.name, f.help);
+  }
+  std::cerr << "exit codes: 0 ok, 1 violation/failed construction, 2 usage "
+               "error,\n"
+               "            3 chaos timeouts (no violation), 4 budget exhausted,\n"
+               "            5 checkpointed and stopped, 6 checkpoint refused\n";
   return kExitUsage;
 }
 
@@ -237,9 +139,10 @@ std::unique_ptr<sim::Protocol> make_protocol(const std::string& name, int n,
 }
 
 // `checkpoint_dir` + `resume` come from the subcommand (`tsb resume DIR`
-// overrides the flag form); everything else rides the shared flag set so a
-// resumed run reconstructs the exact options — the manifest fingerprint
-// check refuses anything that would change verdicts or state layout.
+// takes the directory as a positional, `tsb adversary` as a flag);
+// everything else rides the shared flag set so a resumed run reconstructs
+// the exact options — the manifest fingerprint check refuses anything that
+// would change verdicts or state layout.
 int cmd_adversary(int n, int cap, const ObsFlags& obs_flags,
                   const std::string& checkpoint_dir, bool resume) {
   consensus::BallotConsensus proto(n, cap);
@@ -294,16 +197,13 @@ int cmd_adversary(int n, int cap, const ObsFlags& obs_flags,
               << result.reach_graph_nodes << "\n";
   }
   if (opts.spill_threshold_bytes != 0) {
-    const double mib = 1024.0 * 1024.0;
+    const auto mib = [](obs::MemAccount account) {
+      return static_cast<double>(obs::MemLedger::global().peak(account)) /
+             (1024.0 * 1024.0);
+    };
     std::cout << "spill: peak arena " << std::fixed << std::setprecision(1)
-              << static_cast<double>(obs::MemLedger::global().peak(
-                     obs::MemAccount::kArenaSpill)) /
-                     mib
-              << " MiB + graph "
-              << static_cast<double>(obs::MemLedger::global().peak(
-                     obs::MemAccount::kGraphSpill)) /
-                     mib
-              << " MiB on disk\n";
+              << mib(obs::MemAccount::kArenaSpill) << " MiB + graph "
+              << mib(obs::MemAccount::kGraphSpill) << " MiB on disk\n";
   }
   std::cout << "covered " << result.check.distinct_registers
             << " distinct registers "
@@ -392,17 +292,18 @@ bool parse_mix(const std::string& mix, rt::chaos::Options* opts) {
 
 int cmd_chaos(const ObsFlags& obs_flags) {
   rt::chaos::Options opts;
-  opts.runs = obs_flags.runs;
+  opts.runs = static_cast<int>(obs_flags.runs);
   opts.seed = obs_flags.seed;
-  opts.n = obs_flags.chaos_n;
+  opts.n = static_cast<int>(obs_flags.chaos_n);
   opts.run_timeout_ms = obs_flags.run_timeout_ms;
   if (!rt::chaos::parse_targets(obs_flags.targets, &opts.targets)) {
-    std::cerr << "unknown target in --targets=" << obs_flags.targets << "\n";
+    std::cerr << "unknown target in " << cli::flag_for(&ObsFlags::targets).name
+              << "=" << obs_flags.targets << "\n";
     return usage();
   }
   if (!parse_mix(obs_flags.mix, &opts)) {
-    std::cerr << "bad --mix=" << obs_flags.mix
-              << " (want crash,stall,yield or all)\n";
+    std::cerr << "bad " << cli::flag_for(&ObsFlags::mix).name << "="
+              << obs_flags.mix << " (want crash,stall,yield or all)\n";
     return usage();
   }
   const rt::chaos::Result result = rt::chaos::run_campaign(opts);
@@ -486,22 +387,24 @@ int main(int argc, char** argv) {
   if (args.empty()) return usage();
 
   const std::string cmd = args[0];
-  const bool run = cmd_is_run(cmd);
-  if (!run && (!obs_flags.stats_file.empty() ||
-               !obs_flags.flight_file.empty())) {
-    std::cerr << "tsb " << cmd << " reads artifacts; "
-              << (obs_flags.stats_file.empty() ? "--flight" : "--stats")
-              << " is a run output (pass an artifact as a file)\n";
-    return kExitUsage;
-  }
+  const bool run = (parsed.cmd->bit & cli::kRun) != 0;
   if (obs_flags.progress) obs::set_progress(true);
   obs::set_progress_interval(
       std::chrono::milliseconds(obs_flags.progress_interval_ms));
-  for (const auto& [flag, file] :
-       {std::pair{"--trace", &obs_flags.trace_file},
-        std::pair{"--flight", &obs_flags.flight_file}}) {
-    if (!file->empty() && !can_create(*file)) {
-      std::cerr << "could not open " << flag << " file " << *file << "\n";
+  // Every output is opened before the run, so an unusable path is refused
+  // up front. Trace and flight files are written only at exit (or from a
+  // fatal-signal handler), so they are created now and rewritten then.
+  const std::pair<std::string ObsFlags::*, obs::JsonlSink*> outputs[] = {
+      {&ObsFlags::trace_file, nullptr},
+      {&ObsFlags::flight_file, nullptr},
+      {&ObsFlags::stats_file, &obs::stats_sink()},
+      {&ObsFlags::chaos_file, &obs::chaos_sink()}};
+  for (const auto& [field, sink] : outputs) {
+    const std::string& file = obs_flags.*field;
+    if (!file.empty() &&
+        !(sink ? sink->open(file) : std::ofstream(file).is_open())) {
+      std::cerr << "could not open " << cli::flag_for(field).name << " file "
+                << file << "\n";
       return kExitUsage;
     }
   }
@@ -511,22 +414,10 @@ int main(int argc, char** argv) {
     obs::flight::install_signal_handlers();
   }
   if (!obs_flags.trace_file.empty()) obs::TraceSink::global().enable();
+  // A stats file is one run: its telemetry ticks start at 0. The budgets
+  // they carry are set by the construction that enforces them.
   const bool stats_run = !obs_flags.stats_file.empty();
-  if (stats_run) {
-    if (!obs::stats_sink().open(obs_flags.stats_file)) {
-      std::cerr << "could not open stats file " << obs_flags.stats_file
-                << "\n";
-      return kExitUsage;
-    }
-    // A stats file is one run: its telemetry ticks start at 0. The budgets
-    // they carry are set by the construction that enforces them.
-    obs::telemetry::reset();
-  }
-  if (!obs_flags.chaos_file.empty() &&
-      !obs::chaos_sink().open(obs_flags.chaos_file)) {
-    std::cerr << "could not open chaos file " << obs_flags.chaos_file << "\n";
-    return kExitUsage;
-  }
+  if (stats_run) obs::telemetry::reset();
 
   // Numeric positionals; a bad one is refused like a bad flag (exit 2).
   auto arg = [&](std::size_t i, const char* name, std::uint64_t lo,
@@ -581,16 +472,14 @@ int main(int argc, char** argv) {
   } else if (cmd == "chaos") {
     rc = cmd_chaos(obs_flags);
   } else if (cmd == "report" && obs_flags.compare) {
-    std::vector<std::string> files(args.begin() + 1, args.end());
-    if (files.size() != 2) {
-      std::cerr << "tsb report --compare needs exactly two stats files\n";
+    if (args.size() != 3) {
+      std::cerr << "tsb report " << cli::flag_for(&ObsFlags::compare).name
+                << " needs exactly two stats files\n";
       return usage();
     }
-    rc = report::compare_timelines(files[0], files[1], std::cout);
-  } else if (cmd == "report") {
-    const std::vector<std::string> files(args.begin() + 1, args.end());
-    if (files.empty()) return usage();
-    rc = report::analyze_files(files, std::cout);
+    rc = report::compare_timelines(args[1], args[2], std::cout);
+  } else if (cmd == "report" && args.size() >= 2) {
+    rc = report::analyze_files({args.begin() + 1, args.end()}, std::cout);
   } else if (cmd == "monitor" && args.size() >= 2) {
     run_monitor(args[1]);
   } else {
@@ -625,14 +514,19 @@ int main(int argc, char** argv) {
   // The flight exit dump first, so the sinks below flush after all
   // introspection output. A failed exit-time write is a failed write
   // (exit 4, like the checkpoint and spill writers), never a violation.
-  if (!obs_flags.flight_file.empty() &&
-      !obs::flight::dump(obs_flags.flight_file,
-                         rc == kExitBudget    ? "budget"
-                         : rc == kExitStopped ? "checkpoint"
-                                              : "exit")) {
-    std::cerr << "could not write flight dump to " << obs_flags.flight_file
-              << "\n";
-    if (rc == kExitOk) rc = kExitBudget;
+  const auto wrote = [&rc](bool ok, const char* what, const std::string& to) {
+    if (!ok) {
+      std::cerr << "could not write " << what << " to " << to << "\n";
+      if (rc == kExitOk) rc = kExitBudget;
+    }
+    return ok;
+  };
+  if (!obs_flags.flight_file.empty()) {
+    wrote(obs::flight::dump(obs_flags.flight_file,
+                            rc == kExitBudget    ? "budget"
+                            : rc == kExitStopped ? "checkpoint"
+                                                 : "exit"),
+          "flight dump", obs_flags.flight_file);
   }
   if (obs::stats_enabled() && obs::MemLedger::global().total() > 0) {
     obs::MemLedger::global().emit_record();
@@ -647,33 +541,22 @@ int main(int argc, char** argv) {
                  : rc == kExitStopped ? "checkpointed"
                                       : "done";
     obs::telemetry::tick(last);
-    if (!obs::stats_sink().close()) {
-      std::cerr << "could not write stats to " << obs_flags.stats_file
-                << "\n";
-      if (rc == kExitOk) rc = kExitBudget;
-    } else {
+    if (wrote(obs::stats_sink().close(), "stats", obs_flags.stats_file)) {
       std::cerr << "stats: " << obs::stats_sink().lines() << " records ("
                 << obs::telemetry::ticks() << " telemetry ticks) -> "
                 << obs_flags.stats_file << "\n";
     }
   }
-  if (!obs_flags.chaos_file.empty()) {
-    if (!obs::chaos_sink().close()) {
-      std::cerr << "could not write chaos records to " << obs_flags.chaos_file
-                << "\n";
-      if (rc == kExitOk) rc = kExitBudget;
-    } else {
-      std::cerr << "chaos: " << obs::chaos_sink().lines() << " records -> "
-                << obs_flags.chaos_file << "\n";
-    }
+  if (!obs_flags.chaos_file.empty() &&
+      wrote(obs::chaos_sink().close(), "chaos records", obs_flags.chaos_file)) {
+    std::cerr << "chaos: " << obs::chaos_sink().lines() << " records -> "
+              << obs_flags.chaos_file << "\n";
   }
   if (!obs_flags.trace_file.empty()) {
     obs::TraceSink& sink = obs::TraceSink::global();
     sink.disable();
-    if (!sink.write_file(obs_flags.trace_file)) {
-      std::cerr << "could not write trace to " << obs_flags.trace_file << "\n";
-      if (rc == kExitOk) rc = kExitBudget;
-    } else {
+    if (wrote(sink.write_file(obs_flags.trace_file), "trace",
+              obs_flags.trace_file)) {
       std::cerr << "trace: " << sink.size() << " events (dropped: "
                 << sink.dropped(obs::Ph::kComplete) << " span, "
                 << sink.dropped(obs::Ph::kInstant) << " instant, "

@@ -1,6 +1,11 @@
 #pragma once
 
-// Flag parsing shared by the tsb CLI and its tests.
+// The tsb flag table and its parser, shared by the CLI and its tests.
+//
+// Every flag is one row of kFlags: its name, its value and bounds, the
+// ObsFlags field it sets, the subcommands that read it and one help line.
+// parse_args refuses a flag the command does not read, and the CLI's
+// usage text is printed from the same rows.
 //
 // parse_args is PURE: it classifies argv into flags + positional arguments
 // and reports errors, but applies nothing (no sink is opened, no progress
@@ -11,66 +16,150 @@
 #include <climits>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 namespace tsb::cli {
 
+/// The parsed flags; each field's meaning is its kFlags row's help line.
 struct ObsFlags {
-  // `tsb report` and `tsb monitor` read artifacts and refuse the run
-  // outputs --stats and --flight (a flight dump is a positional report
-  // input).
-  std::string trace_file;     ///< --trace=FILE (in-memory sink, Chrome/JSONL)
-  std::string stats_file;     ///< --stats=FILE (the run record stream JSONL)
-  bool metrics = false;       ///< --metrics
-  bool progress = false;      ///< --progress
+  std::string trace_file, stats_file, flight_file;
+  bool metrics = false, progress = false;
+  std::uint64_t progress_interval_ms = 1'000;
+  std::uint64_t valency_cap = 0;  ///< 0 = scale with n
 
-  // In-flight introspection (tsb adversary / tsb chaos / benches).
-  std::uint64_t progress_interval_ms = 1'000;  ///< --progress-interval-ms=MS
-  std::string flight_file;    ///< --flight=FILE (ring dump path)
-  std::size_t valency_cap = 0;  ///< --valency-cap=N; 0 = scale with n
+  std::string chaos_file;
+  std::uint64_t runs = 100, chaos_n = 4, seed = 1, run_timeout_ms = 5'000;
+  std::string mix = "all", targets = "all";
 
-  // Chaos campaign flags (tsb chaos).
-  std::string chaos_file;     ///< --out=FILE (per-run chaos JSONL records)
-  int runs = 100;             ///< --runs=N (campaign size, <= INT_MAX)
-  std::uint64_t seed = 1;     ///< --seed=S (campaign seed)
-  std::string mix = "all";    ///< --mix=crash,stall,yield (subset) | all
-  std::string targets = "all";///< --targets=ballot,bakery,... | all
-  int chaos_n = 4;            ///< --n=N (processes per run)
-  std::uint64_t run_timeout_ms = 5'000;  ///< --run-timeout-ms=MS (per run)
-
-  // Graceful-degradation budgets (tsb adversary).
-  std::uint64_t mem_budget = 0;      ///< --mem-budget=BYTES[k|m|g]; 0 = off
-  std::uint64_t time_budget_ms = 0;  ///< --time-budget-ms=MS; 0 = off
-
-  // Out-of-core spilling (tsb adversary).
-  std::string spill_dir = ".";        ///< --spill-dir=DIR (backing file home)
-  std::uint64_t spill_threshold = 0;  ///< --spill-threshold=BYTES[k|m|g]; 0=off
-  std::uint64_t spill_seg_configs = 0;///< --spill-seg-configs=N; 0 = default
-
-  /// --no-reuse: run valency queries on the fresh-BFS-per-query backend
-  /// instead of the shared-subgraph engine (differential anchor / A-B
-  /// timing). Applies to tsb adversary and the lemma benchmarks.
+  // 0 leaves a budget, spilling or a checkpoint cadence off (the default
+  // segment size for spill_seg_configs). With a checkpoint_dir and both
+  // cadences off, a checkpoint is still written on SIGTERM/SIGINT.
+  std::uint64_t mem_budget = 0, time_budget_ms = 0;
+  std::string spill_dir = ".";
+  std::uint64_t spill_threshold = 0, spill_seg_configs = 0;
   bool no_reuse = false;
+  std::string checkpoint_dir;
+  std::uint64_t checkpoint_interval_ms = 0, checkpoint_every = 0;
 
-  // Crash-safe campaigns (tsb adversary / tsb resume). A non-empty dir
-  // checkpoints the oracle session at the engines' quiescent points; the
-  // cadences pick wall-clock and/or expansion-count triggers (0 disables
-  // each; both 0 still checkpoints on SIGTERM/SIGINT).
-  std::string checkpoint_dir;  ///< --checkpoint-dir=DIR; empty = off
-  std::uint64_t checkpoint_interval_ms = 0;  ///< --checkpoint-interval-ms=MS
-  std::uint64_t checkpoint_every = 0;  ///< --checkpoint-every=EXPANSIONS
-
-  // Cross-run regression diffing (tsb report --compare A B, stats files;
-  // the gate is report::kTolerancePct).
-  bool compare = false;       ///< --compare (report: diff two timelines)
+  bool compare = false;
 };
+
+/// The subcommands, as bits of a flag row's `cmds` mask. kRun are those
+/// that execute a run; report and monitor read artifacts someone else
+/// wrote, and must never truncate the file they are about to read.
+enum Cmd : unsigned {
+  kAdversary = 1 << 0, kResume = 1 << 1, kCheck = 1 << 2, kSearch = 1 << 3,
+  kMutex = 1 << 4, kPerturb = 1 << 5, kChaos = 1 << 6, kReport = 1 << 7,
+  kMonitor = 1 << 8,
+  kRun = kAdversary | kResume | kCheck | kSearch | kMutex | kPerturb | kChaos,
+  kConstruct = kAdversary | kResume,  ///< Theorem 1, fresh or resumed
+};
+
+struct Command {
+  const char* name;
+  Cmd bit;
+  const char* args;  ///< its positionals
+  const char* help;  ///< one line; '\n' continues it
+};
+
+inline constexpr Command kCommands[] = {
+    {"adversary", kAdversary, "[n=4] [cap=2n]", "Theorem 1 construction"},
+    {"resume", kResume, "<dir> [n=4] [cap=2n]",
+     "resume a checkpointed campaign (same n,\ncap and flags, or exit 6)"},
+    {"check", kCheck, "<proto> [n=2] [cap=2n]",
+     "model check ballot | racing-strict |\nracing-atleast | swap"},
+    {"search", kSearch, "[modes=1] [cap=0]", "1-register protocol sweep"},
+    {"mutex", kMutex, "[n=8]", "mutex cost + covering summary"},
+    {"perturb", kPerturb, "[n=5]", "JTT adversary on the counter"},
+    {"chaos", kChaos, "", "seeded rt fault campaign"},
+    {"report", kReport, "FILE...", "analyze run artifacts (JSONL)"},
+    {"monitor", kMonitor, "<stats>", "repaint report's telemetry section"},
+};
+
+/// Placeholder of a byte-count value, which takes a k/m/g binary suffix.
+inline constexpr char kBytes[] = "BYTES[k|m|g]";
+
+struct Flag {
+  const char* name;
+  /// Placeholder of the value (--flag=V or --flag V); nullptr for a switch.
+  const char* value;
+  std::variant<bool ObsFlags::*, std::string ObsFlags::*,
+               std::uint64_t ObsFlags::*>
+      field;
+  unsigned cmds;  ///< the subcommands that read it
+  const char* help;  ///< one line; '\n' continues it
+  std::uint64_t lo = 0, hi = UINT64_MAX;  ///< bounds of a numeric value
+};
+
+inline constexpr Flag kFlags[] = {
+    {"--trace", "FILE", &ObsFlags::trace_file, kRun,
+     "a trace: JSONL (what report reads) if FILE\n"
+     "ends .jsonl, else Chrome JSON"},
+    {"--stats", "FILE", &ObsFlags::stats_file, kRun,
+     "the run's record stream (JSONL): decision\ntrail, ledger, telemetry"},
+    {"--flight", "FILE", &ObsFlags::flight_file, kRun,
+     "flight recorder, dumped at exit, budget\ntrip, fatal signal, SIGUSR1"},
+    {"--metrics", nullptr, &ObsFlags::metrics, kRun,
+     "metrics registry as one JSON line at exit"},
+    {"--progress", nullptr, &ObsFlags::progress, kRun, "stderr heartbeat"},
+    {"--progress-interval-ms", "MS", &ObsFlags::progress_interval_ms, kRun,
+     "heartbeat and telemetry-tick cadence", 1},
+    {"--valency-cap", "N", &ObsFlags::valency_cap, kConstruct,
+     "valency oracle configuration cap", 1},
+    {"--mem-budget", kBytes, &ObsFlags::mem_budget, kConstruct,
+     "valency engine heap budget (trip: exit 4)", 1},
+    {"--time-budget-ms", "MS", &ObsFlags::time_budget_ms, kConstruct,
+     "construction wall-clock budget (trip: exit 4)", 1},
+    {"--no-reuse", nullptr, &ObsFlags::no_reuse, kConstruct,
+     "fresh-BFS valency backend, not the shared graph"},
+    {"--spill-dir", "DIR", &ObsFlags::spill_dir, kConstruct,
+     "spill file home (unusable: exit 2)"},
+    {"--spill-threshold", kBytes, &ObsFlags::spill_threshold, kConstruct,
+     "spill cold segments past this many bytes", 1},
+    {"--spill-seg-configs", "N", &ObsFlags::spill_seg_configs, kConstruct,
+     "configs per spill segment (testing)", 1},
+    {"--checkpoint-dir", "DIR", &ObsFlags::checkpoint_dir, kAdversary,
+     "checkpoint here; SIGTERM/SIGINT: stop (exit 5)"},
+    {"--checkpoint-interval-ms", "MS", &ObsFlags::checkpoint_interval_ms,
+     kConstruct, "wall-clock checkpoint cadence", 1},
+    {"--checkpoint-every", "N", &ObsFlags::checkpoint_every, kConstruct,
+     "expansion-count checkpoint cadence", 1},
+    {"--runs", "N", &ObsFlags::runs, kChaos, "campaign size", 1, INT_MAX},
+    {"--seed", "S", &ObsFlags::seed, kChaos, "campaign seed"},
+    {"--n", "P", &ObsFlags::chaos_n, kChaos, "processes per run", 2, 64},
+    {"--targets", "LIST", &ObsFlags::targets, kChaos,
+     "ballot,rounds,randomized,commit-adopt,leader,\n"
+     "peterson,tournament,bakery (any subset) or all"},
+    {"--mix", "LIST", &ObsFlags::mix, kChaos,
+     "crash,stall,yield (any subset) or all"},
+    {"--run-timeout-ms", "MS", &ObsFlags::run_timeout_ms, kChaos,
+     "per-run wall-clock backstop"},
+    {"--out", "FILE", &ObsFlags::chaos_file, kChaos,
+     "per-run records (JSONL, a report input)"},
+    {"--compare", nullptr, &ObsFlags::compare, kReport,
+     "diff two stats files (exit 1 past a 25%\nregression)"},
+};
+
+/// The row that sets `field`.
+template <typename T>
+const Flag& flag_for(T ObsFlags::* field) {
+  for (const Flag& f : kFlags) {
+    const auto* m = std::get_if<T ObsFlags::*>(&f.field);
+    if (m && *m == field) return f;
+  }
+  std::abort();
+}
 
 struct ParseResult {
   bool ok = true;
   std::string error;                ///< set when !ok
   ObsFlags flags;
   std::vector<std::string> args;    ///< positional arguments, in order
+  const Command* cmd = nullptr;     ///< args[0]'s row; null without args
 };
 
 /// Parse all of `s` as a decimal u64. Unlike bare strtoull, a sign,
@@ -117,6 +206,25 @@ inline bool parse_bytes(std::string s, std::uint64_t* bytes) {
   return true;
 }
 
+/// Store `value` into f's field. False when a switch got a value, a value
+/// is missing or empty, or a number is malformed or out of f's bounds.
+inline bool set_flag(const Flag& f, const std::optional<std::string>& value,
+                     ObsFlags* out) {
+  if (const auto* on = std::get_if<bool ObsFlags::*>(&f.field)) {
+    out->**on = true;
+    return !value;
+  }
+  if (!value || value->empty()) return false;
+  if (const auto* text = std::get_if<std::string ObsFlags::*>(&f.field)) {
+    out->**text = *value;
+    return true;
+  }
+  std::uint64_t& x = out->*std::get<std::uint64_t ObsFlags::*>(f.field);
+  return (f.value == kBytes ? parse_bytes(*value, &x)
+                            : parse_u64(*value, &x)) &&
+         x >= f.lo && x <= f.hi;
+}
+
 inline ParseResult parse_args(const std::vector<std::string>& argv) {
   ParseResult out;
   auto fail = [&](std::string msg) {
@@ -124,128 +232,47 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
     out.error = std::move(msg);
     return out;
   };
-  bool bad_value = false;
+  // First split argv, so the command (the first positional) is known
+  // before any flag is checked against it. A value flag takes its value
+  // as --flag=V or as the next argument.
+  std::vector<std::pair<const Flag*, std::optional<std::string>>> given;
   for (std::size_t i = 0; i < argv.size(); ++i) {
     const std::string& a = argv[i];
-    // Every value flag takes its value in either form: --flag=V or
-    // --flag V.
-    auto value_flag = [&](const char* name, std::string* dst) {
-      const std::string prefix = std::string(name) + "=";
-      if (a.rfind(prefix, 0) == 0) {
-        *dst = a.substr(prefix.size());
-        return true;
-      }
-      if (a == name) {
-        if (i + 1 >= argv.size()) {
-          bad_value = true;
-          return true;
-        }
-        *dst = argv[++i];
-        return true;
-      }
-      return false;
-    };
-    auto u64_flag = [&](const char* name, std::uint64_t* dst) {
-      std::string v;
-      if (!value_flag(name, &v)) return false;
-      if (!bad_value && !parse_u64(v, dst)) bad_value = true;
-      return true;
-    };
-    std::string sval;
-    std::uint64_t uval = 0;
-    if (value_flag("--trace", &out.flags.trace_file)) {
-      if (bad_value || out.flags.trace_file.empty()) {
-        return fail("--trace needs a file");
-      }
-    } else if (value_flag("--stats", &out.flags.stats_file)) {
-      if (bad_value || out.flags.stats_file.empty()) {
-        return fail("--stats needs a file");
-      }
-    } else if (a == "--no-reuse") {
-      out.flags.no_reuse = true;
-    } else if (a == "--metrics") {
-      out.flags.metrics = true;
-    } else if (a == "--progress") {
-      out.flags.progress = true;
-    } else if (u64_flag("--progress-interval-ms",
-                        &out.flags.progress_interval_ms)) {
-      if (bad_value || out.flags.progress_interval_ms == 0) {
-        return fail("bad --progress-interval-ms (want >= 1)");
-      }
-    } else if (a == "--compare") {
-      out.flags.compare = true;
-    } else if (value_flag("--flight", &out.flags.flight_file)) {
-      if (bad_value || out.flags.flight_file.empty()) {
-        return fail("--flight needs a file");
-      }
-    } else if (u64_flag("--valency-cap", &uval)) {
-      if (bad_value || uval == 0) return fail("bad --valency-cap (want >= 1)");
-      out.flags.valency_cap = static_cast<std::size_t>(uval);
-    } else if (value_flag("--out", &out.flags.chaos_file)) {
-      if (bad_value || out.flags.chaos_file.empty()) {
-        return fail("--out needs a file");
-      }
-    } else if (u64_flag("--runs", &uval)) {
-      if (bad_value || uval == 0 || uval > INT_MAX) {
-        return fail("bad --runs (want 1..INT_MAX)");
-      }
-      out.flags.runs = static_cast<int>(uval);
-    } else if (u64_flag("--seed", &out.flags.seed)) {
-      if (bad_value) return fail("bad --seed");
-    } else if (value_flag("--mix", &out.flags.mix)) {
-      if (bad_value || out.flags.mix.empty()) {
-        return fail("--mix needs crash,stall,yield (any subset) or all");
-      }
-    } else if (value_flag("--targets", &out.flags.targets)) {
-      if (bad_value || out.flags.targets.empty()) {
-        return fail("--targets needs a target list or all");
-      }
-    } else if (u64_flag("--n", &uval)) {
-      if (bad_value || uval < 2 || uval > 64) {
-        return fail("bad --n (want 2..64)");
-      }
-      out.flags.chaos_n = static_cast<int>(uval);
-    } else if (u64_flag("--run-timeout-ms", &out.flags.run_timeout_ms)) {
-      if (bad_value) return fail("bad --run-timeout-ms");
-    } else if (value_flag("--mem-budget", &sval)) {
-      if (bad_value || !parse_bytes(sval, &out.flags.mem_budget) ||
-          out.flags.mem_budget == 0) {
-        return fail("bad --mem-budget (want BYTES with optional k/m/g)");
-      }
-    } else if (u64_flag("--time-budget-ms", &out.flags.time_budget_ms)) {
-      if (bad_value || out.flags.time_budget_ms == 0) {
-        return fail("bad --time-budget-ms (want >= 1)");
-      }
-    } else if (value_flag("--spill-dir", &out.flags.spill_dir)) {
-      if (bad_value || out.flags.spill_dir.empty()) {
-        return fail("--spill-dir needs a directory");
-      }
-    } else if (value_flag("--spill-threshold", &sval)) {
-      if (bad_value || !parse_bytes(sval, &out.flags.spill_threshold) ||
-          out.flags.spill_threshold == 0) {
-        return fail("bad --spill-threshold (want BYTES with optional k/m/g)");
-      }
-    } else if (u64_flag("--spill-seg-configs", &out.flags.spill_seg_configs)) {
-      if (bad_value || out.flags.spill_seg_configs == 0) {
-        return fail("bad --spill-seg-configs (want >= 1)");
-      }
-    } else if (value_flag("--checkpoint-dir", &out.flags.checkpoint_dir)) {
-      if (bad_value || out.flags.checkpoint_dir.empty()) {
-        return fail("--checkpoint-dir needs a directory");
-      }
-    } else if (u64_flag("--checkpoint-interval-ms",
-                        &out.flags.checkpoint_interval_ms)) {
-      if (bad_value || out.flags.checkpoint_interval_ms == 0) {
-        return fail("bad --checkpoint-interval-ms (want >= 1)");
-      }
-    } else if (u64_flag("--checkpoint-every", &out.flags.checkpoint_every)) {
-      if (bad_value || out.flags.checkpoint_every == 0) {
-        return fail("bad --checkpoint-every (want >= 1)");
-      }
-    } else if (a.rfind("--", 0) == 0) {
-      return fail("unknown flag: " + a);
-    } else {
+    if (a.rfind("--", 0) != 0) {
       out.args.push_back(a);
+      continue;
+    }
+    const std::size_t eq = a.find('=');
+    const Flag* flag = nullptr;
+    for (const Flag& f : kFlags) {
+      if (a.compare(0, eq, f.name) == 0) flag = &f;
+    }
+    if (flag == nullptr) return fail("unknown flag: " + a);
+    given.emplace_back(flag, std::nullopt);
+    if (eq != std::string::npos) {
+      given.back().second = a.substr(eq + 1);
+    } else if (flag->value != nullptr && i + 1 < argv.size()) {
+      given.back().second = argv[++i];
+    }
+  }
+  if (!out.args.empty()) {
+    for (const Command& c : kCommands) {
+      if (out.args[0] == c.name) out.cmd = &c;
+    }
+    if (out.cmd == nullptr) return fail("unknown subcommand: " + out.args[0]);
+  }
+  for (const auto& [f, value] : given) {
+    if (out.cmd != nullptr && (f->cmds & out.cmd->bit) == 0) {
+      return fail(std::string("tsb ") + out.cmd->name + " does not read " +
+                  f->name);
+    }
+    if (!set_flag(*f, value, &out.flags)) {
+      std::string want = f->value ? f->value : "no value";
+      if (f->lo > 0 || f->hi < UINT64_MAX) {
+        want += " in " + std::to_string(f->lo) + ".." +
+                (f->hi < UINT64_MAX ? std::to_string(f->hi) : "");
+      }
+      return fail(std::string("bad ") + f->name + " (want " + want + ")");
     }
   }
   return out;
