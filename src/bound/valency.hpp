@@ -169,14 +169,16 @@ class ValencyOracle {
   // --- checkpoint/resume ---------------------------------------------------
   // The oracle is the session's persistent state: the root arena (audit-
   // stable ids), the pair memo with its witnesses, and (reuse = true) the
-  // shared reachability graph. save_state writes them as the "oracle",
-  // "roots", "memo" and (iff the graph exists) "graph" sections of a
-  // checkpoint in progress; restore_state rebuilds them into a fresh
-  // oracle before any query runs. Query/hit/exploration counters are
-  // deliberately NOT restored — resume re-runs the deterministic adversary
-  // from its start ("warm replay"), so the counters rebuild themselves
-  // (with more cache hits than the uninterrupted run — verdicts, visited
-  // sets and certificates are what resume keeps identical, not stats).
+  // shared reachability graph's nodes and edges. save_state writes them as
+  // the "oracle", "roots", "memo" and (iff the graph exists) "graph"
+  // sections of a checkpoint in progress; restore_state rebuilds them into
+  // a fresh oracle before any query runs. The graph's decide flags and
+  // fact map are derived state and are not written (ReachGraph::save).
+  // Query/hit/exploration counters are deliberately NOT restored — resume
+  // re-runs the deterministic adversary from its start ("warm replay"), so
+  // the counters rebuild themselves (with more cache hits than the
+  // uninterrupted run — verdicts, visited sets and certificates are what
+  // resume keeps identical, not stats).
 
   /// Append this oracle's sections to a checkpoint state file.
   void save_state(util::ckpt::SectionWriter& w) const;

@@ -115,15 +115,6 @@ SoloRun run_solo(const Protocol& proto, const Config& c, ProcId p,
   return out;
 }
 
-bool all_decided(const Protocol& proto, const Config& c, ProcSet p, Value v) {
-  bool ok = true;
-  p.for_each([&](int q) {
-    auto d = decision_of(proto, c, q);
-    if (!d || *d != v) ok = false;
-  });
-  return ok;
-}
-
 bool some_decided(const Protocol& proto, const Config& c, Value v) {
   for (ProcId q = 0; q < proto.num_processes(); ++q) {
     auto d = decision_of(proto, c, q);

@@ -52,9 +52,6 @@ struct SoloRun {
 SoloRun run_solo(const Protocol& proto, const Config& c, ProcId p,
                  std::size_t max_steps);
 
-/// True iff every process in P has decided in c and all decisions equal v.
-bool all_decided(const Protocol& proto, const Config& c, ProcSet p, Value v);
-
 /// True iff some process (any) has decided v in c.
 bool some_decided(const Protocol& proto, const Config& c, Value v);
 

@@ -179,27 +179,11 @@ void ReachGraph::save(util::ckpt::SectionWriter& w) const {
   // segments sit on disk is byte-identical to one taken fully resident.
   arena_.save(w);
   const std::size_t count = arena_.size();
-  // Flags stay raw and carry only their decide bits (0..1): the probe
-  // filter bits are derived from the fact map, and restore() rebuilds them
-  // from it.
-  flags_.for_each_segment(count, [&](const std::uint8_t* recs,
-                                     std::size_t nrecs) {
-    std::uint8_t buf[4096];
-    for (std::size_t i = 0; i < nrecs; i += sizeof buf) {
-      const std::size_t k = std::min(sizeof buf, nrecs - i);
-      for (std::size_t j = 0; j < k; ++j) {
-        buf[j] = static_cast<std::uint8_t>(recs[i + j] & 0x3);
-      }
-      w.put_bytes(buf, k);
-    }
-  });
+  // Neither the decide flags nor the fact map go out: restore() rebuilds
+  // the decide bits from the rows, and facts are a cache of earlier
+  // passes that later walks re-derive from the stored edges.
   succ_.save(w, count);
   if (sym_) perm_.save(w, count);
-  w.put_u64(facts_.size());
-  facts_.for_each([&](std::uint64_t key, std::uint32_t val) {
-    w.put_u64(key);
-    w.put_u32(val);
-  });
   w.put_u64(edges_expanded_);
   w.put_u64(edges_reused_);
   w.put_u64(fact_answers_);
@@ -223,23 +207,13 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
   // order defines them.
   arena_.restore(r, "graph");
   const std::uint64_t count = arena_.size();
-  // Bulk-load flags/edges/facts without register_config: the stored
-  // values already carry its decide scan. Everything lands resident
-  // (restore runs on a fresh engine); the trailing maybe_spill_edges()
-  // re-establishes the memory plan before the first query.
+  // Bulk-load the edges. Everything lands resident (restore runs on a
+  // fresh engine); the trailing maybe_spill_edges() re-establishes the
+  // memory plan before the first query.
   const std::size_t stride = static_cast<std::size_t>(n_);
   const std::string where = "checkpoint graph section";
-  flags_.ensure(count);
   succ_.ensure(count);
   if (sym_) perm_.ensure(count);
-  if (count != 0) {
-    const std::uint8_t* fb = r.get_bytes(count);
-    // Bits 2..7 on disk are ignored: the probe filter is rebuilt below
-    // from the facts themselves.
-    for (std::uint64_t i = 0; i < count; ++i) {
-      *flags_.write_ptr(i) = static_cast<std::uint8_t>(fb[i] & 0x3);
-    }
-  }
   util::spill::load_records<ConfigId>(
       r, count, stride, where,
       [&](const ConfigId* rows, std::size_t k, std::uint64_t first) {
@@ -275,23 +249,12 @@ void ReachGraph::restore(util::ckpt::SectionReader& r) {
           }
         });
   }
-  const std::uint64_t fact_count = r.get_u64();
-  for (std::uint64_t i = 0; i < fact_count; ++i) {
-    const std::uint64_t key = r.get_u64();
-    const std::uint32_t val = r.get_u32();
-    if (key == 0) {
-      throw util::CheckpointInvalid(
-          "checkpoint graph section carries an empty-sentinel fact key");
-    }
-    const ConfigId id = static_cast<ConfigId>(key);
-    if (id >= count) {
-      throw util::CheckpointInvalid(
-          "checkpoint graph section carries a fact at node " +
-          std::to_string(id) + " but restores only " + std::to_string(count) +
-          " nodes");
-    }
-    fact_slot(id, key >> 34, static_cast<std::uint8_t>((key >> 32) & 0x3)) =
-        val;
+  // Decide bits are the row's decide scan; the stored successor rows
+  // already hold its kNoConfig markers, so the call only sets the flags.
+  // The fact map starts empty, and with it every probe-filter bit.
+  for (ConfigId id = 0; id < count; ++id) {
+    arena_.decode(id, stage_.data());
+    register_config(id, stage_.data());
   }
   edges_expanded_ = r.get_u64();
   edges_reused_ = r.get_u64();

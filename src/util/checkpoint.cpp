@@ -171,6 +171,7 @@ void SectionWriter::begin(const std::string& name) {
   sec_len_ = 0;
   sec_crc_ = 0;
   in_section_ = true;
+  sections_.emplace_back(name, 0);
 }
 
 void SectionWriter::put_bytes(const void* data, std::size_t len) {
@@ -207,6 +208,7 @@ void SectionWriter::end() {
                             static_cast<off_t>(sec_header_))) {
     fail("backpatch " + tmp_);
   }
+  sections_.back().second = sec_len_;
   in_section_ = false;
 }
 
@@ -571,11 +573,15 @@ void CheckpointService::write_now(const char* why) {
 
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t state_bytes = 0;
+  obs::JsonObj sections;
   {
     SectionWriter w(state_path(dir, m.generation));
     writer(w);
     w.finish();
     state_bytes = w.bytes_written();
+    for (const auto& [name, bytes] : w.section_bytes()) {
+      sections.num(name, static_cast<std::int64_t>(bytes));
+    }
   }
   m.why = why;
   m.checkpoints = writes_.load(std::memory_order_relaxed) + 1;
@@ -617,6 +623,7 @@ void CheckpointService::write_now(const char* why) {
     rec.str("why", why)
         .num("generation", static_cast<std::int64_t>(m.generation))
         .num("bytes", static_cast<std::int64_t>(state_bytes))
+        .raw("section_bytes", sections.render())
         .num("ms", static_cast<std::int64_t>(ms))
         .num("total_writes",
              static_cast<std::int64_t>(writes_.load(std::memory_order_relaxed)))
@@ -634,11 +641,6 @@ std::int64_t CheckpointService::seconds_since_last_write() const {
   return std::chrono::duration_cast<std::chrono::seconds>(
              std::chrono::steady_clock::now() - last_write_)
       .count();
-}
-
-std::string CheckpointService::dir() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dir_;
 }
 
 }  // namespace tsb::util::ckpt

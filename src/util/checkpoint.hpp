@@ -11,6 +11,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace tsb::util {
@@ -51,8 +52,9 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 /// Version 2: the manifest became a section file. Version 3: the graph and
 /// roots sections store a value dictionary and 16-bit code rows. Version 4:
 /// code rows, successor rows and renamings are stored as the spill codec's
-/// 64-record delta groups (util::spill::SpillStore::save).
-inline constexpr std::uint32_t kFormatVersion = 4;
+/// 64-record delta groups (util::spill::SpillStore::save). Version 5: the
+/// graph section stores neither the decide flags nor the fact map.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 /// Streaming writer for the versioned, per-section-CRC checkpoint file
 /// format (the state file and the manifest). Layout:
@@ -98,6 +100,11 @@ class SectionWriter {
   void finish();
 
   std::uint64_t bytes_written() const { return total_; }
+  /// Payload bytes of each ended section, in write order.
+  const std::vector<std::pair<std::string, std::uint64_t>>& section_bytes()
+      const {
+    return sections_;
+  }
 
  private:
   static constexpr std::size_t kBufBytes = std::size_t{1} << 20;
@@ -117,6 +124,7 @@ class SectionWriter {
   std::uint64_t sec_header_ = 0;  ///< offset of current section's len field
   std::uint64_t sec_len_ = 0;
   std::uint32_t sec_crc_ = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> sections_;
 };
 
 /// Sequential reader for SectionWriter files. Sections are read strictly
@@ -285,7 +293,6 @@ class CheckpointService {
   /// Telemetry ticks carry it as ckpt_age_s (the checkpoint-stall rule).
   std::int64_t seconds_since_last_write() const;
   std::uint64_t interval_ms() const { return interval_ms_; }
-  std::string dir() const;
 
  private:
   CheckpointService() = default;

@@ -311,8 +311,7 @@ class BackingFile {
 /// whole segment back to resident — decoding it, releasing the stale disk
 /// block (hole-punched), and letting the next quiescent spill re-encode it.
 /// read() on a spilled record decodes through a per-store forward cursor
-/// and never faults anything in; for_each_segment() is the bulk reader for
-/// passes over every record, and save() writes the records into a
+/// and never faults anything in; save() writes the records into a
 /// checkpoint as the codec's groups.
 ///
 /// Thread safety: none — every owner runs its whole reachability pass on
@@ -424,33 +423,6 @@ class SpillStore {
     const Seg& s = segs_[idx >> shift_];
     if (s.data != nullptr) return s.data.get() + (idx & mask_) * stride_;
     return read_spilled(s, idx);
-  }
-
-  /// Visit records [0, limit) in id order as contiguous runs,
-  /// fn(const W* recs, std::size_t nrecs). A resident segment is handed out
-  /// whole by pointer; a spilled one is decoded once, in order, one delta
-  /// group at a time into a one-group scratch buffer — where a read() per
-  /// record would replay up to kGroupRecords - 1 deltas for each. Faults
-  /// nothing in.
-  template <class Fn>
-  void for_each_segment(std::size_t limit, Fn&& fn) const {
-    TSB_REQUIRE(limit <= size_, "SpillStore::for_each_segment past size()");
-    std::vector<W> group;
-    for (std::size_t start = 0; start < limit; start += seg_recs_) {
-      const Seg& s = segs_[start >> shift_];
-      const std::size_t n = std::min(seg_recs_, limit - start);
-      if (s.data != nullptr) {
-        fn(static_cast<const W*>(s.data.get()), n);
-        continue;
-      }
-      group.resize(kGroupRecords * stride_);
-      for (std::size_t at = 0; at < n; at += kGroupRecords) {
-        decode_group<W>(s.blk.map + s.blk.skip, s.blk.bytes,
-                        at / kGroupRecords, stride_, group.data());
-        fn(static_cast<const W*>(group.data()),
-           std::min(kGroupRecords, n - at));
-      }
-    }
   }
 
   /// Write records [0, limit) into the open checkpoint section as the

@@ -664,6 +664,42 @@ TEST_F(CheckpointServiceTest, GenerationsCommitAndCleanUp) {
   EXPECT_EQ(Manifest::load(util::ckpt::manifest_path(dir)).generation, 3u);
 }
 
+TEST_F(CheckpointServiceTest, WriteRecordCarriesEachSectionsPayloadBytes) {
+  // The ckpt.write record names every section the serializer wrote, in
+  // order, with its payload bytes; the headers, magic and END sentinel
+  // make up the rest of the state file.
+  const std::string dir = tdir("section_bytes");
+  const std::string stats =
+      ::testing::TempDir() + "tsb_ckpt_section_bytes.jsonl";
+  ASSERT_TRUE(obs::stats_sink().open(stats));
+  auto& svc = CheckpointService::global();
+  svc.configure(dir, 0, 0, "fp");
+  svc.set_writer([](SectionWriter& w) {
+    w.begin("oracle");
+    w.put_u8(1);
+    w.put_u8(0);
+    w.end();
+    w.begin("memo");
+    w.put_u64(7);
+    w.put_str("abc");
+    w.end();
+  });
+  svc.write_now("interval");
+  obs::stats_sink().close();
+  std::ifstream in(stats);
+  std::string record;
+  for (std::string line; std::getline(in, line);) {
+    if (line.find(R"("type":"ckpt.write")") != std::string::npos) record = line;
+  }
+  EXPECT_NE(record.find(R"("section_bytes":{"oracle":2,"memo":15})"),
+            std::string::npos)
+      << record;
+  const std::uint64_t headers = (4 + 6 + 12) + (4 + 4 + 12);
+  EXPECT_EQ(svc.bytes_written(), 12 + headers + 2 + 15 + 16);
+  EXPECT_EQ(fs::file_size(util::ckpt::state_path(dir, 1)),
+            svc.bytes_written());
+}
+
 TEST_F(CheckpointServiceTest, StopAfterPollsWritesFinalCheckpointAndThrows) {
   const std::string dir = tdir("stop");
   auto& svc = CheckpointService::global();
@@ -786,17 +822,16 @@ void put_coded(SectionWriter& w, const std::vector<W>& recs,
 }
 
 /// A CRC-valid "graph" section for `proto` with two nodes (all-zero and
-/// all-one words: a two-value dictionary and rows of code 0 and code 1), the
-/// given per-node edge rows — `succ` holds 2 * n successor ids and, in
-/// symmetric mode, `perm` 2 * n renamings — and the given (key, value)
-/// facts; `rows` (2 * (n + m) codes), when given, replaces the code rows.
-/// Written through SectionWriter, so only the graph parser can refuse it.
-std::string write_graph_section(
-    const std::string& tag, const sim::Protocol& proto,
-    const std::vector<std::uint32_t>& succ,
-    const std::vector<std::uint64_t>& perm,
-    const std::vector<std::pair<std::uint64_t, std::uint32_t>>& facts = {},
-    std::vector<sim::Code> rows = {}) {
+/// all-one words: a two-value dictionary and rows of code 0 and code 1) and
+/// the given per-node edge rows — `succ` holds 2 * n successor ids and, in
+/// symmetric mode, `perm` 2 * n renamings; `rows` (2 * (n + m) codes), when
+/// given, replaces the code rows. Written through SectionWriter, so only
+/// the graph parser can refuse it.
+std::string write_graph_section(const std::string& tag,
+                                const sim::Protocol& proto,
+                                const std::vector<std::uint32_t>& succ,
+                                const std::vector<std::uint64_t>& perm,
+                                std::vector<sim::Code> rows = {}) {
   const int n = proto.num_processes();
   const std::size_t words =
       static_cast<std::size_t>(n + proto.num_registers());
@@ -816,17 +851,19 @@ std::string write_graph_section(
     rows.resize(2 * words, 1);
   }
   put_coded(w, rows, words);
-  const std::uint8_t flags[2] = {0, 0};
-  w.put_bytes(flags, sizeof flags);
   put_coded(w, succ, static_cast<std::size_t>(n));
   if (!perm.empty()) put_coded(w, perm, static_cast<std::size_t>(n));
-  w.put_u64(facts.size());
-  for (const auto& [key, val] : facts) {
-    w.put_u64(key);
-    w.put_u32(val);
-  }
   for (int i = 0; i < 4; ++i) w.put_u64(0);  // expansion counters
   w.end();
+  w.finish();
+  return path;
+}
+
+/// `graph`'s "graph" section, alone in a checkpoint file; returns its path.
+std::string save_graph(const sim::ReachGraph& graph, const std::string& tag) {
+  const std::string path = tdir(tag) + "/graph.bin";
+  SectionWriter w(path);
+  graph.save(w);
   w.finish();
   return path;
 }
@@ -888,17 +925,17 @@ TEST(GraphRestore, CodePastTheDictionaryInADeltaRowIsRefused) {
   std::vector<sim::Code> rows(2 * words, 0);
   rows[words] = 1;  // control: distinct rows, every code named
   EXPECT_NO_THROW(restore_graph(
-      proto, write_graph_section("codes_ok", proto, succ, {}, {}, rows)));
+      proto, write_graph_section("codes_ok", proto, succ, {}, rows)));
   rows[2 * words - 1] = 2;
   EXPECT_THROW(restore_graph(proto, write_graph_section("codes_bad", proto,
-                                                        succ, {}, {}, rows)),
+                                                        succ, {}, rows)),
                CheckpointInvalid);
 }
 
 TEST(GraphRestore, SpilledSymmetricGraphRoundTripsByteForByte) {
   // Symmetric mode stores a renaming per edge. A graph saved with its
   // segments spilled restores into a resident engine with the same node
-  // ids, edges and facts: saving that engine again gives the same bytes,
+  // ids and edges: saving that engine again gives the same bytes,
   // and the query comes back with the same answer and witnesses without
   // paying a protocol step.
   consensus::RacingConsensus proto(3);
@@ -914,21 +951,14 @@ TEST(GraphRestore, SpilledSymmetricGraphRoundTripsByteForByte) {
   ASSERT_FALSE(before.truncated);
   ASSERT_GT(graph.edge_spilled_bytes(), 0u)
       << "forced spill never engaged; the round trip would be vacuous";
-  const auto save = [](const sim::ReachGraph& g, const std::string& tag) {
-    const std::string path = tdir(tag) + "/graph.bin";
-    SectionWriter w(path);
-    g.save(w);
-    w.finish();
-    return path;
-  };
-  const std::string first = save(graph, "sym_first");
+  const std::string first = save_graph(graph, "sym_first");
   sim::ReachGraph restored(proto, {});
   {
     SectionReader r(first);
     restored.restore(r);
   }
   EXPECT_EQ(restored.nodes(), graph.nodes());
-  EXPECT_TRUE(slurp(first) == slurp(save(restored, "sym_second")));
+  EXPECT_TRUE(slurp(first) == slurp(save_graph(restored, "sym_second")));
   sim::ProcPerm pi2;
   const auto after = restored.query(c, p, &pi2);
   EXPECT_EQ(after.expanded, 0u);
@@ -940,52 +970,73 @@ TEST(GraphRestore, SpilledSymmetricGraphRoundTripsByteForByte) {
   }
 }
 
-TEST(GraphRestore, RestoredFactsAnswerTheQueryWithTheSameWitness) {
-  // Facts are probed through per-node filter bits that checkpoints do not
-  // store (flags keep only their decide bits on disk), so restore() must
-  // rebuild the filter from the facts it loads, or every restored fact
-  // would be invisible to the next walk.
+TEST(GraphRestore, RestoredGraphAnswersTheQueryWithTheSameWitness) {
+  // Checkpoints store no facts: the restored graph walks its stored edges
+  // instead, without paying a protocol step, and rebuilds the same answer
+  // the original graph gave — the BFS one and the one its facts gave.
   consensus::BallotConsensus proto(3, 9);
   const sim::Config c = sim::initial_config(proto, {1, 1, 1});
   const util::ProcSet p = util::ProcSet::single(1).with(2);
   sim::ProcPerm pi;
   sim::ReachGraph graph(proto, {});
-  ASSERT_FALSE(graph.query(c, p, &pi).from_facts);  // drains, persists facts
+  const auto walked = graph.query(c, p, &pi);  // drains, persists facts
+  ASSERT_FALSE(walked.from_facts);
   const auto before = graph.query(c, p, &pi);
   ASSERT_TRUE(before.from_facts);
   ASSERT_TRUE(before.can[1]);
 
-  const std::string path = tdir("graph_facts") + "/graph.bin";
-  {
-    SectionWriter w(path);
-    graph.save(w);
-    w.finish();
-  }
   sim::ReachGraph restored(proto, {});
-  SectionReader r(path);
+  SectionReader r(save_graph(graph, "restored_walk"));
   restored.restore(r);
+  EXPECT_EQ(restored.fact_entries(), 0u);
   const auto after = restored.query(c, p, &pi);
-  EXPECT_TRUE(after.from_facts);
+  EXPECT_FALSE(after.from_facts);
   EXPECT_EQ(after.expanded, 0u);
-  EXPECT_EQ(after.reused, 0u);
-  EXPECT_EQ(after.can[0], before.can[0]);
-  EXPECT_EQ(after.can[1], before.can[1]);
-  EXPECT_EQ(after.witness[1].steps(), before.witness[1].steps());
-  EXPECT_EQ(after.witness_id[1], before.witness_id[1]);
+  for (const auto* was : {&walked, &before}) {
+    for (int v = 0; v < 2; ++v) {
+      EXPECT_EQ(after.can[v], was->can[v]) << v;
+      EXPECT_EQ(after.witness[v].steps(), was->witness[v].steps()) << v;
+      EXPECT_EQ(after.witness_id[v], was->witness_id[v]) << v;
+    }
+  }
 }
 
-TEST(GraphRestore, FactAtAnUnrestoredNodeIsRefused) {
-  // A fact key's low 32 bits name its node; restore() marks that node's
-  // filter bit, so a node the section does not restore is refused.
-  consensus::BallotConsensus proto(3, 6);
-  const std::vector<std::uint32_t> succ(6, kUnexpanded);
-  const std::uint64_t p12 = std::uint64_t{0x6} << 34;  // P = {1, 2}
-  // Control: a fact at node 1 restores.
-  EXPECT_NO_THROW(restore_graph(
-      proto, write_graph_section("fact_ok", proto, succ, {}, {{p12 | 1, 0x1}})));
-  EXPECT_THROW(restore_graph(proto, write_graph_section("fact_bad", proto, succ,
-                                                        {}, {{p12 | 2, 0x1}})),
-               CheckpointInvalid);
+TEST(GraphRestore, DecidedNodesRoundTripByteForByte) {
+  // Checkpoints store no decide flags: restore() rebuilds them from each
+  // node's row through register_config, whose kNoConfig markers the
+  // stored successor rows already hold. On a non-symmetric graph with
+  // decided nodes, save -> restore -> save gives the same bytes, and the
+  // restored graph answers every query from its edges alone.
+  consensus::BallotConsensus proto(3, 9);
+  ASSERT_FALSE(proto.symmetric());
+  const sim::Config c = sim::initial_config(proto, {0, 1, 1});
+  const std::vector<util::ProcSet> ps = {util::ProcSet::first_n(3),
+                                         util::ProcSet::single(0).with(2),
+                                         util::ProcSet::single(1)};
+  sim::ReachGraph graph(proto, {});
+  std::vector<sim::ReachGraph::QueryResult> before;
+  sim::ProcPerm pi;
+  for (const util::ProcSet p : ps) before.push_back(graph.query(c, p, &pi));
+  ASSERT_TRUE(before[0].can[0] && before[0].can[1])
+      << "the full-P query must reach nodes that decide each value";
+  const std::string first = save_graph(graph, "decided_first");
+  sim::ReachGraph restored(proto, {});
+  {
+    SectionReader r(first);
+    restored.restore(r);
+  }
+  EXPECT_EQ(restored.nodes(), graph.nodes());
+  EXPECT_TRUE(slurp(first) == slurp(save_graph(restored, "decided_second")));
+  for (std::size_t i = 0; i < ps.size(); ++i) {
+    const auto after = restored.query(c, ps[i], &pi);
+    EXPECT_EQ(after.expanded, 0u) << i;
+    for (int v = 0; v < 2; ++v) {
+      EXPECT_EQ(after.can[v], before[i].can[v]) << i << " " << v;
+      EXPECT_EQ(after.witness[v].steps(), before[i].witness[v].steps())
+          << i << " " << v;
+      EXPECT_EQ(after.witness_id[v], before[i].witness_id[v]) << i << " " << v;
+    }
+  }
 }
 
 // --- Adversary-level resume ------------------------------------------------
@@ -1097,6 +1148,12 @@ TEST_F(AdversaryResumeTest, FormatThreeCheckpointIsRefused) {
   // Format 3 stored code rows, successor rows and renamings raw; format 4
   // stores them as delta groups.
   expect_older_format_refused("format_three", 3);
+}
+
+TEST_F(AdversaryResumeTest, FormatFourCheckpointIsRefused) {
+  // Format 4 stored each node's decide flags and the raw fact map in the
+  // graph section; format 5 stores neither.
+  expect_older_format_refused("format_four", 4);
 }
 
 TEST_F(AdversaryResumeTest, CorruptStateFileIsRefused) {

@@ -230,6 +230,19 @@ TEST(ParseBytes, SuffixesAndRejects) {
   EXPECT_FALSE(parse_bytes("12kb", &v));
   EXPECT_FALSE(parse_bytes("-5", &v));
   EXPECT_FALSE(parse_bytes(" 5k", &v));
+  // The largest exact multiple of each unit fits in 64 bits; one unit
+  // more would wrap (17179869185g used to read as 1 GiB).
+  EXPECT_TRUE(parse_bytes("17179869183g", &v));
+  EXPECT_EQ(v, UINT64_MAX - ((std::uint64_t{1} << 30) - 1));
+  EXPECT_FALSE(parse_bytes("17179869184g", &v));
+  EXPECT_TRUE(parse_bytes("17592186044415m", &v));
+  EXPECT_EQ(v, UINT64_MAX - ((std::uint64_t{1} << 20) - 1));
+  EXPECT_FALSE(parse_bytes("17592186044416m", &v));
+  EXPECT_TRUE(parse_bytes("18014398509481983k", &v));
+  EXPECT_EQ(v, UINT64_MAX - ((std::uint64_t{1} << 10) - 1));
+  EXPECT_FALSE(parse_bytes("18014398509481984k", &v));
+  EXPECT_TRUE(parse_bytes("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
 }
 
 TEST(ParseArgs, BudgetFlags) {
@@ -241,6 +254,10 @@ TEST(ParseArgs, BudgetFlags) {
   EXPECT_EQ(r.args, (std::vector<std::string>{"adversary", "6"}));
   EXPECT_FALSE(parse_args({"--mem-budget=0"}).ok);
   EXPECT_FALSE(parse_args({"--mem-budget=lots"}).ok);
+  EXPECT_TRUE(parse_args({"adversary", "--mem-budget=17179869183g"}).ok);
+  const auto wrap = parse_args({"adversary", "--mem-budget=17179869185g"});
+  EXPECT_FALSE(wrap.ok);
+  EXPECT_NE(wrap.error.find("--mem-budget"), std::string::npos) << wrap.error;
   EXPECT_FALSE(parse_args({"--time-budget-ms=0"}).ok);
 }
 
@@ -292,6 +309,12 @@ TEST(ParseArgs, SpillDefaultsAndValidation) {
   EXPECT_EQ(r.flags.spill_seg_configs, 0u);
   EXPECT_FALSE(parse_args({"--spill-threshold=0"}).ok);
   EXPECT_FALSE(parse_args({"--spill-threshold=big"}).ok);
+  EXPECT_TRUE(parse_args({"adversary", "--spill-threshold=17179869183g"}).ok);
+  const auto wrap =
+      parse_args({"adversary", "--spill-threshold=18014398509481984k"});
+  EXPECT_FALSE(wrap.ok);
+  EXPECT_NE(wrap.error.find("--spill-threshold"), std::string::npos)
+      << wrap.error;
   EXPECT_FALSE(parse_args({"--spill-threshold"}).ok);  // missing value
   EXPECT_FALSE(parse_args({"--spill-dir="}).ok);
   EXPECT_FALSE(parse_args({"--spill-seg-configs=0"}).ok);

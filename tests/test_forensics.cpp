@@ -213,6 +213,22 @@ TEST(RunReport, StatsOnlyRunsHaveNoCertificateAndStayConsistent) {
   EXPECT_EQ(rep.levels()[0].discovered, 3);
 }
 
+TEST(RunReport, CheckpointLineShowsTheLastWriteBySection) {
+  RunReport rep;
+  ingest(rep, {
+    R"({"type":"ckpt.write","ts_ns":1,"why":"interval","generation":1,"bytes":120,"section_bytes":{"oracle":2,"roots":10,"memo":8,"graph":40},"ms":1})",
+    R"({"type":"ckpt.write","ts_ns":2,"why":"stop","generation":2,"bytes":200,"section_bytes":{"oracle":2,"roots":12,"memo":9,"graph":117},"ms":2})",
+  });
+  EXPECT_EQ(rep.lines_malformed(), 0u);
+  EXPECT_EQ(rep.ckpt_bytes(), 320u);
+  std::ostringstream text;
+  rep.render_text(text);
+  EXPECT_NE(text.str().find("last state file by section: oracle 2 B, roots "
+                            "12 B, memo 9 B, graph 117 B\n"),
+            std::string::npos)
+      << text.str();
+}
+
 TEST(RunReport, MalformedLinesAreCountedNotFatal) {
   RunReport rep;
   rep.ingest_line("not json at all");

@@ -195,62 +195,6 @@ TEST(SpillStore, AppendCrossesSegmentsSpillsAndReusesAfterClear) {
   }
 }
 
-/// for_each_segment's runs, concatenated, must equal the per-record read()
-/// bytes of records [0, limit).
-template <class W>
-void expect_bulk_matches_read(const util::spill::SpillStore<W>& store,
-                              std::size_t limit, const char* what) {
-  std::vector<W> bulk;
-  std::size_t calls = 0;
-  store.for_each_segment(limit, [&](const W* recs, std::size_t n) {
-    ASSERT_GT(n, 0u);
-    bulk.insert(bulk.end(), recs, recs + n * store.stride());
-    ++calls;
-  });
-  std::vector<W> each;
-  for (std::size_t i = 0; i < limit; ++i) {
-    each.insert(each.end(), store.read(i), store.read(i) + store.stride());
-  }
-  EXPECT_EQ(calls > 0, limit > 0) << what << " limit " << limit;
-  ASSERT_EQ(bulk.size(), each.size()) << what << " limit " << limit;
-  EXPECT_TRUE(bulk == each) << what << " limit " << limit;
-}
-
-/// 600 records in 128-record (two-group) segments: two spilled full
-/// segments, two resident full ones and an 88-record partial tail. The
-/// words vary record to record (several deltas per group, both signs) so
-/// a decode of the wrong group or the wrong number of deltas shows.
-template <class W>
-void check_bulk_reader(std::size_t stride, const std::string& dir) {
-  util::spill::SpillStore<W> store;
-  store.init("bulk", stride, W{});
-  ASSERT_TRUE(store.set_spill(dir, 128));
-  store.ensure(600);
-  for (std::size_t i = 0; i < 600; ++i) {
-    W* row = store.write_ptr(i);
-    for (std::size_t w = 0; w < stride; ++w) {
-      row[w] = static_cast<W>((i * 37 + w * 11) % 97) -
-               static_cast<W>(i % 5 == 0 ? 40 : 0);
-    }
-  }
-  ASSERT_GT(store.maybe_spill(0, 256), 0u);
-  ASSERT_EQ(store.spilled_segments(), 2u);
-  for (const std::size_t limit :
-       {std::size_t{0}, std::size_t{1}, std::size_t{64}, std::size_t{100},
-        std::size_t{200}, std::size_t{300}, std::size_t{450},
-        std::size_t{600}}) {
-    expect_bulk_matches_read(store, limit, dir.c_str());
-  }
-  EXPECT_EQ(store.faulted_in(), 0u) << "the bulk reader must fault nothing in";
-}
-
-TEST(SpillStore, BulkReaderYieldsThePerRecordBytes) {
-  check_bulk_reader<sim::Code>(10, tdir("bulk_code"));
-  check_bulk_reader<sim::Value>(6, tdir("bulk_value"));
-  check_bulk_reader<sim::ConfigId>(4, tdir("bulk_id"));
-  check_bulk_reader<std::uint8_t>(1, tdir("bulk_u8"));
-}
-
 // --- Hostile spilled blocks -------------------------------------------------
 
 /// A mapping whose last page is inaccessible. at_end(bytes) copies a block

@@ -430,6 +430,13 @@ void RunReport::ingest_record(const JsonValue& v, const std::string& type) {
     ckpt_ms_ += static_cast<std::uint64_t>(v.int_or("ms", 0));
     ckpt_last_generation_ = v.int_or("generation", ckpt_last_generation_);
     ckpt_last_why_ = v.str_or("why", ckpt_last_why_);
+    ckpt_last_sections_.clear();
+    if (const JsonValue* obj = v.find("section_bytes");
+        obj && obj->type == JsonValue::Type::kObj) {
+      for (const auto& [name, val] : obj->obj) {
+        ckpt_last_sections_.emplace_back(name, to_i64(val.num));
+      }
+    }
   } else if (type == "adversary.begin") {
     protocol_ = v.str_or("protocol", "");
     n_ = static_cast<int>(v.int_or("n", 0));
@@ -966,6 +973,15 @@ void RunReport::render_text(std::ostream& out) const {
           << ckpt_last_why_ << "\")";
     }
     out << "\n";
+    if (!ckpt_last_sections_.empty()) {
+      out << "last state file by section:";
+      const char* sep = " ";
+      for (const auto& [name, bytes] : ckpt_last_sections_) {
+        out << sep << name << " " << bytes << " B";
+        sep = ", ";
+      }
+      out << "\n";
+    }
     if (ckpt_resumed_) {
       out << "run resumed from a checkpoint (warm replay; verdicts and "
              "certificate identical to an uninterrupted run)\n";

@@ -17,6 +17,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace tsb::report {
@@ -314,6 +315,8 @@ class RunReport {
   std::uint64_t ckpt_ms_ = 0;      ///< sum of per-write wall ms (overhead)
   std::int64_t ckpt_last_generation_ = 0;
   std::string ckpt_last_why_;
+  /// Payload bytes per section of the last write, in write order.
+  std::vector<std::pair<std::string, std::int64_t>> ckpt_last_sections_;
   bool ckpt_resumed_ = false;      ///< run restored a checkpoint first
   bool ckpt_stopped_ = false;      ///< run ended checkpointed-and-stopped
 

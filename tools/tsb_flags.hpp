@@ -193,7 +193,7 @@ inline bool positional(const std::vector<std::string>& args, std::size_t i,
 }
 
 /// Parse "123", "64k", "256m", "2g" into bytes (suffix = binary multiple).
-/// Returns false on anything else.
+/// Returns false on anything else, and on a multiple past 2^64 - 1.
 inline bool parse_bytes(std::string s, std::uint64_t* bytes) {
   const char unit = s.empty() ? '\0' : s.back();
   const int shift = unit == 'k' || unit == 'K'   ? 10
@@ -201,7 +201,7 @@ inline bool parse_bytes(std::string s, std::uint64_t* bytes) {
                     : unit == 'g' || unit == 'G' ? 30
                                                  : 0;
   if (shift != 0) s.pop_back();
-  if (!parse_u64(s, bytes)) return false;
+  if (!parse_u64(s, bytes) || *bytes > (UINT64_MAX >> shift)) return false;
   *bytes <<= shift;
   return true;
 }
