@@ -171,7 +171,7 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
       // (whose registers come from the independent replay).
       std::vector<int> regs(covered.begin(), covered.end());
       obs::JsonObj ev = obs::audit_event("covering.pre_escape");
-      ev.num("config", static_cast<std::int64_t>(oracle.intern_root(cq)))
+      ev.num("config", static_cast<std::int64_t>(oracle.audit_id(cq)))
           .raw("procs", obs::json_int_array(r.to_vector()))
           .raw("regs", obs::json_int_array(regs))
           .num("z", z);

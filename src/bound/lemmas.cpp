@@ -41,8 +41,7 @@ LemmaToolkit::InitialBivalent LemmaToolkit::proposition2() {
        "is bivalent for {p0,p1}");
   if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("prop2");
-    ev.num("config",
-           static_cast<std::int64_t>(oracle_.intern_root(out.config)))
+    ev.num("config", static_cast<std::int64_t>(oracle_.audit_id(out.config)))
         .raw("inputs", obs::json_int_array(
                            std::vector<int>(out.inputs.begin(),
                                             out.inputs.end())));
@@ -58,7 +57,7 @@ LemmaToolkit::Lemma1Result LemmaToolkit::lemma1(const Config& c, ProcSet p) {
   auto audit = [&](const char* how, const Lemma1Result& res) {
     if (!obs::stats_enabled()) return;
     obs::JsonObj ev = obs::audit_event("lemma1");
-    ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(c)))
+    ev.num("config", static_cast<std::int64_t>(oracle_.audit_id(c)))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .str("how", how)
         .num("z", res.z)
@@ -145,7 +144,7 @@ LemmaToolkit::SoloEscape LemmaToolkit::solo_escape(
   auto audit = [&] {
     if (!obs::stats_enabled()) return;
     obs::JsonObj ev = obs::audit_event("solo_escape");
-    ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(c)))
+    ev.num("config", static_cast<std::int64_t>(oracle_.audit_id(c)))
         .num("z", z)
         .raw("covered", obs::json_int_array(regs_vec(covered)))
         .boolean("found", out.found)
@@ -187,7 +186,7 @@ LemmaToolkit::Lemma3Result LemmaToolkit::lemma3(const Config& c, ProcSet p,
   auto audit = [&](const char* how, const Lemma3Result& res) {
     if (!obs::stats_enabled()) return;
     obs::JsonObj ev = obs::audit_event("lemma3");
-    ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(c)))
+    ev.num("config", static_cast<std::int64_t>(oracle_.audit_id(c)))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .raw("covering_procs", obs::json_int_array(r.to_vector()))
         .raw("covered",
@@ -258,7 +257,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
   TSB_REQUIRE(oracle_.bivalent(c, p), "Lemma 4 precondition: P bivalent");
   if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("lemma4.enter");
-    ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(c)))
+    ev.num("config", static_cast<std::int64_t>(oracle_.audit_id(c)))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .num("depth", depth_);
     obs::stats_sink().write(ev.render());
@@ -318,7 +317,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
     });
     if (obs::stats_enabled()) {
       obs::JsonObj ev = obs::audit_event("lemma4.stage");
-      ev.num("config", static_cast<std::int64_t>(oracle_.intern_root(s.d_i)))
+      ev.num("config", static_cast<std::int64_t>(oracle_.audit_id(s.d_i)))
           .num("stage", static_cast<std::int64_t>(stages.size()))
           .num("depth", depth_)
           .raw("bivalent_pair", obs::json_int_array(s.q_i.to_vector()))
@@ -362,7 +361,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
         // registers, which is what hides z's insertions later.
         obs::JsonObj ev = obs::audit_event("block_write");
         ev.num("config",
-               static_cast<std::int64_t>(oracle_.intern_root(after_block)))
+               static_cast<std::int64_t>(oracle_.audit_id(after_block)))
             .num("stage", static_cast<std::int64_t>(j - 1))
             .num("depth", depth_)
             .raw("procs", obs::json_int_array(prev.r_i.to_vector()))
@@ -451,8 +450,7 @@ LemmaToolkit::Lemma4Result LemmaToolkit::lemma4(const Config& c, ProcSet p) {
        describe_covering(proto_, c_alpha, p - q_j));
   if (obs::stats_enabled()) {
     obs::JsonObj ev = obs::audit_event("lemma4.done");
-    ev.num("config",
-           static_cast<std::int64_t>(oracle_.intern_root(c_alpha)))
+    ev.num("config", static_cast<std::int64_t>(oracle_.audit_id(c_alpha)))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .raw("bivalent_pair", obs::json_int_array(q_j.to_vector()))
         .raw("covered", obs::json_int_array(

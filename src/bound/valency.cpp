@@ -44,7 +44,7 @@ bool ValencyOracle::can_decide(const Config& c, ProcSet p, Value v) {
   ++queries_;
   const PairAnswer& a = lookup(c, p);
   if (obs::stats_enabled()) {
-    audit_query("can_decide", last_root_id_, p, v, a.can[v], last_lookup_hit_,
+    audit_query("can_decide", last_audit_id_, p, v, a.can[v], last_lookup_hit_,
                 a.witness_id[v]);
   }
   return a.can[v];
@@ -65,7 +65,7 @@ std::optional<Schedule> ValencyOracle::deciding_schedule(const Config& c,
   ++queries_;
   const PairAnswer& a = lookup(c, p);
   if (obs::stats_enabled()) {
-    audit_query("deciding_schedule", last_root_id_, p, v, a.can[v],
+    audit_query("deciding_schedule", last_audit_id_, p, v, a.can[v],
                 last_lookup_hit_, a.witness_id[v]);
   }
   if (!a.can[v]) return std::nullopt;
@@ -93,20 +93,31 @@ sim::ReachGraph& ValencyOracle::ensure_graph() {
 void ValencyOracle::update_memo_ledger() const {
   obs::MemLedger::global().set(
       obs::MemAccount::kValencyMemo,
-      obs::node_map_bytes(memo_) + memo_witness_bytes_ + roots_.memory_bytes());
+      obs::node_map_bytes(memo_) + memo_witness_bytes_ +
+          roots_.memory_bytes() +
+          (audit_ids_ ? audit_ids_->memory_bytes() : 0));
+}
+
+sim::ConfigId ValencyOracle::audit_id(const Config& c) {
+  if (!audit_ids_) {
+    audit_ids_.emplace(proto_.num_processes(), proto_.num_registers(),
+                       "audit ids");
+  }
+  return audit_ids_->intern(c).id;
 }
 
 const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
                                                        ProcSet p) {
-  last_root_id_ = roots_.intern(c).id;
+  const sim::ConfigId root = roots_.intern(c).id;
+  last_audit_id_ = obs::stats_enabled() ? audit_id(c) : root;
   last_perm_ = sim::ProcPerm::identity();
-  PairKey key{last_root_id_, p.bits()};
+  PairKey key{root, p.bits()};
   if (opts_.reuse) {
     ensure_graph();
     // Memoize on the canonical projected (config, ProcSet-orbit, ambient)
     // triple, so any two queries the engine cannot distinguish — same
     // P-states, registers, frozen-process decide bits — share one entry;
-    // audit ids stay in the roots_ space above. Ambient rides in bits
+    // audit ids stay in the original space above. Ambient rides in bits
     // 60..61, which no P mask reaches: the constructor refuses reuse for
     // n > 60.
     const sim::ReachGraph::Node node = graph_->intern_node(c, p, &last_perm_);
@@ -117,12 +128,12 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
     ++cache_hits_;
     last_lookup_hit_ = true;
     obs::flight::record(obs::flight::Ev::kValencyQuery,
-                        static_cast<std::int64_t>(last_root_id_), 1);
+                        static_cast<std::int64_t>(last_audit_id_), 1);
     return it->second;
   }
   last_lookup_hit_ = false;
   obs::flight::record(obs::flight::Ev::kValencyQuery,
-                      static_cast<std::int64_t>(last_root_id_), 0);
+                      static_cast<std::int64_t>(last_audit_id_), 0);
   sim::ReachGraph::QueryResult pass;  // the shared engine's counters
   bool replay_ok = true;
   PairAnswer answer = opts_.reuse
@@ -134,7 +145,7 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
     // versus consumed for free (reused = stored edges, from_facts = no
     // graph work at all).
     obs::JsonObj ev = obs::audit_event("valency.pass");
-    ev.num("config", static_cast<std::int64_t>(last_root_id_))
+    ev.num("config", static_cast<std::int64_t>(last_audit_id_))
         .raw("procs", obs::json_int_array(p.to_vector()))
         .boolean("can0", answer.can[0])
         .boolean("can1", answer.can[1]);

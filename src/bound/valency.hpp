@@ -156,20 +156,21 @@ class ValencyOracle {
   /// True when the engine runs in symmetry-quotient mode.
   bool engine_symmetric() const { return graph_ && graph_->symmetric(); }
 
-  /// Intern `c` in the oracle's root arena and return its stable 32-bit id
-  /// — the id space the audit trail's valency events use as "config", so
-  /// lemma/adversary emitters can cross-link configurations to the queries
-  /// asked about them without copying configurations into the log. This id
-  /// space is the *original* one: canonicalization never leaks into the
-  /// audit trail's config ids.
-  sim::ConfigId intern_root(const Config& c) {
-    return roots_.intern(c).id;
-  }
+  /// The stable 32-bit id of `c` in the audit trail's id space — the
+  /// "config" of the valency records, so lemma/adversary emitters can
+  /// cross-link configurations to the queries asked about them without
+  /// copying configurations into the log. This id space is the *original*
+  /// one: canonicalization never leaks into the audit trail's config ids.
+  /// Ids live in an arena of their own, interned only while the stats
+  /// stream is on and never checkpointed, so labelling a record leaves
+  /// the saved state as it is.
+  sim::ConfigId audit_id(const Config& c);
 
   // --- checkpoint/resume ---------------------------------------------------
-  // The oracle is the session's persistent state: the root arena (audit-
-  // stable ids), the pair memo with its witnesses, and (reuse = true) the
-  // shared reachability graph's nodes and edges. save_state writes them as
+  // The oracle is the session's persistent state: the root arena (query
+  // roots, the fresh-BFS backend's memo keys), the pair memo with its
+  // witnesses, and (reuse = true) the shared reachability graph's nodes
+  // and edges. save_state writes them as
   // the "oracle", "roots", "memo" and (iff the graph exists) "graph"
   // sections of a checkpoint in progress; restore_state rebuilds them into
   // a fresh oracle before any query runs. The graph's decide flags and
@@ -178,7 +179,9 @@ class ValencyOracle {
   // re-runs the deterministic adversary from its start ("warm replay"), so
   // the counters rebuild themselves (with more cache hits than the
   // uninterrupted run — verdicts, visited sets and certificates are what
-  // resume keeps identical, not stats).
+  // resume keeps identical, not stats). The audit-id arena is not saved
+  // either: the replay names configurations in the same order, so it
+  // rebuilds the same ids.
 
   /// Append this oracle's sections to a checkpoint state file.
   void save_state(util::ckpt::SectionWriter& w) const;
@@ -227,12 +230,15 @@ class ValencyOracle {
                                  bool* replay_ok);
   Schedule decanonicalize(const Schedule& s, sim::ProcPerm pi) const;
   /// Refresh the valency.memo ledger account: the pair memo, its witness
-  /// steps (accumulated — entries are never evicted) and the root arena.
+  /// steps (accumulated — entries are never evicted), the root arena and
+  /// the audit-id arena.
   void update_memo_ledger() const;
 
   const Protocol& proto_;
   Options opts_;
-  sim::ConfigArena roots_;  ///< interns query roots for audit-stable ids
+  sim::ConfigArena roots_;  ///< interns query roots (checkpointed)
+  /// audit_id's arena, built on the first id the stats stream asks for.
+  std::optional<sim::ConfigArena> audit_ids_;
   std::unordered_map<PairKey, PairAnswer, PairKeyHash> memo_;
   std::size_t memo_witness_bytes_ = 0;  ///< ledger: stored witness steps
   std::optional<sim::Explorer> seq_;        ///< reuse = false backend,
@@ -245,7 +251,9 @@ class ValencyOracle {
   // Set by lookup() for the audit events and witness translation the
   // public queries do.
   bool last_lookup_hit_ = false;
-  sim::ConfigId last_root_id_ = sim::kNoConfig;
+  /// The looked-up configuration's audit_id with stats on, else its root
+  /// id: the id its audit and flight records carry.
+  sim::ConfigId last_audit_id_ = sim::kNoConfig;
   sim::ProcPerm last_perm_;  ///< caller frame -> canonical frame
 };
 

@@ -54,7 +54,9 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 /// code rows, successor rows and renamings are stored as the spill codec's
 /// 64-record delta groups (util::spill::SpillStore::save). Version 5: the
 /// graph section stores neither the decide flags nor the fact map.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// Version 6: a delta record names its changed words with a bitmask
+/// instead of a count and per-word indices.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Streaming writer for the versioned, per-section-CRC checkpoint file
 /// format (the state file and the manifest). Layout:

@@ -49,7 +49,6 @@ bool BackingFile::append(const std::uint8_t* data, std::size_t len,
   end_ = off + map_len;
   out.map = static_cast<std::uint8_t*>(map);
   out.map_len = map_len;
-  out.skip = 0;
   out.bytes = len;
   out.file_off = off;
   return true;

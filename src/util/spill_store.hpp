@@ -78,26 +78,29 @@ inline std::size_t round_up(std::size_t v, std::size_t align) {
 /// Delta/varint/zigzag block codec shared by ConfigArena (u16 codes) and
 /// the reach graph's edge stores (u8 / u32 / u64 words). A group holds up
 /// to kGroupRecords fixed-stride records: the first is raw, the rest are
-/// (changed-word count, then per change a varint word index and a
-/// zigzag-varint value delta) against their predecessor. Deltas are
-/// computed mod 2^64, so the encoding is bit-exact for any unsigned or
-/// two's-complement word width. `stride` must fit the one-byte changed-word
-/// count.
-///
-/// The most bytes one changed word can take in a delta record: its index
-/// (stride <= 255, so two varint bytes) and its value delta, which for a
-/// W narrower than 64 bits is under 2^(8 sizeof W) in magnitude, so its
-/// zigzag form needs 8 sizeof W + 1 bits.
+/// delta records against their predecessor: a changed-word mask of
+/// mask_bytes(stride) bytes (word i is bit i % 8 of byte i / 8, set iff
+/// the word changed), then one zigzag-varint value delta per set bit, in
+/// ascending word order. Deltas are computed mod 2^64, so the encoding is
+/// bit-exact for any unsigned or two's-complement word width.
+inline constexpr std::size_t mask_bytes(std::size_t stride) {
+  return (stride + 7) / 8;
+}
+
+/// The most bytes one changed word's value delta can take: for a W
+/// narrower than 64 bits the delta is under 2^(8 sizeof W) in magnitude,
+/// so its zigzag form needs 8 sizeof W + 1 bits.
 template <class W>
 constexpr std::size_t max_word_delta_bytes() {
-  return 2 + (sizeof(W) == 8 ? 10 : (8 * sizeof(W) + 1 + 6) / 7);
+  return sizeof(W) == 8 ? 10 : (8 * sizeof(W) + 1 + 6) / 7;
 }
 
 /// The most bytes encode_group writes for `nrecs` records.
 template <class W>
 constexpr std::size_t group_bound(std::size_t nrecs, std::size_t stride) {
   return stride * sizeof(W) +
-         (nrecs - 1) * (1 + stride * max_word_delta_bytes<W>());
+         (nrecs - 1) *
+             (mask_bytes(stride) + stride * max_word_delta_bytes<W>());
 }
 
 /// Encode records [0, nrecs) at `recs` (1 <= nrecs <= kGroupRecords) as
@@ -108,16 +111,17 @@ constexpr std::size_t group_bound(std::size_t nrecs, std::size_t stride) {
 template <class W>
 std::size_t encode_group(const W* recs, std::size_t nrecs, std::size_t stride,
                          std::uint8_t* out) {
+  const std::size_t nmask = mask_bytes(stride);
   std::uint8_t* at = out;
   std::memcpy(at, recs, stride * sizeof(W));
   at += stride * sizeof(W);
   for (std::size_t c = 1; c < nrecs; ++c) {
     const W* cur = recs + c * stride;
     const W* prev = cur - stride;
-    std::uint8_t* count = at++;
-    std::uint8_t nchanged = 0;
+    std::uint8_t* mask = at;
+    at += nmask;
     // Mask the changed words first, without a branch per word, then visit
-    // only those: a record usually changes one or two words at positions
+    // only those: a record usually changes two or three words at positions
     // a per-word branch cannot predict.
     for (std::size_t lo = 0; lo < stride; lo += 64) {
       const std::size_t hi = std::min(stride, lo + 64);
@@ -125,17 +129,17 @@ std::size_t encode_group(const W* recs, std::size_t nrecs, std::size_t stride,
       for (std::size_t i = lo; i < hi; ++i) {
         changed |= static_cast<std::uint64_t>(cur[i] != prev[i]) << (i - lo);
       }
+      for (std::size_t b = lo / 8; b < (hi + 7) / 8; ++b) {
+        mask[b] = static_cast<std::uint8_t>(changed >> (8 * (b - lo / 8)));
+      }
       for (; changed != 0; changed &= changed - 1) {
         const std::size_t i =
             lo + static_cast<std::size_t>(__builtin_ctzll(changed));
-        ++nchanged;
-        at = put_varint(at, i);
         at = put_varint(at, zigzag(static_cast<std::int64_t>(
                                 static_cast<std::uint64_t>(cur[i]) -
                                 static_cast<std::uint64_t>(prev[i]))));
       }
     }
-    *count = nchanged;
   }
   return static_cast<std::size_t>(at - out);
 }
@@ -198,20 +202,30 @@ std::pair<const std::uint8_t*, std::size_t> group_span(
   return {p, next - off};
 }
 
-/// Apply one delta record at p (bounded by `end`) to `rec`. A changed-word
-/// index outside the record is refused, never written.
+/// Apply one delta record at p (bounded by `end`) to `rec`. A mask that
+/// runs past `end`, or that marks a word at or past `stride`, is refused,
+/// never applied.
 template <class W>
 void apply_delta(const std::uint8_t*& p, const std::uint8_t* end,
                  std::size_t stride, W* rec) {
-  TSB_REQUIRE(p < end, "spill codec: delta record runs past the block");
-  const std::uint8_t nchanged = *p++;
-  for (std::uint8_t j = 0; j < nchanged; ++j) {
-    const std::uint64_t slot = get_varint(p, end);
-    TSB_REQUIRE(slot < stride,
-                "spill codec: delta names a word past the record");
-    const std::uint64_t delta =
-        static_cast<std::uint64_t>(unzigzag(get_varint(p, end)));
-    rec[slot] = static_cast<W>(static_cast<std::uint64_t>(rec[slot]) + delta);
+  const std::size_t nmask = mask_bytes(stride);
+  TSB_REQUIRE(static_cast<std::size_t>(end - p) >= nmask,
+              "spill codec: changed-word mask runs past the block");
+  const std::uint8_t* mask = p;
+  p += nmask;
+  TSB_REQUIRE(stride % 8 == 0 || mask[nmask - 1] >> (stride % 8) == 0,
+              "spill codec: mask marks a word past the record");
+  for (std::size_t lo = 0; lo < stride; lo += 64) {
+    std::uint64_t changed = 0;
+    for (std::size_t b = lo / 8; b < std::min(nmask, lo / 8 + 8); ++b) {
+      changed |= static_cast<std::uint64_t>(mask[b]) << (8 * (b - lo / 8));
+    }
+    for (; changed != 0; changed &= changed - 1) {
+      W& word = rec[lo + static_cast<std::size_t>(__builtin_ctzll(changed))];
+      word = static_cast<W>(static_cast<std::uint64_t>(word) +
+                            static_cast<std::uint64_t>(
+                                unzigzag(get_varint(p, end))));
+    }
   }
 }
 
@@ -258,7 +272,6 @@ class BackingFile {
   struct Block {
     std::uint8_t* map = nullptr;  ///< mmap'd compressed block (read-only)
     std::size_t map_len = 0;      ///< mapped length (page-aligned)
-    std::size_t skip = 0;         ///< offset of the block within the map
     std::size_t bytes = 0;        ///< compressed payload bytes
     std::uint64_t file_off = 0;   ///< block start within the backing file
     bool valid() const { return map != nullptr; }
@@ -348,8 +361,6 @@ class SpillStore {
   /// first ensure(). Returns false if the directory is unusable.
   bool set_spill(const std::string& dir, std::size_t seg_recs_hint) {
     TSB_REQUIRE(segs_.empty(), "SpillStore::set_spill after first ensure()");
-    TSB_REQUIRE(stride_ <= 255,
-                "spill delta encoding stores changed-word counts in one byte");
     if (seg_recs_hint != 0) {
       std::size_t sr = kGroupRecords;
       while (sr < seg_recs_hint) sr <<= 1;
@@ -513,7 +524,7 @@ class SpillStore {
     Seg& s = segs_[seg];
     const std::size_t n = seg_recs_ * stride_;
     std::unique_ptr<W[]> fresh(new W[n]);
-    decode_all<W>(s.blk.map + s.blk.skip, s.blk.bytes, seg_recs_, stride_,
+    decode_all<W>(s.blk.map, s.blk.bytes, seg_recs_, stride_,
                   fresh.get());
     spilled_bytes_ -= s.blk.bytes;
     release(s);
@@ -528,7 +539,7 @@ class SpillStore {
   // about 2% more CPU on a resident n = 5 construction.
   [[gnu::noinline]] const W* read_spilled(const Seg& s,
                                           std::size_t idx) const {
-    const std::uint8_t* block = s.blk.map + s.blk.skip;
+    const std::uint8_t* block = s.blk.map;
     const std::uint8_t* end = block + s.blk.bytes;
     // Segments hold whole groups, so one group index names the block too.
     std::size_t at = cur_idx_;
@@ -611,7 +622,7 @@ void SpillStore<W>::save(ckpt::SectionWriter& w, std::size_t limit) const {
                                           stride_, scratch.data()));
       continue;
     }
-    const std::uint8_t* block = s.blk.map + s.blk.skip;
+    const std::uint8_t* block = s.blk.map;
     if (n == kGroupRecords) {
       const auto [p, bytes] =
           group_span<W>(block, s.blk.bytes, local / kGroupRecords, stride_);
@@ -632,7 +643,7 @@ void SpillStore<W>::save(ckpt::SectionWriter& w, std::size_t limit) const {
 /// fn(const W* recs, std::size_t n, std::uint64_t first) one group at a
 /// time. The bytes are hostile input: a group whose byte count runs past
 /// the section, whose deltas run past that count or stop short of it, or
-/// whose delta names a word past the record is refused with
+/// whose mask marks a word past the record is refused with
 /// util::CheckpointInvalid naming `where`.
 template <class W, class Fn>
 void load_records(ckpt::SectionReader& r, std::uint64_t count,

@@ -24,6 +24,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -1156,6 +1157,12 @@ TEST_F(AdversaryResumeTest, FormatFourCheckpointIsRefused) {
   expect_older_format_refused("format_four", 4);
 }
 
+TEST_F(AdversaryResumeTest, FormatFiveCheckpointIsRefused) {
+  // Format 5 opened each delta record with a changed-word count and gave
+  // each changed word a varint index; format 6 names them with a bitmask.
+  expect_older_format_refused("format_five", 5);
+}
+
 TEST_F(AdversaryResumeTest, CorruptStateFileIsRefused) {
   const std::string dir = make_completed_checkpoint("state_rot");
   const std::string spath = util::ckpt::state_path(
@@ -1237,6 +1244,36 @@ TEST_F(AdversaryResumeTest, WallClockCadenceCheckpointsAndResumes) {
   const auto resumed = run_adversary(4, 8, dir, true, 0);
   ASSERT_TRUE(resumed.ok) << resumed.error;
   expect_same_certificate(baseline, resumed);
+}
+
+TEST_F(AdversaryResumeTest, StatsStreamLeavesTheStateFileAsItIs) {
+  // The decision trail names configurations no valency query asked about
+  // (an n = 4 run's covering.pre_escape configuration is one): labelling
+  // them must not add rows to the checkpointed root arena, so the same
+  // cadence writes the same state file byte for byte with the stream on.
+  const auto state_file = [](const std::string& dir) {
+    return slurp(util::ckpt::state_path(
+        dir, Manifest::load(util::ckpt::manifest_path(dir)).generation));
+  };
+  const std::string plain = tdir("stats_off");
+  ASSERT_TRUE(run_adversary(4, 8, plain, false, /*every=*/2000).ok);
+  CheckpointService::global().reset();
+
+  const std::string traced = tdir("stats_on");
+  const std::string stats = ::testing::TempDir() + "tsb_ckpt_stats_on.jsonl";
+  ASSERT_TRUE(obs::stats_sink().open(stats));
+  const auto with_stats = run_adversary(4, 8, traced, false, 2000);
+  obs::stats_sink().close();
+  ASSERT_TRUE(with_stats.ok) << with_stats.error;
+  std::ifstream in(stats);
+  const std::string records((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_NE(records.find(R"("type":"covering.pre_escape")"),
+            std::string::npos);
+
+  const auto off = state_file(plain);
+  EXPECT_GT(off.size(), 0u);
+  EXPECT_TRUE(off == state_file(traced));
 }
 
 // --- Crash recovery (SIGKILL, no unwinding at all) -------------------------

@@ -22,6 +22,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -343,10 +344,14 @@ TEST(SpillCodec, EncoderBytesArePinned) {
   // Spill blocks and the checkpoint's coded record arrays share these
   // bytes, and a checkpoint copies spilled groups verbatim: an encoder
   // change must show here, not as a checkpoint that differs by where its
-  // records lived. Four records: the first raw (all zero), then "one word
-  // changed, word 1 by +5", "nothing changed", and "word 1 by 5 - (2^w - 3)"
-  // — zigzag 2(2^w - 8) for w-bit words, but -8 (zigzag 15) for 64-bit
-  // words, whose difference wraps.
+  // records lived. Four records: the first raw (all zero), then "mask
+  // 0b010, word 1 by +5", "mask 0, nothing changed", and "mask 0b010, word
+  // 1 by 5 - (2^w - 3)" — zigzag 2(2^w - 8) for w-bit words, but -8
+  // (zigzag 15) for 64-bit words, whose difference wraps. The blocks are
+  // 120 bytes shorter than the count-and-index encoding's (467, 568, 758
+  // and 525 bytes): their 126 delta records change 120 words, and each
+  // change dropped its one-byte index while the one mask byte replaced
+  // the one count byte.
   const auto with_raw = [](std::size_t zeros,
                            std::vector<std::uint8_t> deltas) {
     std::vector<std::uint8_t> out(zeros, 0);
@@ -354,18 +359,15 @@ TEST(SpillCodec, EncoderBytesArePinned) {
     return out;
   };
   expect_golden<std::uint8_t>(
-      with_raw(3, {0x01, 0x01, 0x0A, 0x00, 0x01, 0x01, 0xF0, 0x03}), 467,
-      0x325A9B35u);
+      with_raw(3, {0x02, 0x0A, 0x00, 0x02, 0xF0, 0x03}), 347, 0x3D2D2703u);
   expect_golden<std::uint16_t>(
-      with_raw(6, {0x01, 0x01, 0x0A, 0x00, 0x01, 0x01, 0xF0, 0xFF, 0x07}),
-      568, 0x28CC6AFAu);
+      with_raw(6, {0x02, 0x0A, 0x00, 0x02, 0xF0, 0xFF, 0x07}), 448,
+      0xF5D0C408u);
   expect_golden<std::uint32_t>(
-      with_raw(12, {0x01, 0x01, 0x0A, 0x00, 0x01, 0x01, 0xF0, 0xFF, 0xFF,
-                    0xFF, 0x1F}),
-      758, 0xB4F335F5u);
+      with_raw(12, {0x02, 0x0A, 0x00, 0x02, 0xF0, 0xFF, 0xFF, 0xFF, 0x1F}),
+      638, 0xFD3FE431u);
   expect_golden<std::uint64_t>(
-      with_raw(24, {0x01, 0x01, 0x0A, 0x00, 0x01, 0x01, 0x0F}), 525,
-      0x8196D8DCu);
+      with_raw(24, {0x02, 0x0A, 0x00, 0x02, 0x0F}), 405, 0x1FCEE80Bu);
 }
 
 TEST(SpillCodec, GroupBoundCoversTheWidestDeltas) {
@@ -399,6 +401,83 @@ TEST(SpillCodec, GroupBoundCoversTheWidestDeltas) {
   widest(std::uint16_t{});
   widest(std::uint32_t{});
   widest(std::uint64_t{});
+}
+
+/// Seeded records of `stride` words: a quarter repeat their predecessor
+/// (delta records with an all-zero mask), an eighth change every word, and
+/// the rest change one to four words, each by a small step or to a value
+/// as wide as W.
+template <class W>
+std::vector<W> random_records(std::size_t nrecs, std::size_t stride,
+                              std::mt19937_64& rng) {
+  std::vector<W> v(nrecs * stride);
+  for (W& w : v) w = static_cast<W>(rng());
+  for (std::size_t r = 1; r < nrecs; ++r) {
+    W* rec = v.data() + r * stride;
+    std::copy_n(rec - stride, stride, rec);
+    const std::uint64_t kind = rng() % 8;
+    if (kind < 2) continue;
+    const std::size_t changes =
+        kind == 2 ? stride : 1 + static_cast<std::size_t>(rng() % 4);
+    for (std::size_t k = 0; k < changes; ++k) {
+      W& w = rec[kind == 2 ? k : rng() % stride];
+      w = static_cast<W>(rng() % 2 == 0 ? rng() : w + 1 + rng() % 3);
+    }
+  }
+  return v;
+}
+
+/// Round trips through the codec at `stride`: groups of 1 to
+/// kGroupRecords records are encoded into exactly group_bound bytes (the
+/// ASan+UBSan build catches a write past them) and decoded record by
+/// record from a copy that ends at a guard page, consuming every byte;
+/// a two-group block decodes through decode_all.
+template <class W>
+void check_round_trip(std::size_t stride, std::uint64_t seed) {
+  namespace sp = util::spill;
+  std::mt19937_64 rng(seed);
+  const std::vector<W> recs =
+      random_records<W>(2 * sp::kGroupRecords, stride, rng);
+  GuardedBuffer guarded(sp::group_bound<W>(sp::kGroupRecords, stride));
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{17}, sp::kGroupRecords}) {
+    for (const std::size_t first : {std::size_t{0}, sp::kGroupRecords}) {
+      const W* in = recs.data() + first * stride;
+      std::vector<std::uint8_t> out(sp::group_bound<W>(n, stride));
+      const std::size_t used = sp::encode_group<W>(in, n, stride, out.data());
+      ASSERT_LE(used, out.size());
+      out.resize(used);
+      const std::uint8_t* p = guarded.at_end(out);
+      const std::uint8_t* end = p + used;
+      std::vector<W> back(n * stride);
+      std::memcpy(back.data(), p, stride * sizeof(W));
+      p += stride * sizeof(W);
+      for (std::size_t c = 1; c < n; ++c) {
+        std::copy_n(back.data() + (c - 1) * stride, stride,
+                    back.data() + c * stride);
+        sp::apply_delta<W>(p, end, stride, back.data() + c * stride);
+      }
+      EXPECT_EQ(p, end) << n << " records from " << first;
+      EXPECT_TRUE(std::equal(back.begin(), back.end(), in))
+          << n << " records from " << first;
+    }
+  }
+  std::vector<std::uint8_t> block;
+  sp::encode_block<W>(recs.data(), recs.size() / stride, stride, block);
+  std::vector<W> all(recs.size());
+  sp::decode_all<W>(block.data(), block.size(), recs.size() / stride, stride,
+                    all.data());
+  EXPECT_EQ(all, recs);
+}
+
+TEST(SpillCodec, RandomRecordsRoundTripWithinTheGroupBound) {
+  for (const std::size_t stride : {1, 5, 8, 9, 10, 16, 64, 65, 255}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    check_round_trip<std::uint8_t>(stride, 0x8000 + stride);
+    check_round_trip<std::uint16_t>(stride, 0x16000 + stride);
+    check_round_trip<std::uint32_t>(stride, 0x32000 + stride);
+    check_round_trip<std::uint64_t>(stride, 0x64000 + stride);
+  }
 }
 
 // --- The spilled-read cursor -------------------------------------------------
@@ -618,47 +697,67 @@ std::string hostile_section(const std::string& tag,
 
 TEST(CodedRecords, HostileGroupsAreRefusedAsCheckpointInvalid) {
   // Two records of two u32 words: a raw record, a u32 byte count, then
-  // the delta records. Each case frames correctly (the section's CRC is
-  // valid), so only load_records can refuse it.
+  // the delta record (a one-byte changed-word mask and its deltas). Each
+  // case frames correctly (the section's CRC is valid), so only
+  // load_records can refuse it.
   using Bytes = std::vector<std::uint8_t>;
   const Bytes raw = {1, 0, 0, 0, 2, 0, 0, 0};
-  const auto group = [&](std::uint32_t len, const Bytes& deltas) {
-    Bytes g = raw;
+  const auto framed = [](Bytes g, std::uint32_t len, const Bytes& deltas) {
     for (int i = 0; i < 4; ++i) {
       g.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
     }
     g.insert(g.end(), deltas.begin(), deltas.end());
     return g;
   };
-  const Bytes good = {0x01, 0x01, 0x02};  // word 1 += 1
+  const auto group = [&](std::uint32_t len, const Bytes& deltas) {
+    return framed(raw, len, deltas);
+  };
+  const Bytes good = {0x02, 0x02};  // mask 0b10: word 1 += 1
   const auto load = [](const std::string& path) {
     return loaded_records<std::uint32_t>(path, 2, 2);
   };
   // Control: the well-formed group loads.
-  EXPECT_EQ(load(hostile_section("good", group(3, good))),
+  EXPECT_EQ(load(hostile_section("good", group(2, good))),
             (std::vector<std::uint32_t>{1, 2, 1, 3}));
   const std::vector<std::pair<std::string, Bytes>> cases = {
       // A byte count of 0xFFFFFFFF: refused before it is read.
       {"huge_len", group(0xFFFFFFFFu, good)},
       // The deltas run past the group's byte count.
-      {"short_len", group(2, good)},
+      {"short_len", group(1, good)},
       // The byte count leaves a byte no delta consumes.
-      {"long_len", group(4, {0x01, 0x01, 0x02, 0x00})},
-      // A delta record that names word 2 of a two-word record.
-      {"word_past_record", group(3, {0x01, 0x02, 0x02})},
+      {"long_len", group(3, {0x02, 0x02, 0x00})},
+      // A mask bit at word 2 of a two-word record.
+      {"mask_bit_past_stride", group(2, {0x04, 0x02})},
       // A varint of eleven bytes.
       {"long_varint",
-       group(13, {0x01, 0x00, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
-                  0x80, 0x80, 0x80, 0x01})},
+       group(12, {0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+                  0x80, 0x80, 0x01})},
       // No byte count at all: the section ends after the raw record.
       {"torn", raw},
-      // A changed-word count the group's bytes cannot hold.
-      {"count_past_group", group(1, {0x05})},
+      // A mask naming two changed words in a group with one delta byte.
+      {"mask_past_group", group(2, {0x03, 0x02})},
+      // No room for the mask: the group's byte count is zero.
+      {"mask_cut_short", group(0, {})},
   };
   for (const auto& [tag, bytes] : cases) {
     EXPECT_THROW(load(hostile_section(tag, bytes)), util::CheckpointInvalid)
         << tag;
   }
+  // Ten u16 words take a two-byte mask: a group whose bytes end after
+  // the mask's first byte is refused too, and with that byte and one
+  // more (word 9 += 1) it loads.
+  const auto wide = [&](const std::string& tag, const Bytes& deltas) {
+    return loaded_records<std::uint16_t>(
+        hostile_section(tag,
+                        framed(Bytes(20, 0),
+                               static_cast<std::uint32_t>(deltas.size()),
+                               deltas)),
+        2, 10);
+  };
+  EXPECT_THROW(wide("wide_mask_cut", {0x00}), util::CheckpointInvalid);
+  std::vector<std::uint16_t> expect(20, 0);
+  expect[19] = 1;
+  EXPECT_EQ(wide("wide_mask_ok", {0x00, 0x02, 0x02}), expect);
 }
 
 // --- An unusable spill directory ----------------------------------------------
