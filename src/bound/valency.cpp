@@ -108,22 +108,25 @@ sim::ConfigId ValencyOracle::audit_id(const Config& c) {
 
 const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
                                                        ProcSet p) {
-  const sim::ConfigId root = roots_.intern(c).id;
-  last_audit_id_ = obs::stats_enabled() ? audit_id(c) : root;
   last_perm_ = sim::ProcPerm::identity();
-  PairKey key{root, p.bits()};
+  PairKey key;
   if (opts_.reuse) {
     ensure_graph();
     // Memoize on the canonical projected (config, ProcSet-orbit, ambient)
     // triple, so any two queries the engine cannot distinguish — same
     // P-states, registers, frozen-process decide bits — share one entry;
-    // audit ids stay in the original space above. Ambient rides in bits
+    // audit ids stay in the original space below. Ambient rides in bits
     // 60..61, which no P mask reaches: the constructor refuses reuse for
     // n > 60.
     const sim::ReachGraph::Node node = graph_->intern_node(c, p, &last_perm_);
     key = PairKey{node.id,
                   node.pbits | (static_cast<std::uint64_t>(node.ambient) << 60)};
+  } else {
+    key = PairKey{roots_.intern(c).id, p.bits()};
   }
+  // Without stats, the flight record names the memo key's root: the graph
+  // node with reuse, the interned root without.
+  last_audit_id_ = obs::stats_enabled() ? audit_id(c) : key.root;
   if (auto it = memo_.find(key); it != memo_.end()) {
     ++cache_hits_;
     last_lookup_hit_ = true;

@@ -167,8 +167,9 @@ class ValencyOracle {
   sim::ConfigId audit_id(const Config& c);
 
   // --- checkpoint/resume ---------------------------------------------------
-  // The oracle is the session's persistent state: the root arena (query
-  // roots, the fresh-BFS backend's memo keys), the pair memo with its
+  // The oracle is the session's persistent state: the root arena (the
+  // fresh-BFS backend's query roots, its memo keys; empty with reuse,
+  // whose memo keys on graph nodes), the pair memo with its
   // witnesses, and (reuse = true) the shared reachability graph's nodes
   // and edges. save_state writes them as
   // the "oracle", "roots", "memo" and (iff the graph exists) "graph"
@@ -236,7 +237,8 @@ class ValencyOracle {
 
   const Protocol& proto_;
   Options opts_;
-  sim::ConfigArena roots_;  ///< interns query roots (checkpointed)
+  /// interns query roots, reuse = false only (checkpointed)
+  sim::ConfigArena roots_;
   /// audit_id's arena, built on the first id the stats stream asks for.
   std::optional<sim::ConfigArena> audit_ids_;
   std::unordered_map<PairKey, PairAnswer, PairKeyHash> memo_;
@@ -251,8 +253,9 @@ class ValencyOracle {
   // Set by lookup() for the audit events and witness translation the
   // public queries do.
   bool last_lookup_hit_ = false;
-  /// The looked-up configuration's audit_id with stats on, else its root
-  /// id: the id its audit and flight records carry.
+  /// The looked-up configuration's audit_id with stats on, else its memo
+  /// key's root (the graph node with reuse): the id its audit and flight
+  /// records carry.
   sim::ConfigId last_audit_id_ = sim::kNoConfig;
   sim::ProcPerm last_perm_;  ///< caller frame -> canonical frame
 };

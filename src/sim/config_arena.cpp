@@ -15,6 +15,22 @@ namespace tsb::sim {
 namespace {
 constexpr std::size_t kInitialSlots = 1u << 10;
 constexpr std::size_t kInitialDictSlots = 1u << 6;
+/// log2 of each step memo's 8-byte entries: at 2^13, 128 KiB per stepping
+/// arena, adversary 5's graph misses 2,802 times in 753,357 steps and
+/// adversary 6's all but 0.7% of its steps hit.
+constexpr int kMemoBits = 13;
+/// A state-memo key is 42 bits: state code, observed register code, op
+/// kind, p (below 64, given 8 bits). Multiplying by an odd constant mod
+/// 2^42 permutes the keys, so the product's top kMemoBits bits pick the
+/// slot and its other 29 bits, the tag, identify the key within it.
+constexpr int kStateKeyBits = 42;
+constexpr int kStateTagBits = kStateKeyBits - kMemoBits;
+constexpr std::uint64_t kStateTag = (std::uint64_t{1} << kStateTagBits) - 1;
+constexpr std::uint64_t kStateValid = std::uint64_t{1} << kStateTagBits;
+/// The register-vector memo's key bits and valid bit (bits 48..63 hold the
+/// answer).
+constexpr std::uint64_t kVecMemoKey = (std::uint64_t{1} << 48) - 1;
+constexpr std::uint64_t kVecMemoValid = std::uint64_t{1} << 47;
 
 // splitmix64 finalizer: one full-avalanche pass over the accumulated
 // hash. The per-lane step is a single xor-multiply (FNV-ish) — one mul of
@@ -35,12 +51,48 @@ std::size_t slots_for(std::size_t rows) {
   return need;
 }
 
+/// Hash of `len` codes (4 codes per 64-bit lane), finalized.
+inline std::uint64_t hash_row(const Code* c, std::size_t len) {
+  std::uint64_t h = 0x5bd1e995u;
+  std::size_t i = 0;
+  for (; i + 4 <= len; i += 4) {
+    std::uint64_t lane;
+    std::memcpy(&lane, c + i, sizeof(lane));
+    h = (h ^ lane) * 0x100000001b3ull;
+  }
+  if (i < len) {
+    // The last 1-3 codes, assembled in registers: a variable-length memcpy
+    // here is a libc call per hash, which measured as several percent of
+    // a fresh-BFS pass.
+    std::uint64_t lane = 0;
+    for (int shift = 0; i < len; ++i, shift += 16) {
+      lane |= static_cast<std::uint64_t>(c[i]) << shift;
+    }
+    h = (h ^ lane) * 0x100000001b3ull;
+  }
+  return finalize(h);
+}
+
+/// Direct-mapped memo slot of a key: Fibonacci hashing, top kMemoBits.
+inline std::size_t memo_slot(std::uint64_t key) {
+  return static_cast<std::size_t>((key * 0x9e3779b97f4a7c15ull) >>
+                                  (64 - kMemoBits));
+}
+
 // Cold: a tag match whose row differs. Rare while the tag is wide; the
 // tag narrows by a bit per table doubling, which this counter shows.
 [[gnu::noinline, gnu::cold]] void count_tag_false_match() {
   static obs::Counter& c =
       obs::Registry::global().counter("sim.arena.tag_false_matches");
   c.add();
+}
+
+// Steps step() answered from its memo, without calling the protocol; the
+// steps that did call it are sim.steps.*.
+obs::Counter& step_memo_hits() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("sim.arena.step_memo_hits");
+  return c;
 }
 
 int shift_for(std::size_t slots) {
@@ -63,12 +115,17 @@ ConfigArena::ConfigArena(int num_states, int num_regs, std::string name)
       m_(num_regs),
       words_(static_cast<std::size_t>(num_states) +
              static_cast<std::size_t>(num_regs)),
-      stage_(words_, 0),
+      stride_(static_cast<std::size_t>(num_states) + (num_regs > 0 ? 1 : 0)),
+      stage_(stride_, 0),
+      vstage_(static_cast<std::size_t>(num_regs), 0),
       dict_slots_(kInitialDictSlots, 0),
-      dict_shift_(shift_for(kInitialDictSlots)) {
-  assert(num_states > 0 && num_regs >= 0);
+      dict_shift_(shift_for(kInitialDictSlots)),
+      vec_slots_(kInitialDictSlots, 0),
+      vec_shift_(shift_for(kInitialDictSlots)) {
+  // The register-vector memo key holds a register id in 15 bits.
+  assert(num_states > 0 && num_regs >= 0 && num_regs < (1 << 15));
   reset_table(kInitialSlots);
-  store_.init(name_ + " arena", words_, 0);
+  store_.init(name_ + " arena", stride_, 0);
 }
 
 void ConfigArena::reset_table(std::size_t slots) {
@@ -93,15 +150,18 @@ void ConfigArena::clear() {
   store_.clear();
   dict_.clear();
   std::fill(dict_slots_.begin(), dict_slots_.end(), 0u);
+  vecs_.clear();
+  std::fill(vec_slots_.begin(), vec_slots_.end(), 0u);
+  if (memo_proto_ != nullptr) reset_memos(*memo_proto_);
 }
 
 void ConfigArena::pack(const Config& c, Value* dst) const {
   assert(static_cast<int>(c.states.size()) == n_);
   assert(static_cast<int>(c.regs.size()) == m_);
-  std::memcpy(dst, c.states.data(),
-              static_cast<std::size_t>(n_) * sizeof(Value));
-  std::memcpy(dst + n_, c.regs.data(),
-              static_cast<std::size_t>(m_) * sizeof(Value));
+  // std::copy, not memcpy: a protocol without registers has an empty
+  // regs vector, whose data() may be null.
+  std::copy(c.states.begin(), c.states.end(), dst);
+  std::copy(c.regs.begin(), c.regs.end(), dst + n_);
 }
 
 std::uint32_t ConfigArena::dict_find(Value v) const {
@@ -143,6 +203,51 @@ Code ConfigArena::dict_insert(Value v) {
   return static_cast<Code>(dict_.size() - 1);
 }
 
+std::uint32_t ConfigArena::vec_find(const Code* regs) const {
+  const std::size_t m = static_cast<std::size_t>(m_);
+  const std::size_t mask = vec_slots_.size() - 1;
+  std::size_t i = hash_row(regs, m) >> vec_shift_;
+  while (true) {
+    const std::uint32_t s = vec_slots_[i];
+    if (s == 0) return kNoSlot;
+    if (std::memcmp(reg_codes(static_cast<Code>(s - 1)), regs,
+                    m * sizeof(Code)) == 0) {
+      return s - 1;
+    }
+    i = (i + 1) & mask;
+  }
+}
+
+Code ConfigArena::vec_insert(const Code* regs) {
+  const std::size_t m = static_cast<std::size_t>(m_);
+  const std::size_t count = vec_dict_size();
+  if (count == kMaxCodes) {
+    throw util::BudgetExhausted(
+        "register-vector dictionary of the " + name_ + " arena is full: " +
+        std::to_string(kMaxCodes) +
+        " distinct register vectors, the most a 16-bit code names; "
+        "ledger: " +
+        obs::MemLedger::global().attribution(3));
+  }
+  if ((count + 1) * 2 > vec_slots_.size()) {
+    // Keep the vector -> code table at most half full; rebuilt from vecs_.
+    vec_slots_.assign(vec_slots_.size() * 2, 0u);
+    --vec_shift_;
+    const std::size_t mask = vec_slots_.size() - 1;
+    for (std::size_t c = 0; c < count; ++c) {
+      std::size_t i = hash_row(vecs_.data() + c * m, m) >> vec_shift_;
+      while (vec_slots_[i] != 0) i = (i + 1) & mask;
+      vec_slots_[i] = static_cast<std::uint32_t>(c + 1);
+    }
+  }
+  const std::size_t mask = vec_slots_.size() - 1;
+  std::size_t i = hash_row(regs, m) >> vec_shift_;
+  while (vec_slots_[i] != 0) i = (i + 1) & mask;
+  vecs_.insert(vecs_.end(), regs, regs + m);
+  vec_slots_[i] = static_cast<std::uint32_t>(count + 1);
+  return static_cast<Code>(count);
+}
+
 Config ConfigArena::materialize(ConfigId id) const {
   std::vector<Value> w(words_);
   decode(id, w.data());
@@ -152,39 +257,65 @@ Config ConfigArena::materialize(ConfigId id) const {
   return c;
 }
 
+void ConfigArena::reset_memos(const Protocol& proto) {
+  memo_proto_ = &proto;
+  state_memo_.assign(std::size_t{1} << kMemoBits, 0);
+  vec_memo_.assign(std::size_t{1} << kMemoBits, 0);
+}
+
 ConfigArena::StepUndo ConfigArena::step(const Protocol& proto,
                                         const PendingOp& op, ProcId p,
                                         Value* vals, const Code* codes,
                                         Code* scodes) {
+  assert(m_ > 0 && !op.is_decide() && p >= 0 && p < 256);
+  if (memo_proto_ != &proto) reset_memos(proto);
   const std::size_t s = static_cast<std::size_t>(p);
   const std::size_t r = static_cast<std::size_t>(n_ + op.reg);
   const StepUndo undo{s, r, vals[s], vals[r]};
-  std::memcpy(scodes, codes, words_ * sizeof(Code));
-  apply_op(proto, op, p, vals, vals + n_);
-  if (vals[s] != undo.state) scodes[s] = encode(vals[s]);
-  if (vals[r] != undo.reg) scodes[r] = encode(vals[r]);
+  std::memcpy(scodes, codes, stride_ * sizeof(Code));
+  const Code vec = codes[n_];
+  const Code old_reg = reg_codes(vec)[op.reg];
+  // A write's successor does not depend on what it overwrites.
+  const Code observed = op.is_write() ? Code{0} : old_reg;
+  const std::uint64_t key = static_cast<std::uint64_t>(p) << 34 |
+                            static_cast<std::uint64_t>(op.kind) << 32 |
+                            static_cast<std::uint64_t>(observed) << 16 |
+                            codes[s];
+  const std::uint64_t mixed =
+      (key * 0x9e3779b97f4a7c15ull) & ((std::uint64_t{1} << kStateKeyBits) - 1);
+  const std::uint64_t tag = (mixed & kStateTag) | kStateValid;
+  std::uint64_t& e = state_memo_[mixed >> kStateTagBits];
+  if ((e & (kStateTag | kStateValid)) == tag) {
+    step_memo_hits().add();
+    vals[s] = value(static_cast<Code>(e >> 32));
+    vals[r] = value(static_cast<Code>(e >> 48));
+  } else {
+    apply_op(proto, op, p, vals, vals + n_);
+    e = tag | static_cast<std::uint64_t>(encode(vals[s])) << 32 |
+        static_cast<std::uint64_t>(encode(vals[r])) << 48;
+  }
+  scodes[s] = static_cast<Code>(e >> 32);
+  const Code reg = static_cast<Code>(e >> 48);
+  if (reg != old_reg) scodes[n_] = vec_step(vec, op.reg, reg);
   return undo;
 }
 
+Code ConfigArena::vec_step(Code vec, int reg, Code code) {
+  const std::uint64_t key = kVecMemoValid |
+                            static_cast<std::uint64_t>(reg) << 32 |
+                            static_cast<std::uint64_t>(code) << 16 | vec;
+  std::uint64_t& e = vec_memo_[memo_slot(key)];
+  if ((e & kVecMemoKey) == key) return static_cast<Code>(e >> 48);
+  std::memcpy(vstage_.data(), reg_codes(vec),
+              static_cast<std::size_t>(m_) * sizeof(Code));
+  vstage_[static_cast<std::size_t>(reg)] = code;
+  const Code next = encode_regs(vstage_.data());
+  e = key | static_cast<std::uint64_t>(next) << 48;
+  return next;
+}
+
 std::uint64_t ConfigArena::hash_codes(const Code* c) const {
-  std::uint64_t h = 0x5bd1e995u;
-  std::size_t i = 0;
-  for (; i + 4 <= words_; i += 4) {
-    std::uint64_t lane;
-    std::memcpy(&lane, c + i, sizeof(lane));
-    h = (h ^ lane) * 0x100000001b3ull;
-  }
-  if (i < words_) {
-    // The last 1-3 codes, assembled in registers: a variable-length memcpy
-    // here is a libc call per hash, which measured as several percent of
-    // a fresh-BFS pass.
-    std::uint64_t lane = 0;
-    for (int shift = 0; i < words_; ++i, shift += 16) {
-      lane |= static_cast<std::uint64_t>(c[i]) << shift;
-    }
-    h = (h ^ lane) * 0x100000001b3ull;
-  }
-  return finalize(h);
+  return hash_row(c, stride_);
 }
 
 void ConfigArena::grow_table() {
@@ -248,7 +379,11 @@ ConfigArena::Interned ConfigArena::intern_prehashed(const Code* c,
 }
 
 ConfigArena::Interned ConfigArena::intern(const Value* w) {
-  for (std::size_t i = 0; i < words_; ++i) stage_[i] = encode(w[i]);
+  for (int i = 0; i < n_; ++i) stage_[i] = encode(w[i]);
+  if (m_ > 0) {
+    for (int r = 0; r < m_; ++r) vstage_[r] = encode(w[n_ + r]);
+    stage_[n_] = encode_regs(vstage_.data());
+  }
   return intern_codes(stage_.data());
 }
 
@@ -259,11 +394,18 @@ ConfigArena::Interned ConfigArena::intern(const Config& c) {
 }
 
 ConfigId ConfigArena::find(const Value* w) const {
-  std::vector<Code> row(words_);
+  // row[0..words_) are the words' codes; the vector code of row[n..n+m)
+  // then takes row[n], which leaves the stored row in row[0..stride_).
+  std::vector<Code> row(words_ + 1);
   for (std::size_t i = 0; i < words_; ++i) {
     const std::uint32_t c = dict_find(w[i]);
     if (c == kNoSlot) return kNoConfig;
     row[i] = static_cast<Code>(c);
+  }
+  if (m_ > 0) {
+    const std::uint32_t v = vec_find(row.data() + n_);
+    if (v == kNoSlot) return kNoConfig;
+    row[n_] = static_cast<Code>(v);
   }
   const Slot s = table_[probe(row.data(), hash_codes(row.data()))];
   return s == 0 ? kNoConfig : id_of(s);
@@ -272,6 +414,8 @@ ConfigId ConfigArena::find(const Value* w) const {
 void ConfigArena::save(util::ckpt::SectionWriter& w) const {
   w.put_u32(static_cast<std::uint32_t>(dict_.size()));
   for (const Value v : dict_) w.put_i64(v);
+  w.put_u32(static_cast<std::uint32_t>(vec_dict_size()));
+  if (!vecs_.empty()) w.put_bytes(vecs_.data(), vecs_.size() * sizeof(Code));
   const std::size_t count = size();
   w.put_u64(count);
   store_.save(w, count);
@@ -296,29 +440,58 @@ void ConfigArena::restore(util::ckpt::SectionReader& r,
     }
     dict_insert(v);
   }
+  const std::uint32_t nv = r.get_u32();
+  if (nv > kMaxCodes || (m_ == 0 && nv != 0)) {
+    throw util::CheckpointInvalid(
+        where + " claims a register-vector dictionary of " +
+        std::to_string(nv) + " vectors; " +
+        (m_ == 0 ? std::string("an arena without registers stores none")
+                 : "a 16-bit code names at most " + std::to_string(kMaxCodes)));
+  }
+  for (std::uint32_t v = 0; v < nv; ++v) {
+    std::memcpy(vstage_.data(), r.get_bytes(vstage_.size() * sizeof(Code)),
+                vstage_.size() * sizeof(Code));
+    for (const Code c : vstage_) {
+      if (c >= nd) {
+        throw util::CheckpointInvalid(
+            where + " register vector " + std::to_string(v) +
+            " carries code " + std::to_string(c) +
+            " but its dictionary holds " + std::to_string(nd) + " values");
+      }
+    }
+    if (vec_find(vstage_.data()) != kNoSlot) {
+      throw util::CheckpointInvalid(where + " names register vector " +
+                                    std::to_string(v) + " twice");
+    }
+    vec_insert(vstage_.data());
+  }
   const std::uint64_t count = r.get_u64();
   // Size the table once instead of growing through every doubling. Each
   // group of kGroupRecords rows takes at least its raw first row and a u32
   // byte count, which caps the rows a hostile count can make us size for.
-  const std::uint64_t group_bytes = words_ * sizeof(Code) + 4;
+  const std::uint64_t group_bytes = stride_ * sizeof(Code) + 4;
   const std::uint64_t fit = std::min<std::uint64_t>(
       count, r.remaining() / group_bytes * util::spill::kGroupRecords);
   const std::size_t need = slots_for(static_cast<std::size_t>(fit));
   if (need > table_.size()) reset_table(need);
   util::spill::load_records<Code>(
-      r, count, words_, where,
+      r, count, stride_, where,
       [&](const Code* rows, std::size_t k, std::uint64_t first) {
-        for (std::size_t j = 0; j < k * words_; ++j) {
-          if (rows[j] >= nd) {
+        for (std::size_t j = 0; j < k * stride_; ++j) {
+          const bool is_vec = j % stride_ == static_cast<std::size_t>(n_);
+          if (rows[j] >= (is_vec ? nv : nd)) {
             throw util::CheckpointInvalid(
-                where + " carries code " + std::to_string(rows[j]) +
-                " in configuration " + std::to_string(first + j / words_) +
-                " but its dictionary holds " + std::to_string(nd) +
-                " values");
+                where + " carries " + (is_vec ? "vector code " : "code ") +
+                std::to_string(rows[j]) + " in configuration " +
+                std::to_string(first + j / stride_) + " but its " +
+                (is_vec ? "register-vector dictionary holds " +
+                              std::to_string(nv) + " vectors"
+                        : "dictionary holds " + std::to_string(nd) +
+                              " values"));
           }
         }
         for (std::size_t i = 0; i < k; ++i) {
-          const auto [id, inserted] = intern_codes(rows + i * words_);
+          const auto [id, inserted] = intern_codes(rows + i * stride_);
           if (!inserted || static_cast<std::uint64_t>(id) != first + i) {
             throw util::CheckpointInvalid(
                 where + " re-interned to a different id (configuration " +

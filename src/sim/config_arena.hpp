@@ -60,31 +60,41 @@ inline std::optional<Value> decision_of(const Protocol& proto,
 ///
 /// A configuration of an (n, m) protocol is exactly n state words followed
 /// by m register words. The values are sparse — an adversary 6 run
-/// interns 13M configurations over fewer than 5,000 distinct words — so
-/// the arena stores each word once, in a value dictionary it owns
-/// (code -> value array plus a small open-addressing value -> code map),
-/// and each configuration as a row of 16-bit codes: SPIN's COLLAPSE
-/// compression (Holzmann, "State compression in SPIN", 1997). The rows are
-/// the records of one util::spill::SpillStore<Code> (stride n + m), and
-/// deduplication goes through an open-addressing hash table of 4-byte
-/// slots. With 2^k slots, a slot's low k bits hold id + 1 (0 = empty) and
-/// its high 32 - k bits hold hash bits k..31 as a tag, so a probe touches
-/// row data only on a tag match; growth rehashes the rows in id order.
-/// Because the dictionary is a bijection, two rows are equal exactly when
-/// their configurations are; hashing and comparing touch 2 bytes per
-/// word.
+/// interns 13M configurations over fewer than 5,000 distinct words — and
+/// the register tuples sparser still: those 13M configurations carry 4,070
+/// distinct register vectors. So the arena applies SPIN's COLLAPSE
+/// compression (Holzmann, "State compression in SPIN", 1997) at two levels.
+/// A value dictionary (code -> value array plus a small open-addressing
+/// value -> code map) stores each word once, and a register-vector
+/// dictionary (vector code -> m value codes, same shape) stores each
+/// register tuple once. A configuration is a row of 16-bit codes: the n
+/// state codes, then one register-vector code (no vector code when
+/// m = 0), so a row is n + 1 codes however many registers there are. The
+/// rows are the records of one util::spill::SpillStore<Code> (stride
+/// row_codes()), and deduplication goes through an open-addressing hash
+/// table of 4-byte slots. With 2^k slots, a slot's low k bits hold id + 1
+/// (0 = empty) and its high 32 - k bits hold hash bits k..31 as a tag, so
+/// a probe touches row data only on a tag match; growth rehashes the rows
+/// in id order. Because both dictionaries are bijections, two rows are
+/// equal exactly when their configurations are; hashing and comparing
+/// touch 2 bytes per state and 2 for all the registers.
 ///
-/// The engines work in code space: step() computes a successor from the
-/// parent's codes and decoded words, re-encoding only the (at most two)
-/// words the step changed. The 65,537th distinct value throws
-/// util::BudgetExhausted; there is no wider fallback.
+/// The engines work in code space and treat rows as opaque beyond their
+/// first n codes, which are the states (symmetric mode sorts them).
+/// step() computes a successor from the parent's codes and decoded words
+/// through two direct-mapped memos: (process, op kind, state code,
+/// observed register code) -> (successor state code, register value code),
+/// and (vector code, register, value code) -> vector code. A hit never
+/// calls the protocol; a miss runs apply_op and fills the entry. The
+/// 65,537th distinct value, and the 65,537th distinct register vector,
+/// throw util::BudgetExhausted; there is no wider fallback.
 ///
 /// Out-of-core operation (set_spill): when resident row bytes exceed the
 /// spill threshold, maybe_spill() hands the store's cold FULL segments
 /// (lowest ids first — in BFS id order those are the oldest levels) to the
 /// backing file. Spilling only happens inside maybe_spill(), which callers
-/// invoke at quiescent points between expansions. The dictionary never
-/// spills.
+/// invoke at quiescent points between expansions. The dictionaries and
+/// the memos never spill.
 ///
 /// Thread safety: single-threaded. Every engine that owns an arena runs
 /// its whole reachability pass on one thread.
@@ -99,14 +109,19 @@ class ConfigArena {
 
   int num_states() const { return n_; }
   int num_regs() const { return m_; }
+  /// Decoded words per configuration: n + m.
   std::size_t words_per_config() const { return words_; }
+  /// Codes per stored row: n + 1 (n when m = 0), never more than
+  /// words_per_config(), so a buffer of words_per_config() codes holds a
+  /// row.
+  std::size_t row_codes() const { return stride_; }
   std::size_t size() const { return store_.size(); }
 
-  /// Drop all configurations and the dictionary. Costs time proportional
-  /// to the configurations dropped, not to the largest size the arena ever
-  /// reached: a dedup table grown past what the last fill needed is
-  /// replaced by one that fits it. Unmaps spilled blocks and truncates the
-  /// backing file.
+  /// Drop all configurations, both dictionaries and the step memos. Costs
+  /// time proportional to the configurations dropped, not to the largest
+  /// size the arena ever reached: a dedup table grown past what the last
+  /// fill needed is replaced by one that fits it. Unmaps spilled blocks
+  /// and truncates the backing file.
   void clear();
 
   /// Pack a Config's words into dst (words_per_config() words).
@@ -125,23 +140,28 @@ class ConfigArena {
     return dict_insert(v);
   }
 
+  // --- register-vector dictionary ---------------------------------------
+
+  std::size_t vec_dict_size() const { return m_ == 0 ? 0 : vecs_.size() / m_; }
+  /// The m value codes of register vector `v`.
+  const Code* reg_codes(Code v) const {
+    return vecs_.data() + static_cast<std::size_t>(v) * m_;
+  }
+
   // --- rows -----------------------------------------------------------------
 
-  /// One configuration's codes. Resident segments return a direct
-  /// pointer; a spilled segment decodes into the row store's cursor buffer
-  /// that the next codes() of a spilled id overwrites, so callers copy or
-  /// use the row at once.
+  /// One configuration's row (row_codes() codes). Resident segments return
+  /// a direct pointer; a spilled segment decodes into the row store's
+  /// cursor buffer that the next codes() of a spilled id overwrites, so
+  /// callers copy or use the row at once.
   const Code* codes(ConfigId id) const { return store_.read(id); }
   /// One configuration's decoded words (words_per_config() words).
-  void decode(ConfigId id, Value* out) const {
-    const Code* c = codes(id);
-    for (std::size_t i = 0; i < words_; ++i) out[i] = value(c[i]);
-  }
-  /// One configuration's codes and decoded words, copied out together:
-  /// the parent row an expansion steps from (see step()).
+  void decode(ConfigId id, Value* out) const { expand(codes(id), out); }
+  /// One configuration's row and decoded words, copied out together: the
+  /// parent an expansion steps from (see step()).
   void load(ConfigId id, Code* codes_out, Value* vals_out) const {
-    std::memcpy(codes_out, codes(id), words_ * sizeof(Code));
-    for (std::size_t i = 0; i < words_; ++i) vals_out[i] = value(codes_out[i]);
+    std::memcpy(codes_out, codes(id), stride_ * sizeof(Code));
+    expand(codes_out, vals_out);
   }
   Config materialize(ConfigId id) const;
 
@@ -158,12 +178,17 @@ class ConfigArena {
     }
   };
   /// One protocol step in code space — the successor computation of both
-  /// engines. `vals` holds the parent's decoded words and `codes` its
-  /// codes. apply_op steps `vals` in place (and counts the step), so they
-  /// are the successor's words until the returned undo is applied;
-  /// `scodes` receives the successor's codes: the parent's, with only the
-  /// words the step changed (p's state and, for a write or swap, the
-  /// register) encoded again.
+  /// engines. `op` must be proto.poised(p, vals[p]) and not a decide;
+  /// `vals` holds the parent's decoded words and `codes` its row. On
+  /// return `vals` are the successor's words until the returned undo is
+  /// applied, and `scodes` receives the successor's row: the parent's,
+  /// with p's state code and, when a write or swap changed the register,
+  /// the vector code replaced. The step memo answers a (p, op kind, state,
+  /// observed register) already seen without calling the protocol (counted
+  /// in sim.arena.step_memo_hits); a miss runs apply_op (counted in
+  /// sim.steps.*). The memos are built on the first step() and keyed by
+  /// codes, so they belong to one protocol and one dictionary: a step for
+  /// another protocol, and clear(), empty them.
   StepUndo step(const Protocol& proto, const PendingOp& op, ProcId p,
                 Value* vals, const Code* codes, Code* scodes);
 
@@ -175,8 +200,9 @@ class ConfigArena {
     ConfigId id;
     bool inserted;  ///< false: already present, id is the prior copy's
   };
-  /// Intern a code row (every code must name a dictionary value). `c`
-  /// must not alias the arena's own row store.
+  /// Intern a code row (its state codes must name dictionary values and
+  /// its vector code a register vector). `c` must not alias the arena's
+  /// own row store.
   Interned intern_codes(const Code* c) {
     return intern_prehashed(c, hash_codes(c));
   }
@@ -187,8 +213,8 @@ class ConfigArena {
   /// dominate interning once the table outgrows the cache.
   Interned intern_prehashed(const Code* c, std::uint64_t h);
 
-  /// Intern a configuration given as words (encoding each, which may grow
-  /// the dictionary).
+  /// Intern a configuration given as words (encoding each word and the
+  /// register tuple, which may grow both dictionaries).
   Interned intern(const Value* w);
   Interned intern(const Config& c);
 
@@ -198,8 +224,9 @@ class ConfigArena {
     __builtin_prefetch(table_.data() + (h >> shift_));
   }
 
-  /// Lookup without insertion; kNoConfig if absent. Never grows the
-  /// dictionary: a word it does not name cannot be in any row.
+  /// Lookup without insertion; kNoConfig if absent. Never grows either
+  /// dictionary: a word or register vector it does not name cannot be in
+  /// any row.
   ConfigId find(const Value* w) const;
 
   /// Append a code row as a new configuration WITHOUT consulting the
@@ -210,20 +237,23 @@ class ConfigArena {
 
   // --- checkpoint -----------------------------------------------------------
 
-  /// Write the dictionary (u32 count, then the values) and then every row
-  /// (u64 count, then the rows as the spill codec's delta groups,
-  /// SpillStore::save) into the open section. Spilled groups are copied
-  /// as they are, resident ones encoded, and the bytes do not depend on
-  /// where the rows live.
+  /// Write the value dictionary (u32 count, then the values as i64), the
+  /// register-vector dictionary (u32 count, then m u16 value codes per
+  /// vector) and then every row (u64 count, then the rows as the spill
+  /// codec's delta groups, SpillStore::save) into the open section.
+  /// Spilled groups are copied as they are, resident ones encoded, and the
+  /// bytes do not depend on where the rows live.
   void save(util::ckpt::SectionWriter& w) const;
   /// Inverse of save() into an empty arena; rows are re-interned in id
   /// order so the dedup table rebuilds and ids stay stable. The table is
   /// sized once for the saved row count, capped by the rows the section's
   /// remaining bytes can hold, so a hostile count allocates nothing. Throws
   /// util::CheckpointInvalid, naming `section`, for a dictionary of more
-  /// than kMaxCodes values, a duplicate dictionary value, a malformed row
-  /// group (util::spill::load_records), a code past the dictionary, or a
-  /// row that does not re-intern to its own id.
+  /// than kMaxCodes values or vectors, a duplicate value or vector, a
+  /// vector naming a value code past the dictionary, a malformed row group
+  /// (util::spill::load_records), a state code past the value dictionary,
+  /// a vector code past the vector dictionary, or a row that does not
+  /// re-intern to its own id.
   void restore(util::ckpt::SectionReader& r, const std::string& section);
 
   // --- out-of-core ------------------------------------------------------
@@ -264,16 +294,21 @@ class ConfigArena {
   std::size_t table_slots() const { return table_.size(); }
 
   /// Resident heap bytes held by the arena: the row segments' admitted
-  /// records (SpillStore::charged_bytes), staging and the value dictionary
-  /// (words_bytes), plus the dedup table. Spilled bytes
+  /// records (SpillStore::charged_bytes), staging, both dictionaries and
+  /// the step memos (words_bytes), plus the dedup table. Spilled bytes
   /// live in the (unlinked) backing file and mmap'd blocks are clean
   /// file-backed pages the kernel can drop, so neither counts against the
   /// RAM budget; they get their own ledger accounts (arena.spill /
   /// arena.mapped).
   std::size_t words_bytes() const {
-    return store_.charged_bytes() + stage_.capacity() * sizeof(Code) +
+    return store_.charged_bytes() +
+           (stage_.capacity() + vstage_.capacity()) * sizeof(Code) +
            dict_.capacity() * sizeof(Value) +
-           dict_slots_.capacity() * sizeof(std::uint32_t);
+           (dict_slots_.capacity() + vec_slots_.capacity()) *
+               sizeof(std::uint32_t) +
+           vecs_.capacity() * sizeof(Code) +
+           (state_memo_.capacity() + vec_memo_.capacity()) *
+               sizeof(std::uint64_t);
   }
   std::size_t table_bytes() const { return table_.capacity() * sizeof(Slot); }
   std::size_t memory_bytes() const { return words_bytes() + table_bytes(); }
@@ -290,7 +325,14 @@ class ConfigArena {
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
   bool codes_equal(const Code* a, const Code* b) const {
-    return std::memcmp(a, b, words_ * sizeof(Code)) == 0;
+    return std::memcmp(a, b, stride_ * sizeof(Code)) == 0;
+  }
+  /// Decode a row into n + m words.
+  void expand(const Code* row, Value* out) const {
+    for (int i = 0; i < n_; ++i) out[i] = value(row[i]);
+    if (m_ == 0) return;
+    const Code* regs = reg_codes(row[n_]);
+    for (int r = 0; r < m_; ++r) out[n_ + r] = value(regs[r]);
   }
   /// The tag bits of hash `h` in an entry of the current table.
   Slot tag_of(std::uint64_t h) const {
@@ -306,15 +348,34 @@ class ConfigArena {
   /// Code of `v`, or kNoSlot if the dictionary does not name it.
   std::uint32_t dict_find(Value v) const;
   Code dict_insert(Value v);
+  /// Code of register vector `regs`, or kNoSlot if the dictionary does not
+  /// name it.
+  std::uint32_t vec_find(const Code* regs) const;
+  Code vec_insert(const Code* regs);
+  /// The code of the register vector `regs` (m value codes), adding it if
+  /// it is new. Throws util::BudgetExhausted if the dictionary already
+  /// names kMaxCodes vectors; the arena is left unchanged.
+  Code encode_regs(const Code* regs) {
+    const std::uint32_t slot = vec_find(regs);
+    if (slot != kNoSlot) return static_cast<Code>(slot);
+    return vec_insert(regs);
+  }
+  /// The vector code of `vec` with register `reg` set to value code
+  /// `code`, through the register-vector memo.
+  Code vec_step(Code vec, int reg, Code code);
+  /// Empty (allocating on first use) both step memos for `proto`.
+  void reset_memos(const Protocol& proto);
 
   std::string name_;
   int n_;
   int m_;
-  std::size_t words_;
+  std::size_t words_;   ///< n + m decoded words
+  std::size_t stride_;  ///< codes per row: n states, then the vector code
   util::spill::SpillStore<Code> store_;  ///< the code rows, by id
   std::size_t spill_threshold_ = 0;
 
-  std::vector<Code> stage_;     ///< words_ codes: intern(Value*) staging
+  std::vector<Code> stage_;     ///< stride_ codes: intern(Value*) staging
+  std::vector<Code> vstage_;    ///< m codes: register-vector staging
   std::vector<Slot> table_;     ///< open addressing, power-of-two size
   std::size_t mask_ = 0;        ///< table size - 1 (probe wrap, id bits)
   int shift_ = 0;               ///< 64 - log2(table size) (bucket index)
@@ -324,6 +385,21 @@ class ConfigArena {
   /// holds code + 1 (0 = empty).
   std::vector<std::uint32_t> dict_slots_;
   int dict_shift_ = 0;  ///< 64 - log2(dict_slots_.size())
+
+  std::vector<Code> vecs_;  ///< vector code -> its m value codes
+  /// register vector -> code, open addressing; a slot holds code + 1.
+  std::vector<std::uint32_t> vec_slots_;
+  int vec_shift_ = 0;  ///< 64 - log2(vec_slots_.size())
+
+  /// The step memos, direct-mapped; empty until the first step().
+  /// (p, op kind, state code, observed register code) -> bits 0..28 the
+  /// key's tag, bit 29 valid, bits 32..47 the successor state's code,
+  /// bits 48..63 the register's value code after the step.
+  std::vector<std::uint64_t> state_memo_;
+  /// (vector, register, value code) -> vector code: bits 0..47 the key
+  /// with its valid bit, bits 48..63 the vector code.
+  std::vector<std::uint64_t> vec_memo_;
+  const Protocol* memo_proto_ = nullptr;  ///< the protocol the memos hold
 };
 
 }  // namespace tsb::sim

@@ -101,8 +101,8 @@ Explorer::Explorer(const Protocol& proto, Options opts)
       opts_(std::move(opts)),
       arena_(proto.num_processes(), proto.num_registers(), "explorer"),
       pvals_(arena_.words_per_config()),
-      pcodes_(arena_.words_per_config()),
-      scodes_(arena_.words_per_config()) {
+      pcodes_(arena_.row_codes()),
+      scodes_(arena_.row_codes()) {
   const Limits::Spill& spill = opts_.limits.spill;
   if (spill.armed() &&
       !arena_.set_spill(spill.dir, spill.threshold_bytes, spill.seg_configs)) {

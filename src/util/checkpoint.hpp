@@ -55,8 +55,10 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 /// 64-record delta groups (util::spill::SpillStore::save). Version 5: the
 /// graph section stores neither the decide flags nor the fact map.
 /// Version 6: a delta record names its changed words with a bitmask
-/// instead of a count and per-word indices.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// instead of a count and per-word indices. Version 7: an arena stores a
+/// register-vector dictionary after its value dictionary, and a row is
+/// the n state codes plus one register-vector code.
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Streaming writer for the versioned, per-section-CRC checkpoint file
 /// format (the state file and the manifest). Layout:

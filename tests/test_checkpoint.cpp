@@ -523,7 +523,7 @@ TEST_F(IoFaultTest, SpillWriteFailureIsBudgetExhausted) {
   // upstream (exit 4 at the CLI), never an abort or silent RAM overrun.
   sim::ConfigArena arena(4, 4, "test");
   ASSERT_TRUE(arena.set_spill(tdir("spill"), 0, 64));
-  const std::size_t w = arena.words_per_config();
+  const std::size_t w = arena.row_codes();
   std::vector<sim::Code> row(w);
   for (std::uint64_t i = 0; i < 1000; ++i) {
     for (std::size_t j = 0; j < w; ++j) {
@@ -579,8 +579,11 @@ TEST(ArenaRestore, HostileRowCountIsRefusedWithoutSizingForIt) {
     w.put_i64(0);
     w.put_i64(1);
     w.put_i64(-1);
+    w.put_u32(1);  // register vectors: 0 -> (-1)
+    const sim::Code vec[1] = {2};
+    w.put_bytes(vec, sizeof vec);
     w.put_u64(std::uint64_t{1} << 40);
-    const sim::Code raw[3] = {0, 1, 2};
+    const sim::Code raw[3] = {0, 1, 0};
     w.put_bytes(raw, sizeof raw);
     w.put_u32(0);  // no deltas for the group's other 63 rows
     w.end();
@@ -834,8 +837,9 @@ std::string write_graph_section(const std::string& tag,
                                 const std::vector<std::uint64_t>& perm,
                                 std::vector<sim::Code> rows = {}) {
   const int n = proto.num_processes();
-  const std::size_t words =
-      static_cast<std::size_t>(n + proto.num_registers());
+  const std::size_t m = static_cast<std::size_t>(proto.num_registers());
+  const std::size_t words = static_cast<std::size_t>(n) + m;
+  const std::size_t stride = static_cast<std::size_t>(n) + 1;
   const std::string path = tdir(tag) + "/graph.bin";
   SectionWriter w(path);
   w.begin("graph");
@@ -846,12 +850,16 @@ std::string write_graph_section(const std::string& tag,
   w.put_u32(2);  // dictionary: code 0 -> 0, code 1 -> 1
   w.put_i64(0);
   w.put_i64(1);
+  w.put_u32(2);  // register vectors: 0 -> all code 0, 1 -> all code 1
+  std::vector<sim::Code> vecs(m, 0);
+  vecs.resize(2 * m, 1);
+  w.put_bytes(vecs.data(), vecs.size() * sizeof(sim::Code));
   w.put_u64(2);
   if (rows.empty()) {
-    rows.assign(words, 0);
-    rows.resize(2 * words, 1);
+    rows.assign(stride, 0);
+    rows.resize(2 * stride, 1);
   }
-  put_coded(w, rows, words);
+  put_coded(w, rows, stride);
   put_coded(w, succ, static_cast<std::size_t>(n));
   if (!perm.empty()) put_coded(w, perm, static_cast<std::size_t>(n));
   for (int i = 0; i < 4; ++i) w.put_u64(0);  // expansion counters
@@ -919,17 +927,24 @@ TEST(GraphRestore, NonPermutationRenamingIsRefused) {
 
 TEST(GraphRestore, CodePastTheDictionaryInADeltaRowIsRefused) {
   // Node 1's row is stored as a delta against node 0's: a delta that moves
-  // a code to the dictionary's size (2) names no value.
+  // a state code to the value dictionary's size (2), or the vector code to
+  // the register-vector dictionary's size (2), names nothing.
   consensus::BallotConsensus proto(3, 6);
   const std::vector<std::uint32_t> succ(6, kUnexpanded);
-  const std::size_t words = static_cast<std::size_t>(3 + proto.num_registers());
-  std::vector<sim::Code> rows(2 * words, 0);
-  rows[words] = 1;  // control: distinct rows, every code named
+  const std::size_t stride = 3 + 1;
+  std::vector<sim::Code> rows(2 * stride, 0);
+  rows[stride] = 1;  // control: distinct rows, every code named
   EXPECT_NO_THROW(restore_graph(
       proto, write_graph_section("codes_ok", proto, succ, {}, rows)));
-  rows[2 * words - 1] = 2;
+  std::vector<sim::Code> bad_state = rows;
+  bad_state[2 * stride - 2] = 2;
   EXPECT_THROW(restore_graph(proto, write_graph_section("codes_bad", proto,
-                                                        succ, {}, rows)),
+                                                        succ, {}, bad_state)),
+               CheckpointInvalid);
+  std::vector<sim::Code> bad_vec = rows;
+  bad_vec[2 * stride - 1] = 2;
+  EXPECT_THROW(restore_graph(proto, write_graph_section("vec_bad", proto,
+                                                        succ, {}, bad_vec)),
                CheckpointInvalid);
 }
 
@@ -1161,6 +1176,12 @@ TEST_F(AdversaryResumeTest, FormatFiveCheckpointIsRefused) {
   // Format 5 opened each delta record with a changed-word count and gave
   // each changed word a varint index; format 6 names them with a bitmask.
   expect_older_format_refused("format_five", 5);
+}
+
+TEST_F(AdversaryResumeTest, FormatSixCheckpointIsRefused) {
+  // Format 6 stored every register word's code in each arena row; format 7
+  // stores one register-vector code per row and the vector dictionary.
+  expect_older_format_refused("format_six", 6);
 }
 
 TEST_F(AdversaryResumeTest, CorruptStateFileIsRefused) {

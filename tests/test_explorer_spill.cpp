@@ -65,8 +65,8 @@ TEST(ArenaSpill, SpilledSegmentsDecodeBitExact) {
   EXPECT_EQ(arena.spill_failures(), 0u);
   // Compression must beat the raw code rows on successor-shaped data.
   EXPECT_LT(arena.spilled_bytes(),
-            arena.spilled_segments() * arena.segment_configs() * W *
-                sizeof(Code));
+            arena.spilled_segments() * arena.segment_configs() *
+                arena.row_codes() * sizeof(Code));
 
   std::vector<Value> got(W);
   for (std::uint64_t i = 0; i < 1000; ++i) {

@@ -1,10 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <random>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "consensus/ballot.hpp"
+#include "consensus/historyless.hpp"
+#include "consensus/racing.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
 #include "sim/explorer.hpp"
+#include "util/checkpoint.hpp"
 #include "util/require.hpp"
 #include "toy_protocol.hpp"
 
@@ -333,6 +341,268 @@ TEST(ArenaTable, GrowthRehashesSpilledRows) {
   check_growth(arena, 200'000, [&] { arena.maybe_spill(kNoConfig); });
   // Every doubling past the first few read spilled rows back to hash them.
   EXPECT_GT(arena.spilled_segments(), 300u);
+}
+
+// --- register-vector rows and the step memo --------------------------------
+
+/// Processes that decide their input at once: no registers, so a row is
+/// the n state codes alone.
+class NoRegisterProtocol final : public Protocol {
+ public:
+  std::string name() const override { return "no-register"; }
+  int num_processes() const override { return 3; }
+  int num_registers() const override { return 0; }
+  State initial_state(ProcId, Value input) const override { return input; }
+  PendingOp poised(ProcId, State s) const override {
+    return PendingOp::decide(s);
+  }
+  State after_read(ProcId, State s, Value) const override { return s; }
+  State after_write(ProcId, State s) const override { return s; }
+};
+
+/// Save `arena` to a one-section file, restore it into a fresh arena of
+/// the same shape, and check the copy names every configuration by the
+/// same id and saves to the same bytes.
+void check_save_restore(const ConfigArena& arena,
+                        const std::vector<Config>& configs,
+                        const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "tsb_arena_vec_" + tag;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto save = [](const ConfigArena& a, const std::string& path) {
+    util::ckpt::SectionWriter w(path);
+    w.begin("arena");
+    a.save(w);
+    w.end();
+    w.finish();
+    return std::filesystem::file_size(path);
+  };
+  const auto first = save(arena, dir + "/first.bin");
+  ConfigArena restored(arena.num_states(), arena.num_regs(), "restored");
+  util::ckpt::SectionReader r(dir + "/first.bin");
+  r.expect("arena");
+  restored.restore(r, "arena");
+  r.done();
+  ASSERT_EQ(restored.size(), arena.size());
+  EXPECT_EQ(restored.dict_size(), arena.dict_size());
+  EXPECT_EQ(restored.vec_dict_size(), arena.vec_dict_size());
+  std::vector<Value> w(arena.words_per_config());
+  for (const Config& c : configs) {
+    arena.pack(c, w.data());
+    EXPECT_EQ(restored.find(w.data()), arena.find(w.data()));
+  }
+  EXPECT_EQ(save(restored, dir + "/second.bin"), first);
+}
+
+TEST(ArenaVectors, BallotRowsAreStatesAndOneVectorCode) {
+  consensus::BallotConsensus proto(3, 6);
+  std::vector<Config> configs;
+  Explorer explorer(proto);
+  explorer.explore(initial_config(proto, {0, 1, 1}), ProcSet::first_n(3),
+                   [&](const ConfigView& c) {
+                     configs.push_back(c.materialize());
+                     return true;
+                   });
+  ASSERT_GT(configs.size(), 1'000u);
+  ConfigArena arena(3, 3, "test");
+  EXPECT_EQ(arena.words_per_config(), 6u);
+  EXPECT_EQ(arena.row_codes(), 4u);
+  std::vector<Value> w(6);
+  std::vector<Value> got(6);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    arena.pack(configs[i], w.data());
+    const auto [id, inserted] = arena.intern(w.data());
+    ASSERT_TRUE(inserted);
+    ASSERT_EQ(id, static_cast<ConfigId>(i));
+  }
+  // Far fewer register tuples than configurations, each stored once.
+  EXPECT_LT(arena.vec_dict_size() * 4, arena.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    arena.pack(configs[i], w.data());
+    ASSERT_EQ(arena.find(w.data()), static_cast<ConfigId>(i));
+    arena.decode(static_cast<ConfigId>(i), got.data());
+    ASSERT_EQ(got, w);
+    EXPECT_EQ(arena.materialize(static_cast<ConfigId>(i)), configs[i]);
+    // The row's last code names the register tuple.
+    const Code* vec = arena.reg_codes(arena.codes(static_cast<ConfigId>(i))[3]);
+    for (int r = 0; r < 3; ++r) ASSERT_EQ(arena.value(vec[r]), w[3 + r]);
+  }
+  // A configuration whose words are all known but whose register tuple is
+  // not: find() names none and adds nothing.
+  std::set<std::vector<Value>> tuples;
+  for (const Config& c : configs) tuples.insert(c.regs);
+  Code unused = 0;
+  while (tuples.count(std::vector<Value>(3, arena.value(unused))) != 0) {
+    ++unused;
+  }
+  ASSERT_LT(unused, arena.dict_size());
+  const std::size_t vecs = arena.vec_dict_size();
+  arena.pack(configs[0], w.data());
+  std::fill(w.begin() + 3, w.end(), arena.value(unused));
+  EXPECT_EQ(arena.find(w.data()), kNoConfig);
+  EXPECT_EQ(arena.vec_dict_size(), vecs);
+  check_save_restore(arena, configs, "ballot");
+}
+
+TEST(ArenaVectors, ProtocolWithoutRegistersStoresStateRows) {
+  NoRegisterProtocol proto;
+  ConfigArena arena(3, 0, "test");
+  EXPECT_EQ(arena.row_codes(), 3u);
+  std::vector<Config> configs;
+  for (Value a = 0; a < 3; ++a) {
+    for (Value b = 0; b < 3; ++b) {
+      configs.push_back(initial_config(proto, {a, b, a + b}));
+    }
+  }
+  std::vector<Value> w(3);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    arena.pack(configs[i], w.data());
+    ASSERT_EQ(arena.intern(w.data()).id, static_cast<ConfigId>(i));
+  }
+  EXPECT_EQ(arena.vec_dict_size(), 0u);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    arena.pack(configs[i], w.data());
+    EXPECT_EQ(arena.find(w.data()), static_cast<ConfigId>(i));
+    EXPECT_EQ(arena.materialize(static_cast<ConfigId>(i)), configs[i]);
+  }
+  const std::vector<Value> absent = {0, 0, 4};
+  EXPECT_EQ(arena.find(absent.data()), kNoConfig);
+  check_save_restore(arena, configs, "noreg");
+}
+
+TEST(ArenaVectors, OverflowIsBudgetExhaustedAndLeavesTheArenaUnchanged) {
+  // 256 x 256 register pairs under one state word: 65,536 vectors over
+  // 257 values. A 65,537th vector whose words are all known must be
+  // refused without adding a configuration or a value.
+  ConfigArena arena(1, 2, "test");
+  std::vector<Value> w(3, 1'000);
+  for (Value a = 0; a < 256; ++a) {
+    for (Value b = 0; b < 256; ++b) {
+      w[1] = a;
+      w[2] = b;
+      ASSERT_TRUE(arena.intern(w.data()).inserted);
+    }
+  }
+  ASSERT_EQ(arena.vec_dict_size(), kMaxCodes);
+  ASSERT_EQ(arena.size(), kMaxCodes);
+  ASSERT_EQ(arena.dict_size(), 257u);
+  const std::vector<Value> over = {1'000, 1'000, 1'000};
+  std::string what;
+  try {
+    arena.intern(over.data());
+  } catch (const util::BudgetExhausted& e) {
+    what = e.what();
+  }
+  EXPECT_NE(what.find("register-vector dictionary of the test arena"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(arena.size(), kMaxCodes);
+  EXPECT_EQ(arena.dict_size(), 257u);
+  EXPECT_EQ(arena.vec_dict_size(), kMaxCodes);
+  EXPECT_EQ(arena.find(over.data()), kNoConfig);
+  const std::vector<Value> known = {1'000, 5, 7};
+  EXPECT_EQ(arena.find(known.data()), static_cast<ConfigId>(5 * 256 + 7));
+}
+
+std::uint64_t protocol_steps() {
+  obs::Registry& reg = obs::Registry::global();
+  return reg.counter("sim.steps.read").value() +
+         reg.counter("sim.steps.write").value() +
+         reg.counter("sim.steps.swap").value();
+}
+
+std::uint64_t memo_hits() {
+  return obs::Registry::global().counter("sim.arena.step_memo_hits").value();
+}
+
+/// `steps` random steps through `proto` from initial configurations with
+/// random binary inputs (restarting when every process has decided). Each
+/// step runs twice: sim::step on a Config, and arena.step in code space;
+/// the successor's words, its interned row decoded, and the parent's
+/// words after undo must all be sim::step's. Returns the arena's memo
+/// hits.
+std::uint64_t differential_walk(const Protocol& proto, ConfigArena& arena,
+                                std::uint64_t seed, int steps) {
+  std::mt19937_64 rng(seed);
+  const int n = proto.num_processes();
+  const std::size_t words = arena.words_per_config();
+  std::vector<Value> vals(words), want(words), got(words);
+  std::vector<Code> codes(arena.row_codes()), scodes(arena.row_codes());
+  Config cur;
+  const auto restart = [&] {
+    std::vector<Value> inputs(static_cast<std::size_t>(n));
+    for (Value& v : inputs) v = static_cast<Value>(rng() % 2);
+    cur = initial_config(proto, inputs);
+    arena.pack(cur, vals.data());
+    const ConfigId id = arena.intern(vals.data()).id;
+    arena.load(id, codes.data(), vals.data());
+  };
+  restart();
+  const std::uint64_t hits_before = memo_hits();
+  const std::uint64_t protocol_before = protocol_steps();
+  for (int i = 0; i < steps; ++i) {
+    std::vector<ProcId> live;
+    for (ProcId p = 0; p < n; ++p) {
+      const State s = cur.states[static_cast<std::size_t>(p)];
+      if (!proto.poised(p, s).is_decide()) live.push_back(p);
+    }
+    if (live.empty()) {
+      restart();
+      --i;
+      continue;
+    }
+    const ProcId p = live[rng() % live.size()];
+    const Config next = step(proto, cur, p);
+    const PendingOp op = proto.poised(p, vals[static_cast<std::size_t>(p)]);
+    const ConfigArena::StepUndo undo =
+        arena.step(proto, op, p, vals.data(), codes.data(), scodes.data());
+    arena.pack(next, want.data());
+    EXPECT_EQ(vals, want) << "successor words, step " << i;
+    const ConfigId id = arena.intern_codes(scodes.data()).id;
+    arena.decode(id, got.data());
+    EXPECT_EQ(got, want) << "interned successor, step " << i;
+    undo.apply(vals.data());
+    arena.pack(cur, want.data());
+    EXPECT_EQ(vals, want) << "undo, step " << i;
+    if (::testing::Test::HasFailure()) return 0;
+    cur = next;
+    arena.load(id, codes.data(), vals.data());
+  }
+  // Steps taken = protocol invocations + memo hits: each step here ran
+  // sim::step (one invocation) and arena.step (one invocation or a hit).
+  const std::uint64_t hits = memo_hits() - hits_before;
+  EXPECT_EQ(protocol_steps() - protocol_before + hits,
+            2 * static_cast<std::uint64_t>(steps));
+  return hits;
+}
+
+void check_cold_and_warm(const Protocol& proto, int steps) {
+  ConfigArena arena(proto.num_processes(), proto.num_registers(), "test");
+  // Cold: the first walk fills the memos as it goes.
+  const std::uint64_t cold = differential_walk(proto, arena, 1, steps);
+  // Warm: the same walk again finds its transitions memoized.
+  const std::uint64_t warm = differential_walk(proto, arena, 1, steps);
+  EXPECT_LT(cold, static_cast<std::uint64_t>(steps));
+  EXPECT_GT(warm, cold);
+  EXPECT_GT(warm * 2, static_cast<std::uint64_t>(steps));
+  // clear() renumbers both dictionaries, so the memos must go with them:
+  // a different walk after it still decodes to sim::step's successors.
+  arena.clear();
+  differential_walk(proto, arena, 2, steps);
+}
+
+TEST(ArenaStep, DifferentialWalkMatchesSimStepOnBallot) {
+  check_cold_and_warm(consensus::BallotConsensus(3, 6), 3'000);
+}
+
+TEST(ArenaStep, DifferentialWalkMatchesSimStepOnRacing) {
+  consensus::RacingConsensus proto(3);
+  ASSERT_TRUE(proto.symmetric());
+  check_cold_and_warm(proto, 3'000);
+}
+
+TEST(ArenaStep, DifferentialWalkMatchesSimStepOnSwap) {
+  check_cold_and_warm(consensus::SwapConsensus(3), 600);
 }
 
 }  // namespace
