@@ -43,8 +43,10 @@ using sim::Value;
 ///    (ConfigId, ProcSet-orbit, ambient) triple, so any two queries the
 ///    projection cannot distinguish share one entry — including the lemma
 ///    peel loops' neighbours, whose roots differ only in frozen-process
-///    state; audit events keep reporting ids in the oracle's own root
-///    arena. Every freshly computed witness is de-canonicalized and
+///    state. Audit events name a configuration by its id in a separate
+///    audit-id arena (audit_id()), which no checkpoint saves; with stats
+///    off, the flight record names the memo key's root, the graph node.
+///    Every freshly computed witness is de-canonicalized and
 ///    replayed through the raw engine from the *original* configuration
 ///    before it is memoized.
 ///

@@ -20,7 +20,8 @@ TraceSink& TraceSink::global() {
 }
 
 void TraceSink::enable(std::size_t capacity) {
-  buf_.assign(capacity, TraceEvent{});
+  buf_ = std::make_unique_for_overwrite<TraceEvent[]>(capacity);
+  capacity_ = capacity;
   head_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
   for (auto& d : dropped_by_) d.store(0, std::memory_order_relaxed);
@@ -53,7 +54,7 @@ std::uint64_t TraceSink::now_ns() const {
 
 void TraceSink::record(const TraceEvent& ev) {
   const std::size_t idx = head_.fetch_add(1, std::memory_order_relaxed);
-  if (idx >= buf_.size()) {
+  if (idx >= capacity_) {
     dropped_.fetch_add(1, std::memory_order_relaxed);
     dropped_by_[ph_index(ev.ph)].fetch_add(1, std::memory_order_relaxed);
     return;
@@ -62,7 +63,7 @@ void TraceSink::record(const TraceEvent& ev) {
 }
 
 std::size_t TraceSink::size() const {
-  return std::min(head_.load(std::memory_order_relaxed), buf_.size());
+  return std::min(head_.load(std::memory_order_relaxed), capacity_);
 }
 
 namespace {
@@ -75,17 +76,12 @@ void write_escaped(std::ostream& out, const char* s) {
   }
 }
 
-void write_event_fields(std::ostream& out, const TraceEvent& ev, double scale,
-                        const char* ts_key, const char* dur_key) {
+void write_event(std::ostream& out, const TraceEvent& ev) {
   out << "{\"name\":\"";
   write_escaped(out, ev.name ? ev.name : "?");
   out << "\",\"ph\":\"" << static_cast<char>(ev.ph) << "\",\"pid\":1,\"tid\":"
-      << ev.tid << ",\"" << ts_key << "\":"
-      << static_cast<std::uint64_t>(static_cast<double>(ev.ts_ns) * scale);
-  if (ev.ph == Ph::kComplete) {
-    out << ",\"" << dur_key << "\":"
-        << static_cast<std::uint64_t>(static_cast<double>(ev.dur_ns) * scale);
-  }
+      << ev.tid << ",\"ts_ns\":" << ev.ts_ns;
+  if (ev.ph == Ph::kComplete) out << ",\"dur_ns\":" << ev.dur_ns;
   if (ev.ph == Ph::kCounter) {
     // The counter's track value lives in args keyed by the event name.
     out << ",\"args\":{\"";
@@ -95,44 +91,26 @@ void write_event_fields(std::ostream& out, const TraceEvent& ev, double scale,
     out << ",\"args\":{\"value\":" << ev.value << '}';
   }
   if (ev.ph == Ph::kInstant) out << ",\"s\":\"t\"";
-  out << '}';
+  out << "}\n";
 }
 }  // namespace
 
-void TraceSink::write_chrome_trace(std::ostream& out) const {
-  const std::size_t n = size();
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0) out << ",\n";
-    write_event_fields(out, buf_[i], 1e-3, "ts", "dur");
-  }
-  out << "]}\n";
-}
-
 void TraceSink::write_jsonl(std::ostream& out) const {
   const std::size_t n = size();
-  for (std::size_t i = 0; i < n; ++i) {
-    write_event_fields(out, buf_[i], 1.0, "ts_ns", "dur_ns");
-    out << '\n';
-  }
+  for (std::size_t i = 0; i < n; ++i) write_event(out, buf_[i]);
 }
 
 bool TraceSink::write_file(const std::string& path) const {
   std::ofstream out(path);
   if (!out) return false;
-  if (path.size() >= 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0) {
-    write_jsonl(out);
-  } else {
-    write_chrome_trace(out);
-  }
+  write_jsonl(out);
   out.close();  // flushes: a full disk fails here, not silently
   return !out.fail();
 }
 
 std::vector<TraceEvent> TraceSink::snapshot() const {
   const std::size_t n = size();
-  return std::vector<TraceEvent>(buf_.begin(),
-                                 buf_.begin() + static_cast<std::ptrdiff_t>(n));
+  return std::vector<TraceEvent>(buf_.get(), buf_.get() + n);
 }
 
 }  // namespace tsb::obs

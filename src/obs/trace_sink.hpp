@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,10 +12,11 @@
 
 namespace tsb::obs {
 
-/// Chrome trace_event phases we emit. kComplete carries a duration (a
-/// span); kInstant marks a point; kCounter graphs a named value over time —
-/// Perfetto renders counters as a track, which is how "covered registers
-/// over time" becomes a picture of the n-1 bound being forced.
+/// Trace event phases, named by their Chrome trace_event letters. kComplete
+/// carries a duration (a span); kInstant marks a point; kCounter graphs a
+/// named value over time — Perfetto renders counters as a track (export
+/// with `tsb report --chrome`), which is how "covered registers over time"
+/// becomes a picture of the n-1 bound being forced.
 enum class Ph : char {
   kComplete = 'X',
   kInstant = 'i',
@@ -59,13 +61,16 @@ inline bool trace_enabled() {
 /// Kept apart from the stats stream on purpose: spans bracket nanosecond-
 /// scale work, where a mutex-guarded FILE* append per event would swamp
 /// what it measures, so events go to a bounded in-memory buffer and are
-/// written out once at exit (perfbench's runner reads the `.jsonl` export).
+/// written out once at exit as JSONL (what `tsb report` and perfbench's
+/// runner read).
 class TraceSink {
  public:
   static TraceSink& global();
 
   /// Start recording into a fresh buffer of `capacity` events; the time
-  /// origin is now. Not thread-safe against concurrent recording.
+  /// origin is now. The buffer is left uninitialised, so its pages are
+  /// committed only as events land. Not thread-safe against concurrent
+  /// recording.
   void enable(std::size_t capacity = 1 << 20);
   void disable();
   bool enabled() const { return trace_enabled(); }
@@ -103,14 +108,11 @@ class TraceSink {
     return dropped_by_[ph_index(ph)].load(std::memory_order_relaxed);
   }
 
-  /// Chrome trace_event JSON ({"traceEvents":[...]}), loadable in
-  /// chrome://tracing and Perfetto. ts/dur are microseconds per the spec.
-  void write_chrome_trace(std::ostream& out) const;
-  /// One JSON object per line, ts/dur in nanoseconds.
+  /// One JSON object per line, ts_ns/dur_ns in nanoseconds; a counter's
+  /// value is keyed by its name in args, every other event's by "value".
   void write_jsonl(std::ostream& out) const;
-  /// Write to `path`, picking the format by extension: ".jsonl" gets JSONL,
-  /// anything else the Chrome format. False if the file can't be opened or
-  /// written in full.
+  /// write_jsonl to `path`, whatever its suffix. False if the file can't be
+  /// opened or written in full.
   bool write_file(const std::string& path) const;
 
   /// Events recorded so far, in claim order (quiescent callers only).
@@ -126,7 +128,8 @@ class TraceSink {
   std::atomic<std::size_t> head_{0};
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> dropped_by_[3] = {};  // span, instant, counter
-  std::vector<TraceEvent> buf_;
+  std::unique_ptr<TraceEvent[]> buf_;
+  std::size_t capacity_ = 0;
   std::chrono::steady_clock::time_point epoch_{};
 };
 

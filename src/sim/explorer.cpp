@@ -42,6 +42,7 @@ obs::JsonObj LevelStatsTracker::level_record(const ConfigArena& arena,
   const std::size_t slots = arena.table_slots();
   const std::int64_t bytes = static_cast<std::int64_t>(arena.memory_bytes());
   const std::int64_t rss = obs::peak_rss_kb();
+  configs_ = arena.size();
   obs::Registry& reg = obs::Registry::global();
   reg.gauge("sim.explore.arena_bytes").set(bytes);
   reg.gauge("process.peak_rss_kb").set(rss);
@@ -69,15 +70,16 @@ obs::JsonObj LevelStatsTracker::level_record(const ConfigArena& arena,
 
 void LevelStatsTracker::commit_level(obs::JsonObj&& record) {
   buffered_.push_back(std::move(record).render());
+  if (configs_ < kStatsMinVisited) return;
+  obs::JsonlSink& sink = obs::stats_sink();
+  for (const std::string& line : buffered_) sink.write(line);
+  buffered_.clear();
 }
 
 void LevelStatsTracker::done(const ConfigArena& arena,
                              const ExploreResult& res,
                              std::uint64_t dedup_total) {
   obs::JsonlSink& sink = obs::stats_sink();
-  if (res.visited >= kStatsMinVisited) {
-    for (const std::string& line : buffered_) sink.write(line);
-  }
   const double ms = elapsed_ms(t_start_, std::chrono::steady_clock::now());
   sink.write(obs::audit_event("explore.done")
                  .str("who", who_)

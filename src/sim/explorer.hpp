@@ -42,12 +42,16 @@ namespace detail {
 /// enabling it changes nothing about discovery order, ids, or verdicts (the
 /// determinism tests run with it on).
 ///
-/// Level records are *buffered*, and flushed only if the exploration ends
-/// up visiting at least kStatsMinVisited configurations: the
+/// Level records are *buffered* until the exploration has visited
+/// kStatsMinVisited configurations, and dropped if it never does: the
 /// valency oracle runs thousands of small reachability passes per
 /// adversary run, and per-level rows for a 40-config pass are noise that
-/// would swamp the stats file. Every exploration still contributes one
-/// "explore.done" summary record, so nothing is invisible — just folded.
+/// would swamp the stats file. Once a pass crosses the threshold, the
+/// buffer is written and each later level is written as it commits, so a
+/// budget trip or a checkpointed stop that throws past done() still leaves
+/// the pass's levels behind. Every exploration that reaches done() also
+/// contributes one "explore.done" summary record, so nothing is invisible
+/// — just folded.
 ///
 /// When stats are disabled the constructor is one relaxed load and every
 /// other method is behind active().
@@ -61,14 +65,17 @@ class LevelStatsTracker {
 
   /// Start the record for a completed level, preloaded with timing, rates,
   /// arena geometry and peak RSS, and stamped now: a buffered level keeps
-  /// the time it completed, not the time done() flushes it. Callers append
+  /// the time it completed, not the time it is written. Callers append
   /// their own fields and hand it to commit_level().
   obs::JsonObj level_record(const ConfigArena& arena, std::uint64_t frontier,
                             std::uint64_t discovered, std::uint64_t dedup);
+  /// Buffer the record, or write it (after the buffer) once the pass has
+  /// crossed the size threshold.
   void commit_level(obs::JsonObj&& record);
 
-  /// Emit the always-written summary record and, if the run crossed the
-  /// size threshold, the buffered level records before it.
+  /// Emit the always-written summary record. The pass's last level must
+  /// be committed first: a pass that ends under the size threshold drops
+  /// its buffered levels here.
   void done(const ConfigArena& arena, const ExploreResult& res,
             std::uint64_t dedup_total);
 
@@ -76,6 +83,7 @@ class LevelStatsTracker {
   const char* who_;
   bool active_;
   std::size_t levels_ = 0;
+  std::size_t configs_ = 0;  ///< arena size at the last level_record()
   std::vector<std::string> buffered_;
   std::chrono::steady_clock::time_point t_start_{};
   std::chrono::steady_clock::time_point t_level_{};

@@ -359,14 +359,39 @@ TEST(ParseArgs, CompareAndTolerance) {
   }
 }
 
+// The Chrome export is a view of one trace file: a report switch that no
+// run command reads (--trace always writes JSONL), and one that cannot be
+// combined with --compare's two-file view.
+TEST(ParseArgs, ChromeIsAReportSwitchApartFromCompare) {
+  const auto r = parse_args({"report", "--chrome", "t.jsonl"});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_TRUE(r.flags.chrome);
+  EXPECT_FALSE(r.flags.compare);
+  EXPECT_EQ(r.args, (std::vector<std::string>{"report", "t.jsonl"}));
+  EXPECT_FALSE(parse_args({"report", "t.jsonl"}).flags.chrome);
+  for (const char* cmd : {"adversary", "resume", "check", "chaos", "monitor"}) {
+    const auto run = parse_args({cmd, "--chrome"});
+    EXPECT_FALSE(run.ok) << cmd;
+    EXPECT_EQ(run.error, std::string("tsb ") + cmd + " does not read --chrome");
+  }
+  for (const auto& argv : {std::vector<std::string>{"report", "--chrome",
+                                                    "--compare", "a", "b"},
+                           std::vector<std::string>{"report", "--compare",
+                                                    "a", "b", "--chrome"}}) {
+    const auto both = parse_args(argv);
+    EXPECT_FALSE(both.ok);
+    EXPECT_EQ(both.error, "tsb report takes --compare or --chrome, not both");
+  }
+}
+
 // The flag table is the one place a flag is declared: every (subcommand,
 // flag) pair parses exactly when the flag's row lists that subcommand, and
 // a refusal names both.
 TEST(FlagTable, EachCommandTakesExactlyTheFlagsItsRowsList) {
-  ASSERT_EQ(std::size(kFlags), 24u);
+  ASSERT_EQ(std::size(kFlags), 25u);
   const std::map<std::string, std::size_t> expected = {
       {"adversary", 16}, {"resume", 15}, {"check", 6},  {"search", 6},
-      {"mutex", 6},      {"perturb", 6}, {"chaos", 13}, {"report", 1},
+      {"mutex", 6},      {"perturb", 6}, {"chaos", 13}, {"report", 2},
       {"monitor", 0}};
   for (const Command& c : kCommands) {
     std::size_t taken = 0;

@@ -5,9 +5,11 @@
 // narrative reconstruction matches the independently verified certificate.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -305,9 +307,9 @@ TEST(RunReport, SelfTimeSubtractsDirectChildrenPerTid) {
 }
 
 TEST(RunReport, ChromeTraceDocumentIsRefusedWithUsageExit) {
-  // What --trace=FILE writes without a .jsonl suffix: one JSON document for
-  // Perfetto, not a line per event. The report says so instead of counting
-  // every line malformed and exiting 0.
+  // What `tsb report --chrome` exports: one JSON document for Perfetto, not
+  // a line per event. The report says so instead of counting every line
+  // malformed and exiting 0.
   const std::string path = ::testing::TempDir() + "chrome_trace.json";
   std::ofstream(path, std::ios::trunc)
       << R"({"displayTimeUnit":"ns","traceEvents":[{"name":"a","ph":"X","pid":1,"tid":0,"ts":1,"dur":2},)"
@@ -316,10 +318,102 @@ TEST(RunReport, ChromeTraceDocumentIsRefusedWithUsageExit) {
       << "\n";
   std::ostringstream out;
   EXPECT_EQ(analyze_files({path}, out), 2);
-  EXPECT_NE(out.str().find("--trace=FILE.jsonl"), std::string::npos)
+  EXPECT_NE(out.str().find("tsb report --chrome"), std::string::npos)
       << out.str();
   std::ostringstream cmp;
   EXPECT_EQ(compare_timelines(path, path, cmp), 2);
+  std::remove(path.c_str());
+}
+
+// Record a span, an instant, a `covered` counter track and one span of
+// known times through the sink, as --trace does.
+void record_sample_trace(obs::TraceSink& sink) {
+  sink.enable(64);
+  {
+    obs::Span span("outer");
+    span.set_value(11);
+    sink.counter("covered", 2);
+    sink.instant("mark", 3);
+    sink.counter("covered", 3);
+  }
+  sink.complete("fixed", 1'234'567, 2'351, 5);
+  sink.disable();
+}
+
+// The Chrome document `tsb report --chrome` prints is built from the
+// JSONL trace alone: same events per phase, counters keyed by their
+// series name, and microsecond times exact to the nanosecond.
+TEST(RunReport, ChromeExportRoundTripsTheJsonlTrace) {
+  obs::TraceSink& sink = obs::TraceSink::global();
+  record_sample_trace(sink);
+  const std::string path = ::testing::TempDir() + "export_trace.jsonl";
+  ASSERT_TRUE(sink.write_file(path));
+
+  std::map<std::string, int> jsonl_phases;
+  std::vector<std::int64_t> jsonl_ts;
+  {
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);) {
+      JsonValue v;
+      ASSERT_TRUE(parse_json(line, v)) << line;
+      ++jsonl_phases[v.str_or("ph", "")];
+      jsonl_ts.push_back(v.int_or("ts_ns", -1));
+    }
+  }
+  EXPECT_EQ(jsonl_phases, (std::map<std::string, int>{
+                              {"C", 2}, {"X", 2}, {"i", 1}}));
+
+  std::ostringstream out, err;
+  ASSERT_EQ(export_chrome(path, out, err), 0) << err.str();
+  const std::string json = out.str();
+  JsonValue doc;
+  ASSERT_TRUE(parse_json(json, doc)) << json;
+  const JsonValue* events = doc.find("traceEvents");
+  ASSERT_NE(events, nullptr) << json;
+  ASSERT_EQ(events->type, JsonValue::Type::kArr);
+  ASSERT_EQ(events->arr.size(), jsonl_ts.size());
+  std::map<std::string, int> phases;
+  for (std::size_t i = 0; i < events->arr.size(); ++i) {
+    const JsonValue& ev = events->arr[i];
+    const std::string ph = ev.str_or("ph", "");
+    ++phases[ph];
+    EXPECT_EQ(std::llround(ev.num_or("ts", -1.0) * 1000.0), jsonl_ts[i])
+        << i;
+    const JsonValue* args = ev.find("args");
+    ASSERT_NE(args, nullptr);
+    if (ph == "C") {
+      EXPECT_NE(args->find(ev.str_or("name", "")), nullptr) << json;
+    }
+  }
+  EXPECT_EQ(phases, jsonl_phases);
+  EXPECT_NE(json.find(R"("args":{"covered":3})"), std::string::npos) << json;
+  // 2,351 ns is 2.351 us, not a truncated 2.
+  EXPECT_NE(json.find(R"("ts":1234.567,"dur":2.351,)"), std::string::npos)
+      << json;
+
+  // The export is refused as report input and as export input alike.
+  const std::string exported = ::testing::TempDir() + "export_trace.json";
+  std::ofstream(exported, std::ios::trunc) << json;
+  std::ostringstream report_out, again, again_err;
+  EXPECT_EQ(analyze_files({exported}, report_out), 2);
+  EXPECT_EQ(export_chrome(exported, again, again_err), 2);
+  EXPECT_TRUE(again.str().empty()) << again.str();
+  std::remove(path.c_str());
+  std::remove(exported.c_str());
+}
+
+// --trace writes JSONL whatever the file's suffix, so a trace named .json
+// is report input like any other.
+TEST(RunReport, TraceWrittenToAJsonSuffixIngestsCleanly) {
+  obs::TraceSink& sink = obs::TraceSink::global();
+  record_sample_trace(sink);
+  const std::string path = ::testing::TempDir() + "trace_suffix.json";
+  ASSERT_TRUE(sink.write_file(path));
+  std::ostringstream out;
+  EXPECT_EQ(analyze_files({path}, out), 0) << out.str();
+  EXPECT_NE(out.str().find("lines: 5 (malformed: 0)"), std::string::npos)
+      << out.str();
+  EXPECT_NE(out.str().find("fixed"), std::string::npos) << out.str();
   std::remove(path.c_str());
 }
 

@@ -197,35 +197,6 @@ TEST(TraceSink, DisabledRecordingIsANoOp) {
   EXPECT_EQ(sink.size(), 0u);
 }
 
-TEST(TraceSink, ChromeTraceIsWellFormedJson) {
-  TraceSink& sink = TraceSink::global();
-  sink.enable(64);
-  {
-    Span span("outer");
-    span.set_value(11);
-    sink.counter("covered", 2);
-    sink.instant("mark", 3);
-  }
-  sink.disable();
-  std::ostringstream out;
-  sink.write_chrome_trace(out);
-  const std::string json = out.str();
-  EXPECT_EQ(json.find("\"traceEvents\":["), json.find("\"traceEvents\":"))
-      << json;
-  // Counter events key their value by the series name (Perfetto's format).
-  EXPECT_NE(json.find("\"args\":{\"covered\":2}"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos) << json;
-  // Crude but effective structural check: braces balance.
-  int depth = 0;
-  for (char ch : json) {
-    if (ch == '{') ++depth;
-    if (ch == '}') --depth;
-    ASSERT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-}
-
 TEST(Heartbeat, DisabledBeatNeverRendersTheLine) {
   set_progress(false);
   Heartbeat hb("test", std::chrono::milliseconds(0));

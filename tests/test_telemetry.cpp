@@ -19,6 +19,8 @@
 #include "consensus/ballot.hpp"
 #include "obs/obs.hpp"
 #include "report.hpp"
+#include "sim/explorer.hpp"
+#include "util/require.hpp"
 
 namespace tsb {
 namespace {
@@ -749,6 +751,46 @@ TEST(TelemetryEndToEnd, TicksCarryTheBudgetsTheConstructionEnforces) {
   const std::string text = slurp(path);
   EXPECT_EQ(text.find("mem_budget"), std::string::npos) << text;
   EXPECT_EQ(text.find("deadline_s"), std::string::npos) << text;
+  std::remove(path.c_str());
+}
+
+// A budget trip throws out of explore() past the pass's explore.done: the
+// levels the pass committed once it crossed the record threshold must
+// already be in the stream, in level order.
+TEST(TelemetryEndToEnd, BudgetTripKeepsTheLevelsOfThePassInFlight) {
+  consensus::BallotConsensus proto(4, 8);
+  const sim::Config root = sim::initial_config(proto, {0, 1, 1, 0});
+  const sim::ProcSet everyone = sim::ProcSet::first_n(4);
+  const auto all = [](const sim::ConfigView&) { return true; };
+  constexpr std::size_t kMin =
+      sim::detail::LevelStatsTracker::kStatsMinVisited;
+  // The budget: the bytes the same pass holds at 4x the record threshold.
+  sim::Explorer probe(proto, {.limits = {.max_configs = 4 * kMin}});
+  ASSERT_TRUE(probe.explore(root, everyone, all).truncated)
+      << "the pass must outgrow the probe";
+  const std::size_t budget = probe.tracked_bytes();
+
+  const std::string path = temp_path("trip_levels.jsonl");
+  open_stream(path);
+  sim::Explorer explorer(proto, {.limits = {.max_bytes = budget}});
+  EXPECT_THROW(explorer.explore(root, everyone, all), util::BudgetExhausted);
+  obs::stats_sink().close();
+
+  std::istringstream in(slurp(path));
+  std::int64_t levels = 0;
+  std::int64_t last_total = 0;
+  for (std::string line; std::getline(in, line);) {
+    report::JsonValue v;
+    ASSERT_TRUE(report::parse_json(line, v)) << line;
+    const std::string type = v.str_or("type", "");
+    EXPECT_NE(type, "explore.done") << "the pass never finished";
+    if (type != "explore.level") continue;
+    EXPECT_EQ(v.int_or("level", -1), levels) << line;
+    last_total = v.int_or("total_configs", 0);
+    ++levels;
+  }
+  EXPECT_GT(levels, 0) << "no level of the tripped pass reached the stream";
+  EXPECT_GE(last_total, static_cast<std::int64_t>(kMin));
   std::remove(path.c_str());
 }
 

@@ -2,7 +2,7 @@
 
 // Run-forensics analyzer behind `tsb report` (and the benches' per-level
 // tables): ingests the JSONL artifacts a run leaves behind — trace events
-// (--trace=*.jsonl), the run record stream (--stats: engine records, the
+// (--trace), the run record stream (--stats: engine records, the
 // adversary's decision trail, telemetry ticks), chaos records (--out) and
 // flight dumps (--flight) — and renders a human report plus a
 // machine-diffable one-line baseline JSON.
@@ -11,6 +11,11 @@
 // only what the sinks wrote, so `tsb report` works on artifacts from any
 // run (CI uploads, a colleague's machine) and doubles as a check that the
 // emitters produce well-formed, complete records.
+//
+// Three files: report_json.cpp (the JSON reader and the Chrome trace
+// export), report.cpp (RunReport ingest, finalize, text render and
+// baseline) and report_telemetry.cpp (telemetry ticks, watchdog alert
+// rules, sparklines and --compare).
 
 #include <cstdint>
 #include <iosfwd>
@@ -52,6 +57,14 @@ constexpr int kMaxJsonDepth = 64;
 /// nesting deeper than kMaxJsonDepth, or trailing garbage.
 bool parse_json(std::string_view text, JsonValue& out);
 
+/// A parsed number as an int64. Parsed numbers are hostile input: NaN is 0
+/// and an out-of-range value (1e300, inf) saturates instead of the
+/// undefined behaviour of the cast.
+std::int64_t to_i64(double x);
+
+/// A number as the report's tables print it.
+std::string fmt(double v);
+
 /// Rows the report's ranked tables keep (heaviest reachability passes,
 /// hottest registers).
 constexpr std::size_t kTopK = 5;
@@ -73,9 +86,9 @@ class RunReport {
   void ingest_line(const std::string& line);
   /// Ingest every line of `path`. False, with *error saying why, when the
   /// file cannot be opened or is a Chrome trace_event document (what
-  /// --trace writes without a .jsonl suffix, for Perfetto); content
-  /// problems in a JSONL file just bump lines_malformed(). A file is one
-  /// run: the alert rules' window starts afresh at its first tick.
+  /// `tsb report --chrome` exports, for Perfetto); content problems in a
+  /// JSONL file just bump lines_malformed(). A file is one run: the alert
+  /// rules' window starts afresh at its first tick.
   bool load(const std::string& path, std::string* error = nullptr);
   /// Derive everything the views read (self times, consistency, alerts).
   /// Call once all input is ingested, before any render.
@@ -121,27 +134,16 @@ class RunReport {
     return total > 0 ? static_cast<double>(reuse_reused_) / total : 0.0;
   }
   std::uint64_t reuse_records() const { return reuse_records_; }
-  bool budget_exhausted() const { return budget_exhausted_; }
 
-  // Checkpointing (ckpt.write records + adversary.resume/.stopped
-  // events). Writes/bytes/ms are cadence-dependent, so they render
-  // as an overhead line but never enter the baseline JSON.
-  std::uint64_t ckpt_writes() const { return ckpt_writes_; }
+  /// Sum of the ckpt.write records' state bytes. Checkpoint writes, bytes
+  /// and ms are cadence-dependent, so they render as an overhead line but
+  /// never enter the baseline JSON.
   std::uint64_t ckpt_bytes() const { return ckpt_bytes_; }
-  std::uint64_t ckpt_write_ms() const { return ckpt_ms_; }
-  bool resumed() const { return ckpt_resumed_; }
-  bool checkpoint_stopped() const { return ckpt_stopped_; }
 
   std::uint64_t lines_ingested() const { return lines_; }
   std::uint64_t lines_malformed() const { return malformed_; }
 
-  // --- introspection artifacts (ledger / flight recorder) ---------------
-  /// Bytes per ledger account from the last "ledger" record (the CLI
-  /// writes one at exit; mid-run records are cumulative gauges, so last
-  /// wins is the final state).
-  const std::map<std::string, std::int64_t>& ledger_accounts() const {
-    return ledger_accounts_;
-  }
+  // --- introspection artifacts (flight recorder) -------------------------
   std::uint64_t flight_events() const { return flight_rows_.size(); }
   std::string flight_dump_reason() const { return flight_reason_; }
 
@@ -321,7 +323,9 @@ class RunReport {
   bool ckpt_stopped_ = false;      ///< run ended checkpointed-and-stopped
 
   // Introspection: memory ledger ("ledger"), flight recorder
-  // ("flight.dump"/"flight.event").
+  // ("flight.dump"/"flight.event"). Accounts are bytes per ledger account
+  // from the last "ledger" record (the CLI writes one at exit; mid-run
+  // records are cumulative gauges, so last wins is the final state).
   std::map<std::string, std::int64_t> ledger_accounts_;
   std::map<std::string, std::int64_t> ledger_peaks_;
   std::int64_t ledger_total_ = 0;
@@ -364,6 +368,21 @@ class RunReport {
 /// missing verification or inconsistent with the narrative, a chaos
 /// violation or a witness replay failure, 2 a file could not be read.
 int analyze_files(const std::vector<std::string>& files, std::ostream& out);
+
+/// What opens the event array of a Chrome trace_event document. The export
+/// writes it on its first line, which is how load() and the export itself
+/// tell such a document from a JSONL file.
+inline constexpr std::string_view kChromeMarker = R"("traceEvents":[)";
+
+/// `tsb report --chrome TRACE`: the JSONL trace `path` (what --trace
+/// writes) as one Chrome trace_event document on `out`, for Perfetto and
+/// chrome://tracing. Spans, instants and counters keep their phase
+/// (X/i/C); ts and dur become fractional microseconds, and a counter's
+/// value is keyed by its name in args. Lines that are not trace events are
+/// skipped. Returns 0, or 2 (the reason on `err`) when the file cannot be
+/// read or is already a Chrome document.
+int export_chrome(const std::string& path, std::ostream& out,
+                  std::ostream& err);
 
 /// Fixed-width block-character trend of `xs` (min..max scaled to 8 levels),
 /// downsampled by averaging when xs.size() > width. Empty input -> spaces.

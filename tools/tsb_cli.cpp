@@ -12,8 +12,9 @@
 //   1  violation / failed construction / report inconsistency
 //   2  usage error: unknown subcommand, unknown protocol, bad positional,
 //      unknown or malformed flag, a flag the subcommand does not read,
-//      unusable --spill-dir/--trace/--stats/--flight, a Chrome trace given
-//      to `tsb report`
+//      unusable --spill-dir/--trace/--stats/--flight, an unreadable
+//      artifact or a Chrome trace_event document given to `tsb report`
+//      (what `tsb report --chrome` prints; --trace always writes JSONL)
 //   3  chaos campaign clean of violations but some runs timed out
 //   4  budget exhausted (adversary stopped by --mem-budget/--time-budget-ms)
 //      or a failed write (checkpoint, spill, exit-time trace/flight dump,
@@ -478,6 +479,13 @@ int main(int argc, char** argv) {
       return usage();
     }
     rc = report::compare_timelines(args[1], args[2], std::cout);
+  } else if (cmd == "report" && obs_flags.chrome) {
+    if (args.size() != 2) {
+      std::cerr << "tsb report " << cli::flag_for(&ObsFlags::chrome).name
+                << " needs exactly one trace file\n";
+      return usage();
+    }
+    rc = report::export_chrome(args[1], std::cout, std::cerr);
   } else if (cmd == "report" && args.size() >= 2) {
     rc = report::analyze_files({args.begin() + 1, args.end()}, std::cout);
   } else if (cmd == "monitor" && args.size() >= 2) {

@@ -45,7 +45,7 @@ struct ObsFlags {
   std::string checkpoint_dir;
   std::uint64_t checkpoint_interval_ms = 0, checkpoint_every = 0;
 
-  bool compare = false;
+  bool compare = false, chrome = false;
 };
 
 /// The subcommands, as bits of a flag row's `cmds` mask. kRun are those
@@ -97,8 +97,8 @@ struct Flag {
 
 inline constexpr Flag kFlags[] = {
     {"--trace", "FILE", &ObsFlags::trace_file, kRun,
-     "a trace: JSONL (what report reads) if FILE\n"
-     "ends .jsonl, else Chrome JSON"},
+     "span/instant/counter trace (JSONL, a report\n"
+     "input; report --chrome exports it)"},
     {"--stats", "FILE", &ObsFlags::stats_file, kRun,
      "the run's record stream (JSONL): decision\ntrail, ledger, telemetry"},
     {"--flight", "FILE", &ObsFlags::flight_file, kRun,
@@ -142,6 +142,8 @@ inline constexpr Flag kFlags[] = {
      "per-run records (JSONL, a report input)"},
     {"--compare", nullptr, &ObsFlags::compare, kReport,
      "diff two stats files (exit 1 past a 25%\nregression)"},
+    {"--chrome", nullptr, &ObsFlags::chrome, kReport,
+     "print one --trace file as Chrome\ntrace_event JSON (Perfetto) on stdout"},
 };
 
 /// The row that sets `field`.
@@ -274,6 +276,10 @@ inline ParseResult parse_args(const std::vector<std::string>& argv) {
       }
       return fail(std::string("bad ") + f->name + " (want " + want + ")");
     }
+  }
+  // The report's two alternative views read different positionals.
+  if (out.flags.compare && out.flags.chrome) {
+    return fail("tsb report takes --compare or --chrome, not both");
   }
   return out;
 }
