@@ -71,7 +71,9 @@ int main(int argc, char** argv) {
   for (int n = 2; n <= max_n; ++n) {
     const int cap = n <= 4 ? 2 * n : 3 * n;
     consensus::BallotConsensus proto(n, cap);
-    bound::SpaceBoundAdversary adversary(proto, {.reuse = reuse});
+    bound::SpaceBoundAdversary::Options opts;
+    opts.reuse = reuse;
+    bound::SpaceBoundAdversary adversary(proto, opts);
     const auto t0 = std::chrono::steady_clock::now();
     const auto result = adversary.run();
     const double secs =
@@ -153,10 +155,10 @@ int main(int argc, char** argv) {
     // if edges actually left RAM (graph_spill > 0, gated by
     // tools/check_perf.py).
     if (reuse && n >= 4) {
-      bound::SpaceBoundAdversary spilled_adv(
-          proto, {.reuse = reuse,
-                  .spill_threshold_bytes = 64 * 1024,
-                  .spill_seg_configs = 512});
+      bound::SpaceBoundAdversary::Options spill_opts = opts;
+      spill_opts.spill_threshold_bytes = 64 * 1024;
+      spill_opts.spill_seg_configs = 512;
+      bound::SpaceBoundAdversary spilled_adv(proto, spill_opts);
       const auto s0 = std::chrono::steady_clock::now();
       const auto spilled = spilled_adv.run();
       const double ssecs =

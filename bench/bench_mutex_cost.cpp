@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
       bl.row(alg->name(), n, alg->num_registers(), r.distinct_registers, n,
              r.complete,
              r.invisible_entrant >= 0
-                 ? "p" + std::to_string(r.invisible_entrant)
+                 ? 'p' + std::to_string(r.invisible_entrant)
                  : std::string("-"));
     }
   }

@@ -103,7 +103,8 @@ SpaceBoundAdversary::Result SpaceBoundAdversary::run_impl() {
       ev.str("protocol", proto_.name())
           .str("dir", opts_.checkpoint_dir)
           .num("generation", static_cast<std::int64_t>(generation))
-          .num("graph_nodes", static_cast<std::int64_t>(oracle.graph_nodes()));
+          .num("memo_entries",
+               static_cast<std::int64_t>(oracle.memo_entries()));
       obs::stats_sink().write(ev.render());
     }
   }

@@ -43,14 +43,14 @@ class SpaceBoundAdversary {
     std::size_t spill_threshold_bytes = 0;
     std::size_t spill_seg_configs = 0;
     /// Crash-safe campaigns: non-empty = checkpoint the oracle's session
-    /// state (roots, memo, shared graph) into this directory at the
+    /// state (its memo of answered pairs) into this directory at the
     /// engines' quiescent points, every `checkpoint_interval_ms` of wall
     /// clock or `checkpoint_every` expansions (0 disables each; with both
     /// 0 a checkpoint is still written on a requested stop). `resume`
     /// restores the directory's committed checkpoint before running and
-    /// re-drives the deterministic construction over the warm state —
-    /// identical verdict, visited set and certificate to an uninterrupted
-    /// run. Invalid/mismatched checkpoints throw util::CheckpointInvalid.
+    /// re-drives the deterministic construction over the warm memo —
+    /// identical verdict and certificate to an uninterrupted run.
+    /// Invalid/mismatched checkpoints throw util::CheckpointInvalid.
     std::string checkpoint_dir;
     std::uint64_t checkpoint_interval_ms = 0;
     std::uint64_t checkpoint_every = 0;

@@ -18,11 +18,11 @@ CertificateCheck check_certificate(const sim::Protocol& proto,
   for (auto [p, r] : cert.covering) {
     const sim::PendingOp op = sim::poised_in(proto, final_cfg, p);
     if (!op.is_write()) {
-      out.error = "p" + std::to_string(p) + " is not poised to write";
+      out.error = 'p' + std::to_string(p) + " is not poised to write";
       return out;
     }
     if (op.reg != r) {
-      out.error = "p" + std::to_string(p) + " covers R" +
+      out.error = 'p' + std::to_string(p) + " covers R" +
                   std::to_string(op.reg) + ", certificate claims R" +
                   std::to_string(r);
       return out;

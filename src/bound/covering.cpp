@@ -42,7 +42,7 @@ std::string describe_covering(const Protocol& proto, const Config& c,
   std::string out;
   r.for_each([&](int p) {
     if (!out.empty()) out += ", ";
-    out += "p" + std::to_string(p);
+    out += 'p' + std::to_string(p);
     if (auto reg = covered_register(proto, c, p)) {
       out += " covers R" + std::to_string(*reg);
     } else {

@@ -1,6 +1,8 @@
 #include "bound/valency.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <tuple>
 
 #include "obs/flight.hpp"
 #include "obs/jsonl_sink.hpp"
@@ -106,24 +108,23 @@ sim::ConfigId ValencyOracle::audit_id(const Config& c) {
   return audit_ids_->intern(c).id;
 }
 
+ValencyOracle::PairKey ValencyOracle::memo_key(const Config& c, ProcSet p,
+                                               sim::ProcPerm* perm) {
+  *perm = sim::ProcPerm::identity();
+  if (!opts_.reuse) return PairKey{roots_.intern(c).id, p.bits()};
+  // Memoize on the canonical projected (config, ProcSet-orbit, ambient)
+  // triple, so any two queries the engine cannot distinguish — same
+  // P-states, registers, frozen-process decide bits — share one entry;
+  // audit ids stay in the original space. Ambient rides in bits 60..61,
+  // which no P mask reaches: the constructor refuses reuse for n > 60.
+  const sim::ReachGraph::Node node = ensure_graph().intern_node(c, p, perm);
+  return PairKey{node.id,
+                 node.pbits | (static_cast<std::uint64_t>(node.ambient) << 60)};
+}
+
 const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
                                                        ProcSet p) {
-  last_perm_ = sim::ProcPerm::identity();
-  PairKey key;
-  if (opts_.reuse) {
-    ensure_graph();
-    // Memoize on the canonical projected (config, ProcSet-orbit, ambient)
-    // triple, so any two queries the engine cannot distinguish — same
-    // P-states, registers, frozen-process decide bits — share one entry;
-    // audit ids stay in the original space below. Ambient rides in bits
-    // 60..61, which no P mask reaches: the constructor refuses reuse for
-    // n > 60.
-    const sim::ReachGraph::Node node = graph_->intern_node(c, p, &last_perm_);
-    key = PairKey{node.id,
-                  node.pbits | (static_cast<std::uint64_t>(node.ambient) << 60)};
-  } else {
-    key = PairKey{roots_.intern(c).id, p.bits()};
-  }
+  const PairKey key = memo_key(c, p, &last_perm_);
   // Without stats, the flight record names the memo key's root: the graph
   // node with reuse, the interned root without.
   last_audit_id_ = obs::stats_enabled() ? audit_id(c) : key.root;
@@ -174,6 +175,8 @@ const ValencyOracle::PairAnswer& ValencyOracle::lookup(const Config& c,
               "shared-graph witness failed de-canonicalized replay — "
               "reachability engine or a Protocol::symmetric() declaration "
               "is unsound");
+  answer.root = opts_.reuse ? roots_.intern(c).id : key.root;
+  answer.procs = p.bits();
   const PairAnswer& stored = memo_.emplace(key, std::move(answer)).first->second;
   // Memo growth only happens here (one entry per miss), so this is the
   // natural ledger refresh point.
@@ -258,30 +261,33 @@ std::string ValencyOracle::state_fingerprint() const {
          " m=" + std::to_string(proto_.num_registers()) +
          " cap=" + std::to_string(opts_.limits.max_configs) +
          " reuse=" + (opts_.reuse ? std::string("1") : std::string("0")) +
-         " spill_thresh=" + std::to_string(opts_.limits.spill.threshold_bytes) +
-         " spill_seg=" + std::to_string(opts_.limits.spill.seg_configs) +
          " ckpt_fmt=" + std::to_string(util::ckpt::kFormatVersion);
 }
 
 void ValencyOracle::save_state(util::ckpt::SectionWriter& w) const {
   w.begin("oracle");
+  w.put_u32(static_cast<std::uint32_t>(proto_.num_processes()));
+  w.put_u32(static_cast<std::uint32_t>(proto_.num_registers()));
   w.put_u8(opts_.reuse ? 1 : 0);
-  w.put_u8(graph_ ? 1 : 0);
   w.end();
 
-  w.begin("roots");
-  roots_.save(w);
-  w.end();
-
+  std::vector<const PairAnswer*> entries;
+  entries.reserve(memo_.size());
+  for (const auto& kv : memo_) entries.push_back(&kv.second);
+  std::sort(entries.begin(), entries.end(),
+            [](const PairAnswer* a, const PairAnswer* b) {
+              return std::tie(a->root, a->procs) < std::tie(b->root, b->procs);
+            });
+  std::vector<Value> words(roots_.words_per_config());
   w.begin("memo");
-  w.put_u64(memo_.size());
-  for (const auto& [key, a] : memo_) {
-    w.put_u32(key.root);
-    w.put_u64(key.pbits);
+  w.put_u64(entries.size());
+  for (const PairAnswer* a : entries) {
+    roots_.decode(a->root, words.data());
+    for (const Value x : words) w.put_i64(x);
+    w.put_u64(a->procs);
     for (int v = 0; v < 2; ++v) {
-      w.put_u8(a.can[v] ? 1 : 0);
-      w.put_u32(a.witness_id[v]);
-      const auto& steps = a.witness[v].steps();
+      w.put_u8(a->can[v] ? 1 : 0);
+      const auto& steps = a->witness[v].steps();
       w.put_u32(static_cast<std::uint32_t>(steps.size()));
       for (const sim::ProcId q : steps) {
         w.put_u8(static_cast<std::uint8_t>(q));
@@ -289,17 +295,45 @@ void ValencyOracle::save_state(util::ckpt::SectionWriter& w) const {
     }
   }
   w.end();
+}
 
-  if (graph_) graph_->save(w);
+bool ValencyOracle::witness_decides(const Config& c, ProcSet p,
+                                    const Schedule& w, Value v) const {
+  // sim::run, with each step's process and register checked first: the
+  // schedule and the root came off the disk (steps already name processes
+  // below n).
+  Config cur = c;
+  for (const sim::ProcId q : w.steps()) {
+    if (!p.contains(q)) return false;
+    const sim::PendingOp op =
+        proto_.poised(q, cur.states[static_cast<std::size_t>(q)]);
+    if (!op.is_decide() &&
+        (op.reg < 0 || op.reg >= proto_.num_registers())) {
+      return false;
+    }
+    cur = sim::step(proto_, cur, q);
+  }
+  return sim::some_decided(proto_, cur, v);
 }
 
 void ValencyOracle::restore_state(util::ckpt::SectionReader& r) {
   TSB_REQUIRE(roots_.size() == 0 && memo_.empty() && !graph_,
               "ValencyOracle::restore_state requires a fresh oracle");
+  const int n = proto_.num_processes();
+  const int m = proto_.num_registers();
   r.expect("oracle");
+  const std::uint32_t saved_n = r.get_u32();
+  const std::uint32_t saved_m = r.get_u32();
   const bool saved_reuse = r.get_u8() != 0;
-  const bool has_graph = r.get_u8() != 0;
   r.done();
+  if (saved_n != static_cast<std::uint32_t>(n) ||
+      saved_m != static_cast<std::uint32_t>(m)) {
+    throw util::CheckpointInvalid(
+        "checkpoint was written for " + std::to_string(saved_n) +
+        " processes and " + std::to_string(saved_m) +
+        " registers, but this protocol has " + std::to_string(n) + " and " +
+        std::to_string(m));
+  }
   if (saved_reuse != opts_.reuse) {
     throw util::CheckpointInvalid(
         "checkpoint was written with --reuse " +
@@ -308,59 +342,89 @@ void ValencyOracle::restore_state(util::ckpt::SectionReader& r) {
         "; memo keys are not comparable across modes");
   }
 
-  r.expect("roots");
-  roots_.restore(r, "roots");
-  r.done();
-
   r.expect("memo");
-  const std::uint64_t memo_count = r.get_u64();
-  for (std::uint64_t i = 0; i < memo_count; ++i) {
-    PairKey key{};
-    key.root = r.get_u32();
-    key.pbits = r.get_u64();
+  const std::uint64_t count = r.get_u64();
+  // An entry is at least its root words, its P and two empty witnesses.
+  const std::size_t words = static_cast<std::size_t>(n + m);
+  const std::size_t min_entry = 8 * words + 8 + 2 * 5;
+  if (count > r.remaining() / min_entry) {
+    throw util::CheckpointInvalid(
+        "checkpoint memo claims " + std::to_string(count) +
+        " entries but its section has " + std::to_string(r.remaining()) +
+        " bytes left");
+  }
+  const std::uint64_t all = ProcSet::first_n(n).bits();
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const std::string where = "checkpoint memo entry " + std::to_string(i);
+    Config c;
+    c.states.resize(static_cast<std::size_t>(n));
+    c.regs.resize(static_cast<std::size_t>(m));
+    for (Value& x : c.states) {
+      x = r.get_i64();
+      if (x == sim::ReachGraph::kMaskedState) {
+        throw util::CheckpointInvalid(where +
+                                      " holds the masked-state word");
+      }
+    }
+    for (Value& x : c.regs) x = r.get_i64();
+    const std::uint64_t pbits = r.get_u64();
+    if (pbits == 0 || (pbits & ~all) != 0) {
+      throw util::CheckpointInvalid(
+          where + " names process set " + std::to_string(pbits) + " of " +
+          std::to_string(n) + " processes");
+    }
+    const ProcSet p(pbits);
     PairAnswer a;
     for (int v = 0; v < 2; ++v) {
       a.can[v] = r.get_u8() != 0;
-      a.witness_id[v] = r.get_u32();
       // The length and the steps are read off the disk: one byte per step
-      // must be left in the section before anything is reserved, and each
-      // step must name a process the replay can run.
+      // must be left in the section before anything is reserved.
       const std::uint32_t len = r.get_u32();
-      if (len > r.remaining()) {
+      if (len > r.remaining() || (!a.can[v] && len != 0)) {
         throw util::CheckpointInvalid(
-            "checkpoint memo witness claims " + std::to_string(len) +
-            " steps but its section has " + std::to_string(r.remaining()) +
-            " bytes left");
+            where + " claims a " + std::to_string(len) + "-step witness for " +
+            (a.can[v] ? "a positive" : "a negative") + " answer with " +
+            std::to_string(r.remaining()) + " bytes left");
       }
-      std::vector<sim::ProcId> steps;
-      steps.reserve(len);
-      for (std::uint32_t s = 0; s < len; ++s) {
-        const int q = r.get_u8();
-        if (q >= proto_.num_processes()) {
-          throw util::CheckpointInvalid(
-              "checkpoint memo witness steps process " + std::to_string(q) +
-              " of " + std::to_string(proto_.num_processes()));
+      const std::uint8_t* bytes = r.get_bytes(len);
+      std::vector<sim::ProcId> steps(bytes, bytes + len);
+      for (const sim::ProcId q : steps) {
+        if (q >= n) {
+          throw util::CheckpointInvalid(where + "'s witness steps process " +
+                                        std::to_string(q) + " of " +
+                                        std::to_string(n));
         }
-        steps.push_back(static_cast<sim::ProcId>(q));
       }
       a.witness[v] = Schedule(std::move(steps));
+    }
+    // Re-key as lookup() keys a query: with reuse, the canonical projected
+    // node, whose frame the witnesses are stored in.
+    PairKey key;
+    sim::ProcPerm perm;
+    a.procs = pbits;
+    try {
+      key = memo_key(c, p, &perm);
+      a.root = opts_.reuse ? roots_.intern(c).id : key.root;
+    } catch (const util::BudgetExhausted& e) {
+      // Only a hostile file names more distinct words than the run that
+      // wrote it could intern.
+      throw util::CheckpointInvalid(where + " does not fit an arena: " +
+                                    e.what());
+    }
+    for (int v = 0; v < 2; ++v) {
+      if (a.can[v] &&
+          !witness_decides(c, p, decanonicalize(a.witness[v], perm), v)) {
+        throw util::CheckpointInvalid(where + "'s witness does not decide " +
+                                      std::to_string(v) + " from its root");
+      }
       memo_witness_bytes_ += a.witness[v].size() * sizeof(sim::ProcId);
     }
     if (!memo_.emplace(key, std::move(a)).second) {
-      throw util::CheckpointInvalid(
-          "checkpoint memo section carries a duplicate pair key");
+      throw util::CheckpointInvalid(where +
+                                    " re-keys to a pair already restored");
     }
   }
   r.done();
-
-  if (has_graph) {
-    if (!opts_.reuse) {
-      throw util::CheckpointInvalid(
-          "checkpoint carries a reachability graph but reuse is off");
-    }
-    ensure_graph().restore(r);
-  }
-
   update_memo_ledger();
 }
 

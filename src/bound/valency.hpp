@@ -128,6 +128,8 @@ class ValencyOracle {
   /// of one (C, P) pair); queries() - cache_hits() public misses map 1:1
   /// onto pair lookups, of which this many missed the memo.
   std::size_t explorations() const { return explorations_; }
+  /// Answered (C, P) pairs held in the memo: what a checkpoint saves.
+  std::size_t memo_entries() const { return memo_.size(); }
 
   // Shared-subgraph engine statistics (all 0 when reuse = false or no
   // query has run yet).
@@ -169,31 +171,43 @@ class ValencyOracle {
   sim::ConfigId audit_id(const Config& c);
 
   // --- checkpoint/resume ---------------------------------------------------
-  // The oracle is the session's persistent state: the root arena (the
-  // fresh-BFS backend's query roots, its memo keys; empty with reuse,
-  // whose memo keys on graph nodes), the pair memo with its
-  // witnesses, and (reuse = true) the shared reachability graph's nodes
-  // and edges. save_state writes them as
-  // the "oracle", "roots", "memo" and (iff the graph exists) "graph"
-  // sections of a checkpoint in progress; restore_state rebuilds them into
-  // a fresh oracle before any query runs. The graph's decide flags and
-  // fact map are derived state and are not written (ReachGraph::save).
-  // Query/hit/exploration counters are deliberately NOT restored — resume
-  // re-runs the deterministic adversary from its start ("warm replay"), so
-  // the counters rebuild themselves (with more cache hits than the
-  // uninterrupted run — verdicts, visited sets and certificates are what
-  // resume keeps identical, not stats). The audit-id arena is not saved
-  // either: the replay names configurations in the same order, so it
-  // rebuilds the same ids.
+  // A checkpoint is the pair memo. Definition 1 makes "P can decide v from
+  // C" a property of (C, P) alone, and resume re-runs the deterministic
+  // adversary from its start ("warm replay"), so every answered pair is
+  // all the saved state there is: save_state writes the "oracle" section
+  // (shape and backend) and one "memo" section whose entries hold the raw
+  // root configuration (n + m words), the raw P bits and both answers with
+  // their witness steps. restore_state re-keys each entry by interning its
+  // root (through the shared engine's intern_node with reuse, so symmetric
+  // entries land in their canonical frame; through the root arena without)
+  // and replays every positive witness from its root before admitting it.
+  // Nothing of the shared graph is saved: the warm replay's memo hits need
+  // none of it, and the in-flight and later passes re-expand what they
+  // walk. Witness ids, which name graph nodes or pass-local ids, are not
+  // saved either; restored entries carry none. Query/hit/exploration
+  // counters are not restored — the replay rebuilds them, with more cache
+  // hits than the uninterrupted run (verdicts and certificates are what
+  // resume keeps identical, not stats). The audit-id arena is not saved:
+  // the replay names configurations in the same order, so it rebuilds the
+  // same ids.
 
-  /// Append this oracle's sections to a checkpoint state file.
+  /// Append this oracle's sections to a checkpoint state file, the memo in
+  /// ascending (root id, P) order so the bytes are a function of the
+  /// query sequence alone.
   void save_state(util::ckpt::SectionWriter& w) const;
   /// Rebuild from save_state's sections. Must run on a freshly constructed
-  /// oracle; throws util::CheckpointInvalid on any shape/flag disagreement.
+  /// oracle. Throws util::CheckpointInvalid on a shape or backend
+  /// disagreement and on any entry no run could have written: an entry
+  /// count the section cannot hold, a root word equal to
+  /// ReachGraph::kMaskedState, an empty P or one naming a process past n,
+  /// a witness step outside P, a witness on a negative answer, a positive
+  /// witness that replays to no decision of its value (or steps a register
+  /// the protocol does not have), or two entries that re-key to one pair.
   void restore_state(util::ckpt::SectionReader& r);
   /// The oracle slice of the checkpoint flag fingerprint: protocol name and
-  /// shape plus every option that changes verdicts or the serialized state
-  /// layout.
+  /// shape plus every option that changes verdicts or the serialized state.
+  /// The spill plan is not in it: no saved byte depends on where records
+  /// lived, so a checkpoint resumes resident or spilled alike.
   std::string state_fingerprint() const;
 
  private:
@@ -204,11 +218,15 @@ class ValencyOracle {
     /// current lookup's renaming (equivariance: symmetric queries share
     /// the memo entry and each translates it into its own frame).
     Schedule witness[2];
-    /// Id of the deciding configuration (kNoConfig when !can[v]) — pass-
-    /// local discovery id for reuse = false, engine arena id for
-    /// reuse = true; recorded in the audit trail so a query's verdict
-    /// points at its witness.
+    /// Id of the deciding configuration (kNoConfig when !can[v], and in
+    /// every entry a checkpoint restored) — pass-local discovery id for
+    /// reuse = false, engine arena id for reuse = true; recorded in the
+    /// audit trail so a query's verdict points at its witness.
     sim::ConfigId witness_id[2] = {sim::kNoConfig, sim::kNoConfig};
+    /// The raw root (its id in roots_) and raw P of the miss that computed
+    /// the entry: what save_state writes and restore_state re-keys from.
+    sim::ConfigId root = sim::kNoConfig;
+    std::uint64_t procs = 0;
   };
   struct PairKey {
     sim::ConfigId root;
@@ -222,6 +240,10 @@ class ValencyOracle {
   /// Lazily construct the reuse = true engine (also the restore path's
   /// entry point, so a resumed graph exists before the first query).
   sim::ReachGraph& ensure_graph();
+  /// The memo key of (c, p): its canonical projected graph node with
+  /// reuse (perm receives the caller -> canonical renaming), its root's id
+  /// in roots_ without (perm the identity).
+  PairKey memo_key(const Config& c, ProcSet p, sim::ProcPerm* perm);
   /// Memoized shared-exploration answer for (c, p).
   const PairAnswer& lookup(const Config& c, ProcSet p);
   PairAnswer compute_pair(const Config& c, ProcSet p);
@@ -232,6 +254,11 @@ class ValencyOracle {
                                  sim::ReachGraph::QueryResult* qr,
                                  bool* replay_ok);
   Schedule decanonicalize(const Schedule& s, sim::ProcPerm pi) const;
+  /// Restore-time check of one memo entry's positive witness: the
+  /// caller-frame schedule `w` must step only processes of `p`, touch only
+  /// registers the protocol has, and end with v decided from `c`.
+  bool witness_decides(const Config& c, ProcSet p, const Schedule& w,
+                       Value v) const;
   /// Refresh the valency.memo ledger account: the pair memo, its witness
   /// steps (accumulated — entries are never evicted), the root arena and
   /// the audit-id arena.
@@ -239,7 +266,8 @@ class ValencyOracle {
 
   const Protocol& proto_;
   Options opts_;
-  /// interns query roots, reuse = false only (checkpointed)
+  /// Raw query roots: every root with reuse = false (the memo key), only
+  /// each memo miss's root with reuse = true (PairAnswer::root).
   sim::ConfigArena roots_;
   /// audit_id's arena, built on the first id the stats stream asks for.
   std::optional<sim::ConfigArena> audit_ids_;

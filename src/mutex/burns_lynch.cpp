@@ -21,7 +21,7 @@ MutexCoveringAdversary::Result MutexCoveringAdversary::run() {
         // Entered the CS with every write obliterable: Burns-Lynch's
         // invisibility — the algorithm cannot be a correct mutex.
         out.invisible_entrant = p;
-        out.narrative += "p" + std::to_string(p) +
+        out.narrative += 'p' + std::to_string(p) +
                          " reached the CS writing only covered registers — "
                          "invisible to the covering processes\n";
         out.distinct_registers = static_cast<int>(covered.size());
@@ -31,7 +31,7 @@ MutexCoveringAdversary::Result MutexCoveringAdversary::run() {
       if (op.is_write() && covered.count(op.reg) == 0) {
         covered.insert(op.reg);
         out.covering.emplace_back(p, op.reg);
-        out.narrative += "p" + std::to_string(p) + " covers R" +
+        out.narrative += 'p' + std::to_string(p) + " covers R" +
                          std::to_string(op.reg) + " after " +
                          std::to_string(step) + " solo steps\n";
         escaped = true;
@@ -40,7 +40,7 @@ MutexCoveringAdversary::Result MutexCoveringAdversary::run() {
       cfg = mutex_step(alg_, cfg, p).config;
     }
     if (!escaped) {
-      out.narrative += "p" + std::to_string(p) +
+      out.narrative += 'p' + std::to_string(p) +
                        " exhausted its step budget without escaping\n";
       out.distinct_registers = static_cast<int>(covered.size());
       return out;

@@ -48,12 +48,12 @@ std::size_t VisibilityGraph::edge_count() const {
 std::string VisibilityGraph::to_string() const {
   std::string out;
   for (int i = 0; i < n; ++i) {
-    out += "p" + std::to_string(i) + " sees {";
+    out += 'p' + std::to_string(i) + " sees {";
     bool first = true;
     for (int j = 0; j < n; ++j) {
       if (sees[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]) {
         if (!first) out += ",";
-        out += "p" + std::to_string(j);
+        out += 'p' + std::to_string(j);
         first = false;
       }
     }

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "util/require.hpp"
+
 namespace tsb::perturb {
 
 LLConfig ll_initial(const LongLivedObject& obj) {
@@ -42,6 +44,10 @@ LLConfig ll_step(const LongLivedObject& obj, const LLConfig& c, sim::ProcId p,
       next.last_result[up] = op.value;
       next.states[up] = obj.after_complete(p, s);
       break;
+    case sim::OpKind::kSwap:
+      // Long-lived objects run on read/write registers only.
+      TSB_REQUIRE(false, "long-lived object " + obj.name() +
+                             " issued a swap; only reads and writes step");
   }
   if (trace != nullptr) trace->records.push_back(rec);
   return next;

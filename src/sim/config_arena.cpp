@@ -7,7 +7,6 @@
 #include "obs/memledger.hpp"
 #include "obs/metrics.hpp"
 #include "sim/engine.hpp"
-#include "util/checkpoint.hpp"
 #include "util/require.hpp"
 
 namespace tsb::sim {
@@ -409,97 +408,6 @@ ConfigId ConfigArena::find(const Value* w) const {
   }
   const Slot s = table_[probe(row.data(), hash_codes(row.data()))];
   return s == 0 ? kNoConfig : id_of(s);
-}
-
-void ConfigArena::save(util::ckpt::SectionWriter& w) const {
-  w.put_u32(static_cast<std::uint32_t>(dict_.size()));
-  for (const Value v : dict_) w.put_i64(v);
-  w.put_u32(static_cast<std::uint32_t>(vec_dict_size()));
-  if (!vecs_.empty()) w.put_bytes(vecs_.data(), vecs_.size() * sizeof(Code));
-  const std::size_t count = size();
-  w.put_u64(count);
-  store_.save(w, count);
-}
-
-void ConfigArena::restore(util::ckpt::SectionReader& r,
-                          const std::string& section) {
-  TSB_REQUIRE(size() == 0 && dict_.empty(),
-              "ConfigArena::restore requires an empty arena");
-  const std::string where = "checkpoint " + section + " section";
-  const std::uint32_t nd = r.get_u32();
-  if (nd > kMaxCodes) {
-    throw util::CheckpointInvalid(
-        where + " claims a value dictionary of " + std::to_string(nd) +
-        " words; a 16-bit code names at most " + std::to_string(kMaxCodes));
-  }
-  for (std::uint32_t c = 0; c < nd; ++c) {
-    const Value v = r.get_i64();
-    if (dict_find(v) != kNoSlot) {
-      throw util::CheckpointInvalid(where + " names dictionary value " +
-                                    std::to_string(v) + " twice");
-    }
-    dict_insert(v);
-  }
-  const std::uint32_t nv = r.get_u32();
-  if (nv > kMaxCodes || (m_ == 0 && nv != 0)) {
-    throw util::CheckpointInvalid(
-        where + " claims a register-vector dictionary of " +
-        std::to_string(nv) + " vectors; " +
-        (m_ == 0 ? std::string("an arena without registers stores none")
-                 : "a 16-bit code names at most " + std::to_string(kMaxCodes)));
-  }
-  for (std::uint32_t v = 0; v < nv; ++v) {
-    std::memcpy(vstage_.data(), r.get_bytes(vstage_.size() * sizeof(Code)),
-                vstage_.size() * sizeof(Code));
-    for (const Code c : vstage_) {
-      if (c >= nd) {
-        throw util::CheckpointInvalid(
-            where + " register vector " + std::to_string(v) +
-            " carries code " + std::to_string(c) +
-            " but its dictionary holds " + std::to_string(nd) + " values");
-      }
-    }
-    if (vec_find(vstage_.data()) != kNoSlot) {
-      throw util::CheckpointInvalid(where + " names register vector " +
-                                    std::to_string(v) + " twice");
-    }
-    vec_insert(vstage_.data());
-  }
-  const std::uint64_t count = r.get_u64();
-  // Size the table once instead of growing through every doubling. Each
-  // group of kGroupRecords rows takes at least its raw first row and a u32
-  // byte count, which caps the rows a hostile count can make us size for.
-  const std::uint64_t group_bytes = stride_ * sizeof(Code) + 4;
-  const std::uint64_t fit = std::min<std::uint64_t>(
-      count, r.remaining() / group_bytes * util::spill::kGroupRecords);
-  const std::size_t need = slots_for(static_cast<std::size_t>(fit));
-  if (need > table_.size()) reset_table(need);
-  util::spill::load_records<Code>(
-      r, count, stride_, where,
-      [&](const Code* rows, std::size_t k, std::uint64_t first) {
-        for (std::size_t j = 0; j < k * stride_; ++j) {
-          const bool is_vec = j % stride_ == static_cast<std::size_t>(n_);
-          if (rows[j] >= (is_vec ? nv : nd)) {
-            throw util::CheckpointInvalid(
-                where + " carries " + (is_vec ? "vector code " : "code ") +
-                std::to_string(rows[j]) + " in configuration " +
-                std::to_string(first + j / stride_) + " but its " +
-                (is_vec ? "register-vector dictionary holds " +
-                              std::to_string(nv) + " vectors"
-                        : "dictionary holds " + std::to_string(nd) +
-                              " values"));
-          }
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-          const auto [id, inserted] = intern_codes(rows + i * stride_);
-          if (!inserted || static_cast<std::uint64_t>(id) != first + i) {
-            throw util::CheckpointInvalid(
-                where + " re-interned to a different id (configuration " +
-                std::to_string(first + i) + " -> " + std::to_string(id) +
-                "): duplicate or reordered rows");
-          }
-        }
-      });
 }
 
 bool ConfigArena::set_spill(const std::string& dir,

@@ -10,11 +10,6 @@
 #include "sim/config.hpp"
 #include "util/spill_store.hpp"
 
-namespace tsb::util::ckpt {
-class SectionWriter;
-class SectionReader;
-}  // namespace tsb::util::ckpt
-
 namespace tsb::sim {
 
 /// Dense identifier of a configuration interned in a ConfigArena. Ids are
@@ -234,27 +229,6 @@ class ConfigArena {
   /// arena filled this way is not interned into afterwards, since table
   /// growth re-inserts every row.
   ConfigId append_codes(const Code* c);
-
-  // --- checkpoint -----------------------------------------------------------
-
-  /// Write the value dictionary (u32 count, then the values as i64), the
-  /// register-vector dictionary (u32 count, then m u16 value codes per
-  /// vector) and then every row (u64 count, then the rows as the spill
-  /// codec's delta groups, SpillStore::save) into the open section.
-  /// Spilled groups are copied as they are, resident ones encoded, and the
-  /// bytes do not depend on where the rows live.
-  void save(util::ckpt::SectionWriter& w) const;
-  /// Inverse of save() into an empty arena; rows are re-interned in id
-  /// order so the dedup table rebuilds and ids stay stable. The table is
-  /// sized once for the saved row count, capped by the rows the section's
-  /// remaining bytes can hold, so a hostile count allocates nothing. Throws
-  /// util::CheckpointInvalid, naming `section`, for a dictionary of more
-  /// than kMaxCodes values or vectors, a duplicate value or vector, a
-  /// vector naming a value code past the dictionary, a malformed row group
-  /// (util::spill::load_records), a state code past the value dictionary,
-  /// a vector code past the vector dictionary, or a row that does not
-  /// re-intern to its own id.
-  void restore(util::ckpt::SectionReader& r, const std::string& section);
 
   // --- out-of-core ------------------------------------------------------
 

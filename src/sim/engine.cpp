@@ -39,7 +39,7 @@ std::string PendingOp::to_string() const {
 }
 
 std::string StepRecord::to_string() const {
-  std::string out = "p" + std::to_string(proc) + ": " + op.to_string();
+  std::string out = 'p' + std::to_string(proc) + ": " + op.to_string();
   if (op.is_read() || op.is_swap()) {
     out += " -> " + std::to_string(read_result);
   }

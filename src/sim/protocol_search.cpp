@@ -21,7 +21,7 @@ std::string TableProtocolSpec::to_string() const {
   std::string out;
   for (int s = 0; s < num_states(); ++s) {
     const auto us = static_cast<std::size_t>(s);
-    out += "s" + std::to_string(s) + "(pref=" + std::to_string(s & 1) + "): ";
+    out += 's' + std::to_string(s) + "(pref=" + std::to_string(s & 1) + "): ";
     switch (op_kind[us]) {
       case kRead:
         out += "read R" + std::to_string(op_reg[us]) + " ->[empty,0,1] s" +

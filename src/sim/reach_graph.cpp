@@ -22,19 +22,6 @@ inline std::uint64_t mix64(std::uint64_t h) {
   return h ^ (h >> 31);
 }
 
-/// A stored edge renaming as canonicalize_states builds it: a permutation
-/// of the process slots [0, n) that fixes the unused slots beyond n.
-bool valid_renaming(std::uint64_t packed, int n) {
-  const ProcPerm pi(packed);
-  unsigned seen = 0;
-  for (int p = 0; p < ProcPerm::kMaxProcs; ++p) {
-    const int img = pi(p);
-    if (p < n ? img >= n : img != p) return false;
-    seen |= 1u << img;
-  }
-  return seen == 0xFFu;
-}
-
 /// Symmetric-mode visit key: a node and its P-orbit bits.
 inline std::uint64_t orbit_key(ConfigId id, std::uint8_t pb) {
   return (static_cast<std::uint64_t>(id) << 8) | pb;
@@ -164,105 +151,6 @@ void ReachGraph::check_budget() {
   // and any trip message then carry the graph's current tracked bytes.
   update_ledger();
   opts_.limits.check(memory_bytes(), "reach graph");
-}
-
-void ReachGraph::save(util::ckpt::SectionWriter& w) const {
-  w.begin("graph");
-  w.put_u32(static_cast<std::uint32_t>(n_));
-  w.put_u32(static_cast<std::uint32_t>(words_));
-  w.put_u8(sym_ ? 1 : 0);
-  w.put_u8(facts_on_ ? 1 : 0);
-  // The node arena's value dictionary and code rows, then the edge stores
-  // in id order. Code rows, successor rows and renamings go out as the
-  // spill codec's delta groups (SpillStore::save: spilled groups copied
-  // from their blocks, resident ones encoded), so a checkpoint taken while
-  // segments sit on disk is byte-identical to one taken fully resident.
-  arena_.save(w);
-  const std::size_t count = arena_.size();
-  // Neither the decide flags nor the fact map go out: restore() rebuilds
-  // the decide bits from the rows, and facts are a cache of earlier
-  // passes that later walks re-derive from the stored edges.
-  succ_.save(w, count);
-  if (sym_) perm_.save(w, count);
-  w.put_u64(edges_expanded_);
-  w.put_u64(edges_reused_);
-  w.put_u64(fact_answers_);
-  w.put_u64(fact_subsumed_);
-  w.end();
-}
-
-void ReachGraph::restore(util::ckpt::SectionReader& r) {
-  TSB_REQUIRE(arena_.size() == 0,
-              "ReachGraph::restore requires a freshly constructed engine");
-  r.expect("graph");
-  if (r.get_u32() != static_cast<std::uint32_t>(n_) ||
-      r.get_u32() != static_cast<std::uint32_t>(words_) ||
-      r.get_u8() != (sym_ ? 1 : 0) || r.get_u8() != (facts_on_ ? 1 : 0)) {
-    throw util::CheckpointInvalid(
-        "checkpoint graph section disagrees with the protocol's shape "
-        "(process count, word count, or symmetry mode)");
-  }
-  // Re-intern in id order: the arena's dedup table (and any spill
-  // segmentation) rebuilds itself, and ids are stable because interning
-  // order defines them.
-  arena_.restore(r, "graph");
-  const std::uint64_t count = arena_.size();
-  // Bulk-load the edges. Everything lands resident (restore runs on a
-  // fresh engine); the trailing maybe_spill_edges() re-establishes the
-  // memory plan before the first query.
-  const std::size_t stride = static_cast<std::size_t>(n_);
-  const std::string where = "checkpoint graph section";
-  succ_.ensure(count);
-  if (sym_) perm_.ensure(count);
-  util::spill::load_records<ConfigId>(
-      r, count, stride, where,
-      [&](const ConfigId* rows, std::size_t k, std::uint64_t first) {
-        for (std::size_t j = 0; j < k * stride; ++j) {
-          if (rows[j] >= count && rows[j] != kUnexpanded &&
-              rows[j] != kNoConfig) {
-            throw util::CheckpointInvalid(
-                where + " carries successor id " + std::to_string(rows[j]) +
-                " at node " + std::to_string(first + j / stride) +
-                " but restores only " + std::to_string(count) + " nodes");
-          }
-        }
-        for (std::size_t i = 0; i < k; ++i) {
-          std::memcpy(succ_.write_ptr(first + i), rows + i * stride,
-                      stride * sizeof(ConfigId));
-        }
-      });
-  if (sym_) {
-    util::spill::load_records<std::uint64_t>(
-        r, count, stride, where,
-        [&](const std::uint64_t* rows, std::size_t k, std::uint64_t first) {
-          for (std::size_t j = 0; j < k * stride; ++j) {
-            if (!valid_renaming(rows[j], n_)) {
-              throw util::CheckpointInvalid(
-                  where + " carries a renaming at node " +
-                  std::to_string(first + j / stride) +
-                  " that permutes no process slots");
-            }
-          }
-          for (std::size_t i = 0; i < k; ++i) {
-            std::memcpy(perm_.write_ptr(first + i), rows + i * stride,
-                        stride * sizeof(std::uint64_t));
-          }
-        });
-  }
-  // Decide bits are the row's decide scan; the stored successor rows
-  // already hold its kNoConfig markers, so the call only sets the flags.
-  // The fact map starts empty, and with it every probe-filter bit.
-  for (ConfigId id = 0; id < count; ++id) {
-    arena_.decode(id, stage_.data());
-    register_config(id, stage_.data());
-  }
-  edges_expanded_ = r.get_u64();
-  edges_reused_ = r.get_u64();
-  fact_answers_ = r.get_u64();
-  fact_subsumed_ = r.get_u64();
-  r.done();
-  maybe_spill_edges();
-  update_ledger();
 }
 
 void ReachGraph::register_config(ConfigId id, const Value* st) {
@@ -571,10 +459,9 @@ ReachGraph::QueryResult ReachGraph::query(const Config& c, ProcSet p,
       check_budget();
       // Quiescent point: every arena read in the loop body copies or
       // probes synchronously, so cold full segments can be compressed out
-      // to disk here, and the whole engine state is consistent for a
-      // checkpoint (per-query
-      // scratch excluded — resume replays the in-flight query over the
-      // restored edges). No pin — the shared graph has no cold-prefix
+      // to disk here, and the oracle's memo is consistent for a
+      // checkpoint (this in-flight query is not in it; resume re-runs it
+      // from its root). No pin — the shared graph has no cold-prefix
       // structure, so the oldest full segments go first.
       util::ckpt::CheckpointService::global().poll(256);
       if (arena_.spill_needed()) {

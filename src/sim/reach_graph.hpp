@@ -12,11 +12,6 @@
 #include "sim/limits.hpp"
 #include "util/spill_store.hpp"
 
-namespace tsb::util::ckpt {
-class SectionWriter;
-class SectionReader;
-}  // namespace tsb::util::ckpt
-
 namespace tsb::sim {
 
 /// Persistent shared-subgraph reachability engine behind the valency oracle.
@@ -166,29 +161,6 @@ class ReachGraph {
            flags_.charged_bytes();
   }
 
-  /// Serialize what resume cannot re-derive (the node arena's value
-  /// dictionary and code rows, the successor edges and renamings — rows
-  /// and edges as the spill codec's delta groups — and the expansion
-  /// counters) as one "graph" checkpoint section. The decide flags are a
-  /// function of each row and the fact map is a cache of earlier passes,
-  /// so neither is stored. Per-query scratch is deliberately excluded:
-  /// checkpoints happen at quiescent points and resume re-runs the
-  /// in-flight query from its root, walking the restored edges instead of
-  /// re-paying protocol steps.
-  void save(util::ckpt::SectionWriter& w) const;
-  /// Inverse of save(). Must run on a freshly constructed engine (the
-  /// ctor has already configured arena spill while the arena is empty);
-  /// the node arena restores its dictionary and re-interns its rows in id
-  /// order (ConfigArena::restore, with its refusals), the edges are
-  /// bulk-loaded, and register_config rebuilds each node's decide flags
-  /// from its row. The fact map starts empty. Shape mismatch (different
-  /// n, word count, or symmetry mode) throws util::CheckpointInvalid, and
-  /// so does a malformed edge group (util::spill::load_records) or an edge
-  /// word no engine could have written: a successor id that is neither a
-  /// restored node nor a sentinel, or a renaming that is not a permutation
-  /// of the process slots.
-  void restore(util::ckpt::SectionReader& r);
-
   /// State word marking a masked (outside-P) slot of a projected
   /// configuration. Protocols never produce it: every state in this repo is
   /// a small packed non-negative word or kNilValue (-1).
@@ -313,8 +285,10 @@ class ReachGraph {
   ConfigArena arena_;
   /// Per-node edge data, one spillable record per node id. flags_: bit v
   /// (v = 0, 1) set iff some process poised-decides v here; bits 2..7 are
-  /// the fact probe filter (fact_filter). Decide reads mask to bits 0..1;
-  /// checkpoints store no flags. succ_: n successor ids per node
+  /// the fact probe filter (fact_filter). Decide reads mask to bits 0..1.
+  /// No checkpoint holds any of this engine's state: a resumed oracle
+  /// starts it empty (ValencyOracle::restore_state). succ_: n successor
+  /// ids per node
   /// ([q] -> successor, kUnexpanded / kNoConfig sentinels).
   /// perm_: symmetric mode only, the renaming sigma per edge.
   util::spill::SpillStore<std::uint8_t> flags_;

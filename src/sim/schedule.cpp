@@ -37,7 +37,7 @@ std::string Schedule::to_string() const {
   std::string out;
   for (std::size_t i = 0; i < steps_.size(); ++i) {
     if (i) out += " ";
-    out += "p" + std::to_string(steps_[i]);
+    out += 'p' + std::to_string(steps_[i]);
   }
   return out;
 }

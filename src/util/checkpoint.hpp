@@ -57,8 +57,10 @@ std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0);
 /// Version 6: a delta record names its changed words with a bitmask
 /// instead of a count and per-word indices. Version 7: an arena stores a
 /// register-vector dictionary after its value dictionary, and a row is
-/// the n state codes plus one register-vector code.
-inline constexpr std::uint32_t kFormatVersion = 7;
+/// the n state codes plus one register-vector code. Version 8: a state
+/// file is the oracle's memo alone, each entry's root as plain words; the
+/// graph and roots sections are gone.
+inline constexpr std::uint32_t kFormatVersion = 8;
 
 /// Streaming writer for the versioned, per-section-CRC checkpoint file
 /// format (the state file and the manifest). Layout:

@@ -69,7 +69,7 @@ class ProcSet {
     bool first = true;
     for (int p : to_vector()) {
       if (!first) s += ",";
-      s += "p" + std::to_string(p);
+      s += 'p' + std::to_string(p);
       first = false;
     }
     return s + "}";

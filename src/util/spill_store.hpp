@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/checkpoint.hpp"
 #include "util/require.hpp"
 
 namespace tsb::util::spill {
@@ -105,9 +104,8 @@ constexpr std::size_t group_bound(std::size_t nrecs, std::size_t stride) {
 
 /// Encode records [0, nrecs) at `recs` (1 <= nrecs <= kGroupRecords) as
 /// one group at `out`, which must have group_bound(nrecs, stride) bytes.
-/// Returns the bytes written. The spill blocks and the checkpoint's coded
-/// record arrays are both made of these groups, so the encoding must not
-/// drift (tests pin its bytes).
+/// Returns the bytes written. The spill blocks are made of these groups,
+/// so the encoding must not drift (tests pin its bytes).
 template <class W>
 std::size_t encode_group(const W* recs, std::size_t nrecs, std::size_t stride,
                          std::uint8_t* out) {
@@ -181,25 +179,6 @@ const std::uint8_t* group_start(const std::uint8_t* block, std::size_t len,
   TSB_REQUIRE(off <= len - base && stride * sizeof(W) <= len - base - off,
               "spill codec: group offset runs past the block");
   return block + base + off;
-}
-
-/// Group `g`'s coded bytes in a `len`-byte block, its raw record first:
-/// the start and the length up to the next group's offset (the block's end
-/// for the last group), checked like group_start.
-template <class W>
-std::pair<const std::uint8_t*, std::size_t> group_span(
-    const std::uint8_t* block, std::size_t len, std::size_t g,
-    std::size_t stride) {
-  const std::uint8_t* p = group_start<W>(block, len, g, stride);
-  const std::size_t ngroups = get_u32(block);
-  const std::size_t off = static_cast<std::size_t>(p - block);
-  std::size_t next = len;
-  if (g + 1 < ngroups) {
-    next = 4 + 4 * ngroups + get_u32(block + 8 + 4 * g);
-    TSB_REQUIRE(next <= len && next >= off + stride * sizeof(W),
-                "spill codec: group offsets out of order");
-  }
-  return {p, next - off};
 }
 
 /// Apply one delta record at p (bounded by `end`) to `rec`. A mask that
@@ -324,8 +303,7 @@ class BackingFile {
 /// whole segment back to resident — decoding it, releasing the stale disk
 /// block (hole-punched), and letting the next quiescent spill re-encode it.
 /// read() on a spilled record decodes through a per-store forward cursor
-/// and never faults anything in; save() writes the records into a
-/// checkpoint as the codec's groups.
+/// and never faults anything in. No checkpoint holds a store's records.
 ///
 /// Thread safety: none — every owner runs its whole reachability pass on
 /// one thread.
@@ -435,17 +413,6 @@ class SpillStore {
     if (s.data != nullptr) return s.data.get() + (idx & mask_) * stride_;
     return read_spilled(s, idx);
   }
-
-  /// Write records [0, limit) into the open checkpoint section as the
-  /// codec's groups of kGroupRecords records from record 0, the last one
-  /// partial when `limit` is not a multiple: per group its first record
-  /// raw, a u32 count of the bytes that follow, then one delta record per
-  /// later record. A full group of a spilled segment is copied out of its
-  /// mapped block as it is; resident records are encoded one group at a
-  /// time into a one-group scratch buffer. Groups start at the same records
-  /// whatever the segment size and the codec is deterministic, so the bytes
-  /// do not depend on where the records live. load_records() reads them.
-  void save(ckpt::SectionWriter& w, std::size_t limit) const;
 
   /// Writable pointer to a record. Faults the segment back to resident if
   /// it was spilled (the record is about to change, so the on-disk copy is
@@ -601,88 +568,6 @@ class SpillStore {
 /// Probe `dir` with a backing file (unlinked at once, closed on return),
 /// so a run refuses an unusable spill directory before doing any work.
 void require_usable_dir(const std::string& dir);
-
-template <class W>
-void SpillStore<W>::save(ckpt::SectionWriter& w, std::size_t limit) const {
-  TSB_REQUIRE(limit <= size_, "SpillStore::save past size()");
-  const std::size_t raw = stride_ * sizeof(W);
-  std::vector<std::uint8_t> scratch(group_bound<W>(kGroupRecords, stride_));
-  std::vector<W> decoded;
-  const auto put = [&](const std::uint8_t* group, std::size_t bytes) {
-    w.put_bytes(group, raw);
-    w.put_u32(static_cast<std::uint32_t>(bytes - raw));
-    w.put_bytes(group + raw, bytes - raw);
-  };
-  for (std::size_t first = 0; first < limit; first += kGroupRecords) {
-    const std::size_t n = std::min(kGroupRecords, limit - first);
-    const Seg& s = segs_[first >> shift_];
-    const std::size_t local = first & mask_;
-    if (s.data != nullptr) {
-      put(scratch.data(), encode_group<W>(s.data.get() + local * stride_, n,
-                                          stride_, scratch.data()));
-      continue;
-    }
-    const std::uint8_t* block = s.blk.map;
-    if (n == kGroupRecords) {
-      const auto [p, bytes] =
-          group_span<W>(block, s.blk.bytes, local / kGroupRecords, stride_);
-      put(p, bytes);
-      continue;
-    }
-    // A spilled group cut short by `limit`: encode the prefix it keeps.
-    decoded.resize(kGroupRecords * stride_);
-    decode_group<W>(block, s.blk.bytes, local / kGroupRecords, stride_,
-                    decoded.data());
-    put(scratch.data(),
-        encode_group<W>(decoded.data(), n, stride_, scratch.data()));
-  }
-}
-
-/// Read `count` records of `stride` words, written by SpillStore::save,
-/// from the open checkpoint section, and hand them to
-/// fn(const W* recs, std::size_t n, std::uint64_t first) one group at a
-/// time. The bytes are hostile input: a group whose byte count runs past
-/// the section, whose deltas run past that count or stop short of it, or
-/// whose mask marks a word past the record is refused with
-/// util::CheckpointInvalid naming `where`.
-template <class W, class Fn>
-void load_records(ckpt::SectionReader& r, std::uint64_t count,
-                  std::size_t stride, const std::string& where, Fn&& fn) {
-  std::vector<W> recs(kGroupRecords * stride);
-  for (std::uint64_t first = 0; first < count; first += kGroupRecords) {
-    const std::size_t n = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kGroupRecords, count - first));
-    std::memcpy(recs.data(), r.get_bytes(stride * sizeof(W)),
-                stride * sizeof(W));
-    const std::uint32_t len = r.get_u32();
-    if (len > r.remaining()) {
-      throw CheckpointInvalid(
-          where + " group at record " + std::to_string(first) + " claims " +
-          std::to_string(len) + " bytes but the section has " +
-          std::to_string(r.remaining()) + " left");
-    }
-    const std::uint8_t* p = r.get_bytes(len);
-    const std::uint8_t* end = p + len;
-    try {
-      for (std::size_t c = 1; c < n; ++c) {
-        W* cur = recs.data() + c * stride;
-        std::memcpy(cur, cur - stride, stride * sizeof(W));
-        apply_delta<W>(p, end, stride, cur);
-      }
-    } catch (const RequirementFailed& e) {
-      throw CheckpointInvalid(where + " group at record " +
-                              std::to_string(first) +
-                              " is malformed: " + e.what());
-    }
-    if (p != end) {
-      throw CheckpointInvalid(
-          where + " group at record " + std::to_string(first) + " carries " +
-          std::to_string(end - p) + " bytes past its " + std::to_string(n) +
-          " records");
-    }
-    fn(static_cast<const W*>(recs.data()), n, first);
-  }
-}
 
 template <class W>
 std::size_t SpillStore<W>::maybe_spill(std::size_t resident_target,

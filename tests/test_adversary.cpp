@@ -44,7 +44,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(AdversaryCase{2, 4}, AdversaryCase{3, 6},
                       AdversaryCase{4, 8}, AdversaryCase{5, 15}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n);
+      return 'n' + std::to_string(info.param.n);
     });
 
 TEST(Certificate, RejectsWrongPoisedRegister) {

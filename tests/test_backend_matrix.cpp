@@ -11,8 +11,9 @@
 //            final checkpoint, then resumed from it
 //
 // The reference is the resident, straight-through reuse run. Each cell also
-// proves it is not vacuous: a spill cell must have put bytes on disk and a
-// resume cell must really have stopped. The no-reuse backend polls its
+// proves it is not vacuous: a spill cell must have put bytes on disk, and a
+// resume cell must really have stopped and resumed a memo that answers
+// queries. The no-reuse backend polls its
 // quiescent points every 4096 expansions, and only n = 5 has passes that
 // large, so its spill and resume cells run at n = 5 only.
 #include <gtest/gtest.h>
@@ -46,7 +47,7 @@ std::string cell_name(const Cell& c) {
   const char* spill = c.spill == Spill::kResident ? "resident"
                       : c.reuse                    ? "arena_graph"
                                                    : "arena";
-  return "n" + std::to_string(c.n) + "_" + (c.reuse ? "reuse" : "noreuse") +
+  return 'n' + std::to_string(c.n) + "_" + (c.reuse ? "reuse" : "noreuse") +
          "_" + spill + "_" + (c.resume ? "resumed" : "straight");
 }
 
@@ -112,7 +113,10 @@ TEST_P(BackendMatrix, CertificateMatchesResidentStraightReuseRun) {
   }
   if (cell.resume) {
     opts.checkpoint_dir = base + "/ckpt";
-    CheckpointService::global().stop_after_polls(cell.reuse ? 8 : 2);
+    // Stop early enough that the resumed run still spills (a reuse run
+    // at n = 3 polls only a handful of times) and, on the fresh-BFS
+    // backend, past its first pass, so the checkpoint holds memo entries.
+    CheckpointService::global().stop_after_polls(cell.reuse ? 3 : 12);
     const auto stopped = bound::SpaceBoundAdversary(proto, opts).run();
     ASSERT_TRUE(stopped.stopped)
         << "hook did not interrupt (ok=" << stopped.ok
@@ -135,13 +139,22 @@ TEST_P(BackendMatrix, CertificateMatchesResidentStraightReuseRun) {
   EXPECT_EQ(got.check.registers, reference.check.registers);
   EXPECT_EQ(got.valency_queries, reference.valency_queries);
 
-  if (cell.reuse) {
+  if (cell.resume) {
+    // A checkpoint is the memo: the resumed run answers the checkpointed
+    // pairs from it, so it hits more often than the uninterrupted run.
+    EXPECT_GT(got.valency_cache_hits, reference.valency_cache_hits)
+        << "the resumed run's memo was not warm";
+  }
+  if (cell.reuse && !cell.resume) {
     // The engine's discovery order depends on nothing but the query
-    // sequence, so its counts match exactly. A resumed run's restored
-    // counter plus its replay expansions equals the uninterrupted total.
+    // sequence, so its counts match exactly. A resumed run starts the
+    // graph empty and counts only its own passes.
     EXPECT_EQ(got.reach_expanded, reference.reach_expanded);
     EXPECT_EQ(got.reach_graph_nodes, reference.reach_graph_nodes);
     EXPECT_EQ(got.reach_fact_subsumed, reference.reach_fact_subsumed);
+  }
+  if (cell.reuse) {
+    EXPECT_GT(got.reach_expanded, 0u);
     EXPECT_GT(got.reach_reused, 0u);
   } else {
     EXPECT_EQ(got.reach_expanded, 0u);

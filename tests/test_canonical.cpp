@@ -434,7 +434,7 @@ TEST_P(DifferentialTest, SharedEngineMatchesFreshBfsQueryByQuery) {
 
 INSTANTIATE_TEST_SUITE_P(Ballot, DifferentialTest, ::testing::Values(3, 4, 5),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param);
+                           return 'n' + std::to_string(info.param);
                          });
 
 }  // namespace

@@ -36,7 +36,6 @@
 #include "obs/obs.hpp"
 #include "sim/config_arena.hpp"
 #include "sim/engine.hpp"
-#include "sim/reach_graph.hpp"
 #include "util/checkpoint.hpp"
 #include "util/iofault.hpp"
 #include "util/require.hpp"
@@ -535,67 +534,6 @@ TEST_F(IoFaultTest, SpillWriteFailureIsBudgetExhausted) {
   EXPECT_THROW(arena.maybe_spill(sim::kNoConfig), BudgetExhausted);
 }
 
-// --- ConfigArena restore -----------------------------------------------------
-
-std::vector<sim::Value> arena_row(sim::Value i) { return {i % 1'000, i / 1'000, -1}; }
-
-TEST(ArenaRestore, TableIsSizedOnceForTheSavedRows) {
-  // restore() sizes the dedup table for the section's row count up front:
-  // the same table a straight-through fill grows to, every row at its id.
-  sim::ConfigArena arena(2, 1, "test");
-  for (sim::Value i = 0; i < 100'000; ++i) {
-    ASSERT_TRUE(arena.intern(arena_row(i).data()).inserted);
-  }
-  const std::string path = tdir("arena_presize") + "/arena.bin";
-  {
-    SectionWriter w(path);
-    w.begin("arena");
-    arena.save(w);
-    w.end();
-    w.finish();
-  }
-  sim::ConfigArena restored(2, 1, "test");
-  SectionReader r(path);
-  r.expect("arena");
-  restored.restore(r, "arena");
-  EXPECT_EQ(r.remaining(), 0u);
-  ASSERT_EQ(restored.size(), arena.size());
-  EXPECT_EQ(restored.table_slots(), arena.table_slots());
-  for (sim::Value i = 0; i < 100'000; i += 997) {
-    EXPECT_EQ(restored.find(arena_row(i).data()), static_cast<sim::ConfigId>(i));
-  }
-}
-
-TEST(ArenaRestore, HostileRowCountIsRefusedWithoutSizingForIt) {
-  // A section claiming 2^40 rows but holding one group's header: the table
-  // is sized for the 64 rows those bytes could hold, never for the claim
-  // (which would be a multi-TiB allocation), and the short group is
-  // refused as a malformed checkpoint.
-  const std::string path = tdir("arena_hostile") + "/arena.bin";
-  {
-    SectionWriter w(path);
-    w.begin("arena");
-    w.put_u32(3);  // dictionary: 0, 1, -1
-    w.put_i64(0);
-    w.put_i64(1);
-    w.put_i64(-1);
-    w.put_u32(1);  // register vectors: 0 -> (-1)
-    const sim::Code vec[1] = {2};
-    w.put_bytes(vec, sizeof vec);
-    w.put_u64(std::uint64_t{1} << 40);
-    const sim::Code raw[3] = {0, 1, 0};
-    w.put_bytes(raw, sizeof raw);
-    w.put_u32(0);  // no deltas for the group's other 63 rows
-    w.end();
-    w.finish();
-  }
-  sim::ConfigArena arena(2, 1, "test");
-  SectionReader r(path);
-  r.expect("arena");
-  EXPECT_THROW(arena.restore(r, "arena"), CheckpointInvalid);
-  EXPECT_EQ(arena.table_slots(), 1024u);
-}
-
 // --- CheckpointService orchestration ---------------------------------------
 
 class CheckpointServiceTest : public ::testing::Test {
@@ -771,7 +709,7 @@ TEST(OracleState, SaveRestoreRoundtripPreservesVerdictsWarm) {
     b.restore_state(r);
     r.expect_end();
   }
-  EXPECT_EQ(b.graph_nodes(), a.graph_nodes());
+  EXPECT_EQ(b.memo_entries(), a.memo_entries());
   EXPECT_EQ(b.state_fingerprint(), a.state_fingerprint());
   // The restored memo answers the same queries without a single fresh
   // reachability pass: that warm-ness is what makes resume's replay of the
@@ -810,249 +748,82 @@ TEST(OracleState, FingerprintCoversVerdictAffectingOptions) {
   EXPECT_NE(base.state_fingerprint(), no_reuse.state_fingerprint());
 }
 
-// --- Hostile graph sections ------------------------------------------------
-
-/// Write `recs` (records of `stride` words) into the open section the way
-/// the engines store their rows: through a SpillStore's save().
-template <class W>
-void put_coded(SectionWriter& w, const std::vector<W>& recs,
-               std::size_t stride) {
-  util::spill::SpillStore<W> store;
-  store.init("test", stride, W{});
-  for (std::size_t i = 0; i < recs.size(); i += stride) {
-    store.append(recs.data() + i);
-  }
-  store.save(w, store.size());
-}
-
-/// A CRC-valid "graph" section for `proto` with two nodes (all-zero and
-/// all-one words: a two-value dictionary and rows of code 0 and code 1) and
-/// the given per-node edge rows — `succ` holds 2 * n successor ids and, in
-/// symmetric mode, `perm` 2 * n renamings; `rows` (2 * (n + m) codes), when
-/// given, replaces the code rows. Written through SectionWriter, so only
-/// the graph parser can refuse it.
-std::string write_graph_section(const std::string& tag,
-                                const sim::Protocol& proto,
-                                const std::vector<std::uint32_t>& succ,
-                                const std::vector<std::uint64_t>& perm,
-                                std::vector<sim::Code> rows = {}) {
-  const int n = proto.num_processes();
-  const std::size_t m = static_cast<std::size_t>(proto.num_registers());
-  const std::size_t words = static_cast<std::size_t>(n) + m;
-  const std::size_t stride = static_cast<std::size_t>(n) + 1;
-  const std::string path = tdir(tag) + "/graph.bin";
+/// `oracle`'s sections alone in a checkpoint file; returns its path.
+std::string save_oracle(const bound::ValencyOracle& oracle,
+                        const std::string& tag) {
+  const std::string path = tdir(tag) + "/state.bin";
   SectionWriter w(path);
-  w.begin("graph");
-  w.put_u32(static_cast<std::uint32_t>(n));
-  w.put_u32(static_cast<std::uint32_t>(words));
-  w.put_u8(perm.empty() ? 0 : 1);
-  w.put_u8(1);  // facts on (n <= 28)
-  w.put_u32(2);  // dictionary: code 0 -> 0, code 1 -> 1
-  w.put_i64(0);
-  w.put_i64(1);
-  w.put_u32(2);  // register vectors: 0 -> all code 0, 1 -> all code 1
-  std::vector<sim::Code> vecs(m, 0);
-  vecs.resize(2 * m, 1);
-  w.put_bytes(vecs.data(), vecs.size() * sizeof(sim::Code));
-  w.put_u64(2);
-  if (rows.empty()) {
-    rows.assign(stride, 0);
-    rows.resize(2 * stride, 1);
-  }
-  put_coded(w, rows, stride);
-  put_coded(w, succ, static_cast<std::size_t>(n));
-  if (!perm.empty()) put_coded(w, perm, static_cast<std::size_t>(n));
-  for (int i = 0; i < 4; ++i) w.put_u64(0);  // expansion counters
-  w.end();
+  oracle.save_state(w);
   w.finish();
   return path;
 }
 
-/// `graph`'s "graph" section, alone in a checkpoint file; returns its path.
-std::string save_graph(const sim::ReachGraph& graph, const std::string& tag) {
-  const std::string path = tdir(tag) + "/graph.bin";
-  SectionWriter w(path);
-  graph.save(w);
-  w.finish();
-  return path;
-}
-
-void restore_graph(const sim::Protocol& proto, const std::string& path) {
-  sim::ReachGraph graph(proto, {});
-  SectionReader r(path);
-  graph.restore(r);
-}
-
-// Edge sentinels as ReachGraph stores them: never expanded / decided here.
-constexpr std::uint32_t kUnexpanded = 0xFFFFFFFEu;
-constexpr std::uint32_t kNoSucc = 0xFFFFFFFFu;
-constexpr std::uint64_t kIdentityPerm = 0x0706050403020100ull;
-
-TEST(GraphRestore, OutOfRangeSuccessorIdIsRefused) {
-  consensus::BallotConsensus proto(3, 6);
-  ASSERT_FALSE(proto.symmetric());
-  // Control: in-range ids and both sentinels restore.
-  EXPECT_NO_THROW(restore_graph(
-      proto, write_graph_section("succ_ok", proto,
-                                 {1, kUnexpanded, kNoSucc, 0, 1, kUnexpanded},
-                                 {})));
-  // Id 2 names a node the section does not restore: it would index the
-  // visited marks and the arena out of bounds on the first walk.
-  EXPECT_THROW(restore_graph(proto, write_graph_section(
-                                        "succ_bad", proto,
-                                        {1, kUnexpanded, kNoSucc, 0, 2, 1},
-                                        {})),
-               CheckpointInvalid);
-}
-
-TEST(GraphRestore, NonPermutationRenamingIsRefused) {
-  consensus::RacingConsensus proto(3);
-  ASSERT_TRUE(proto.symmetric());
-  const std::vector<std::uint32_t> succ(6, kUnexpanded);
-  std::vector<std::uint64_t> perm(6, kIdentityPerm);
-  perm[1] = 0x0706050403020001ull;  // a real renaming: swaps slots 0 and 1
-  EXPECT_NO_THROW(
-      restore_graph(proto, write_graph_section("perm_ok", proto, succ, perm)));
-  // Slot 0 renamed to 9: ProcPerm would shift by 72 bits.
-  perm[4] = 0x0706050403020109ull;
-  EXPECT_THROW(
-      restore_graph(proto, write_graph_section("perm_wide", proto, succ, perm)),
-      CheckpointInvalid);
-  // In range but not a bijection: slots 0 and 1 both map to 0.
-  perm[4] = 0x0706050403020000ull;
-  EXPECT_THROW(
-      restore_graph(proto, write_graph_section("perm_dup", proto, succ, perm)),
-      CheckpointInvalid);
-}
-
-TEST(GraphRestore, CodePastTheDictionaryInADeltaRowIsRefused) {
-  // Node 1's row is stored as a delta against node 0's: a delta that moves
-  // a state code to the value dictionary's size (2), or the vector code to
-  // the register-vector dictionary's size (2), names nothing.
-  consensus::BallotConsensus proto(3, 6);
-  const std::vector<std::uint32_t> succ(6, kUnexpanded);
-  const std::size_t stride = 3 + 1;
-  std::vector<sim::Code> rows(2 * stride, 0);
-  rows[stride] = 1;  // control: distinct rows, every code named
-  EXPECT_NO_THROW(restore_graph(
-      proto, write_graph_section("codes_ok", proto, succ, {}, rows)));
-  std::vector<sim::Code> bad_state = rows;
-  bad_state[2 * stride - 2] = 2;
-  EXPECT_THROW(restore_graph(proto, write_graph_section("codes_bad", proto,
-                                                        succ, {}, bad_state)),
-               CheckpointInvalid);
-  std::vector<sim::Code> bad_vec = rows;
-  bad_vec[2 * stride - 1] = 2;
-  EXPECT_THROW(restore_graph(proto, write_graph_section("vec_bad", proto,
-                                                        succ, {}, bad_vec)),
-               CheckpointInvalid);
-}
-
-TEST(GraphRestore, SpilledSymmetricGraphRoundTripsByteForByte) {
-  // Symmetric mode stores a renaming per edge. A graph saved with its
-  // segments spilled restores into a resident engine with the same node
-  // ids and edges: saving that engine again gives the same bytes,
-  // and the query comes back with the same answer and witnesses without
-  // paying a protocol step.
-  consensus::RacingConsensus proto(3);
-  ASSERT_TRUE(proto.symmetric());
-  const sim::Config c = sim::initial_config(proto, {0, 1, 1});
-  const util::ProcSet p = util::ProcSet::first_n(3);
-  const sim::Limits spill{.spill = {.dir = tdir("sym_spill"),
-                                    .threshold_bytes = 1,
-                                    .seg_configs = 64}};
-  sim::ReachGraph graph(proto, {.limits = spill});
-  sim::ProcPerm pi;
-  const auto before = graph.query(c, p, &pi);
-  ASSERT_FALSE(before.truncated);
-  ASSERT_GT(graph.edge_spilled_bytes(), 0u)
-      << "forced spill never engaged; the round trip would be vacuous";
-  const std::string first = save_graph(graph, "sym_first");
-  sim::ReachGraph restored(proto, {});
-  {
-    SectionReader r(first);
-    restored.restore(r);
-  }
-  EXPECT_EQ(restored.nodes(), graph.nodes());
-  EXPECT_TRUE(slurp(first) == slurp(save_graph(restored, "sym_second")));
-  sim::ProcPerm pi2;
-  const auto after = restored.query(c, p, &pi2);
-  EXPECT_EQ(after.expanded, 0u);
-  EXPECT_EQ(pi2.packed(), pi.packed());
-  for (int v = 0; v < 2; ++v) {
-    EXPECT_EQ(after.can[v], before.can[v]) << v;
-    EXPECT_EQ(after.witness[v].steps(), before.witness[v].steps()) << v;
-    EXPECT_EQ(after.witness_id[v], before.witness_id[v]) << v;
-  }
-}
-
-TEST(GraphRestore, RestoredGraphAnswersTheQueryWithTheSameWitness) {
-  // Checkpoints store no facts: the restored graph walks its stored edges
-  // instead, without paying a protocol step, and rebuilds the same answer
-  // the original graph gave — the BFS one and the one its facts gave.
-  consensus::BallotConsensus proto(3, 9);
-  const sim::Config c = sim::initial_config(proto, {1, 1, 1});
-  const util::ProcSet p = util::ProcSet::single(1).with(2);
-  sim::ProcPerm pi;
-  sim::ReachGraph graph(proto, {});
-  const auto walked = graph.query(c, p, &pi);  // drains, persists facts
-  ASSERT_FALSE(walked.from_facts);
-  const auto before = graph.query(c, p, &pi);
-  ASSERT_TRUE(before.from_facts);
-  ASSERT_TRUE(before.can[1]);
-
-  sim::ReachGraph restored(proto, {});
-  SectionReader r(save_graph(graph, "restored_walk"));
-  restored.restore(r);
-  EXPECT_EQ(restored.fact_entries(), 0u);
-  const auto after = restored.query(c, p, &pi);
-  EXPECT_FALSE(after.from_facts);
-  EXPECT_EQ(after.expanded, 0u);
-  for (const auto* was : {&walked, &before}) {
-    for (int v = 0; v < 2; ++v) {
-      EXPECT_EQ(after.can[v], was->can[v]) << v;
-      EXPECT_EQ(after.witness[v].steps(), was->witness[v].steps()) << v;
-      EXPECT_EQ(after.witness_id[v], was->witness_id[v]) << v;
+TEST(OracleState, SaveRestoreSaveIsByteIdentical) {
+  // The memo goes out in (root, P) order, and restore interns the roots
+  // in that order, so a restored oracle saves the bytes it was restored
+  // from: on both backends, and on the symmetric quotient too.
+  consensus::BallotConsensus ballot(3, 6);
+  consensus::RacingConsensus racing(
+      3, consensus::RacingConsensus::AdoptRule::kAtLeast);
+  ASSERT_TRUE(racing.symmetric());
+  for (const sim::Protocol* proto :
+       {static_cast<const sim::Protocol*>(&ballot),
+        static_cast<const sim::Protocol*>(&racing)}) {
+    for (const bool reuse : {true, false}) {
+      SCOPED_TRACE(proto->name() + (reuse ? " reuse" : " no-reuse"));
+      const std::string tag =
+          proto->name().substr(0, 6) + (reuse ? "_reuse" : "_fresh");
+      bound::ValencyOracle a(*proto, {.reuse = reuse});
+      const sim::Config init = sim::initial_config(*proto, {0, 1, 1});
+      (void)a.bivalent(init, sim::ProcSet::first_n(3));
+      (void)a.can_decide(init, sim::ProcSet::single(0).with(2), 1);
+      (void)a.can_decide(init, sim::ProcSet::single(1), 0);
+      ASSERT_GE(a.memo_entries(), 3u);
+      const std::string first = save_oracle(a, tag + "_first");
+      bound::ValencyOracle b(*proto, {.reuse = reuse});
+      SectionReader r(first);
+      b.restore_state(r);
+      r.expect_end();
+      EXPECT_EQ(b.memo_entries(), a.memo_entries());
+      EXPECT_TRUE(slurp(save_oracle(b, tag + "_second")) == slurp(first));
     }
   }
 }
 
-TEST(GraphRestore, DecidedNodesRoundTripByteForByte) {
-  // Checkpoints store no decide flags: restore() rebuilds them from each
-  // node's row through register_config, whose kNoConfig markers the
-  // stored successor rows already hold. On a non-symmetric graph with
-  // decided nodes, save -> restore -> save gives the same bytes, and the
-  // restored graph answers every query from its edges alone.
-  consensus::BallotConsensus proto(3, 9);
-  ASSERT_FALSE(proto.symmetric());
+TEST(OracleState, SymmetricEntriesRekeyIntoTheirCanonicalFrame) {
+  // On a symmetric protocol a query and its renaming share one memo entry,
+  // stored in the canonical frame. The restored entry must land in that
+  // frame again: the renamed query hits it, and the witness it hands back,
+  // translated into the caller's process ids, replays from the caller's
+  // own configuration.
+  consensus::RacingConsensus proto(
+      3, consensus::RacingConsensus::AdoptRule::kAtLeast);
   const sim::Config c = sim::initial_config(proto, {0, 1, 1});
-  const std::vector<util::ProcSet> ps = {util::ProcSet::first_n(3),
-                                         util::ProcSet::single(0).with(2),
-                                         util::ProcSet::single(1)};
-  sim::ReachGraph graph(proto, {});
-  std::vector<sim::ReachGraph::QueryResult> before;
-  sim::ProcPerm pi;
-  for (const util::ProcSet p : ps) before.push_back(graph.query(c, p, &pi));
-  ASSERT_TRUE(before[0].can[0] && before[0].can[1])
-      << "the full-P query must reach nodes that decide each value";
-  const std::string first = save_graph(graph, "decided_first");
-  sim::ReachGraph restored(proto, {});
-  {
-    SectionReader r(first);
-    restored.restore(r);
-  }
-  EXPECT_EQ(restored.nodes(), graph.nodes());
-  EXPECT_TRUE(slurp(first) == slurp(save_graph(restored, "decided_second")));
-  for (std::size_t i = 0; i < ps.size(); ++i) {
-    const auto after = restored.query(c, ps[i], &pi);
-    EXPECT_EQ(after.expanded, 0u) << i;
-    for (int v = 0; v < 2; ++v) {
-      EXPECT_EQ(after.can[v], before[i].can[v]) << i << " " << v;
-      EXPECT_EQ(after.witness[v].steps(), before[i].witness[v].steps())
-          << i << " " << v;
-      EXPECT_EQ(after.witness_id[v], before[i].witness_id[v]) << i << " " << v;
+  const sim::Config swapped = sim::initial_config(proto, {1, 0, 1});
+  const sim::ProcSet p = sim::ProcSet::single(0).with(2);
+  const sim::ProcSet q = sim::ProcSet::single(1).with(2);  // p renamed
+
+  bound::ValencyOracle a(proto);
+  const bool biv = a.bivalent(c, p);
+  ASSERT_EQ(a.explorations(), 1u);
+  ASSERT_EQ(a.bivalent(swapped, q), biv);
+  ASSERT_EQ(a.explorations(), 1u) << "the renaming missed the memo";
+  bound::ValencyOracle b(proto);
+  SectionReader r(save_oracle(a, "sym_rekey"));
+  b.restore_state(r);
+  EXPECT_EQ(b.memo_entries(), 1u);
+  for (const auto& [root, procs] : {std::pair{c, p}, std::pair{swapped, q}}) {
+    for (const sim::Value v : {0, 1}) {
+      const auto w = b.deciding_schedule(root, procs, v);
+      EXPECT_EQ(w.has_value(), a.can_decide(root, procs, v));
+      if (!w) continue;
+      for (const sim::ProcId step : w->steps()) {
+        EXPECT_TRUE(procs.contains(step));
+      }
+      EXPECT_TRUE(sim::some_decided(proto, sim::run(proto, root, *w), v));
     }
   }
+  EXPECT_EQ(b.explorations(), 0u) << "a restored entry was re-keyed wrongly";
 }
 
 // --- Adversary-level resume ------------------------------------------------
@@ -1182,6 +953,67 @@ TEST_F(AdversaryResumeTest, FormatSixCheckpointIsRefused) {
   // Format 6 stored every register word's code in each arena row; format 7
   // stores one register-vector code per row and the vector dictionary.
   expect_older_format_refused("format_six", 6);
+}
+
+TEST_F(AdversaryResumeTest, FormatSevenCheckpointIsRefused) {
+  // Format 7 stored the reach graph and the root arena next to the memo;
+  // format 8 stores the memo alone, each root as plain words.
+  expect_older_format_refused("format_seven", 7);
+}
+
+TEST_F(AdversaryResumeTest, SymmetricRacingResumesToTheStraightCertificate) {
+  // The symmetric quotient stores memo entries in the canonical frame of
+  // their projected root. A run stopped after a few checkpoint polls and
+  // resumed re-keys every entry through the engine's canonicalization,
+  // and must then rebuild the straight run's construction exactly.
+  for (const int n : {3, 4}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    consensus::RacingConsensus proto(
+        n, consensus::RacingConsensus::AdoptRule::kAtLeast);
+    ASSERT_TRUE(proto.symmetric());
+    const auto straight = bound::SpaceBoundAdversary(proto).run();
+    ASSERT_TRUE(straight.ok) << straight.error;
+    CheckpointService::global().reset();
+
+    bound::SpaceBoundAdversary::Options opts;
+    opts.checkpoint_dir = tdir("racing_" + std::to_string(n));
+    CheckpointService::global().stop_after_polls(4);
+    const auto stopped = bound::SpaceBoundAdversary(proto, opts).run();
+    ASSERT_TRUE(stopped.stopped) << "the hook did not interrupt the run";
+    CheckpointService::global().reset();
+
+    opts.resume = true;
+    const auto resumed = bound::SpaceBoundAdversary(proto, opts).run();
+    ASSERT_TRUE(resumed.ok) << resumed.error;
+    EXPECT_TRUE(resumed.check.ok) << resumed.check.error;
+    expect_same_certificate(straight, resumed);
+    EXPECT_EQ(resumed.valency_queries, straight.valency_queries);
+    EXPECT_GT(resumed.valency_cache_hits, straight.valency_cache_hits)
+        << "the resumed run's memo was not warm";
+    CheckpointService::global().reset();
+  }
+}
+
+TEST_F(AdversaryResumeTest, ResidentCheckpointResumesSpilled) {
+  // No saved byte depends on where records lived, so the spill plan is
+  // not part of the fingerprint: a resident n = 5 checkpoint resumes with
+  // the campaign's out-of-core plan and reaches the same certificate.
+  const std::string dir = tdir("resident_to_spilled");
+  const auto straight = run_adversary(5, 15, dir, false, /*every=*/100000);
+  ASSERT_TRUE(straight.ok) << straight.error;
+  CheckpointService::global().reset();
+
+  consensus::BallotConsensus proto(5, 15);
+  bound::SpaceBoundAdversary::Options opts;
+  opts.checkpoint_dir = dir;
+  opts.resume = true;
+  opts.spill_dir = tdir("resident_to_spilled_spill");
+  opts.spill_threshold_bytes = 1 << 20;
+  opts.spill_seg_configs = 512;
+  const auto resumed = bound::SpaceBoundAdversary(proto, opts).run();
+  ASSERT_TRUE(resumed.ok) << resumed.error;
+  EXPECT_TRUE(resumed.check.ok) << resumed.check.error;
+  expect_same_certificate(straight, resumed);
 }
 
 TEST_F(AdversaryResumeTest, CorruptStateFileIsRefused) {
@@ -1335,7 +1167,10 @@ TEST_F(AdversaryResumeTest, SigkillMidRunResumesToIdenticalCertificate) {
   ASSERT_TRUE(resumed.ok) << resumed.error;
   EXPECT_TRUE(resumed.check.ok) << resumed.check.error;
   expect_same_certificate(baseline, resumed);
-  EXPECT_EQ(resumed.reach_expanded, baseline.reach_expanded);
+  // The resumed run answers the checkpointed pairs from its memo and
+  // re-expands only what the in-flight and later passes walk.
+  EXPECT_EQ(resumed.valency_queries, baseline.valency_queries);
+  EXPECT_GT(resumed.valency_cache_hits, baseline.valency_cache_hits);
 }
 
 }  // namespace

@@ -1,21 +1,21 @@
 // Seeded mutation test for the checkpoint decoders: Manifest::load,
-// SectionReader, and every state section's restore path (the oracle, roots
-// and memo sections of ValencyOracle::restore_state, and the ReachGraph
-// section it carries, down to the arenas' value dictionaries and code
-// rows), all reached through CheckpointService::resume the way
-// `tsb resume` reaches them. The corpus is the committed checkpoint of
-// an adversary run (its manifest.tsb and its state file): n=4 on the
-// shared engine, and n=5 on the fresh-BFS backend, whose roots arena is
-// the one that holds configurations (its n=4 passes are too short to
-// reach a checkpoint poll).
+// SectionReader, and both state sections of ValencyOracle::restore_state
+// (the oracle section's shape and the memo's entries: root words, P, the
+// answers and their witnesses, re-keyed and replayed on restore), all
+// reached through CheckpointService::resume the way `tsb resume` reaches
+// them. The corpus is the committed checkpoint of an adversary run (its
+// manifest.tsb and its state file): n=4 on the shared engine, and n=5 on
+// the fresh-BFS backend (its n=4 passes are too short to reach a
+// checkpoint poll).
 //
 //   * With the CRCs left stale, every byte flip or truncation must be
 //     refused with util::CheckpointInvalid.
 //   * With each mutated section's CRC recomputed, the framing stays valid
 //     and the mutation reaches the section decoders: every mutant must be
 //     refused with util::CheckpointInvalid or restore cleanly — never a
-//     crash, a hang, std::bad_alloc or undefined behaviour (the ASan+UBSan
-//     build runs this with the rest of ctest).
+//     util::RequirementFailed, a crash, a hang, std::bad_alloc or
+//     undefined behaviour (the ASan+UBSan build runs this with the rest
+//     of ctest).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +30,7 @@
 #include "bound/adversary.hpp"
 #include "bound/valency.hpp"
 #include "consensus/ballot.hpp"
+#include "sim/engine.hpp"
 #include "util/checkpoint.hpp"
 #include "util/require.hpp"
 
@@ -195,33 +196,83 @@ bool resume_from(const Bytes& manifest, const Bytes& state,
   return restored;
 }
 
-/// Where an arena's fields start in a state file: the value dictionary's
-/// u32 count at `at` (then i64 values), the register-vector dictionary's
-/// u32 count at `vecs` (then m u16 codes per vector), the u64 row count
-/// at `rows` (then the code rows as delta groups, n + 1 codes per row).
-/// The corpus protocol has m = n.
-struct ArenaLayout {
-  std::size_t n = 0;
+/// One memo entry of a state file, by payload offsets: the root's n + m
+/// i64 words at `at`, the u64 P after them, then per value a u8 can, a u32
+/// witness length and one byte per step (`wit[v]` is the can byte).
+struct Entry {
   std::size_t at = 0;
-  std::size_t nd = 0;
-  std::size_t vecs = 0;
-  std::size_t nv = 0;
-  std::size_t rows = 0;
+  std::size_t pbits = 0;
+  std::size_t wit[2] = {0, 0};
+  std::size_t len[2] = {0, 0};
+  std::size_t end = 0;
 };
 
-/// The arena of corpus `c`'s state-file section `s` (the graph section
-/// opens with n, the word count, the symmetry flag and the facts flag;
-/// roots opens with its arena), or nullopt for a section that holds none.
-std::optional<ArenaLayout> arena_layout(const Corpus& c, const Section& s) {
-  if (s.name != "graph" && s.name != "roots") return std::nullopt;
-  ArenaLayout a;
-  a.n = static_cast<std::size_t>(c.n);
-  a.at = s.payload + (s.name == "graph" ? 10 : 0);
-  a.nd = static_cast<std::size_t>(rd_le(c.state, a.at, 4));
-  a.vecs = a.at + 4 + 8 * a.nd;
-  a.nv = static_cast<std::size_t>(rd_le(c.state, a.vecs, 4));
-  a.rows = a.vecs + 4 + 2 * a.n * a.nv;
-  return a;
+/// Words per memo root of corpus `c`: BallotConsensus has n registers.
+std::size_t root_words(const Corpus& c) {
+  return 2 * static_cast<std::size_t>(c.n);
+}
+
+/// The memo payload's entries (a u64 count, then the entries).
+std::vector<Entry> entries(const Corpus& c, const Bytes& memo) {
+  std::vector<Entry> out;
+  std::size_t at = 8;
+  for (std::uint64_t e = rd_le(memo, 0, 8); e > 0; --e) {
+    Entry en;
+    en.at = at;
+    en.pbits = at + 8 * root_words(c);
+    at = en.pbits + 8;
+    for (int v = 0; v < 2; ++v) {
+      en.wit[v] = at;
+      en.len[v] = rd_le(memo, at + 1, 4);
+      at += 5 + en.len[v];
+    }
+    en.end = at;
+    out.push_back(en);
+  }
+  return out;
+}
+
+Section memo_section(const Bytes& state) {
+  for (const Section& s : sections(state)) {
+    if (s.name == "memo") return s;
+  }
+  ADD_FAILURE() << "no memo section in the corpus";
+  return {};
+}
+
+/// Corpus `c`'s memo payload.
+Bytes memo_payload(const Corpus& c) {
+  const Section s = memo_section(c.state);
+  return Bytes(c.state.begin() + static_cast<std::ptrdiff_t>(s.payload),
+               c.state.begin() + static_cast<std::ptrdiff_t>(s.payload + s.len));
+}
+
+/// Corpus `c`'s state file with the memo payload replaced by `memo`, its
+/// length and CRC rewritten so the section frames correctly and only the
+/// memo decoder can refuse it.
+Bytes with_memo(const Corpus& c, const Bytes& memo) {
+  const Section s = memo_section(c.state);
+  const auto at = [&](std::size_t off) {
+    return c.state.begin() + static_cast<std::ptrdiff_t>(off);
+  };
+  Bytes state(c.state.begin(), at(s.payload));
+  state.insert(state.end(), memo.begin(), memo.end());
+  state.insert(state.end(), at(s.payload + s.len), c.state.end());
+  Section out = s;
+  out.len = memo.size();
+  put_le(state, s.payload - 12, out.len, 8);
+  fix_crc(state, out);
+  return state;
+}
+
+/// The root configuration of entry `e`.
+sim::Config root_of(const Corpus& c, const Bytes& memo, const Entry& e) {
+  sim::Config cfg;
+  for (std::size_t w = 0; w < root_words(c); ++w) {
+    const auto x = static_cast<sim::Value>(rd_le(memo, e.at + 8 * w, 8));
+    (w < static_cast<std::size_t>(c.n) ? cfg.states : cfg.regs).push_back(x);
+  }
+  return cfg;
 }
 
 /// Every mutable section of a corpus, tagged with its file.
@@ -248,22 +299,16 @@ TEST(CheckpointMutation, CorpusResumesAndCoversEverySection) {
         resume_from(corpus(reuse).manifest, corpus(reuse).state, reuse));
     std::vector<std::string> names;
     for (const Target& t : targets(reuse)) names.push_back(t.sec.name);
-    std::vector<std::string> expect = {"manifest", "oracle", "roots", "memo"};
-    if (reuse) expect.push_back("graph");
+    const std::vector<std::string> expect = {"manifest", "oracle", "memo"};
     EXPECT_EQ(names, expect);
-    for (const Target& t : targets(reuse)) {
-      if (t.sec.name != "roots") continue;
-      const ArenaLayout a = *arena_layout(corpus(reuse), t.sec);
-      // The shared engine keys its memo on graph nodes, so its roots arena
-      // stays empty: three zero counts. The fresh-BFS one holds roots.
-      if (reuse) {
-        EXPECT_EQ(t.sec.len, 16u);
-      } else {
-        EXPECT_GE(a.nd, 2u);
-        EXPECT_GE(a.nv, 2u);
-        EXPECT_GE(rd_le(corpus(reuse).state, a.rows, 8), 1u);
-      }
-    }
+    // Entries with a positive witness, which restore replays.
+    const Bytes memo = memo_payload(corpus(reuse));
+    const std::vector<Entry> es = entries(corpus(reuse), memo);
+    EXPECT_GE(es.size(), 2u);
+    EXPECT_EQ(es.back().end, memo.size());
+    EXPECT_TRUE(std::any_of(es.begin(), es.end(), [](const Entry& e) {
+      return e.len[0] > 0 || e.len[1] > 0;
+    }));
   }
 }
 
@@ -300,29 +345,26 @@ TEST(CheckpointMutation, CrcValidMutantsAreRefusedOrRestoreCleanly) {
     const Corpus& c = corpus(reuse);
     for (const Target& t : targets(reuse)) {
       const Bytes& pristine = t.in_manifest ? c.manifest : c.state;
-      // An arena's register-vector dictionary, its row count and first
-      // row; the whole section when it holds no arena.
-      std::size_t vec_from = 0;
-      std::size_t vec_span = t.sec.len;
-      if (!t.in_manifest) {
-        if (const auto a = arena_layout(c, t.sec)) {
-          vec_from = a->vecs - t.sec.payload;
-          vec_span = std::min<std::size_t>(
-              t.sec.len - vec_from, a->rows + 8 + 2 * (a->n + 1) - a->vecs);
-        }
+      // The memo's first root and P; the whole section elsewhere.
+      std::size_t root_from = 0;
+      std::size_t root_span = t.sec.len;
+      if (!t.in_manifest && t.sec.name == "memo") {
+        root_from = 8;
+        root_span = std::min<std::size_t>(t.sec.len - 8,
+                                          8 * root_words(c) + 8);
       }
       for (int i = 0; i < kMutantsPerSection; ++i) {
         Bytes m = pristine;
         // A third of the mutants hit the section's leading bytes, where
         // the counts, shape words and first lengths live, and a third hit
-        // the register-vector fields above; the rest land anywhere in it.
+        // the root words and P above; the rest land anywhere in it.
         std::size_t from = 0;
         std::size_t span = t.sec.len;
         if (i % 3 == 0) {
           span = std::min<std::size_t>(t.sec.len, 32);
         } else if (i % 3 == 1) {
-          from = vec_from;
-          span = vec_span;
+          from = root_from;
+          span = root_span;
         }
         const int flips = 1 + static_cast<int>(rng() % 4);
         std::size_t first = 0;
@@ -341,147 +383,197 @@ TEST(CheckpointMutation, CrcValidMutantsAreRefusedOrRestoreCleanly) {
   }
 }
 
-TEST(CheckpointMutation, ArenaSectionsCutShortAreRefused) {
-  // A section whose payload ends inside an arena's register-vector
-  // dictionary, row count or first rows, with its length and CRC
-  // rewritten so the framing is valid: only the arena decoder sees the
-  // missing bytes, and it must refuse them.
+TEST(CheckpointMutation, MemoSectionCutShortIsRefused) {
+  // A memo payload that ends inside an entry, with its length and CRC
+  // rewritten so the framing is valid, and counts that claim more entries
+  // than the section holds: only the memo decoder sees the missing bytes,
+  // and it must refuse them before reserving anything for the claim.
   std::mt19937_64 rng(kSeed + 2);
   for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "reuse" : "no-reuse");
     const Corpus& c = corpus(reuse);
-    for (const Section& s : sections(c.state)) {
-      const std::optional<ArenaLayout> arena = arena_layout(c, s);
-      if (!arena || arena->nv == 0) continue;
-      const std::size_t lo = arena->vecs;
-      const std::size_t hi =
-          std::min(s.payload + s.len, arena->rows + 8 + 2 * (arena->n + 1) * 4);
-      for (int i = 0; i < kMutantsPerSection / 4; ++i) {
-        const std::size_t cut = lo + rng() % (hi - lo);
-        Bytes m = c.state;
-        m.erase(m.begin() + static_cast<std::ptrdiff_t>(cut),
-                m.begin() + static_cast<std::ptrdiff_t>(s.payload + s.len));
-        Section cut_sec = s;
-        cut_sec.len = cut - s.payload;
-        put_le(m, s.payload - 12, cut_sec.len, 8);  // the payload length
-        fix_crc(m, cut_sec);
-        SCOPED_TRACE(std::string(reuse ? "reuse " : "no-reuse ") + s.name +
-                     " cut at payload byte " + std::to_string(cut - s.payload));
-        EXPECT_FALSE(resume_from(c.manifest, m, reuse));
-      }
+    const Bytes memo = memo_payload(c);
+    for (int i = 0; i < kMutantsPerSection / 4; ++i) {
+      const std::size_t cut = rng() % memo.size();
+      SCOPED_TRACE("cut at payload byte " + std::to_string(cut));
+      EXPECT_FALSE(resume_from(
+          c.manifest,
+          with_memo(c, Bytes(memo.begin(),
+                             memo.begin() + static_cast<std::ptrdiff_t>(cut))),
+          reuse));
+    }
+    for (const std::uint64_t count :
+         {rd_le(memo, 0, 8) + 1, std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+      Bytes m = memo;
+      put_le(m, 0, count, 8);
+      EXPECT_FALSE(resume_from(c.manifest, with_memo(c, m), reuse)) << count;
     }
   }
 }
 
-/// The corpus state file with one memo witness edited by `edit(bytes,
-/// offset of the witness's u32 length)` and the memo CRC recomputed, so the
-/// section frames correctly and only the memo decoder can refuse it. The
-/// memo payload is a u64 count, then per entry a u32 root, a u64 pbits and
-/// two witnesses of u8 can, u32 id, u32 length and one byte per step.
+/// Corpus `c`'s state file with the memo payload edited by `edit(memo,
+/// entries)` (which may resize it), reframed by with_memo.
 template <typename Edit>
-Bytes with_memo_witness(bool nonempty, Edit edit) {
-  Bytes state = corpus().state;
-  for (const Section& s : sections(state)) {
-    if (s.name != "memo") continue;
-    std::size_t at = s.payload + 8;
-    for (std::uint64_t e = rd_le(state, s.payload, 8); e > 0; --e) {
-      at += 12;
-      for (int v = 0; v < 2; ++v) {
-        const std::size_t len_at = at + 5;
-        const std::size_t len = rd_le(state, len_at, 4);
-        if (!nonempty || len > 0) {
-          edit(state, len_at);
-          fix_crc(state, s);
-          return state;
-        }
-        at = len_at + 4 + len;
-      }
+Bytes with_memo_edit(const Corpus& c, Edit edit) {
+  Bytes memo = memo_payload(c);
+  const std::vector<Entry> es = entries(c, memo);
+  edit(memo, es);
+  return with_memo(c, memo);
+}
+
+/// The first entry with a positive witness of at least one step whose P
+/// leaves some process out (or any, when `strict_p` is false): its index
+/// and value.
+std::pair<std::size_t, int> positive_witness(const Corpus& c, const Bytes& memo,
+                                             const std::vector<Entry>& es,
+                                             bool strict_p) {
+  const std::uint64_t all = (std::uint64_t{1} << c.n) - 1;
+  for (std::size_t e = 0; e < es.size(); ++e) {
+    if (strict_p && rd_le(memo, es[e].pbits, 8) == all) continue;
+    for (int v = 0; v < 2; ++v) {
+      if (memo[es[e].wit[v]] != 0 && es[e].len[v] > 0) return {e, v};
     }
   }
-  ADD_FAILURE() << "no such memo witness in the corpus";
-  return state;
+  ADD_FAILURE() << "no such positive witness in the corpus";
+  return {0, 0};
 }
 
 TEST(CheckpointMutation, MemoWitnessIsBoundedAndRangeChecked) {
-  // A length of 0xFFFFFFFF: refused before 4 GiB are reserved for it.
-  EXPECT_FALSE(resume_from(
-      corpus().manifest,
-      with_memo_witness(false, [](Bytes& b, std::size_t len_at) {
-        for (int i = 0; i < 4; ++i) b[len_at + i] = 0xFF;
-      })));
-  // A step naming process n: refused, or a memo hit would replay it.
-  EXPECT_FALSE(resume_from(
-      corpus().manifest,
-      with_memo_witness(true, [](Bytes& b, std::size_t len_at) {
-        b[len_at + 4] = kN;
-      })));
-}
-
-/// The corpus state file with `edit(bytes, layout)` applied to section
-/// `name`'s arena (arena_layout), taken from the corpus whose arena there
-/// holds configurations: graph from the shared engine's, roots from the
-/// fresh-BFS backend's. The section's CRC is recomputed, so only the arena
-/// decoder can refuse the result.
-template <typename Edit>
-Bytes with_arena_edit(const std::string& name, Edit edit) {
-  const Corpus& c = corpus(name == "graph");
-  Bytes state = c.state;
-  for (const Section& s : sections(state)) {
-    if (s.name != name) continue;
-    edit(state, *arena_layout(c, s));
-    fix_crc(state, s);
-    return state;
-  }
-  ADD_FAILURE() << "no " << name << " section in the corpus";
-  return state;
-}
-
-TEST(CheckpointMutation, ArenaDictionaryAndCodesAreRangeChecked) {
-  for (const std::string name : {"graph", "roots"}) {
-    SCOPED_TRACE(name);
-    const bool reuse = name == "graph";
+  for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "reuse" : "no-reuse");
+    const Corpus& c = corpus(reuse);
     const auto refused = [&](auto edit) {
-      return !resume_from(corpus(reuse).manifest, with_arena_edit(name, edit),
-                          reuse);
+      return !resume_from(c.manifest, with_memo_edit(c, edit), reuse);
     };
-    // A dictionary of 65,537 values: more than a 16-bit code can name.
-    EXPECT_TRUE(refused([](Bytes& b, const ArenaLayout& a) {
-      put_le(b, a.at, 65'537, 4);
+    // A length of 0xFFFFFFFF: refused before 4 GiB are reserved for it.
+    EXPECT_TRUE(refused([](Bytes& m, const std::vector<Entry>& es) {
+      put_le(m, es[0].wit[0] + 1, 0xFFFFFFFFu, 4);
     }));
-    // The second dictionary value overwritten with the first: a value with
-    // two codes would make equal configurations compare unequal.
-    EXPECT_TRUE(refused([](Bytes& b, const ArenaLayout& a) {
-      ASSERT_GE(a.nd, 2u);
-      std::copy_n(b.begin() + static_cast<std::ptrdiff_t>(a.at + 4), 8,
-                  b.begin() + static_cast<std::ptrdiff_t>(a.at + 12));
+    // A step naming process n: refused, or a memo hit would replay it.
+    EXPECT_TRUE(refused([&](Bytes& m, const std::vector<Entry>& es) {
+      const auto [e, v] = positive_witness(c, m, es, false);
+      m[es[e].wit[v] + 5] = static_cast<std::uint8_t>(c.n);
     }));
-    // A register-vector dictionary of 65,537 vectors.
-    EXPECT_TRUE(refused([](Bytes& b, const ArenaLayout& a) {
-      put_le(b, a.vecs, 65'537, 4);
+    // A step of a process outside P: not a P-only execution.
+    EXPECT_TRUE(refused([&](Bytes& m, const std::vector<Entry>& es) {
+      const auto [e, v] = positive_witness(c, m, es, true);
+      const std::uint64_t p = rd_le(m, es[e].pbits, 8);
+      const int out = __builtin_ctzll(~p);
+      ASSERT_LT(out, c.n);
+      m[es[e].wit[v] + 5] = static_cast<std::uint8_t>(out);
     }));
-    // The first vector's first code set to the value dictionary's size.
-    EXPECT_TRUE(refused([](Bytes& b, const ArenaLayout& a) {
-      ASSERT_GE(a.nv, 1u);
-      put_le(b, a.vecs + 4, a.nd, 2);
-    }));
-    // The second vector overwritten with the first: a tuple with two codes.
-    EXPECT_TRUE(refused([](Bytes& b, const ArenaLayout& a) {
-      ASSERT_GE(a.nv, 2u);
-      const auto first = b.begin() + static_cast<std::ptrdiff_t>(a.vecs + 4);
-      std::copy_n(first, 2 * a.n, first + static_cast<std::ptrdiff_t>(2 * a.n));
-    }));
-    // The first row's first code set to the dictionary's size: a code that
-    // names no value.
-    EXPECT_TRUE(refused([](Bytes& b, const ArenaLayout& a) {
-      ASSERT_GE(rd_le(b, a.rows, 8), 1u);
-      put_le(b, a.rows + 8, a.nd, 2);
-    }));
-    // The first row's vector code (after its n state codes) set to the
-    // vector dictionary's size: a code that names no register vector.
-    EXPECT_TRUE(refused([](Bytes& b, const ArenaLayout& a) {
-      ASSERT_GE(rd_le(b, a.rows, 8), 1u);
-      put_le(b, a.rows + 8 + 2 * a.n, a.nv, 2);
+    // A witness kept on an answer flipped to negative.
+    EXPECT_TRUE(refused([&](Bytes& m, const std::vector<Entry>& es) {
+      const auto [e, v] = positive_witness(c, m, es, false);
+      m[es[e].wit[v]] = 0;
     }));
   }
+}
+
+TEST(CheckpointMutation, WitnessThatDecidesNothingIsRefused) {
+  // Restore replays every positive witness from its root. A witness cut
+  // to no steps, on an entry whose root decides nothing by itself, is a
+  // CRC-valid claim that P can decide v with no evidence: refused.
+  consensus::BallotConsensus proto(corpus().n, corpus().cap);
+  for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "reuse" : "no-reuse");
+    const Corpus& c = corpus(reuse);
+    bool cut = false;
+    const Bytes state =
+        with_memo_edit(c, [&](Bytes& m, const std::vector<Entry>& es) {
+          for (const Entry& e : es) {
+            for (int v = 0; v < 2 && !cut; ++v) {
+              if (m[e.wit[v]] == 0 || e.len[v] == 0 ||
+                  sim::some_decided(proto, root_of(c, m, e), v)) {
+                continue;
+              }
+              m.erase(m.begin() + static_cast<std::ptrdiff_t>(e.wit[v] + 5),
+                      m.begin() +
+                          static_cast<std::ptrdiff_t>(e.wit[v] + 5 + e.len[v]));
+              put_le(m, e.wit[v] + 1, 0, 4);
+              cut = true;
+            }
+            if (cut) return;
+          }
+        });
+    ASSERT_TRUE(cut) << "no positive witness to cut in the corpus";
+    EXPECT_FALSE(resume_from(c.manifest, state, reuse));
+  }
+}
+
+TEST(CheckpointMutation, MemoRootsAndProcSetsAreRangeChecked) {
+  for (const bool reuse : {true, false}) {
+    SCOPED_TRACE(reuse ? "reuse" : "no-reuse");
+    const Corpus& c = corpus(reuse);
+    const auto refused = [&](auto edit) {
+      return !resume_from(c.manifest, with_memo_edit(c, edit), reuse);
+    };
+    // A root state equal to the shared engine's masked-slot word.
+    EXPECT_TRUE(refused([](Bytes& m, const std::vector<Entry>& es) {
+      put_le(m, es[0].at, std::uint64_t{1} << 63, 8);
+    }));
+    // An empty P, a P naming process n, and one naming process 63.
+    for (const std::uint64_t p :
+         {std::uint64_t{0}, std::uint64_t{1} << c.n, std::uint64_t{1} << 63}) {
+      EXPECT_TRUE(refused([p](Bytes& m, const std::vector<Entry>& es) {
+        put_le(m, es[0].pbits, p, 8);
+      })) << p;
+    }
+    // The first entry twice: two entries for one pair.
+    EXPECT_TRUE(refused([](Bytes& m, const std::vector<Entry>& es) {
+      const Bytes copy(m.begin() + static_cast<std::ptrdiff_t>(es[0].at),
+                       m.begin() + static_cast<std::ptrdiff_t>(es[0].end));
+      m.insert(m.begin() + static_cast<std::ptrdiff_t>(es[0].end),
+               copy.begin(), copy.end());
+      put_le(m, 0, es.size() + 1, 8);
+    }));
+    // Negative entries whose roots name more distinct words than a 16-bit
+    // code can: the arena's dictionary overflow is a refusal here, not a
+    // budget stop.
+    EXPECT_TRUE(refused([&](Bytes& m, const std::vector<Entry>& es) {
+      const std::size_t words = root_words(c);
+      const std::size_t extra = 65'536 / words + 1;
+      for (std::size_t e = 0; e < extra; ++e) {
+        Bytes entry(8 * words + 8 + 10, 0);
+        for (std::size_t w = 0; w < words; ++w) {
+          put_le(entry, 8 * w, 1'000'000 + e * words + w, 8);
+        }
+        put_le(entry, 8 * words, (std::uint64_t{1} << c.n) - 1, 8);
+        m.insert(m.end(), entry.begin(), entry.end());
+      }
+      put_le(m, 0, es.size() + extra, 8);
+    }));
+  }
+  // With reuse, the memo keys on the projected root: a copy whose root
+  // differs only in a frozen process's (non-deciding) state is a second
+  // entry for the same key after re-keying, though its bytes differ.
+  const Corpus& c = corpus(true);
+  consensus::BallotConsensus proto(c.n, c.cap);
+  bool made = false;
+  const Bytes state =
+      with_memo_edit(c, [&](Bytes& m, const std::vector<Entry>& es) {
+        const std::uint64_t all = (std::uint64_t{1} << c.n) - 1;
+        for (const Entry& e : es) {
+          const std::uint64_t p = rd_le(m, e.pbits, 8);
+          if (p == all) continue;
+          const int q = __builtin_ctzll(~p);
+          const auto was =
+              static_cast<sim::Value>(rd_le(m, e.at + 8 * q, 8));
+          if (proto.poised(q, was).is_decide()) continue;
+          sim::Value other = 0;
+          while (other == was || proto.poised(q, other).is_decide()) ++other;
+          Bytes copy(m.begin() + static_cast<std::ptrdiff_t>(e.at),
+                     m.begin() + static_cast<std::ptrdiff_t>(e.end));
+          put_le(copy, 8 * static_cast<std::size_t>(q),
+                 static_cast<std::uint64_t>(other), 8);
+          m.insert(m.end(), copy.begin(), copy.end());
+          put_le(m, 0, es.size() + 1, 8);
+          made = true;
+          return;
+        }
+      });
+  ASSERT_TRUE(made) << "no entry with a frozen process in the corpus";
+  EXPECT_FALSE(resume_from(c.manifest, state, true));
 }
 
 }  // namespace

@@ -209,7 +209,7 @@ INSTANTIATE_TEST_SUITE_P(Partitions, KSetTest,
                          ::testing::Values(KSetCase{4, 2}, KSetCase{6, 2},
                                            KSetCase{6, 3}),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param.n) + "k" +
+                           return 'n' + std::to_string(info.param.n) + "k" +
                                   std::to_string(info.param.k);
                          });
 

@@ -271,21 +271,11 @@ void check_hostile_blocks(std::uint64_t seed) {
     }
     const std::uint8_t* block = guarded.at_end(m);
     try {
-      switch (i % 3) {
-        case 0:
-          sp::decode_all<W>(block, m.size(), kRecs, kStride, out.data());
-          break;
-        case 1:
-          sp::decode_group<W>(block, m.size(), rng() % kGroups, kStride,
-                              out.data());
-          break;
-        default: {
-          // The span a checkpoint copies must lie inside the block.
-          const auto [p, len] =
-              sp::group_span<W>(block, m.size(), rng() % kGroups, kStride);
-          ASSERT_TRUE(p >= block && len <= m.size() &&
-                      static_cast<std::size_t>(p - block) <= m.size() - len);
-        }
+      if (i % 2 == 0) {
+        sp::decode_all<W>(block, m.size(), kRecs, kStride, out.data());
+      } else {
+        sp::decode_group<W>(block, m.size(), rng() % kGroups, kStride,
+                            out.data());
       }
       ++decoded;
     } catch (const util::RequirementFailed&) {
@@ -582,184 +572,6 @@ TEST(SpillStore, ChargedBytesFollowAdmittedRecords) {
   EXPECT_EQ(small.charged_bytes(), 36 * rec);
 }
 
-// --- Coded checkpoint records ------------------------------------------------
-
-/// The section file `path` holding records [0, limit) of `store`, written
-/// by save().
-template <class W>
-std::vector<std::uint8_t> saved_records(
-    const util::spill::SpillStore<W>& store, std::size_t limit,
-    const std::string& path) {
-  {
-    SectionWriter w(path);
-    w.begin("recs");
-    store.save(w, limit);
-    w.end();
-    w.finish();
-  }
-  return slurp(path);
-}
-
-/// Records [0, count) of `stride` words read back from `path` with
-/// load_records, which must hand them out group by group in order.
-template <class W>
-std::vector<W> loaded_records(const std::string& path, std::uint64_t count,
-                              std::size_t stride) {
-  std::vector<W> out;
-  SectionReader r(path);
-  r.expect("recs");
-  util::spill::load_records<W>(
-      r, count, stride, "test",
-      [&](const W* recs, std::size_t n, std::uint64_t first) {
-        EXPECT_EQ(first * stride, out.size());
-        EXPECT_TRUE(n == util::spill::kGroupRecords || first + n == count);
-        out.insert(out.end(), recs, recs + n * stride);
-      });
-  r.done();
-  return out;
-}
-
-/// `nrecs` records (a partial last group) in a store that spills at
-/// `seg_hint` (0: the default segments) and in an all-resident copy: both
-/// must save to the same bytes at every limit — whole segments, a group
-/// cut short inside a spilled segment, one record, none — and the bytes
-/// must load back to the records.
-template <class W>
-void check_coded_save(std::size_t stride, std::size_t seg_hint,
-                      std::size_t nrecs, const std::string& dir) {
-  SCOPED_TRACE(std::to_string(sizeof(W)) + "-byte words, stride " +
-               std::to_string(stride) + ", segment hint " +
-               std::to_string(seg_hint));
-  util::spill::SpillStore<W> spilled;
-  util::spill::SpillStore<W> resident;
-  spilled.init("coded", stride, W{});
-  resident.init("coded.resident", stride, W{});
-  ASSERT_TRUE(spilled.set_spill(dir, seg_hint));
-  std::vector<W> all;
-  std::vector<W> rec(stride);
-  for (std::size_t i = 0; i < nrecs; ++i) {
-    for (std::size_t w = 0; w < stride; ++w) {
-      if (i == 0 || (i + w) % 3 == 0) {
-        rec[w] = static_cast<W>(i * 2654435761u + w * 40503u) -
-                 static_cast<W>(i % 7 == 0 ? 100 : 0);
-      }
-    }
-    spilled.append(rec.data());
-    resident.append(rec.data());
-    all.insert(all.end(), rec.begin(), rec.end());
-  }
-  ASSERT_GT(spilled.maybe_spill(0, kNoPin), 0u);
-  ASSERT_NE(nrecs % util::spill::kGroupRecords, 0u);
-  const std::size_t seg = spilled.segment_records();
-  for (const std::size_t limit :
-       {nrecs, seg + 10, seg, seg - 10, std::size_t{64}, std::size_t{1},
-        std::size_t{0}}) {
-    ASSERT_LE(limit, nrecs);
-    const auto a = saved_records(spilled, limit, dir + "/spilled.bin");
-    const auto b = saved_records(resident, limit, dir + "/resident.bin");
-    EXPECT_TRUE(a == b) << "limit " << limit << ": spilled " << a.size()
-                        << " bytes, resident " << b.size();
-    const std::vector<W> back =
-        loaded_records<W>(dir + "/spilled.bin", limit, stride);
-    EXPECT_TRUE(std::equal(back.begin(), back.end(), all.begin()) &&
-                back.size() == limit * stride)
-        << "limit " << limit;
-  }
-  EXPECT_EQ(spilled.faulted_in(), 0u) << "save must fault nothing in";
-}
-
-TEST(CodedRecords, SpilledAndResidentSavesAreByteIdentical) {
-  for (const std::size_t seg : {std::size_t{64}, std::size_t{512}}) {
-    check_coded_save<std::uint8_t>(1, seg, 1500, tdir("coded_u8"));
-    check_coded_save<sim::Code>(9, seg, 1500, tdir("coded_u16"));
-    check_coded_save<sim::ConfigId>(5, seg, 1500, tdir("coded_u32"));
-    check_coded_save<std::uint64_t>(5, seg, 1500, tdir("coded_u64"));
-  }
-  // The default (~4 MiB) segments: one full segment spills, the rest of
-  // the records sit in a resident tail.
-  util::spill::SpillStore<std::uint64_t> probe;
-  probe.init("probe", 16, 0);
-  check_coded_save<std::uint64_t>(16, 0, probe.segment_records() + 300,
-                                  tdir("coded_default"));
-}
-
-/// A "recs" section holding `bytes`, for a hostile-group case.
-std::string hostile_section(const std::string& tag,
-                            const std::vector<std::uint8_t>& bytes) {
-  const std::string path = tdir("hostile_" + tag) + "/recs.bin";
-  SectionWriter w(path);
-  w.begin("recs");
-  w.put_bytes(bytes.data(), bytes.size());
-  w.end();
-  w.finish();
-  return path;
-}
-
-TEST(CodedRecords, HostileGroupsAreRefusedAsCheckpointInvalid) {
-  // Two records of two u32 words: a raw record, a u32 byte count, then
-  // the delta record (a one-byte changed-word mask and its deltas). Each
-  // case frames correctly (the section's CRC is valid), so only
-  // load_records can refuse it.
-  using Bytes = std::vector<std::uint8_t>;
-  const Bytes raw = {1, 0, 0, 0, 2, 0, 0, 0};
-  const auto framed = [](Bytes g, std::uint32_t len, const Bytes& deltas) {
-    for (int i = 0; i < 4; ++i) {
-      g.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-    }
-    g.insert(g.end(), deltas.begin(), deltas.end());
-    return g;
-  };
-  const auto group = [&](std::uint32_t len, const Bytes& deltas) {
-    return framed(raw, len, deltas);
-  };
-  const Bytes good = {0x02, 0x02};  // mask 0b10: word 1 += 1
-  const auto load = [](const std::string& path) {
-    return loaded_records<std::uint32_t>(path, 2, 2);
-  };
-  // Control: the well-formed group loads.
-  EXPECT_EQ(load(hostile_section("good", group(2, good))),
-            (std::vector<std::uint32_t>{1, 2, 1, 3}));
-  const std::vector<std::pair<std::string, Bytes>> cases = {
-      // A byte count of 0xFFFFFFFF: refused before it is read.
-      {"huge_len", group(0xFFFFFFFFu, good)},
-      // The deltas run past the group's byte count.
-      {"short_len", group(1, good)},
-      // The byte count leaves a byte no delta consumes.
-      {"long_len", group(3, {0x02, 0x02, 0x00})},
-      // A mask bit at word 2 of a two-word record.
-      {"mask_bit_past_stride", group(2, {0x04, 0x02})},
-      // A varint of eleven bytes.
-      {"long_varint",
-       group(12, {0x01, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
-                  0x80, 0x80, 0x01})},
-      // No byte count at all: the section ends after the raw record.
-      {"torn", raw},
-      // A mask naming two changed words in a group with one delta byte.
-      {"mask_past_group", group(2, {0x03, 0x02})},
-      // No room for the mask: the group's byte count is zero.
-      {"mask_cut_short", group(0, {})},
-  };
-  for (const auto& [tag, bytes] : cases) {
-    EXPECT_THROW(load(hostile_section(tag, bytes)), util::CheckpointInvalid)
-        << tag;
-  }
-  // Ten u16 words take a two-byte mask: a group whose bytes end after
-  // the mask's first byte is refused too, and with that byte and one
-  // more (word 9 += 1) it loads.
-  const auto wide = [&](const std::string& tag, const Bytes& deltas) {
-    return loaded_records<std::uint16_t>(
-        hostile_section(tag,
-                        framed(Bytes(20, 0),
-                               static_cast<std::uint32_t>(deltas.size()),
-                               deltas)),
-        2, 10);
-  };
-  EXPECT_THROW(wide("wide_mask_cut", {0x00}), util::CheckpointInvalid);
-  std::vector<std::uint16_t> expect(20, 0);
-  expect[19] = 1;
-  EXPECT_EQ(wide("wide_mask_ok", {0x00, 0x02, 0x02}), expect);
-}
-
 // --- An unusable spill directory ----------------------------------------------
 
 TEST(SpillDir, UnusableDirectoryIsRefusedBeforeAnyQuery) {
@@ -806,8 +618,8 @@ TEST(GraphSpillCheckpoint, SaveWithEdgesOnDiskRestoresWarmAndSpilled) {
   bound::ValencyOracle a(proto, spill_opts(tdir("ckpt_a")));
   const bool biv = a.bivalent(init, everyone);
   const bool can0 = a.can_decide(init, everyone, 0);
-  // The save must stream edge rows while some of them live on disk —
-  // that is the case under test, not an incidental detail.
+  // The save runs while edge rows live on disk — that is the case under
+  // test, not an incidental detail.
   ASSERT_GT(a.graph_spilled_bytes(), 0u)
       << "forced spill never engaged; the roundtrip would be vacuous";
 
@@ -824,22 +636,22 @@ TEST(GraphSpillCheckpoint, SaveWithEdgesOnDiskRestoresWarmAndSpilled) {
     b.restore_state(r);
     r.expect_end();
   }
-  EXPECT_EQ(b.graph_nodes(), a.graph_nodes());
+  EXPECT_EQ(b.memo_entries(), a.memo_entries());
   EXPECT_EQ(b.state_fingerprint(), a.state_fingerprint());
-  EXPECT_EQ(b.fact_subsumed(), a.fact_subsumed());
-  // restore() re-applies the memory plan: the rebuilt stores spill straight
-  // back down to the threshold rather than ballooning resident.
-  EXPECT_GT(b.graph_spilled_bytes(), 0u);
   EXPECT_EQ(b.bivalent(init, everyone), biv);
   EXPECT_EQ(b.can_decide(init, everyone, 0), can0);
   EXPECT_EQ(b.explorations(), 0u)
       << "restored spilled state missed the memo and re-explored";
+  // The restored oracle keeps the memory plan: the first pass the memo
+  // cannot answer spills its edges like the original's did.
+  (void)b.bivalent(init, sim::ProcSet::first_n(3));
+  EXPECT_EQ(b.explorations(), 1u);
+  EXPECT_GT(b.graph_spilled_bytes(), 0u);
 }
 
 TEST(GraphSpillCheckpoint, SaveIsByteIdenticalResidentAndSpilled) {
-  // The save streams each store segment by segment; a spilled segment is
-  // decoded on the way out. Where the records happen to live must not
-  // change a single byte of the checkpoint.
+  // A checkpoint holds the memo, not the stores, so where the records
+  // happen to live must not change a single byte of it.
   consensus::BallotConsensus proto(4, 8);
   const sim::Config init = sim::initial_config(proto, {0, 1, 1, 1});
   const sim::ProcSet everyone = sim::ProcSet::first_n(4);
@@ -859,8 +671,6 @@ TEST(GraphSpillCheckpoint, SaveIsByteIdenticalResidentAndSpilled) {
   std::size_t spilled = 0;
   const auto resident = save(bound::ValencyOracle::Options{}, "ident_res",
                              &resident_spilled);
-  // Four delta groups per segment, so the spilled path decodes more than
-  // each segment's first group.
   bound::ValencyOracle::Options tiny = spill_opts(tdir("ident_dir"));
   tiny.limits.spill.seg_configs = 256;
   const auto on_disk = save(tiny, "ident_spill", &spilled);

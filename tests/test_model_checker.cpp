@@ -96,7 +96,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(std::pair{2, 2}, std::pair{2, 4}, std::pair{2, 6},
                       std::pair{3, 3}, std::pair{3, 6}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.first) + "cap" +
+      return 'n' + std::to_string(info.param.first) + "cap" +
              std::to_string(info.param.second);
     });
 
